@@ -20,6 +20,11 @@ constexpr double kWorkEpsilon = 1e-12;
 // would advance the clock by less than one ulp — an infinite event loop.
 constexpr double kTimeEpsilon = 1e-9;
 
+bool drained(double remaining, double rate) {
+  return remaining <= kWorkEpsilon ||
+         (rate > 0.0 && remaining <= rate * kTimeEpsilon);
+}
+
 }  // namespace
 
 FairShareResource::FairShareResource(Engine& engine, std::string name,
@@ -44,34 +49,28 @@ StreamId FairShareResource::open(double work, double cap,
   AMOEBA_EXPECTS(work >= 0.0);
   AMOEBA_EXPECTS(on_complete != nullptr);
   bank_progress();
-  const StreamId id = next_id_++;
   Stream s;
+  s.id = next_id_++;
   s.remaining = work;
   s.cap = (cap <= 0.0) ? capacity_ : std::min(cap, capacity_);
   s.tag = std::string(tag);
   s.on_complete = std::move(on_complete);
-  if (!s.tag.empty()) demand_by_tag_[s.tag] += s.cap;
-  streams_.emplace(id, std::move(s));
+  // The new id exceeds every live one, so (cap, id) order puts the stream
+  // after every stream whose cap is <= its own.
+  const auto at = std::upper_bound(
+      streams_.begin(), streams_.end(), s.cap,
+      [](double c, const Stream& other) { return c < other.cap; });
+  const StreamId id = streams_.insert(at, std::move(s))->id;
   reallocate();
   return id;
 }
 
-void FairShareResource::release_tag_demand(const Stream& s) {
-  if (s.tag.empty()) return;
-  auto it = demand_by_tag_.find(s.tag);
-  if (it == demand_by_tag_.end()) return;
-  it->second -= s.cap;
-  // Drop entries that drained to (numerically) zero so a departed tenant
-  // reads as exactly 0 demand, not as accumulated float dust.
-  if (it->second <= s.cap * 1e-12) demand_by_tag_.erase(it);
-}
-
 double FairShareResource::close(StreamId id) {
-  auto it = streams_.find(id);
+  const auto it = std::find_if(streams_.begin(), streams_.end(),
+                               [id](const Stream& s) { return s.id == id; });
   if (it == streams_.end()) return 0.0;
   bank_progress();
-  const double remaining = it->second.remaining;
-  release_tag_demand(it->second);
+  const double remaining = it->remaining;
   streams_.erase(it);
   reallocate();
   return remaining;
@@ -79,13 +78,17 @@ double FairShareResource::close(StreamId id) {
 
 double FairShareResource::pressure() const noexcept {
   double demand = 0.0;
-  for (const auto& [id, s] : streams_) demand += s.cap;
+  for (const Stream& s : streams_) demand += s.cap;
   return demand / capacity_;
 }
 
 double FairShareResource::demand_of(std::string_view tag) const noexcept {
-  auto it = demand_by_tag_.find(tag);
-  return it == demand_by_tag_.end() ? 0.0 : it->second;
+  if (tag.empty()) return 0.0;  // untagged demand belongs to no tag
+  double demand = 0.0;
+  for (const Stream& s : streams_) {
+    if (s.tag == tag) demand += s.cap;
+  }
+  return demand;
 }
 
 double FairShareResource::pressure_of(std::string_view tag) const noexcept {
@@ -99,12 +102,17 @@ double FairShareResource::external_pressure(
 
 std::map<std::string, double, std::less<>> FairShareResource::demand_by_tag()
     const {
-  return demand_by_tag_;
+  std::map<std::string, double, std::less<>> out;
+  for (const Stream& s : streams_) {
+    if (!s.tag.empty()) out[s.tag] += s.cap;
+  }
+  return out;
 }
 
 double FairShareResource::rate_of(StreamId id) const noexcept {
-  auto it = streams_.find(id);
-  return it == streams_.end() ? 0.0 : it->second.rate;
+  const auto it = std::find_if(streams_.begin(), streams_.end(),
+                               [id](const Stream& s) { return s.id == id; });
+  return it == streams_.end() ? 0.0 : it->rate;
 }
 
 double FairShareResource::utilization() const noexcept {
@@ -124,7 +132,7 @@ void FairShareResource::bank_progress() {
   const Time now = engine_.now();
   const double dt = now - last_update_;
   if (dt > 0.0) {
-    for (auto& [id, s] : streams_) {
+    for (Stream& s : streams_) {
       s.remaining = std::max(0.0, s.remaining - s.rate * dt);
     }
     busy_capacity_seconds(now);  // extend utilization integral
@@ -134,52 +142,50 @@ void FairShareResource::bank_progress() {
 
 void FairShareResource::reallocate() {
   AMOEBA_PROF_SCOPE(kFairShare);
-  // Progressive filling: process streams in ascending cap order; each takes
-  // min(cap, remaining_capacity / remaining_streams). This is the standard
-  // max-min fair ("water-filling") allocation.
+  // Progressive filling: streams_ is already in ascending (cap, id) order;
+  // each takes min(cap, remaining_capacity / remaining_streams). This is the
+  // standard max-min fair ("water-filling") allocation.
   busy_capacity_seconds(engine_.now());  // close integral at old rate
-  std::vector<std::pair<double, StreamId>> by_cap;
-  by_cap.reserve(streams_.size());
-  for (const auto& [id, s] : streams_) by_cap.emplace_back(s.cap, id);
-  std::sort(by_cap.begin(), by_cap.end());
-
   double remaining_capacity = capacity_;
-  std::size_t remaining_streams = by_cap.size();
+  std::size_t remaining_streams = streams_.size();
   allocated_rate_ = 0.0;
-  for (const auto& [cap, id] : by_cap) {
-    const double equal_share = remaining_capacity / static_cast<double>(remaining_streams);
-    const double rate = std::min(cap, equal_share);
-    streams_.at(id).rate = rate;
-    allocated_rate_ += rate;
-    remaining_capacity -= rate;
+  for (Stream& s : streams_) {
+    const double equal_share =
+        remaining_capacity / static_cast<double>(remaining_streams);
+    s.rate = std::min(s.cap, equal_share);
+    allocated_rate_ += s.rate;
+    remaining_capacity -= s.rate;
     --remaining_streams;
   }
 
   // Utilization-dependent interference penalty (shared caches / memory
-  // bandwidth): everyone slows together as the resource fills up.
+  // bandwidth): everyone slows together as the resource fills up. Without
+  // it the factor is exactly 1, which leaves every rate bit-identical.
+  double penalty = 1.0;
   if (interference_ > 0.0 && allocated_rate_ > 0.0) {
     const double utilization = allocated_rate_ / capacity_;
-    const double penalty = 1.0 / (1.0 + interference_ * utilization);
-    for (auto& [id, s] : streams_) s.rate *= penalty;
+    penalty = 1.0 / (1.0 + interference_ * utilization);
     allocated_rate_ *= penalty;
   }
 
-  // Reschedule the single completion event at the earliest finish.
+  // Reschedule the single completion event at the earliest finish. The
+  // earliest of now + remaining / rate is now + the least remaining / rate,
+  // because rounding the sum is monotone in the addend.
   if (completion_event_ != kNoEvent) {
     engine_.cancel(completion_event_);
     completion_event_ = kNoEvent;
   }
-  Time earliest = std::numeric_limits<Time>::infinity();
-  for (const auto& [id, s] : streams_) {
-    if (s.remaining <= kWorkEpsilon ||
-        (s.rate > 0.0 && s.remaining <= s.rate * kTimeEpsilon)) {
-      earliest = engine_.now();
-      break;
-    }
-    if (s.rate > 0.0) {
-      earliest = std::min(earliest, engine_.now() + s.remaining / s.rate);
+  bool due_now = false;
+  double soonest = std::numeric_limits<double>::infinity();
+  for (Stream& s : streams_) {
+    s.rate *= penalty;
+    if (drained(s.remaining, s.rate)) {
+      due_now = true;
+    } else if (s.rate > 0.0) {
+      soonest = std::min(soonest, s.remaining / s.rate);
     }
   }
+  const Time earliest = due_now ? engine_.now() : engine_.now() + soonest;
   if (std::isfinite(earliest)) {
     completion_event_ =
         engine_.schedule(earliest, [this] { on_completion_event(); });
@@ -190,22 +196,23 @@ void FairShareResource::on_completion_event() {
   AMOEBA_PROF_SCOPE(kFairShare);
   completion_event_ = kNoEvent;
   bank_progress();
-  // Collect every stream that drained (ties complete together, in id order).
+  // Compact every drained stream out in one pass (ties complete together).
   std::vector<std::pair<StreamId, CompletionFn>> done;
-  for (auto it = streams_.begin(); it != streams_.end();) {
-    const Stream& s = it->second;
-    if (s.remaining <= kWorkEpsilon ||
-        (s.rate > 0.0 && s.remaining <= s.rate * kTimeEpsilon)) {
-      release_tag_demand(s);
-      done.emplace_back(it->first, std::move(it->second.on_complete));
-      it = streams_.erase(it);
+  auto kept = streams_.begin();
+  for (auto it = streams_.begin(); it != streams_.end(); ++it) {
+    if (drained(it->remaining, it->rate)) {
+      done.emplace_back(it->id, std::move(it->on_complete));
     } else {
-      ++it;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
     }
   }
+  streams_.erase(kept, streams_.end());
   reallocate();
-  // Fire callbacks after internal state is consistent; callbacks may open
-  // new streams re-entrantly.
+  // Fire callbacks in id order, after internal state is consistent;
+  // callbacks may open new streams re-entrantly.
+  std::sort(done.begin(), done.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   for (auto& [id, fn] : done) fn();
 }
 

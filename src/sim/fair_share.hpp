@@ -14,6 +14,19 @@
 // earliest completion is (re)scheduled on the engine. Completion order under
 // equal remaining work is deterministic (stream-id order).
 //
+// Storage invariant: live streams sit in one contiguous vector kept in
+// ascending (cap, id) order, which is the water-filling order, so a
+// reallocation is plain in-order passes with no sort, allocation or lookup.
+// Ids only grow, so a new stream goes in after every stream whose cap is <=
+// its own. The platforms open every stream on a resource with the same cap,
+// which makes that a push_back.
+//
+// Determinism contract: the per-stream arithmetic and its order are part of
+// the trace. That covers the water-filling recurrence, allocated_rate_
+// summed in (cap, id) order, the interference penalty, progress banking and
+// the drain epsilons, plus the sequence of engine schedule/cancel calls.
+// Changing any of them moves trace hashes.
+//
 // The Amoeba controller never looks inside this class — it only observes
 // latencies, exactly as on real hardware.
 #pragma once
@@ -23,6 +36,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -85,6 +99,8 @@ class FairShareResource {
   [[nodiscard]] double external_pressure(std::string_view tag) const noexcept;
 
   /// Snapshot of the per-tag demand breakdown (tags with live streams).
+  /// Like pressure(), the tag queries sum over the live streams on each
+  /// call: O(#streams), and off every hot path.
   [[nodiscard]] std::map<std::string, double, std::less<>> demand_by_tag()
       const;
 
@@ -104,16 +120,13 @@ class FairShareResource {
 
  private:
   struct Stream {
+    StreamId id = 0;
     double remaining = 0.0;
     double cap = 0.0;   // effective cap (already clamped to capacity)
     double rate = 0.0;  // current allocated rate
     std::string tag;    // demand attribution key ("" = untagged)
     CompletionFn on_complete;
   };
-
-  /// Subtract a closing/completing stream's cap from its tag's demand,
-  /// dropping the entry when the tag's last stream leaves.
-  void release_tag_demand(const Stream& s);
 
   void bank_progress();  // accrue work done since last reallocation
   void reallocate();     // recompute max-min rates + reschedule completion
@@ -123,10 +136,7 @@ class FairShareResource {
   std::string name_;
   double capacity_;
   double interference_;
-  std::map<StreamId, Stream> streams_;  // ordered: deterministic iteration
-  // Sum of effective caps per tag (only non-empty tags). Kept incrementally
-  // so demand_of() is O(log #tags) rather than O(#streams).
-  std::map<std::string, double, std::less<>> demand_by_tag_;
+  std::vector<Stream> streams_;  // ascending (cap, id): water-filling order
   StreamId next_id_ = 1;
   Time last_update_ = 0.0;
   EventId completion_event_ = kNoEvent;

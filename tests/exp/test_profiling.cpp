@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace amoeba::exp {
 namespace {
 
@@ -49,6 +52,30 @@ TEST(Profiling, CellProducesSamples) {
   EXPECT_GT(cell.samples, 30u);
   EXPECT_GT(cell.mean_latency_s, 0.0);
   EXPECT_GE(cell.tail_latency_s, cell.mean_latency_s);
+}
+
+TEST(Profiling, StressedCellIsBitIdenticalToRecordedAnchor) {
+  // A CPU-heavy subject next to a CPU stressor at 0.85 pressure on a node
+  // with CPU interference: the densest fair-share mix a profiling cell
+  // produces. The expected bit patterns were recorded on the map-based
+  // FairShareResource; any change to the contention arithmetic moves them.
+  const auto cluster = small_cluster();
+  ASSERT_GT(cluster.serverless.cpu_interference, 0.0);
+  const auto cfg = quick_config();
+  workload::FunctionProfile subject = workload::make_float();
+  subject.peak_load_qps = 24.0;
+  const auto stressor = workload::make_stressor(workload::StressKind::kCpu);
+  const double stressor_qps = stressor_load_for_pressure(
+      workload::StressKind::kCpu, 0.85, cluster);
+  const auto cell = run_profile_cell(subject, 12.0, &stressor, stressor_qps,
+                                     cluster, cfg, 7);
+  EXPECT_EQ(cell.samples, 104u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cell.tail_latency_s),
+            0x3ffb7067da511aefULL)
+      << std::hex << std::bit_cast<std::uint64_t>(cell.tail_latency_s);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cell.mean_latency_s),
+            0x3ff856d7933060c1ULL)
+      << std::hex << std::bit_cast<std::uint64_t>(cell.mean_latency_s);
 }
 
 TEST(Profiling, MeterCurvesAreCalibrated) {

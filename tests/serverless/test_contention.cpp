@@ -2,6 +2,8 @@
 // paper rests on must emerge from the FairShare resources (paper §II-D).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "serverless/platform.hpp"
 #include "workload/functionbench.hpp"
 #include "workload/load_generator.hpp"
@@ -126,6 +128,45 @@ TEST(Contention, SlowdownGrowsMonotonicallyWithPressure) {
     const double lat = subject_latency_with(antagonist, qps, subject);
     EXPECT_GE(lat, prev * 0.98) << "at " << qps;  // small noise tolerance
     prev = lat;
+  }
+}
+
+TEST(Contention, TruePressureAttributesLiveDemandPerFunction) {
+  // Ground-truth pressure is the capped demand of each function's live
+  // phases: a CPU phase demands one container core, a disk phase the whole
+  // (uncapped) disk.
+  sim::Engine e;
+  ServerlessPlatform sp(e, node_config(), sim::Rng(5));
+  auto a = subject_cpu();
+  a.name = "a";
+  a.exec = {.cpu_seconds = 20.0, .io_bytes = 0.0, .net_bytes = 0.0};
+  auto b = a;
+  b.name = "b";
+  auto c = a;
+  c.name = "c";
+  c.exec = {.cpu_seconds = 0.0, .io_bytes = 10e9, .net_bytes = 0.0};
+  for (const auto& f : {a, b, c}) sp.register_function(f);
+  int done = 0;
+  auto count = [&](const QueryRecord&) { ++done; };
+  for (const char* f : {"a", "a", "a", "b", "b", "c"}) sp.submit(f, count);
+  e.run_until(1.0);  // cold starts (0.5 s) are over, every phase is live
+
+  using P = std::array<double, 3>;
+  EXPECT_EQ(sp.true_pressure_of("a"), (P{3.0 / 8.0, 0.0, 0.0}));
+  EXPECT_EQ(sp.true_pressure_of("b"), (P{2.0 / 8.0, 0.0, 0.0}));
+  EXPECT_EQ(sp.true_pressure_of("c"), (P{0.0, 1.0, 0.0}));
+  EXPECT_EQ(sp.true_external_pressure("a"), (P{2.0 / 8.0, 1.0, 0.0}));
+  EXPECT_EQ(sp.true_external_pressure("b"), (P{3.0 / 8.0, 1.0, 0.0}));
+  EXPECT_EQ(sp.true_external_pressure("c"), (P{5.0 / 8.0, 0.0, 0.0}));
+  // A function with nothing in flight sees all of it as external.
+  EXPECT_EQ(sp.true_pressure_of("idle"), (P{0.0, 0.0, 0.0}));
+  EXPECT_EQ(sp.true_external_pressure("idle"), (P{5.0 / 8.0, 1.0, 0.0}));
+
+  e.run();
+  EXPECT_EQ(done, 6);
+  for (const char* f : {"a", "b", "c"}) {
+    EXPECT_EQ(sp.true_pressure_of(f), (P{0.0, 0.0, 0.0})) << f;
+    EXPECT_EQ(sp.true_external_pressure(f), (P{0.0, 0.0, 0.0})) << f;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace amoeba::workload {
 namespace {
 
@@ -13,6 +15,11 @@ struct ExpectedSensitivity {
   Sensitivity disk;
   Sensitivity net;
 };
+
+// Name each case after its benchmark. Without this, GoogleTest prints the
+// raw bytes of the struct (a string pointer plus padding), which change
+// from build to build and run to run under ASLR, so the test names did too.
+void PrintTo(const ExpectedSensitivity& e, std::ostream* os) { *os << e.name; }
 
 class TableIII : public ::testing::TestWithParam<ExpectedSensitivity> {};
 
