@@ -94,6 +94,14 @@ bool ContainerPool::memory_available(double memory_mb) const {
 
 bool ContainerPool::evict_lru_idle(const std::string& exclude_function) {
   AMOEBA_PROF_SCOPE(kServerlessPool);
+  // Most calls come from a saturated pool with nothing idle to give up, so
+  // miss in O(#functions) before scanning every container.
+  const bool any_candidate =
+      std::any_of(idle_by_fn_.begin(), idle_by_fn_.end(), [&](const auto& kv) {
+        return !kv.second.empty() &&
+               (exclude_function.empty() || kv.first != exclude_function);
+      });
+  if (!any_candidate) return false;
   ContainerId victim = 0;
   double oldest = std::numeric_limits<double>::infinity();
   for (const auto& [id, c] : containers_) {

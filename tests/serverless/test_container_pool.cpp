@@ -127,6 +127,24 @@ TEST(ContainerPool, EvictIgnoresBusyContainers) {
   EXPECT_FALSE(pool.evict_lru_idle());
 }
 
+TEST(ContainerPool, EvictMissesWhenOtherFunctionsAreOnlyStartingOrBusy) {
+  // The only idle container belongs to the excluded function; the others
+  // are booting or busy. Eviction must miss and leave the pool untouched.
+  sim::Engine e;
+  ContainerPool pool(e, kMem, 60.0);
+  (void)pool.start("a", kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start("b", kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start("c", kContainer, 50.0, [](ContainerId) {});
+  e.run_until(2.0);
+  ASSERT_TRUE(pool.acquire_idle("b").has_value());
+  EXPECT_FALSE(pool.evict_lru_idle("a"));
+  EXPECT_EQ(pool.evictions(), 0u);
+  EXPECT_EQ(pool.counts("a").idle, 1);
+  EXPECT_EQ(pool.counts("b").busy, 1);
+  EXPECT_EQ(pool.counts("c").starting, 1);
+  EXPECT_EQ(pool.total_counts().total(), 3);
+}
+
 TEST(ContainerPool, DestroyIdleRemovesAllIdleOfFunction) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
