@@ -11,7 +11,7 @@
 namespace amoeba::obs {
 
 namespace detail {
-thread_local ProfThreadState* t_prof_state = nullptr;
+constinit thread_local ProfThreadState* t_prof_state = nullptr;
 }  // namespace detail
 
 namespace {

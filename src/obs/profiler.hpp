@@ -154,7 +154,11 @@ struct ProfThreadState {
   }
 };
 
-extern thread_local ProfThreadState* t_prof_state;
+// `constinit` (here and at the definition) tells every translation unit the
+// variable needs no dynamic initialisation, so reads are direct TLS loads.
+// Without it GCC routes them through a TLS wrapper function, which UBSan
+// flags as a null-pointer load.
+extern constinit thread_local ProfThreadState* t_prof_state;
 
 [[nodiscard]] inline std::uint64_t prof_now_ns() noexcept {
   return static_cast<std::uint64_t>(

@@ -25,6 +25,12 @@ bool drained(double remaining, double rate) {
          (rate > 0.0 && remaining <= rate * kTimeEpsilon);
 }
 
+// Heap order: std::push_heap/pop_heap with this keep the least
+// (finish, id) on top.
+constexpr auto finishes_later = [](const auto& a, const auto& b) {
+  return a.finish > b.finish || (a.finish == b.finish && a.id > b.id);
+};
+
 }  // namespace
 
 FairShareResource::FairShareResource(Engine& engine, std::string name,
@@ -49,44 +55,57 @@ StreamId FairShareResource::open(double work, double cap,
   AMOEBA_EXPECTS(work >= 0.0);
   AMOEBA_EXPECTS(on_complete != nullptr);
   bank_progress();
-  Stream s;
-  s.id = next_id_++;
-  s.remaining = work;
-  s.cap = (cap <= 0.0) ? capacity_ : std::min(cap, capacity_);
-  s.tag = std::string(tag);
-  s.on_complete = std::move(on_complete);
-  // The new id exceeds every live one, so (cap, id) order puts the stream
-  // after every stream whose cap is <= its own.
-  const auto at = std::upper_bound(
-      streams_.begin(), streams_.end(), s.cap,
-      [](double c, const Stream& other) { return c < other.cap; });
-  const StreamId id = streams_.insert(at, std::move(s))->id;
+  CapClass& cls =
+      class_for((cap <= 0.0) ? capacity_ : std::min(cap, capacity_));
+  const StreamId id = next_id_++;
+  cls.heap.push_back({cls.served + work, id,
+                      take_slot(tag, std::move(on_complete))});
+  std::push_heap(cls.heap.begin(), cls.heap.end(), finishes_later);
   reallocate();
   return id;
 }
 
 double FairShareResource::close(StreamId id) {
-  const auto it = std::find_if(streams_.begin(), streams_.end(),
-                               [id](const Stream& s) { return s.id == id; });
-  if (it == streams_.end()) return 0.0;
-  bank_progress();
-  const double remaining = it->remaining;
-  streams_.erase(it);
-  reallocate();
-  return remaining;
+  for (auto cls = classes_.begin(); cls != classes_.end(); ++cls) {
+    const auto it = std::find_if(cls->heap.begin(), cls->heap.end(),
+                                 [id](const Entry& e) { return e.id == id; });
+    if (it == cls->heap.end()) continue;
+    bank_progress();
+    const double remaining = std::max(0.0, it->finish - cls->served);
+    free_slot(it->slot);
+    cls->heap.erase(it);
+    if (cls->heap.empty()) {
+      classes_.erase(cls);
+    } else {
+      std::make_heap(cls->heap.begin(), cls->heap.end(), finishes_later);
+    }
+    reallocate();
+    return remaining;
+  }
+  return 0.0;
+}
+
+int FairShareResource::active() const noexcept {
+  std::size_t n = 0;
+  for (const CapClass& cls : classes_) n += cls.heap.size();
+  return static_cast<int>(n);
 }
 
 double FairShareResource::pressure() const noexcept {
   double demand = 0.0;
-  for (const Stream& s : streams_) demand += s.cap;
+  for (const CapClass& cls : classes_) {
+    demand += cls.cap * static_cast<double>(cls.heap.size());
+  }
   return demand / capacity_;
 }
 
 double FairShareResource::demand_of(std::string_view tag) const noexcept {
   if (tag.empty()) return 0.0;  // untagged demand belongs to no tag
   double demand = 0.0;
-  for (const Stream& s : streams_) {
-    if (s.tag == tag) demand += s.cap;
+  for (const CapClass& cls : classes_) {
+    for (const Entry& e : cls.heap) {
+      if (slots_[e.slot].tag == tag) demand += cls.cap;
+    }
   }
   return demand;
 }
@@ -103,16 +122,22 @@ double FairShareResource::external_pressure(
 std::map<std::string, double, std::less<>> FairShareResource::demand_by_tag()
     const {
   std::map<std::string, double, std::less<>> out;
-  for (const Stream& s : streams_) {
-    if (!s.tag.empty()) out[s.tag] += s.cap;
+  for (const CapClass& cls : classes_) {
+    for (const Entry& e : cls.heap) {
+      const std::string& tag = slots_[e.slot].tag;
+      if (!tag.empty()) out[tag] += cls.cap;
+    }
   }
   return out;
 }
 
 double FairShareResource::rate_of(StreamId id) const noexcept {
-  const auto it = std::find_if(streams_.begin(), streams_.end(),
-                               [id](const Stream& s) { return s.id == id; });
-  return it == streams_.end() ? 0.0 : it->rate;
+  for (const CapClass& cls : classes_) {
+    for (const Entry& e : cls.heap) {
+      if (e.id == id) return cls.rate;
+    }
+  }
+  return 0.0;
 }
 
 double FairShareResource::utilization() const noexcept {
@@ -128,13 +153,41 @@ double FairShareResource::busy_capacity_seconds(Time now) const noexcept {
   return busy_integral_;
 }
 
+FairShareResource::CapClass& FairShareResource::class_for(double cap) {
+  const auto it = std::lower_bound(
+      classes_.begin(), classes_.end(), cap,
+      [](const CapClass& cls, double c) { return cls.cap < c; });
+  if (it != classes_.end() && it->cap == cap) return *it;
+  // A new class starts its virtual clock at 0.
+  return *classes_.insert(it, CapClass{cap, 0.0, 0.0, {}});
+}
+
+std::uint32_t FairShareResource::take_slot(std::string_view tag,
+                                           CompletionFn on_complete) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].tag.assign(tag);
+  slots_[slot].on_complete = std::move(on_complete);
+  return slot;
+}
+
+void FairShareResource::free_slot(std::uint32_t slot) {
+  // Drop the callback's captures now; the tag is overwritten on reuse.
+  slots_[slot].on_complete = nullptr;
+  free_slots_.push_back(slot);
+}
+
 void FairShareResource::bank_progress() {
   const Time now = engine_.now();
   const double dt = now - last_update_;
   if (dt > 0.0) {
-    for (Stream& s : streams_) {
-      s.remaining = std::max(0.0, s.remaining - s.rate * dt);
-    }
+    for (CapClass& cls : classes_) cls.served += cls.rate * dt;
     busy_capacity_seconds(now);  // extend utilization integral
   }
   last_update_ = now;
@@ -142,20 +195,21 @@ void FairShareResource::bank_progress() {
 
 void FairShareResource::reallocate() {
   AMOEBA_PROF_SCOPE(kFairShare);
-  // Progressive filling: streams_ is already in ascending (cap, id) order;
-  // each takes min(cap, remaining_capacity / remaining_streams). This is the
-  // standard max-min fair ("water-filling") allocation.
+  // Progressive filling over the classes in ascending cap order: each of a
+  // class's n streams takes min(cap, remaining_capacity / remaining_streams).
+  // This is the standard max-min fair ("water-filling") allocation.
   busy_capacity_seconds(engine_.now());  // close integral at old rate
   double remaining_capacity = capacity_;
-  std::size_t remaining_streams = streams_.size();
+  std::size_t remaining_streams = static_cast<std::size_t>(active());
   allocated_rate_ = 0.0;
-  for (Stream& s : streams_) {
+  for (CapClass& cls : classes_) {
     const double equal_share =
         remaining_capacity / static_cast<double>(remaining_streams);
-    s.rate = std::min(s.cap, equal_share);
-    allocated_rate_ += s.rate;
-    remaining_capacity -= s.rate;
-    --remaining_streams;
+    cls.rate = std::min(cls.cap, equal_share);
+    const double share = cls.rate * static_cast<double>(cls.heap.size());
+    allocated_rate_ += share;
+    remaining_capacity -= share;
+    remaining_streams -= cls.heap.size();
   }
 
   // Utilization-dependent interference penalty (shared caches / memory
@@ -168,21 +222,23 @@ void FairShareResource::reallocate() {
     allocated_rate_ *= penalty;
   }
 
-  // Reschedule the single completion event at the earliest finish. The
-  // earliest of now + remaining / rate is now + the least remaining / rate,
-  // because rounding the sum is monotone in the addend.
+  // Reschedule the single completion event at the earliest finish: each
+  // class's heap top. The earliest of now + remaining / rate is now + the
+  // least remaining / rate, because rounding the sum is monotone in the
+  // addend.
   if (completion_event_ != kNoEvent) {
     engine_.cancel(completion_event_);
     completion_event_ = kNoEvent;
   }
   bool due_now = false;
   double soonest = std::numeric_limits<double>::infinity();
-  for (Stream& s : streams_) {
-    s.rate *= penalty;
-    if (drained(s.remaining, s.rate)) {
+  for (CapClass& cls : classes_) {
+    cls.rate *= penalty;
+    const double remaining = cls.heap.front().finish - cls.served;
+    if (drained(remaining, cls.rate)) {
       due_now = true;
-    } else if (s.rate > 0.0) {
-      soonest = std::min(soonest, s.remaining / s.rate);
+    } else if (cls.rate > 0.0) {
+      soonest = std::min(soonest, remaining / cls.rate);
     }
   }
   const Time earliest = due_now ? engine_.now() : engine_.now() + soonest;
@@ -196,18 +252,23 @@ void FairShareResource::on_completion_event() {
   AMOEBA_PROF_SCOPE(kFairShare);
   completion_event_ = kNoEvent;
   bank_progress();
-  // Compact every drained stream out in one pass (ties complete together).
+  // Pop every drained stream (ties complete together). Within a class the
+  // heap top has the least remaining work, so draining stops at the first
+  // top that still has work left.
   std::vector<std::pair<StreamId, CompletionFn>> done;
-  auto kept = streams_.begin();
-  for (auto it = streams_.begin(); it != streams_.end(); ++it) {
-    if (drained(it->remaining, it->rate)) {
-      done.emplace_back(it->id, std::move(it->on_complete));
-    } else {
-      if (kept != it) *kept = std::move(*it);
-      ++kept;
+  for (auto cls = classes_.begin(); cls != classes_.end();) {
+    auto& heap = cls->heap;
+    while (!heap.empty() &&
+           drained(heap.front().finish - cls->served, cls->rate)) {
+      std::pop_heap(heap.begin(), heap.end(), finishes_later);
+      const Entry e = heap.back();
+      heap.pop_back();
+      done.emplace_back(e.id, std::move(slots_[e.slot].on_complete));
+      free_slot(e.slot);
     }
+    // An emptied class is dropped, which resets its virtual clock.
+    cls = heap.empty() ? classes_.erase(cls) : cls + 1;
   }
-  streams_.erase(kept, streams_.end());
   reallocate();
   // Fire callbacks in id order, after internal state is consistent;
   // callbacks may open new streams re-entrantly.

@@ -9,23 +9,33 @@
 //
 // At any instant the resource divides its capacity among active streams by
 // max-min fairness (progressive filling): streams capped below the equal
-// share keep their cap, the slack is redistributed among the rest. Whenever
-// the active set changes, every stream's accrued progress is banked and the
-// earliest completion is (re)scheduled on the engine. Completion order under
-// equal remaining work is deterministic (stream-id order).
+// share keep their cap, the slack is redistributed among the rest. Completion
+// order under equal remaining work is deterministic (stream-id order).
 //
-// Storage invariant: live streams sit in one contiguous vector kept in
-// ascending (cap, id) order, which is the water-filling order, so a
-// reallocation is plain in-order passes with no sort, allocation or lookup.
-// Ids only grow, so a new stream goes in after every stream whose cap is <=
-// its own. The platforms open every stream on a resource with the same cap,
-// which makes that a push_back.
+// Design: processor sharing on a virtual clock. Streams with the same
+// effective cap always get the same max-min rate, so they are grouped into
+// *cap classes*. In the simulator a resource has exactly one class (CPU
+// streams use the container core cap or 1.0; disk and net are uncapped), but
+// mixed caps work. Each class keeps
+//   - `rate`:   the one allocated rate every stream of the class runs at;
+//   - `served`: a virtual clock, the work each of its streams has received
+//               since the class last became non-empty;
+//   - a min-heap of POD entries {finish, id, slot}, where a stream's finish
+//     tag is `served` at open plus its work, so its remaining work is
+//     finish - served.
+// Banking progress is `served += rate·dt` per class, water-filling walks
+// the classes, and the earliest completion is each class's heap top, so an
+// event costs O(#classes + log #streams) instead of O(#streams). Tags and
+// callbacks live in a slot array with a free list, keeping heap sifts cheap.
 //
-// Determinism contract: the per-stream arithmetic and its order are part of
-// the trace. That covers the water-filling recurrence, allocated_rate_
-// summed in (cap, id) order, the interference penalty, progress banking and
-// the drain epsilons, plus the sequence of engine schedule/cancel calls.
-// Changing any of them moves trace hashes.
+// Determinism contract: the arithmetic below and its order are part of the
+// trace. That covers the finish tags (served + work), `served` banking per
+// class, water-filling over the classes in ascending cap order
+// (rate = min(cap, R/m), then R -= rate·n), the interference penalty, the
+// drain epsilons applied to finish - served, `served` resetting to 0 when a
+// class empties, the single cancel-and-reschedule completion event, and
+// drained callbacks firing in id order. Changing any of them moves trace
+// hashes.
 //
 // The Amoeba controller never looks inside this class — it only observes
 // latencies, exactly as on real hardware.
@@ -80,9 +90,7 @@ class FairShareResource {
   double close(StreamId id);
 
   /// Number of currently active streams.
-  [[nodiscard]] int active() const noexcept {
-    return static_cast<int>(streams_.size());
-  }
+  [[nodiscard]] int active() const noexcept;
 
   /// Demand pressure: total capped demand rate divided by capacity.
   /// 1.0 means the resource is exactly saturated; >1 oversubscribed.
@@ -99,12 +107,13 @@ class FairShareResource {
   [[nodiscard]] double external_pressure(std::string_view tag) const noexcept;
 
   /// Snapshot of the per-tag demand breakdown (tags with live streams).
-  /// Like pressure(), the tag queries sum over the live streams on each
-  /// call: O(#streams), and off every hot path.
+  /// The tag queries walk the live streams on each call: O(#streams), and
+  /// off every hot path.
   [[nodiscard]] std::map<std::string, double, std::less<>> demand_by_tag()
       const;
 
-  /// Instantaneous allocated rate of a stream (0 if unknown).
+  /// Instantaneous allocated rate of a stream (0 if unknown). Like close(),
+  /// this searches the heaps: O(#streams).
   [[nodiscard]] double rate_of(StreamId id) const noexcept;
 
   /// Fraction of capacity currently allocated (work-conserving utilization).
@@ -119,16 +128,29 @@ class FairShareResource {
   [[nodiscard]] double capacity() const noexcept { return capacity_; }
 
  private:
-  struct Stream {
+  // One heap entry per live stream. A POD, so sifting moves 24 bytes.
+  struct Entry {
+    double finish = 0.0;     // class virtual time at which the stream drains
     StreamId id = 0;
-    double remaining = 0.0;
-    double cap = 0.0;   // effective cap (already clamped to capacity)
-    double rate = 0.0;  // current allocated rate
-    std::string tag;    // demand attribution key ("" = untagged)
+    std::uint32_t slot = 0;  // index into slots_
+  };
+  // The streams sharing one effective cap, hence one max-min rate.
+  struct CapClass {
+    double cap = 0.0;          // effective cap (already clamped to capacity)
+    double rate = 0.0;         // current allocated rate of each stream
+    double served = 0.0;       // virtual clock: work each stream received
+    std::vector<Entry> heap;   // min-heap on (finish, id)
+  };
+  struct Slot {
+    std::string tag;  // demand attribution key ("" = untagged)
     CompletionFn on_complete;
   };
 
-  void bank_progress();  // accrue work done since last reallocation
+  // Find-or-insert the class of effective cap `cap`, in ascending cap order.
+  CapClass& class_for(double cap);
+  std::uint32_t take_slot(std::string_view tag, CompletionFn on_complete);
+  void free_slot(std::uint32_t slot);
+  void bank_progress();  // advance every class's virtual clock to now
   void reallocate();     // recompute max-min rates + reschedule completion
   void on_completion_event();
 
@@ -136,7 +158,9 @@ class FairShareResource {
   std::string name_;
   double capacity_;
   double interference_;
-  std::vector<Stream> streams_;  // ascending (cap, id): water-filling order
+  std::vector<CapClass> classes_;  // non-empty, ascending cap
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   StreamId next_id_ = 1;
   Time last_update_ = 0.0;
   EventId completion_event_ = kNoEvent;

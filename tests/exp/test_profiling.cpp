@@ -57,7 +57,7 @@ TEST(Profiling, CellProducesSamples) {
 TEST(Profiling, StressedCellIsBitIdenticalToRecordedAnchor) {
   // A CPU-heavy subject next to a CPU stressor at 0.85 pressure on a node
   // with CPU interference: the densest fair-share mix a profiling cell
-  // produces. The expected bit patterns were recorded on the map-based
+  // produces. The expected bit patterns were recorded on the virtual-clock
   // FairShareResource; any change to the contention arithmetic moves them.
   const auto cluster = small_cluster();
   ASSERT_GT(cluster.serverless.cpu_interference, 0.0);
@@ -71,11 +71,17 @@ TEST(Profiling, StressedCellIsBitIdenticalToRecordedAnchor) {
                                      cluster, cfg, 7);
   EXPECT_EQ(cell.samples, 104u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(cell.tail_latency_s),
-            0x3ffb7067da511aefULL)
+            0x3ffb7067da511acdULL)
       << std::hex << std::bit_cast<std::uint64_t>(cell.tail_latency_s);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(cell.mean_latency_s),
-            0x3ff856d7933060c1ULL)
+            0x3ff856d7933060b2ULL)
       << std::hex << std::bit_cast<std::uint64_t>(cell.mean_latency_s);
+  // The per-stream water-filling this replaced gave these bit patterns; the
+  // physics is the same up to float rounding.
+  const double old_tail = std::bit_cast<double>(0x3ffb7067da511aefULL);
+  const double old_mean = std::bit_cast<double>(0x3ff856d7933060c1ULL);
+  EXPECT_NEAR(cell.tail_latency_s, old_tail, 1e-12 * old_tail);
+  EXPECT_NEAR(cell.mean_latency_s, old_mean, 1e-12 * old_mean);
 }
 
 TEST(Profiling, MeterCurvesAreCalibrated) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "sim/random.hpp"
+#include "reference_fair_share.hpp"
 
 namespace amoeba::sim {
 namespace {
@@ -413,14 +415,15 @@ TEST(FairShareOracle, MM1ProcessorSharingMeanSojourn) {
   }
 }
 
-// --- Bit-exact anchor ------------------------------------------------------
-// A seeded random workout of FairShareResource whose every observable
-// double is folded, bit for bit, into one hash: completion instants,
-// rate_of() of every live stream after each change, busy_capacity_seconds()
-// and close() remainders, plus the engine's event-trace hash (which pins the
-// schedule/cancel sequence). The expected values were recorded on the
-// map-based implementation that predates the flat (cap, id)-ordered store;
-// any change to the per-stream arithmetic or its order moves them.
+// --- Seeded workout: bit-exact anchor and differential test ----------------
+// A seeded random workout of a fair-share resource that records every
+// observable double: completion instants, rate_of() of every live stream
+// after each change, busy_capacity_seconds() and close() remainders, plus the
+// order in which streams complete. The anchor folds the record of
+// FairShareResource, bit for bit, into one hash together with the engine's
+// event-trace hash (which pins the schedule/cancel sequence). The
+// differential test runs the same workout on the per-stream water-filling
+// reference model and compares the two records.
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
   h ^= w;
@@ -428,32 +431,53 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
   return h;
 }
 
+/// One observed double and the scale its tolerance is relative to.
+struct Observation {
+  double value = 0.0;
+  double scale = 0.0;
+};
+
 struct StressOutcome {
-  std::uint64_t hash = 0;
+  std::vector<Observation> observed;
+  std::vector<std::size_t> completion_order;  // open ordinals
+  std::uint64_t engine_hash = 0;
   int midflight_closes = 0;   // close() with work still remaining
   int reentrant_opens = 0;    // open() from inside a completion callback
   int simultaneous = 0;       // completions at the previous one's instant
+
+  [[nodiscard]] std::uint64_t hash() const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Observation& o : observed) {
+      h = mix(h, std::bit_cast<std::uint64_t>(o.value));
+    }
+    for (std::size_t k : completion_order) h = mix(h, k);
+    return mix(h, engine_hash);
+  }
 };
 
+template <typename Resource>
 StressOutcome stress_run(std::uint64_t seed) {
+  constexpr double kCapacity = 4.0;
   Engine e;
   Rng rng(seed);
-  FairShareResource r(e, "cpu", 4.0, /*interference=*/0.3);
+  Resource r(e, "cpu", kCapacity, /*interference=*/0.3);
   // Mixed caps, including uncapped (0) and a cap above capacity.
   constexpr std::array<double, 6> kCaps = {0.0, 0.5, 1.0, 1.0, 2.5, 9.0};
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto fold = [&](double v) { h = mix(h, std::bit_cast<std::uint64_t>(v)); };
   std::vector<StreamId> ids;  // by open ordinal
+  std::vector<double> works;
   std::vector<bool> live;
   int reentrant_budget = 150;
   StressOutcome out;
   double last_completion = -1.0;
+  auto observe = [&](double v, double scale) {
+    out.observed.push_back({v, scale});
+  };
 
   auto probe = [&] {
-    fold(e.now());
-    fold(r.busy_capacity_seconds(e.now()));
+    observe(e.now(), 1.0);
+    observe(r.busy_capacity_seconds(e.now()), kCapacity);
     for (std::size_t k = 0; k < ids.size(); ++k) {
-      if (live[k]) fold(r.rate_of(ids[k]));
+      if (live[k]) observe(r.rate_of(ids[k]), kCapacity);
     }
   };
 
@@ -461,12 +485,13 @@ StressOutcome stress_run(std::uint64_t seed) {
                                                      double cap) {
     const std::size_t k = ids.size();
     ids.push_back(0);
+    works.push_back(work);
     live.push_back(true);
     ids[k] = r.open(work, cap, [&, k] {
       live[k] = false;
       if (e.now() == last_completion) ++out.simultaneous;
       last_completion = e.now();
-      h = mix(h, k);
+      out.completion_order.push_back(k);
       probe();
       // Re-entrant open from inside a completion callback.
       if (reentrant_budget > 0 && rng.uniform() < 0.3) {
@@ -511,7 +536,7 @@ StressOutcome stress_run(std::uint64_t seed) {
       live[k] = false;
       const double remaining = r.close(ids[k]);
       if (remaining > 0.0) ++out.midflight_closes;
-      fold(remaining);
+      observe(remaining, works[k]);
       probe();
     }
     if (--closes > 0) e.schedule_in(rng.exponential(0.6), close_some);
@@ -520,24 +545,106 @@ StressOutcome stress_run(std::uint64_t seed) {
   e.schedule(0.0, arrive);
   e.schedule(0.3, close_some);
   e.run();
-  fold(r.busy_capacity_seconds(e.now()));
-  h = mix(h, ids.size());
-  h = mix(h, static_cast<std::uint64_t>(r.active()));
-  out.hash = mix(h, e.trace_hash());
+  observe(r.busy_capacity_seconds(e.now()), kCapacity);
+  observe(static_cast<double>(ids.size()), 0.0);
+  observe(static_cast<double>(r.active()), 0.0);
+  out.engine_hash = e.trace_hash();
   return out;
 }
 
 TEST(FairShareAnchor, RandomWorkoutIsBitIdenticalToRecordedHashes) {
+  // Recorded on the virtual-clock (cap-class) implementation; any change to
+  // its arithmetic or its order moves them.
   constexpr std::array<std::uint64_t, 3> kExpected = {
-      0x8e58f42bf75e3518ULL, 0x631419d9fd165c06ULL, 0x3bc4d81d0acde363ULL};
+      0x2ab8ec7f356c1ab8ULL, 0xd0d47826d050d9b3ULL, 0xf90810f1adf913f9ULL};
   for (std::uint64_t seed = 1; seed <= kExpected.size(); ++seed) {
-    const StressOutcome o = stress_run(seed);
-    EXPECT_EQ(o.hash, kExpected[seed - 1])
-        << "seed " << seed << " got 0x" << std::hex << o.hash;
+    const StressOutcome o = stress_run<FairShareResource>(seed);
+    EXPECT_EQ(o.hash(), kExpected[seed - 1])
+        << "seed " << seed << " got 0x" << std::hex << o.hash();
     // The workout really exercises the paths it is meant to pin.
     EXPECT_GT(o.midflight_closes, 10) << "seed " << seed;
     EXPECT_GT(o.reentrant_opens, 10) << "seed " << seed;
     EXPECT_GT(o.simultaneous, 10) << "seed " << seed;
+  }
+}
+
+/// |a - b| within `rel` of the larger of |a|, |b| and the observation's scale.
+bool close_enough(const Observation& a, const Observation& b, double rel) {
+  const double scale =
+      std::max({std::abs(a.value), std::abs(b.value), a.scale, b.scale});
+  return std::abs(a.value - b.value) <= rel * scale;
+}
+
+TEST(FairShareDifferential, WorkoutMatchesPerStreamWaterFilling) {
+  // Same workout on FairShareResource and on the reference model of the
+  // per-stream water-filling it replaced: the same streams complete in the
+  // same order, and every observed double agrees to 1e-9 relative.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const StressOutcome got = stress_run<FairShareResource>(seed);
+    const StressOutcome want = stress_run<testing::ReferenceFairShare>(seed);
+    ASSERT_EQ(got.completion_order, want.completion_order) << "seed " << seed;
+    ASSERT_EQ(got.observed.size(), want.observed.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.observed.size(); ++i) {
+      ASSERT_TRUE(close_enough(got.observed[i], want.observed[i], 1e-9))
+          << "seed " << seed << " observation " << i << ": "
+          << got.observed[i].value << " vs " << want.observed[i].value;
+    }
+    EXPECT_EQ(got.midflight_closes, want.midflight_closes) << "seed " << seed;
+    EXPECT_EQ(got.reentrant_opens, want.reentrant_opens) << "seed " << seed;
+    EXPECT_EQ(got.simultaneous, want.simultaneous) << "seed " << seed;
+  }
+}
+
+/// Byte-scale workout that keeps the resource busy without a break, so the
+/// virtual clock grows large and finish - served loses the most precision:
+/// a NIC-sized uncapped resource (25 Gbit/s) with one long stream open for
+/// the whole run and Poisson arrivals of overlapping uncapped transfers.
+template <typename Resource>
+StressOutcome long_busy_run(std::uint64_t seed) {
+  constexpr double kCapacity = 3.125e9;  // bytes/s
+  constexpr double kBusyFor = 1e4;       // simulated seconds
+  Engine e;
+  Rng rng(seed);
+  Resource r(e, "net", kCapacity);
+  StressOutcome out;
+  auto observe = [&](double v, double scale) {
+    out.observed.push_back({v, scale});
+  };
+  std::size_t opened = 0;
+  const double long_work = kCapacity * kBusyFor;
+  const StreamId long_id = r.open(long_work, 0.0, [] {});
+  std::function<void()> arrive = [&] {
+    const std::size_t k = opened++;
+    const double work = rng.exponential(1.0 / 2.5e8);  // mean 0.08 s alone
+    const StreamId id = r.open(work, 0.0, [&, k] {
+      out.completion_order.push_back(k);
+      observe(e.now(), 1.0);
+      observe(r.busy_capacity_seconds(e.now()), kCapacity);
+    });
+    observe(r.rate_of(id), kCapacity);
+    const double next = e.now() + rng.exponential(10.0);
+    if (next < kBusyFor) e.schedule(next, arrive);
+  };
+  e.schedule(0.0, arrive);
+  e.schedule(kBusyFor, [&] {
+    observe(r.rate_of(long_id), kCapacity);
+    observe(r.close(long_id), long_work);
+  });
+  e.run();
+  observe(r.busy_capacity_seconds(e.now()), kCapacity);
+  return out;
+}
+
+TEST(FairShareDifferential, LongBusyByteScaleResourceKeepsPrecision) {
+  const StressOutcome got = long_busy_run<FairShareResource>(7);
+  const StressOutcome want = long_busy_run<testing::ReferenceFairShare>(7);
+  ASSERT_GT(got.completion_order.size(), 50000u);
+  ASSERT_EQ(got.completion_order, want.completion_order);
+  ASSERT_EQ(got.observed.size(), want.observed.size());
+  for (std::size_t i = 0; i < got.observed.size(); ++i) {
+    ASSERT_TRUE(close_enough(got.observed[i], want.observed[i], 1e-9))
+        << "observation " << i << ": " << got.observed[i].value << " vs "
+        << want.observed[i].value;
   }
 }
 
