@@ -1,58 +1,11 @@
 #include "exp/callgraph.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-#include <memory>
-#include <sstream>
 #include <utility>
 
+#include "exp/node_driver.hpp"
 #include "obs/json.hpp"
-#include "obs/profiler.hpp"
-#include "workload/meters.hpp"
 
 namespace amoeba::exp {
-
-namespace {
-
-/// Same auto-scaling rule as run_cluster: N monitors' combined probing
-/// stays a small, N-independent fraction of the node.
-double effective_probe_qps(double requested, std::size_t n_stages) {
-  if (requested > 0.0) return requested;
-  return std::min(workload::kMeterProbeQps,
-                  4.0 / static_cast<double>(n_stages));
-}
-
-std::string hash_hex(std::uint64_t h) {
-  std::ostringstream os;
-  os << "0x" << std::hex << h;
-  return os.str();
-}
-
-/// One user query in flight across the DAG.
-struct InFlightQuery {
-  double arrival = 0.0;             ///< root injection time
-  int remaining_stages = 0;         ///< stages not yet finished
-  std::vector<int> waiting_parents; ///< per stage, parents still running
-};
-
-}  // namespace
-
-const char* to_string(BudgetMode m) noexcept {
-  switch (m) {
-    case BudgetMode::kNaiveEqual: return "naive_equal";
-    case BudgetMode::kEndToEndAware: return "e2e_aware";
-  }
-  return "?";
-}
-
-const CallGraphStageResult* CallGraphRunResult::find(
-    const std::string& name) const {
-  for (const auto& s : stages) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
 
 CallGraphRunResult run_callgraph(
     const workload::CallGraph& graph,
@@ -63,367 +16,72 @@ CallGraphRunResult run_callgraph(
   AMOEBA_EXPECTS_MSG(artifacts.size() == n,
                      "need one ServiceArtifacts per stage, canonical order");
   AMOEBA_EXPECTS_VALS(opt.e2e_qos_target_s > 0.0, opt.e2e_qos_target_s);
-  AMOEBA_EXPECTS(opt.period_s > 0.0 && opt.duration_days > 0.0);
-  AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
-                     "warmup must cover the VM boot time");
-  AMOEBA_EXPECTS(opt.node_container_budget > 0);
-  AMOEBA_EXPECTS(opt.meter_reserve_containers >= 3);
-  AMOEBA_EXPECTS(opt.renorm_period_s > 0.0 && opt.renorm_min_samples >= 1);
-  AMOEBA_EXPECTS(opt.feasibility_floor_factor >= 1.0);
-
-  obs::ProfilerAttach prof_attach(opt.profiler);
-  AMOEBA_PROF_SCOPE(kHarness);
-  sim::Engine engine;
-  if (opt.profiler != nullptr) engine.set_profiler(opt.profiler);
-  sim::Rng rng(opt.seed);
-  serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
-  iaas::IaasPlatform ip(engine, cluster.iaas, rng.fork(2));
-
-  std::unique_ptr<sim::FaultInjector> faults;
-  if (opt.faults.any()) {
-    faults = std::make_unique<sim::FaultInjector>(opt.faults, rng.fork(4));
-    sp.set_fault_injector(faults.get());
-    ip.set_fault_injector(faults.get());
-  }
-
-  // Meter reserve first (same rule as run_cluster): probing can never be
-  // starved by stage prewarms, and stages split what remains.
-  const int per_meter = std::max(1, opt.meter_reserve_containers / 3);
-  for (const auto kind : workload::kAllMeters) {
-    sp.register_function(workload::meter_profile(kind), per_meter);
-  }
-  const int stage_budget = opt.node_container_budget - 3 * per_meter;
-  AMOEBA_EXPECTS_MSG(stage_budget >= static_cast<int>(n),
-                     "container budget cannot cover every stage");
-
-  // --- Budget decomposition -------------------------------------------
-  // Every query crosses every stage, so each stage's provisioned peak is
-  // the root peak.
   const double root_peak =
       opt.root_peak_qps > 0.0
           ? opt.root_peak_qps
           : graph.stage(graph.roots().front()).profile.peak_load_qps;
   AMOEBA_EXPECTS_VALS(root_peak > 0.0, root_peak);
-  const double t_e2e = opt.e2e_qos_target_s;
 
-  // Initial weights: the content-determined ideal solo IaaS latency (what
-  // the decomposer would converge to on an uncontended node).
-  std::vector<double> w0(n, 0.0);
-  std::vector<double> floors(n, 0.0);
+  NodeFlow flow{graph, {}, opt.e2e_qos_target_s, root_peak, 0.0,
+                "callgraph/e2e"};
   for (std::size_t k = 0; k < n; ++k) {
-    const auto& p = graph.stage(static_cast<int>(k)).profile;
-    const double ideal =
-        p.ideal_iaas_latency(cluster.iaas.disk_bps, cluster.iaas.net_bps);
-    w0[k] = std::max(ideal, opt.decomposer.min_weight_s);
-    floors[k] = opt.feasibility_floor_factor * ideal;
-    AMOEBA_EXPECTS_MSG(floors[k] < t_e2e,
-                       "stage cannot meet the end-to-end target alone: " +
-                           graph.service_name(static_cast<int>(k)));
+    const int s = static_cast<int>(k);
+    const double ideal = graph.stage(s).profile.ideal_iaas_latency(
+        cluster.iaas.disk_bps, cluster.iaas.net_bps);
+    AMOEBA_EXPECTS_MSG(
+        opt.feasibility_floor_factor * ideal < opt.e2e_qos_target_s,
+        "stage cannot meet the end-to-end target alone: " +
+            graph.service_name(s));
+    flow.stages.push_back(
+        FlowStage{graph.service_name(s), s, &artifacts[k]});
   }
-  core::BudgetDecomposer decomposer(graph, t_e2e, w0, opt.decomposer);
-  const std::vector<double> raw0 =
-      opt.budget_mode == BudgetMode::kEndToEndAware
-          ? decomposer.budgets()
-          : core::BudgetDecomposer::equal_split(graph, t_e2e);
-  std::vector<double> applied(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k) {
-    applied[k] = std::clamp(raw0[k], floors[k], t_e2e);
-  }
-  const std::vector<double> initial_budgets = applied;
+  NodeRun run = run_shared_node({flow}, cluster, calibration, opt, opt,
+                                -1.0, false);
 
-  // --- Stage registration + admission arbitration ----------------------
-  std::vector<workload::FunctionProfile> stage_profiles;
-  std::vector<iaas::VmSpec> vm_specs;
-  std::vector<int> asks;
-  stage_profiles.reserve(n);
-  vm_specs.reserve(n);
-  asks.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    workload::FunctionProfile p = graph.stage(static_cast<int>(k)).profile;
-    p.name = graph.service_name(static_cast<int>(k));
-    p.peak_load_qps = root_peak;
-    p.qos_target_s = applied[k];
-    vm_specs.push_back(just_enough_vm(p, cluster));
-    asks.push_back(std::max(
-        1, static_cast<int>(std::ceil(vm_specs.back().cores *
-                                      opt.n_max_core_factor))));
-    stage_profiles.push_back(std::move(p));
-  }
-  const std::vector<int> grants =
-      core::split_container_budget(asks, stage_budget);
-
-  const double probe_qps = effective_probe_qps(opt.monitor_probe_qps, n);
-  const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
-
-  // One AmoebaRuntime per stage, same rng fork discipline as run_cluster.
-  std::vector<std::unique_ptr<core::AmoebaRuntime>> runtimes;
-  runtimes.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    core::AmoebaConfig cfg =
-        opt.amoeba.has_value()
-            ? *opt.amoeba
-            : default_amoeba_config(DeploySystem::kAmoeba, -1.0);
-    if (!opt.amoeba.has_value()) {
-      // Stages are live co-tenants of one node: same tighter margins as
-      // the cluster default.
-      cfg.controller.to_serverless_margin = 0.50;
-      cfg.controller.to_iaas_margin = 0.70;
-    }
-    switch (graph.stage(static_cast<int>(k)).pin) {
-      case workload::StagePin::kManaged:
-        break;
-      case workload::StagePin::kIaasOnly:
-        // Votes can never reach an astronomically large hysteresis
-        // threshold, so the stage stays on its just-enough VM for good.
-        cfg.controller.hysteresis_ticks = 1 << 20;
-        break;
-      case workload::StagePin::kServerlessOnly:
-        // Bias, not a hard pin: leave for FaaS at the first calibrated
-        // opportunity and disable every pull back to IaaS.
-        cfg.controller.to_serverless_margin = 1.0;
-        cfg.controller.to_iaas_margin = 1.5;
-        cfg.controller.observed_violation_fraction = 1e9;
-        cfg.controller.co_tenant_check = false;
-        break;
-    }
-    cfg.monitor.probe_qps = probe_qps;
-    cfg.stage_id = static_cast<int>(k);
-    if (opt.observer != nullptr) cfg.observer = opt.observer;
-    cfg.fault_injector = faults.get();
-    auto runtime = std::make_unique<core::AmoebaRuntime>(
-        engine, sp, ip, calibration, cfg, rng.fork(1000 + k));
-    runtime->add_service(stage_profiles[k], vm_specs[k], artifacts[k],
-                         grants[k]);
-    runtime->start();
-    runtimes.push_back(std::move(runtime));
-  }
-
-  // --- Query propagation ----------------------------------------------
-  // AND-join dataflow: a query enters every root at injection and enters
-  // stage k once all parents(k) finished it. The ledger counts every
-  // entry/exit so conservation is checkable after the run.
-  struct Flow {
-    Flow(const workload::CallGraph& g,
-         std::vector<std::unique_ptr<core::AmoebaRuntime>>& rts,
-         double warmup, obs::Observer* obs)
-        : graph(g), runtimes(rts), warmup_s(warmup), observer(obs) {}
-
-    const workload::CallGraph& graph;
-    std::vector<std::unique_ptr<core::AmoebaRuntime>>& runtimes;
-    double warmup_s;
-    obs::Observer* observer;
-    std::uint64_t next_id = 0;
-    std::map<std::uint64_t, InFlightQuery> live;
-    std::vector<std::uint64_t> submitted;
-    std::vector<std::uint64_t> finished;
-    std::vector<stats::SampleSet> stage_latencies;  ///< post-warmup
-    std::vector<stats::SampleSet> renorm_window;    ///< since last renorm
-    stats::SampleSet e2e_latencies;                 ///< post-warmup
-    std::uint64_t completed = 0;
-
-    [[nodiscard]] bool trace_on() const {
-      return observer != nullptr && observer->trace_on();
-    }
-
-    void enter(std::uint64_t id, int s) {
-      ++submitted[static_cast<std::size_t>(s)];
-      runtimes[static_cast<std::size_t>(s)]->submit(
-          graph.service_name(s),
-          [this, id, s](const workload::QueryRecord& rec) {
-            on_stage_done(id, s, rec);
-          });
-    }
-
-    void inject(double now) {
-      const std::uint64_t id = next_id++;
-      InFlightQuery q;
-      q.arrival = now;
-      q.remaining_stages = graph.size();
-      q.waiting_parents.resize(static_cast<std::size_t>(graph.size()));
-      for (int k = 0; k < graph.size(); ++k) {
-        q.waiting_parents[static_cast<std::size_t>(k)] =
-            static_cast<int>(graph.parents(k).size());
-      }
-      live.emplace(id, std::move(q));
-      if (trace_on()) {
-        obs::Tracer& tr = observer->tracer();
-        tr.async_begin(tr.track("callgraph/e2e"), "e2e", id, now, "query");
-      }
-      for (const int r : graph.roots()) enter(id, r);
-    }
-
-    void on_stage_done(std::uint64_t id, int s,
-                       const workload::QueryRecord& rec) {
-      const auto it = live.find(id);
-      AMOEBA_INVARIANT_MSG(it != live.end(), "stage completion for a query "
-                                             "that is not in flight");
-      InFlightQuery& q = it->second;
-      const auto si = static_cast<std::size_t>(s);
-      ++finished[si];
-      if (q.arrival >= warmup_s) stage_latencies[si].add(rec.latency());
-      renorm_window[si].add(rec.latency());
-      for (const int c : graph.children(s)) {
-        const auto ci = static_cast<std::size_t>(c);
-        AMOEBA_INVARIANT(q.waiting_parents[ci] > 0);
-        if (--q.waiting_parents[ci] == 0) enter(id, c);
-      }
-      if (--q.remaining_stages == 0) {
-        const double e2e = rec.completion - q.arrival;
-        ++completed;
-        if (q.arrival >= warmup_s) e2e_latencies.add(e2e);
-        if (trace_on()) {
-          obs::Tracer& tr = observer->tracer();
-          tr.async_end(tr.track("callgraph/e2e"), "e2e", id, rec.completion,
-                       "query", {obs::TraceArg::of("latency_s", e2e)});
-        }
-        live.erase(it);
-      }
-    }
-  };
-  Flow flow(graph, runtimes, opt.warmup_s, opt.observer);
-  flow.submitted.assign(n, 0);
-  flow.finished.assign(n, 0);
-  flow.stage_latencies.resize(n);
-  flow.renorm_window.resize(n);
-
-  // --- Budget renormalization tick (aware mode only) -------------------
-  std::vector<double> final_budgets = initial_budgets;
-  sim::EventId renorm_event = sim::kNoEvent;
-  std::function<void()> renorm = [&] {
-    for (std::size_t k = 0; k < n; ++k) {
-      if (flow.renorm_window[k].size() >=
-          static_cast<std::size_t>(opt.renorm_min_samples)) {
-        decomposer.observe(static_cast<int>(k),
-                           flow.renorm_window[k].quantile(0.95));
-        flow.renorm_window[k].clear();
-      }
-    }
-    const std::vector<double> b = decomposer.budgets();
-    for (std::size_t k = 0; k < n; ++k) {
-      const double target = std::clamp(b[k], floors[k], t_e2e);
-      if (target != final_budgets[k]) {
-        runtimes[k]->set_qos_target(graph.service_name(static_cast<int>(k)),
-                                    target);
-        final_budgets[k] = target;
-      }
-    }
-    renorm_event = engine.schedule_in(opt.renorm_period_s, renorm);
-  };
-  if (opt.budget_mode == BudgetMode::kEndToEndAware) {
-    renorm_event = engine.schedule_in(opt.renorm_period_s, renorm);
-  }
-
-  // --- Load: one Poisson stream at the DAG roots -----------------------
-  workload::DiurnalTraceConfig trace_cfg = diurnal_for(
-      stage_profiles[static_cast<std::size_t>(graph.roots().front())],
-      opt.period_s);
-  trace_cfg.peak_qps = root_peak;
-  workload::DiurnalTrace trace(trace_cfg, opt.seed ^ 0x51u);
-  workload::PoissonLoadGenerator generator(
-      engine, rng.fork(2000), [&trace](double now) { return trace.rate(now); },
-      trace.max_rate(), [&flow, &engine] { flow.inject(engine.now()); });
-  const double load_start = std::min(cluster.iaas.vm_boot_s + 2.0,
-                                     std::max(opt.warmup_s - 1.0, 0.0));
-  engine.schedule(load_start, [&generator] { generator.start(); });
-
-  engine.run_until(duration);
-
-  generator.stop();
-  if (renorm_event != sim::kNoEvent) engine.cancel(renorm_event);
-  for (auto& rt : runtimes) rt->stop();
-  if (flow.trace_on()) {
-    // Close the spans of queries cut off mid-flight — bookkeeping only,
-    // after the last simulated event.
-    obs::Tracer& tr = opt.observer->tracer();
-    for (const auto& [id, q] : flow.live) {
-      tr.async_end(tr.track("callgraph/e2e"), "e2e", id, engine.now(),
-                   "query", {obs::TraceArg::of("outcome", "unfinished")});
-    }
-  }
-
-  // --- Collection ------------------------------------------------------
   CallGraphRunResult result;
+  static_cast<SharedNodeResult&>(result) = run;
   result.budget_mode = opt.budget_mode;
-  result.e2e_qos_target_s = t_e2e;
-  result.duration_s = duration;
-  result.e2e_latencies = flow.e2e_latencies;
-  result.root_injected = flow.next_id;
-  result.queries_completed = flow.completed;
-  result.queries_unfinished = flow.live.size();
+  result.e2e_qos_target_s = opt.e2e_qos_target_s;
+  result.e2e_latencies = std::move(run.flows[0].e2e_latencies);
+  result.root_injected = run.flows[0].injected;
+  result.queries_completed = run.flows[0].completed;
+  result.queries_unfinished = run.flows[0].unfinished;
+  result.stages_usage = run.stages_usage;
   result.stages.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const std::string& name = graph.service_name(static_cast<int>(k));
-    CallGraphStageResult st;
-    st.stage = static_cast<int>(k);
-    st.name = name;
-    st.label = graph.stage(static_cast<int>(k)).label;
-    st.pin = graph.stage(static_cast<int>(k)).pin;
-    st.initial_budget_s = initial_budgets[k];
-    st.final_budget_s = final_budgets[k];
-    st.latencies = flow.stage_latencies[k];
-    st.submitted = flow.submitted[k];
-    st.finished = flow.finished[k];
-    st.usage = runtimes[k]->accountant().usage(name, duration);
-    for (const auto& sw : runtimes[k]->switch_events()) {
-      if (sw.service == name) ++st.switches;
-    }
-    st.switch_aborts = runtimes[k]->execution_engine().switch_aborts();
-    st.switch_retries = runtimes[k]->execution_engine().switch_retries();
-    st.prewarm_denied = sp.stats(name).prewarm_denied;
-    st.n_max_asked = asks[k];
-    st.n_max_granted = grants[k];
-    result.stages_usage += st.usage;
-    result.prewarm_denied_total += st.prewarm_denied;
-    result.stages.push_back(std::move(st));
+    StageRun& st = run.stages[k];
+    CallGraphStageResult out;
+    out.stage = static_cast<int>(k);
+    out.label = graph.stage(out.stage).label;
+    out.pin = graph.stage(out.stage).pin;
+    out.initial_budget_s = st.initial_budget_s;
+    out.final_budget_s = st.final_budget_s;
+    out.submitted = st.submitted;
+    out.finished = st.finished;
+    out.switches = st.switches.size();
+    static_cast<StageResultBase&>(out) = std::move(st);
+    result.stages.push_back(std::move(out));
   }
-  for (const auto kind : workload::kAllMeters) {
-    const std::string meter = workload::meter_profile(kind).name;
-    result.meter_usage.cpu_core_seconds += sp.cpu_core_seconds(meter);
-    result.meter_usage.memory_mb_seconds +=
-        sp.memory_mb_seconds(meter, duration);
-  }
-  for (const auto& fn : sp.function_names()) {
-    result.pool_memory_mb_seconds += sp.memory_mb_seconds(fn, duration);
-  }
-  result.peak_pool_containers = sp.pool().peak_total_containers();
-  result.peak_pool_memory_mb = sp.pool().peak_memory_in_use_mb();
-  result.pool_evictions = sp.pool().evictions();
-  if (faults) result.fault_counters = faults->counters();
-  result.trace_hash = engine.trace_hash();
-  result.events_executed = engine.executed();
-
-  AMOEBA_ENSURES_VALS(result.root_injected ==
-                          result.queries_completed + result.queries_unfinished,
-                      result.root_injected, result.queries_completed,
-                      result.queries_unfinished);
   return result;
 }
 
 std::string callgraph_summary_json(const CallGraphRunResult& r) {
-  std::string out = "{";
-  out += "\"n_stages\": " +
-         obs::json_number(static_cast<double>(r.stages.size()));
+  std::string out = "{\"n_stages\": " +
+                    obs::json_number(static_cast<double>(r.stages.size()));
   out += ", \"budget_mode\": \"" + std::string(to_string(r.budget_mode)) +
          "\"";
-  out += ", \"e2e_qos_target_s\": " + obs::json_number(r.e2e_qos_target_s);
-  out += ", \"e2e_p95_s\": " + obs::json_number(r.e2e_p95());
-  out += ", \"e2e_violation_fraction\": " +
-         obs::json_number(r.e2e_violation_fraction());
-  out += ", \"duration_s\": " + obs::json_number(r.duration_s);
+  add_json_member(out, "e2e_qos_target_s", r.e2e_qos_target_s);
+  add_json_member(out, "e2e_p95_s", r.e2e_p95());
+  add_json_member(out, "e2e_violation_fraction", r.e2e_violation_fraction());
+  add_json_member(out, "duration_s", r.duration_s);
   out += ", \"trace_hash\": \"" + hash_hex(r.trace_hash) + "\"";
-  out += ", \"root_injected\": " +
-         obs::json_number(static_cast<double>(r.root_injected));
-  out += ", \"queries_completed\": " +
-         obs::json_number(static_cast<double>(r.queries_completed));
-  out += ", \"queries_unfinished\": " +
-         obs::json_number(static_cast<double>(r.queries_unfinished));
-  out += ", \"total_core_hours\": " + obs::json_number(r.total_core_hours());
-  out += ", \"total_memory_gb_hours\": " +
-         obs::json_number(r.total_memory_gb_hours());
-  out += ", \"peak_pool_containers\": " +
-         obs::json_number(static_cast<double>(r.peak_pool_containers));
-  out += ", \"prewarm_denied\": " +
-         obs::json_number(static_cast<double>(r.prewarm_denied_total));
+  add_json_member(out, "root_injected", r.root_injected);
+  add_json_member(out, "queries_completed", r.queries_completed);
+  add_json_member(out, "queries_unfinished", r.queries_unfinished);
+  add_json_member(out, "total_core_hours", r.total_core_hours());
+  add_json_member(out, "total_memory_gb_hours", r.total_memory_gb_hours());
+  add_json_member(out, "peak_pool_containers", r.peak_pool_containers);
+  add_json_member(out, "prewarm_denied", r.prewarm_denied_total);
   out += ", \"stages\": [";
   for (std::size_t i = 0; i < r.stages.size(); ++i) {
     const CallGraphStageResult& s = r.stages[i];
@@ -432,29 +90,13 @@ std::string callgraph_summary_json(const CallGraphRunResult& r) {
     out += ", \"name\": \"" + obs::json_escape(s.name) + "\"";
     out += ", \"label\": \"" + obs::json_escape(s.label) + "\"";
     out += ", \"pin\": \"" + std::string(workload::to_string(s.pin)) + "\"";
-    out += ", \"initial_budget_s\": " + obs::json_number(s.initial_budget_s);
-    out += ", \"final_budget_s\": " + obs::json_number(s.final_budget_s);
-    out += ", \"submitted\": " +
-           obs::json_number(static_cast<double>(s.submitted));
-    out += ", \"finished\": " +
-           obs::json_number(static_cast<double>(s.finished));
-    out += ", \"p95_s\": " + obs::json_number(s.p95());
-    out += ", \"switches\": " +
-           obs::json_number(static_cast<double>(s.switches));
-    out += ", \"switch_aborts\": " +
-           obs::json_number(static_cast<double>(s.switch_aborts));
-    out += ", \"switch_retries\": " +
-           obs::json_number(static_cast<double>(s.switch_retries));
-    out += ", \"prewarm_denied\": " +
-           obs::json_number(static_cast<double>(s.prewarm_denied));
-    out += ", \"n_max_asked\": " +
-           obs::json_number(static_cast<double>(s.n_max_asked));
-    out += ", \"n_max_granted\": " +
-           obs::json_number(static_cast<double>(s.n_max_granted));
-    out += ", \"core_seconds\": " + obs::json_number(s.usage.cpu_core_seconds);
-    out += ", \"memory_mb_seconds\": " +
-           obs::json_number(s.usage.memory_mb_seconds);
-    out += "}";
+    add_json_member(out, "initial_budget_s", s.initial_budget_s);
+    add_json_member(out, "final_budget_s", s.final_budget_s);
+    add_json_member(out, "submitted", s.submitted);
+    add_json_member(out, "finished", s.finished);
+    add_json_member(out, "p95_s", s.p95());
+    add_json_member(out, "switches", s.switches);
+    out += stage_json_members(s) + "}";
   }
   out += "]}";
   return out;

@@ -1,113 +1,65 @@
 // Call-graph runs — DAGs of managed stages under one end-to-end SLO.
 //
-// `run_cluster` manages N *independent* tenants; `run_callgraph` manages N
-// *dependent* stages of one product: a user query enters every root of a
+// `run_callgraph` is an adapter that hands ONE flow to the shared-node
+// driver (shared_node.hpp): a user query enters every root of a
 // workload::CallGraph and propagates along edges (AND-join: a stage fires
 // once all parents finished for that query). End-to-end latency is the
 // critical-path sum over stage completions, and the run is judged against
-// one end-to-end p95 target.
-//
-// Each stage is a per-stage AmoebaRuntime (its own monitor, controller and
-// engine) over the ONE shared serverless platform, IaaS platform and event
-// engine — the cluster coupling, plus the query-flow coupling on top.
+// one end-to-end p95 target. Each stage is a per-stage AmoebaRuntime over
+// the shared node — the cluster coupling (run_cluster is N one-stage
+// flows), plus the query-flow coupling on top.
 //
 // Budget decomposition closes the end-to-end loop: in kEndToEndAware mode
-// a core::BudgetDecomposer splits the SLO into per-stage budgets
-// (critical-path-weighted) and renormalizes them every renorm tick from
-// the observed per-stage p95s, pushing the result into each stage's
+// the driver's core::BudgetDecomposer splits the SLO into per-stage
+// budgets (critical-path-weighted) and renormalizes them every renorm tick
+// from the observed per-stage p95s, pushing the result into each stage's
 // controller via AmoebaRuntime::set_qos_target — a slow downstream stage
 // tightens upstream budgets and can flip upstream platform choices. The
-// kNaiveEqual baseline fixes every budget at T / max_path_stages.
+// kNaiveEqual baseline fixes every budget at T / max_path_stages. Applied
+// budgets are clamped to a feasibility floor (a small factor over the
+// stage's ideal solo IaaS latency): an M/M/c system cannot beat its own
+// service time, and the just-enough VM sizing would reject an infeasible
+// target outright.
 //
-// Applied budgets are clamped to a feasibility floor (a small factor over
-// the stage's ideal solo IaaS latency): an M/M/c system cannot beat its
-// own service time, and the just-enough VM sizing would reject an
-// infeasible target outright.
+// What the adapter adds: stages are named "<base>@s<k>" and carry their
+// canonical index into the audit log; the provisioned root peak defaults
+// to the first root's profile peak; every stage must be able to meet T
+// alone; end-to-end query spans go on the "callgraph/e2e" track; and the
+// result reports the end-to-end latency and the query ledger.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/budget_decomposer.hpp"
-#include "exp/scenario.hpp"
+#include "exp/shared_node.hpp"
 #include "exp/table.hpp"
 #include "workload/call_graph.hpp"
 
 namespace amoeba::exp {
 
-/// How the end-to-end QoS target decomposes into per-stage budgets.
-enum class BudgetMode : std::uint8_t {
-  kNaiveEqual,     ///< fixed T / max_path_stages per stage
-  kEndToEndAware,  ///< critical-path-weighted, renormalized from p95s
-};
-
-[[nodiscard]] const char* to_string(BudgetMode m) noexcept;
-
-struct CallGraphRunOptions {
-  double period_s = 1200.0;  ///< compressed "day"
-  double duration_days = 1.0;
-  double warmup_s = 60.0;
+struct CallGraphRunOptions : SharedNodeOptions, BudgetPolicy {
   /// End-to-end p95 latency target for the whole DAG (required, > 0).
   double e2e_qos_target_s = 0.0;
-  BudgetMode budget_mode = BudgetMode::kEndToEndAware;
-  /// Budget renormalization period (aware mode). Matches the default
-  /// monitor sample period so budgets move at control-loop speed.
-  double renorm_period_s = 5.0;
-  /// Observed-p95 window must hold at least this many stage completions
-  /// before it updates the stage weight (one accidental cold start must
-  /// not own the window; same rationale as the runtime's 21-sample rule).
-  int renorm_min_samples = 12;
-  /// Applied per-stage budgets are clamped to at least this factor times
-  /// the stage's ideal solo IaaS latency (M/M/c feasibility floor).
-  double feasibility_floor_factor = 1.25;
   /// Peak arrival rate at the DAG roots; 0 = the first root stage's
   /// profile peak. Every stage sees this traffic (one invocation per
   /// query per stage), so per-stage provisioning uses it too.
   double root_peak_qps = 0.0;
-  std::uint64_t seed = 42;
-  /// Same shared-node knobs as ClusterRunOptions.
-  double n_max_core_factor = 1.0;
-  int node_container_budget = 128;
-  int meter_reserve_containers = 15;
-  double monitor_probe_qps = 0.0;  ///< 0 = auto min(1, 4/N) per meter
-  /// Override the per-stage Amoeba tuning (defaults follow the cluster
-  /// tuning: tighter margins because stages are live co-tenants).
-  std::optional<core::AmoebaConfig> amoeba;
-  core::BudgetDecomposerConfig decomposer;
-  /// Observability sink shared by every stage runtime (non-owning;
-  /// nullptr = disabled). DecisionRecords carry the canonical stage index
-  /// and per-stage spans ride the stage service names; end-to-end query
-  /// lifecycles become async spans on "callgraph/e2e".
-  obs::Observer* observer = nullptr;
-  obs::Profiler* profiler = nullptr;
-  sim::FaultConfig faults;
 };
 
 /// Per-stage outcome (canonical stage order).
-struct CallGraphStageResult {
-  int stage = 0;
-  std::string name;   ///< canonical service name ("<base>@s<k>")
+struct CallGraphStageResult : StageResultBase {
+  int stage = 0;      ///< canonical index; name is "<base>@s<stage>"
   std::string label;  ///< declared label (reporting only)
   workload::StagePin pin = workload::StagePin::kManaged;
   double initial_budget_s = 0.0;  ///< applied at setup (after clamping)
   double final_budget_s = 0.0;    ///< applied after the last renorm tick
-  stats::SampleSet latencies;     ///< per-stage latency, post-warmup queries
   std::uint64_t submitted = 0;    ///< queries entering the stage (all)
   std::uint64_t finished = 0;     ///< stage completions (all)
-  core::ServiceUsage usage;
   std::uint64_t switches = 0;
-  std::uint64_t switch_aborts = 0;
-  std::uint64_t switch_retries = 0;
-  std::uint64_t prewarm_denied = 0;
-  int n_max_asked = 0;
-  int n_max_granted = 0;
-
-  [[nodiscard]] double p95() const { return latencies.quantile(0.95); }
 };
 
-struct CallGraphRunResult {
+struct CallGraphRunResult : SharedNodeResult {
   std::vector<CallGraphStageResult> stages;
   BudgetMode budget_mode = BudgetMode::kEndToEndAware;
   double e2e_qos_target_s = 0.0;
@@ -119,32 +71,22 @@ struct CallGraphRunResult {
   std::uint64_t root_injected = 0;
   std::uint64_t queries_completed = 0;
   std::uint64_t queries_unfinished = 0;
-  double duration_s = 0.0;
-  std::uint64_t trace_hash = 0;
-  std::uint64_t events_executed = 0;
   core::ServiceUsage stages_usage;  ///< Σ per-stage usage
-  core::ServiceUsage meter_usage;
-  double pool_memory_mb_seconds = 0.0;
-  int peak_pool_containers = 0;
-  double peak_pool_memory_mb = 0.0;
-  std::uint64_t pool_evictions = 0;
-  std::uint64_t prewarm_denied_total = 0;
-  sim::FaultCounters fault_counters;
 
   [[nodiscard]] double e2e_p95() const { return e2e_latencies.quantile(0.95); }
   [[nodiscard]] double e2e_violation_fraction() const {
     return e2e_latencies.fraction_above(e2e_qos_target_s);
   }
   [[nodiscard]] double total_core_hours() const {
-    return (stages_usage.cpu_core_seconds + meter_usage.cpu_core_seconds) /
-           3600.0;
+    return core_hours_with(stages_usage);
   }
   [[nodiscard]] double total_memory_gb_hours() const {
-    return (stages_usage.memory_mb_seconds + meter_usage.memory_mb_seconds) /
-           (1024.0 * 3600.0);
+    return memory_gb_hours_with(stages_usage);
   }
   [[nodiscard]] const CallGraphStageResult* find(
-      const std::string& name) const;
+      const std::string& name) const {
+    return find_named(stages, name);
+  }
 };
 
 /// Run one call graph on the shared node. `artifacts[k]` are the profiled

@@ -1,43 +1,11 @@
 #include "exp/cluster.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-#include <sstream>
 #include <utility>
 
+#include "exp/node_driver.hpp"
 #include "obs/json.hpp"
-#include "workload/meters.hpp"
-#include "obs/profiler.hpp"
 
 namespace amoeba::exp {
-
-namespace {
-
-/// Auto-scaled per-monitor probe rate: N monitors each probing 3 meters
-/// must not themselves crowd the node, so the combined rate across
-/// monitors is capped at ~4 QPS per meter regardless of N.
-double effective_probe_qps(double requested, std::size_t n_services) {
-  if (requested > 0.0) return requested;
-  return std::min(workload::kMeterProbeQps,
-                  4.0 / static_cast<double>(n_services));
-}
-
-std::string hash_hex(std::uint64_t h) {
-  std::ostringstream os;
-  os << "0x" << std::hex << h;
-  return os.str();
-}
-
-}  // namespace
-
-const ClusterServiceResult* ClusterRunResult::find(
-    const std::string& name) const {
-  for (const auto& s : services) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
 
 std::vector<workload::FunctionProfile> cluster_tenants(int n,
                                                        double peak_fraction) {
@@ -57,216 +25,62 @@ ClusterRunResult run_cluster(const std::vector<ClusterServiceSpec>& specs,
                              const core::MeterCalibration& calibration,
                              const ClusterRunOptions& opt) {
   AMOEBA_EXPECTS_MSG(!specs.empty(), "cluster run needs at least one service");
-  AMOEBA_EXPECTS(opt.period_s > 0.0 && opt.duration_days > 0.0);
-  AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
-                     "warmup must cover the VM boot time");
-  AMOEBA_EXPECTS(opt.node_container_budget > 0);
-  AMOEBA_EXPECTS(opt.meter_reserve_containers >= 3);
-
-  const std::size_t n = specs.size();
-  // Self-profiling (same pattern as run_managed): thread attach before the
-  // engine, harness scope covering setup + collection.
-  obs::ProfilerAttach prof_attach(opt.profiler);
-  AMOEBA_PROF_SCOPE(kHarness);
-  sim::Engine engine;
-  if (opt.profiler != nullptr) engine.set_profiler(opt.profiler);
-  sim::Rng rng(opt.seed);
-  serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
-  iaas::IaasPlatform ip(engine, cluster.iaas, rng.fork(2));
-
-  std::unique_ptr<sim::FaultInjector> faults;
-  if (opt.faults.any()) {
-    faults = std::make_unique<sim::FaultInjector>(opt.faults, rng.fork(4));
-    sp.set_fault_injector(faults.get());
-    ip.set_fault_injector(faults.get());
+  // Each tenant is a one-stage flow judged against its own QoS target; the
+  // naive split hands a lone stage its whole target.
+  std::vector<NodeFlow> flows;
+  flows.reserve(specs.size());
+  for (const ClusterServiceSpec& spec : specs) {
+    workload::CallGraph::Builder b;
+    b.add_stage(spec.profile.name, spec.profile);
+    flows.push_back(NodeFlow{
+        b.build(), {FlowStage{spec.profile.name, -1, &spec.artifacts}},
+        spec.profile.qos_target_s, spec.profile.peak_load_qps, spec.phase,
+        {}});
   }
-
-  // Meter reserve: register the three meter functions FIRST, each capped at
-  // its share of the reserve, so (a) every monitor's start() finds them
-  // already present, and (b) tenant prewarms can never evict probing down
-  // to zero capacity. Count-wise the node budget stays intact: services
-  // split what remains.
-  const int per_meter = std::max(1, opt.meter_reserve_containers / 3);
-  for (const auto kind : workload::kAllMeters) {
-    sp.register_function(workload::meter_profile(kind), per_meter);
-  }
-  const int service_budget = opt.node_container_budget - 3 * per_meter;
-  AMOEBA_EXPECTS_MSG(service_budget >= static_cast<int>(n),
-                     "container budget cannot cover every service");
-
-  // Shared-pool admission arbitration: solo asks, then the budget split.
-  std::vector<int> asks;
-  std::vector<iaas::VmSpec> vm_specs;
-  asks.reserve(n);
-  vm_specs.reserve(n);
-  for (const auto& spec : specs) {
-    vm_specs.push_back(just_enough_vm(spec.profile, cluster));
-    asks.push_back(std::max(
-        1, static_cast<int>(std::ceil(vm_specs.back().cores *
-                                      opt.n_max_core_factor))));
-  }
-  const std::vector<int> grants =
-      core::split_container_budget(asks, service_budget);
-
-  const double probe_qps = effective_probe_qps(opt.monitor_probe_qps, n);
-  const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
-  RunRecorder recorder(opt.warmup_s);
-
-  // One AmoebaRuntime per tenant — its own monitor, controller and engine —
-  // all over the same two platforms. Deterministic rng forks per index.
-  std::vector<std::unique_ptr<core::AmoebaRuntime>> runtimes;
-  std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
-  std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> generators;
-  runtimes.reserve(n);
-  traces.reserve(n);
-  generators.reserve(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const ClusterServiceSpec& spec = specs[i];
-    core::AmoebaConfig cfg =
-        opt.amoeba.has_value()
-            ? *opt.amoeba
-            : default_amoeba_config(DeploySystem::kAmoeba,
-                                    opt.timeline_period_s);
-    if (!opt.amoeba.has_value()) {
-      cfg.timeline_period_s = opt.timeline_period_s;
-      // Cluster default: tighter switch margins than a solo service. The
-      // discriminant's pressure inputs are caused by live co-tenants whose
-      // own controllers react in the same tick, so predictions carry more
-      // error than against scripted noise — leave earlier, return later.
-      cfg.controller.to_serverless_margin = 0.50;
-      cfg.controller.to_iaas_margin = 0.70;
-    }
-    cfg.monitor.probe_qps = probe_qps;
-    if (opt.observer != nullptr) cfg.observer = opt.observer;
-    cfg.fault_injector = faults.get();
-    auto runtime = std::make_unique<core::AmoebaRuntime>(
-        engine, sp, ip, calibration, cfg,
-        rng.fork(1000 + static_cast<std::uint64_t>(i)));
-    runtime->add_service(spec.profile, vm_specs[i], spec.artifacts,
-                         grants[i]);
-    runtime->start();
-
-    auto trace = std::make_unique<workload::DiurnalTrace>(
-        diurnal_for(spec.profile, opt.period_s, spec.phase),
-        opt.seed ^ (0x51u + static_cast<unsigned>(i)));
-    const std::string name = spec.profile.name;
-    const auto observer = recorder.observer(name);
-    auto gen = std::make_unique<workload::PoissonLoadGenerator>(
-        engine, rng.fork(2000 + static_cast<std::uint64_t>(i)),
-        [t = trace.get()](double now) { return t->rate(now); },
-        trace->max_rate(), [rt = runtime.get(), name, observer] {
-          rt->submit(name, observer);
-        });
-
-    runtimes.push_back(std::move(runtime));
-    traces.push_back(std::move(trace));
-    generators.push_back(std::move(gen));
-  }
-
-  // Tenant load starts after the IaaS VMs could have booted, inside warmup
-  // (same rule as run_managed; warmup records are dropped anyway).
-  const double load_start = std::min(cluster.iaas.vm_boot_s + 2.0,
-                                     std::max(opt.warmup_s - 1.0, 0.0));
-  for (auto& gen : generators) {
-    engine.schedule(load_start, [g = gen.get()] { g->start(); });
-  }
-
-  engine.run_until(duration);
-
-  for (auto& gen : generators) gen->stop();
-  for (auto& rt : runtimes) rt->stop();
+  BudgetPolicy naive;
+  naive.budget_mode = BudgetMode::kNaiveEqual;
+  NodeRun run = run_shared_node(flows, cluster, calibration, opt, naive,
+                                opt.timeline_period_s, opt.keep_records);
 
   ClusterRunResult result;
-  result.duration_s = duration;
-  result.services.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string& name = specs[i].profile.name;
+  static_cast<SharedNodeResult&>(result) = run;
+  result.services_usage = run.stages_usage;
+  result.services.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    StageRun& st = run.stages[i];
     ClusterServiceResult svc;
-    svc.name = name;
     svc.qos_target_s = specs[i].profile.qos_target_s;
-    if (recorder.count(name) > 0) {
-      svc.latencies = recorder.latencies(name);
-      if (opt.keep_records) svc.records = recorder.records(name);
-    }
-    svc.queries = recorder.count(name);
-    svc.usage = runtimes[i]->accountant().usage(name, duration);
-    // switch_events() spans the whole runtime, but each runtime manages
-    // exactly one service here, so the filter is a formality.
-    for (const auto& sw : runtimes[i]->switch_events()) {
-      if (sw.service == name) svc.switches.push_back(sw);
-    }
-    svc.switch_aborts = runtimes[i]->execution_engine().switch_aborts();
-    svc.switch_retries = runtimes[i]->execution_engine().switch_retries();
-    svc.prewarm_denied = sp.stats(name).prewarm_denied;
-    svc.n_max_asked = asks[i];
-    svc.n_max_granted = grants[i];
-    result.services_usage += svc.usage;
-    result.prewarm_denied_total += svc.prewarm_denied;
+    svc.records = std::move(st.records);
+    svc.queries = st.latencies.size();
+    svc.switches = std::move(st.switches);
+    static_cast<StageResultBase&>(svc) = std::move(st);
     result.services.push_back(std::move(svc));
   }
-  for (const auto kind : workload::kAllMeters) {
-    const std::string meter = workload::meter_profile(kind).name;
-    result.meter_usage.cpu_core_seconds += sp.cpu_core_seconds(meter);
-    result.meter_usage.memory_mb_seconds +=
-        sp.memory_mb_seconds(meter, duration);
-  }
-  for (const auto& fn : sp.function_names()) {
-    result.pool_memory_mb_seconds += sp.memory_mb_seconds(fn, duration);
-  }
-  result.peak_pool_containers = sp.pool().peak_total_containers();
-  result.peak_pool_memory_mb = sp.pool().peak_memory_in_use_mb();
-  result.pool_evictions = sp.pool().evictions();
-  if (faults) result.fault_counters = faults->counters();
-  result.trace_hash = engine.trace_hash();
-  result.events_executed = engine.executed();
   return result;
 }
 
 std::string cluster_summary_json(const ClusterRunResult& r) {
-  std::string out = "{";
-  out += "\"n_services\": " +
-         obs::json_number(static_cast<double>(r.services.size()));
-  out += ", \"duration_s\": " + obs::json_number(r.duration_s);
+  std::string out = "{\"n_services\": " +
+                    obs::json_number(static_cast<double>(r.services.size()));
+  add_json_member(out, "duration_s", r.duration_s);
   out += ", \"trace_hash\": \"" + hash_hex(r.trace_hash) + "\"";
-  out += ", \"total_core_hours\": " + obs::json_number(r.total_core_hours());
-  out += ", \"total_memory_gb_hours\": " +
-         obs::json_number(r.total_memory_gb_hours());
-  out += ", \"peak_pool_containers\": " +
-         obs::json_number(static_cast<double>(r.peak_pool_containers));
-  out += ", \"peak_pool_memory_mb\": " +
-         obs::json_number(r.peak_pool_memory_mb);
-  out += ", \"pool_evictions\": " +
-         obs::json_number(static_cast<double>(r.pool_evictions));
-  out += ", \"prewarm_denied\": " +
-         obs::json_number(static_cast<double>(r.prewarm_denied_total));
+  add_json_member(out, "total_core_hours", r.total_core_hours());
+  add_json_member(out, "total_memory_gb_hours", r.total_memory_gb_hours());
+  add_json_member(out, "peak_pool_containers", r.peak_pool_containers);
+  add_json_member(out, "peak_pool_memory_mb", r.peak_pool_memory_mb);
+  add_json_member(out, "pool_evictions", r.pool_evictions);
+  add_json_member(out, "prewarm_denied", r.prewarm_denied_total);
   out += ", \"services\": [";
   for (std::size_t i = 0; i < r.services.size(); ++i) {
     const ClusterServiceResult& s = r.services[i];
     if (i > 0) out += ", ";
     out += "{\"name\": \"" + obs::json_escape(s.name) + "\"";
-    out += ", \"qos_target_s\": " + obs::json_number(s.qos_target_s);
-    out += ", \"queries\": " +
-           obs::json_number(static_cast<double>(s.queries));
-    out += ", \"p95_s\": " + obs::json_number(s.p95());
-    out += ", \"violation_fraction\": " +
-           obs::json_number(s.violation_fraction());
-    out += ", \"switches\": " +
-           obs::json_number(static_cast<double>(s.switches.size()));
-    out += ", \"switch_aborts\": " +
-           obs::json_number(static_cast<double>(s.switch_aborts));
-    out += ", \"switch_retries\": " +
-           obs::json_number(static_cast<double>(s.switch_retries));
-    out += ", \"prewarm_denied\": " +
-           obs::json_number(static_cast<double>(s.prewarm_denied));
-    out += ", \"n_max_asked\": " +
-           obs::json_number(static_cast<double>(s.n_max_asked));
-    out += ", \"n_max_granted\": " +
-           obs::json_number(static_cast<double>(s.n_max_granted));
-    out += ", \"core_seconds\": " + obs::json_number(s.usage.cpu_core_seconds);
-    out += ", \"memory_mb_seconds\": " +
-           obs::json_number(s.usage.memory_mb_seconds);
-    out += "}";
+    add_json_member(out, "qos_target_s", s.qos_target_s);
+    add_json_member(out, "queries", s.queries);
+    add_json_member(out, "p95_s", s.p95());
+    add_json_member(out, "violation_fraction", s.violation_fraction());
+    add_json_member(out, "switches", s.switches.size());
+    out += stage_json_members(s) + "}";
   }
   out += "]}";
   return out;

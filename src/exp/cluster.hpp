@@ -1,32 +1,29 @@
 // Cluster-scale multi-service runs — the paper's §VII-A regime at full
 // breadth: N concurrently *managed* microservices on one shared node.
 //
-// `run_managed` (scenario.hpp) manages a single foreground service against
-// scripted, unmanaged background noise. `run_cluster` closes the loop the
-// paper actually describes: every tenant gets its own AmoebaRuntime (its
-// own ContentionMonitor, DeploymentController and HybridExecutionEngine),
-// all sharing ONE serverless platform, ONE IaaS platform and ONE event
-// engine. Each service's discriminant input P is therefore *caused by the
-// live co-tenants* — including the other monitors' probe traffic — through
-// the shared FairShareResources, not by a scripted curve. My switch to
-// serverless raises your measured pressure, which can flip your switch:
-// exactly the coupling where naive per-service controllers oscillate.
+// `run_cluster` is a thin adapter over the shared-node driver
+// (shared_node.hpp): each tenant becomes a one-stage flow whose end-to-end
+// target is the tenant's QoS target and whose root stream is the tenant's
+// phase-shifted diurnal trace. Every tenant therefore gets its own
+// AmoebaRuntime (monitor, controller, execution engine) over the ONE
+// serverless platform, ONE IaaS platform and ONE event engine, and its
+// discriminant input P is *caused by the live co-tenants* — including the
+// other monitors' probe traffic — through the shared FairShareResources.
+// My switch to serverless raises your measured pressure, which can flip
+// your switch: exactly the coupling where naive per-service controllers
+// oscillate. The driver also owns the shared-pool arbitration: a meter
+// reserve, then core::split_container_budget over the tenants' solo asks.
 //
-// Shared-pool admission arbitration: the node-wide container budget (the
-// paper's n_max of 128 at 256 MB per container in a 32 GB pool) is split
-// across services with core::split_container_budget — every service keeps
-// at least one container, the rest goes proportionally to each service's
-// solo ask. A small reserve is carved out for the three contention meters
-// so probing can't be starved by tenant prewarms. Prewarms past a
-// service's grant (or past pool memory) are denied and counted.
+// What the adapter adds: tenants keep their profile names, report their
+// own QoS target and violation fraction, may keep their QueryRecords, and
+// may sample timelines (`timeline_period_s`).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "exp/scenario.hpp"
+#include "exp/shared_node.hpp"
 #include "exp/table.hpp"
 
 namespace amoeba::exp {
@@ -41,101 +38,43 @@ struct ClusterServiceSpec {
   double phase = 0.0;
 };
 
-struct ClusterRunOptions {
-  double period_s = 1200.0;  ///< compressed "day"
-  double duration_days = 1.0;
-  double warmup_s = 60.0;
+struct ClusterRunOptions : SharedNodeOptions {
   /// Forwarded to AmoebaConfig::timeline_period_s. Cluster runs default to
   /// disabled (-1): N timelines of samples are rarely worth their memory.
   double timeline_period_s = -1.0;
-  std::uint64_t seed = 42;
-  /// Per-service solo ask, as a multiple of the just-enough VM's cores
-  /// (same rule as ManagedRunOptions::n_max_core_factor); the arbiter
-  /// shrinks asks that do not fit the node budget.
-  double n_max_core_factor = 1.0;
-  /// Node-wide container budget (Table II: 32 GB pool / 256 MB = 128).
-  int node_container_budget = 128;
-  /// Containers withheld from the service split for the three contention
-  /// meters (divided equally; at least 1 per meter). Meters are registered
-  /// with this as their per-function n_max before any runtime starts.
-  int meter_reserve_containers = 15;
-  /// Per-monitor probe rate (QPS per meter). 0 = auto: kMeterProbeQps
-  /// scaled down to min(1, 4/N) so N monitors' combined probing stays a
-  /// small, N-independent fraction of the node.
-  double monitor_probe_qps = 0.0;
   /// Keep every per-service QueryRecord in the result.
   bool keep_records = false;
-  /// Override the per-runtime Amoeba tuning (defaults follow
-  /// default_amoeba_config(kAmoeba, timeline_period_s)).
-  std::optional<core::AmoebaConfig> amoeba;
-  /// Observability sink shared by every runtime (non-owning; nullptr =
-  /// disabled). DecisionRecords and switch spans carry the service name,
-  /// so one sink disentangles N control loops.
-  obs::Observer* observer = nullptr;
-  /// Self-profiler for the run (non-owning; nullptr = disabled): same
-  /// semantics as ManagedRunOptions::profiler.
-  obs::Profiler* profiler = nullptr;
-  /// Fault injection (one injector seeded from the run seed, shared by the
-  /// pool, the VM fleet and every monitor — as in run_managed).
-  sim::FaultConfig faults;
 };
 
 /// Per-tenant outcome of a cluster run.
-struct ClusterServiceResult {
-  std::string name;
+struct ClusterServiceResult : StageResultBase {
   double qos_target_s = 0.0;
-  stats::SampleSet latencies;
   std::vector<workload::QueryRecord> records;  ///< if keep_records
   std::uint64_t queries = 0;
-  core::ServiceUsage usage;  ///< rented IaaS + consumed serverless
   std::vector<core::SwitchEvent> switches;
-  std::uint64_t switch_aborts = 0;
-  std::uint64_t switch_retries = 0;
-  /// Prewarm containers denied by the shared-pool arbitration.
-  std::uint64_t prewarm_denied = 0;
-  int n_max_asked = 0;    ///< solo ask (cores × n_max_core_factor)
-  int n_max_granted = 0;  ///< after the budget split
 
-  [[nodiscard]] double p95() const { return latencies.quantile(0.95); }
   [[nodiscard]] double violation_fraction() const {
     return latencies.fraction_above(qos_target_s);
   }
 };
 
-struct ClusterRunResult {
+struct ClusterRunResult : SharedNodeResult {
   std::vector<ClusterServiceResult> services;
-  double duration_s = 0.0;
-  std::uint64_t trace_hash = 0;
-  /// Engine events dispatched during the run (throughput denominators).
-  std::uint64_t events_executed = 0;
   /// Σ over services of their cross-platform usage.
   core::ServiceUsage services_usage;
-  /// The contention meters' own usage (probing is honest overhead).
-  core::ServiceUsage meter_usage;
-  /// Σ over every function on the node (tenants + meters) of the pool's
-  /// container-memory reservation integral (MB·s). Conservation: can never
-  /// exceed pool capacity × duration.
-  double pool_memory_mb_seconds = 0.0;
-  /// Pool-wide high-water marks and counters.
-  int peak_pool_containers = 0;
-  double peak_pool_memory_mb = 0.0;
-  std::uint64_t pool_evictions = 0;
-  std::uint64_t prewarm_denied_total = 0;
-  sim::FaultCounters fault_counters;
 
   /// Total rented/consumed core-hours, meters included.
   [[nodiscard]] double total_core_hours() const {
-    return (services_usage.cpu_core_seconds + meter_usage.cpu_core_seconds) /
-           3600.0;
+    return core_hours_with(services_usage);
   }
   [[nodiscard]] double total_memory_gb_hours() const {
-    return (services_usage.memory_mb_seconds +
-            meter_usage.memory_mb_seconds) /
-           (1024.0 * 3600.0);
+    return memory_gb_hours_with(services_usage);
   }
   /// Lookup by tenant name (nullptr when absent).
   [[nodiscard]] const ClusterServiceResult* find(
-      const std::string& name) const;
+      const std::string& name) const {
+    return find_named(services, name);
+  }
 };
 
 /// Run N managed services concurrently on one shared node.

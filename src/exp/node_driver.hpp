@@ -1,0 +1,114 @@
+// Internal to exp/: the shared-node driver behind run_cluster and
+// run_callgraph (see shared_node.hpp), the node every driver runs on, and
+// the summary-JSON pieces both adapters write.
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "exp/shared_node.hpp"
+#include "obs/json.hpp"
+#include "obs/profiler.hpp"
+#include "workload/call_graph.hpp"
+
+namespace amoeba::exp {
+
+/// The node every driver runs on (Table II). Declaration order is
+/// construction order: the profiler attaches to the calling thread and the
+/// harness scope opens before the engine exists, so both outlive it. The
+/// platforms draw rng forks 1 and 2; any nonzero fault rate adds one
+/// injector on fork 4, wired into both platforms. A fault-free config
+/// creates no injector and stays byte-identical to a build without the
+/// fault layer.
+struct SimNode {
+  SimNode(const ClusterConfig& cluster, std::uint64_t seed,
+          const sim::FaultConfig& fault_config, obs::Profiler* profiler);
+  SimNode(const SimNode&) = delete;
+  SimNode& operator=(const SimNode&) = delete;
+
+  /// Fault tallies, trace hash and executed-event count, after the run.
+  void finish(NodeRunResult& r) const;
+
+  obs::ProfilerAttach prof_attach;
+  obs::ProfScope harness{obs::ProfDomain::kHarness};
+  sim::Engine engine;
+  sim::Rng rng;
+  serverless::ServerlessPlatform sp;
+  iaas::IaasPlatform ip;
+  std::unique_ptr<sim::FaultInjector> faults;
+};
+
+/// One stage of a flow as the node hosts it.
+struct FlowStage {
+  std::string name;      ///< service name on the node
+  int audit_stage = -1;  ///< AmoebaConfig::stage_id (-1: a lone tenant)
+  const core::ServiceArtifacts* artifacts = nullptr;  ///< non-owning
+};
+
+/// One query flow: user queries enter every root of `graph` and propagate
+/// along its edges.
+struct NodeFlow {
+  workload::CallGraph graph;
+  std::vector<FlowStage> stages;  ///< canonical stage order
+  double e2e_qos_target_s = 0.0;
+  /// Peak arrival rate at the roots. Every stage sees this traffic (one
+  /// invocation per query per stage), so per-stage provisioning uses it.
+  double root_peak_qps = 0.0;
+  double phase = 0.0;  ///< diurnal phase of the root stream, in [0, 1)
+  /// Tracer track of the end-to-end query spans; empty = none (a lone
+  /// tenant's query span is its runtime's own).
+  std::string e2e_track;
+};
+
+/// One stage's outcome.
+struct StageRun : StageResultBase {
+  double initial_budget_s = 0.0;  ///< applied at setup (after clamping)
+  double final_budget_s = 0.0;    ///< applied after the last renorm tick
+  std::uint64_t submitted = 0;    ///< queries entering the stage (all)
+  std::uint64_t finished = 0;     ///< stage completions (all)
+  std::vector<core::SwitchEvent> switches;
+  std::vector<workload::QueryRecord> records;  ///< if keep_records
+};
+
+/// One flow's query ledger: every injected query is either fully completed
+/// (every stage finished it exactly once) or still in flight at the
+/// cut-off, exactly.
+struct FlowRun {
+  stats::SampleSet e2e_latencies;  ///< root-to-last-leaf, post-warmup
+  std::uint64_t injected = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t unfinished = 0;
+};
+
+struct NodeRun : SharedNodeResult {
+  std::vector<StageRun> stages;  ///< every flow's stages, flow-major
+  std::vector<FlowRun> flows;
+  core::ServiceUsage stages_usage;  ///< Σ per-stage usage
+};
+
+/// Run every flow concurrently on one shared node. `timeline_period_s` is
+/// forwarded to every runtime's AmoebaConfig; `keep_records` keeps each
+/// stage's post-warmup QueryRecords.
+[[nodiscard]] NodeRun run_shared_node(
+    const std::vector<NodeFlow>& flows, const ClusterConfig& cluster,
+    const core::MeterCalibration& calibration, const SharedNodeOptions& opt,
+    const BudgetPolicy& budgets, double timeline_period_s, bool keep_records);
+
+/// "0x…" rendering of a trace hash for summary JSON.
+[[nodiscard]] std::string hash_hex(std::uint64_t h);
+
+/// Appends `, "key": value` to a JSON object under construction.
+template <typename Number>
+void add_json_member(std::string& out, const char* key, Number value) {
+  out += ", \"";
+  out += key;
+  out += "\": " + obs::json_number(static_cast<double>(value));
+}
+
+/// Summary-JSON members every stage reports, "switch_aborts" through
+/// "memory_mb_seconds", each prefixed with ", ".
+[[nodiscard]] std::string stage_json_members(const StageResultBase& s);
+
+}  // namespace amoeba::exp

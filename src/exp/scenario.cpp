@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "core/queueing.hpp"
-#include "obs/profiler.hpp"
+#include "exp/node_driver.hpp"
 
 namespace amoeba::exp {
 
@@ -145,26 +145,10 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   // no query can arrive before its platform exists.
   AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
                      "warmup must cover the VM boot time");
-  // Self-profiling: attach the calling thread first so the kHarness scope
-  // (setup + collection around the event loop) and the engine's kEngine
-  // loop both land in this run's accumulator. Declared before the engine so
-  // detach happens after the engine is gone.
-  obs::ProfilerAttach prof_attach(opt.profiler);
-  AMOEBA_PROF_SCOPE(kHarness);
-  sim::Engine engine;
-  if (opt.profiler != nullptr) engine.set_profiler(opt.profiler);
-  sim::Rng rng(opt.seed);
-  serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
-  iaas::IaasPlatform ip(engine, cluster.iaas, rng.fork(2));
-
-  // Fault injection rides its own rng fork: a fault-free config creates no
-  // injector and stays byte-identical to pre-fault-layer runs.
-  std::unique_ptr<sim::FaultInjector> faults;
-  if (opt.faults.any()) {
-    faults = std::make_unique<sim::FaultInjector>(opt.faults, rng.fork(4));
-    sp.set_fault_injector(faults.get());
-    ip.set_fault_injector(faults.get());
-  }
+  SimNode node(cluster, opt.seed, opt.faults, opt.profiler);
+  sim::Engine& engine = node.engine;
+  serverless::ServerlessPlatform& sp = node.sp;
+  iaas::IaasPlatform& ip = node.ip;
 
   const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
   RunRecorder recorder(opt.warmup_s);
@@ -181,7 +165,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
           opt.seed ^ (0xb67u + static_cast<unsigned>(k)));
       const std::string name = bg.name;
       auto gen = std::make_unique<workload::PoissonLoadGenerator>(
-          engine, rng.fork(100 + static_cast<std::uint64_t>(k)),
+          engine, node.rng.fork(100 + static_cast<std::uint64_t>(k)),
           [t = trace.get()](double now) { return t->rate(now); },
           trace->max_rate(), [&sp, name] {
             sp.submit(name, [](const workload::QueryRecord&) {});
@@ -210,7 +194,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   switch (system) {
     case DeploySystem::kNameko: {
       ip.register_service(foreground, just_enough_vm(foreground, cluster));
-      if (faults) {
+      if (node.faults) {
         // Injected boot failures: keep rebooting until the VM sticks, and
         // shed arrivals while it is down (a pure-IaaS outage loses queries).
         nameko_boot = [&engine, &ip, &nameko_boot, fg_name] {
@@ -246,9 +230,9 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
         cfg.timeline_period_s = opt.timeline_period_s;
       }
       if (opt.observer != nullptr) cfg.observer = opt.observer;
-      cfg.fault_injector = faults.get();
+      cfg.fault_injector = node.faults.get();
       runtime = std::make_unique<core::AmoebaRuntime>(
-          engine, sp, ip, calibration, cfg, rng.fork(3));
+          engine, sp, ip, calibration, cfg, node.rng.fork(3));
       const auto vm_spec = just_enough_vm(foreground, cluster);
       const int n_max = std::max(
           1, static_cast<int>(std::ceil(vm_spec.cores *
@@ -263,7 +247,8 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   }
 
   auto fg_gen = std::make_unique<workload::PoissonLoadGenerator>(
-      engine, rng.fork(7), [t = fg_trace.get()](double now) { return t->rate(now); },
+      engine, node.rng.fork(7),
+      [t = fg_trace.get()](double now) { return t->rate(now); },
       fg_trace->max_rate(), std::move(fg_arrival));
 
   // Start the foreground load only after the IaaS VM could have booted (the
@@ -304,9 +289,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
       }
       break;
   }
-  if (faults) result.fault_counters = faults->counters();
-  result.trace_hash = engine.trace_hash();
-  result.events_executed = engine.executed();
+  node.finish(result);
   return result;
 }
 

@@ -129,7 +129,20 @@ struct ManagedRunOptions {
   sim::FaultConfig faults;
 };
 
-struct ManagedRunResult {
+/// What every run reports about the node it ran on (SimNode,
+/// node_driver.hpp).
+struct NodeRunResult {
+  double duration_s = 0.0;
+  /// Hash of the executed event trace (timestamp, event id) — identical
+  /// across runs iff the simulation was deterministic (see Engine::trace_hash).
+  std::uint64_t trace_hash = 0;
+  /// Engine events dispatched during the run (throughput denominators).
+  std::uint64_t events_executed = 0;
+  /// Injected-fault tallies (all zero when `faults` was all-zero).
+  sim::FaultCounters fault_counters;
+};
+
+struct ManagedRunResult : NodeRunResult {
   stats::SampleSet latencies;              ///< foreground user queries
   std::vector<workload::QueryRecord> records;  ///< if keep_records
   std::uint64_t queries = 0;
@@ -137,17 +150,9 @@ struct ManagedRunResult {
   std::vector<core::SwitchEvent> switches; ///< empty for pure baselines
   core::ServiceTimeline timeline;          ///< populated if sampling enabled
   double qos_target_s = 0.0;
-  double duration_s = 0.0;
-  /// Hash of the executed event trace (timestamp, event id) — identical
-  /// across runs iff the simulation was deterministic (see Engine::trace_hash).
-  std::uint64_t trace_hash = 0;
-  /// Engine events dispatched during the run (throughput denominators).
-  std::uint64_t events_executed = 0;
   /// Switch-protocol resilience counters (managed systems only).
   std::uint64_t switch_aborts = 0;
   std::uint64_t switch_retries = 0;
-  /// Injected-fault tallies (all zero when `faults` was all-zero).
-  sim::FaultCounters fault_counters;
 
   [[nodiscard]] double p95() const { return latencies.quantile(0.95); }
   [[nodiscard]] double violation_fraction() const {

@@ -1,0 +1,448 @@
+#include "exp/shared_node.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <map>
+#include <sstream>
+#include <utility>
+
+#include "exp/node_driver.hpp"
+#include "workload/meters.hpp"
+
+namespace amoeba::exp {
+
+namespace {
+
+/// Auto-scaled per-monitor probe rate: N monitors each probing 3 meters
+/// must not themselves crowd the node, so the combined rate across
+/// monitors is capped at ~4 QPS per meter regardless of N.
+double effective_probe_qps(double requested, std::size_t n_runtimes) {
+  if (requested > 0.0) return requested;
+  return std::min(workload::kMeterProbeQps,
+                  4.0 / static_cast<double>(n_runtimes));
+}
+
+/// The AmoebaConfig of one stage's runtime.
+core::AmoebaConfig stage_config(const SharedNodeOptions& opt,
+                                double timeline_period_s,
+                                workload::StagePin pin) {
+  core::AmoebaConfig cfg =
+      opt.amoeba.has_value()
+          ? *opt.amoeba
+          : default_amoeba_config(DeploySystem::kAmoeba, timeline_period_s);
+  if (!opt.amoeba.has_value()) {
+    cfg.controller.to_serverless_margin = 0.50;
+    cfg.controller.to_iaas_margin = 0.70;
+  }
+  switch (pin) {
+    case workload::StagePin::kManaged:
+      break;
+    case workload::StagePin::kIaasOnly:
+      // Votes can never reach an astronomically large hysteresis
+      // threshold, so the stage stays on its just-enough VM for good.
+      cfg.controller.hysteresis_ticks = 1 << 20;
+      break;
+    case workload::StagePin::kServerlessOnly:
+      // Bias, not a hard pin: leave for FaaS at the first calibrated
+      // opportunity and disable every pull back to IaaS.
+      cfg.controller.to_serverless_margin = 1.0;
+      cfg.controller.to_iaas_margin = 1.5;
+      cfg.controller.observed_violation_fraction = 1e9;
+      cfg.controller.co_tenant_check = false;
+      break;
+  }
+  return cfg;
+}
+
+/// One user query in flight across its flow's DAG.
+struct InFlightQuery {
+  double arrival = 0.0;              ///< root injection time
+  int remaining_stages = 0;          ///< stages not yet finished
+  std::vector<int> waiting_parents;  ///< per stage, parents still running
+};
+
+/// AND-join dataflow over every flow: a query enters every root of its
+/// flow at injection and enters stage k once all parents(k) finished it.
+/// The ledger counts every entry and exit so conservation is checkable
+/// after the run.
+struct QueryRouter {
+  const std::vector<NodeFlow>& flows;
+  const std::vector<std::size_t>& first_stage;  ///< per flow
+  std::vector<std::unique_ptr<core::AmoebaRuntime>>& runtimes;
+  NodeRun& run;
+  double warmup_s;
+  obs::Observer* observer;
+  bool keep_records;
+  /// Per stage, completions since the last renorm tick (aware mode only).
+  std::vector<stats::SampleSet> renorm_window = {};
+  /// Per flow, the queries in flight by id.
+  std::vector<std::map<std::uint64_t, InFlightQuery>> live = {};
+
+  void inject(std::size_t f, double now) {
+    const workload::CallGraph& g = flows[f].graph;
+    const std::uint64_t id = run.flows[f].injected++;
+    InFlightQuery q;
+    q.arrival = now;
+    q.remaining_stages = g.size();
+    for (int k = 0; k < g.size(); ++k) {
+      q.waiting_parents.push_back(static_cast<int>(g.parents(k).size()));
+    }
+    live[f].emplace(id, std::move(q));
+    if (traced(f)) {
+      obs::Tracer& tr = observer->tracer();
+      tr.async_begin(tr.track(flows[f].e2e_track), "e2e", id, now, "query");
+    }
+    for (const int r : g.roots()) enter(f, id, r);
+  }
+
+  /// Settle the ledger and close the spans of queries cut off mid-flight —
+  /// bookkeeping only, after the last simulated event.
+  void finish(double now) {
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      run.flows[f].unfinished = live[f].size();
+      if (!traced(f)) continue;
+      obs::Tracer& tr = observer->tracer();
+      for (const auto& [id, q] : live[f]) {
+        tr.async_end(tr.track(flows[f].e2e_track), "e2e", id, now, "query",
+                     {obs::TraceArg::of("outcome", "unfinished")});
+      }
+    }
+  }
+
+  [[nodiscard]] bool traced(std::size_t f) const {
+    return observer != nullptr && observer->trace_on() &&
+           !flows[f].e2e_track.empty();
+  }
+
+  void enter(std::size_t f, std::uint64_t id, int s) {
+    const std::size_t si = first_stage[f] + static_cast<std::size_t>(s);
+    ++run.stages[si].submitted;
+    runtimes[si]->submit(run.stages[si].name,
+                         [this, f, id, s](const workload::QueryRecord& rec) {
+                           on_stage_done(f, id, s, rec);
+                         });
+  }
+
+  void on_stage_done(std::size_t f, std::uint64_t id, int s,
+                     const workload::QueryRecord& rec) {
+    const auto it = live[f].find(id);
+    AMOEBA_INVARIANT_MSG(it != live[f].end(),
+                         "stage completion for a query that is not in flight");
+    InFlightQuery& q = it->second;
+    const std::size_t si = first_stage[f] + static_cast<std::size_t>(s);
+    StageRun& st = run.stages[si];
+    ++st.finished;
+    if (q.arrival >= warmup_s) {
+      st.latencies.add(rec.latency());
+      if (keep_records) st.records.push_back(rec);
+    }
+    if (!renorm_window.empty()) renorm_window[si].add(rec.latency());
+    for (const int c : flows[f].graph.children(s)) {
+      const auto ci = static_cast<std::size_t>(c);
+      AMOEBA_INVARIANT(q.waiting_parents[ci] > 0);
+      if (--q.waiting_parents[ci] == 0) enter(f, id, c);
+    }
+    if (--q.remaining_stages == 0) {
+      const double e2e = rec.completion - q.arrival;
+      FlowRun& fr = run.flows[f];
+      ++fr.completed;
+      if (q.arrival >= warmup_s) fr.e2e_latencies.add(e2e);
+      if (traced(f)) {
+        obs::Tracer& tr = observer->tracer();
+        tr.async_end(tr.track(flows[f].e2e_track), "e2e", id, rec.completion,
+                     "query", {obs::TraceArg::of("latency_s", e2e)});
+      }
+      live[f].erase(it);
+    }
+  }
+};
+
+}  // namespace
+
+SimNode::SimNode(const ClusterConfig& cluster, std::uint64_t seed,
+                 const sim::FaultConfig& fault_config,
+                 obs::Profiler* profiler)
+    : prof_attach(profiler),
+      rng(seed),
+      sp(engine, cluster.serverless, rng.fork(1)),
+      ip(engine, cluster.iaas, rng.fork(2)) {
+  if (profiler != nullptr) engine.set_profiler(profiler);
+  if (fault_config.any()) {
+    faults = std::make_unique<sim::FaultInjector>(fault_config, rng.fork(4));
+    sp.set_fault_injector(faults.get());
+    ip.set_fault_injector(faults.get());
+  }
+}
+
+void SimNode::finish(NodeRunResult& r) const {
+  if (faults) r.fault_counters = faults->counters();
+  r.trace_hash = engine.trace_hash();
+  r.events_executed = engine.executed();
+}
+
+const char* to_string(BudgetMode m) noexcept {
+  switch (m) {
+    case BudgetMode::kNaiveEqual: return "naive_equal";
+    case BudgetMode::kEndToEndAware: return "e2e_aware";
+  }
+  return "?";
+}
+
+double SharedNodeResult::core_hours_with(
+    const core::ServiceUsage& stages) const {
+  return (stages.cpu_core_seconds + meter_usage.cpu_core_seconds) / 3600.0;
+}
+
+double SharedNodeResult::memory_gb_hours_with(
+    const core::ServiceUsage& stages) const {
+  return (stages.memory_mb_seconds + meter_usage.memory_mb_seconds) /
+         (1024.0 * 3600.0);
+}
+
+NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
+                        const ClusterConfig& cluster,
+                        const core::MeterCalibration& calibration,
+                        const SharedNodeOptions& opt,
+                        const BudgetPolicy& budgets, double timeline_period_s,
+                        bool keep_records) {
+  AMOEBA_EXPECTS(opt.period_s > 0.0 && opt.duration_days > 0.0);
+  AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
+                     "warmup must cover the VM boot time");
+  AMOEBA_EXPECTS(opt.node_container_budget > 0);
+  AMOEBA_EXPECTS(opt.meter_reserve_containers >= 3);
+  AMOEBA_EXPECTS(budgets.renorm_period_s > 0.0 &&
+                 budgets.renorm_min_samples >= 1);
+  AMOEBA_EXPECTS(budgets.feasibility_floor_factor >= 1.0);
+
+  SimNode node(cluster, opt.seed, opt.faults, opt.profiler);
+  sim::Engine& engine = node.engine;
+
+  // Meter reserve: register the three meter functions FIRST, each capped at
+  // its share of the reserve, so (a) every monitor's start() finds them
+  // already present, and (b) stage prewarms can never evict probing down
+  // to zero capacity. Count-wise the node budget stays intact: stages
+  // split what remains.
+  const int per_meter = std::max(1, opt.meter_reserve_containers / 3);
+  for (const auto kind : workload::kAllMeters) {
+    node.sp.register_function(workload::meter_profile(kind), per_meter);
+  }
+  std::vector<std::size_t> first_stage;
+  std::size_t n = 0;
+  for (const NodeFlow& flow : flows) {
+    AMOEBA_EXPECTS(flow.stages.size() ==
+                   static_cast<std::size_t>(flow.graph.size()));
+    first_stage.push_back(n);
+    n += flow.stages.size();
+  }
+  AMOEBA_EXPECTS_MSG(
+      opt.node_container_budget - 3 * per_meter >= static_cast<int>(n),
+      "container budget cannot cover every service");
+
+  // --- Budgets, sizing and shared-pool admission arbitration -------------
+  // Initial weights are the content-determined ideal solo IaaS latencies
+  // (what the decomposer would converge to on an uncontended node). Every
+  // query crosses every stage of its flow, so each stage is provisioned
+  // for the flow's root peak and its applied budget.
+  NodeRun run;
+  run.stages.resize(n);
+  run.flows.resize(flows.size());
+  std::vector<core::BudgetDecomposer> decomposers;
+  std::vector<double> floors;
+  std::vector<workload::FunctionProfile> profiles;
+  std::vector<iaas::VmSpec> vm_specs;
+  std::vector<int> asks;
+  decomposers.reserve(flows.size());
+  for (const NodeFlow& flow : flows) {
+    const workload::CallGraph& g = flow.graph;
+    const double t_e2e = flow.e2e_qos_target_s;
+    std::vector<double> w0;
+    for (int k = 0; k < g.size(); ++k) {
+      const double ideal = g.stage(k).profile.ideal_iaas_latency(
+          cluster.iaas.disk_bps, cluster.iaas.net_bps);
+      w0.push_back(std::max(ideal, budgets.decomposer.min_weight_s));
+      floors.push_back(
+          std::min(budgets.feasibility_floor_factor * ideal, t_e2e));
+    }
+    decomposers.emplace_back(g, t_e2e, w0, budgets.decomposer);
+    const std::vector<double> raw0 =
+        budgets.budget_mode == BudgetMode::kEndToEndAware
+            ? decomposers.back().budgets()
+            : core::BudgetDecomposer::equal_split(g, t_e2e);
+    for (int k = 0; k < g.size(); ++k) {
+      const std::size_t si = profiles.size();
+      StageRun& st = run.stages[si];
+      st.name = flow.stages[static_cast<std::size_t>(k)].name;
+      st.initial_budget_s = std::clamp(raw0[static_cast<std::size_t>(k)],
+                                       floors[si], t_e2e);
+      st.final_budget_s = st.initial_budget_s;
+      workload::FunctionProfile p = g.stage(k).profile;
+      p.name = st.name;
+      p.peak_load_qps = flow.root_peak_qps;
+      p.qos_target_s = st.initial_budget_s;
+      vm_specs.push_back(just_enough_vm(p, cluster));
+      st.n_max_asked = std::max(
+          1, static_cast<int>(std::ceil(vm_specs.back().cores *
+                                        opt.n_max_core_factor)));
+      asks.push_back(st.n_max_asked);
+      profiles.push_back(std::move(p));
+    }
+  }
+  const std::vector<int> grants = core::split_container_budget(
+      asks, opt.node_container_budget - 3 * per_meter);
+
+  // --- One AmoebaRuntime per stage ----------------------------------------
+  // Its own monitor, controller and engine, all over the same two
+  // platforms.
+  const double probe_qps = effective_probe_qps(opt.monitor_probe_qps, n);
+  std::vector<std::unique_ptr<core::AmoebaRuntime>> runtimes;
+  runtimes.reserve(n);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    for (int k = 0; k < flows[f].graph.size(); ++k) {
+      const FlowStage& fs = flows[f].stages[static_cast<std::size_t>(k)];
+      const std::size_t si = first_stage[f] + static_cast<std::size_t>(k);
+      core::AmoebaConfig cfg = stage_config(opt, timeline_period_s,
+                                            flows[f].graph.stage(k).pin);
+      cfg.monitor.probe_qps = probe_qps;
+      cfg.stage_id = fs.audit_stage;
+      if (opt.observer != nullptr) cfg.observer = opt.observer;
+      cfg.fault_injector = node.faults.get();
+      run.stages[si].n_max_granted = grants[si];
+      auto runtime = std::make_unique<core::AmoebaRuntime>(
+          engine, node.sp, node.ip, calibration, cfg,
+          node.rng.fork(1000 + static_cast<std::uint64_t>(si)));
+      runtime->add_service(profiles[si], vm_specs[si], *fs.artifacts,
+                           grants[si]);
+      runtime->start();
+      runtimes.push_back(std::move(runtime));
+    }
+  }
+
+  const bool aware = budgets.budget_mode == BudgetMode::kEndToEndAware;
+  QueryRouter router{flows, first_stage, runtimes, run, opt.warmup_s,
+                     opt.observer, keep_records};
+  router.live.resize(flows.size());
+  if (aware) router.renorm_window.resize(n);
+
+  // --- Budget renormalization tick (aware mode only) ----------------------
+  // Observed per-stage p95s fold into each flow's decomposer; changed
+  // budgets reach the stage's controller via set_qos_target, so a slow
+  // downstream stage tightens upstream budgets.
+  sim::EventId renorm_event = sim::kNoEvent;
+  std::function<void()> renorm = [&] {
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      const workload::CallGraph& g = flows[f].graph;
+      for (int k = 0; k < g.size(); ++k) {
+        stats::SampleSet& window =
+            router.renorm_window[first_stage[f] + static_cast<std::size_t>(k)];
+        if (window.size() >=
+            static_cast<std::size_t>(budgets.renorm_min_samples)) {
+          decomposers[f].observe(k, window.quantile(0.95));
+          window.clear();
+        }
+      }
+      const std::vector<double> b = decomposers[f].budgets();
+      for (int k = 0; k < g.size(); ++k) {
+        const std::size_t si = first_stage[f] + static_cast<std::size_t>(k);
+        const double target =
+            std::clamp(b[static_cast<std::size_t>(k)], floors[si],
+                       flows[f].e2e_qos_target_s);
+        if (target != run.stages[si].final_budget_s) {
+          runtimes[si]->set_qos_target(run.stages[si].name, target);
+          run.stages[si].final_budget_s = target;
+        }
+      }
+    }
+    renorm_event = engine.schedule_in(budgets.renorm_period_s, renorm);
+  };
+  if (aware) renorm_event = engine.schedule_in(budgets.renorm_period_s, renorm);
+
+  // --- Load: one Poisson stream at each flow's roots ----------------------
+  std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
+  std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> generators;
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const std::size_t root =
+        first_stage[f] +
+        static_cast<std::size_t>(flows[f].graph.roots().front());
+    auto trace = std::make_unique<workload::DiurnalTrace>(
+        diurnal_for(profiles[root], opt.period_s, flows[f].phase),
+        opt.seed ^ (0x51u + static_cast<unsigned>(f)));
+    generators.push_back(std::make_unique<workload::PoissonLoadGenerator>(
+        engine, node.rng.fork(2000 + static_cast<std::uint64_t>(f)),
+        [t = trace.get()](double now) { return t->rate(now); },
+        trace->max_rate(),
+        [&router, &engine, f] { router.inject(f, engine.now()); }));
+    traces.push_back(std::move(trace));
+  }
+  // Load starts after the IaaS VMs could have booted, inside warmup (same
+  // rule as run_managed; warmup records are dropped anyway).
+  const double load_start = std::min(cluster.iaas.vm_boot_s + 2.0,
+                                     std::max(opt.warmup_s - 1.0, 0.0));
+  for (auto& gen : generators) {
+    engine.schedule(load_start, [g = gen.get()] { g->start(); });
+  }
+
+  const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
+  engine.run_until(duration);
+
+  for (auto& gen : generators) gen->stop();
+  if (renorm_event != sim::kNoEvent) engine.cancel(renorm_event);
+  for (auto& rt : runtimes) rt->stop();
+  router.finish(engine.now());
+
+  // --- Collection ---------------------------------------------------------
+  run.duration_s = duration;
+  for (std::size_t si = 0; si < n; ++si) {
+    StageRun& st = run.stages[si];
+    core::AmoebaRuntime& rt = *runtimes[si];
+    st.usage = rt.accountant().usage(st.name, duration);
+    // switch_events() spans the whole runtime, but each runtime manages
+    // exactly one service here, so the filter is a formality.
+    for (const auto& sw : rt.switch_events()) {
+      if (sw.service == st.name) st.switches.push_back(sw);
+    }
+    st.switch_aborts = rt.execution_engine().switch_aborts();
+    st.switch_retries = rt.execution_engine().switch_retries();
+    st.prewarm_denied = node.sp.stats(st.name).prewarm_denied;
+    run.stages_usage += st.usage;
+    run.prewarm_denied_total += st.prewarm_denied;
+  }
+  for (const auto kind : workload::kAllMeters) {
+    const std::string meter = workload::meter_profile(kind).name;
+    run.meter_usage.cpu_core_seconds += node.sp.cpu_core_seconds(meter);
+    run.meter_usage.memory_mb_seconds +=
+        node.sp.memory_mb_seconds(meter, duration);
+  }
+  for (const auto& fn : node.sp.function_names()) {
+    run.pool_memory_mb_seconds += node.sp.memory_mb_seconds(fn, duration);
+  }
+  run.peak_pool_containers = node.sp.pool().peak_total_containers();
+  run.peak_pool_memory_mb = node.sp.pool().peak_memory_in_use_mb();
+  run.pool_evictions = node.sp.pool().evictions();
+  node.finish(run);
+  for (const FlowRun& fr : run.flows) {
+    AMOEBA_ENSURES_VALS(fr.injected == fr.completed + fr.unfinished,
+                        fr.injected, fr.completed, fr.unfinished);
+  }
+  return run;
+}
+
+std::string hash_hex(std::uint64_t h) {
+  std::ostringstream os;
+  os << "0x" << std::hex << h;
+  return os.str();
+}
+
+std::string stage_json_members(const StageResultBase& s) {
+  std::string out;
+  add_json_member(out, "switch_aborts", s.switch_aborts);
+  add_json_member(out, "switch_retries", s.switch_retries);
+  add_json_member(out, "prewarm_denied", s.prewarm_denied);
+  add_json_member(out, "n_max_asked", s.n_max_asked);
+  add_json_member(out, "n_max_granted", s.n_max_granted);
+  add_json_member(out, "core_seconds", s.usage.cpu_core_seconds);
+  add_json_member(out, "memory_mb_seconds", s.usage.memory_mb_seconds);
+  return out;
+}
+
+}  // namespace amoeba::exp

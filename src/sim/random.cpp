@@ -108,20 +108,4 @@ Rng Rng::fork(std::uint64_t stream_id) const noexcept {
   return Rng(splitmix64(mix));
 }
 
-std::size_t weighted_choice(Rng& rng, const std::vector<double>& weights) {
-  AMOEBA_EXPECTS(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    AMOEBA_EXPECTS(w >= 0.0);
-    total += w;
-  }
-  AMOEBA_EXPECTS_MSG(total > 0.0, "at least one weight must be positive");
-  double x = rng.uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;  // floating-point edge: fall back to last
-}
-
 }  // namespace amoeba::sim

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/assert.hpp"
 
@@ -63,10 +62,5 @@ class Rng {
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;
 };
-
-/// One draw from a discrete distribution over `weights` (non-negative, at
-/// least one positive). Returns the chosen index.
-[[nodiscard]] std::size_t weighted_choice(Rng& rng,
-                                          const std::vector<double>& weights);
 
 }  // namespace amoeba::sim

@@ -1,0 +1,213 @@
+// Bit-exact anchors for the shared-node driver behind run_cluster and
+// run_callgraph, plus the invariant that driver rests on.
+//
+// The anchors pin the event-trace hash and the hash of the summary JSON of
+// four small runs: an N=3 cluster, the same cluster with faults injected,
+// and a diamond call graph in each budget mode. They were recorded on the
+// two separate drivers the shared one replaced. Any change to set-up
+// order, rng forks, arbitration, budgets or result collection moves them;
+// a change that moves numerics on purpose re-records them and says so.
+//
+// ClusterCallGraph.OneStageGraphEqualsOneTenantCluster pins the premise of
+// the shared driver: a cluster tenant is a one-stage call graph whose
+// end-to-end target is the tenant's QoS target.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <ios>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "exp/callgraph.hpp"
+#include "exp/cluster.hpp"
+#include "exp/profiling.hpp"
+#include "workload/functionbench.hpp"
+
+namespace amoeba::exp {
+namespace {
+
+struct Fixture {
+  ClusterConfig cluster;
+  core::MeterCalibration calibration;
+  workload::FunctionProfile float_base;
+  workload::FunctionProfile dd_base;
+  core::ServiceArtifacts float_artifacts;
+  core::ServiceArtifacts dd_artifacts;
+
+  Fixture() : cluster(default_cluster()) {
+    ProfilingConfig cfg;
+    cfg.pressure_grid = {0.05, 0.45, 0.85};
+    cfg.load_fractions = {0.1, 0.5, 1.0};
+    cfg.cell_duration_s = 10.0;
+    cfg.warmup_s = 3.0;
+    cfg.threads = 1;
+    calibration = profile_meters(cluster, cfg);
+    float_base = workload::make_float();
+    dd_base = workload::make_dd();
+    float_artifacts = profile_service(float_base, cluster, calibration, cfg);
+    dd_artifacts = profile_service(dd_base, cluster, calibration, cfg);
+  }
+
+  [[nodiscard]] const core::ServiceArtifacts& artifacts_of(
+      const workload::FunctionProfile& p) const {
+    return p.name.rfind(dd_base.name, 0) == 0 ? dd_artifacts
+                                               : float_artifacts;
+  }
+};
+
+const Fixture& fix() {
+  static Fixture f;
+  return f;
+}
+
+/// FNV-1a over the bytes of a summary document.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t h) {
+  std::ostringstream os;
+  os << "0x" << std::hex << h;
+  return os.str();
+}
+
+template <typename Options>
+void small_day(Options& opt, std::uint64_t seed) {
+  opt.period_s = 240.0;
+  opt.duration_days = 1.0;
+  opt.warmup_s = 40.0;
+  opt.seed = seed;
+  opt.node_container_budget = 48;
+  opt.meter_reserve_containers = 6;
+}
+
+ClusterRunResult run_cluster_n3(const sim::FaultConfig& faults) {
+  const Fixture& f = fix();
+  std::vector<ClusterServiceSpec> specs;
+  for (int i = 0; i < 3; ++i) {
+    const auto base = i == 1 ? f.dd_base : f.float_base;
+    specs.push_back(ClusterServiceSpec{workload::as_tenant(base, i, 0.5),
+                                       f.artifacts_of(base),
+                                       static_cast<double>(i) / 3.0});
+  }
+  ClusterRunOptions opt;
+  small_day(opt, 11);
+  opt.faults = faults;
+  auto r = run_cluster(specs, f.cluster, f.calibration, opt);
+  for (const auto& s : r.services) EXPECT_GT(s.queries, 100u) << s.name;
+  return r;
+}
+
+/// front -> {left, right} -> back, with one pin of each kind.
+workload::CallGraph anchor_diamond() {
+  const Fixture& f = fix();
+  workload::CallGraph::Builder b;
+  const int front =
+      b.add_stage("front", workload::as_tenant(f.float_base, 0, 0.5));
+  const int left = b.add_stage("left", workload::as_tenant(f.dd_base, 1, 0.5),
+                               workload::StagePin::kIaasOnly);
+  const int right =
+      b.add_stage("right", workload::as_tenant(f.float_base, 2, 0.5),
+                  workload::StagePin::kServerlessOnly);
+  const int back =
+      b.add_stage("back", workload::as_tenant(f.float_base, 3, 0.5));
+  b.add_edge(front, left);
+  b.add_edge(front, right);
+  b.add_edge(left, back);
+  b.add_edge(right, back);
+  return b.build();
+}
+
+CallGraphRunResult run_diamond(BudgetMode mode) {
+  const Fixture& f = fix();
+  const workload::CallGraph g = anchor_diamond();
+  std::vector<core::ServiceArtifacts> artifacts;
+  double sum = 0.0;
+  for (int k = 0; k < g.size(); ++k) {
+    artifacts.push_back(f.artifacts_of(g.stage(k).profile));
+    sum += g.stage(k).profile.qos_target_s;
+  }
+  CallGraphRunOptions opt;
+  small_day(opt, 13);
+  opt.e2e_qos_target_s = 1.2 * sum;
+  opt.budget_mode = mode;
+  auto r = run_callgraph(g, artifacts, f.cluster, f.calibration, opt);
+  EXPECT_GT(r.queries_completed, 100u);
+  return r;
+}
+
+TEST(DriverAnchor, ClusterIsBitIdenticalToRecordedHashes) {
+  const auto r = run_cluster_n3(sim::FaultConfig{});
+  EXPECT_EQ(hex(r.trace_hash), "0xc36801e1a357868d") << "trace";
+  EXPECT_EQ(hex(fnv1a(cluster_summary_json(r))), "0x12dc87579d64e031")
+      << "summary";
+}
+
+TEST(DriverAnchor, FaultyClusterIsBitIdenticalToRecordedHashes) {
+  sim::FaultConfig faults;
+  faults.container_boot_failure_p = 0.15;
+  faults.container_straggler_p = 0.10;
+  faults.vm_boot_failure_p = 0.10;
+  faults.meter_drop_p = 0.10;
+  faults.meter_outlier_p = 0.05;
+  const auto r = run_cluster_n3(faults);
+  ASSERT_GT(r.fault_counters.total(), 0u) << "no faults actually injected";
+  EXPECT_EQ(hex(r.trace_hash), "0x504f246744409e89") << "trace";
+  EXPECT_EQ(hex(fnv1a(cluster_summary_json(r))), "0x22cad233587a5c33")
+      << "summary";
+}
+
+TEST(DriverAnchor, AwareDiamondIsBitIdenticalToRecordedHashes) {
+  const auto r = run_diamond(BudgetMode::kEndToEndAware);
+  EXPECT_EQ(hex(r.trace_hash), "0x83970d0d846d3be5") << "trace";
+  EXPECT_EQ(hex(fnv1a(callgraph_summary_json(r))), "0xc10b2b157ce6fcab")
+      << "summary";
+}
+
+TEST(DriverAnchor, NaiveDiamondIsBitIdenticalToRecordedHashes) {
+  const auto r = run_diamond(BudgetMode::kNaiveEqual);
+  EXPECT_EQ(hex(r.trace_hash), "0x4d1133239db271e0") << "trace";
+  EXPECT_EQ(hex(fnv1a(callgraph_summary_json(r))), "0x3114bb31e8335593")
+      << "summary";
+}
+
+TEST(ClusterCallGraph, OneStageGraphEqualsOneTenantCluster) {
+  // One tenant at phase 0 and a one-stage graph of the same profile with
+  // T = its QoS target under the naive split: the same node, the same
+  // runtime, the same arrivals. Only the service name differs.
+  const Fixture& f = fix();
+  for (const auto& base : {f.float_base, f.dd_base}) {
+    workload::CallGraph::Builder b;
+    b.add_stage("solo", base);
+    const workload::CallGraph g = b.build();
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+      SCOPED_TRACE(base.name + " seed=" + std::to_string(seed));
+      ClusterRunOptions copt;
+      small_day(copt, seed);
+      const auto c =
+          run_cluster({ClusterServiceSpec{base, f.artifacts_of(base), 0.0}},
+                      f.cluster, f.calibration, copt);
+      CallGraphRunOptions gopt;
+      small_day(gopt, seed);
+      gopt.e2e_qos_target_s = base.qos_target_s;
+      gopt.budget_mode = BudgetMode::kNaiveEqual;
+      const auto r = run_callgraph(g, {f.artifacts_of(base)}, f.cluster,
+                                   f.calibration, gopt);
+      ASSERT_EQ(c.services.size(), 1u);
+      ASSERT_GT(c.services[0].queries, 100u);
+      EXPECT_EQ(c.trace_hash, r.trace_hash);
+      EXPECT_EQ(c.services[0].latencies.raw(), r.e2e_latencies.raw());
+      EXPECT_EQ(c.total_core_hours(), r.total_core_hours());
+    }
+  }
+}
+
+}  // namespace
+}  // namespace amoeba::exp

@@ -135,25 +135,6 @@ TEST(Rng, ForkStreamsAreIndependentAndDeterministic) {
   EXPECT_LT(equal, 3);
 }
 
-TEST(WeightedChoice, RespectsWeights) {
-  Rng rng(21);
-  std::vector<double> w = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) {
-    counts[weighted_choice(rng, w)]++;
-  }
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[0], 10000, 500);
-  EXPECT_NEAR(counts[2], 30000, 700);
-}
-
-TEST(WeightedChoice, RejectsInvalidInput) {
-  Rng rng(22);
-  EXPECT_THROW((void)weighted_choice(rng, {}), ContractError);
-  EXPECT_THROW((void)weighted_choice(rng, {0.0, 0.0}), ContractError);
-  EXPECT_THROW((void)weighted_choice(rng, {-1.0, 2.0}), ContractError);
-}
-
 TEST(SplitMix, KnownSequenceAdvances) {
   std::uint64_t s = 0;
   const std::uint64_t a = splitmix64(s);
