@@ -26,9 +26,8 @@ int main(int argc, char** argv) {
                                        cal, art, base_opt);
 
   const std::vector<double> horizons = {0.0, 20.0, 40.0, 80.0};
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map<exp::ManagedRunResult>(
-      horizons, [&](double horizon) {
+  const auto runs = exp::parallel_map<exp::ManagedRunResult>(
+      horizons.size(), jobs, [&](std::size_t i) {
         auto opt = base_opt;
         // run_managed's defaults set a 40 s horizon; pass an explicit config
         // mirroring those defaults with only the horizon overridden.
@@ -40,7 +39,7 @@ int main(int argc, char** argv) {
         ac.engine.prewarm.headroom = 1.25;
         ac.monitor.sample_period_s = 5.0;
         ac.estimator.min_samples = 24;
-        ac.load_anticipation_s = horizon;
+        ac.load_anticipation_s = horizons[i];
         opt.amoeba = ac;
         return exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,
                                 art, opt);

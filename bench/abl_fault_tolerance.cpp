@@ -44,22 +44,23 @@ int main(int argc, char** argv) {
     exp::ManagedRunResult run;
     bool deterministic = false;
   };
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map<RateResult>(rates, [&](double rate) {
-    auto opt = base_opt;
-    opt.faults.container_boot_failure_p = rate;
-    opt.faults.container_straggler_p = rate / 2.0;
-    opt.faults.vm_boot_failure_p = rate;
-    opt.faults.meter_drop_p = rate / 2.0;
-    opt.faults.meter_outlier_p = rate / 4.0;
-    auto a = exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,
-                              art, opt);
-    const auto b = exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster,
-                                    cal, art, opt);
-    const bool same = a.trace_hash == b.trace_hash &&
-                      a.fault_counters.total() == b.fault_counters.total();
-    return RateResult{std::move(a), same};
-  });
+  const auto runs = exp::parallel_map<RateResult>(
+      rates.size(), jobs, [&](std::size_t i) {
+        const double rate = rates[i];
+        auto opt = base_opt;
+        opt.faults.container_boot_failure_p = rate;
+        opt.faults.container_straggler_p = rate / 2.0;
+        opt.faults.vm_boot_failure_p = rate;
+        opt.faults.meter_drop_p = rate / 2.0;
+        opt.faults.meter_outlier_p = rate / 4.0;
+        auto a = exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,
+                                  art, opt);
+        const auto b = exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster,
+                                        cal, art, opt);
+        const bool same = a.trace_hash == b.trace_hash &&
+                          a.fault_counters.total() == b.fault_counters.total();
+        return RateResult{std::move(a), same};
+      });
 
   exp::Table table({"fail rate", "p95/QoS", "violations", "switches",
                     "aborts", "retries", "faults", "same-seed hash"});

@@ -21,15 +21,14 @@ int main(int argc, char** argv) {
                                        cal, art, base_opt);
 
   const std::vector<double> headrooms = {1.0, 1.25, 1.5, 2.0};
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map<exp::ManagedRunResult>(
-      headrooms, [&](double headroom) {
+  const auto runs = exp::parallel_map<exp::ManagedRunResult>(
+      headrooms.size(), jobs, [&](std::size_t i) {
         auto opt = base_opt;
         core::AmoebaConfig ac;
         ac.controller.to_serverless_margin = 0.60;
         ac.controller.to_iaas_margin = 0.80;
         ac.engine.mirror_fraction = 0.08;
-        ac.engine.prewarm.headroom = headroom;
+        ac.engine.prewarm.headroom = headrooms[i];
         ac.monitor.sample_period_s = 5.0;
         ac.load_anticipation_s = 40.0;
         opt.amoeba = ac;

@@ -34,16 +34,15 @@ int main(int argc, char** argv) {
             << exp::fmt_fixed(core::min_sample_period(eq8), 2) << " s\n";
 
   const std::vector<double> periods = {1.0, 2.0, 5.0, 10.0};
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map<exp::ManagedRunResult>(
-      periods, [&](double period) {
+  const auto runs = exp::parallel_map<exp::ManagedRunResult>(
+      periods.size(), jobs, [&](std::size_t i) {
         auto opt = bench::bench_run_options();
         core::AmoebaConfig ac;
         ac.controller.to_serverless_margin = 0.60;
         ac.controller.to_iaas_margin = 0.80;
         ac.engine.mirror_fraction = 0.08;
         ac.engine.prewarm.headroom = 1.25;
-        ac.monitor.sample_period_s = period;
+        ac.monitor.sample_period_s = periods[i];
         ac.load_anticipation_s = 40.0;
         opt.amoeba = ac;
         return exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,

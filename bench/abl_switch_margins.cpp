@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
                                            MarginPair{0.60, 0.80},
                                            MarginPair{0.80, 0.95},
                                            MarginPair{0.95, 1.00}};
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map<exp::ManagedRunResult>(
-      margins, [&](const MarginPair& m) {
+  const auto runs = exp::parallel_map<exp::ManagedRunResult>(
+      margins.size(), jobs, [&](std::size_t i) {
+        const auto& m = margins[i];
         auto opt = base_opt;
         core::AmoebaConfig ac;
         ac.controller.to_serverless_margin = m.to_serverless;

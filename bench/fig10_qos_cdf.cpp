@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const double quantiles[] = {0.50, 0.75, 0.90, 0.95, 0.99};
 
   // Warm the profile cache serially (it writes shared files), then fan the
-  // benchmark x system grid out over the sweep executor. Results come back
+  // benchmark x system grid out with parallel_map. Results come back
   // in cell order, so the tables are identical at any --jobs.
   const auto suite = workload::functionbench_suite();
   std::vector<core::ServiceArtifacts> arts;
@@ -36,9 +36,8 @@ int main(int argc, char** argv) {
   for (const auto& p : suite) {
     arts.push_back(bench::cached_artifacts(p, cluster, cal, prof));
   }
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map_indexed<exp::ManagedRunResult>(
-      suite.size() * nsys, [&](std::size_t i) {
+  const auto runs = exp::parallel_map<exp::ManagedRunResult>(
+      suite.size() * nsys, jobs, [&](std::size_t i) {
         return exp::run_managed(suite[i / nsys], systems[i % nsys], cluster,
                                 cal, arts[i / nsys], opt);
       });

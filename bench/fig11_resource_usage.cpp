@@ -24,9 +24,8 @@ int main(int argc, char** argv) {
   }
   const exp::DeploySystem systems[] = {exp::DeploySystem::kAmoeba,
                                        exp::DeploySystem::kNameko};
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map_indexed<exp::ManagedRunResult>(
-      suite.size() * 2, [&](std::size_t i) {
+  const auto runs = exp::parallel_map<exp::ManagedRunResult>(
+      suite.size() * 2, jobs, [&](std::size_t i) {
         return exp::run_managed(suite[i / 2], systems[i % 2], cluster, cal,
                                 arts[i / 2], opt);
       });

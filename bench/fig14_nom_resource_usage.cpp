@@ -27,9 +27,8 @@ int main(int argc, char** argv) {
   const exp::DeploySystem systems[] = {exp::DeploySystem::kAmoeba,
                                        exp::DeploySystem::kAmoebaNoM,
                                        exp::DeploySystem::kNameko};
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map_indexed<exp::ManagedRunResult>(
-      suite.size() * 3, [&](std::size_t i) {
+  const auto runs = exp::parallel_map<exp::ManagedRunResult>(
+      suite.size() * 3, jobs, [&](std::size_t i) {
         return exp::run_managed(suite[i / 3], systems[i % 3], cluster, cal,
                                 arts[i / 3], opt);
       });

@@ -85,13 +85,10 @@ int main(int argc, char** argv) {
 
   // Single-service baselines: each distinct tenant profile (base benchmark
   // at the scaled peak) managed alone by run_managed, default scenario.
-  exp::SweepExecutor exec(jobs);
   const auto tenant_profiles = exp::cluster_tenants(max_n, peak_fraction);
   const std::size_t n_bases = std::min(suite.size(), tenant_profiles.size());
-  std::vector<std::size_t> base_idx(n_bases);
-  for (std::size_t i = 0; i < n_bases; ++i) base_idx[i] = i;
-  const auto baselines = exec.map<exp::ManagedRunResult>(
-      base_idx, [&](std::size_t i) {
+  const auto baselines = exp::parallel_map<exp::ManagedRunResult>(
+      n_bases, jobs, [&](std::size_t i) {
         exp::ManagedRunOptions opt;
         opt.period_s = period_s;
         opt.duration_days = 1.0;
@@ -106,25 +103,27 @@ int main(int argc, char** argv) {
     exp::ClusterRunResult run;
     bool deterministic = false;
   };
-  const auto cluster_runs = exec.map<NResult>(sweep_n, [&](int n) {
-    const auto profiles = exp::cluster_tenants(n, peak_fraction);
-    std::vector<exp::ClusterServiceSpec> specs;
-    specs.reserve(profiles.size());
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-      specs.push_back(exp::ClusterServiceSpec{
-          profiles[i], base_artifacts[i % base_artifacts.size()],
-          static_cast<double>(i) / static_cast<double>(n)});
-    }
-    exp::ClusterRunOptions opt;
-    opt.period_s = period_s;
-    opt.duration_days = 1.0;
-    opt.warmup_s = 60.0;
-    opt.seed = cluster.seed;
-    auto a = exp::run_cluster(specs, cluster, cal, opt);
-    const auto b = exp::run_cluster(specs, cluster, cal, opt);
-    const bool same = a.trace_hash == b.trace_hash;
-    return NResult{std::move(a), same};
-  });
+  const auto cluster_runs = exp::parallel_map<NResult>(
+      sweep_n.size(), jobs, [&](std::size_t ni) {
+        const int n = sweep_n[ni];
+        const auto profiles = exp::cluster_tenants(n, peak_fraction);
+        std::vector<exp::ClusterServiceSpec> specs;
+        specs.reserve(profiles.size());
+        for (std::size_t i = 0; i < profiles.size(); ++i) {
+          specs.push_back(exp::ClusterServiceSpec{
+              profiles[i], base_artifacts[i % base_artifacts.size()],
+              static_cast<double>(i) / static_cast<double>(n)});
+        }
+        exp::ClusterRunOptions opt;
+        opt.period_s = period_s;
+        opt.duration_days = 1.0;
+        opt.warmup_s = 60.0;
+        opt.seed = cluster.seed;
+        auto a = exp::run_cluster(specs, cluster, cal, opt);
+        const auto b = exp::run_cluster(specs, cluster, cal, opt);
+        const bool same = a.trace_hash == b.trace_hash;
+        return NResult{std::move(a), same};
+      });
 
   bench::BenchJson json;
   json.add("peak_fraction", peak_fraction);

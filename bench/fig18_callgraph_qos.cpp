@@ -129,15 +129,16 @@ int main(int argc, char** argv) {
   };
   const std::vector<exp::BudgetMode> modes = {exp::BudgetMode::kNaiveEqual,
                                               exp::BudgetMode::kEndToEndAware};
-  exp::SweepExecutor exec(jobs);
-  const auto runs = exec.map<ModeResult>(modes, [&](exp::BudgetMode mode) {
-    auto a = exp::run_callgraph(graph, artifacts, cluster, cal,
-                                options(mode));
-    const auto rerun = exp::run_callgraph(graph, artifacts, cluster, cal,
-                                          options(mode));
-    const bool same = a.trace_hash == rerun.trace_hash;
-    return ModeResult{std::move(a), same};
-  });
+  const auto runs = exp::parallel_map<ModeResult>(
+      modes.size(), jobs, [&](std::size_t i) {
+        const exp::BudgetMode mode = modes[i];
+        auto a = exp::run_callgraph(graph, artifacts, cluster, cal,
+                                    options(mode));
+        const auto rerun = exp::run_callgraph(graph, artifacts, cluster, cal,
+                                              options(mode));
+        const bool same = a.trace_hash == rerun.trace_hash;
+        return ModeResult{std::move(a), same};
+      });
   const auto& naive = runs[0].run;
   const auto& aware = runs[1].run;
 

@@ -132,11 +132,10 @@ struct SweepTiming {
 };
 
 SweepTiming run_sweep(std::size_t cells, std::size_t n, unsigned jobs) {
-  exp::SweepExecutor exec(jobs);
   SweepTiming timing;
   const auto t0 = Clock::now();
-  timing.hashes = exec.map_indexed<std::uint64_t>(
-      cells, [n](std::size_t i) {
+  timing.hashes = exp::parallel_map<std::uint64_t>(
+      cells, jobs, [n](std::size_t i) {
         return sweep_cell(n, static_cast<std::uint64_t>(i) + 1);
       });
   timing.wall_s = seconds_since(t0);

@@ -18,6 +18,14 @@ void check_params(double lambda, int n, double mu) {
 /// Postcondition shared by the state-probability functions: a probability.
 bool is_probability(double p) { return p >= 0.0 && p <= 1.0; }
 
+/// log Γ(x). `std::lgamma` also writes the global `signgam`, a data race
+/// when sweeps run queueing math on several threads; `lgamma_r` returns the
+/// sign through a local and computes the same value.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// log of Σ exp(x_i) computed stably.
 double log_sum_exp(const std::vector<double>& xs) {
   double m = -std::numeric_limits<double>::infinity();
@@ -36,17 +44,17 @@ double log_pi0(double lambda, int n, double mu) {
   terms.reserve(static_cast<std::size_t>(n) + 1);
   const double log_a = std::log(a);
   for (int k = 0; k < n; ++k) {
-    terms.push_back(k * log_a - std::lgamma(k + 1.0));
+    terms.push_back(k * log_a - log_gamma(k + 1.0));
   }
   // (nρ)^n / (n! (1-ρ))
-  terms.push_back(n * log_a - std::lgamma(n + 1.0) - std::log1p(-r));
+  terms.push_back(n * log_a - log_gamma(n + 1.0) - std::log1p(-r));
   return -log_sum_exp(terms);
 }
 
 /// log π_n.
 double log_pin(double lambda, int n, double mu) {
   const double a = lambda / mu;
-  return n * std::log(a) - std::lgamma(n + 1.0) + log_pi0(lambda, n, mu);
+  return n * std::log(a) - log_gamma(n + 1.0) + log_pi0(lambda, n, mu);
 }
 
 }  // namespace

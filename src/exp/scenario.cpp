@@ -70,7 +70,7 @@ workload::QueryCompletionFn RunRecorder::observer(const std::string& service) {
     if (rec.arrival < warmup_s_) return;
     PerService& ps = per_service_[service];
     ps.latencies.add(rec.latency());
-    ps.records.push_back(rec);
+    if (keep_records_) ps.records.push_back(rec);
   };
 }
 
@@ -151,7 +151,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   iaas::IaasPlatform& ip = node.ip;
 
   const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
-  RunRecorder recorder(opt.warmup_s);
+  RunRecorder recorder(opt.warmup_s, opt.keep_records);
 
   // Background tenants live directly on the shared serverless platform.
   std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;

@@ -52,16 +52,19 @@ struct ClusterConfig {
     const workload::FunctionProfile& profile, double period_s,
     double phase = 0.0);
 
-/// Collects per-service user-query records with a warmup filter.
+/// Collects per-service user-query latencies with a warmup filter, and
+/// the full records too when `keep_records` is set.
 class RunRecorder {
  public:
-  explicit RunRecorder(double warmup_s) : warmup_s_(warmup_s) {}
+  RunRecorder(double warmup_s, bool keep_records)
+      : warmup_s_(warmup_s), keep_records_(keep_records) {}
 
   [[nodiscard]] workload::QueryCompletionFn observer(
       const std::string& service);
 
   [[nodiscard]] const stats::SampleSet& latencies(
       const std::string& service) const;
+  /// Empty unless the recorder keeps records.
   [[nodiscard]] const std::vector<workload::QueryRecord>& records(
       const std::string& service) const;
   [[nodiscard]] std::uint64_t count(const std::string& service) const;
@@ -72,6 +75,7 @@ class RunRecorder {
     std::vector<workload::QueryRecord> records;
   };
   double warmup_s_;
+  bool keep_records_;
   std::map<std::string, PerService> per_service_;
 };
 

@@ -1,10 +1,15 @@
 #include "exp/sweep.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
+#include "common/assert.hpp"
 #include "common/mutex.hpp"
 
 namespace amoeba::exp {

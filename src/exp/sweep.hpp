@@ -1,25 +1,23 @@
-// Share-nothing parallel sweep runner.
+// Share-nothing parallel sweep runner: the one place in `src/` that
+// starts threads.
 //
 // Profiling and the figure benches run many independent single-threaded
-// simulations (grid cells, load sweeps, seeds). `parallel_map` fans them
-// out over a small worker pool; each item gets its own simulation engine
-// and RNG stream, so results are independent of the thread count and
-// identical to a serial run. `SweepExecutor` is the persistent-pool
-// variant for binaries that dispatch several sweeps back to back: results
-// are always collected in configuration order, no matter which worker
+// simulations (grid cells, load sweeps, seeds, configurations).
+// `parallel_for` fans them out over short-lived workers; each item gets its
+// own simulation engine and RNG stream, so results are independent of the
+// thread count and identical to a serial run. There is no persistent pool:
+// every call spawns and joins its workers, which costs well under a
+// millisecond, small against the simulations one call fans out.
+// `parallel_map` collects results in index order no matter which worker
 // finishes first, so a table built from them is identical at --jobs 1 and
 // --jobs 8.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
-
-#include "common/assert.hpp"
-#include "kernels/thread_pool.hpp"
 
 namespace amoeba::exp {
 
@@ -32,16 +30,22 @@ namespace amoeba::exp {
 }
 
 /// Apply `fn(index)` for every index in [0, n) using up to `threads`
-/// workers. `fn` must be thread-safe across distinct indices. Exceptions
-/// propagate: the first one thrown is rethrown on the caller thread.
+/// workers; with one worker every index runs on the calling thread.
+/// `fn` must be thread-safe across distinct indices. Exceptions propagate:
+/// the first one thrown is rethrown on the caller thread after every
+/// worker has been joined.
 void parallel_for(std::size_t n, unsigned threads,
                   const std::function<void(std::size_t)>& fn);
 
-/// Map `fn` over [0, n), collecting results in index order.
+/// Map `fn` over [0, n), collecting results in index order. Workers write
+/// disjoint elements, so `T` must not be `bool`: `std::vector<bool>` packs
+/// neighbouring elements into one word and concurrent writes would race.
 template <typename T>
 [[nodiscard]] std::vector<T> parallel_map(
     std::size_t n, unsigned threads,
     const std::function<T(std::size_t)>& fn) {
+  static_assert(!std::is_same_v<T, bool>,
+                "parallel_map<bool> races on std::vector<bool>'s packed bits");
   std::vector<T> out(n);
   parallel_for(n, threads, [&out, &fn](std::size_t i) { out[i] = fn(i); });
   return out;
@@ -52,71 +56,5 @@ template <typename T>
 /// — sweeps are serial unless asked otherwise. The flag and its value are
 /// removed from argv so later flag parsers never see them.
 [[nodiscard]] unsigned parse_jobs_flag(int& argc, char** argv);
-
-/// Persistent worker pool running independent scenario configurations
-/// concurrently. Each configuration must be share-nothing (own Engine, own
-/// seeded RNG — which `run_managed` and friends construct internally), so
-/// the result table is a pure function of the configuration list:
-/// `map` returns results in configuration order regardless of jobs count
-/// or completion order.
-///
-/// Concurrency surface: the only cross-thread state is the annotated
-/// kernels::ThreadPool (Clang thread-safety checked) and the result
-/// vector, which workers write at disjoint indices i — the pool's
-/// wait_idle() join orders those writes before the caller reads them.
-/// SweepExecutor itself is confined to the submitting thread: `map` /
-/// `map_indexed` must not be called concurrently on one executor.
-class SweepExecutor {
- public:
-  /// `jobs` worker threads; 1 (also the parse_jobs_flag default) runs
-  /// everything on the calling thread with no pool at all.
-  explicit SweepExecutor(unsigned jobs)
-      : jobs_(jobs == 0 ? effective_threads(0) : jobs) {
-    if (jobs_ > 1) pool_ = std::make_unique<kernels::ThreadPool>(jobs_);
-  }
-
-  [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
-
-  /// Run `fn(config)` for every configuration, collecting results in
-  /// configuration order. `fn` must be safe to call concurrently on
-  /// distinct configurations. The first exception thrown (if any) is
-  /// rethrown after in-flight work drains.
-  template <typename Result, typename Config, typename Fn>
-  [[nodiscard]] std::vector<Result> map(const std::vector<Config>& configs,
-                                        Fn&& fn) {
-    std::vector<Result> out(configs.size());
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        out[i] = fn(configs[i]);
-      }
-      return out;
-    }
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      pool_->submit(
-          [&out, &configs, &fn, i] { out[i] = fn(configs[i]); });
-    }
-    pool_->wait_idle();
-    return out;
-  }
-
-  /// Index-based variant: `fn(i)` over [0, n), results in index order.
-  template <typename Result, typename Fn>
-  [[nodiscard]] std::vector<Result> map_indexed(std::size_t n, Fn&& fn) {
-    std::vector<Result> out(n);
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
-      return out;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      pool_->submit([&out, &fn, i] { out[i] = fn(i); });
-    }
-    pool_->wait_idle();
-    return out;
-  }
-
- private:
-  unsigned jobs_;
-  std::unique_ptr<kernels::ThreadPool> pool_;  // null when jobs_ == 1
-};
 
 }  // namespace amoeba::exp

@@ -32,8 +32,8 @@
 //     so attaching it leaves engine trace hashes bit-identical (enforced by
 //     tests/integration/determinism_test.cpp).
 //
-// This header is the single place outside src/kernels/ allowed to read the
-// wall clock; each read carries the lint escape `// lint: wallclock-ok`.
+// This header is the single place in src/ allowed to read the wall clock;
+// each read carries the lint escape `// lint: wallclock-ok`.
 #pragma once
 
 #include <array>

@@ -17,7 +17,8 @@ namespace amoeba::stats {
 [[nodiscard]] double percentile_inplace(std::vector<double>& samples, double q);
 
 /// Accumulates raw samples and answers percentile / CDF queries.
-/// Memory is O(n); use `stats::P2Quantile` where a stream is too large.
+/// Memory is O(n); use `stats::LogHistogram` (stats/histogram.hpp) for
+/// bounded-memory approximate quantiles where a stream is too large.
 class SampleSet {
  public:
   void add(double x) { samples_.push_back(x); dirty_ = true; }

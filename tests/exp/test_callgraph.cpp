@@ -195,9 +195,9 @@ TEST(CallGraphInvariants, HoldAcrossRandomSeedsAndShapes) {
   }
   ASSERT_EQ(combos.size(), 9u);
 
-  SweepExecutor exec(4);
   const auto results =
-      exec.map<CallGraphRunResult>(combos, [&](const Combo& c) {
+      parallel_map<CallGraphRunResult>(combos.size(), 4, [&](std::size_t i) {
+        const Combo& c = combos[i];
         const workload::CallGraph g = make_graph(c.shape);
         return run_callgraph(g, fix().artifacts_for(g), fix().cluster,
                              fix().calibration, small_options(g, c.seed));

@@ -128,9 +128,9 @@ TEST(ClusterInvariants, HoldAcrossRandomSeedsAndSizes) {
   }
   ASSERT_EQ(combos.size(), 21u);
 
-  SweepExecutor exec(4);
   const auto results =
-      exec.map<ClusterRunResult>(combos, [&](const Combo& c) {
+      parallel_map<ClusterRunResult>(combos.size(), 4, [&](std::size_t i) {
+        const Combo& c = combos[i];
         return run_cluster(make_specs(c.n, 0.5), fix().cluster,
                            fix().calibration, small_options(c.seed));
       });

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,12 +31,43 @@ TEST(Sweep, SerialWhenOneThread) {
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(Sweep, OneJobRunsOnCallingThread) {
+  // One worker runs every index on the calling thread: no thread is started.
+  const auto caller = std::this_thread::get_id();
+  const auto out = parallel_map<int>(8, 1, [caller](std::size_t) {
+    return std::this_thread::get_id() == caller ? 1 : 0;
+  });
+  ASSERT_EQ(out.size(), 8u);
+  for (const int on_caller : out) EXPECT_EQ(on_caller, 1);
+}
+
 TEST(Sweep, ExceptionPropagates) {
   EXPECT_THROW(parallel_for(100, 4,
                             [](std::size_t i) {
                               if (i == 42) throw std::runtime_error("x");
                             }),
                std::runtime_error);
+}
+
+TEST(Sweep, ExceptionRethrownAfterDrain) {
+  // The exception is rethrown only after every in-flight index has drained:
+  // no index is still running when the call returns.
+  std::atomic<int> running{0};
+  std::atomic<int> finished{0};
+  const auto cell = [&](std::size_t i) -> int {
+    running.fetch_add(1);
+    if (i == 13) {
+      running.fetch_sub(1);
+      throw std::runtime_error("x");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    running.fetch_sub(1);
+    finished.fetch_add(1);
+    return static_cast<int>(i);
+  };
+  EXPECT_THROW((void)parallel_map<int>(32, 4, cell), std::runtime_error);
+  EXPECT_EQ(running.load(), 0);
+  EXPECT_GT(finished.load(), 0);
 }
 
 TEST(Sweep, ParallelMapPreservesOrder) {
@@ -44,55 +77,35 @@ TEST(Sweep, ParallelMapPreservesOrder) {
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(Sweep, EffectiveThreadsNeverZero) {
-  EXPECT_GE(effective_threads(0), 1u);
-  EXPECT_EQ(effective_threads(7), 7u);
-}
-
-// Each cell hashes its own seeded stream — a stand-in for "own Engine, own
-// RNG". The table must be a pure function of the configuration list.
-std::vector<std::uint64_t> executor_table(unsigned jobs) {
-  SweepExecutor exec(jobs);
-  const std::vector<std::uint64_t> configs = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3,
-                                              5, 8, 9, 7, 9, 3, 2, 3, 8, 4};
-  return exec.map<std::uint64_t>(configs, [](std::uint64_t seed) {
-    std::uint64_t h = seed * 0x9e3779b97f4a7c15ULL;
-    for (int i = 0; i < 1000; ++i) h = h * 6364136223846793005ULL + seed;
-    return h;
-  });
-}
-
-TEST(SweepExecutor, IdenticalResultTablesAtJobs1AndJobs8) {
-  const auto serial = executor_table(1);
-  const auto parallel8 = executor_table(8);
-  EXPECT_EQ(serial, parallel8);
-}
-
-TEST(SweepExecutor, MapIndexedCollectsInIndexOrder) {
-  SweepExecutor exec(4);
-  const auto out = exec.map_indexed<std::size_t>(
-      100, [](std::size_t i) { return i * 3 + 1; });
+TEST(Sweep, ManyItemsCollectInIndexOrder) {
+  // More items than workers, collected in index order.
+  const auto out = parallel_map<std::size_t>(
+      100, 4, [](std::size_t i) { return i * 3 + 1; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * 3 + 1);
 }
 
-TEST(SweepExecutor, Jobs1RunsOnCallingThreadWithoutPool) {
-  SweepExecutor exec(1);
-  EXPECT_EQ(exec.jobs(), 1u);
-  const auto caller = std::this_thread::get_id();
-  const auto out = exec.map_indexed<bool>(
-      8, [caller](std::size_t) { return std::this_thread::get_id() == caller; });
-  for (const bool on_caller : out) EXPECT_TRUE(on_caller);
+// Each cell hashes its own seeded stream — a stand-in for "own Engine, own
+// RNG". The table must be a pure function of the configuration list.
+std::vector<std::uint64_t> seeded_table(unsigned jobs) {
+  const std::vector<std::uint64_t> configs = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3,
+                                              5, 8, 9, 7, 9, 3, 2, 3, 8, 4};
+  return parallel_map<std::uint64_t>(
+      configs.size(), jobs, [&configs](std::size_t i) {
+        const std::uint64_t seed = configs[i];
+        std::uint64_t h = seed * 0x9e3779b97f4a7c15ULL;
+        for (int k = 0; k < 1000; ++k) h = h * 6364136223846793005ULL + seed;
+        return h;
+      });
 }
 
-TEST(SweepExecutor, ExceptionRethrownAfterDrain) {
-  SweepExecutor exec(4);
-  EXPECT_THROW(exec.map_indexed<int>(32,
-                                     [](std::size_t i) -> int {
-                                       if (i == 13) throw std::runtime_error("x");
-                                       return static_cast<int>(i);
-                                     }),
-               std::runtime_error);
+TEST(Sweep, IdenticalResultTablesAtJobs1AndJobs8) {
+  EXPECT_EQ(seeded_table(1), seeded_table(8));
+}
+
+TEST(Sweep, EffectiveThreadsNeverZero) {
+  EXPECT_GE(effective_threads(0), 1u);
+  EXPECT_EQ(effective_threads(7), 7u);
 }
 
 char** make_argv(std::vector<std::string>& args, std::vector<char*>& ptrs) {

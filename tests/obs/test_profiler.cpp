@@ -1,15 +1,15 @@
 // Unit tests for the self-profiler (obs/profiler.hpp): domain-name round
 // trips, segment-accounting invariants under nested scopes, JSONL and
 // Chrome-trace export, and per-thread accumulator merging when scopes run
-// on kernels::ThreadPool workers (the TSAN leg runs the ThreadPool tests
-// under -fsanitize=thread, so the attach/merge locking is race-checked).
+// on exp::parallel_for workers (the tsan and clang-thread-safety legs run
+// the Profiler tests, so the attach/merge locking is race-checked).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <sstream>
 
-#include "kernels/thread_pool.hpp"
+#include "exp/sweep.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 
@@ -205,8 +205,8 @@ TEST(Profiler, ChromeTraceIsValidJson) {
   EXPECT_TRUE(doc->array[0].is_object());  // process_name metadata record
 }
 
-TEST(Profiler, ThreadPoolWorkersMergeIntoOneReport) {
-  // Scopes recorded on pool workers (one accumulator per attach) must all
+TEST(Profiler, WorkerThreadsMergeIntoOneReport) {
+  // Scopes recorded on sweep workers (one accumulator per attach) must all
   // land in the merged report. Under TSAN this exercises the states_ list
   // mutation from concurrent attach_current_thread calls against the
   // coordinator's report() merge.
@@ -214,24 +214,18 @@ TEST(Profiler, ThreadPoolWorkersMergeIntoOneReport) {
   constexpr std::uint64_t kSpin = 50000;
   Profiler prof;
   std::atomic<int> ran{0};
-  {
-    kernels::ThreadPool pool(4);
-    for (int t = 0; t < kTasks; ++t) {
-      pool.submit([&prof, &ran] {
-        ProfilerAttach attach(&prof);
-        {
-          AMOEBA_PROF_SCOPE(kFairShare);
-          spin(kSpin);
-          {
-            AMOEBA_PROF_SCOPE(kStats);
-            spin(kSpin);
-          }
-        }
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
+  exp::parallel_for(kTasks, 4, [&prof, &ran](std::size_t) {
+    ProfilerAttach attach(&prof);
+    {
+      AMOEBA_PROF_SCOPE(kFairShare);
+      spin(kSpin);
+      {
+        AMOEBA_PROF_SCOPE(kStats);
+        spin(kSpin);
+      }
     }
-    pool.wait_idle();
-  }
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
   EXPECT_EQ(ran.load(), kTasks);
   const auto r = prof.report();
   const auto fs = static_cast<std::size_t>(ProfDomain::kFairShare);

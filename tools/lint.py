@@ -61,10 +61,9 @@ STD_RNG_ALLOWED = {Path("src/sim/random.hpp"), Path("src/sim/random.cpp")}
 # Simulation-layer code must not read wall clocks: all time flows from
 # sim::Engine::now() so that same-seed runs (including N-tenant cluster
 # runs, src/exp/cluster.*) execute identical traces regardless of host
-# speed. src/kernels/ is exempt — it times real native workloads.
+# speed.
 WALL_CLOCK = re.compile(
     r"std::chrono::(steady_clock|system_clock|high_resolution_clock)\b")
-WALL_CLOCK_EXEMPT_TOPDIR = "kernels"
 # Per-line escape: `// lint: wallclock-ok <why>`. Group 1 captures the
 # reason; a marker without one is itself a finding, so escapes stay
 # self-documenting.
@@ -197,15 +196,12 @@ def check_file(repo: Path, path: Path, errors: list[str]):
             errors.append(
                 f"{rel}:{lineno}: std random engine outside src/sim/random.* "
                 f"(use amoeba::sim::Rng for seed-determinism)")
-        if (rel.parts[0] == "src" and WALL_CLOCK.search(code)
-                and (len(rel.parts) < 2
-                     or rel.parts[1] != WALL_CLOCK_EXEMPT_TOPDIR)):
+        if rel.parts[0] == "src" and WALL_CLOCK.search(code):
             escape = WALLCLOCK_OK_RE.search(raw)
             if escape is None:
                 errors.append(
                     f"{rel}:{lineno}: wall-clock read in simulation code "
-                    f"(use sim::Engine::now(); only src/kernels/ may time "
-                    f"the host, or escape with "
+                    f"(use sim::Engine::now(), or escape with "
                     f"`// lint: wallclock-ok <why>`)")
             elif not escape.group(1):
                 errors.append(
