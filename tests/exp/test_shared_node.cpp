@@ -1,18 +1,23 @@
-// Bit-exact anchors for the shared-node driver behind run_cluster and
-// run_callgraph, plus the invariant that driver rests on.
+// Bit-exact anchors for the drivers behind every figure: the shared-node
+// driver behind run_cluster and run_callgraph, and run_managed, plus the
+// invariant the shared-node driver rests on.
 //
-// The anchors pin the event-trace hash and the hash of the summary JSON of
-// four small runs: an N=3 cluster, the same cluster with faults injected,
-// and a diamond call graph in each budget mode. They were recorded on the
-// two separate drivers the shared one replaced. Any change to set-up
-// order, rng forks, arbitration, budgets or result collection moves them;
-// a change that moves numerics on purpose re-records them and says so.
+// The shared-node anchors pin the event-trace hash and the hash of the
+// summary JSON of four small runs: an N=3 cluster, the same cluster with
+// faults injected, and a diamond call graph in each budget mode. They were
+// recorded on the two separate drivers the shared one replaced. The
+// managed anchors pin one small run_managed day per deployment system plus
+// one fault-injected Amoeba day: the trace hash and a hash of every result
+// field the figures read. Any change to set-up order, rng forks,
+// arbitration, budgets or result collection moves them; a change that
+// moves numerics on purpose re-records them and says so.
 //
 // ClusterCallGraph.OneStageGraphEqualsOneTenantCluster pins the premise of
 // the shared driver: a cluster tenant is a one-stage call graph whose
 // end-to-end target is the tenant's QoS target.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <ios>
 #include <sstream>
@@ -23,6 +28,7 @@
 #include "exp/callgraph.hpp"
 #include "exp/cluster.hpp"
 #include "exp/profiling.hpp"
+#include "exp/scenario.hpp"
 #include "workload/functionbench.hpp"
 
 namespace amoeba::exp {
@@ -84,8 +90,10 @@ void small_day(Options& opt, std::uint64_t seed) {
   opt.duration_days = 1.0;
   opt.warmup_s = 40.0;
   opt.seed = seed;
-  opt.node_container_budget = 48;
-  opt.meter_reserve_containers = 6;
+  if constexpr (requires { opt.node_container_budget; }) {
+    opt.node_container_budget = 48;
+    opt.meter_reserve_containers = 6;
+  }
 }
 
 ClusterRunResult run_cluster_n3(const sim::FaultConfig& faults) {
@@ -176,6 +184,99 @@ TEST(DriverAnchor, NaiveDiamondIsBitIdenticalToRecordedHashes) {
   EXPECT_EQ(hex(r.trace_hash), "0x4d1133239db271e0") << "trace";
   EXPECT_EQ(hex(fnv1a(callgraph_summary_json(r))), "0x3114bb31e8335593")
       << "summary";
+}
+
+/// FNV-1a over the 64-bit words of a managed day's result: what Figs.
+/// 10-16 read from it. A switch's service name is left out; a managed day
+/// has one service.
+std::uint64_t managed_result_hash(const ManagedRunResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_d = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+  mix(r.queries);
+  mix_d(r.p95());
+  mix_d(r.usage.cpu_core_seconds);
+  mix_d(r.usage.memory_mb_seconds);
+  mix(r.switches.size());
+  for (const auto& sw : r.switches) {
+    mix_d(sw.time);
+    mix(static_cast<std::uint64_t>(sw.to));
+    mix_d(sw.load_qps);
+  }
+  mix(r.switch_aborts);
+  mix(r.switch_retries);
+  for (const auto* series :
+       {&r.timeline.load_qps, &r.timeline.mode, &r.timeline.cpu_core_seconds,
+        &r.timeline.memory_mb_seconds}) {
+    mix(series->size());
+    for (const auto& p : series->points()) {
+      mix_d(p.t);
+      mix_d(p.value);
+    }
+  }
+  return h;
+}
+
+ManagedRunResult run_managed_day(DeploySystem system,
+                                 const sim::FaultConfig& faults) {
+  const Fixture& f = fix();
+  ManagedRunOptions opt;
+  small_day(opt, 17);
+  opt.faults = faults;
+  auto r = run_managed(f.float_base, system, f.cluster, f.calibration,
+                       f.float_artifacts, opt);
+  EXPECT_GT(r.queries, 100u) << to_string(system);
+  return r;
+}
+
+TEST(DriverAnchor, ManagedDaysAreBitIdenticalToRecordedHashes) {
+  struct Anchor {
+    DeploySystem system;
+    const char* trace;
+    const char* result;
+  };
+  const Anchor anchors[] = {
+      {DeploySystem::kAmoeba, "0x312c980845702b6f",
+       "0xd6fdebb9fb19ecab"},
+      {DeploySystem::kAmoebaNoM, "0xae9b98a595c3d16c",
+       "0xeef0527504a3dd68"},
+      {DeploySystem::kAmoebaNoP, "0xb2a82d7868326258",
+       "0x65875908aaf90144"},
+      {DeploySystem::kNameko, "0x689751a227c5611d",
+       "0x8c0ce9bc996f5e0b"},
+      {DeploySystem::kOpenWhisk, "0xef91382cdf2da003",
+       "0x6c7f9d517835876b"},
+  };
+  for (const Anchor& a : anchors) {
+    SCOPED_TRACE(to_string(a.system));
+    const auto r = run_managed_day(a.system, sim::FaultConfig{});
+    const bool managed = a.system != DeploySystem::kNameko &&
+                         a.system != DeploySystem::kOpenWhisk;
+    EXPECT_EQ(r.switches.empty(), !managed);
+    EXPECT_EQ(r.timeline.mode.empty(), !managed);
+    EXPECT_EQ(hex(r.trace_hash), a.trace) << "trace";
+    EXPECT_EQ(hex(managed_result_hash(r)), a.result) << "result";
+  }
+
+  // Boot failures high enough that one switch retries and one aborts.
+  sim::FaultConfig faults;
+  faults.container_boot_failure_p = 0.4;
+  faults.container_straggler_p = 0.10;
+  faults.vm_boot_failure_p = 0.5;
+  faults.meter_drop_p = 0.10;
+  faults.meter_outlier_p = 0.05;
+  const auto r = run_managed_day(DeploySystem::kAmoeba, faults);
+  ASSERT_GT(r.fault_counters.total(), 0u) << "no faults actually injected";
+  EXPECT_GT(r.switch_aborts, 0u);
+  EXPECT_GT(r.switch_retries, 0u);
+  EXPECT_EQ(hex(r.trace_hash), "0x764d9ddd39c5b223") << "faulty trace";
+  EXPECT_EQ(hex(managed_result_hash(r)), "0x4cb7cc1c3442e01e")
+      << "faulty result";
 }
 
 TEST(ClusterCallGraph, OneStageGraphEqualsOneTenantCluster) {
