@@ -29,16 +29,7 @@ int main(int argc, char** argv) {
   const auto runs = exp::parallel_map<exp::ManagedRunResult>(
       horizons.size(), jobs, [&](std::size_t i) {
         auto opt = base_opt;
-        // run_managed's defaults set a 40 s horizon; pass an explicit config
-        // mirroring those defaults with only the horizon overridden.
-        core::AmoebaConfig ac;
-        ac.controller.to_serverless_margin = 0.60;
-        ac.controller.to_iaas_margin = 0.80;
-        ac.controller.hysteresis_ticks = 2;
-        ac.engine.mirror_fraction = 0.08;
-        ac.engine.prewarm.headroom = 1.25;
-        ac.monitor.sample_period_s = 5.0;
-        ac.estimator.min_samples = 24;
+        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba, 0.0);
         ac.load_anticipation_s = horizons[i];
         opt.amoeba = ac;
         return exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,

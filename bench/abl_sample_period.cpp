@@ -37,13 +37,8 @@ int main(int argc, char** argv) {
   const auto runs = exp::parallel_map<exp::ManagedRunResult>(
       periods.size(), jobs, [&](std::size_t i) {
         auto opt = bench::bench_run_options();
-        core::AmoebaConfig ac;
-        ac.controller.to_serverless_margin = 0.60;
-        ac.controller.to_iaas_margin = 0.80;
-        ac.engine.mirror_fraction = 0.08;
-        ac.engine.prewarm.headroom = 1.25;
+        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba, 0.0);
         ac.monitor.sample_period_s = periods[i];
-        ac.load_anticipation_s = 40.0;
         opt.amoeba = ac;
         return exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,
                                 art, opt);

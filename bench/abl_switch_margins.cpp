@@ -33,13 +33,9 @@ int main(int argc, char** argv) {
       margins.size(), jobs, [&](std::size_t i) {
         const auto& m = margins[i];
         auto opt = base_opt;
-        core::AmoebaConfig ac;
+        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba, 0.0);
         ac.controller.to_serverless_margin = m.to_serverless;
         ac.controller.to_iaas_margin = m.to_iaas;
-        ac.engine.mirror_fraction = 0.08;
-        ac.engine.prewarm.headroom = 1.25;
-        ac.monitor.sample_period_s = 5.0;
-        ac.load_anticipation_s = 40.0;
         opt.amoeba = ac;
         return exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,
                                 art, opt);

@@ -218,7 +218,7 @@ void calibrate(core::DeploymentController& ctrl,
       if (cell.size() >= 20) {
         const double p95 = cell.quantile(0.95);
         for (int rep = 0; rep < 4; ++rep) {
-          ctrl.observe_latency(subject.name, qps, pressures, p95);
+          ctrl.observe_latency(qps, pressures, p95);
         }
       }
     }
@@ -232,8 +232,8 @@ double lambda_predicted(core::DeploymentController& ctrl,
                         const workload::FunctionProfile& subject,
                         const std::array<double, core::kNumResources>& p) {
   auto feasible = [&](double lambda) {
-    const auto ev = ctrl.evaluate(subject.name, lambda, p, kContainerCap,
-                                  /*resident=*/false);
+    const auto ev =
+        ctrl.evaluate(lambda, p, kContainerCap, /*resident=*/false);
     return ev.lambda_max.has_value() && *ev.lambda_max >= lambda;
   };
   double lo = 0.0;
@@ -276,14 +276,13 @@ int main() {
     const double real = lambda_real(p, bg, cluster);
 
     core::ControllerConfig ctrl_cfg;
-    core::DeploymentController amoeba_ctrl(ctrl_cfg);
-    amoeba_ctrl.add_service(p.name, p.qos_target_s, art);
+    core::DeploymentController amoeba_ctrl(ctrl_cfg, p.qos_target_s, art);
     calibrate(amoeba_ctrl, p, bg, cluster, cal);
 
-    core::DeploymentController nom_ctrl(ctrl_cfg);
     core::WeightEstimatorConfig nom_est;
     nom_est.enable_pca = false;
-    nom_ctrl.add_service(p.name, p.qos_target_s, art, nom_est);
+    core::DeploymentController nom_ctrl(ctrl_cfg, p.qos_target_s, art,
+                                        nom_est);
 
     const double pred_amoeba = lambda_predicted(amoeba_ctrl, p, pressures);
     const double pred_nom = lambda_predicted(nom_ctrl, p, pressures);

@@ -112,12 +112,12 @@ int main(int argc, char** argv) {
     core::AmoebaConfig cfg;
     cfg.monitor.sample_period_s = 5.0;
     if (exports.any()) cfg.observer = &observer;
-    core::AmoebaRuntime amoeba_rt(engine, serverless_node, iaas_node,
-                                  demo_calibration(sp_cfg), cfg, rng.fork(3));
     // Cap the service at its VM-equivalent share of the pool (paper §IV-A's
     // n_max): the discriminant then correctly sends the surge back to IaaS.
-    amoeba_rt.add_service(svc, vm, demo_artifacts(svc, sp_cfg),
-                          static_cast<int>(vm.cores));
+    core::AmoebaRuntime amoeba_rt(engine, serverless_node, iaas_node,
+                                  demo_calibration(sp_cfg), svc, vm,
+                                  demo_artifacts(svc, sp_cfg),
+                                  static_cast<int>(vm.cores), cfg, rng.fork(3));
     amoeba_rt.start();
 
     // 3. A load that starts low (serverless territory), surges (back to
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     stats::SampleSet latencies;
     auto gen = std::make_unique<workload::ConstantLoadGenerator>(
         engine, rng.fork(4), 4.0, [&] {
-          amoeba_rt.submit("hello", [&](const workload::QueryRecord& r) {
+          amoeba_rt.submit([&](const workload::QueryRecord& r) {
             ++completed;
             latencies.add(r.latency());
           });
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       std::cout << "  t=" << ev.time << "s  -> " << core::to_string(ev.to)
                 << "  (load " << ev.load_qps << " qps)\n";
     }
-    const auto usage = amoeba_rt.accountant().usage("hello", engine.now());
+    const auto usage = amoeba_rt.usage(engine.now());
     std::cout << "resource usage    : " << usage.cpu_core_seconds
               << " core-s, " << usage.memory_mb_seconds / 1024.0
               << " GB-s\n";

@@ -11,64 +11,45 @@ namespace amoeba::core {
 AmoebaRuntime::AmoebaRuntime(sim::Engine& engine,
                              serverless::ServerlessPlatform& serverless,
                              iaas::IaasPlatform& iaas,
-                             MeterCalibration calibration, AmoebaConfig cfg,
+                             MeterCalibration calibration,
+                             const workload::FunctionProfile& profile,
+                             iaas::VmSpec vm_spec, ServiceArtifacts artifacts,
+                             int serverless_max_containers, AmoebaConfig cfg,
                              sim::Rng rng)
     : engine_(engine),
       serverless_(serverless),
+      iaas_(iaas),
       cfg_(cfg),
-      controller_(cfg.controller),
-      exec_engine_(engine, serverless, iaas, cfg.engine, rng.fork(11)),
+      name_(profile.name),
+      obs_(cfg.observer),
+      controller_(cfg.controller, profile.qos_target_s, std::move(artifacts),
+                  cfg.estimator),
       monitor_(engine, serverless, std::move(calibration), cfg.monitor,
                rng.fork(12)),
-      accountant_(serverless, iaas),
-      obs_(cfg.observer) {
+      load_(cfg.load_window_s) {
   AMOEBA_EXPECTS(cfg.load_window_s > 0.0);
-  exec_engine_.set_observer(obs_);
   monitor_.set_observer(obs_);
   monitor_.set_fault_injector(cfg.fault_injector);
   serverless_.set_observer(obs_);
-
+  exec_engine_.emplace(engine, serverless, iaas, profile, vm_spec,
+                       serverless_max_containers, cfg.engine, rng.fork(11),
+                       obs_);
   // Mirrored (and resident-sampled) completions feed the controller's
   // weight calibration with queue-free service times.
-  exec_engine_.set_mirror_observer(
-      [this](const std::string& service, const workload::QueryRecord& rec) {
-        const double service_time = rec.breakdown.total() -
-                                    rec.breakdown.queue_s -
-                                    rec.breakdown.cold_start_s;
-        if (service_time <= 0.0) return;
-        controller_.observe_latency(service, measured_load(service),
-                                    monitor_.pressures(), service_time);
-      });
+  exec_engine_->set_mirror_observer(
+      [this](const workload::QueryRecord& rec) { observe_service_time(rec); });
 }
 
-void AmoebaRuntime::add_service(const workload::FunctionProfile& profile,
-                                iaas::VmSpec vm_spec,
-                                ServiceArtifacts artifacts,
-                                int serverless_max_containers) {
-  AMOEBA_EXPECTS_MSG(!started_, "add services before start()");
-  exec_engine_.add_service(profile, vm_spec, serverless_max_containers);
-  controller_.add_service(profile.name, profile.qos_target_s,
-                          std::move(artifacts), cfg_.estimator);
-  ServiceRt rt{
-      .profile = profile,
-      .load = stats::RateEstimator(cfg_.load_window_s),
-      .period_latencies = {},
-      .timeline = {},
-  };
-  services_.emplace(profile.name, std::move(rt));
+void AmoebaRuntime::observe_service_time(const workload::QueryRecord& rec) {
+  const double service_time = rec.breakdown.total() - rec.breakdown.queue_s -
+                              rec.breakdown.cold_start_s;
+  if (service_time <= 0.0) return;
+  controller_.observe_latency(measured_load(), monitor_.pressures(),
+                              service_time);
 }
 
-AmoebaRuntime::ServiceRt& AmoebaRuntime::rt_of(const std::string& service) {
-  auto it = services_.find(service);
-  AMOEBA_EXPECTS_MSG(it != services_.end(), "unknown service: " + service);
-  return it->second;
-}
-
-const AmoebaRuntime::ServiceRt& AmoebaRuntime::rt_of(
-    const std::string& service) const {
-  auto it = services_.find(service);
-  AMOEBA_EXPECTS_MSG(it != services_.end(), "unknown service: " + service);
-  return it->second;
+ServiceUsage AmoebaRuntime::usage(double now) const {
+  return service_usage(serverless_, iaas_, name_, now);
 }
 
 double AmoebaRuntime::timeline_period() const {
@@ -99,137 +80,120 @@ void AmoebaRuntime::stop() {
   }
 }
 
-void AmoebaRuntime::submit(const std::string& service,
-                           workload::QueryCompletionFn on_done) {
-  ServiceRt& rt = rt_of(service);
-  rt.load.record(engine_.now());
+void AmoebaRuntime::submit(workload::QueryCompletionFn on_done) {
+  load_.record(engine_.now());
   // Platform attribution is fixed at submission: a query in flight across a
   // route flip still belongs to the platform that accepted it.
-  const DeployMode platform = exec_engine_.route(service);
-  exec_engine_.submit(
-      service, [this, service, platform, done = std::move(on_done)](
-                   const workload::QueryRecord& rec) {
-        // Deliberately no kStats scope here: this runs per query and the
-        // latency add is cheaper than a profiler scope pair. The periodic
-        // on_sample stats work carries the kStats scope.
-        rt_of(service).period_latencies.add(rec.latency());
-        if (obs_ != nullptr && obs_->enabled()) {
-          record_query(service, rec, platform);
-        }
-        // In serverless mode every user query doubles as a heartbeat.
-        if (exec_engine_.route(service) == DeployMode::kServerless) {
-          const double service_time = rec.breakdown.total() -
-                                      rec.breakdown.queue_s -
-                                      rec.breakdown.cold_start_s;
-          if (service_time > 0.0) {
-            controller_.observe_latency(service, measured_load(service),
-                                        monitor_.pressures(), service_time);
-          }
-        }
-        done(rec);
-      });
+  const DeployMode platform = exec_engine_->route();
+  exec_engine_->submit([this, platform, done = std::move(on_done)](
+                           const workload::QueryRecord& rec) {
+    // Deliberately no kStats scope here: this runs per query and the
+    // latency add is cheaper than a profiler scope pair. The periodic
+    // on_sample stats work carries the kStats scope.
+    period_latencies_.add(rec.latency());
+    if (obs_ != nullptr && obs_->enabled()) {
+      record_query(rec, platform);
+    }
+    // In serverless mode every user query doubles as a heartbeat.
+    if (exec_engine_->route() == DeployMode::kServerless) {
+      observe_service_time(rec);
+    }
+    done(rec);
+  });
 }
 
-double AmoebaRuntime::measured_load(const std::string& service) const {
-  return rt_of(service).load.rate(engine_.now());
+double AmoebaRuntime::measured_load() const {
+  return load_.rate(engine_.now());
 }
 
-void AmoebaRuntime::set_qos_target(const std::string& service,
-                                   double qos_target_s) {
+void AmoebaRuntime::set_qos_target(double qos_target_s) {
   AMOEBA_EXPECTS_VALS(qos_target_s > 0.0, qos_target_s);
-  ServiceRt& rt = rt_of(service);
-  rt.profile.qos_target_s = qos_target_s;
-  controller_.set_qos_target(service, qos_target_s);
+  controller_.set_qos_target(qos_target_s);
   // The engine keeps its own profile copy for Eq. 7 warm-set sizing.
-  exec_engine_.set_qos_target(service, qos_target_s);
-  AMOEBA_ENSURES(controller_.qos_target(service) == qos_target_s);
+  exec_engine_->set_qos_target(qos_target_s);
+  AMOEBA_ENSURES(controller_.qos_target() == qos_target_s);
 }
 
 void AmoebaRuntime::on_sample() {
   AMOEBA_PROF_SCOPE(kController);
+  HybridExecutionEngine& hx = *exec_engine_;
   const auto pressures = monitor_.pressures();
-  for (auto& [name, rt] : services_) {
-    // Pre-switch sampling has served its purpose once the weights are
-    // calibrated; keeping shadow containers alive would waste the very
-    // memory Amoeba is trying to save.
-    if (exec_engine_.mirroring(name) &&
-        controller_.estimator(name).calibrated()) {
-      exec_engine_.set_mirroring(name, false);
+  // Pre-switch sampling has served its purpose once the weights are
+  // calibrated; keeping shadow containers alive would waste the very
+  // memory Amoeba is trying to save.
+  if (hx.mirroring() && controller_.estimator().calibrated()) {
+    hx.set_mirroring(false);
+  }
+  if (hx.transitioning() || hx.in_cooldown()) {
+    const bool transitioning = hx.transitioning();
+    period_latencies_.clear();
+    // Post-abort cooldown: no new decision, but the warm set still tracks
+    // the load so a serverless-resident service keeps absorbing bursts.
+    if (!transitioning && hx.route() == DeployMode::kServerless) {
+      hx.maintain_warm(load_.rate(engine_.now()));
     }
-    if (exec_engine_.transitioning(name) || exec_engine_.in_cooldown(name)) {
-      const bool transitioning = exec_engine_.transitioning(name);
-      rt.period_latencies.clear();
-      // Post-abort cooldown: no new decision, but the warm set still tracks
-      // the load so a serverless-resident service keeps absorbing bursts.
-      if (!transitioning &&
-          exec_engine_.route(name) == DeployMode::kServerless) {
-        exec_engine_.maintain_warm(name, rt.load.rate(engine_.now()));
-      }
-      // Even ticks spent mid-switch (or cooling down after an aborted one)
-      // leave an audit record: every monitor sample accounts for every
-      // service.
-      if (obs_ != nullptr && obs_->audit_on()) {
-        obs::DecisionRecord dr;
-        dr.time_s = engine_.now();
-        dr.service = name;
-        dr.platform = to_string(controller_.mode(name));
-        dr.decision = transitioning ? "transitioning" : "cooldown";
-        dr.load_qps = rt.load.rate(engine_.now());
-        dr.total_pressures = pressures;
-        dr.qos_target_s = controller_.qos_target(name);
-        dr.stage = cfg_.stage_id;
-        obs_->audit().append(std::move(dr));
-      }
-      continue;
+    // Even ticks spent mid-switch (or cooling down after an aborted one)
+    // leave an audit record: every monitor sample accounts for the
+    // service.
+    if (obs_ != nullptr && obs_->audit_on()) {
+      obs::DecisionRecord dr;
+      dr.time_s = engine_.now();
+      dr.service = name_;
+      dr.platform = to_string(controller_.mode());
+      dr.decision = transitioning ? "transitioning" : "cooldown";
+      dr.load_qps = load_.rate(engine_.now());
+      dr.total_pressures = pressures;
+      dr.qos_target_s = controller_.qos_target();
+      dr.stage = cfg_.stage_id;
+      obs_->audit().append(std::move(dr));
     }
+  } else {
     ServiceTickInput input;
-    input.load_qps = rt.load.rate(engine_.now());
+    input.load_qps = load_.rate(engine_.now());
     input.total_pressures = pressures;
-    input.available_containers = exec_engine_.available_containers(name);
+    input.available_containers = hx.available_containers();
     // Forecast rising load over the switch horizon (Amoeba must start the
     // VM boot before the serverless pool saturates).
     input.forecast_load_qps = input.load_qps;
-    if (cfg_.load_anticipation_s > 0.0 && rt.has_prev_load) {
-      const double slope = (input.load_qps - rt.prev_tick_load) /
-                           monitor_.sample_period();
+    if (cfg_.load_anticipation_s > 0.0 && has_prev_load_) {
+      const double slope =
+          (input.load_qps - prev_tick_load_) / monitor_.sample_period();
       if (slope > 0.0) {
         input.forecast_load_qps =
             input.load_qps + slope * cfg_.load_anticipation_s;
       }
     }
-    rt.prev_tick_load = input.load_qps;
-    rt.has_prev_load = true;
+    prev_tick_load_ = input.load_qps;
+    has_prev_load_ = true;
     // Eq. 8's intent in sample-count form: with fewer than 21 samples a
     // single accidental cold start owns the 95th percentile and would
     // misjudge a healthy deployment (the paper's §VI-B scenario), so the
     // observed-latency backstop stays quiet until the window is dense
     // enough that one outlier cannot cross it alone.
-    if (rt.period_latencies.size() >= 21) {
-      input.observed_p95 = rt.period_latencies.quantile(0.95);
+    if (period_latencies_.size() >= 21) {
+      input.observed_p95 = period_latencies_.quantile(0.95);
     }
-    rt.period_latencies.clear();
+    period_latencies_.clear();
 
-    const SwitchDecision decision = controller_.tick(name, input);
+    const SwitchDecision decision = controller_.tick(input);
     if (obs_ != nullptr && obs_->enabled()) {
-      record_decision(name, input, decision);
+      record_decision(input, decision);
     }
     switch (decision) {
       case SwitchDecision::kStay:
         // §V-A: while serverless, keep the Eq. 7 warm set tracking the load
         // so bursts land on warm containers instead of cold starts.
-        exec_engine_.maintain_warm(name, input.load_qps);
+        hx.maintain_warm(input.load_qps);
         break;
       case SwitchDecision::kSwitchToServerless:
-        exec_engine_.switch_to_serverless(
-            name, input.load_qps, [this, name](bool ok) {
-              if (ok) controller_.set_mode(name, DeployMode::kServerless);
-            });
+        hx.switch_to_serverless(input.load_qps, [this](bool ok) {
+          if (ok) controller_.set_mode(DeployMode::kServerless);
+        });
         break;
       case SwitchDecision::kSwitchToIaas:
-        exec_engine_.switch_to_iaas(
-            name, input.load_qps, [this, name](bool ok) {
-              if (ok) controller_.set_mode(name, DeployMode::kIaas);
-            });
+        hx.switch_to_iaas(input.load_qps, [this](bool ok) {
+          if (ok) controller_.set_mode(DeployMode::kIaas);
+        });
         break;
     }
   }
@@ -242,21 +206,20 @@ void AmoebaRuntime::on_sample() {
     m.gauge("pool_evictions_total")
         .set(static_cast<double>(serverless_.pool().evictions()));
     m.gauge("mirrored_queries_total")
-        .set(static_cast<double>(exec_engine_.mirrored_queries()));
+        .set(static_cast<double>(hx.mirrored_queries()));
     m.take_snapshot(engine_.now());
   }
 }
 
-void AmoebaRuntime::record_decision(const std::string& name,
-                                    const ServiceTickInput& input,
+void AmoebaRuntime::record_decision(const ServiceTickInput& input,
                                     SwitchDecision decision) {
   const double now = engine_.now();
-  const double qos = controller_.qos_target(name);
+  const double qos = controller_.qos_target();
   if (obs_->audit_on()) {
     obs::DecisionRecord dr;
     dr.time_s = now;
-    dr.service = name;
-    dr.platform = to_string(controller_.mode(name));
+    dr.service = name_;
+    dr.platform = to_string(controller_.mode());
     dr.decision = to_string(decision);
     dr.load_qps = input.load_qps;
     dr.forecast_load_qps = input.forecast_load_qps;
@@ -266,15 +229,15 @@ void AmoebaRuntime::record_decision(const std::string& name,
     dr.n_containers = std::max(1, input.available_containers);
     dr.prewarm_target =
         cfg_.engine.prewarm.containers_for(input.load_qps, qos);
-    dr.votes_to_serverless = controller_.votes_to_serverless(name);
-    dr.votes_to_iaas = controller_.votes_to_iaas(name);
+    dr.votes_to_serverless = controller_.votes_to_serverless();
+    dr.votes_to_iaas = controller_.votes_to_iaas();
     dr.observed_p95_s = input.observed_p95;
-    if (const auto& ev = controller_.last_evaluation(name)) {
+    if (const auto& ev = controller_.last_evaluation()) {
       dr.external_pressures = ev->external_pressures;
       dr.features = ev->features;
       dr.mu = ev->mu;
       dr.lambda_max = ev->lambda_max;
-      dr.weights = controller_.estimator(name).weights();
+      dr.weights = controller_.estimator().weights();
       if (ev->mu > 0.0) {
         dr.predicted_service_s = 1.0 / ev->mu;
         const int n = dr.n_containers;
@@ -296,42 +259,41 @@ void AmoebaRuntime::record_decision(const std::string& name,
   if (obs_->metrics_on()) {
     obs::MetricsRegistry& m = obs_->metrics();
     m.counter("decisions",
-              {{"service", name}, {"decision", to_string(decision)}})
+              {{"service", name_}, {"decision", to_string(decision)}})
         .inc();
-    m.gauge("load_qps", {{"service", name}}).set(input.load_qps);
-    m.gauge("mode", {{"service", name}})
-        .set(controller_.mode(name) == DeployMode::kServerless ? 1.0 : 0.0);
-    m.gauge("available_containers", {{"service", name}})
+    m.gauge("load_qps", {{"service", name_}}).set(input.load_qps);
+    m.gauge("mode", {{"service", name_}})
+        .set(controller_.mode() == DeployMode::kServerless ? 1.0 : 0.0);
+    m.gauge("available_containers", {{"service", name_}})
         .set(input.available_containers);
     if (input.observed_p95) {
-      m.gauge("observed_p95_s", {{"service", name}}).set(*input.observed_p95);
+      m.gauge("observed_p95_s", {{"service", name_}}).set(*input.observed_p95);
     }
   }
   if (obs_->trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    const auto control = tr.track("svc:" + name + "/control");
+    const auto control = tr.track("svc:" + name_ + "/control");
     tr.instant(control, "decision", now, "control",
                {obs::TraceArg::of("decision", std::string(to_string(decision))),
                 obs::TraceArg::of("load_qps", input.load_qps)});
-    tr.counter(tr.track("svc:" + name + "/load"), "load_qps", now,
+    tr.counter(tr.track("svc:" + name_ + "/load"), "load_qps", now,
                input.load_qps);
   }
 }
 
-void AmoebaRuntime::record_query(const std::string& service,
-                                 const workload::QueryRecord& rec,
+void AmoebaRuntime::record_query(const workload::QueryRecord& rec,
                                  DeployMode platform) {
   if (obs_->metrics_on()) {
     obs::MetricsRegistry& m = obs_->metrics();
-    m.counter("queries", {{"service", service}}).inc();
-    if (rec.cold) m.counter("cold_starts", {{"service", service}}).inc();
-    m.histogram("latency_s", {{"service", service}}).observe(rec.latency());
-    m.histogram("queue_wait_s", {{"service", service}})
+    m.counter("queries", {{"service", name_}}).inc();
+    if (rec.cold) m.counter("cold_starts", {{"service", name_}}).inc();
+    m.histogram("latency_s", {{"service", name_}}).observe(rec.latency());
+    m.histogram("queue_wait_s", {{"service", name_}})
         .observe(rec.breakdown.queue_s);
   }
   if (obs_->trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    const auto track = tr.track("svc:" + service + "/queries");
+    const auto track = tr.track("svc:" + name_ + "/queries");
     const std::uint64_t id = next_query_span_id_++;
     const double service_s = rec.breakdown.total() - rec.breakdown.queue_s -
                              rec.breakdown.cold_start_s;
@@ -348,21 +310,14 @@ void AmoebaRuntime::record_query(const std::string& service,
 
 void AmoebaRuntime::sample_timelines() {
   const double now = engine_.now();
-  for (auto& [name, rt] : services_) {
-    const ServiceUsage u = accountant_.usage(name, now);
-    rt.timeline.load_qps.add(now, rt.load.rate(now));
-    rt.timeline.mode.add(
-        now, exec_engine_.route(name) == DeployMode::kServerless ? 1.0 : 0.0);
-    rt.timeline.cpu_core_seconds.add(now, u.cpu_core_seconds);
-    rt.timeline.memory_mb_seconds.add(now, u.memory_mb_seconds);
-  }
+  const ServiceUsage u = usage(now);
+  timeline_.load_qps.add(now, load_.rate(now));
+  timeline_.mode.add(
+      now, exec_engine_->route() == DeployMode::kServerless ? 1.0 : 0.0);
+  timeline_.cpu_core_seconds.add(now, u.cpu_core_seconds);
+  timeline_.memory_mb_seconds.add(now, u.memory_mb_seconds);
   timeline_event_ = engine_.schedule_in(timeline_period(),
                                         [this] { sample_timelines(); });
-}
-
-const ServiceTimeline& AmoebaRuntime::timeline(
-    const std::string& service) const {
-  return rt_of(service).timeline;
 }
 
 }  // namespace amoeba::core

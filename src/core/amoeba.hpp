@@ -1,18 +1,20 @@
 // Amoeba runtime — the top-level system of paper Fig. 6.
 //
-// Wires together the contention-aware deployment controller (§IV), the
-// hybrid execution engine (§V) and the multi-resource contention monitor
-// (§VI) over one serverless platform and one IaaS platform. Per monitor
-// sample period it measures each service's load, asks the controller for a
-// decision, and drives the engine's switch protocol.
+// Manages one microservice: wires together its contention-aware deployment
+// controller (§IV), its hybrid execution engine (§V) and a multi-resource
+// contention monitor (§VI) over one serverless platform and one IaaS
+// platform. Per monitor sample period it measures the service's load, asks
+// the controller for a decision, and drives the engine's switch protocol.
+// Several services on one node are several runtimes over the same two
+// platforms (exp::run_shared_node); they see each other only through the
+// pressures their monitors measure.
 //
 // Ablations from the paper's evaluation are configuration, not forks:
 //   Amoeba-NoM: estimator.enable_pca = false   (§VII-C)
 //   Amoeba-NoP: engine.enable_prewarm = false  (§VII-D)
 #pragma once
 
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,49 +69,50 @@ struct ServiceTimeline {
 
 class AmoebaRuntime {
  public:
+  /// The managed service is its profile, its just-enough VM spec, its
+  /// profiled artifacts and its n_max (`serverless_max_containers`, 0 =
+  /// memory-bounded only). The constructor registers the service on both
+  /// platforms and boots its VM; start() begins the control ticks.
   AmoebaRuntime(sim::Engine& engine,
                 serverless::ServerlessPlatform& serverless,
                 iaas::IaasPlatform& iaas, MeterCalibration calibration,
-                AmoebaConfig cfg, sim::Rng rng);
-
-  /// Register a managed service: profile + just-enough VM spec + profiled
-  /// artifacts. Must be called before start().
-  void add_service(const workload::FunctionProfile& profile,
-                   iaas::VmSpec vm_spec, ServiceArtifacts artifacts,
-                   int serverless_max_containers = 0);
+                const workload::FunctionProfile& profile,
+                iaas::VmSpec vm_spec, ServiceArtifacts artifacts,
+                int serverless_max_containers, AmoebaConfig cfg,
+                sim::Rng rng);
 
   /// Boot the monitor and begin control ticks.
   void start();
   void stop();
 
   /// User query entry point.
-  void submit(const std::string& service, workload::QueryCompletionFn on_done);
+  void submit(workload::QueryCompletionFn on_done);
 
   [[nodiscard]] DeploymentController& controller() noexcept {
     return controller_;
   }
   [[nodiscard]] ContentionMonitor& monitor() noexcept { return monitor_; }
   [[nodiscard]] HybridExecutionEngine& execution_engine() noexcept {
-    return exec_engine_;
-  }
-  [[nodiscard]] ResourceAccountant& accountant() noexcept {
-    return accountant_;
+    return *exec_engine_;
   }
 
   [[nodiscard]] const std::vector<SwitchEvent>& switch_events() const {
-    return exec_engine_.switch_events();
+    return exec_engine_->switch_events();
   }
-  [[nodiscard]] const ServiceTimeline& timeline(
-      const std::string& service) const;
+  [[nodiscard]] const ServiceTimeline& timeline() const noexcept {
+    return timeline_;
+  }
 
-  /// Current measured load of a service (V_u).
-  [[nodiscard]] double measured_load(const std::string& service) const;
+  /// The service's usage across both platforms through `now`.
+  [[nodiscard]] ServiceUsage usage(double now) const;
+
+  /// Current measured load of the service (V_u).
+  [[nodiscard]] double measured_load() const;
 
   /// Retarget the service's QoS budget everywhere it is consumed: the
-  /// controller's discriminant, the execution engine's warm-set sizing and
-  /// the runtime's own prewarm-target audit field. Driven by the
-  /// end-to-end budget decomposer between monitor ticks.
-  void set_qos_target(const std::string& service, double qos_target_s);
+  /// controller's discriminant and the execution engine's warm-set sizing.
+  /// Driven by the end-to-end budget decomposer between monitor ticks.
+  void set_qos_target(double qos_target_s);
 
   /// Effective timeline sampling period: the configured value, or the
   /// monitor sample period when the config left it at 0. <= 0 = disabled.
@@ -119,37 +122,34 @@ class AmoebaRuntime {
   [[nodiscard]] obs::Observer* observer() const noexcept { return obs_; }
 
  private:
-  struct ServiceRt {
-    workload::FunctionProfile profile;
-    stats::RateEstimator load;
-    stats::SampleSet period_latencies;  ///< user latencies since last tick
-    ServiceTimeline timeline;
-    double prev_tick_load = 0.0;  ///< for the load-trend forecast
-    bool has_prev_load = false;
-  };
-
   void on_sample();
   void sample_timelines();
-  ServiceRt& rt_of(const std::string& service);
-  const ServiceRt& rt_of(const std::string& service) const;
 
-  /// Append the tick's DecisionRecord + metrics + trace instants for one
-  /// service (observer must be attached).
-  void record_decision(const std::string& name, const ServiceTickInput& input,
-                       SwitchDecision decision);
+  /// Append the tick's DecisionRecord + metrics + trace instants (observer
+  /// must be attached).
+  void record_decision(const ServiceTickInput& input, SwitchDecision decision);
   /// Record one completed user query (lifecycle span + latency metrics).
-  void record_query(const std::string& service,
-                    const workload::QueryRecord& rec, DeployMode platform);
+  void record_query(const workload::QueryRecord& rec, DeployMode platform);
+  /// Feed a queue-free service-time sample to the controller's weight
+  /// calibration.
+  void observe_service_time(const workload::QueryRecord& rec);
 
   sim::Engine& engine_;
   serverless::ServerlessPlatform& serverless_;
+  iaas::IaasPlatform& iaas_;
   AmoebaConfig cfg_;
+  std::string name_;
+  obs::Observer* obs_;
   DeploymentController controller_;
-  HybridExecutionEngine exec_engine_;
   ContentionMonitor monitor_;
-  ResourceAccountant accountant_;
-  std::map<std::string, ServiceRt> services_;
-  obs::Observer* obs_ = nullptr;
+  /// Built in the constructor body, once the observer is attached to the
+  /// serverless platform, because building it registers the service.
+  std::optional<HybridExecutionEngine> exec_engine_;
+  stats::RateEstimator load_;
+  stats::SampleSet period_latencies_;  ///< user latencies since last tick
+  ServiceTimeline timeline_;
+  double prev_tick_load_ = 0.0;  ///< for the load-trend forecast
+  bool has_prev_load_ = false;
   std::uint64_t next_query_span_id_ = 1;
   bool started_ = false;
   sim::EventId timeline_event_ = sim::kNoEvent;

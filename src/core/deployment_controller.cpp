@@ -31,61 +31,35 @@ void ControllerConfig::validate() const {
   AMOEBA_EXPECTS(observed_violation_fraction > 0.0);
 }
 
-DeploymentController::DeploymentController(ControllerConfig cfg) : cfg_(cfg) {
+namespace {
+
+/// Keep saturated-cell sentinels out of the regression: anything past 4x
+/// the target rejects the deployment regardless of its exact magnitude.
+WeightEstimatorConfig with_feature_cap(WeightEstimatorConfig cfg,
+                                       double qos_target_s) {
+  if (cfg.feature_cap_s <= 0.0) cfg.feature_cap_s = 4.0 * qos_target_s;
+  return cfg;
+}
+
+}  // namespace
+
+DeploymentController::DeploymentController(ControllerConfig cfg,
+                                           double qos_target_s,
+                                           ServiceArtifacts artifacts,
+                                           WeightEstimatorConfig estimator_cfg)
+    : cfg_(cfg),
+      qos_target_s_(qos_target_s),
+      artifacts_(std::move(artifacts)),
+      estimator_(with_feature_cap(estimator_cfg, qos_target_s),
+                 artifacts_.solo_latency_s, artifacts_.alpha_s) {
   cfg_.validate();
-}
-
-void DeploymentController::add_service(const std::string& name,
-                                       double qos_target_s,
-                                       ServiceArtifacts artifacts,
-                                       WeightEstimatorConfig estimator_cfg) {
   AMOEBA_EXPECTS(qos_target_s > 0.0);
-  AMOEBA_EXPECTS_MSG(artifacts.complete(),
-                     "service artifacts incomplete: " + name);
-  AMOEBA_EXPECTS_MSG(!services_.contains(name), "service already added");
-  // Read L0/α before artifacts is moved into the state.
-  const double l0 = artifacts.solo_latency_s;
-  const double alpha = artifacts.alpha_s;
-  // Keep saturated-cell sentinels out of the regression: anything past 4x
-  // the target rejects the deployment regardless of its exact magnitude.
-  if (estimator_cfg.feature_cap_s <= 0.0) {
-    estimator_cfg.feature_cap_s = 4.0 * qos_target_s;
-  }
-  ServiceState st{
-      .qos_target_s = qos_target_s,
-      .artifacts = std::move(artifacts),
-      .estimator = WeightEstimator(estimator_cfg, l0, alpha),
-      .mode = DeployMode::kIaas,
-      .votes_to_serverless = 0,
-      .votes_to_iaas = 0,
-      .last_input = {},
-      .has_input = false,
-      .last_eval = {},
-  };
-  services_.emplace(name, std::move(st));
-}
-
-bool DeploymentController::has_service(const std::string& name) const {
-  return services_.contains(name);
-}
-
-const DeploymentController::ServiceState& DeploymentController::state_of(
-    const std::string& name) const {
-  auto it = services_.find(name);
-  AMOEBA_EXPECTS_MSG(it != services_.end(), "unknown service: " + name);
-  return it->second;
-}
-
-DeploymentController::ServiceState& DeploymentController::state_of(
-    const std::string& name) {
-  auto it = services_.find(name);
-  AMOEBA_EXPECTS_MSG(it != services_.end(), "unknown service: " + name);
-  return it->second;
+  AMOEBA_EXPECTS_MSG(artifacts_.complete(), "service artifacts incomplete");
 }
 
 std::array<double, kNumResources> DeploymentController::external_pressures(
-    const ServiceState& st, double load_qps,
-    const std::array<double, kNumResources>& total, bool resident) const {
+    double load_qps, const std::array<double, kNumResources>& total,
+    bool resident) const {
   // The meters see every resident service, including the one under
   // evaluation; its self-pressure is already represented by the surface's
   // load axis, so subtract it to avoid double counting.
@@ -93,86 +67,52 @@ std::array<double, kNumResources> DeploymentController::external_pressures(
   if (resident) {
     for (std::size_t i = 0; i < kNumResources; ++i) {
       ext[i] = std::max(0.0,
-                        ext[i] - st.artifacts.pressure_per_qps[i] * load_qps);
+                        ext[i] - artifacts_.pressure_per_qps[i] * load_qps);
     }
   }
   return ext;
 }
 
 Evaluation DeploymentController::evaluate(
-    const std::string& name, double load_qps,
-    const std::array<double, kNumResources>& total_pressures, int n_containers,
-    bool resident_on_serverless) const {
+    double load_qps, const std::array<double, kNumResources>& total_pressures,
+    int n_containers, bool resident_on_serverless) const {
   AMOEBA_EXPECTS(load_qps >= 0.0);
   AMOEBA_EXPECTS(n_containers >= 1);
-  const ServiceState& st = state_of(name);
-
   Evaluation ev;
-  ev.external_pressures = external_pressures(st, load_qps, total_pressures,
-                                             resident_on_serverless);
+  ev.external_pressures =
+      external_pressures(load_qps, total_pressures, resident_on_serverless);
   for (std::size_t i = 0; i < kNumResources; ++i) {
-    ev.features[i] = st.artifacts.surfaces[i]->at(ev.external_pressures[i],
-                                                  load_qps);
+    ev.features[i] = artifacts_.surfaces[i]->at(ev.external_pressures[i],
+                                                load_qps);
   }
-  ev.mu = st.estimator.mu(ev.features);
+  ev.mu = estimator_.mu(ev.features);
   ev.lambda_max = queueing::max_arrival_rate(
-      n_containers, ev.mu, st.qos_target_s, cfg_.qos_percentile);
+      n_containers, ev.mu, qos_target_s_, cfg_.qos_percentile);
   return ev;
 }
 
 void DeploymentController::observe_latency(
-    const std::string& name, double load_qps,
-    const std::array<double, kNumResources>& total_pressures,
+    double load_qps, const std::array<double, kNumResources>& total_pressures,
     double observed_service_s) {
   AMOEBA_PROF_SCOPE(kController);
-  ServiceState& st = state_of(name);
-  const bool resident = st.mode == DeployMode::kServerless;
-  const auto ext =
-      external_pressures(st, load_qps, total_pressures, resident);
+  const bool resident = mode_ == DeployMode::kServerless;
+  const auto ext = external_pressures(load_qps, total_pressures, resident);
   Features f{};
   for (std::size_t i = 0; i < kNumResources; ++i) {
-    f[i] = st.artifacts.surfaces[i]->at(ext[i], load_qps);
+    f[i] = artifacts_.surfaces[i]->at(ext[i], load_qps);
   }
-  st.estimator.observe(f, observed_service_s);
+  estimator_.observe(f, observed_service_s);
 }
 
-bool DeploymentController::co_tenants_safe_with(
-    const std::string& candidate, const ServiceTickInput& input) const {
-  const ServiceState& cand = state_of(candidate);
-  // Pressure after the candidate joins.
-  std::array<double, kNumResources> joined = input.total_pressures;
-  for (std::size_t i = 0; i < kNumResources; ++i) {
-    joined[i] += cand.artifacts.pressure_per_qps[i] * input.load_qps;
-  }
-  for (const auto& [name, st] : services_) {
-    if (name == candidate) continue;
-    if (st.mode != DeployMode::kServerless || !st.has_input) continue;
-    const Evaluation ev =
-        evaluate(name, st.last_input.load_qps, joined,
-                 std::max(1, st.last_input.available_containers),
-                 /*resident=*/true);
-    if (!ev.lambda_max.has_value() ||
-        st.last_input.load_qps > *ev.lambda_max) {
-      return false;
-    }
-  }
-  return true;
-}
-
-SwitchDecision DeploymentController::tick(const std::string& name,
-                                          const ServiceTickInput& input) {
+SwitchDecision DeploymentController::tick(const ServiceTickInput& input) {
   AMOEBA_PROF_SCOPE(kController);
   AMOEBA_EXPECTS(input.load_qps >= 0.0);
   AMOEBA_EXPECTS(input.available_containers >= 0);
-  ServiceState& st = state_of(name);
-  st.last_input = input;
-  st.has_input = true;
-
   const int n = std::max(1, input.available_containers);
-  const bool resident = st.mode == DeployMode::kServerless;
+  const bool resident = mode_ == DeployMode::kServerless;
   const Evaluation ev =
-      evaluate(name, input.load_qps, input.total_pressures, n, resident);
-  st.last_eval = ev;
+      evaluate(input.load_qps, input.total_pressures, n, resident);
+  last_eval_ = ev;
 
   // Switching back to IaaS takes hysteresis + the VM boot; judge that
   // direction on the anticipated load so the switch completes before the
@@ -186,87 +126,47 @@ SwitchDecision DeploymentController::tick(const std::string& name,
       !ev.lambda_max.has_value() ||
       rising_load > cfg_.to_iaas_margin * *ev.lambda_max;
 
-  if (st.mode == DeployMode::kIaas) {
-    st.votes_to_iaas = 0;
+  if (mode_ == DeployMode::kIaas) {
+    votes_to_iaas_ = 0;
     if (serverless_can_hold) {
-      st.votes_to_serverless += 1;
+      votes_to_serverless_ += 1;
     } else {
-      st.votes_to_serverless = 0;
+      votes_to_serverless_ = 0;
     }
-    if (st.votes_to_serverless >= cfg_.hysteresis_ticks) {
-      if (!cfg_.co_tenant_check || co_tenants_safe_with(name, input)) {
-        st.votes_to_serverless = 0;
-        return SwitchDecision::kSwitchToServerless;
-      }
-      // Unsafe for residents: hold position, keep watching.
-      st.votes_to_serverless = cfg_.hysteresis_ticks;  // stay primed
+    if (votes_to_serverless_ >= cfg_.hysteresis_ticks) {
+      votes_to_serverless_ = 0;
+      return SwitchDecision::kSwitchToServerless;
     }
     return SwitchDecision::kStay;
   }
 
   // Serverless mode: model vote plus the observed-latency backstop.
-  st.votes_to_serverless = 0;
+  votes_to_serverless_ = 0;
   const bool observed_violation =
       input.observed_p95.has_value() &&
-      *input.observed_p95 >
-          cfg_.observed_violation_fraction * st.qos_target_s;
+      *input.observed_p95 > cfg_.observed_violation_fraction * qos_target_s_;
   if (serverless_overloaded || observed_violation) {
-    st.votes_to_iaas += 1;
+    votes_to_iaas_ += 1;
   } else {
-    st.votes_to_iaas = 0;
+    votes_to_iaas_ = 0;
   }
-  if (st.votes_to_iaas >= cfg_.hysteresis_ticks) {
-    st.votes_to_iaas = 0;
+  if (votes_to_iaas_ >= cfg_.hysteresis_ticks) {
+    votes_to_iaas_ = 0;
     return SwitchDecision::kSwitchToIaas;
   }
   return SwitchDecision::kStay;
 }
 
-DeployMode DeploymentController::mode(const std::string& name) const {
-  return state_of(name).mode;
+void DeploymentController::set_mode(DeployMode mode) {
+  mode_ = mode;
+  votes_to_serverless_ = 0;
+  votes_to_iaas_ = 0;
 }
 
-void DeploymentController::set_mode(const std::string& name, DeployMode mode) {
-  ServiceState& st = state_of(name);
-  st.mode = mode;
-  st.votes_to_serverless = 0;
-  st.votes_to_iaas = 0;
-}
-
-const WeightEstimator& DeploymentController::estimator(
-    const std::string& name) const {
-  return state_of(name).estimator;
-}
-
-double DeploymentController::qos_target(const std::string& name) const {
-  return state_of(name).qos_target_s;
-}
-
-void DeploymentController::set_qos_target(const std::string& name,
-                                          double qos_target_s) {
+void DeploymentController::set_qos_target(double qos_target_s) {
   AMOEBA_EXPECTS_VALS(qos_target_s > 0.0, qos_target_s);
-  state_of(name).qos_target_s = qos_target_s;
-  AMOEBA_ENSURES(qos_target(name) == qos_target_s);
-}
-
-const std::optional<Evaluation>& DeploymentController::last_evaluation(
-    const std::string& name) const {
-  return state_of(name).last_eval;
-}
-
-int DeploymentController::votes_to_serverless(const std::string& name) const {
-  return state_of(name).votes_to_serverless;
-}
-
-int DeploymentController::votes_to_iaas(const std::string& name) const {
-  return state_of(name).votes_to_iaas;
-}
-
-std::vector<std::string> DeploymentController::services() const {
-  std::vector<std::string> out;
-  out.reserve(services_.size());
-  for (const auto& [name, st] : services_) out.push_back(name);
-  return out;
+  qos_target_s_ = qos_target_s;
+  AMOEBA_ENSURES(qos_target() == qos_target_s);
 }
 
 }  // namespace amoeba::core

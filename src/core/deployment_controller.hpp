@@ -1,22 +1,20 @@
 // Contention-aware deployment controller — paper §IV.
 //
-// Per sample period and per microservice the controller:
+// One controller manages one microservice. Per sample period it:
 //   1. looks up the three latency-surface predictions L_i at the platform's
 //      current (externally attributed) pressures and the service's load;
 //   2. folds them into a per-container capacity μ via Eq. 6 (PCA-calibrated
 //      weights, or pessimistic accumulation in the NoM ablation);
 //   3. evaluates the M/M/N discriminant (Eq. 5) for the service's QoS
 //      target and the containers it could get;
-//   4. decides whether to switch, with hysteresis and a co-tenant safety
-//      check (paper §III: a switch-in must not break any resident
-//      service's QoS).
+//   4. decides whether to switch, with hysteresis. Co-tenants reach the
+//      decision only through the measured pressures P: a resident service
+//      that slows the platform lowers the candidate's μ, but no check runs
+//      on the residents' own QoS before a switch-in.
 #pragma once
 
 #include <array>
-#include <map>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "core/profile_data.hpp"
 #include "core/queueing.hpp"
@@ -45,7 +43,6 @@ struct ControllerConfig {
   double to_iaas_margin = 0.95;
   /// Consecutive agreeing ticks required before acting (hysteresis).
   int hysteresis_ticks = 2;
-  bool co_tenant_check = true;
   /// An observed p95 above this fraction of the QoS target while on
   /// serverless also votes for switching back (model-independent backstop).
   double observed_violation_fraction = 0.98;
@@ -79,89 +76,76 @@ struct Evaluation {
 
 class DeploymentController {
  public:
-  explicit DeploymentController(ControllerConfig cfg);
-
-  /// Register a service. `qos_target_s` is its latency target; artifacts
-  /// come from profiling; `estimator_cfg.enable_pca=false` gives Amoeba-NoM.
-  void add_service(const std::string& name, double qos_target_s,
-                   ServiceArtifacts artifacts,
-                   WeightEstimatorConfig estimator_cfg = {});
-
-  [[nodiscard]] bool has_service(const std::string& name) const;
+  /// `qos_target_s` is the service's latency target; artifacts come from
+  /// profiling; `estimator_cfg.enable_pca=false` gives Amoeba-NoM.
+  DeploymentController(ControllerConfig cfg, double qos_target_s,
+                       ServiceArtifacts artifacts,
+                       WeightEstimatorConfig estimator_cfg = {});
 
   /// Heartbeat: an observed service-time sample (queue/cold-start already
   /// excluded) for PCA calibration, taken at the given load and pressures.
-  void observe_latency(const std::string& name, double load_qps,
+  void observe_latency(double load_qps,
                        const std::array<double, kNumResources>& total_pressures,
                        double observed_service_s);
 
-  /// One control decision. Also caches the inputs for co-tenant checks.
-  [[nodiscard]] SwitchDecision tick(const std::string& name,
-                                    const ServiceTickInput& input);
+  /// One control decision.
+  [[nodiscard]] SwitchDecision tick(const ServiceTickInput& input);
 
   /// Pure evaluation of the discriminant at an arbitrary operating point
   /// (used by tick, by tests, and by the Fig. 15 error study).
-  [[nodiscard]] Evaluation evaluate(const std::string& name, double load_qps,
+  [[nodiscard]] Evaluation evaluate(double load_qps,
                                     const std::array<double, kNumResources>&
                                         total_pressures,
                                     int n_containers,
                                     bool resident_on_serverless) const;
 
-  [[nodiscard]] DeployMode mode(const std::string& name) const;
+  [[nodiscard]] DeployMode mode() const noexcept { return mode_; }
   /// The runtime confirms a switch completed (after prewarm/boot + ack).
-  void set_mode(const std::string& name, DeployMode mode);
+  void set_mode(DeployMode mode);
 
-  [[nodiscard]] const WeightEstimator& estimator(
-      const std::string& name) const;
+  [[nodiscard]] const WeightEstimator& estimator() const noexcept {
+    return estimator_;
+  }
 
-  /// QoS latency target registered for the service.
-  [[nodiscard]] double qos_target(const std::string& name) const;
+  /// QoS latency target of the service.
+  [[nodiscard]] double qos_target() const noexcept { return qos_target_s_; }
 
   /// Retarget the service's QoS budget (end-to-end budget decomposition
   /// renormalizes per-stage targets each monitor tick). Takes effect from
-  /// the next tick; the estimator's feature cap keeps its add-time value
-  /// so calibration stays comparable across retargets.
-  void set_qos_target(const std::string& name, double qos_target_s);
+  /// the next tick; the estimator's feature cap keeps its construction-time
+  /// value so calibration stays comparable across retargets.
+  void set_qos_target(double qos_target_s);
 
-  /// The Evaluation computed by the most recent tick() for the service
-  /// (nullopt before the first tick). Feeds the decision audit log.
-  [[nodiscard]] const std::optional<Evaluation>& last_evaluation(
-      const std::string& name) const;
+  /// The Evaluation computed by the most recent tick() (nullopt before the
+  /// first tick). Feeds the decision audit log.
+  [[nodiscard]] const std::optional<Evaluation>& last_evaluation()
+      const noexcept {
+    return last_eval_;
+  }
 
   /// Current hysteresis vote counts (after the most recent tick).
-  [[nodiscard]] int votes_to_serverless(const std::string& name) const;
-  [[nodiscard]] int votes_to_iaas(const std::string& name) const;
+  [[nodiscard]] int votes_to_serverless() const noexcept {
+    return votes_to_serverless_;
+  }
+  [[nodiscard]] int votes_to_iaas() const noexcept { return votes_to_iaas_; }
 
-  [[nodiscard]] std::vector<std::string> services() const;
   [[nodiscard]] const ControllerConfig& config() const noexcept {
     return cfg_;
   }
 
  private:
-  struct ServiceState {
-    double qos_target_s = 0.0;
-    ServiceArtifacts artifacts;
-    WeightEstimator estimator;
-    DeployMode mode = DeployMode::kIaas;
-    int votes_to_serverless = 0;
-    int votes_to_iaas = 0;
-    ServiceTickInput last_input;  ///< cached for co-tenant evaluation
-    bool has_input = false;
-    std::optional<Evaluation> last_eval;  ///< introspection for the audit log
-  };
-
   [[nodiscard]] std::array<double, kNumResources> external_pressures(
-      const ServiceState& st, double load_qps,
-      const std::array<double, kNumResources>& total, bool resident) const;
-
-  [[nodiscard]] bool co_tenants_safe_with(const std::string& candidate,
-                                          const ServiceTickInput& input) const;
-
-  const ServiceState& state_of(const std::string& name) const;
-  ServiceState& state_of(const std::string& name);
+      double load_qps, const std::array<double, kNumResources>& total,
+      bool resident) const;
 
   ControllerConfig cfg_;
-  std::map<std::string, ServiceState> services_;
+  double qos_target_s_;
+  ServiceArtifacts artifacts_;
+  WeightEstimator estimator_;
+  DeployMode mode_ = DeployMode::kIaas;
+  int votes_to_serverless_ = 0;
+  int votes_to_iaas_ = 0;
+  std::optional<Evaluation> last_eval_;  ///< introspection for the audit log
 };
 
 }  // namespace amoeba::core

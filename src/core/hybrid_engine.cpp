@@ -21,195 +21,139 @@ void HybridEngineConfig::validate() const {
 
 HybridExecutionEngine::HybridExecutionEngine(
     sim::Engine& engine, serverless::ServerlessPlatform& serverless,
-    iaas::IaasPlatform& iaas, HybridEngineConfig cfg, sim::Rng rng)
+    iaas::IaasPlatform& iaas, const workload::FunctionProfile& profile,
+    iaas::VmSpec vm_spec, int serverless_max_containers,
+    HybridEngineConfig cfg, sim::Rng rng, obs::Observer* observer)
     : engine_(engine),
       serverless_(serverless),
       iaas_(iaas),
       cfg_(cfg),
-      rng_(rng) {
+      rng_(rng),
+      obs_(observer),
+      profile_(profile),
+      max_containers_(serverless_max_containers) {
   cfg_.validate();
-}
-
-void HybridExecutionEngine::add_service(
-    const workload::FunctionProfile& profile, iaas::VmSpec vm_spec,
-    int serverless_max_containers) {
-  AMOEBA_EXPECTS_MSG(!services_.contains(profile.name),
-                     "service already added");
-  serverless_.register_function(profile, serverless_max_containers);
-  iaas_.register_service(profile, vm_spec);
-
-  ServiceState st;
-  st.profile = profile;
-  st.max_containers = serverless_max_containers;
-  st.route = DeployMode::kIaas;
-  services_.emplace(profile.name, std::move(st));
-
+  serverless_.register_function(profile_, max_containers_);
+  iaas_.register_service(profile_, vm_spec);
   // Default mode is IaaS (paper §III step 1): boot the VM now; queries that
   // arrive before it is ready wait in the boot buffer.
-  boot_initial_vm(profile.name, /*attempt=*/0);
+  boot_initial_vm(/*attempt=*/0);
 }
 
-void HybridExecutionEngine::boot_initial_vm(const std::string& service,
-                                            int attempt) {
-  ServiceState& st = state_of(service);
-  if (st.route != DeployMode::kIaas || st.switching) return;
-  if (iaas_.state(service) != iaas::VmState::kStopped) return;
+void HybridExecutionEngine::boot_initial_vm(int attempt) {
+  if (route_ != DeployMode::kIaas || switching_) return;
+  if (iaas_.state(profile_.name) != iaas::VmState::kStopped) return;
   iaas_.boot(
-      service, [this, service] { flush_boot_buffer(service); },
-      [this, service, attempt] {
+      profile_.name, [this] { flush_boot_buffer(); },
+      [this, attempt] {
         const double delay =
             cfg_.prewarm_poll_s *
             std::pow(cfg_.switch_retry_backoff, std::min(attempt, 8));
-        engine_.schedule_in(delay, [this, service, attempt] {
-          boot_initial_vm(service, attempt + 1);
-        });
+        engine_.schedule_in(delay,
+                            [this, attempt] { boot_initial_vm(attempt + 1); });
       });
 }
 
-HybridExecutionEngine::ServiceState& HybridExecutionEngine::state_of(
-    const std::string& service) {
-  auto it = services_.find(service);
-  AMOEBA_EXPECTS_MSG(it != services_.end(), "unknown service: " + service);
-  return it->second;
-}
-
-const HybridExecutionEngine::ServiceState& HybridExecutionEngine::state_of(
-    const std::string& service) const {
-  auto it = services_.find(service);
-  AMOEBA_EXPECTS_MSG(it != services_.end(), "unknown service: " + service);
-  return it->second;
-}
-
-void HybridExecutionEngine::count_switch(const std::string& service,
-                                         const char* to,
+void HybridExecutionEngine::count_switch(const char* to,
                                          const char* outcome) {
   if (obs_ == nullptr || !obs_->metrics_on()) return;
   obs_->metrics()
       .counter(std::string("switches_") + outcome,
-               {{"service", service}, {"to", to}})
+               {{"service", profile_.name}, {"to", to}})
       .inc();
 }
 
-void HybridExecutionEngine::drain_vm(const std::string& service) {
+void HybridExecutionEngine::drain_vm() {
   if (!trace_on()) {
-    iaas_.drain_and_stop(service);
+    iaas_.drain_and_stop(profile_.name);
     return;
   }
   obs::Tracer& tr = obs_->tracer();
-  const auto track = tr.track("svc:" + service + "/vm");
+  const auto track = tr.track("svc:" + profile_.name + "/vm");
   tr.begin(track, "vm:drain", engine_.now(), kSwitchCat);
-  iaas_.drain_and_stop(service, [this, service](bool completed) {
+  iaas_.drain_and_stop(profile_.name, [this](bool completed) {
     obs::Tracer& t = obs_->tracer();
-    t.end(t.track("svc:" + service + "/vm"), "vm:drain", engine_.now(),
+    t.end(t.track("svc:" + profile_.name + "/vm"), "vm:drain", engine_.now(),
           {obs::TraceArg::of("completed", completed ? 1.0 : 0.0)});
   });
 }
 
-void HybridExecutionEngine::flush_boot_buffer(const std::string& service) {
-  ServiceState& st = state_of(service);
-  while (!st.boot_buffer.empty() && iaas_.is_running(service)) {
-    auto cb = std::move(st.boot_buffer.front());
-    st.boot_buffer.pop_front();
-    iaas_.submit(service, std::move(cb));
+void HybridExecutionEngine::flush_boot_buffer() {
+  while (!boot_buffer_.empty() && iaas_.is_running(profile_.name)) {
+    auto cb = std::move(boot_buffer_.front());
+    boot_buffer_.pop_front();
+    iaas_.submit(profile_.name, std::move(cb));
   }
 }
 
-void HybridExecutionEngine::submit(const std::string& service,
-                                   workload::QueryCompletionFn on_done) {
-  ServiceState& st = state_of(service);
-  if (st.route == DeployMode::kServerless) {
-    serverless_.submit(service, std::move(on_done));
+void HybridExecutionEngine::submit(workload::QueryCompletionFn on_done) {
+  if (route_ == DeployMode::kServerless) {
+    serverless_.submit(profile_.name, std::move(on_done));
     return;
   }
   // IaaS route. Mirror a sampling share to serverless for heartbeat data.
-  if (st.mirroring && cfg_.mirror_fraction > 0.0 &&
+  if (mirroring_ && cfg_.mirror_fraction > 0.0 &&
       rng_.uniform() < cfg_.mirror_fraction) {
     ++mirrored_;
-    serverless_.submit(service,
-                       [this, service](const workload::QueryRecord& rec) {
-                         if (mirror_observer_) mirror_observer_(service, rec);
-                       });
+    serverless_.submit(profile_.name, [this](const workload::QueryRecord& rec) {
+      if (mirror_observer_) mirror_observer_(rec);
+    });
   }
-  if (iaas_.is_running(service)) {
-    iaas_.submit(service, std::move(on_done));
+  if (iaas_.is_running(profile_.name)) {
+    iaas_.submit(profile_.name, std::move(on_done));
   } else {
-    st.boot_buffer.push_back(std::move(on_done));
+    boot_buffer_.push_back(std::move(on_done));
   }
 }
 
-DeployMode HybridExecutionEngine::route(const std::string& service) const {
-  return state_of(service).route;
-}
-
-void HybridExecutionEngine::maintain_warm(const std::string& service,
-                                          double load_qps) {
+void HybridExecutionEngine::maintain_warm(double load_qps) {
   if (!cfg_.enable_prewarm) return;
-  ServiceState& st = state_of(service);
-  if (st.route != DeployMode::kServerless || st.switching) return;
-  int n = cfg_.prewarm.containers_for(load_qps, st.profile.qos_target_s);
-  if (st.max_containers > 0) n = std::min(n, st.max_containers);
-  serverless_.prewarm(service, n);
+  if (route_ != DeployMode::kServerless || switching_) return;
+  int n = cfg_.prewarm.containers_for(load_qps, profile_.qos_target_s);
+  if (max_containers_ > 0) n = std::min(n, max_containers_);
+  serverless_.prewarm(profile_.name, n);
 }
 
-void HybridExecutionEngine::set_qos_target(const std::string& service,
-                                           double qos_target_s) {
+void HybridExecutionEngine::set_qos_target(double qos_target_s) {
   AMOEBA_EXPECTS_VALS(qos_target_s > 0.0, qos_target_s);
-  ServiceState& st = state_of(service);
-  st.profile.qos_target_s = qos_target_s;
-  AMOEBA_ENSURES(st.profile.qos_target_s == qos_target_s);
+  profile_.qos_target_s = qos_target_s;
+  AMOEBA_ENSURES(profile_.qos_target_s == qos_target_s);
 }
 
-void HybridExecutionEngine::set_mirroring(const std::string& service,
-                                          bool enabled) {
-  state_of(service).mirroring = enabled;
+bool HybridExecutionEngine::in_cooldown() const {
+  return engine_.now() < cooldown_until_;
 }
 
-bool HybridExecutionEngine::mirroring(const std::string& service) const {
-  return state_of(service).mirroring;
-}
-
-bool HybridExecutionEngine::transitioning(const std::string& service) const {
-  return state_of(service).switching;
-}
-
-bool HybridExecutionEngine::in_cooldown(const std::string& service) const {
-  return engine_.now() < state_of(service).cooldown_until;
-}
-
-int HybridExecutionEngine::available_containers(
-    const std::string& service) const {
-  const ServiceState& st = state_of(service);
-  const auto counts = serverless_.counts(service);
+int HybridExecutionEngine::available_containers() const {
+  const auto counts = serverless_.counts(profile_.name);
   const int mem_bound =
-      counts.total() + serverless_.pool().headroom(st.profile.memory_mb);
-  return st.max_containers > 0 ? std::min(st.max_containers, mem_bound)
-                               : mem_bound;
+      counts.total() + serverless_.pool().headroom(profile_.memory_mb);
+  return max_containers_ > 0 ? std::min(max_containers_, mem_bound)
+                             : mem_bound;
 }
 
-void HybridExecutionEngine::finish_switch(ServiceState& st, bool ok) {
-  if (st.switch_timeout != sim::kNoEvent) {
-    engine_.cancel(st.switch_timeout);
-    st.switch_timeout = sim::kNoEvent;
+void HybridExecutionEngine::finish_switch(bool ok) {
+  if (switch_timeout_ != sim::kNoEvent) {
+    engine_.cancel(switch_timeout_);
+    switch_timeout_ = sim::kNoEvent;
   }
-  st.switching = false;
+  switching_ = false;
   if (!ok) {
-    st.cooldown_until = engine_.now() + cfg_.abort_cooldown_s;
+    cooldown_until_ = engine_.now() + cfg_.abort_cooldown_s;
     ++switch_aborts_;
   }
   // Move out before calling: the callback may start the next switch.
-  std::function<void(bool)> cb = std::move(st.switch_done);
-  st.switch_done = nullptr;
+  std::function<void(bool)> cb = std::move(switch_done_);
+  switch_done_ = nullptr;
   if (cb) cb(ok);
 }
 
-void HybridExecutionEngine::complete_to_serverless(const std::string& service,
-                                                   int needed) {
-  ServiceState& st = state_of(service);
-  const auto counts = serverless_.counts(service);
-  st.route = DeployMode::kServerless;
+void HybridExecutionEngine::complete_to_serverless(int needed) {
+  const auto counts = serverless_.counts(profile_.name);
+  route_ = DeployMode::kServerless;
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    const auto track = tr.track("svc:" + service + "/control");
+    const auto track = tr.track("svc:" + profile_.name + "/control");
     tr.end(track, "prewarm", engine_.now(),
            {obs::TraceArg::of("idle", static_cast<double>(counts.idle)),
             obs::TraceArg::of("busy", static_cast<double>(counts.busy))});
@@ -217,38 +161,38 @@ void HybridExecutionEngine::complete_to_serverless(const std::string& service,
                {obs::TraceArg::of("needed", static_cast<double>(needed))});
     tr.instant(track, "route_flip", engine_.now(), kSwitchCat);
   }
-  serverless_.unretire(service);
-  drain_vm(service);
+  serverless_.unretire(profile_.name);
+  drain_vm();
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    tr.end(tr.track("svc:" + service + "/control"), "switch:to_serverless",
-           engine_.now(), {obs::TraceArg::of("completed", 1.0)});
+    tr.end(tr.track("svc:" + profile_.name + "/control"),
+           "switch:to_serverless", engine_.now(),
+           {obs::TraceArg::of("completed", 1.0)});
   }
-  count_switch(service, "serverless", "completed");
+  count_switch("serverless", "completed");
   switch_events_.push_back(
-      {engine_.now(), service, DeployMode::kServerless, st.switch_load_qps});
-  finish_switch(st, true);
+      {engine_.now(), DeployMode::kServerless, switch_load_qps_});
+  finish_switch(true);
 }
 
 void HybridExecutionEngine::on_serverless_switch_timeout(
-    const std::string& service, int needed, std::uint64_t generation) {
-  ServiceState& st = state_of(service);
-  if (st.switch_generation != generation || !st.switching) return;
-  st.switch_timeout = sim::kNoEvent;  // we are the timeout event
+    int needed, std::uint64_t generation) {
+  if (switch_generation_ != generation || !switching_) return;
+  switch_timeout_ = sim::kNoEvent;  // we are the timeout event
   // Supersede any poll still in flight: its generation check drops it.
-  ++st.switch_generation;
-  const auto counts = serverless_.counts(service);
+  ++switch_generation_;
+  const auto counts = serverless_.counts(profile_.name);
   // Deadline grace: if the warm set is already there (its ready events
   // sorted before this timeout at the same instant), the switch made the
   // budget — complete instead of aborting. Matches the poll path, where
   // the warm-enough check precedes the deadline check.
   if (counts.idle + counts.busy >= needed) {
-    complete_to_serverless(service, needed);
+    complete_to_serverless(needed);
     return;
   }
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    const auto track = tr.track("svc:" + service + "/control");
+    const auto track = tr.track("svc:" + profile_.name + "/control");
     tr.end(track, "prewarm", engine_.now(),
            {obs::TraceArg::of("idle", static_cast<double>(counts.idle)),
             obs::TraceArg::of("busy", static_cast<double>(counts.busy))});
@@ -258,34 +202,31 @@ void HybridExecutionEngine::on_serverless_switch_timeout(
   // Graceful degradation: stay on IaaS and hand back everything the switch
   // acquired — destroy the prewarmed warm set and restore the pre-switch
   // retire state so the service's memory integral stops accruing.
-  const int released = serverless_.release_prewarmed(service);
-  if (st.retired_before_switch) serverless_.retire(service);
+  const int released = serverless_.release_prewarmed(profile_.name);
+  if (retired_before_switch_) serverless_.retire(profile_.name);
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    tr.end(tr.track("svc:" + service + "/control"), "switch:to_serverless",
-           engine_.now(),
+    tr.end(tr.track("svc:" + profile_.name + "/control"),
+           "switch:to_serverless", engine_.now(),
            {obs::TraceArg::of("completed", 0.0),
             obs::TraceArg::of("released", static_cast<double>(released))});
   }
-  count_switch(service, "serverless", "aborted");
-  finish_switch(st, false);
+  count_switch("serverless", "aborted");
+  finish_switch(false);
 }
 
-void HybridExecutionEngine::poll_prewarm(const std::string& service,
-                                         int needed,
-                                         std::uint64_t generation,
+void HybridExecutionEngine::poll_prewarm(int needed, std::uint64_t generation,
                                          int shortfalls) {
-  ServiceState& st = state_of(service);
-  if (st.switch_generation != generation) return;  // superseded
-  const auto counts = serverless_.counts(service);
+  if (switch_generation_ != generation) return;  // superseded
+  const auto counts = serverless_.counts(profile_.name);
   if (counts.idle + counts.busy >= needed) {
-    complete_to_serverless(service, needed);
+    complete_to_serverless(needed);
     return;
   }
   // Keep nudging the pool: evictions/expiry may have freed memory.
-  serverless_.prewarm(service, needed);
+  serverless_.prewarm(profile_.name, needed);
   double delay = cfg_.prewarm_poll_s;
-  if (serverless_.counts(service).total() < needed) {
+  if (serverless_.counts(profile_.name).total() < needed) {
     // Allocation shortfall (no memory, or injected boot failures burned
     // attempts): retry with exponential backoff so a struggling pool is not
     // hammered every poll tick. The dedicated timeout event bounds the
@@ -297,236 +238,220 @@ void HybridExecutionEngine::poll_prewarm(const std::string& service,
         cfg_.switch_timeout_s);
     if (trace_on()) {
       obs_->tracer().instant(
-          obs_->tracer().track("svc:" + service + "/control"),
+          obs_->tracer().track("svc:" + profile_.name + "/control"),
           "prewarm_retry", engine_.now(), kSwitchCat,
           {obs::TraceArg::of("shortfalls", static_cast<double>(shortfalls))});
     }
     if (obs_ != nullptr && obs_->metrics_on()) {
       obs_->metrics()
           .counter("switch_retries",
-                   {{"service", service}, {"to", "serverless"}})
+                   {{"service", profile_.name}, {"to", "serverless"}})
           .inc();
     }
   } else {
     shortfalls = 0;
   }
-  engine_.schedule_in(delay, [this, service, needed, generation, shortfalls] {
-    poll_prewarm(service, needed, generation, shortfalls);
+  engine_.schedule_in(delay, [this, needed, generation, shortfalls] {
+    poll_prewarm(needed, generation, shortfalls);
   });
 }
 
 void HybridExecutionEngine::switch_to_serverless(
-    const std::string& service, double load_qps,
-    std::function<void(bool)> on_complete) {
+    double load_qps, std::function<void(bool)> on_complete) {
   AMOEBA_EXPECTS(on_complete != nullptr);
-  ServiceState& st = state_of(service);
-  AMOEBA_EXPECTS_MSG(!st.switching, "switch already in progress");
-  AMOEBA_EXPECTS_MSG(st.route == DeployMode::kIaas,
-                     "already on serverless");
-  st.switching = true;
-  const std::uint64_t generation = ++st.switch_generation;
-  st.switch_load_qps = load_qps;
-  st.retired_before_switch = serverless_.retired(service);
-  serverless_.unretire(service);
-  count_switch(service, "serverless", "started");
+  AMOEBA_EXPECTS_MSG(!switching_, "switch already in progress");
+  AMOEBA_EXPECTS_MSG(route_ == DeployMode::kIaas, "already on serverless");
+  switching_ = true;
+  const std::uint64_t generation = ++switch_generation_;
+  switch_load_qps_ = load_qps;
+  retired_before_switch_ = serverless_.retired(profile_.name);
+  serverless_.unretire(profile_.name);
+  count_switch("serverless", "started");
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    tr.begin(tr.track("svc:" + service + "/control"), "switch:to_serverless",
-             engine_.now(), kSwitchCat,
+    tr.begin(tr.track("svc:" + profile_.name + "/control"),
+             "switch:to_serverless", engine_.now(), kSwitchCat,
              {obs::TraceArg::of("load_qps", load_qps)});
   }
 
   if (!cfg_.enable_prewarm) {
     // Amoeba-NoP: flip immediately; queries cold-start on arrival.
-    st.switching = false;
-    st.route = DeployMode::kServerless;
+    switching_ = false;
+    route_ = DeployMode::kServerless;
     if (trace_on()) {
       obs::Tracer& tr = obs_->tracer();
-      tr.instant(tr.track("svc:" + service + "/control"), "route_flip",
+      tr.instant(tr.track("svc:" + profile_.name + "/control"), "route_flip",
                  engine_.now(), kSwitchCat);
     }
-    drain_vm(service);
+    drain_vm();
     if (trace_on()) {
       obs::Tracer& tr = obs_->tracer();
-      tr.end(tr.track("svc:" + service + "/control"), "switch:to_serverless",
-             engine_.now(), {obs::TraceArg::of("completed", 1.0)});
+      tr.end(tr.track("svc:" + profile_.name + "/control"),
+             "switch:to_serverless", engine_.now(),
+             {obs::TraceArg::of("completed", 1.0)});
     }
-    count_switch(service, "serverless", "completed");
+    count_switch("serverless", "completed");
     switch_events_.push_back(
-        {engine_.now(), service, DeployMode::kServerless, load_qps});
+        {engine_.now(), DeployMode::kServerless, load_qps});
     on_complete(true);
     return;
   }
 
-  st.switch_done = std::move(on_complete);
-  const int needed = cfg_.prewarm.containers_for(load_qps,
-                                                 st.profile.qos_target_s);
+  switch_done_ = std::move(on_complete);
+  const int needed =
+      cfg_.prewarm.containers_for(load_qps, profile_.qos_target_s);
   // A dedicated timeout event bounds the switch: polls no longer race the
   // deadline, and a straggling poll cannot postpone the abort.
-  st.switch_timeout =
-      engine_.schedule_in(cfg_.switch_timeout_s,
-                          [this, service, needed, generation] {
-                            on_serverless_switch_timeout(service, needed,
-                                                         generation);
-                          });
+  switch_timeout_ = engine_.schedule_in(
+      cfg_.switch_timeout_s, [this, needed, generation] {
+        on_serverless_switch_timeout(needed, generation);
+      });
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    tr.begin(tr.track("svc:" + service + "/control"), "prewarm",
+    tr.begin(tr.track("svc:" + profile_.name + "/control"), "prewarm",
              engine_.now(), kSwitchCat,
              {obs::TraceArg::of("needed", static_cast<double>(needed))});
   }
-  serverless_.prewarm(service, needed);
-  poll_prewarm(service, needed, generation, /*shortfalls=*/0);
+  serverless_.prewarm(profile_.name, needed);
+  poll_prewarm(needed, generation, /*shortfalls=*/0);
 }
 
-void HybridExecutionEngine::on_vm_ready(const std::string& service,
-                                        std::uint64_t generation) {
-  ServiceState& st = state_of(service);
-  if (st.switch_generation != generation || !st.switching) {
+void HybridExecutionEngine::on_vm_ready(std::uint64_t generation) {
+  if (switch_generation_ != generation || !switching_) {
     // Stale ack: the switch aborted while this boot was still in flight.
     // Defensively put the VM back down (the abort path already stopped a
     // kBooting VM, so this is belt-and-braces for future boot semantics).
-    iaas_.drain_and_stop(service);
+    iaas_.drain_and_stop(profile_.name);
     return;
   }
-  st.route = DeployMode::kIaas;
+  route_ = DeployMode::kIaas;
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    tr.end(tr.track("svc:" + service + "/vm"), "vm:boot", engine_.now());
-    const auto track = tr.track("svc:" + service + "/control");
+    tr.end(tr.track("svc:" + profile_.name + "/vm"), "vm:boot",
+           engine_.now());
+    const auto track = tr.track("svc:" + profile_.name + "/control");
     tr.instant(track, "ack", engine_.now(), kSwitchCat);
     tr.instant(track, "route_flip", engine_.now(), kSwitchCat);
   }
-  flush_boot_buffer(service);
+  flush_boot_buffer();
   // Shutdown signal S_sd: reclaim the containers once their in-flight
   // queries complete.
-  serverless_.retire(service);
+  serverless_.retire(profile_.name);
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    const auto track = tr.track("svc:" + service + "/control");
+    const auto track = tr.track("svc:" + profile_.name + "/control");
     tr.instant(track, "release:containers", engine_.now(), kSwitchCat);
     tr.end(track, "switch:to_iaas", engine_.now(),
            {obs::TraceArg::of("completed", 1.0)});
   }
-  count_switch(service, "iaas", "completed");
-  switch_events_.push_back(
-      {engine_.now(), service, DeployMode::kIaas, st.switch_load_qps});
-  finish_switch(st, true);
+  count_switch("iaas", "completed");
+  switch_events_.push_back({engine_.now(), DeployMode::kIaas, switch_load_qps_});
+  finish_switch(true);
 }
 
-void HybridExecutionEngine::on_vm_boot_failed(const std::string& service,
-                                              std::uint64_t generation,
+void HybridExecutionEngine::on_vm_boot_failed(std::uint64_t generation,
                                               int attempt) {
-  ServiceState& st = state_of(service);
-  if (st.switch_generation != generation || !st.switching) return;
+  if (switch_generation_ != generation || !switching_) return;
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    tr.end(tr.track("svc:" + service + "/vm"), "vm:boot", engine_.now(),
+    tr.end(tr.track("svc:" + profile_.name + "/vm"), "vm:boot", engine_.now(),
            {obs::TraceArg::of("completed", 0.0)});
   }
   if (obs_ != nullptr && obs_->metrics_on()) {
     obs_->metrics()
-        .counter("vm_boot_failures", {{"service", service}})
+        .counter("vm_boot_failures", {{"service", profile_.name}})
         .inc();
   }
   if (attempt + 1 >= cfg_.switch_max_retries) {
-    abort_to_iaas(service);
+    abort_to_iaas();
     return;
   }
   ++switch_retries_;
   if (trace_on()) {
     obs_->tracer().instant(
-        obs_->tracer().track("svc:" + service + "/control"), "boot_retry",
-        engine_.now(), kSwitchCat,
+        obs_->tracer().track("svc:" + profile_.name + "/control"),
+        "boot_retry", engine_.now(), kSwitchCat,
         {obs::TraceArg::of("attempt", static_cast<double>(attempt + 1))});
   }
   if (obs_ != nullptr && obs_->metrics_on()) {
     obs_->metrics()
-        .counter("switch_retries", {{"service", service}, {"to", "iaas"}})
+        .counter("switch_retries", {{"service", profile_.name}, {"to", "iaas"}})
         .inc();
   }
   const double delay =
       cfg_.prewarm_poll_s * std::pow(cfg_.switch_retry_backoff, attempt);
-  engine_.schedule_in(delay, [this, service, generation, attempt] {
-    start_vm_boot(service, generation, attempt + 1);
+  engine_.schedule_in(delay, [this, generation, attempt] {
+    start_vm_boot(generation, attempt + 1);
   });
 }
 
-void HybridExecutionEngine::start_vm_boot(const std::string& service,
-                                          std::uint64_t generation,
+void HybridExecutionEngine::start_vm_boot(std::uint64_t generation,
                                           int attempt) {
-  ServiceState& st = state_of(service);
-  if (st.switch_generation != generation || !st.switching) return;
+  if (switch_generation_ != generation || !switching_) return;
   iaas_.boot(
-      service, [this, service, generation] { on_vm_ready(service, generation); },
-      [this, service, generation, attempt] {
-        on_vm_boot_failed(service, generation, attempt);
-      });
+      profile_.name, [this, generation] { on_vm_ready(generation); },
+      [this, generation, attempt] { on_vm_boot_failed(generation, attempt); });
   // Emitted after iaas_.boot so a cancelled drain's "vm:drain" end (fired
   // inline by boot()) lands before this begin — sync spans per track are a
   // stack and must stay balanced.
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    tr.begin(tr.track("svc:" + service + "/vm"), "vm:boot", engine_.now(),
-             kSwitchCat,
+    tr.begin(tr.track("svc:" + profile_.name + "/vm"), "vm:boot",
+             engine_.now(), kSwitchCat,
              {obs::TraceArg::of("attempt", static_cast<double>(attempt))});
   }
 }
 
-void HybridExecutionEngine::abort_to_iaas(const std::string& service) {
-  ServiceState& st = state_of(service);
+void HybridExecutionEngine::abort_to_iaas() {
   // Supersede pending boots/retries, then stand down: the service stays on
   // serverless (its containers keep serving) and the controller re-decides
   // after the cooldown.
-  ++st.switch_generation;
-  const bool booting = iaas_.state(service) == iaas::VmState::kBooting;
+  ++switch_generation_;
+  const bool booting = iaas_.state(profile_.name) == iaas::VmState::kBooting;
   if (booting) {
-    iaas_.drain_and_stop(service);  // aborts the in-flight boot outright
+    iaas_.drain_and_stop(profile_.name);  // aborts the in-flight boot outright
     if (trace_on()) {
       obs::Tracer& tr = obs_->tracer();
-      tr.end(tr.track("svc:" + service + "/vm"), "vm:boot", engine_.now(),
-             {obs::TraceArg::of("completed", 0.0)});
+      tr.end(tr.track("svc:" + profile_.name + "/vm"), "vm:boot",
+             engine_.now(), {obs::TraceArg::of("completed", 0.0)});
     }
   }
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    const auto track = tr.track("svc:" + service + "/control");
+    const auto track = tr.track("svc:" + profile_.name + "/control");
     tr.instant(track, "switch_abort", engine_.now(), kSwitchCat);
     tr.end(track, "switch:to_iaas", engine_.now(),
            {obs::TraceArg::of("completed", 0.0)});
   }
-  count_switch(service, "iaas", "aborted");
-  finish_switch(st, false);
+  count_switch("iaas", "aborted");
+  finish_switch(false);
 }
 
 void HybridExecutionEngine::switch_to_iaas(
-    const std::string& service, double load_qps,
-    std::function<void(bool)> on_complete) {
+    double load_qps, std::function<void(bool)> on_complete) {
   AMOEBA_EXPECTS(on_complete != nullptr);
-  ServiceState& st = state_of(service);
-  AMOEBA_EXPECTS_MSG(!st.switching, "switch already in progress");
-  AMOEBA_EXPECTS_MSG(st.route == DeployMode::kServerless, "already on IaaS");
-  st.switching = true;
-  const std::uint64_t generation = ++st.switch_generation;
-  st.switch_load_qps = load_qps;
-  st.switch_done = std::move(on_complete);
-  count_switch(service, "iaas", "started");
+  AMOEBA_EXPECTS_MSG(!switching_, "switch already in progress");
+  AMOEBA_EXPECTS_MSG(route_ == DeployMode::kServerless, "already on IaaS");
+  switching_ = true;
+  const std::uint64_t generation = ++switch_generation_;
+  switch_load_qps_ = load_qps;
+  switch_done_ = std::move(on_complete);
+  count_switch("iaas", "started");
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
-    tr.begin(tr.track("svc:" + service + "/control"), "switch:to_iaas",
+    tr.begin(tr.track("svc:" + profile_.name + "/control"), "switch:to_iaas",
              engine_.now(), kSwitchCat,
              {obs::TraceArg::of("load_qps", load_qps)});
   }
   // Boot first, then arm the timeout: a boot completing exactly at the
   // deadline was scheduled earlier and so fires first (FIFO tie-break),
   // letting an on-budget switch win the tie and cancel the timeout.
-  start_vm_boot(service, generation, /*attempt=*/0);
-  st.switch_timeout = engine_.schedule_in(
-      cfg_.switch_timeout_s, [this, service, generation] {
-        ServiceState& s = state_of(service);
-        if (s.switch_generation != generation || !s.switching) return;
-        s.switch_timeout = sim::kNoEvent;  // we are the timeout event
-        abort_to_iaas(service);
+  start_vm_boot(generation, /*attempt=*/0);
+  switch_timeout_ =
+      engine_.schedule_in(cfg_.switch_timeout_s, [this, generation] {
+        if (switch_generation_ != generation || !switching_) return;
+        switch_timeout_ = sim::kNoEvent;  // we are the timeout event
+        abort_to_iaas();
       });
 }
 

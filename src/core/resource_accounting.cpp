@@ -6,30 +6,18 @@
 
 namespace amoeba::core {
 
-ServiceUsage ResourceAccountant::iaas_usage(const std::string& service,
-                                            double now) {
+ServiceUsage service_usage(serverless::ServerlessPlatform& serverless,
+                           iaas::IaasPlatform& iaas,
+                           const std::string& service, double now) {
   ServiceUsage u;
-  if (iaas_.has_service(service)) {
-    u.cpu_core_seconds = iaas_.rented_core_seconds(service, now);
-    u.memory_mb_seconds = iaas_.rented_memory_mb_seconds(service, now);
+  if (iaas.has_service(service)) {
+    u.cpu_core_seconds = iaas.rented_core_seconds(service, now);
+    u.memory_mb_seconds = iaas.rented_memory_mb_seconds(service, now);
   }
-  return u;
-}
-
-ServiceUsage ResourceAccountant::serverless_usage(const std::string& service,
-                                                  double now) {
-  ServiceUsage u;
-  if (serverless_.has_function(service)) {
-    u.cpu_core_seconds = serverless_.cpu_core_seconds(service);
-    u.memory_mb_seconds = serverless_.memory_mb_seconds(service, now);
+  if (serverless.has_function(service)) {
+    u += {serverless.cpu_core_seconds(service),
+          serverless.memory_mb_seconds(service, now)};
   }
-  return u;
-}
-
-ServiceUsage ResourceAccountant::usage(const std::string& service,
-                                       double now) {
-  ServiceUsage u = iaas_usage(service, now);
-  u += serverless_usage(service, now);
   return u;
 }
 

@@ -26,27 +26,12 @@ struct ServiceUsage {
   }
 };
 
-class ResourceAccountant {
- public:
-  ResourceAccountant(serverless::ServerlessPlatform& serverless,
-                     iaas::IaasPlatform& iaas)
-      : serverless_(serverless), iaas_(iaas) {}
-
-  /// Combined usage of a service across both platforms through `now`.
-  [[nodiscard]] ServiceUsage usage(const std::string& service, double now);
-
-  /// The IaaS-rented share only (what pure Nameko would cost).
-  [[nodiscard]] ServiceUsage iaas_usage(const std::string& service,
-                                        double now);
-
-  /// The serverless share only.
-  [[nodiscard]] ServiceUsage serverless_usage(const std::string& service,
-                                              double now);
-
- private:
-  serverless::ServerlessPlatform& serverless_;
-  iaas::IaasPlatform& iaas_;
-};
+/// Combined usage of a service across both platforms through `now`: the
+/// VM it rents plus what its containers consumed. A platform the service
+/// never registered on adds zero.
+[[nodiscard]] ServiceUsage service_usage(
+    serverless::ServerlessPlatform& serverless, iaas::IaasPlatform& iaas,
+    const std::string& service, double now);
 
 /// Shared-pool admission arbitration: split a node-wide container budget
 /// across services asking for `asks[i]` containers each (their per-service

@@ -226,21 +226,18 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
           opt.amoeba.has_value()
               ? *opt.amoeba
               : default_amoeba_config(system, opt.timeline_period_s);
-      if (!opt.amoeba.has_value()) {
-        cfg.timeline_period_s = opt.timeline_period_s;
-      }
       if (opt.observer != nullptr) cfg.observer = opt.observer;
       cfg.fault_injector = node.faults.get();
-      runtime = std::make_unique<core::AmoebaRuntime>(
-          engine, sp, ip, calibration, cfg, node.rng.fork(3));
       const auto vm_spec = just_enough_vm(foreground, cluster);
       const int n_max = std::max(
           1, static_cast<int>(std::ceil(vm_spec.cores *
                                         opt.n_max_core_factor)));
-      runtime->add_service(foreground, vm_spec, artifacts, n_max);
+      runtime = std::make_unique<core::AmoebaRuntime>(
+          engine, sp, ip, calibration, foreground, vm_spec, artifacts, n_max,
+          cfg, node.rng.fork(3));
       runtime->start();
-      fg_arrival = [rt = runtime.get(), fg_name, fg_observer] {
-        rt->submit(fg_name, fg_observer);
+      fg_arrival = [rt = runtime.get(), fg_observer] {
+        rt->submit(fg_observer);
       };
       break;
     }
@@ -269,25 +266,12 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   }
   result.queries = recorder.count(fg_name);
 
-  switch (system) {
-    case DeploySystem::kNameko:
-      result.usage.cpu_core_seconds = ip.rented_core_seconds(fg_name, duration);
-      result.usage.memory_mb_seconds =
-          ip.rented_memory_mb_seconds(fg_name, duration);
-      break;
-    case DeploySystem::kOpenWhisk:
-      result.usage.cpu_core_seconds = sp.cpu_core_seconds(fg_name);
-      result.usage.memory_mb_seconds = sp.memory_mb_seconds(fg_name, duration);
-      break;
-    default:
-      result.usage = runtime->accountant().usage(fg_name, duration);
-      result.switches = runtime->switch_events();
-      result.switch_aborts = runtime->execution_engine().switch_aborts();
-      result.switch_retries = runtime->execution_engine().switch_retries();
-      if (runtime->timeline_period() > 0.0) {
-        result.timeline = runtime->timeline(fg_name);
-      }
-      break;
+  result.usage = core::service_usage(sp, ip, fg_name, duration);
+  if (runtime) {
+    result.switches = runtime->switch_events();
+    result.switch_aborts = runtime->execution_engine().switch_aborts();
+    result.switch_retries = runtime->execution_engine().switch_retries();
+    if (runtime->timeline_period() > 0.0) result.timeline = runtime->timeline();
   }
   node.finish(result);
   return result;

@@ -49,7 +49,6 @@ core::AmoebaConfig stage_config(const SharedNodeOptions& opt,
       cfg.controller.to_serverless_margin = 1.0;
       cfg.controller.to_iaas_margin = 1.5;
       cfg.controller.observed_violation_fraction = 1e9;
-      cfg.controller.co_tenant_check = false;
       break;
   }
   return cfg;
@@ -118,10 +117,9 @@ struct QueryRouter {
   void enter(std::size_t f, std::uint64_t id, int s) {
     const std::size_t si = first_stage[f] + static_cast<std::size_t>(s);
     ++run.stages[si].submitted;
-    runtimes[si]->submit(run.stages[si].name,
-                         [this, f, id, s](const workload::QueryRecord& rec) {
-                           on_stage_done(f, id, s, rec);
-                         });
+    runtimes[si]->submit([this, f, id, s](const workload::QueryRecord& rec) {
+      on_stage_done(f, id, s, rec);
+    });
   }
 
   void on_stage_done(std::size_t f, std::uint64_t id, int s,
@@ -309,10 +307,9 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
       cfg.fault_injector = node.faults.get();
       run.stages[si].n_max_granted = grants[si];
       auto runtime = std::make_unique<core::AmoebaRuntime>(
-          engine, node.sp, node.ip, calibration, cfg,
+          engine, node.sp, node.ip, calibration, profiles[si], vm_specs[si],
+          *fs.artifacts, grants[si], cfg,
           node.rng.fork(1000 + static_cast<std::uint64_t>(si)));
-      runtime->add_service(profiles[si], vm_specs[si], *fs.artifacts,
-                           grants[si]);
       runtime->start();
       runtimes.push_back(std::move(runtime));
     }
@@ -348,7 +345,7 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
             std::clamp(b[static_cast<std::size_t>(k)], floors[si],
                        flows[f].e2e_qos_target_s);
         if (target != run.stages[si].final_budget_s) {
-          runtimes[si]->set_qos_target(run.stages[si].name, target);
+          runtimes[si]->set_qos_target(target);
           run.stages[si].final_budget_s = target;
         }
       }
@@ -395,12 +392,8 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   for (std::size_t si = 0; si < n; ++si) {
     StageRun& st = run.stages[si];
     core::AmoebaRuntime& rt = *runtimes[si];
-    st.usage = rt.accountant().usage(st.name, duration);
-    // switch_events() spans the whole runtime, but each runtime manages
-    // exactly one service here, so the filter is a formality.
-    for (const auto& sw : rt.switch_events()) {
-      if (sw.service == st.name) st.switches.push_back(sw);
-    }
+    st.usage = rt.usage(duration);
+    st.switches = rt.switch_events();
     st.switch_aborts = rt.execution_engine().switch_aborts();
     st.switch_retries = rt.execution_engine().switch_retries();
     st.prewarm_denied = node.sp.stats(st.name).prewarm_denied;

@@ -106,23 +106,22 @@ struct Fixture {
                    int max_containers = 0)
       : sp(engine, sp_config(), sim::Rng(1)),
         ip(engine, ip_config(), sim::Rng(2)),
-        runtime(engine, sp, ip, synthetic_calibration(), cfg, sim::Rng(3)) {
-    runtime.add_service(service(), vm_spec(), artifacts(), max_containers);
-  }
+        runtime(engine, sp, ip, synthetic_calibration(), service(), vm_spec(),
+                artifacts(), max_containers, cfg, sim::Rng(3)) {}
 };
 
 TEST(AmoebaRuntime, LowLoadSwitchesToServerless) {
   Fixture f;
   f.runtime.start();
   workload::ConstantLoadGenerator gen(f.engine, sim::Rng(4), 4.0, [&] {
-    f.runtime.submit("svc", [](const workload::QueryRecord&) {});
+    f.runtime.submit([](const workload::QueryRecord&) {});
   });
   gen.start();
   f.engine.run_until(60.0);
   gen.stop();
   f.runtime.stop();
 
-  EXPECT_EQ(f.runtime.controller().mode("svc"), DeployMode::kServerless);
+  EXPECT_EQ(f.runtime.controller().mode(), DeployMode::kServerless);
   ASSERT_GE(f.runtime.switch_events().size(), 1u);
   EXPECT_EQ(f.runtime.switch_events()[0].to, DeployMode::kServerless);
   // IaaS resources were released after the switch.
@@ -135,14 +134,14 @@ TEST(AmoebaRuntime, HighLoadStaysOnIaas) {
   Fixture f(runtime_config(), /*max_containers=*/4);
   f.runtime.start();
   workload::ConstantLoadGenerator gen(f.engine, sim::Rng(5), 80.0, [&] {
-    f.runtime.submit("svc", [](const workload::QueryRecord&) {});
+    f.runtime.submit([](const workload::QueryRecord&) {});
   });
   gen.start();
   f.engine.run_until(60.0);
   gen.stop();
   f.runtime.stop();
 
-  EXPECT_EQ(f.runtime.controller().mode("svc"), DeployMode::kIaas);
+  EXPECT_EQ(f.runtime.controller().mode(), DeployMode::kIaas);
   EXPECT_TRUE(f.runtime.switch_events().empty());
 }
 
@@ -151,7 +150,7 @@ TEST(AmoebaRuntime, LoadSwingSwitchesThereAndBack) {
   f.runtime.start();
   auto gen = std::make_unique<workload::ConstantLoadGenerator>(
       f.engine, sim::Rng(6), 4.0, [&] {
-        f.runtime.submit("svc", [](const workload::QueryRecord&) {});
+        f.runtime.submit([](const workload::QueryRecord&) {});
       });
   gen->start();
   // Low load until t=60, then a surge far beyond 4 containers' capacity.
@@ -164,7 +163,7 @@ TEST(AmoebaRuntime, LoadSwingSwitchesThereAndBack) {
   ASSERT_GE(events.size(), 2u);
   EXPECT_EQ(events[0].to, DeployMode::kServerless);
   EXPECT_EQ(events[1].to, DeployMode::kIaas);
-  EXPECT_EQ(f.runtime.controller().mode("svc"), DeployMode::kIaas);
+  EXPECT_EQ(f.runtime.controller().mode(), DeployMode::kIaas);
   EXPECT_TRUE(f.ip.is_running("svc"));
 }
 
@@ -185,7 +184,7 @@ TEST(AmoebaRuntime, QosHeldAcrossTheSwing) {
   };
   workload::PoissonLoadGenerator gen(
       f.engine, sim::Rng(7), rate_fn, 45.0, [&] {
-        f.runtime.submit("svc", [&](const workload::QueryRecord& r) {
+        f.runtime.submit([&](const workload::QueryRecord& r) {
           if (r.arrival > 10.0) latencies.add(r.latency());
         });
       });
@@ -202,14 +201,14 @@ TEST(AmoebaRuntime, MirroredHeartbeatsCalibrateEstimator) {
   Fixture f;
   f.runtime.start();
   workload::ConstantLoadGenerator gen(f.engine, sim::Rng(8), 20.0, [&] {
-    f.runtime.submit("svc", [](const workload::QueryRecord&) {});
+    f.runtime.submit([](const workload::QueryRecord&) {});
   });
   gen.start();
   f.engine.run_until(30.0);
   gen.stop();
   f.runtime.stop();
   // 10% of ~600 queries mirrored -> plenty of heartbeat samples.
-  EXPECT_GE(f.runtime.controller().estimator("svc").samples(), 24u);
+  EXPECT_GE(f.runtime.controller().estimator().samples(), 24u);
 }
 
 TEST(AmoebaRuntime, TimelineSamplingRecordsModeAndUsage) {
@@ -218,14 +217,14 @@ TEST(AmoebaRuntime, TimelineSamplingRecordsModeAndUsage) {
   Fixture f(cfg);
   f.runtime.start();
   workload::ConstantLoadGenerator gen(f.engine, sim::Rng(9), 4.0, [&] {
-    f.runtime.submit("svc", [](const workload::QueryRecord&) {});
+    f.runtime.submit([](const workload::QueryRecord&) {});
   });
   gen.start();
   f.engine.run_until(40.0);
   gen.stop();
   f.runtime.stop();
 
-  const auto& tl = f.runtime.timeline("svc");
+  const auto& tl = f.runtime.timeline();
   EXPECT_GE(tl.mode.size(), 35u);
   EXPECT_DOUBLE_EQ(tl.mode.points().front().value, 0.0);  // started IaaS
   EXPECT_DOUBLE_EQ(tl.mode.points().back().value, 1.0);   // ended serverless
@@ -244,7 +243,7 @@ TEST(AmoebaRuntime, TimelinePeriodDefaultsToMonitorSamplePeriod) {
     f.engine.run_until(21.0);
     f.runtime.stop();
     // One sample per monitor period (the t=0 sample precedes start()).
-    EXPECT_GE(f.runtime.timeline("svc").mode.size(), 10u);
+    EXPECT_GE(f.runtime.timeline().mode.size(), 10u);
   }
   {
     auto cfg = runtime_config();
@@ -254,7 +253,7 @@ TEST(AmoebaRuntime, TimelinePeriodDefaultsToMonitorSamplePeriod) {
     f.runtime.start();
     f.engine.run_until(21.0);
     f.runtime.stop();
-    EXPECT_EQ(f.runtime.timeline("svc").mode.size(), 0u);
+    EXPECT_EQ(f.runtime.timeline().mode.size(), 0u);
   }
   {
     auto cfg = runtime_config();
@@ -272,7 +271,7 @@ TEST(AmoebaRuntime, ObservabilityRecordsDecisionsAndSpans) {
   f.runtime.start();
   auto gen = std::make_unique<workload::ConstantLoadGenerator>(
       f.engine, sim::Rng(6), 4.0, [&] {
-        f.runtime.submit("svc", [](const workload::QueryRecord&) {});
+        f.runtime.submit([](const workload::QueryRecord&) {});
       });
   gen->start();
   f.engine.schedule(60.0, [&] { gen->set_rate(80.0); });  // force a swing
@@ -339,22 +338,12 @@ TEST(AmoebaRuntime, MeasuredLoadTracksGenerator) {
   Fixture f;
   f.runtime.start();
   workload::ConstantLoadGenerator gen(f.engine, sim::Rng(10), 12.0, [&] {
-    f.runtime.submit("svc", [](const workload::QueryRecord&) {});
+    f.runtime.submit([](const workload::QueryRecord&) {});
   });
   gen.start();
   f.engine.run_until(30.0);
-  EXPECT_NEAR(f.runtime.measured_load("svc"), 12.0, 3.0);
+  EXPECT_NEAR(f.runtime.measured_load(), 12.0, 3.0);
   gen.stop();
-  f.runtime.stop();
-}
-
-TEST(AmoebaRuntime, AddServiceAfterStartThrows) {
-  Fixture f;
-  f.runtime.start();
-  auto p = service();
-  p.name = "late";
-  EXPECT_THROW(f.runtime.add_service(p, vm_spec(), artifacts()),
-               ContractError);
   f.runtime.stop();
 }
 

@@ -46,9 +46,8 @@ ServiceTickInput input(double load, double cpu_pressure = 0.0, int n = 32) {
 }
 
 TEST(Controller, EvaluateComputesMuFromSurfaces) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  const auto ev = c.evaluate("svc", 10.0, {0.0, 0.0, 0.0}, 16, false);
+  DeploymentController c(config(), 0.5, artifacts());
+  const auto ev = c.evaluate(10.0, {0.0, 0.0, 0.0}, 16, false);
   // No contention: service time = L0 + (L0-L0)+... = L0 -> mu = 10.
   EXPECT_NEAR(ev.mu, 10.0, 1e-9);
   ASSERT_TRUE(ev.lambda_max.has_value());
@@ -57,10 +56,9 @@ TEST(Controller, EvaluateComputesMuFromSurfaces) {
 }
 
 TEST(Controller, PressureReducesLambdaMax) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts(0.3));
-  const auto calm = c.evaluate("svc", 10.0, {0.0, 0.0, 0.0}, 16, false);
-  const auto loud = c.evaluate("svc", 10.0, {0.9, 0.0, 0.0}, 16, false);
+  DeploymentController c(config(), 0.5, artifacts(0.3));
+  const auto calm = c.evaluate(10.0, {0.0, 0.0, 0.0}, 16, false);
+  const auto loud = c.evaluate(10.0, {0.9, 0.0, 0.0}, 16, false);
   ASSERT_TRUE(calm.lambda_max.has_value());
   ASSERT_TRUE(loud.lambda_max.has_value());
   EXPECT_LT(*loud.lambda_max, *calm.lambda_max);
@@ -68,183 +66,109 @@ TEST(Controller, PressureReducesLambdaMax) {
 }
 
 TEST(Controller, ImpossibleTargetGivesNullLambda) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts(2.0));  // at P=1: service 2.1 s > QoS
-  const auto ev = c.evaluate("svc", 10.0, {1.0, 0.0, 0.0}, 16, false);
+  // At P=1 the service time is 2.1 s, past the 0.5 s QoS target.
+  DeploymentController c(config(), 0.5, artifacts(2.0));
+  const auto ev = c.evaluate(10.0, {1.0, 0.0, 0.0}, 16, false);
   EXPECT_FALSE(ev.lambda_max.has_value());
 }
 
 TEST(Controller, SelfPressureSubtractedWhenResident) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts(0.3, {0.01, 0.0, 0.0}));
+  DeploymentController c(config(), 0.5, artifacts(0.3, {0.01, 0.0, 0.0}));
   // Resident at 20 qps: 0.2 of the measured 0.5 pressure is its own.
-  const auto ev = c.evaluate("svc", 20.0, {0.5, 0.0, 0.0}, 16, true);
+  const auto ev = c.evaluate(20.0, {0.5, 0.0, 0.0}, 16, true);
   EXPECT_NEAR(ev.external_pressures[kCpuDim], 0.3, 1e-12);
   const auto non_resident =
-      c.evaluate("svc", 20.0, {0.5, 0.0, 0.0}, 16, false);
+      c.evaluate(20.0, {0.5, 0.0, 0.0}, 16, false);
   EXPECT_NEAR(non_resident.external_pressures[kCpuDim], 0.5, 1e-12);
 }
 
 TEST(Controller, HysteresisDelaysSwitchToServerless) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  EXPECT_EQ(c.mode("svc"), DeployMode::kIaas);
-  EXPECT_EQ(c.tick("svc", input(5.0)), SwitchDecision::kStay);  // vote 1
-  EXPECT_EQ(c.tick("svc", input(5.0)), SwitchDecision::kSwitchToServerless);
+  DeploymentController c(config(), 0.5, artifacts());
+  EXPECT_EQ(c.mode(), DeployMode::kIaas);
+  EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kStay);  // vote 1
+  EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kSwitchToServerless);
 }
 
 TEST(Controller, VoteResetOnContradictingTick) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  EXPECT_EQ(c.tick("svc", input(5.0)), SwitchDecision::kStay);
+  DeploymentController c(config(), 0.5, artifacts());
+  EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kStay);
   // Load spike interrupts the streak (λmax with n=32, μ=10 is ~300).
-  EXPECT_EQ(c.tick("svc", input(500.0)), SwitchDecision::kStay);
-  EXPECT_EQ(c.tick("svc", input(5.0)), SwitchDecision::kStay);  // vote 1 again
-  EXPECT_EQ(c.tick("svc", input(5.0)), SwitchDecision::kSwitchToServerless);
+  EXPECT_EQ(c.tick(input(500.0)), SwitchDecision::kStay);
+  EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kStay);  // vote 1 again
+  EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kSwitchToServerless);
 }
 
 TEST(Controller, SwitchBackWhenOverloaded) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  c.set_mode("svc", DeployMode::kServerless);
+  DeploymentController c(config(), 0.5, artifacts());
+  c.set_mode(DeployMode::kServerless);
   // n = 4 containers, mu = 10: λmax < 40; load 60 overloads.
-  EXPECT_EQ(c.tick("svc", input(60.0, 0.0, 4)), SwitchDecision::kStay);
-  EXPECT_EQ(c.tick("svc", input(60.0, 0.0, 4)), SwitchDecision::kSwitchToIaas);
+  EXPECT_EQ(c.tick(input(60.0, 0.0, 4)), SwitchDecision::kStay);
+  EXPECT_EQ(c.tick(input(60.0, 0.0, 4)), SwitchDecision::kSwitchToIaas);
 }
 
 TEST(Controller, ForecastLoadTriggersEarlySwitchBack) {
   // The measured load is still safe, but the forecast (load extrapolated
   // over hysteresis + VM boot) crosses the exit margin: the controller
   // must start the switch back before the pool saturates.
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  c.set_mode("svc", DeployMode::kServerless);
+  DeploymentController c(config(), 0.5, artifacts());
+  c.set_mode(DeployMode::kServerless);
   auto in = input(20.0, 0.0, 4);  // λmax ≈ 36 with n=4, μ=10
   in.forecast_load_qps = 60.0;
-  EXPECT_EQ(c.tick("svc", in), SwitchDecision::kStay);
-  EXPECT_EQ(c.tick("svc", in), SwitchDecision::kSwitchToIaas);
+  EXPECT_EQ(c.tick(in), SwitchDecision::kStay);
+  EXPECT_EQ(c.tick(in), SwitchDecision::kSwitchToIaas);
 }
 
 TEST(Controller, ForecastBelowLoadIsIgnored) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  c.set_mode("svc", DeployMode::kServerless);
+  DeploymentController c(config(), 0.5, artifacts());
+  c.set_mode(DeployMode::kServerless);
   auto in = input(20.0, 0.0, 4);
   in.forecast_load_qps = 1.0;  // stale/zero forecast must not mask the load
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(c.tick("svc", in), SwitchDecision::kStay);
+    EXPECT_EQ(c.tick(in), SwitchDecision::kStay);
   }
 }
 
 TEST(Controller, ObservedViolationBackstopTriggersSwitch) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  c.set_mode("svc", DeployMode::kServerless);
+  DeploymentController c(config(), 0.5, artifacts());
+  c.set_mode(DeployMode::kServerless);
   auto in = input(5.0);  // model says fine
   in.observed_p95 = 0.6; // reality disagrees
-  EXPECT_EQ(c.tick("svc", in), SwitchDecision::kStay);
-  EXPECT_EQ(c.tick("svc", in), SwitchDecision::kSwitchToIaas);
+  EXPECT_EQ(c.tick(in), SwitchDecision::kStay);
+  EXPECT_EQ(c.tick(in), SwitchDecision::kSwitchToIaas);
 }
 
 TEST(Controller, StableLoadOnServerlessStays) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  c.set_mode("svc", DeployMode::kServerless);
+  DeploymentController c(config(), 0.5, artifacts());
+  c.set_mode(DeployMode::kServerless);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(c.tick("svc", input(5.0)), SwitchDecision::kStay);
+    EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kStay);
   }
-}
-
-TEST(Controller, CoTenantCheckBlocksHarmfulSwitchIn) {
-  DeploymentController c(config());
-  // Resident service: runs on serverless near its capacity limit and is
-  // highly pressure-sensitive.
-  c.add_service("resident", 0.22, artifacts(1.0));
-  c.set_mode("resident", DeployMode::kServerless);
-  // Candidate with a big CPU footprint.
-  c.add_service("candidate", 0.5, artifacts(0.2, {0.02, 0.0, 0.0}));
-
-  // Prime the resident's cached input: at pressure 0.3, its service time
-  // is 0.1 + 0.3 = 0.4... choose numbers where resident is just safe now.
-  auto resident_in = input(20.0, 0.3, 8);
-  (void)c.tick("resident", resident_in);
-
-  // Candidate at 30 qps would add 0.6 pressure: resident's service time
-  // would exceed its own 0.22 s QoS -> switch must be blocked.
-  auto cand_in = input(30.0, 0.3, 32);
-  EXPECT_EQ(c.tick("candidate", cand_in), SwitchDecision::kStay);
-  EXPECT_EQ(c.tick("candidate", cand_in), SwitchDecision::kStay);
-  EXPECT_EQ(c.tick("candidate", cand_in), SwitchDecision::kStay);
-  EXPECT_EQ(c.mode("candidate"), DeployMode::kIaas);
-}
-
-TEST(Controller, CoTenantCheckAllowsHarmlessSwitchIn) {
-  DeploymentController c(config());
-  c.add_service("resident", 5.0, artifacts(0.1));
-  c.set_mode("resident", DeployMode::kServerless);
-  (void)c.tick("resident", input(2.0, 0.1, 8));
-
-  c.add_service("candidate", 0.5, artifacts(0.2, {0.001, 0.0, 0.0}));
-  auto in = input(5.0, 0.1, 32);
-  (void)c.tick("candidate", in);
-  EXPECT_EQ(c.tick("candidate", in), SwitchDecision::kSwitchToServerless);
-}
-
-TEST(Controller, CoTenantCheckCanBeDisabled) {
-  auto cfg = config();
-  cfg.co_tenant_check = false;
-  DeploymentController c(cfg);
-  c.add_service("resident", 0.22, artifacts(1.0));
-  c.set_mode("resident", DeployMode::kServerless);
-  (void)c.tick("resident", input(20.0, 0.3, 8));
-  c.add_service("candidate", 0.5, artifacts(0.2, {0.02, 0.0, 0.0}));
-  auto in = input(30.0, 0.3, 32);
-  (void)c.tick("candidate", in);
-  EXPECT_EQ(c.tick("candidate", in), SwitchDecision::kSwitchToServerless);
 }
 
 TEST(Controller, ObserveLatencyFeedsEstimator) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
+  DeploymentController c(config(), 0.5, artifacts());
   for (int i = 0; i < 50; ++i) {
-    c.observe_latency("svc", 5.0, {0.2 + 0.01 * (i % 5), 0.0, 0.0},
+    c.observe_latency(5.0, {0.2 + 0.01 * (i % 5), 0.0, 0.0},
                       0.1 + 0.002 * (i % 7));
   }
-  EXPECT_GE(c.estimator("svc").samples(), 50u);
-  EXPECT_TRUE(c.estimator("svc").calibrated());
+  EXPECT_GE(c.estimator().samples(), 50u);
+  EXPECT_TRUE(c.estimator().calibrated());
 }
 
 TEST(Controller, SetModeResetsVotes) {
-  DeploymentController c(config());
-  c.add_service("svc", 0.5, artifacts());
-  (void)c.tick("svc", input(5.0));  // vote 1 toward serverless
-  c.set_mode("svc", DeployMode::kServerless);
-  c.set_mode("svc", DeployMode::kIaas);
+  DeploymentController c(config(), 0.5, artifacts());
+  (void)c.tick(input(5.0));  // vote 1 toward serverless
+  c.set_mode(DeployMode::kServerless);
+  c.set_mode(DeployMode::kIaas);
   // Streak must restart.
-  EXPECT_EQ(c.tick("svc", input(5.0)), SwitchDecision::kStay);
-  EXPECT_EQ(c.tick("svc", input(5.0)), SwitchDecision::kSwitchToServerless);
-}
-
-TEST(Controller, UnknownAndDuplicateServices) {
-  DeploymentController c(config());
-  EXPECT_THROW((void)c.mode("ghost"), ContractError);
-  EXPECT_THROW((void)c.tick("ghost", input(1.0)), ContractError);
-  c.add_service("svc", 0.5, artifacts());
-  EXPECT_THROW(c.add_service("svc", 0.5, artifacts()), ContractError);
+  EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kStay);
+  EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kSwitchToServerless);
 }
 
 TEST(Controller, IncompleteArtifactsRejected) {
-  DeploymentController c(config());
   ServiceArtifacts bad;
   bad.solo_latency_s = 0.1;
-  EXPECT_THROW(c.add_service("svc", 0.5, bad), ContractError);
-}
-
-TEST(Controller, ServicesListsRegistrations) {
-  DeploymentController c(config());
-  c.add_service("a", 0.5, artifacts());
-  c.add_service("b", 0.5, artifacts());
-  EXPECT_EQ(c.services(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_THROW(DeploymentController(config(), 0.5, bad), ContractError);
 }
 
 }  // namespace

@@ -54,20 +54,21 @@ struct Fixture {
   iaas::IaasPlatform ip;
   HybridExecutionEngine hx;
 
-  explicit Fixture(HybridEngineConfig cfg = {}, double pool_mb = 4096.0)
+  explicit Fixture(HybridEngineConfig cfg = {}, double pool_mb = 4096.0,
+                   int max_containers = 0)
       : sp(engine, sp_config(pool_mb), sim::Rng(1)),
         ip(engine, ip_config(), sim::Rng(2)),
-        hx(engine, sp, ip, cfg, sim::Rng(3)) {}
+        hx(engine, sp, ip, service(), vm_spec(), max_containers, cfg,
+           sim::Rng(3), /*observer=*/nullptr) {}
 };
 
 TEST(HybridEngine, StartsOnIaasAndBuffersUntilBoot) {
   Fixture f;
-  f.hx.add_service(service(), vm_spec());
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kIaas);
+  EXPECT_EQ(f.hx.route(), DeployMode::kIaas);
   int done = 0;
   // Submit before the VM is ready (boot takes 5 s).
   f.engine.schedule(1.0, [&] {
-    f.hx.submit("svc", [&](const workload::QueryRecord&) { ++done; });
+    f.hx.submit([&](const workload::QueryRecord&) { ++done; });
   });
   f.engine.run_until(3.0);
   EXPECT_EQ(done, 0);  // buffered
@@ -79,17 +80,12 @@ TEST(HybridEngine, MirrorsConfiguredFractionToServerless) {
   HybridEngineConfig cfg;
   cfg.mirror_fraction = 0.5;
   Fixture f(cfg);
-  f.hx.add_service(service(), vm_spec());
   int mirrored = 0;
-  f.hx.set_mirror_observer(
-      [&](const std::string& name, const workload::QueryRecord&) {
-        EXPECT_EQ(name, "svc");
-        ++mirrored;
-      });
+  f.hx.set_mirror_observer([&](const workload::QueryRecord&) { ++mirrored; });
   f.engine.run();  // boot
   for (int i = 0; i < 400; ++i) {
     f.engine.schedule_in(0.01 * i, [&] {
-      f.hx.submit("svc", [](const workload::QueryRecord&) {});
+      f.hx.submit([](const workload::QueryRecord&) {});
     });
   }
   f.engine.run();
@@ -101,10 +97,9 @@ TEST(HybridEngine, ZeroMirrorFractionMirrorsNothing) {
   HybridEngineConfig cfg;
   cfg.mirror_fraction = 0.0;
   Fixture f(cfg);
-  f.hx.add_service(service(), vm_spec());
   f.engine.run();
   for (int i = 0; i < 50; ++i) {
-    f.hx.submit("svc", [](const workload::QueryRecord&) {});
+    f.hx.submit([](const workload::QueryRecord&) {});
   }
   f.engine.run();
   EXPECT_EQ(f.hx.mirrored_queries(), 0u);
@@ -112,22 +107,21 @@ TEST(HybridEngine, ZeroMirrorFractionMirrorsNothing) {
 
 TEST(HybridEngine, SwitchToServerlessPrewarmsBeforeFlip) {
   Fixture f;
-  f.hx.add_service(service(), vm_spec());
   f.engine.run();  // boot VM
 
   bool completed = false;
-  f.hx.switch_to_serverless("svc", 10.0, [&](bool ok) {
+  f.hx.switch_to_serverless(10.0, [&](bool ok) {
     EXPECT_TRUE(ok);
     completed = true;
   });
-  EXPECT_TRUE(f.hx.transitioning("svc"));
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kIaas);  // not yet flipped
+  EXPECT_TRUE(f.hx.transitioning());
+  EXPECT_EQ(f.hx.route(), DeployMode::kIaas);  // not yet flipped
   // Eq. 7: n = ceil(10 * 0.5) = 5 containers requested.
   EXPECT_EQ(f.sp.counts("svc").starting, 5);
   f.engine.run();
   EXPECT_TRUE(completed);
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kServerless);
-  EXPECT_FALSE(f.hx.transitioning("svc"));
+  EXPECT_EQ(f.hx.route(), DeployMode::kServerless);
+  EXPECT_FALSE(f.hx.transitioning());
   // The VM was drained and stopped after the flip.
   EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);
   // Switch event logged with the load.
@@ -140,12 +134,11 @@ TEST(HybridEngine, NoPrewarmFlipsImmediately) {
   HybridEngineConfig cfg;
   cfg.enable_prewarm = false;
   Fixture f(cfg);
-  f.hx.add_service(service(), vm_spec());
   f.engine.run();
   bool ok = false;
-  f.hx.switch_to_serverless("svc", 10.0, [&](bool v) { ok = v; });
+  f.hx.switch_to_serverless(10.0, [&](bool v) { ok = v; });
   EXPECT_TRUE(ok);  // synchronous flip
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kServerless);
+  EXPECT_EQ(f.hx.route(), DeployMode::kServerless);
   EXPECT_EQ(f.sp.counts("svc").total(), 0);  // nothing warmed
 }
 
@@ -154,7 +147,6 @@ TEST(HybridEngine, SwitchAbortsOnTimeoutWhenPoolFull) {
   cfg.switch_timeout_s = 3.0;
   // Pool with a single container slot, already hogged by another function.
   Fixture f(cfg, 256.0);
-  f.hx.add_service(service(), vm_spec());
   workload::FunctionProfile hog = service();
   hog.name = "hog";
   hog.exec.cpu_seconds = 1000.0;  // never finishes within the test
@@ -163,30 +155,29 @@ TEST(HybridEngine, SwitchAbortsOnTimeoutWhenPoolFull) {
   f.engine.run_until(6.0);  // VM booted, hog busy in the only slot
 
   bool result = true;
-  f.hx.switch_to_serverless("svc", 10.0, [&](bool ok) { result = ok; });
+  f.hx.switch_to_serverless(10.0, [&](bool ok) { result = ok; });
   f.engine.run_until(12.0);
   EXPECT_FALSE(result);
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kIaas);  // stayed put
-  EXPECT_FALSE(f.hx.transitioning("svc"));
+  EXPECT_EQ(f.hx.route(), DeployMode::kIaas);  // stayed put
+  EXPECT_FALSE(f.hx.transitioning());
 }
 
 TEST(HybridEngine, SwitchBackToIaasBootsThenRetires) {
   Fixture f;
-  f.hx.add_service(service(), vm_spec());
   f.engine.run_until(6.0);  // VM booted
-  f.hx.switch_to_serverless("svc", 4.0, [](bool) {});
+  f.hx.switch_to_serverless(4.0, [](bool) {});
   f.engine.run_until(10.0);  // prewarm done, still inside keep-alive
-  ASSERT_EQ(f.hx.route("svc"), DeployMode::kServerless);
+  ASSERT_EQ(f.hx.route(), DeployMode::kServerless);
   const int warm = f.sp.counts("svc").total();
   EXPECT_GT(warm, 0);
 
   bool ok = false;
-  f.hx.switch_to_iaas("svc", 4.0, [&](bool v) { ok = v; });
-  EXPECT_TRUE(f.hx.transitioning("svc"));
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kServerless);  // until VM ready
+  f.hx.switch_to_iaas(4.0, [&](bool v) { ok = v; });
+  EXPECT_TRUE(f.hx.transitioning());
+  EXPECT_EQ(f.hx.route(), DeployMode::kServerless);  // until VM ready
   f.engine.run_until(20.0);
   EXPECT_TRUE(ok);
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kIaas);
+  EXPECT_EQ(f.hx.route(), DeployMode::kIaas);
   EXPECT_TRUE(f.ip.is_running("svc"));
   // Containers were retired (idle destroyed immediately).
   EXPECT_EQ(f.sp.counts("svc").total(), 0);
@@ -195,12 +186,11 @@ TEST(HybridEngine, SwitchBackToIaasBootsThenRetires) {
 
 TEST(HybridEngine, ServerlessRouteDeliversQueries) {
   Fixture f;
-  f.hx.add_service(service(), vm_spec());
   f.engine.run_until(6.0);
-  f.hx.switch_to_serverless("svc", 4.0, [](bool) {});
+  f.hx.switch_to_serverless(4.0, [](bool) {});
   f.engine.run_until(10.0);
   int done = 0;
-  f.hx.submit("svc", [&](const workload::QueryRecord&) { ++done; });
+  f.hx.submit([&](const workload::QueryRecord&) { ++done; });
   f.engine.run_until(12.0);
   EXPECT_EQ(done, 1);
   EXPECT_EQ(f.sp.stats("svc").completed, 1u);
@@ -208,28 +198,26 @@ TEST(HybridEngine, ServerlessRouteDeliversQueries) {
 
 TEST(HybridEngine, MaintainWarmTopsUpTheWarmSet) {
   Fixture f;
-  f.hx.add_service(service(), vm_spec());
   f.engine.run_until(6.0);
-  f.hx.switch_to_serverless("svc", 2.0, [](bool) {});
+  f.hx.switch_to_serverless(2.0, [](bool) {});
   f.engine.run_until(10.0);
-  ASSERT_EQ(f.hx.route("svc"), DeployMode::kServerless);
+  ASSERT_EQ(f.hx.route(), DeployMode::kServerless);
   const int before = f.sp.counts("svc").total();
   // Load grew: Eq. 7 for 16 qps at 0.5 s QoS wants 8 containers.
-  f.hx.maintain_warm("svc", 16.0);
+  f.hx.maintain_warm(16.0);
   EXPECT_EQ(f.sp.counts("svc").total(), 8);
   EXPECT_GE(8, before);
 }
 
 TEST(HybridEngine, MaintainWarmRespectsCapAndMode) {
-  Fixture f;
-  f.hx.add_service(service(), vm_spec(), /*serverless_max_containers=*/3);
+  Fixture f({}, 4096.0, /*max_containers=*/3);
   f.engine.run_until(6.0);
   // On IaaS: no-op.
-  f.hx.maintain_warm("svc", 16.0);
+  f.hx.maintain_warm(16.0);
   EXPECT_EQ(f.sp.counts("svc").total(), 0);
-  f.hx.switch_to_serverless("svc", 2.0, [](bool) {});
+  f.hx.switch_to_serverless(2.0, [](bool) {});
   f.engine.run_until(10.0);
-  f.hx.maintain_warm("svc", 16.0);
+  f.hx.maintain_warm(16.0);
   EXPECT_EQ(f.sp.counts("svc").total(), 3);  // capped at n_max
 }
 
@@ -237,11 +225,10 @@ TEST(HybridEngine, MaintainWarmNoopWhenPrewarmDisabled) {
   HybridEngineConfig cfg;
   cfg.enable_prewarm = false;
   Fixture f(cfg);
-  f.hx.add_service(service(), vm_spec());
   f.engine.run_until(6.0);
-  f.hx.switch_to_serverless("svc", 2.0, [](bool) {});
+  f.hx.switch_to_serverless(2.0, [](bool) {});
   f.engine.run_until(7.0);
-  f.hx.maintain_warm("svc", 16.0);
+  f.hx.maintain_warm(16.0);
   EXPECT_EQ(f.sp.counts("svc").total(), 0);
 }
 
@@ -249,43 +236,36 @@ TEST(HybridEngine, MirroringFlagGatesShadowTraffic) {
   HybridEngineConfig cfg;
   cfg.mirror_fraction = 1.0;
   Fixture f(cfg);
-  f.hx.add_service(service(), vm_spec());
   f.engine.run_until(6.0);
-  EXPECT_TRUE(f.hx.mirroring("svc"));
-  f.hx.submit("svc", [](const workload::QueryRecord&) {});
+  EXPECT_TRUE(f.hx.mirroring());
+  f.hx.submit([](const workload::QueryRecord&) {});
   EXPECT_EQ(f.hx.mirrored_queries(), 1u);
-  f.hx.set_mirroring("svc", false);
-  f.hx.submit("svc", [](const workload::QueryRecord&) {});
+  f.hx.set_mirroring(false);
+  f.hx.submit([](const workload::QueryRecord&) {});
   EXPECT_EQ(f.hx.mirrored_queries(), 1u);  // unchanged
 }
 
 TEST(HybridEngine, AvailableContainersUsesHeadroomAndCap) {
-  Fixture f;  // pool 4096 MB = 16 containers
-  f.hx.add_service(service(), vm_spec(), /*serverless_max_containers=*/10);
-  EXPECT_EQ(f.hx.available_containers("svc"), 10);
+  Fixture f({}, 4096.0, /*max_containers=*/10);  // pool = 16 containers
+  EXPECT_EQ(f.hx.available_containers(), 10);
 
-  workload::FunctionProfile other = service();
-  other.name = "other";
   Fixture g;  // fresh fixture without cap
-  g.hx.add_service(other, vm_spec());
-  EXPECT_EQ(g.hx.available_containers("other"), 16);
+  EXPECT_EQ(g.hx.available_containers(), 16);
 }
 
 TEST(HybridEngine, DoubleSwitchThrows) {
   Fixture f;
-  f.hx.add_service(service(), vm_spec());
   f.engine.run();
-  f.hx.switch_to_serverless("svc", 10.0, [](bool) {});
-  EXPECT_THROW(f.hx.switch_to_serverless("svc", 10.0, [](bool) {}),
+  f.hx.switch_to_serverless(10.0, [](bool) {});
+  EXPECT_THROW(f.hx.switch_to_serverless(10.0, [](bool) {}),
                ContractError);
-  EXPECT_THROW(f.hx.switch_to_iaas("svc", 1.0, [](bool) {}), ContractError);
+  EXPECT_THROW(f.hx.switch_to_iaas(1.0, [](bool) {}), ContractError);
 }
 
 TEST(HybridEngine, SwitchToCurrentModeThrows) {
   Fixture f;
-  f.hx.add_service(service(), vm_spec());
   f.engine.run();
-  EXPECT_THROW(f.hx.switch_to_iaas("svc", 1.0, [](bool) {}), ContractError);
+  EXPECT_THROW(f.hx.switch_to_iaas(1.0, [](bool) {}), ContractError);
 }
 
 TEST(HybridEngine, ConfigValidateRejectsBadValues) {
@@ -309,7 +289,6 @@ TEST(HybridEngine, TimeoutAbortReleasesWarmSetAndBalancesAccounting) {
   // Pool of three slots; "hog" occupies one, svc needs five (Eq. 7) so the
   // prewarm can only ever partially succeed.
   Fixture f(cfg, 768.0);
-  f.hx.add_service(service(), vm_spec());
   workload::FunctionProfile hog = service();
   hog.name = "hog";
   hog.exec.cpu_seconds = 1000.0;  // never finishes within the test
@@ -318,12 +297,12 @@ TEST(HybridEngine, TimeoutAbortReleasesWarmSetAndBalancesAccounting) {
   f.engine.run_until(6.0);  // VM booted, hog busy
 
   bool result = true;
-  f.hx.switch_to_serverless("svc", 10.0, [&](bool ok) { result = ok; });
+  f.hx.switch_to_serverless(10.0, [&](bool ok) { result = ok; });
   EXPECT_EQ(f.sp.counts("svc").total(), 2);  // partial prewarm only
   f.engine.run_until(9.5);                   // timeout fires at 9.0
   EXPECT_FALSE(result);
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kIaas);  // graceful degradation
-  EXPECT_FALSE(f.hx.transitioning("svc"));
+  EXPECT_EQ(f.hx.route(), DeployMode::kIaas);  // graceful degradation
+  EXPECT_FALSE(f.hx.transitioning());
   EXPECT_EQ(f.hx.switch_aborts(), 1u);
   EXPECT_GT(f.hx.switch_retries(), 0u);  // shortfall polls backed off
   // The abort released everything the switch acquired: zero residual warm
@@ -335,7 +314,6 @@ TEST(HybridEngine, TimeoutAbortReleasesWarmSetAndBalancesAccounting) {
   // The VM never went down, so IaaS rent matches a run that never switched.
   EXPECT_TRUE(f.ip.is_running("svc"));
   Fixture g(cfg, 768.0);
-  g.hx.add_service(service(), vm_spec());
   g.engine.run_until(20.0);
   EXPECT_DOUBLE_EQ(f.ip.rented_core_seconds("svc", 20.0),
                    g.ip.rented_core_seconds("svc", 20.0));
@@ -345,7 +323,6 @@ TEST(HybridEngine, StalePollsAfterAbortAreSupersededByGeneration) {
   HybridEngineConfig cfg;
   cfg.switch_timeout_s = 3.0;
   Fixture f(cfg, 768.0);
-  f.hx.add_service(service(), vm_spec());
   workload::FunctionProfile hog = service();
   hog.name = "hog";
   hog.exec.cpu_seconds = 1000.0;
@@ -353,29 +330,28 @@ TEST(HybridEngine, StalePollsAfterAbortAreSupersededByGeneration) {
   f.sp.submit("hog", [](const workload::QueryRecord&) {});
   f.engine.run_until(6.0);
 
-  f.hx.switch_to_serverless("svc", 10.0, [](bool) {});
+  f.hx.switch_to_serverless(10.0, [](bool) {});
   // Backed-off polls may be scheduled past the 9.0 abort; their generation
   // check must drop them rather than re-prewarming or flipping the route.
   f.engine.run_until(30.0);
   EXPECT_EQ(f.sp.counts("svc").total(), 0);
   EXPECT_TRUE(f.hx.switch_events().empty());
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kIaas);
-  EXPECT_FALSE(f.hx.transitioning("svc"));
+  EXPECT_EQ(f.hx.route(), DeployMode::kIaas);
+  EXPECT_FALSE(f.hx.transitioning());
 }
 
 TEST(HybridEngine, TimeoutAbortRestoresPreSwitchRetireState) {
   HybridEngineConfig cfg;
   cfg.switch_timeout_s = 6.0;  // long enough for the 5 s VM boot leg
   Fixture f(cfg, 768.0);
-  f.hx.add_service(service(), vm_spec());
   f.engine.run_until(6.0);
   // Round-trip: serverless and back, which retires svc on the shared pool.
-  f.hx.switch_to_serverless("svc", 4.0, [](bool) {});
+  f.hx.switch_to_serverless(4.0, [](bool) {});
   f.engine.run_until(8.0);
-  ASSERT_EQ(f.hx.route("svc"), DeployMode::kServerless);
-  f.hx.switch_to_iaas("svc", 4.0, [](bool) {});
+  ASSERT_EQ(f.hx.route(), DeployMode::kServerless);
+  f.hx.switch_to_iaas(4.0, [](bool) {});
   f.engine.run_until(15.0);
-  ASSERT_EQ(f.hx.route("svc"), DeployMode::kIaas);
+  ASSERT_EQ(f.hx.route(), DeployMode::kIaas);
   ASSERT_TRUE(f.sp.retired("svc"));
 
   // Fill the pool so the next to-serverless switch cannot complete.
@@ -389,7 +365,7 @@ TEST(HybridEngine, TimeoutAbortRestoresPreSwitchRetireState) {
   f.engine.run_until(16.0);
 
   bool result = true;
-  f.hx.switch_to_serverless("svc", 10.0, [&](bool ok) { result = ok; });
+  f.hx.switch_to_serverless(10.0, [&](bool ok) { result = ok; });
   EXPECT_FALSE(f.sp.retired("svc"));  // unretired for the attempt
   f.engine.run_until(23.0);           // timeout at 22.0
   EXPECT_FALSE(result);
@@ -397,20 +373,19 @@ TEST(HybridEngine, TimeoutAbortRestoresPreSwitchRetireState) {
   // samples rebuild warm containers the accounting no longer tracks.
   EXPECT_TRUE(f.sp.retired("svc"));
   EXPECT_EQ(f.sp.counts("svc").total(), 0);
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kIaas);
+  EXPECT_EQ(f.hx.route(), DeployMode::kIaas);
   // The abort also starts the anti-flap cooldown.
-  EXPECT_TRUE(f.hx.in_cooldown("svc"));
+  EXPECT_TRUE(f.hx.in_cooldown());
   f.engine.run_until(32.5);  // cooldown ends at 22.0 + 10.0
-  EXPECT_FALSE(f.hx.in_cooldown("svc"));
+  EXPECT_FALSE(f.hx.in_cooldown());
 }
 
 TEST(HybridEngine, ToIaasSwitchAbortsAfterBoundedBootRetries) {
   Fixture f;
-  f.hx.add_service(service(), vm_spec());
   f.engine.run_until(6.0);
-  f.hx.switch_to_serverless("svc", 4.0, [](bool) {});
+  f.hx.switch_to_serverless(4.0, [](bool) {});
   f.engine.run_until(10.0);
-  ASSERT_EQ(f.hx.route("svc"), DeployMode::kServerless);
+  ASSERT_EQ(f.hx.route(), DeployMode::kServerless);
 
   sim::FaultConfig fc;
   fc.vm_boot_fail_first_n = 100;  // every boot attempt fails
@@ -418,22 +393,22 @@ TEST(HybridEngine, ToIaasSwitchAbortsAfterBoundedBootRetries) {
   f.ip.set_fault_injector(&faults);
 
   bool result = true;
-  f.hx.switch_to_iaas("svc", 4.0, [&](bool ok) { result = ok; });
+  f.hx.switch_to_iaas(4.0, [&](bool ok) { result = ok; });
   // Attempts: boot at 10 fails at 15, retries (backed off) fail at 20.25
   // and 25.75; switch_max_retries = 3 then aborts, inside the 30 s timeout.
   f.engine.run_until(26.0);
   EXPECT_FALSE(result);
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kServerless);  // stayed put
-  EXPECT_FALSE(f.hx.transitioning("svc"));
+  EXPECT_EQ(f.hx.route(), DeployMode::kServerless);  // stayed put
+  EXPECT_FALSE(f.hx.transitioning());
   EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);
   EXPECT_EQ(faults.counters().vm_boot_failures, 3u);  // bounded
   EXPECT_EQ(f.hx.switch_retries(), 2u);
   EXPECT_EQ(f.hx.switch_aborts(), 1u);
-  EXPECT_TRUE(f.hx.in_cooldown("svc"));
+  EXPECT_TRUE(f.hx.in_cooldown());
   // Graceful degradation, not an outage: the warm set keeps serving.
   EXPECT_GT(f.sp.counts("svc").total(), 0);
   int done = 0;
-  f.hx.submit("svc", [&](const workload::QueryRecord&) { ++done; });
+  f.hx.submit([&](const workload::QueryRecord&) { ++done; });
   f.engine.run_until(27.0);
   EXPECT_EQ(done, 1);
 }
@@ -442,11 +417,10 @@ TEST(HybridEngine, ToIaasTimeoutAbortsStragglingBoot) {
   HybridEngineConfig cfg;
   cfg.switch_timeout_s = 3.0;
   Fixture f(cfg);
-  f.hx.add_service(service(), vm_spec());
   f.engine.run_until(6.0);
-  f.hx.switch_to_serverless("svc", 4.0, [](bool) {});
+  f.hx.switch_to_serverless(4.0, [](bool) {});
   f.engine.run_until(10.0);
-  ASSERT_EQ(f.hx.route("svc"), DeployMode::kServerless);
+  ASSERT_EQ(f.hx.route(), DeployMode::kServerless);
 
   sim::FaultConfig fc;
   fc.vm_straggler_p = 1.0;
@@ -455,23 +429,16 @@ TEST(HybridEngine, ToIaasTimeoutAbortsStragglingBoot) {
   f.ip.set_fault_injector(&faults);
 
   bool result = true;
-  f.hx.switch_to_iaas("svc", 4.0, [&](bool ok) { result = ok; });
+  f.hx.switch_to_iaas(4.0, [&](bool ok) { result = ok; });
   f.engine.run_until(14.0);  // timeout fires at 13.0, mid-boot
   EXPECT_FALSE(result);
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kServerless);
+  EXPECT_EQ(f.hx.route(), DeployMode::kServerless);
   EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);  // boot aborted
   EXPECT_EQ(faults.counters().vm_stragglers, 1u);
   // The straggler's original boot event (due at 60.0) must be inert.
   f.engine.run();
   EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);
-  EXPECT_EQ(f.hx.route("svc"), DeployMode::kServerless);
-}
-
-TEST(HybridEngine, UnknownServiceThrows) {
-  Fixture f;
-  EXPECT_THROW(f.hx.submit("ghost", [](const workload::QueryRecord&) {}),
-               ContractError);
-  EXPECT_THROW((void)f.hx.route("ghost"), ContractError);
+  EXPECT_EQ(f.hx.route(), DeployMode::kServerless);
 }
 
 }  // namespace

@@ -45,8 +45,7 @@ TEST(ResourceAccounting, IaasUsageIsRentedAllocation) {
   e.schedule(10.0, [] {});
   e.run();
 
-  ResourceAccountant acc(sp, ip);
-  const auto u = acc.iaas_usage("svc", 10.0);
+  const auto u = service_usage(sp, ip, "svc", 10.0);
   EXPECT_NEAR(u.cpu_core_seconds, 40.0, 1e-9);
   EXPECT_NEAR(u.memory_mb_seconds, 20480.0, 1e-9);
 }
@@ -61,9 +60,8 @@ TEST(ResourceAccounting, ServerlessUsageIsConsumptionPlusContainerMemory) {
   }
   e.run();  // queries done; container expires after keep-alive
 
-  ResourceAccountant acc(sp, ip);
   const double now = e.now();
-  const auto u = acc.serverless_usage("svc", now);
+  const auto u = service_usage(sp, ip, "svc", now);
   EXPECT_NEAR(u.cpu_core_seconds, 0.5, 1e-9);  // 5 × 0.1 actual compute
   EXPECT_GT(u.memory_mb_seconds, 0.0);
   // 5 simultaneous queries spawn 5 containers (one per queued query); each
@@ -86,12 +84,13 @@ TEST(ResourceAccounting, CombinedUsageSumsPlatforms) {
   e.schedule(4.0, [] {});
   e.run();
 
-  ResourceAccountant acc(sp, ip);
-  const auto combined = acc.usage("svc", 4.0);
-  auto expected = acc.iaas_usage("svc", 4.0);
-  expected += acc.serverless_usage("svc", 4.0);
-  EXPECT_DOUBLE_EQ(combined.cpu_core_seconds, expected.cpu_core_seconds);
-  EXPECT_DOUBLE_EQ(combined.memory_mb_seconds, expected.memory_mb_seconds);
+  const auto combined = service_usage(sp, ip, "svc", 4.0);
+  EXPECT_DOUBLE_EQ(combined.cpu_core_seconds,
+                   ip.rented_core_seconds("svc", 4.0) +
+                       sp.cpu_core_seconds("svc"));
+  EXPECT_DOUBLE_EQ(combined.memory_mb_seconds,
+                   ip.rented_memory_mb_seconds("svc", 4.0) +
+                       sp.memory_mb_seconds("svc", 4.0));
 }
 
 TEST(SplitContainerBudget, ReturnsAsksWhenTheyFit) {
@@ -172,8 +171,7 @@ TEST(ResourceAccounting, UnregisteredServiceIsZero) {
   sim::Engine e;
   serverless::ServerlessPlatform sp(e, sp_config(), sim::Rng(7));
   iaas::IaasPlatform ip(e, iaas::IaasConfig{}, sim::Rng(8));
-  ResourceAccountant acc(sp, ip);
-  const auto u = acc.usage("nobody", 1.0);
+  const auto u = service_usage(sp, ip, "nobody", 1.0);
   EXPECT_DOUBLE_EQ(u.cpu_core_seconds, 0.0);
   EXPECT_DOUBLE_EQ(u.memory_mb_seconds, 0.0);
 }
