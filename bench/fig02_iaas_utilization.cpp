@@ -25,15 +25,15 @@ UtilRow run_one(const workload::FunctionProfile& p,
   sim::Rng rng(cluster.seed);
   iaas::IaasPlatform ip(engine, cluster.iaas, rng.fork(1));
   const auto spec = exp::just_enough_vm(p, cluster);
-  ip.register_service(p, spec);
-  ip.boot(p.name, [] {});
+  iaas::VirtualMachine& vm = ip.register_service(p, spec);
+  vm.boot([] {});
 
   auto trace = std::make_unique<workload::DiurnalTrace>(
       exp::diurnal_for(p, period_s), cluster.seed);
   workload::PoissonLoadGenerator gen(
       engine, rng.fork(2), [&](double t) { return trace->rate(t); },
       trace->max_rate(), [&] {
-        ip.submit(p.name, [](const workload::QueryRecord&) {});
+        vm.submit([](const workload::QueryRecord&) {});
       });
   engine.schedule(cluster.iaas.vm_boot_s + 1.0, [&] { gen.start(); });
 
@@ -45,9 +45,9 @@ UtilRow run_one(const workload::FunctionProfile& p,
   std::function<void()> sample = [&] {
     const double now = engine.now();
     if (now < t0) {
-      last_busy = ip.vm(p.name).busy_core_seconds(now);
+      last_busy = vm.busy_core_seconds(now);
     } else {
-      const double busy = ip.vm(p.name).busy_core_seconds(now);
+      const double busy = vm.busy_core_seconds(now);
       tracker.set(now, busy - last_busy);  // cores busy over the last 1 s
       last_busy = busy;
     }

@@ -37,22 +37,20 @@ std::optional<double> p95_at(const workload::FunctionProfile& p, double qps,
   if (serverless_mode) {
     sp = std::make_unique<serverless::ServerlessPlatform>(
         engine, cluster.serverless, rng.fork(1));
-    sp->register_function(p, cores_cap);
-    sp->prewarm(p.name, cores_cap);  // fair: no cold-start tax in the sweep
+    const serverless::FunctionId fn = sp->register_function(p, cores_cap);
+    sp->prewarm(fn, cores_cap);  // fair: no cold-start tax in the sweep
     gen = std::make_unique<workload::ConstantLoadGenerator>(
-        engine, rng.fork(2), qps,
-        [&] { sp->submit(p.name, observe); });
+        engine, rng.fork(2), qps, [&, fn] { sp->submit(fn, observe); });
     engine.schedule(3.0, [&] { gen->start(); });
   } else {
     ip = std::make_unique<iaas::IaasPlatform>(engine, cluster.iaas,
                                               rng.fork(1));
     auto spec = exp::just_enough_vm(p, cluster);
     spec.boot_s = 0.5;
-    ip->register_service(p, spec);
-    ip->boot(p.name, [] {});
+    iaas::VirtualMachine& vm = ip->register_service(p, spec);
+    vm.boot([] {});
     gen = std::make_unique<workload::ConstantLoadGenerator>(
-        engine, rng.fork(2), qps,
-        [&] { ip->submit(p.name, observe); });
+        engine, rng.fork(2), qps, [&] { vm.submit(observe); });
     engine.schedule(3.0, [&] { gen->start(); });
   }
   engine.run_until(kDuration);

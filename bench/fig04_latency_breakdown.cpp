@@ -21,10 +21,10 @@ Breakdown measure(const workload::FunctionProfile& p,
   sim::Engine engine;
   sim::Rng rng(cluster.seed);
   serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
-  sp.register_function(p);
+  const serverless::FunctionId fn = sp.register_function(p);
   Breakdown b;
   workload::ConstantLoadGenerator gen(engine, rng.fork(2), 2.0, [&] {
-    sp.submit(p.name, [&b](const workload::QueryRecord& r) {
+    sp.submit(fn, [&b](const workload::QueryRecord& r) {
       if (r.arrival < 5.0) return;  // warmup (skip the cold start)
       b.overhead += r.breakdown.overhead_s;
       b.code += r.breakdown.code_load_s;

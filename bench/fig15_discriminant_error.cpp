@@ -48,21 +48,21 @@ std::optional<double> p95_with_background(
   sim::Engine engine;
   sim::Rng rng(seed);
   serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
-  sp.register_function(subject, kContainerCap);
-  sp.prewarm(subject.name, kContainerCap / 2);
+  const serverless::FunctionId subject_fn =
+      sp.register_function(subject, kContainerCap);
+  sp.prewarm(subject_fn, kContainerCap / 2);
   std::vector<std::unique_ptr<workload::ConstantLoadGenerator>> gens;
   for (std::size_t i = 0; i < bg.profiles.size(); ++i) {
-    sp.register_function(bg.profiles[i]);
-    const std::string name = bg.profiles[i].name;
+    const serverless::FunctionId fn = sp.register_function(bg.profiles[i]);
     gens.push_back(std::make_unique<workload::ConstantLoadGenerator>(
-        engine, rng.fork(10 + i), bg.qps[i], [&sp, name] {
-          sp.submit(name, [](const workload::QueryRecord&) {});
+        engine, rng.fork(10 + i), bg.qps[i], [&sp, fn] {
+          sp.submit(fn, [](const workload::QueryRecord&) {});
         }));
     gens.back()->start();
   }
   stats::SampleSet lat;
   workload::ConstantLoadGenerator gen(engine, rng.fork(2), qps, [&] {
-    sp.submit(subject.name, [&lat](const workload::QueryRecord& r) {
+    sp.submit(subject_fn, [&lat](const workload::QueryRecord& r) {
       if (r.arrival >= 10.0) lat.add(r.latency());
     });
   });
@@ -110,11 +110,10 @@ std::array<double, core::kNumResources> measured_pressures(
   serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
   std::vector<std::unique_ptr<workload::ConstantLoadGenerator>> gens;
   for (std::size_t i = 0; i < bg.profiles.size(); ++i) {
-    sp.register_function(bg.profiles[i]);
-    const std::string name = bg.profiles[i].name;
+    const serverless::FunctionId fn = sp.register_function(bg.profiles[i]);
     gens.push_back(std::make_unique<workload::ConstantLoadGenerator>(
-        engine, rng.fork(10 + i), bg.qps[i], [&sp, name] {
-          sp.submit(name, [](const workload::QueryRecord&) {});
+        engine, rng.fork(10 + i), bg.qps[i], [&sp, fn] {
+          sp.submit(fn, [](const workload::QueryRecord&) {});
         }));
     gens.back()->start();
   }
@@ -122,12 +121,11 @@ std::array<double, core::kNumResources> measured_pressures(
   std::array<std::uint64_t, core::kNumResources> counts{};
   std::vector<std::unique_ptr<workload::ConstantLoadGenerator>> probes;
   for (std::size_t d = 0; d < core::kNumResources; ++d) {
-    const auto meter = workload::meter_profile(workload::kAllMeters[d]);
-    sp.register_function(meter);
-    const std::string name = meter.name;
+    const serverless::FunctionId fn =
+        sp.register_function(workload::meter_profile(workload::kAllMeters[d]));
     probes.push_back(std::make_unique<workload::ConstantLoadGenerator>(
-        engine, rng.fork(20 + d), workload::kMeterProbeQps, [&, d, name] {
-          sp.submit(name, [&, d](const workload::QueryRecord& r) {
+        engine, rng.fork(20 + d), workload::kMeterProbeQps, [&, d, fn] {
+          sp.submit(fn, [&, d](const workload::QueryRecord& r) {
             if (r.arrival < 10.0) return;
             sums[d] += r.breakdown.total() - r.breakdown.queue_s -
                        r.breakdown.cold_start_s;
@@ -189,20 +187,21 @@ void calibrate(core::DeploymentController& ctrl,
       sim::Rng rng(cluster.seed + 900 + static_cast<unsigned>(salt++));
       serverless::ServerlessPlatform sp(engine, cluster.serverless,
                                         rng.fork(1));
-      sp.register_function(subject, kContainerCap);
+      const serverless::FunctionId subject_fn =
+          sp.register_function(subject, kContainerCap);
       std::vector<std::unique_ptr<workload::ConstantLoadGenerator>> gens;
       for (std::size_t i = 0; i < scaled.profiles.size(); ++i) {
-        sp.register_function(scaled.profiles[i]);
-        const std::string name = scaled.profiles[i].name;
+        const serverless::FunctionId fn =
+            sp.register_function(scaled.profiles[i]);
         gens.push_back(std::make_unique<workload::ConstantLoadGenerator>(
-            engine, rng.fork(10 + i), scaled.qps[i], [&sp, name] {
-              sp.submit(name, [](const workload::QueryRecord&) {});
+            engine, rng.fork(10 + i), scaled.qps[i], [&sp, fn] {
+              sp.submit(fn, [](const workload::QueryRecord&) {});
             }));
         gens.back()->start();
       }
       stats::SampleSet cell;
       workload::ConstantLoadGenerator gen(engine, rng.fork(2), qps, [&] {
-        sp.submit(subject.name, [&](const workload::QueryRecord& r) {
+        sp.submit(subject_fn, [&](const workload::QueryRecord& r) {
           if (r.arrival < 10.0) return;
           cell.add(r.breakdown.total() - r.breakdown.queue_s -
                    r.breakdown.cold_start_s);

@@ -69,11 +69,11 @@ void BM_ServerlessQueryPath(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine e;
     serverless::ServerlessPlatform sp(e, cfg, sim::Rng(1));
-    sp.register_function(p);
+    const serverless::FunctionId fn = sp.register_function(p);
     std::uint64_t done = 0;
     for (int i = 0; i < 500; ++i) {
       e.schedule(0.1 * i, [&] {
-        sp.submit("f", [&done](const workload::QueryRecord&) { ++done; });
+        sp.submit(fn, [&done](const workload::QueryRecord&) { ++done; });
       });
     }
     e.run();

@@ -35,14 +35,16 @@ int main() {
   static constexpr const char* kNames[] = {"CPU-Memory", "IO", "Network"};
   double total = 0.0;
   for (std::size_t d = 0; d < core::kNumResources; ++d) {
-    const auto meter = workload::meter_profile(workload::kAllMeters[d]);
+    // The monitor registered its meters by name.
+    const serverless::FunctionId meter = *sp.find_function(
+        workload::meter_profile(workload::kAllMeters[d]).name);
     const double measured =
-        sp.cpu_core_seconds(meter.name) / (duration * cluster.serverless.cores);
+        sp.cpu_core_seconds(meter) / (duration * cluster.serverless.cores);
     total += measured;
     table.add_row(
         {kNames[d], exp::fmt_percent(nominal[d], 1),
          exp::fmt_percent(measured, 2),
-         exp::fmt_fixed(sp.memory_mb_seconds(meter.name, now) / duration, 0) +
+         exp::fmt_fixed(sp.memory_mb_seconds(meter, now) / duration, 0) +
              " MB"});
   }
   table.print(std::cout);

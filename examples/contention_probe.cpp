@@ -70,10 +70,10 @@ int main() {
 
   // CPU tenant from t=30: ~60% of the cores.
   const auto cpu_tenant = workload::make_stressor(workload::StressKind::kCpu);
-  platform.register_function(cpu_tenant);
+  const serverless::FunctionId cpu_fn = platform.register_function(cpu_tenant);
   auto cpu_gen = std::make_unique<workload::ConstantLoadGenerator>(
       engine, rng.fork(3), 0.6 * cfg.cores / cpu_tenant.exec.cpu_seconds,
-      [&] { platform.submit("stress_cpu", [](const workload::QueryRecord&) {}); });
+      [&] { platform.submit(cpu_fn, [](const workload::QueryRecord&) {}); });
   engine.schedule(30.0, [&] {
     std::cout << "-- t=30: CPU tenant joins (~0.6 pressure)\n";
     cpu_gen->start();
@@ -81,10 +81,10 @@ int main() {
 
   // IO tenant from t=60: ~50% of the disk.
   const auto io_tenant = workload::make_stressor(workload::StressKind::kDiskIo);
-  platform.register_function(io_tenant);
+  const serverless::FunctionId io_fn = platform.register_function(io_tenant);
   auto io_gen = std::make_unique<workload::ConstantLoadGenerator>(
       engine, rng.fork(4), 0.5 * cfg.disk_bps / io_tenant.exec.io_bytes,
-      [&] { platform.submit("stress_io", [](const workload::QueryRecord&) {}); });
+      [&] { platform.submit(io_fn, [](const workload::QueryRecord&) {}); });
   engine.schedule(60.0, [&] {
     std::cout << "-- t=60: IO tenant joins (~0.5 disk pressure)\n";
     io_gen->start();

@@ -18,7 +18,6 @@ AmoebaRuntime::AmoebaRuntime(sim::Engine& engine,
                              sim::Rng rng)
     : engine_(engine),
       serverless_(serverless),
-      iaas_(iaas),
       cfg_(cfg),
       name_(profile.name),
       obs_(cfg.observer),
@@ -49,7 +48,8 @@ void AmoebaRuntime::observe_service_time(const workload::QueryRecord& rec) {
 }
 
 ServiceUsage AmoebaRuntime::usage(double now) const {
-  return service_usage(serverless_, iaas_, name_, now);
+  const HybridExecutionEngine& hx = *exec_engine_;
+  return service_usage(&hx.vm(), serverless_, hx.function(), now);
 }
 
 double AmoebaRuntime::timeline_period() const {

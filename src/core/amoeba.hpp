@@ -136,7 +136,6 @@ class AmoebaRuntime {
 
   sim::Engine& engine_;
   serverless::ServerlessPlatform& serverless_;
-  iaas::IaasPlatform& iaas_;
   AmoebaConfig cfg_;
   std::string name_;
   obs::Observer* obs_;

@@ -39,10 +39,10 @@ void ContentionMonitor::start() {
   for (std::size_t i = 0; i < kNumResources; ++i) {
     MeterState& m = meters_[i];
     m.last_update = engine_.now();
-    if (!platform_.has_function(m.profile.name)) {
-      platform_.register_function(m.profile);
-    }
-    const std::string fn = m.profile.name;
+    // Find-or-register: a shared node registers the meters up front.
+    const auto found = platform_.find_function(m.profile.name);
+    const serverless::FunctionId fn =
+        found ? *found : platform_.register_function(m.profile);
     m.generator = std::make_unique<workload::ConstantLoadGenerator>(
         engine_, rng_.fork(7000 + i), cfg_.probe_qps, [this, i, fn] {
           platform_.submit(fn, [this, i](const workload::QueryRecord& rec) {

@@ -8,7 +8,12 @@ namespace amoeba::core {
 
 namespace {
 constexpr char kSwitchCat[] = "switch";
+
+const HybridEngineConfig& validated(const HybridEngineConfig& cfg) {
+  cfg.validate();
+  return cfg;
 }
+}  // namespace
 
 void HybridEngineConfig::validate() const {
   AMOEBA_EXPECTS(mirror_fraction >= 0.0 && mirror_fraction <= 1.0);
@@ -26,15 +31,13 @@ HybridExecutionEngine::HybridExecutionEngine(
     HybridEngineConfig cfg, sim::Rng rng, obs::Observer* observer)
     : engine_(engine),
       serverless_(serverless),
-      iaas_(iaas),
-      cfg_(cfg),
+      cfg_(validated(cfg)),
       rng_(rng),
       obs_(observer),
       profile_(profile),
-      max_containers_(serverless_max_containers) {
-  cfg_.validate();
-  serverless_.register_function(profile_, max_containers_);
-  iaas_.register_service(profile_, vm_spec);
+      max_containers_(serverless_max_containers),
+      fn_(serverless.register_function(profile_, max_containers_)),
+      vm_(iaas.register_service(profile_, vm_spec)) {
   // Default mode is IaaS (paper §III step 1): boot the VM now; queries that
   // arrive before it is ready wait in the boot buffer.
   boot_initial_vm(/*attempt=*/0);
@@ -42,9 +45,9 @@ HybridExecutionEngine::HybridExecutionEngine(
 
 void HybridExecutionEngine::boot_initial_vm(int attempt) {
   if (route_ != DeployMode::kIaas || switching_) return;
-  if (iaas_.state(profile_.name) != iaas::VmState::kStopped) return;
-  iaas_.boot(
-      profile_.name, [this] { flush_boot_buffer(); },
+  if (vm_.state() != iaas::VmState::kStopped) return;
+  vm_.boot(
+      [this] { flush_boot_buffer(); },
       [this, attempt] {
         const double delay =
             cfg_.prewarm_poll_s *
@@ -65,13 +68,13 @@ void HybridExecutionEngine::count_switch(const char* to,
 
 void HybridExecutionEngine::drain_vm() {
   if (!trace_on()) {
-    iaas_.drain_and_stop(profile_.name);
+    vm_.drain_and_stop();
     return;
   }
   obs::Tracer& tr = obs_->tracer();
   const auto track = tr.track("svc:" + profile_.name + "/vm");
   tr.begin(track, "vm:drain", engine_.now(), kSwitchCat);
-  iaas_.drain_and_stop(profile_.name, [this](bool completed) {
+  vm_.drain_and_stop([this](bool completed) {
     obs::Tracer& t = obs_->tracer();
     t.end(t.track("svc:" + profile_.name + "/vm"), "vm:drain", engine_.now(),
           {obs::TraceArg::of("completed", completed ? 1.0 : 0.0)});
@@ -79,28 +82,28 @@ void HybridExecutionEngine::drain_vm() {
 }
 
 void HybridExecutionEngine::flush_boot_buffer() {
-  while (!boot_buffer_.empty() && iaas_.is_running(profile_.name)) {
+  while (!boot_buffer_.empty() && vm_.state() == iaas::VmState::kRunning) {
     auto cb = std::move(boot_buffer_.front());
     boot_buffer_.pop_front();
-    iaas_.submit(profile_.name, std::move(cb));
+    vm_.submit(std::move(cb));
   }
 }
 
 void HybridExecutionEngine::submit(workload::QueryCompletionFn on_done) {
   if (route_ == DeployMode::kServerless) {
-    serverless_.submit(profile_.name, std::move(on_done));
+    serverless_.submit(fn_, std::move(on_done));
     return;
   }
   // IaaS route. Mirror a sampling share to serverless for heartbeat data.
   if (mirroring_ && cfg_.mirror_fraction > 0.0 &&
       rng_.uniform() < cfg_.mirror_fraction) {
     ++mirrored_;
-    serverless_.submit(profile_.name, [this](const workload::QueryRecord& rec) {
+    serverless_.submit(fn_, [this](const workload::QueryRecord& rec) {
       if (mirror_observer_) mirror_observer_(rec);
     });
   }
-  if (iaas_.is_running(profile_.name)) {
-    iaas_.submit(profile_.name, std::move(on_done));
+  if (vm_.state() == iaas::VmState::kRunning) {
+    vm_.submit(std::move(on_done));
   } else {
     boot_buffer_.push_back(std::move(on_done));
   }
@@ -111,7 +114,7 @@ void HybridExecutionEngine::maintain_warm(double load_qps) {
   if (route_ != DeployMode::kServerless || switching_) return;
   int n = cfg_.prewarm.containers_for(load_qps, profile_.qos_target_s);
   if (max_containers_ > 0) n = std::min(n, max_containers_);
-  serverless_.prewarm(profile_.name, n);
+  serverless_.prewarm(fn_, n);
 }
 
 void HybridExecutionEngine::set_qos_target(double qos_target_s) {
@@ -125,7 +128,7 @@ bool HybridExecutionEngine::in_cooldown() const {
 }
 
 int HybridExecutionEngine::available_containers() const {
-  const auto counts = serverless_.counts(profile_.name);
+  const auto counts = serverless_.counts(fn_);
   const int mem_bound =
       counts.total() + serverless_.pool().headroom(profile_.memory_mb);
   return max_containers_ > 0 ? std::min(max_containers_, mem_bound)
@@ -149,7 +152,7 @@ void HybridExecutionEngine::finish_switch(bool ok) {
 }
 
 void HybridExecutionEngine::complete_to_serverless(int needed) {
-  const auto counts = serverless_.counts(profile_.name);
+  const auto counts = serverless_.counts(fn_);
   route_ = DeployMode::kServerless;
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
@@ -161,7 +164,7 @@ void HybridExecutionEngine::complete_to_serverless(int needed) {
                {obs::TraceArg::of("needed", static_cast<double>(needed))});
     tr.instant(track, "route_flip", engine_.now(), kSwitchCat);
   }
-  serverless_.unretire(profile_.name);
+  serverless_.unretire(fn_);
   drain_vm();
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
@@ -181,7 +184,7 @@ void HybridExecutionEngine::on_serverless_switch_timeout(
   switch_timeout_ = sim::kNoEvent;  // we are the timeout event
   // Supersede any poll still in flight: its generation check drops it.
   ++switch_generation_;
-  const auto counts = serverless_.counts(profile_.name);
+  const auto counts = serverless_.counts(fn_);
   // Deadline grace: if the warm set is already there (its ready events
   // sorted before this timeout at the same instant), the switch made the
   // budget — complete instead of aborting. Matches the poll path, where
@@ -202,8 +205,8 @@ void HybridExecutionEngine::on_serverless_switch_timeout(
   // Graceful degradation: stay on IaaS and hand back everything the switch
   // acquired — destroy the prewarmed warm set and restore the pre-switch
   // retire state so the service's memory integral stops accruing.
-  const int released = serverless_.release_prewarmed(profile_.name);
-  if (retired_before_switch_) serverless_.retire(profile_.name);
+  const int released = serverless_.release_prewarmed(fn_);
+  if (retired_before_switch_) serverless_.retire(fn_);
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
     tr.end(tr.track("svc:" + profile_.name + "/control"),
@@ -218,15 +221,15 @@ void HybridExecutionEngine::on_serverless_switch_timeout(
 void HybridExecutionEngine::poll_prewarm(int needed, std::uint64_t generation,
                                          int shortfalls) {
   if (switch_generation_ != generation) return;  // superseded
-  const auto counts = serverless_.counts(profile_.name);
+  const auto counts = serverless_.counts(fn_);
   if (counts.idle + counts.busy >= needed) {
     complete_to_serverless(needed);
     return;
   }
   // Keep nudging the pool: evictions/expiry may have freed memory.
-  serverless_.prewarm(profile_.name, needed);
+  serverless_.prewarm(fn_, needed);
   double delay = cfg_.prewarm_poll_s;
-  if (serverless_.counts(profile_.name).total() < needed) {
+  if (serverless_.counts(fn_).total() < needed) {
     // Allocation shortfall (no memory, or injected boot failures burned
     // attempts): retry with exponential backoff so a struggling pool is not
     // hammered every poll tick. The dedicated timeout event bounds the
@@ -264,8 +267,8 @@ void HybridExecutionEngine::switch_to_serverless(
   switching_ = true;
   const std::uint64_t generation = ++switch_generation_;
   switch_load_qps_ = load_qps;
-  retired_before_switch_ = serverless_.retired(profile_.name);
-  serverless_.unretire(profile_.name);
+  retired_before_switch_ = serverless_.retired(fn_);
+  serverless_.unretire(fn_);
   count_switch("serverless", "started");
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
@@ -312,7 +315,7 @@ void HybridExecutionEngine::switch_to_serverless(
              engine_.now(), kSwitchCat,
              {obs::TraceArg::of("needed", static_cast<double>(needed))});
   }
-  serverless_.prewarm(profile_.name, needed);
+  serverless_.prewarm(fn_, needed);
   poll_prewarm(needed, generation, /*shortfalls=*/0);
 }
 
@@ -321,7 +324,7 @@ void HybridExecutionEngine::on_vm_ready(std::uint64_t generation) {
     // Stale ack: the switch aborted while this boot was still in flight.
     // Defensively put the VM back down (the abort path already stopped a
     // kBooting VM, so this is belt-and-braces for future boot semantics).
-    iaas_.drain_and_stop(profile_.name);
+    vm_.drain_and_stop();
     return;
   }
   route_ = DeployMode::kIaas;
@@ -336,7 +339,7 @@ void HybridExecutionEngine::on_vm_ready(std::uint64_t generation) {
   flush_boot_buffer();
   // Shutdown signal S_sd: reclaim the containers once their in-flight
   // queries complete.
-  serverless_.retire(profile_.name);
+  serverless_.retire(fn_);
   if (trace_on()) {
     obs::Tracer& tr = obs_->tracer();
     const auto track = tr.track("svc:" + profile_.name + "/control");
@@ -388,10 +391,10 @@ void HybridExecutionEngine::on_vm_boot_failed(std::uint64_t generation,
 void HybridExecutionEngine::start_vm_boot(std::uint64_t generation,
                                           int attempt) {
   if (switch_generation_ != generation || !switching_) return;
-  iaas_.boot(
-      profile_.name, [this, generation] { on_vm_ready(generation); },
+  vm_.boot(
+      [this, generation] { on_vm_ready(generation); },
       [this, generation, attempt] { on_vm_boot_failed(generation, attempt); });
-  // Emitted after iaas_.boot so a cancelled drain's "vm:drain" end (fired
+  // Emitted after vm_.boot so a cancelled drain's "vm:drain" end (fired
   // inline by boot()) lands before this begin — sync spans per track are a
   // stack and must stay balanced.
   if (trace_on()) {
@@ -407,9 +410,9 @@ void HybridExecutionEngine::abort_to_iaas() {
   // serverless (its containers keep serving) and the controller re-decides
   // after the cooldown.
   ++switch_generation_;
-  const bool booting = iaas_.state(profile_.name) == iaas::VmState::kBooting;
+  const bool booting = vm_.state() == iaas::VmState::kBooting;
   if (booting) {
-    iaas_.drain_and_stop(profile_.name);  // aborts the in-flight boot outright
+    vm_.drain_and_stop();  // aborts the in-flight boot outright
     if (trace_on()) {
       obs::Tracer& tr = obs_->tracer();
       tr.end(tr.track("svc:" + profile_.name + "/vm"), "vm:boot",

@@ -91,6 +91,11 @@ class HybridExecutionEngine {
   void switch_to_iaas(double load_qps, std::function<void(bool)> on_complete);
 
   [[nodiscard]] DeployMode route() const noexcept { return route_; }
+  /// The service's handles on the two platforms, from registration.
+  [[nodiscard]] serverless::FunctionId function() const noexcept {
+    return fn_;
+  }
+  [[nodiscard]] iaas::VirtualMachine& vm() const noexcept { return vm_; }
   [[nodiscard]] bool transitioning() const noexcept { return switching_; }
 
   /// True while the post-abort cooldown is active.
@@ -168,12 +173,15 @@ class HybridExecutionEngine {
 
   sim::Engine& engine_;
   serverless::ServerlessPlatform& serverless_;
-  iaas::IaasPlatform& iaas_;
   HybridEngineConfig cfg_;
   sim::Rng rng_;
   obs::Observer* obs_;
   workload::FunctionProfile profile_;
   int max_containers_;
+  // Registered in this order, the function first (member order is
+  // initialization order).
+  serverless::FunctionId fn_;
+  iaas::VirtualMachine& vm_;
   DeployMode route_ = DeployMode::kIaas;
   bool mirroring_ = true;
   bool switching_ = false;

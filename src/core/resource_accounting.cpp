@@ -6,17 +6,18 @@
 
 namespace amoeba::core {
 
-ServiceUsage service_usage(serverless::ServerlessPlatform& serverless,
-                           iaas::IaasPlatform& iaas,
-                           const std::string& service, double now) {
+ServiceUsage service_usage(iaas::VirtualMachine* vm,
+                           serverless::ServerlessPlatform& serverless,
+                           std::optional<serverless::FunctionId> fn,
+                           double now) {
   ServiceUsage u;
-  if (iaas.has_service(service)) {
-    u.cpu_core_seconds = iaas.rented_core_seconds(service, now);
-    u.memory_mb_seconds = iaas.rented_memory_mb_seconds(service, now);
+  if (vm != nullptr) {
+    u.cpu_core_seconds = vm->rented_core_seconds(now);
+    u.memory_mb_seconds = vm->rented_memory_mb_seconds(now);
   }
-  if (serverless.has_function(service)) {
-    u += {serverless.cpu_core_seconds(service),
-          serverless.memory_mb_seconds(service, now)};
+  if (fn.has_value()) {
+    u += {serverless.cpu_core_seconds(*fn),
+          serverless.memory_mb_seconds(*fn, now)};
   }
   return u;
 }

@@ -7,10 +7,10 @@
 // containers all hold memory — the honest cost of the prewarm strategy).
 #pragma once
 
-#include <string>
+#include <optional>
 #include <vector>
 
-#include "iaas/platform.hpp"
+#include "iaas/vm.hpp"
 #include "serverless/platform.hpp"
 
 namespace amoeba::core {
@@ -27,11 +27,12 @@ struct ServiceUsage {
 };
 
 /// Combined usage of a service across both platforms through `now`: the
-/// VM it rents plus what its containers consumed. A platform the service
-/// never registered on adds zero.
+/// VM it rents (`vm`, nullptr if it has none) plus what its containers
+/// consumed (`fn`, nullopt if it is no function on `serverless`). The IaaS
+/// term is taken first and the serverless term added to it.
 [[nodiscard]] ServiceUsage service_usage(
-    serverless::ServerlessPlatform& serverless, iaas::IaasPlatform& iaas,
-    const std::string& service, double now);
+    iaas::VirtualMachine* vm, serverless::ServerlessPlatform& serverless,
+    std::optional<serverless::FunctionId> fn, double now);
 
 /// Shared-pool admission arbitration: split a node-wide container budget
 /// across services asking for `asks[i]` containers each (their per-service

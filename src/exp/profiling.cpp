@@ -1,6 +1,7 @@
 #include "exp/profiling.hpp"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "exp/sweep.hpp"
@@ -109,21 +110,21 @@ CellResult run_profile_cell(const workload::FunctionProfile& subject,
   sim::Engine engine;
   sim::Rng rng(seed);
   serverless::ServerlessPlatform sp(engine, cluster.serverless, rng.fork(1));
-  sp.register_function(subject);
+  const serverless::FunctionId subject_fn = sp.register_function(subject);
+  std::optional<serverless::FunctionId> stressor_fn;
   if (stressor != nullptr) {
     AMOEBA_EXPECTS(stressor_qps > 0.0);
-    sp.register_function(*stressor);
+    stressor_fn = sp.register_function(*stressor);
   }
 
   stats::SampleSet service_latencies;
   double sum = 0.0;
   std::uint64_t count = 0;
   const double warmup = cfg.warmup_s;
-  const std::string subject_name = subject.name;
 
   workload::ConstantLoadGenerator subject_gen(
       engine, rng.fork(2), subject_qps, [&] {
-        sp.submit(subject_name, [&, arrival = engine.now()](
+        sp.submit(subject_fn, [&, arrival = engine.now()](
                                     const workload::QueryRecord& rec) {
           if (arrival < warmup) return;
           const double service = rec.breakdown.total() - rec.breakdown.queue_s -
@@ -135,11 +136,10 @@ CellResult run_profile_cell(const workload::FunctionProfile& subject,
       });
 
   std::unique_ptr<workload::ConstantLoadGenerator> stress_gen;
-  if (stressor != nullptr) {
-    const std::string stressor_name = stressor->name;
+  if (stressor_fn.has_value()) {
     stress_gen = std::make_unique<workload::ConstantLoadGenerator>(
-        engine, rng.fork(3), stressor_qps, [&sp, stressor_name] {
-          sp.submit(stressor_name, [](const workload::QueryRecord&) {});
+        engine, rng.fork(3), stressor_qps, [&sp, fn = *stressor_fn] {
+          sp.submit(fn, [](const workload::QueryRecord&) {});
         });
     stress_gen->start();
   }
@@ -207,13 +207,12 @@ std::array<double, core::kNumResources> probe_latencies(
 
   std::vector<std::unique_ptr<workload::ConstantLoadGenerator>> gens;
   for (std::size_t d = 0; d < core::kNumResources; ++d) {
-    const auto meter = workload::meter_profile(workload::kAllMeters[d]);
-    sp.register_function(meter);
-    const std::string name = meter.name;
+    const serverless::FunctionId fn =
+        sp.register_function(workload::meter_profile(workload::kAllMeters[d]));
     gens.push_back(std::make_unique<workload::ConstantLoadGenerator>(
         engine, rng.fork(10 + d), workload::kMeterProbeQps,
-        [&, d, name] {
-          sp.submit(name, [&, d, arrival = engine.now()](
+        [&, d, fn] {
+          sp.submit(fn, [&, d, arrival = engine.now()](
                               const workload::QueryRecord& rec) {
             if (arrival < cfg.warmup_s) return;
             sums[d] += rec.breakdown.total() - rec.breakdown.queue_s -
@@ -224,11 +223,10 @@ std::array<double, core::kNumResources> probe_latencies(
   }
   std::unique_ptr<workload::ConstantLoadGenerator> subject_gen;
   if (subject != nullptr) {
-    sp.register_function(*subject);
-    const std::string name = subject->name;
+    const serverless::FunctionId fn = sp.register_function(*subject);
     subject_gen = std::make_unique<workload::ConstantLoadGenerator>(
-        engine, rng.fork(20), subject_qps, [&sp, name] {
-          sp.submit(name, [](const workload::QueryRecord&) {});
+        engine, rng.fork(20), subject_qps, [&sp, fn] {
+          sp.submit(fn, [](const workload::QueryRecord&) {});
         });
     subject_gen->start();
   }

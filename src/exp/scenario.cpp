@@ -65,36 +65,6 @@ workload::DiurnalTraceConfig diurnal_for(
   return cfg;
 }
 
-workload::QueryCompletionFn RunRecorder::observer(const std::string& service) {
-  return [this, service](const workload::QueryRecord& rec) {
-    if (rec.arrival < warmup_s_) return;
-    PerService& ps = per_service_[service];
-    ps.latencies.add(rec.latency());
-    if (keep_records_) ps.records.push_back(rec);
-  };
-}
-
-const stats::SampleSet& RunRecorder::latencies(
-    const std::string& service) const {
-  auto it = per_service_.find(service);
-  AMOEBA_EXPECTS_MSG(it != per_service_.end(),
-                     "no records for service: " + service);
-  return it->second.latencies;
-}
-
-const std::vector<workload::QueryRecord>& RunRecorder::records(
-    const std::string& service) const {
-  auto it = per_service_.find(service);
-  AMOEBA_EXPECTS_MSG(it != per_service_.end(),
-                     "no records for service: " + service);
-  return it->second.records;
-}
-
-std::uint64_t RunRecorder::count(const std::string& service) const {
-  auto it = per_service_.find(service);
-  return it == per_service_.end() ? 0 : it->second.latencies.size();
-}
-
 const char* to_string(DeploySystem s) noexcept {
   switch (s) {
     case DeploySystem::kAmoeba: return "Amoeba";
@@ -151,7 +121,6 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   iaas::IaasPlatform& ip = node.ip;
 
   const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
-  RunRecorder recorder(opt.warmup_s, opt.keep_records);
 
   // Background tenants live directly on the shared serverless platform.
   std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
@@ -159,16 +128,15 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   if (opt.with_background) {
     int k = 0;
     for (const auto& bg : background_suite(opt.background_peak_fraction)) {
-      sp.register_function(bg);
+      const serverless::FunctionId fn = sp.register_function(bg);
       auto trace = std::make_unique<workload::DiurnalTrace>(
           diurnal_for(bg, opt.period_s, 0.17 * (k + 1)),
           opt.seed ^ (0xb67u + static_cast<unsigned>(k)));
-      const std::string name = bg.name;
       auto gen = std::make_unique<workload::PoissonLoadGenerator>(
           engine, node.rng.fork(100 + static_cast<std::uint64_t>(k)),
           [t = trace.get()](double now) { return t->rate(now); },
-          trace->max_rate(), [&sp, name] {
-            sp.submit(name, [](const workload::QueryRecord&) {});
+          trace->max_rate(), [&sp, fn] {
+            sp.submit(fn, [](const workload::QueryRecord&) {});
           });
       gen->start();
       traces.push_back(std::move(trace));
@@ -184,41 +152,49 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
 
   auto fg_trace = std::make_unique<workload::DiurnalTrace>(
       diurnal_for(foreground, opt.period_s), opt.seed ^ 0x51u);
-  const auto fg_observer = recorder.observer(foreground.name);
+  // User queries past warm-up, and their full records if asked for.
+  const workload::QueryCompletionFn fg_observer =
+      [&result, warmup_s = opt.warmup_s,
+       keep = opt.keep_records](const workload::QueryRecord& rec) {
+        if (rec.arrival < warmup_s) return;
+        result.latencies.add(rec.latency());
+        if (keep) result.records.push_back(rec);
+      };
 
   std::unique_ptr<core::AmoebaRuntime> runtime;
   workload::ArrivalFn fg_arrival;
   std::function<void()> nameko_boot;  // must outlive the event loop
-  const std::string fg_name = foreground.name;
+  // The foreground's handles, for its usage: a VM, a function, or both.
+  iaas::VirtualMachine* fg_vm = nullptr;
+  std::optional<serverless::FunctionId> fg_fn;
 
   switch (system) {
     case DeploySystem::kNameko: {
-      ip.register_service(foreground, just_enough_vm(foreground, cluster));
+      iaas::VirtualMachine& vm =
+          ip.register_service(foreground, just_enough_vm(foreground, cluster));
+      fg_vm = &vm;
       if (node.faults) {
         // Injected boot failures: keep rebooting until the VM sticks, and
         // shed arrivals while it is down (a pure-IaaS outage loses queries).
-        nameko_boot = [&engine, &ip, &nameko_boot, fg_name] {
-          ip.boot(fg_name, [] {}, [&engine, &nameko_boot] {
+        nameko_boot = [&engine, &vm, &nameko_boot] {
+          vm.boot([] {}, [&engine, &nameko_boot] {
             engine.schedule_in(1.0, [&nameko_boot] { nameko_boot(); });
           });
         };
         nameko_boot();
-        fg_arrival = [&ip, fg_name, fg_observer] {
-          if (ip.is_running(fg_name)) ip.submit(fg_name, fg_observer);
+        fg_arrival = [&vm, fg_observer] {
+          if (vm.state() == iaas::VmState::kRunning) vm.submit(fg_observer);
         };
       } else {
-        ip.boot(fg_name, [] {});
-        fg_arrival = [&ip, fg_name, fg_observer] {
-          ip.submit(fg_name, fg_observer);
-        };
+        vm.boot([] {});
+        fg_arrival = [&vm, fg_observer] { vm.submit(fg_observer); };
       }
       break;
     }
     case DeploySystem::kOpenWhisk: {
-      sp.register_function(foreground);
-      fg_arrival = [&sp, fg_name, fg_observer] {
-        sp.submit(fg_name, fg_observer);
-      };
+      const serverless::FunctionId fn = sp.register_function(foreground);
+      fg_fn = fn;
+      fg_arrival = [&sp, fn, fg_observer] { sp.submit(fn, fg_observer); };
       break;
     }
     default: {
@@ -236,6 +212,8 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
           engine, sp, ip, calibration, foreground, vm_spec, artifacts, n_max,
           cfg, node.rng.fork(3));
       runtime->start();
+      fg_vm = &runtime->execution_engine().vm();
+      fg_fn = runtime->execution_engine().function();
       fg_arrival = [rt = runtime.get(), fg_observer] {
         rt->submit(fg_observer);
       };
@@ -260,13 +238,8 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   fg_gen->stop();
   if (runtime) runtime->stop();
 
-  if (recorder.count(fg_name) > 0) {
-    result.latencies = recorder.latencies(fg_name);
-    if (opt.keep_records) result.records = recorder.records(fg_name);
-  }
-  result.queries = recorder.count(fg_name);
-
-  result.usage = core::service_usage(sp, ip, fg_name, duration);
+  result.queries = result.latencies.size();
+  result.usage = core::service_usage(fg_vm, sp, fg_fn, duration);
   if (runtime) {
     result.switches = runtime->switch_events();
     result.switch_aborts = runtime->execution_engine().switch_aborts();

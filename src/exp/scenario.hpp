@@ -6,7 +6,6 @@
 // (they cost nothing in the simulation, matching the paper's third node).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,33 +50,6 @@ struct ClusterConfig {
 [[nodiscard]] workload::DiurnalTraceConfig diurnal_for(
     const workload::FunctionProfile& profile, double period_s,
     double phase = 0.0);
-
-/// Collects per-service user-query latencies with a warmup filter, and
-/// the full records too when `keep_records` is set.
-class RunRecorder {
- public:
-  RunRecorder(double warmup_s, bool keep_records)
-      : warmup_s_(warmup_s), keep_records_(keep_records) {}
-
-  [[nodiscard]] workload::QueryCompletionFn observer(
-      const std::string& service);
-
-  [[nodiscard]] const stats::SampleSet& latencies(
-      const std::string& service) const;
-  /// Empty unless the recorder keeps records.
-  [[nodiscard]] const std::vector<workload::QueryRecord>& records(
-      const std::string& service) const;
-  [[nodiscard]] std::uint64_t count(const std::string& service) const;
-
- private:
-  struct PerService {
-    stats::SampleSet latencies;
-    std::vector<workload::QueryRecord> records;
-  };
-  double warmup_s_;
-  bool keep_records_;
-  std::map<std::string, PerService> per_service_;
-};
 
 /// Which deployment system manages the foreground benchmark.
 enum class DeploySystem {

@@ -222,8 +222,10 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   // to zero capacity. Count-wise the node budget stays intact: stages
   // split what remains.
   const int per_meter = std::max(1, opt.meter_reserve_containers / 3);
+  std::vector<serverless::FunctionId> meters;
   for (const auto kind : workload::kAllMeters) {
-    node.sp.register_function(workload::meter_profile(kind), per_meter);
+    meters.push_back(
+        node.sp.register_function(workload::meter_profile(kind), per_meter));
   }
   std::vector<std::size_t> first_stage;
   std::size_t n = 0;
@@ -396,18 +398,20 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
     st.switches = rt.switch_events();
     st.switch_aborts = rt.execution_engine().switch_aborts();
     st.switch_retries = rt.execution_engine().switch_retries();
-    st.prewarm_denied = node.sp.stats(st.name).prewarm_denied;
+    st.prewarm_denied =
+        node.sp.stats(rt.execution_engine().function()).prewarm_denied;
     run.stages_usage += st.usage;
     run.prewarm_denied_total += st.prewarm_denied;
   }
-  for (const auto kind : workload::kAllMeters) {
-    const std::string meter = workload::meter_profile(kind).name;
+  for (const serverless::FunctionId meter : meters) {
     run.meter_usage.cpu_core_seconds += node.sp.cpu_core_seconds(meter);
     run.meter_usage.memory_mb_seconds +=
         node.sp.memory_mb_seconds(meter, duration);
   }
-  for (const auto& fn : node.sp.function_names()) {
-    run.pool_memory_mb_seconds += node.sp.memory_mb_seconds(fn, duration);
+  // Summed in registration order; only conservation bounds read it.
+  for (std::size_t i = 0; i < node.sp.function_count(); ++i) {
+    run.pool_memory_mb_seconds += node.sp.memory_mb_seconds(
+        static_cast<serverless::FunctionId>(i), duration);
   }
   run.peak_pool_containers = node.sp.pool().peak_total_containers();
   run.peak_pool_memory_mb = node.sp.pool().peak_memory_in_use_mb();

@@ -17,74 +17,21 @@ IaasPlatform::IaasPlatform(sim::Engine& engine, IaasConfig cfg, sim::Rng rng)
   cfg_.validate();
 }
 
-void IaasPlatform::register_service(const workload::FunctionProfile& profile,
-                                    VmSpec spec) {
+VirtualMachine& IaasPlatform::register_service(
+    const workload::FunctionProfile& profile, VmSpec spec) {
   AMOEBA_PROF_SCOPE(kIaasPool);
-  AMOEBA_EXPECTS_MSG(!vms_.contains(profile.name),
-                     "service already registered");
   if (spec.boot_s < 0.0) spec.boot_s = cfg_.vm_boot_s;
-  auto [it, inserted] = vms_.emplace(
-      profile.name, std::make_unique<VirtualMachine>(
-                        engine_, profile, spec, rng_.fork(vms_.size() + 101),
-                        cfg_.disk_bps, cfg_.net_bps));
-  it->second->set_fault_injector(faults_);
+  auto vm = std::make_unique<VirtualMachine>(
+      engine_, profile, spec, rng_.fork(vms_.size() + 101), cfg_.disk_bps,
+      cfg_.net_bps);
+  vm->set_fault_injector(faults_);
+  vms_.push_back(std::move(vm));
+  return *vms_.back();
 }
 
 void IaasPlatform::set_fault_injector(sim::FaultInjector* faults) noexcept {
   faults_ = faults;
-  for (auto& [name, machine] : vms_) machine->set_fault_injector(faults);
-}
-
-bool IaasPlatform::has_service(const std::string& name) const {
-  return vms_.contains(name);
-}
-
-VirtualMachine& IaasPlatform::vm(const std::string& service) {
-  auto it = vms_.find(service);
-  AMOEBA_EXPECTS_MSG(it != vms_.end(), "unknown service: " + service);
-  return *it->second;
-}
-
-const VmSpec& IaasPlatform::spec(const std::string& service) const {
-  auto it = vms_.find(service);
-  AMOEBA_EXPECTS_MSG(it != vms_.end(), "unknown service: " + service);
-  return it->second->spec();
-}
-
-void IaasPlatform::boot(const std::string& service,
-                        std::function<void()> on_ready,
-                        std::function<void()> on_failed) {
-  AMOEBA_PROF_SCOPE(kIaasPool);
-  vm(service).boot(std::move(on_ready), std::move(on_failed));
-}
-
-void IaasPlatform::drain_and_stop(
-    const std::string& service,
-    std::function<void(bool completed)> on_drained) {
-  AMOEBA_PROF_SCOPE(kIaasPool);
-  vm(service).drain_and_stop(std::move(on_drained));
-}
-
-VmState IaasPlatform::state(const std::string& service) const {
-  auto it = vms_.find(service);
-  AMOEBA_EXPECTS_MSG(it != vms_.end(), "unknown service: " + service);
-  return it->second->state();
-}
-
-void IaasPlatform::submit(const std::string& service,
-                          workload::QueryCompletionFn on_done) {
-  AMOEBA_PROF_SCOPE(kIaasPool);
-  vm(service).submit(std::move(on_done));
-}
-
-double IaasPlatform::rented_core_seconds(const std::string& service,
-                                         sim::Time now) {
-  return vm(service).rented_core_seconds(now);
-}
-
-double IaasPlatform::rented_memory_mb_seconds(const std::string& service,
-                                              sim::Time now) {
-  return vm(service).rented_memory_mb_seconds(now);
+  for (const auto& vm : vms_) vm->set_fault_injector(faults);
 }
 
 }  // namespace amoeba::iaas

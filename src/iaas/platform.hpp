@@ -1,9 +1,14 @@
-// IaaS platform: a fleet of per-service VMs plus rented-resource accounting.
+// IaaS platform: the owner of a node's per-service VMs.
+//
+// register_service() creates a service's VM and hands it out; callers boot,
+// drain, submit to and account that VirtualMachine directly. The platform
+// keeps what every VM shares: the config (boot-time default, disk and NIC
+// rates), the per-VM random streams (forked in registration order) and the
+// fault injector, which reaches present and future VMs.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "iaas/vm.hpp"
 #include "sim/engine.hpp"
@@ -23,41 +28,21 @@ class IaasPlatform {
  public:
   IaasPlatform(sim::Engine& engine, IaasConfig cfg, sim::Rng rng);
 
-  /// Create (stopped) the VM for a service. If `spec.boot_s` is negative it
-  /// inherits the platform default.
-  void register_service(const workload::FunctionProfile& profile, VmSpec spec);
-
-  [[nodiscard]] bool has_service(const std::string& name) const;
-
-  void boot(const std::string& service, std::function<void()> on_ready,
-            std::function<void()> on_failed = {});
+  /// Create the (stopped) VM for a service and return it; the platform owns
+  /// it for its own lifetime. If `spec.boot_s` is negative it inherits the
+  /// platform default.
+  VirtualMachine& register_service(const workload::FunctionProfile& profile,
+                                   VmSpec spec);
 
   /// Attach the fault injector to every VM, present and future (non-owning;
   /// nullptr disables injection).
   void set_fault_injector(sim::FaultInjector* faults) noexcept;
-  /// See VirtualMachine::drain_and_stop for the callback contract.
-  void drain_and_stop(const std::string& service,
-                      std::function<void(bool completed)> on_drained = {});
-
-  [[nodiscard]] VmState state(const std::string& service) const;
-  [[nodiscard]] bool is_running(const std::string& service) const {
-    return state(service) == VmState::kRunning;
-  }
-
-  void submit(const std::string& service, workload::QueryCompletionFn on_done);
-
-  [[nodiscard]] VirtualMachine& vm(const std::string& service);
-  [[nodiscard]] const VmSpec& spec(const std::string& service) const;
-
-  /// Accounting through `now` (monotonic across boot cycles).
-  double rented_core_seconds(const std::string& service, sim::Time now);
-  double rented_memory_mb_seconds(const std::string& service, sim::Time now);
 
  private:
   sim::Engine& engine_;
   IaasConfig cfg_;
   sim::Rng rng_;
-  std::map<std::string, std::unique_ptr<VirtualMachine>> vms_;
+  std::vector<std::unique_ptr<VirtualMachine>> vms_;  ///< registration order
   sim::FaultInjector* faults_ = nullptr;
 };
 

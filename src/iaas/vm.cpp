@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/profiler.hpp"
+
 namespace amoeba::iaas {
 
 void VmSpec::validate() const {
@@ -52,6 +54,7 @@ void VirtualMachine::advance_accounting(sim::Time now) {
 
 void VirtualMachine::boot(std::function<void()> on_ready,
                           std::function<void()> on_failed) {
+  AMOEBA_PROF_SCOPE(kIaasPool);
   AMOEBA_EXPECTS(on_ready != nullptr);
   advance_accounting(engine_.now());
   switch (state_) {
@@ -97,6 +100,7 @@ void VirtualMachine::boot(std::function<void()> on_ready,
 
 void VirtualMachine::drain_and_stop(
     std::function<void(bool completed)> on_drained) {
+  AMOEBA_PROF_SCOPE(kIaasPool);
   advance_accounting(engine_.now());
   switch (state_) {
     case VmState::kStopped:
@@ -136,6 +140,7 @@ void VirtualMachine::notify_drained(bool completed) {
 }
 
 void VirtualMachine::submit(workload::QueryCompletionFn on_done) {
+  AMOEBA_PROF_SCOPE(kIaasPool);
   AMOEBA_EXPECTS(on_done != nullptr);
   AMOEBA_EXPECTS_MSG(state_ == VmState::kRunning,
                      "submit() requires a running VM");
@@ -143,7 +148,6 @@ void VirtualMachine::submit(workload::QueryCompletionFn on_done) {
 
   auto rec = std::make_shared<workload::QueryRecord>();
   rec->id = next_query_id_++;
-  rec->function = profile_.name;
   rec->arrival = engine_.now();
   rec->breakdown.overhead_s = profile_.rpc_overhead_s;
 

@@ -7,13 +7,17 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/engine.hpp"
 
 namespace amoeba::serverless {
 
 using ContainerId = std::uint64_t;
+
+/// Handle of a function registered on the serverless platform: its dense
+/// index in registration order. Below the platform's API edge every
+/// per-function table is a vector indexed by it.
+enum class FunctionId : std::uint32_t {};
 
 enum class ContainerState : std::uint8_t {
   kStarting,  ///< cold start in progress (memory already reserved)
@@ -25,7 +29,7 @@ enum class ContainerState : std::uint8_t {
 
 struct Container {
   ContainerId id = 0;
-  std::string function;
+  FunctionId function{};
   ContainerState state = ContainerState::kStarting;
   double memory_mb = 0.0;
   sim::Time created_at = 0.0;

@@ -27,14 +27,21 @@ ContainerPool::ContainerPool(sim::Engine& engine, double memory_capacity_mb,
   AMOEBA_EXPECTS(keep_alive_s > 0.0);
 }
 
+FunctionId ContainerPool::add_function() {
+  functions_.push_back({{}, {}, stats::IntegratedGauge(engine_.now())});
+  return static_cast<FunctionId>(functions_.size() - 1);
+}
+
 std::optional<ContainerId> ContainerPool::start(
-    const std::string& function, double memory_mb, double boot_s,
+    FunctionId function, double memory_mb, double boot_s,
     std::function<void(ContainerId)> on_ready,
     std::function<void(ContainerId)> on_failed) {
   AMOEBA_PROF_SCOPE(kServerlessPool);
   AMOEBA_EXPECTS(memory_mb > 0.0);
   AMOEBA_EXPECTS(boot_s >= 0.0);
   AMOEBA_EXPECTS(on_ready != nullptr);
+  AMOEBA_EXPECTS(known(function));
+  FunctionRecord& rec = record(function);
   if (!memory_.try_acquire(memory_mb)) return std::nullopt;
 
   bool boot_fails = false;
@@ -52,10 +59,8 @@ std::optional<ContainerId> ContainerPool::start(
   c.memory_mb = memory_mb;
   c.created_at = engine_.now();
   containers_.emplace(id, std::move(c));
-  counts_by_fn_[function].starting += 1;
-  auto [it, inserted] = mem_gauge_by_fn_.try_emplace(
-      function, stats::IntegratedGauge(engine_.now()));
-  it->second.add(engine_.now(), memory_mb);
+  rec.counts.starting += 1;
+  rec.memory.add(engine_.now(), memory_mb);
   ++cold_starts_;
   peak_total_containers_ =
       std::max(peak_total_containers_, static_cast<int>(containers_.size()));
@@ -77,10 +82,11 @@ std::optional<ContainerId> ContainerPool::start(
     cont.state = ContainerState::kIdle;
     cont.ready_at = engine_.now();
     cont.idle_since = engine_.now();
-    counts_by_fn_[cont.function].starting -= 1;
-    counts_by_fn_[cont.function].idle += 1;
-    check_counts(counts_by_fn_[cont.function]);
-    idle_by_fn_[cont.function].push_back(id);
+    FunctionRecord& fr = record(cont.function);
+    fr.counts.starting -= 1;
+    fr.counts.idle += 1;
+    check_counts(fr.counts);
+    fr.idle.push_back(id);
     cont.expiry_event =
         engine_.schedule_in(keep_alive_s_, [this, id] { expire(id); });
     cb(id);
@@ -92,21 +98,21 @@ bool ContainerPool::memory_available(double memory_mb) const {
   return memory_.available() + 1e-9 >= memory_mb;
 }
 
-bool ContainerPool::evict_lru_idle(const std::string& exclude_function) {
+bool ContainerPool::evict_lru_idle(std::optional<FunctionId> exclude) {
   AMOEBA_PROF_SCOPE(kServerlessPool);
   // Most calls come from a saturated pool with nothing idle to give up, so
   // miss in O(#functions) before scanning every container.
-  const bool any_candidate =
-      std::any_of(idle_by_fn_.begin(), idle_by_fn_.end(), [&](const auto& kv) {
-        return !kv.second.empty() &&
-               (exclude_function.empty() || kv.first != exclude_function);
-      });
+  bool any_candidate = false;
+  for (std::size_t i = 0; i < functions_.size() && !any_candidate; ++i) {
+    any_candidate = !functions_[i].idle.empty() &&
+                    static_cast<FunctionId>(i) != exclude;
+  }
   if (!any_candidate) return false;
   ContainerId victim = 0;
   double oldest = std::numeric_limits<double>::infinity();
   for (const auto& [id, c] : containers_) {
     if (c.state != ContainerState::kIdle) continue;
-    if (!exclude_function.empty() && c.function == exclude_function) continue;
+    if (c.function == exclude) continue;
     if (c.idle_since < oldest) {
       oldest = c.idle_since;
       victim = id;
@@ -118,15 +124,15 @@ bool ContainerPool::evict_lru_idle(const std::string& exclude_function) {
   return true;
 }
 
-std::optional<ContainerId> ContainerPool::acquire_idle(
-    const std::string& function) {
-  // Deliberately unscoped: this is the per-invocation fast path (a map
+std::optional<ContainerId> ContainerPool::acquire_idle(FunctionId function) {
+  // Deliberately unscoped: this is the per-invocation fast path (an index
   // lookup), and a profiler scope here would cost more than it measures.
   // Container *lifecycle* bookkeeping (start/evict/destroy/expire) carries
   // the kServerlessPool scopes.
-  auto it = idle_by_fn_.find(function);
-  if (it == idle_by_fn_.end() || it->second.empty()) return std::nullopt;
-  const ContainerId id = it->second.back();
+  AMOEBA_EXPECTS(known(function));
+  const std::vector<ContainerId>& idle = record(function).idle;
+  if (idle.empty()) return std::nullopt;
+  const ContainerId id = idle.back();
   mark_busy(id);
   return id;
 }
@@ -135,17 +141,17 @@ void ContainerPool::mark_busy(ContainerId id) {
   Container& c = get_mutable(id);
   AMOEBA_EXPECTS_MSG(c.state == ContainerState::kIdle,
                      "only idle containers can take work");
-  auto& idles = idle_by_fn_[c.function];
-  idles.erase(std::remove(idles.begin(), idles.end(), id), idles.end());
+  FunctionRecord& fr = record(c.function);
+  std::erase(fr.idle, id);
   if (c.expiry_event != sim::kNoEvent) {
     engine_.cancel(c.expiry_event);
     c.expiry_event = sim::kNoEvent;
   }
   c.state = ContainerState::kBusy;
   ++c.invocations_served;
-  counts_by_fn_[c.function].idle -= 1;
-  counts_by_fn_[c.function].busy += 1;
-  check_counts(counts_by_fn_[c.function]);
+  fr.counts.idle -= 1;
+  fr.counts.busy += 1;
+  check_counts(fr.counts);
 }
 
 void ContainerPool::release_to_idle(ContainerId id) {
@@ -154,10 +160,11 @@ void ContainerPool::release_to_idle(ContainerId id) {
   AMOEBA_EXPECTS(c.state == ContainerState::kBusy);
   c.state = ContainerState::kIdle;
   c.idle_since = engine_.now();
-  counts_by_fn_[c.function].busy -= 1;
-  counts_by_fn_[c.function].idle += 1;
-  check_counts(counts_by_fn_[c.function]);
-  idle_by_fn_[c.function].push_back(id);
+  FunctionRecord& fr = record(c.function);
+  fr.counts.busy -= 1;
+  fr.counts.idle += 1;
+  check_counts(fr.counts);
+  fr.idle.push_back(id);
   c.expiry_event =
       engine_.schedule_in(keep_alive_s_, [this, id] { expire(id); });
 }
@@ -167,34 +174,31 @@ void ContainerPool::destroy(ContainerId id) {
   auto it = containers_.find(id);
   AMOEBA_EXPECTS_MSG(it != containers_.end(), "destroying unknown container");
   Container& c = it->second;
+  FunctionRecord& fr = record(c.function);
   switch (c.state) {
     case ContainerState::kStarting:
-      counts_by_fn_[c.function].starting -= 1;
+      fr.counts.starting -= 1;
       break;
-    case ContainerState::kIdle: {
-      counts_by_fn_[c.function].idle -= 1;
-      auto& idles = idle_by_fn_[c.function];
-      idles.erase(std::remove(idles.begin(), idles.end(), id), idles.end());
+    case ContainerState::kIdle:
+      fr.counts.idle -= 1;
+      std::erase(fr.idle, id);
       break;
-    }
     case ContainerState::kBusy:
-      counts_by_fn_[c.function].busy -= 1;
+      fr.counts.busy -= 1;
       break;
   }
-  check_counts(counts_by_fn_[c.function]);
+  check_counts(fr.counts);
   if (c.expiry_event != sim::kNoEvent) engine_.cancel(c.expiry_event);
-  mem_gauge_by_fn_.at(c.function).add(engine_.now(), -c.memory_mb);
+  fr.memory.add(engine_.now(), -c.memory_mb);
   memory_.release(c.memory_mb);
   containers_.erase(it);
 }
 
-int ContainerPool::destroy_idle(const std::string& function) {
-  std::vector<ContainerId> victims;
-  for (const auto& [id, c] : containers_) {
-    if (c.function == function && c.state == ContainerState::kIdle) {
-      victims.push_back(id);
-    }
-  }
+int ContainerPool::destroy_idle(FunctionId function) {
+  AMOEBA_EXPECTS(known(function));
+  // Destroy in ascending-id order, as a scan of containers_ would.
+  std::vector<ContainerId> victims = record(function).idle;
+  std::sort(victims.begin(), victims.end());
   for (ContainerId id : victims) destroy(id);
   return static_cast<int>(victims.size());
 }
@@ -220,17 +224,17 @@ Container& ContainerPool::get_mutable(ContainerId id) {
   return it->second;
 }
 
-PoolCounts ContainerPool::counts(const std::string& function) const {
-  auto it = counts_by_fn_.find(function);
-  return it == counts_by_fn_.end() ? PoolCounts{} : it->second;
+PoolCounts ContainerPool::counts(FunctionId function) const {
+  AMOEBA_EXPECTS(known(function));
+  return record(function).counts;
 }
 
 PoolCounts ContainerPool::total_counts() const {
   PoolCounts total;
-  for (const auto& [fn, c] : counts_by_fn_) {
-    total.starting += c.starting;
-    total.idle += c.idle;
-    total.busy += c.busy;
+  for (const FunctionRecord& fr : functions_) {
+    total.starting += fr.counts.starting;
+    total.idle += fr.counts.idle;
+    total.busy += fr.counts.busy;
   }
   return total;
 }
@@ -241,7 +245,8 @@ int ContainerPool::headroom(double memory_mb) const {
 }
 
 std::vector<ContainerId> ContainerPool::starting_ids(
-    const std::string& function) const {
+    FunctionId function) const {
+  AMOEBA_EXPECTS(known(function));
   std::vector<ContainerId> out;
   for (const auto& [id, c] : containers_) {
     if (c.function == function && c.state == ContainerState::kStarting) {
@@ -251,16 +256,14 @@ std::vector<ContainerId> ContainerPool::starting_ids(
   return out;
 }
 
-double ContainerPool::memory_mb_seconds(const std::string& function,
-                                        sim::Time now) {
-  auto it = mem_gauge_by_fn_.find(function);
-  if (it == mem_gauge_by_fn_.end()) return 0.0;
-  return it->second.integral(now);
+double ContainerPool::memory_mb_seconds(FunctionId function, sim::Time now) {
+  AMOEBA_EXPECTS(known(function));
+  return record(function).memory.integral(now);
 }
 
-double ContainerPool::memory_in_use_mb(const std::string& function) const {
-  auto it = mem_gauge_by_fn_.find(function);
-  return it == mem_gauge_by_fn_.end() ? 0.0 : it->second.value();
+double ContainerPool::memory_in_use_mb(FunctionId function) const {
+  AMOEBA_EXPECTS(known(function));
+  return record(function).memory.value();
 }
 
 }  // namespace amoeba::serverless

@@ -4,12 +4,16 @@
 // reservation that caps their number (paper §IV-A's n_max: "an upper limit
 // for container quantity ... limited by the resource consumption"). The
 // platform layers dispatch and invocation execution on top.
+//
+// Per-function state (container counts, the idle stack, the memory gauge)
+// is one record per function, created by add_function() and addressed by
+// the FunctionId it returns; an id the pool never handed out trips a
+// precondition.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "serverless/container.hpp"
@@ -34,6 +38,10 @@ class ContainerPool {
   ContainerPool(sim::Engine& engine, double memory_capacity_mb,
                 double keep_alive_s);
 
+  /// Create the record of a new function: no containers, a zero memory
+  /// gauge. Ids are dense, in call order.
+  FunctionId add_function();
+
   /// Begin a cold start for `function`. Reserves `memory_mb` immediately;
   /// after `boot_s` simulated seconds the container turns idle and
   /// `on_ready(id)` fires. Returns nullopt if memory is insufficient
@@ -44,7 +52,7 @@ class ContainerPool {
   /// inflated) boot window, then the container is destroyed and
   /// `on_failed(id)` fires instead of `on_ready`.
   std::optional<ContainerId> start(
-      const std::string& function, double memory_mb, double boot_s,
+      FunctionId function, double memory_mb, double boot_s,
       std::function<void(ContainerId)> on_ready,
       std::function<void(ContainerId)> on_failed = nullptr);
 
@@ -58,11 +66,11 @@ class ContainerPool {
 
   /// Evict the least-recently-used idle container (optionally excluding one
   /// function's containers). Returns true if something was evicted.
-  bool evict_lru_idle(const std::string& exclude_function = {});
+  bool evict_lru_idle(std::optional<FunctionId> exclude = std::nullopt);
 
   /// Pop the most-recently-used idle container of `function` (LIFO reuse
   /// keeps the warm set small). Returns nullopt if none idle.
-  std::optional<ContainerId> acquire_idle(const std::string& function);
+  std::optional<ContainerId> acquire_idle(FunctionId function);
 
   /// Return a busy container to the idle set and arm its keep-alive timer.
   void release_to_idle(ContainerId id);
@@ -72,7 +80,7 @@ class ContainerPool {
 
   /// Destroy every idle container of `function` (switch-back reclaim).
   /// Returns how many were destroyed.
-  int destroy_idle(const std::string& function);
+  int destroy_idle(FunctionId function);
 
   /// Mark an idle container busy (used when assigning work).
   void mark_busy(ContainerId id);
@@ -80,7 +88,7 @@ class ContainerPool {
   [[nodiscard]] const Container& get(ContainerId id) const;
   [[nodiscard]] Container& get_mutable(ContainerId id);
 
-  [[nodiscard]] PoolCounts counts(const std::string& function) const;
+  [[nodiscard]] PoolCounts counts(FunctionId function) const;
   [[nodiscard]] PoolCounts total_counts() const;
 
   /// Number of additional containers of `memory_mb` that could start now.
@@ -89,7 +97,7 @@ class ContainerPool {
   /// Ids of `function`'s containers still in the kStarting state
   /// (deterministic ascending-id order). Used for abort reclamation.
   [[nodiscard]] std::vector<ContainerId> starting_ids(
-      const std::string& function) const;
+      FunctionId function) const;
 
   [[nodiscard]] double memory_capacity_mb() const noexcept {
     return memory_.capacity();
@@ -99,10 +107,10 @@ class ContainerPool {
   }
 
   /// Per-function container-memory integral (MB·s) through `now`.
-  double memory_mb_seconds(const std::string& function, sim::Time now);
+  double memory_mb_seconds(FunctionId function, sim::Time now);
 
   /// Memory currently reserved by `function`'s containers (MB).
-  [[nodiscard]] double memory_in_use_mb(const std::string& function) const;
+  [[nodiscard]] double memory_in_use_mb(FunctionId function) const;
 
   /// High-water marks since construction: most containers alive at once and
   /// most memory reserved at once. Cluster invariant tests assert the count
@@ -123,22 +131,37 @@ class ContainerPool {
   }
 
  private:
+  /// What the pool keeps per function.
+  struct FunctionRecord {
+    PoolCounts counts;
+    std::vector<ContainerId> idle;  ///< LIFO: most recently idle last
+    stats::IntegratedGauge memory;  ///< reserved MB, integrated over time
+  };
+
   void expire(ContainerId id);
+  // Every public method that takes an id checks known(id) on entry; the
+  // records of containers' own functions are indexed unchecked.
+  [[nodiscard]] bool known(FunctionId function) const noexcept {
+    return static_cast<std::size_t>(function) < functions_.size();
+  }
+  FunctionRecord& record(FunctionId function) {
+    return functions_[static_cast<std::size_t>(function)];
+  }
+  const FunctionRecord& record(FunctionId function) const {
+    return functions_[static_cast<std::size_t>(function)];
+  }
 
   sim::Engine& engine_;
   sim::CountingResource memory_;
   double keep_alive_s_;
   ContainerId next_id_ = 1;
-  // All per-function maps iterate in sorted-key order: total_counts()
-  // feeds cluster summaries and admission decisions, and the memory
-  // gauges feed accounting integrals, so iteration order is
-  // trace-affecting. std::unordered_map here would make summaries (and,
-  // through float-sum non-associativity, trace hashes) depend on hash
-  // seed and insertion order; tools/audit's ordering checker bans it.
-  std::map<ContainerId, Container> containers_;  // deterministic iteration
-  std::map<std::string, std::vector<ContainerId>> idle_by_fn_;
-  std::map<std::string, PoolCounts> counts_by_fn_;
-  std::map<std::string, stats::IntegratedGauge> mem_gauge_by_fn_;
+  // Containers iterate in ascending-id order (LRU eviction breaks
+  // idle-time ties by it), and the function records in registration
+  // order. Both orders are fixed by the schedule alone, never by hash
+  // seeds or addresses; the only fold over the records, total_counts(),
+  // sums integers.
+  std::map<ContainerId, Container> containers_;
+  std::vector<FunctionRecord> functions_;
   std::uint64_t cold_starts_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t boot_failures_ = 0;

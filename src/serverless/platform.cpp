@@ -33,39 +33,41 @@ ServerlessPlatform::ServerlessPlatform(sim::Engine& engine, PlatformConfig cfg,
   cfg_.validate();
 }
 
-void ServerlessPlatform::register_function(
+FunctionId ServerlessPlatform::register_function(
     const workload::FunctionProfile& profile, int max_containers) {
   profile.validate();
   AMOEBA_EXPECTS(max_containers >= 0);
-  AMOEBA_EXPECTS_MSG(!functions_.contains(profile.name),
+  AMOEBA_EXPECTS_MSG(!ids_by_name_.contains(profile.name),
                      "function already registered");
+  const FunctionId id = pool_.add_function();
+  AMOEBA_ASSERT(static_cast<std::size_t>(id) == functions_.size());
   FunctionState st;
+  st.id = id;
   st.profile = profile;
   st.max_containers = max_containers;
-  functions_.emplace(profile.name, std::move(st));
+  functions_.push_back(std::move(st));
+  ids_by_name_.emplace(profile.name, id);
+  return id;
 }
 
-bool ServerlessPlatform::has_function(const std::string& name) const {
-  return functions_.contains(name);
+std::optional<FunctionId> ServerlessPlatform::find_function(
+    const std::string& name) const {
+  const auto it = ids_by_name_.find(name);
+  if (it == ids_by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 const workload::FunctionProfile& ServerlessPlatform::profile(
-    const std::string& name) const {
-  return state_of(name).profile;
+    FunctionId fn) const {
+  AMOEBA_EXPECTS(known(fn));
+  return record(fn).profile;
 }
 
-std::vector<std::string> ServerlessPlatform::function_names() const {
-  std::vector<std::string> out;
-  out.reserve(functions_.size());
-  for (const auto& [name, st] : functions_) out.push_back(name);
-  return out;
-}
-
-void ServerlessPlatform::trace_container(const std::string& function,
-                                         ContainerId cid, bool begin) {
+void ServerlessPlatform::trace_container(FunctionId fn, ContainerId cid,
+                                         bool begin) {
   if (obs_ == nullptr || !obs_->trace_on()) return;
   amoeba::obs::Tracer& tr = obs_->tracer();
-  const auto track = tr.track("svc:" + function + "/pool");
+  const auto track = tr.track("svc:" + record(fn).profile.name + "/pool");
   if (begin) {
     tr.async_begin(track, "container_boot", cid, engine_.now(), "pool");
   } else {
@@ -73,27 +75,13 @@ void ServerlessPlatform::trace_container(const std::string& function,
   }
 }
 
-ServerlessPlatform::FunctionState& ServerlessPlatform::state_of(
-    const std::string& function) {
-  auto it = functions_.find(function);
-  AMOEBA_EXPECTS_MSG(it != functions_.end(), "unknown function: " + function);
-  return it->second;
-}
-
-const ServerlessPlatform::FunctionState& ServerlessPlatform::state_of(
-    const std::string& function) const {
-  auto it = functions_.find(function);
-  AMOEBA_EXPECTS_MSG(it != functions_.end(), "unknown function: " + function);
-  return it->second;
-}
-
-void ServerlessPlatform::submit(const std::string& function,
-                                QueryCompletionFn on_done) {
+void ServerlessPlatform::submit(FunctionId fn, QueryCompletionFn on_done) {
   AMOEBA_EXPECTS(on_done != nullptr);
-  FunctionState& st = state_of(function);
+  AMOEBA_EXPECTS(known(fn));
+  FunctionState& st = record(fn);
   st.stats.submitted += 1;
   st.queue.push_back(Pending{next_query_id_++, engine_.now(), std::move(on_done)});
-  pump(function);
+  pump(fn);
 }
 
 double ServerlessPlatform::sample_cold_start() {
@@ -103,45 +91,52 @@ double ServerlessPlatform::sample_cold_start() {
 
 bool ServerlessPlatform::try_make_room(FunctionState& st) {
   if (st.max_containers > 0 &&
-      pool_.counts(st.profile.name).total() >= st.max_containers) {
+      pool_.counts(st.id).total() >= st.max_containers) {
     return false;
   }
   if (pool_.memory_available(st.profile.memory_mb)) return true;
   // Reclaim idle capacity parked by other functions.
-  while (pool_.evict_lru_idle(st.profile.name)) {
+  while (pool_.evict_lru_idle(st.id)) {
     if (pool_.memory_available(st.profile.memory_mb)) return true;
   }
   return false;
 }
 
-int ServerlessPlatform::prewarm(const std::string& function, int count) {
+std::optional<ContainerId> ServerlessPlatform::start_container(
+    FunctionState& st) {
+  const FunctionId fn = st.id;
+  const auto cid = pool_.start(
+      fn, st.profile.memory_mb, sample_cold_start(),
+      [this, fn](ContainerId id) { on_container_ready(fn, id); },
+      [this, fn](ContainerId id) { on_container_failed(fn, id); });
+  if (cid.has_value()) trace_container(fn, *cid, /*begin=*/true);
+  return cid;
+}
+
+int ServerlessPlatform::prewarm(FunctionId fn, int count) {
   AMOEBA_EXPECTS(count >= 0);
-  FunctionState& st = state_of(function);
+  AMOEBA_EXPECTS(known(fn));
+  FunctionState& st = record(fn);
   int started = 0;
-  while (pool_.counts(function).total() < count) {
+  while (pool_.counts(fn).total() < count) {
     if (!try_make_room(st)) break;
-    const auto cid = pool_.start(
-        function, st.profile.memory_mb, sample_cold_start(),
-        [this, function](ContainerId id) { on_container_ready(function, id); },
-        [this, function](ContainerId id) { on_container_failed(function, id); });
-    if (!cid.has_value()) break;
-    trace_container(function, *cid, /*begin=*/true);
+    if (!start_container(st).has_value()) break;
     ++started;
   }
   // Anything still missing was denied admission (pool memory or n_max):
   // count each denied container so cluster runs can report how often the
   // shared-pool arbitration actually bit.
-  const int missing = count - pool_.counts(function).total();
+  const int missing = count - pool_.counts(fn).total();
   if (missing > 0) {
     st.stats.prewarm_denied += static_cast<std::uint64_t>(missing);
   }
   return started;
 }
 
-void ServerlessPlatform::pump(const std::string& function) {
-  FunctionState& st = state_of(function);
+void ServerlessPlatform::pump(FunctionId fn) {
+  FunctionState& st = record(fn);
   while (!st.queue.empty()) {
-    if (auto cid = pool_.acquire_idle(function)) {
+    if (auto cid = pool_.acquire_idle(fn)) {
       Pending p = std::move(st.queue.front());
       st.queue.pop_front();
       run_invocation(st, *cid, std::move(p));
@@ -152,21 +147,16 @@ void ServerlessPlatform::pump(const std::string& function) {
     // caused). Remaining queries stay queued for whichever container frees
     // or boots next.
     if (!try_make_room(st)) break;
-    const auto cid = pool_.start(
-        function, st.profile.memory_mb, sample_cold_start(),
-        [this, function](ContainerId id) { on_container_ready(function, id); },
-        [this, function](ContainerId id) { on_container_failed(function, id); });
+    const auto cid = start_container(st);
     if (!cid.has_value()) break;
-    trace_container(function, *cid, /*begin=*/true);
     st.bound.emplace(*cid, std::move(st.queue.front()));
     st.queue.pop_front();
   }
 }
 
-void ServerlessPlatform::on_container_ready(const std::string& function,
-                                            ContainerId cid) {
-  trace_container(function, cid, /*begin=*/false);
-  FunctionState& st = state_of(function);
+void ServerlessPlatform::on_container_ready(FunctionId fn, ContainerId cid) {
+  trace_container(fn, cid, /*begin=*/false);
+  FunctionState& st = record(fn);
   auto it = st.bound.find(cid);
   if (it != st.bound.end()) {
     Pending p = std::move(it->second);
@@ -175,17 +165,16 @@ void ServerlessPlatform::on_container_ready(const std::string& function,
     run_invocation(st, cid, std::move(p));
     return;
   }
-  pump(function);
+  pump(fn);
 }
 
-void ServerlessPlatform::on_container_failed(const std::string& function,
-                                             ContainerId cid) {
-  trace_container(function, cid, /*begin=*/false);
-  FunctionState& st = state_of(function);
+void ServerlessPlatform::on_container_failed(FunctionId fn, ContainerId cid) {
+  trace_container(fn, cid, /*begin=*/false);
+  FunctionState& st = record(fn);
   st.stats.boot_failures += 1;
   if (obs_ != nullptr && obs_->metrics_on()) {
     obs_->metrics()
-        .counter("container_boot_failures", {{"function", function}})
+        .counter("container_boot_failures", {{"function", st.profile.name}})
         .inc();
   }
   // A query bound to the failed container (OpenWhisk semantics) is rescued
@@ -196,7 +185,7 @@ void ServerlessPlatform::on_container_failed(const std::string& function,
     st.queue.push_front(std::move(it->second));
     st.bound.erase(it);
   }
-  pump(function);
+  pump(fn);
 }
 
 void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
@@ -204,7 +193,6 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
   const workload::FunctionProfile& p = st.profile;
   auto rec = std::make_shared<QueryRecord>();
   rec->id = pending.id;
-  rec->function = p.name;
   rec->arrival = pending.arrival;
 
   // Attribute the wait between arrival and service start: any overlap with
@@ -236,14 +224,16 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
   const double io_scale = 1.0 / cfg_.io_efficiency;
   const double net_scale = 1.0 / cfg_.net_efficiency;
 
-  const std::string fn = p.name;
+  // Every phase's stream carries the function's id, attributing its demand.
+  const FunctionId fn = st.id;
+  const auto tag = static_cast<sim::StreamTag>(fn);
   auto finish = [this, fn, cid, rec, done = std::move(pending.on_done)]() mutable {
     rec->completion = engine_.now();
-    finish_invocation(state_of(fn), cid, *rec, std::move(done));
+    finish_invocation(record(fn), cid, *rec, std::move(done));
   };
 
   // Build the phase chain back-to-front; each phase stamps its duration.
-  auto post_phase = [this, rec, bytes = p.result_bytes * net_scale,
+  auto post_phase = [this, rec, tag, bytes = p.result_bytes * net_scale,
                      next = std::move(finish)]() mutable {
     if (bytes <= 0.0) {
       next();
@@ -256,10 +246,10 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
           rec->breakdown.post_s = engine_.now() - t0;
           next();
         },
-        rec->function);
+        tag);
   };
 
-  auto exec_net_phase = [this, rec, bytes = p.exec.net_bytes * net_scale,
+  auto exec_net_phase = [this, rec, tag, bytes = p.exec.net_bytes * net_scale,
                          next = std::move(post_phase)]() mutable {
     if (bytes <= 0.0) {
       next();
@@ -272,10 +262,10 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
           rec->breakdown.exec_s += engine_.now() - t0;
           next();
         },
-        rec->function);
+        tag);
   };
 
-  auto exec_io_phase = [this, rec, bytes = p.exec.io_bytes * io_scale,
+  auto exec_io_phase = [this, rec, tag, bytes = p.exec.io_bytes * io_scale,
                         next = std::move(exec_net_phase)]() mutable {
     if (bytes <= 0.0) {
       next();
@@ -288,10 +278,11 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
           rec->breakdown.exec_s += engine_.now() - t0;
           next();
         },
-        rec->function);
+        tag);
   };
 
-  auto exec_cpu_phase = [this, rec, cpu_work, cap = cfg_.container_core_cap,
+  auto exec_cpu_phase = [this, rec, tag, cpu_work,
+                         cap = cfg_.container_core_cap,
                          next = std::move(exec_io_phase)]() mutable {
     if (cpu_work <= 0.0) {
       next();
@@ -304,10 +295,10 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
           rec->breakdown.exec_s += engine_.now() - t0;
           next();
         },
-        rec->function);
+        tag);
   };
 
-  auto code_load_phase = [this, rec, bytes = p.code_bytes * io_scale,
+  auto code_load_phase = [this, rec, tag, bytes = p.code_bytes * io_scale,
                           next = std::move(exec_cpu_phase)]() mutable {
     if (bytes <= 0.0) {
       next();
@@ -320,7 +311,7 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
           rec->breakdown.code_load_s = engine_.now() - t0;
           next();
         },
-        rec->function);
+        tag);
   };
 
   // Entry: fixed platform processing overhead (auth + scheduling).
@@ -345,69 +336,71 @@ void ServerlessPlatform::finish_invocation(FunctionState& st, ContainerId cid,
   } else {
     pool_.release_to_idle(cid);
   }
-  const std::string fn = record.function;
+  const FunctionId fn = st.id;
   on_done(record);
   pump(fn);
 }
 
-void ServerlessPlatform::retire(const std::string& function) {
-  FunctionState& st = state_of(function);
-  st.retired = true;
-  pool_.destroy_idle(function);
+void ServerlessPlatform::retire(FunctionId fn) {
+  AMOEBA_EXPECTS(known(fn));
+  record(fn).retired = true;
+  pool_.destroy_idle(fn);
 }
 
-void ServerlessPlatform::unretire(const std::string& function) {
-  state_of(function).retired = false;
+void ServerlessPlatform::unretire(FunctionId fn) {
+  AMOEBA_EXPECTS(known(fn));
+  record(fn).retired = false;
 }
 
-bool ServerlessPlatform::retired(const std::string& function) const {
-  return state_of(function).retired;
+bool ServerlessPlatform::retired(FunctionId fn) const {
+  AMOEBA_EXPECTS(known(fn));
+  return record(fn).retired;
 }
 
-int ServerlessPlatform::release_prewarmed(const std::string& function) {
-  FunctionState& st = state_of(function);
-  int destroyed = pool_.destroy_idle(function);
-  for (ContainerId cid : pool_.starting_ids(function)) {
+int ServerlessPlatform::release_prewarmed(FunctionId fn) {
+  AMOEBA_EXPECTS(known(fn));
+  const FunctionState& st = record(fn);
+  int destroyed = pool_.destroy_idle(fn);
+  for (ContainerId cid : pool_.starting_ids(fn)) {
     if (st.bound.contains(cid)) continue;  // still owed to its bound query
     // The boot's async trace span would otherwise dangle: its completion
     // event self-cancels on destroy, so end the span here.
-    trace_container(function, cid, /*begin=*/false);
+    trace_container(fn, cid, /*begin=*/false);
     pool_.destroy(cid);
     ++destroyed;
   }
   return destroyed;
 }
 
-std::size_t ServerlessPlatform::queue_length(
-    const std::string& function) const {
-  return state_of(function).queue.size();
+const FunctionStats& ServerlessPlatform::stats(FunctionId fn) const {
+  AMOEBA_EXPECTS(known(fn));
+  return record(fn).stats;
 }
 
-const FunctionStats& ServerlessPlatform::stats(
-    const std::string& function) const {
-  return state_of(function).stats;
+double ServerlessPlatform::cpu_core_seconds(FunctionId fn) const {
+  AMOEBA_EXPECTS(known(fn));
+  return record(fn).stats.cpu_core_seconds;
 }
 
-double ServerlessPlatform::cpu_core_seconds(
-    const std::string& function) const {
-  return state_of(function).stats.cpu_core_seconds;
-}
-
-double ServerlessPlatform::memory_mb_seconds(const std::string& function,
-                                             sim::Time now) {
-  return pool_.memory_mb_seconds(function, now);
+double ServerlessPlatform::memory_mb_seconds(FunctionId fn, sim::Time now) {
+  AMOEBA_EXPECTS(known(fn));
+  return pool_.memory_mb_seconds(fn, now);
 }
 
 std::array<double, 3> ServerlessPlatform::true_pressure_of(
-    const std::string& function) const {
-  return {cpu_.pressure_of(function), disk_.pressure_of(function),
-          net_.pressure_of(function)};
+    FunctionId fn) const {
+  AMOEBA_EXPECTS(known(fn));
+  const auto tag = static_cast<sim::StreamTag>(fn);
+  return {cpu_.pressure_of(tag), disk_.pressure_of(tag),
+          net_.pressure_of(tag)};
 }
 
 std::array<double, 3> ServerlessPlatform::true_external_pressure(
-    const std::string& function) const {
-  return {cpu_.external_pressure(function), disk_.external_pressure(function),
-          net_.external_pressure(function)};
+    FunctionId fn) const {
+  AMOEBA_EXPECTS(known(fn));
+  const auto tag = static_cast<sim::StreamTag>(fn);
+  return {cpu_.external_pressure(tag), disk_.external_pressure(tag),
+          net_.external_pressure(tag)};
 }
 
 }  // namespace amoeba::serverless

@@ -16,6 +16,13 @@
 // so cross-function interference, latency surfaces, and the no-fixed-
 // switch-load effect (paper §II-D) all emerge from the physics rather than
 // being scripted.
+//
+// A function's name is how a user addresses the platform; below that edge
+// everything uses the FunctionId register_function() returns. The platform
+// keeps one record per function in a vector indexed by that id, the pool
+// keeps its own per-function record under the same id, and every phase's
+// fair-share stream is tagged with it. find_function() is the one name
+// lookup.
 #pragma once
 
 #include <array>
@@ -80,17 +87,20 @@ class ServerlessPlatform {
  public:
   ServerlessPlatform(sim::Engine& engine, PlatformConfig cfg, sim::Rng rng);
 
-  /// Register a function before submitting queries for it.
-  /// `max_containers` == 0 means "bounded only by pool memory" (otherwise
-  /// it is the paper's per-function n_max).
-  void register_function(const workload::FunctionProfile& profile,
-                         int max_containers = 0);
+  /// Register a function before submitting queries for it; the returned
+  /// handle addresses it from then on. Ids are dense, in registration
+  /// order, and names are unique. `max_containers` == 0 means "bounded
+  /// only by pool memory" (otherwise it is the paper's per-function n_max).
+  FunctionId register_function(const workload::FunctionProfile& profile,
+                               int max_containers = 0);
 
-  [[nodiscard]] bool has_function(const std::string& name) const;
-  [[nodiscard]] const workload::FunctionProfile& profile(
+  /// The handle of a registered name, or nullopt.
+  [[nodiscard]] std::optional<FunctionId> find_function(
       const std::string& name) const;
-  /// Registered function names (deterministic map order).
-  [[nodiscard]] std::vector<std::string> function_names() const;
+  [[nodiscard]] std::size_t function_count() const noexcept {
+    return functions_.size();
+  }
+  [[nodiscard]] const workload::FunctionProfile& profile(FunctionId fn) const;
 
   /// Attach the observability sink (non-owning; nullptr disables). Each
   /// container boot then becomes an async span on "svc:<fn>/pool".
@@ -103,40 +113,38 @@ class ServerlessPlatform {
   }
 
   /// Submit one query; `on_done` fires at completion with the full record.
-  void submit(const std::string& function, QueryCompletionFn on_done);
+  void submit(FunctionId fn, QueryCompletionFn on_done);
 
   /// Ensure at least `count` containers (idle + starting + busy) exist for
-  /// `function`, cold-starting the difference. Returns how many new
-  /// containers actually began starting (may be limited by memory).
-  int prewarm(const std::string& function, int count);
+  /// `fn`, cold-starting the difference. Returns how many new containers
+  /// actually began starting (may be limited by memory).
+  int prewarm(FunctionId fn, int count);
 
   /// Release the function's resources eagerly (paper §V-B shutdown signal
   /// S_sd): destroys its idle containers now, and containers finishing
   /// later are destroyed instead of kept warm, until unretire().
-  void retire(const std::string& function);
-  void unretire(const std::string& function);
-  [[nodiscard]] bool retired(const std::string& function) const;
+  void retire(FunctionId fn);
+  void unretire(FunctionId fn);
+  [[nodiscard]] bool retired(FunctionId fn) const;
 
   /// Abort-path reclamation: destroy the function's idle containers and any
   /// starting containers not bound to a query (those still serve the query
   /// that caused them). Returns how many containers were destroyed.
-  int release_prewarmed(const std::string& function);
+  int release_prewarmed(FunctionId fn);
 
-  /// Containers of `function` that are idle or still starting — the
-  /// "warm capacity" the hybrid engine waits on before switching.
-  [[nodiscard]] PoolCounts counts(const std::string& function) const {
-    return pool_.counts(function);
+  /// Containers of `fn` that are idle or still starting — the "warm
+  /// capacity" the hybrid engine waits on before switching.
+  [[nodiscard]] PoolCounts counts(FunctionId fn) const {
+    return pool_.counts(fn);  // the pool checks the id
   }
   [[nodiscard]] PoolCounts total_counts() const {
     return pool_.total_counts();
   }
-  [[nodiscard]] std::size_t queue_length(const std::string& function) const;
-
-  [[nodiscard]] const FunctionStats& stats(const std::string& function) const;
+  [[nodiscard]] const FunctionStats& stats(FunctionId fn) const;
 
   /// Per-function resource usage integrals for Fig. 11/13/14 accounting.
-  double cpu_core_seconds(const std::string& function) const;
-  double memory_mb_seconds(const std::string& function, sim::Time now);
+  [[nodiscard]] double cpu_core_seconds(FunctionId fn) const;
+  double memory_mb_seconds(FunctionId fn, sim::Time now);
 
   /// Ground-truth instantaneous pressures (tests/validation only; the
   /// Amoeba controller must not read these — it estimates them via meters).
@@ -158,12 +166,11 @@ class ServerlessPlatform {
   /// every invocation phase carries, so it reflects what is *live* right
   /// now. Tests/validation only — the controller estimates pressure through
   /// meters, exactly as on real hardware.
-  [[nodiscard]] std::array<double, 3> true_pressure_of(
-      const std::string& function) const;
-  /// Pressure on each resource caused by everything except `function` —
-  /// the live aggregate load of co-located tenants.
+  [[nodiscard]] std::array<double, 3> true_pressure_of(FunctionId fn) const;
+  /// Pressure on each resource caused by everything except `fn` — the live
+  /// aggregate load of co-located tenants.
   [[nodiscard]] std::array<double, 3> true_external_pressure(
-      const std::string& function) const;
+      FunctionId fn) const;
 
   /// Ground-truth busy-capacity integrals (work served so far); their time
   /// derivative over a window is the resource's average busy fraction.
@@ -189,6 +196,7 @@ class ServerlessPlatform {
   };
 
   struct FunctionState {
+    FunctionId id{};
     workload::FunctionProfile profile;
     int max_containers = 0;  // 0 = unlimited
     bool retired = false;
@@ -199,17 +207,29 @@ class ServerlessPlatform {
     FunctionStats stats;
   };
 
-  void on_container_ready(const std::string& function, ContainerId cid);
-  void on_container_failed(const std::string& function, ContainerId cid);
-  void trace_container(const std::string& function, ContainerId cid,
-                       bool begin);
+  void on_container_ready(FunctionId fn, ContainerId cid);
+  void on_container_failed(FunctionId fn, ContainerId cid);
+  void trace_container(FunctionId fn, ContainerId cid, bool begin);
 
-  FunctionState& state_of(const std::string& function);
-  const FunctionState& state_of(const std::string& function) const;
+  // Every public method that takes an id checks known(id) on entry; ids
+  // captured by the platform's own callbacks are indexed unchecked.
+  [[nodiscard]] bool known(FunctionId fn) const noexcept {
+    return static_cast<std::size_t>(fn) < functions_.size();
+  }
+  FunctionState& record(FunctionId fn) {
+    return functions_[static_cast<std::size_t>(fn)];
+  }
+  const FunctionState& record(FunctionId fn) const {
+    return functions_[static_cast<std::size_t>(fn)];
+  }
 
-  /// Try to move queued queries of `function` onto containers; cold-start
-  /// new containers when allowed.
-  void pump(const std::string& function);
+  /// Start one container for `st` (room already made). Returns its id, or
+  /// nullopt if the pool refused it.
+  std::optional<ContainerId> start_container(FunctionState& st);
+
+  /// Try to move queued queries of `fn` onto containers; cold-start new
+  /// containers when allowed.
+  void pump(FunctionId fn);
 
   /// True if one more container may start for this function right now
   /// (memory + n_max), evicting an idle foreign container if necessary.
@@ -228,7 +248,9 @@ class ServerlessPlatform {
   sim::FairShareResource disk_;
   sim::FairShareResource net_;
   ContainerPool pool_;
-  std::map<std::string, FunctionState> functions_;
+  std::vector<FunctionState> functions_;  ///< indexed by FunctionId
+  /// The one name index: the API edge's find_function().
+  std::map<std::string, FunctionId, std::less<>> ids_by_name_;
   amoeba::obs::Observer* obs_ = nullptr;
   std::uint64_t next_query_id_ = 1;
 };

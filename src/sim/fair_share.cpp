@@ -50,8 +50,7 @@ FairShareResource::~FairShareResource() {
 }
 
 StreamId FairShareResource::open(double work, double cap,
-                                 CompletionFn on_complete,
-                                 std::string_view tag) {
+                                 CompletionFn on_complete, StreamTag tag) {
   AMOEBA_EXPECTS(work >= 0.0);
   AMOEBA_EXPECTS(on_complete != nullptr);
   bank_progress();
@@ -99,8 +98,8 @@ double FairShareResource::pressure() const noexcept {
   return demand / capacity_;
 }
 
-double FairShareResource::demand_of(std::string_view tag) const noexcept {
-  if (tag.empty()) return 0.0;  // untagged demand belongs to no tag
+double FairShareResource::demand_of(StreamTag tag) const noexcept {
+  if (tag == kUntagged) return 0.0;  // untagged demand belongs to no tag
   double demand = 0.0;
   for (const CapClass& cls : classes_) {
     for (const Entry& e : cls.heap) {
@@ -110,25 +109,12 @@ double FairShareResource::demand_of(std::string_view tag) const noexcept {
   return demand;
 }
 
-double FairShareResource::pressure_of(std::string_view tag) const noexcept {
+double FairShareResource::pressure_of(StreamTag tag) const noexcept {
   return demand_of(tag) / capacity_;
 }
 
-double FairShareResource::external_pressure(
-    std::string_view tag) const noexcept {
+double FairShareResource::external_pressure(StreamTag tag) const noexcept {
   return std::max(0.0, pressure() - pressure_of(tag));
-}
-
-std::map<std::string, double, std::less<>> FairShareResource::demand_by_tag()
-    const {
-  std::map<std::string, double, std::less<>> out;
-  for (const CapClass& cls : classes_) {
-    for (const Entry& e : cls.heap) {
-      const std::string& tag = slots_[e.slot].tag;
-      if (!tag.empty()) out[tag] += cls.cap;
-    }
-  }
-  return out;
 }
 
 double FairShareResource::rate_of(StreamId id) const noexcept {
@@ -162,7 +148,7 @@ FairShareResource::CapClass& FairShareResource::class_for(double cap) {
   return *classes_.insert(it, CapClass{cap, 0.0, 0.0, {}});
 }
 
-std::uint32_t FairShareResource::take_slot(std::string_view tag,
+std::uint32_t FairShareResource::take_slot(StreamTag tag,
                                            CompletionFn on_complete) {
   std::uint32_t slot = 0;
   if (free_slots_.empty()) {
@@ -172,7 +158,7 @@ std::uint32_t FairShareResource::take_slot(std::string_view tag,
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  slots_[slot].tag.assign(tag);
+  slots_[slot].tag = tag;
   slots_[slot].on_complete = std::move(on_complete);
   return slot;
 }

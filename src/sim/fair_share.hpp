@@ -43,9 +43,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -53,6 +52,11 @@
 namespace amoeba::sim {
 
 using StreamId = std::uint64_t;
+
+/// Demand-attribution key of a stream: a client's dense id (the serverless
+/// platform tags streams with the owning function's id), or kUntagged.
+using StreamTag = std::uint32_t;
+inline constexpr StreamTag kUntagged = std::numeric_limits<StreamTag>::max();
 
 class FairShareResource {
  public:
@@ -77,13 +81,13 @@ class FairShareResource {
   /// via an engine event (never re-entrantly).
   ///
   /// `tag` optionally attributes the stream's demand to a client (the
-  /// serverless platform tags streams with the owning function's name).
+  /// serverless platform tags streams with the owning function's id).
   /// Tagged demand is queryable via demand_of()/pressure_of(): this is the
   /// ground-truth per-tenant demand breakdown a multi-service cluster run
   /// needs to attribute cross-service pressure. Untagged streams cost
   /// nothing extra.
   StreamId open(double work, double cap, CompletionFn on_complete,
-                std::string_view tag = {});
+                StreamTag tag = kUntagged);
 
   /// Abort a stream before completion. Returns the remaining work (0 if the
   /// stream was unknown or already complete).
@@ -96,21 +100,17 @@ class FairShareResource {
   /// 1.0 means the resource is exactly saturated; >1 oversubscribed.
   [[nodiscard]] double pressure() const noexcept;
 
-  /// Capped demand rate currently attributed to `tag` (0 for unknown tags).
-  [[nodiscard]] double demand_of(std::string_view tag) const noexcept;
+  /// Capped demand rate currently attributed to `tag` (0 for unknown tags
+  /// and for kUntagged). Walks the live streams: O(#streams), and off every
+  /// hot path.
+  [[nodiscard]] double demand_of(StreamTag tag) const noexcept;
 
   /// `demand_of(tag) / capacity`: the tag's own share of pressure().
-  [[nodiscard]] double pressure_of(std::string_view tag) const noexcept;
+  [[nodiscard]] double pressure_of(StreamTag tag) const noexcept;
 
   /// Pressure from every *other* tenant: pressure() - pressure_of(tag).
   /// Untagged streams count as external to every tag.
-  [[nodiscard]] double external_pressure(std::string_view tag) const noexcept;
-
-  /// Snapshot of the per-tag demand breakdown (tags with live streams).
-  /// The tag queries walk the live streams on each call: O(#streams), and
-  /// off every hot path.
-  [[nodiscard]] std::map<std::string, double, std::less<>> demand_by_tag()
-      const;
+  [[nodiscard]] double external_pressure(StreamTag tag) const noexcept;
 
   /// Instantaneous allocated rate of a stream (0 if unknown). Like close(),
   /// this searches the heaps: O(#streams).
@@ -142,13 +142,13 @@ class FairShareResource {
     std::vector<Entry> heap;   // min-heap on (finish, id)
   };
   struct Slot {
-    std::string tag;  // demand attribution key ("" = untagged)
+    StreamTag tag = kUntagged;  // demand attribution key
     CompletionFn on_complete;
   };
 
   // Find-or-insert the class of effective cap `cap`, in ascending cap order.
   CapClass& class_for(double cap);
-  std::uint32_t take_slot(std::string_view tag, CompletionFn on_complete);
+  std::uint32_t take_slot(StreamTag tag, CompletionFn on_complete);
   void free_slot(std::uint32_t slot);
   void bank_progress();  // advance every class's virtual clock to now
   void reallocate();     // recompute max-min rates + reschedule completion

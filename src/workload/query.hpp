@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace amoeba::workload {
 
@@ -35,7 +34,6 @@ struct LatencyBreakdown {
 
 struct QueryRecord {
   std::uint64_t id = 0;
-  std::string function;
   double arrival = 0.0;
   double completion = 0.0;
   LatencyBreakdown breakdown;

@@ -125,7 +125,7 @@ TEST(AmoebaRuntime, LowLoadSwitchesToServerless) {
   ASSERT_GE(f.runtime.switch_events().size(), 1u);
   EXPECT_EQ(f.runtime.switch_events()[0].to, DeployMode::kServerless);
   // IaaS resources were released after the switch.
-  EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);
+  EXPECT_EQ(f.runtime.execution_engine().vm().state(), iaas::VmState::kStopped);
 }
 
 TEST(AmoebaRuntime, HighLoadStaysOnIaas) {
@@ -164,7 +164,8 @@ TEST(AmoebaRuntime, LoadSwingSwitchesThereAndBack) {
   EXPECT_EQ(events[0].to, DeployMode::kServerless);
   EXPECT_EQ(events[1].to, DeployMode::kIaas);
   EXPECT_EQ(f.runtime.controller().mode(), DeployMode::kIaas);
-  EXPECT_TRUE(f.ip.is_running("svc"));
+  EXPECT_EQ(f.runtime.execution_engine().vm().state(),
+            iaas::VmState::kRunning);
 }
 
 TEST(AmoebaRuntime, QosHeldAcrossTheSwing) {

@@ -60,9 +60,9 @@ TEST(ContentionMonitor, RegistersMeterFunctionsOnStart) {
   ContentionMonitor monitor(e, sp, synthetic_calibration(node_config()),
                             monitor_config(), sim::Rng(4));
   monitor.start();
-  EXPECT_TRUE(sp.has_function("meter_cpu_memory"));
-  EXPECT_TRUE(sp.has_function("meter_disk_io"));
-  EXPECT_TRUE(sp.has_function("meter_network"));
+  EXPECT_TRUE(sp.find_function("meter_cpu_memory").has_value());
+  EXPECT_TRUE(sp.find_function("meter_disk_io").has_value());
+  EXPECT_TRUE(sp.find_function("meter_network").has_value());
 }
 
 TEST(ContentionMonitor, IdlePlatformReportsLowPressure) {
@@ -89,9 +89,9 @@ TEST(ContentionMonitor, DetectsCpuPressureOnTheRightDimension) {
 
   // CPU stressor at ~85% of the 8 cores.
   const auto stressor = workload::make_stressor(workload::StressKind::kCpu);
-  sp.register_function(stressor);
+  const serverless::FunctionId stress_fn = sp.register_function(stressor);
   workload::ConstantLoadGenerator gen(e, sim::Rng(9), 68.0, [&] {
-    sp.submit("stress_cpu", [](const workload::QueryRecord&) {});
+    sp.submit(stress_fn, [](const workload::QueryRecord&) {});
   });
   gen.start();
   e.run_until(60.0);
@@ -172,9 +172,9 @@ TEST(ContentionMonitor, DroppedMeterSamplesHoldLastPressure) {
   monitor.start();
 
   const auto stressor = workload::make_stressor(workload::StressKind::kCpu);
-  sp.register_function(stressor);
+  const serverless::FunctionId stress_fn = sp.register_function(stressor);
   workload::ConstantLoadGenerator gen(e, sim::Rng(20), 68.0, [&] {
-    sp.submit("stress_cpu", [](const workload::QueryRecord&) {});
+    sp.submit(stress_fn, [](const workload::QueryRecord&) {});
   });
   gen.start();
   e.run_until(60.0);
@@ -210,9 +210,9 @@ TEST(ContentionMonitor, AgeCapResetsStalePressureToCalibrationFloor) {
   monitor.start();
 
   const auto stressor = workload::make_stressor(workload::StressKind::kCpu);
-  sp.register_function(stressor);
+  const serverless::FunctionId stress_fn = sp.register_function(stressor);
   workload::ConstantLoadGenerator gen(e, sim::Rng(24), 68.0, [&] {
-    sp.submit("stress_cpu", [](const workload::QueryRecord&) {});
+    sp.submit(stress_fn, [](const workload::QueryRecord&) {});
   });
   gen.start();
   e.run_until(60.0);

@@ -117,13 +117,13 @@ TEST(HybridEngine, SwitchToServerlessPrewarmsBeforeFlip) {
   EXPECT_TRUE(f.hx.transitioning());
   EXPECT_EQ(f.hx.route(), DeployMode::kIaas);  // not yet flipped
   // Eq. 7: n = ceil(10 * 0.5) = 5 containers requested.
-  EXPECT_EQ(f.sp.counts("svc").starting, 5);
+  EXPECT_EQ(f.sp.counts(f.hx.function()).starting, 5);
   f.engine.run();
   EXPECT_TRUE(completed);
   EXPECT_EQ(f.hx.route(), DeployMode::kServerless);
   EXPECT_FALSE(f.hx.transitioning());
   // The VM was drained and stopped after the flip.
-  EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);
+  EXPECT_EQ(f.hx.vm().state(), iaas::VmState::kStopped);
   // Switch event logged with the load.
   ASSERT_EQ(f.hx.switch_events().size(), 1u);
   EXPECT_EQ(f.hx.switch_events()[0].to, DeployMode::kServerless);
@@ -139,7 +139,7 @@ TEST(HybridEngine, NoPrewarmFlipsImmediately) {
   f.hx.switch_to_serverless(10.0, [&](bool v) { ok = v; });
   EXPECT_TRUE(ok);  // synchronous flip
   EXPECT_EQ(f.hx.route(), DeployMode::kServerless);
-  EXPECT_EQ(f.sp.counts("svc").total(), 0);  // nothing warmed
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 0);  // nothing warmed
 }
 
 TEST(HybridEngine, SwitchAbortsOnTimeoutWhenPoolFull) {
@@ -150,8 +150,8 @@ TEST(HybridEngine, SwitchAbortsOnTimeoutWhenPoolFull) {
   workload::FunctionProfile hog = service();
   hog.name = "hog";
   hog.exec.cpu_seconds = 1000.0;  // never finishes within the test
-  f.sp.register_function(hog);
-  f.sp.submit("hog", [](const workload::QueryRecord&) {});
+  const serverless::FunctionId hog_fn = f.sp.register_function(hog);
+  f.sp.submit(hog_fn, [](const workload::QueryRecord&) {});
   f.engine.run_until(6.0);  // VM booted, hog busy in the only slot
 
   bool result = true;
@@ -168,7 +168,7 @@ TEST(HybridEngine, SwitchBackToIaasBootsThenRetires) {
   f.hx.switch_to_serverless(4.0, [](bool) {});
   f.engine.run_until(10.0);  // prewarm done, still inside keep-alive
   ASSERT_EQ(f.hx.route(), DeployMode::kServerless);
-  const int warm = f.sp.counts("svc").total();
+  const int warm = f.sp.counts(f.hx.function()).total();
   EXPECT_GT(warm, 0);
 
   bool ok = false;
@@ -178,9 +178,9 @@ TEST(HybridEngine, SwitchBackToIaasBootsThenRetires) {
   f.engine.run_until(20.0);
   EXPECT_TRUE(ok);
   EXPECT_EQ(f.hx.route(), DeployMode::kIaas);
-  EXPECT_TRUE(f.ip.is_running("svc"));
+  EXPECT_TRUE(f.hx.vm().state() == iaas::VmState::kRunning);
   // Containers were retired (idle destroyed immediately).
-  EXPECT_EQ(f.sp.counts("svc").total(), 0);
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 0);
   EXPECT_EQ(f.hx.switch_events().size(), 2u);
 }
 
@@ -193,7 +193,7 @@ TEST(HybridEngine, ServerlessRouteDeliversQueries) {
   f.hx.submit([&](const workload::QueryRecord&) { ++done; });
   f.engine.run_until(12.0);
   EXPECT_EQ(done, 1);
-  EXPECT_EQ(f.sp.stats("svc").completed, 1u);
+  EXPECT_EQ(f.sp.stats(f.hx.function()).completed, 1u);
 }
 
 TEST(HybridEngine, MaintainWarmTopsUpTheWarmSet) {
@@ -202,10 +202,10 @@ TEST(HybridEngine, MaintainWarmTopsUpTheWarmSet) {
   f.hx.switch_to_serverless(2.0, [](bool) {});
   f.engine.run_until(10.0);
   ASSERT_EQ(f.hx.route(), DeployMode::kServerless);
-  const int before = f.sp.counts("svc").total();
+  const int before = f.sp.counts(f.hx.function()).total();
   // Load grew: Eq. 7 for 16 qps at 0.5 s QoS wants 8 containers.
   f.hx.maintain_warm(16.0);
-  EXPECT_EQ(f.sp.counts("svc").total(), 8);
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 8);
   EXPECT_GE(8, before);
 }
 
@@ -214,11 +214,11 @@ TEST(HybridEngine, MaintainWarmRespectsCapAndMode) {
   f.engine.run_until(6.0);
   // On IaaS: no-op.
   f.hx.maintain_warm(16.0);
-  EXPECT_EQ(f.sp.counts("svc").total(), 0);
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 0);
   f.hx.switch_to_serverless(2.0, [](bool) {});
   f.engine.run_until(10.0);
   f.hx.maintain_warm(16.0);
-  EXPECT_EQ(f.sp.counts("svc").total(), 3);  // capped at n_max
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 3);  // capped at n_max
 }
 
 TEST(HybridEngine, MaintainWarmNoopWhenPrewarmDisabled) {
@@ -229,7 +229,7 @@ TEST(HybridEngine, MaintainWarmNoopWhenPrewarmDisabled) {
   f.hx.switch_to_serverless(2.0, [](bool) {});
   f.engine.run_until(7.0);
   f.hx.maintain_warm(16.0);
-  EXPECT_EQ(f.sp.counts("svc").total(), 0);
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 0);
 }
 
 TEST(HybridEngine, MirroringFlagGatesShadowTraffic) {
@@ -292,13 +292,13 @@ TEST(HybridEngine, TimeoutAbortReleasesWarmSetAndBalancesAccounting) {
   workload::FunctionProfile hog = service();
   hog.name = "hog";
   hog.exec.cpu_seconds = 1000.0;  // never finishes within the test
-  f.sp.register_function(hog);
-  f.sp.submit("hog", [](const workload::QueryRecord&) {});
+  const serverless::FunctionId hog_fn = f.sp.register_function(hog);
+  f.sp.submit(hog_fn, [](const workload::QueryRecord&) {});
   f.engine.run_until(6.0);  // VM booted, hog busy
 
   bool result = true;
   f.hx.switch_to_serverless(10.0, [&](bool ok) { result = ok; });
-  EXPECT_EQ(f.sp.counts("svc").total(), 2);  // partial prewarm only
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 2);  // partial prewarm only
   f.engine.run_until(9.5);                   // timeout fires at 9.0
   EXPECT_FALSE(result);
   EXPECT_EQ(f.hx.route(), DeployMode::kIaas);  // graceful degradation
@@ -307,16 +307,16 @@ TEST(HybridEngine, TimeoutAbortReleasesWarmSetAndBalancesAccounting) {
   EXPECT_GT(f.hx.switch_retries(), 0u);  // shortfall polls backed off
   // The abort released everything the switch acquired: zero residual warm
   // containers, and the memory integral is flat from here on.
-  EXPECT_EQ(f.sp.counts("svc").total(), 0);
-  const double at_abort = f.sp.memory_mb_seconds("svc", f.engine.now());
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 0);
+  const double at_abort = f.sp.memory_mb_seconds(f.hx.function(), f.engine.now());
   f.engine.run_until(20.0);
-  EXPECT_DOUBLE_EQ(f.sp.memory_mb_seconds("svc", f.engine.now()), at_abort);
+  EXPECT_DOUBLE_EQ(f.sp.memory_mb_seconds(f.hx.function(), f.engine.now()), at_abort);
   // The VM never went down, so IaaS rent matches a run that never switched.
-  EXPECT_TRUE(f.ip.is_running("svc"));
+  EXPECT_TRUE(f.hx.vm().state() == iaas::VmState::kRunning);
   Fixture g(cfg, 768.0);
   g.engine.run_until(20.0);
-  EXPECT_DOUBLE_EQ(f.ip.rented_core_seconds("svc", 20.0),
-                   g.ip.rented_core_seconds("svc", 20.0));
+  EXPECT_DOUBLE_EQ(f.hx.vm().rented_core_seconds(20.0),
+                   g.hx.vm().rented_core_seconds(20.0));
 }
 
 TEST(HybridEngine, StalePollsAfterAbortAreSupersededByGeneration) {
@@ -326,15 +326,15 @@ TEST(HybridEngine, StalePollsAfterAbortAreSupersededByGeneration) {
   workload::FunctionProfile hog = service();
   hog.name = "hog";
   hog.exec.cpu_seconds = 1000.0;
-  f.sp.register_function(hog);
-  f.sp.submit("hog", [](const workload::QueryRecord&) {});
+  const serverless::FunctionId hog_fn = f.sp.register_function(hog);
+  f.sp.submit(hog_fn, [](const workload::QueryRecord&) {});
   f.engine.run_until(6.0);
 
   f.hx.switch_to_serverless(10.0, [](bool) {});
   // Backed-off polls may be scheduled past the 9.0 abort; their generation
   // check must drop them rather than re-prewarming or flipping the route.
   f.engine.run_until(30.0);
-  EXPECT_EQ(f.sp.counts("svc").total(), 0);
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 0);
   EXPECT_TRUE(f.hx.switch_events().empty());
   EXPECT_EQ(f.hx.route(), DeployMode::kIaas);
   EXPECT_FALSE(f.hx.transitioning());
@@ -352,27 +352,27 @@ TEST(HybridEngine, TimeoutAbortRestoresPreSwitchRetireState) {
   f.hx.switch_to_iaas(4.0, [](bool) {});
   f.engine.run_until(15.0);
   ASSERT_EQ(f.hx.route(), DeployMode::kIaas);
-  ASSERT_TRUE(f.sp.retired("svc"));
+  ASSERT_TRUE(f.sp.retired(f.hx.function()));
 
   // Fill the pool so the next to-serverless switch cannot complete.
   workload::FunctionProfile hog = service();
   hog.name = "hog";
   hog.exec.cpu_seconds = 1000.0;
-  f.sp.register_function(hog);
+  const serverless::FunctionId hog_fn = f.sp.register_function(hog);
   for (int i = 0; i < 3; ++i) {
-    f.sp.submit("hog", [](const workload::QueryRecord&) {});
+    f.sp.submit(hog_fn, [](const workload::QueryRecord&) {});
   }
   f.engine.run_until(16.0);
 
   bool result = true;
   f.hx.switch_to_serverless(10.0, [&](bool ok) { result = ok; });
-  EXPECT_FALSE(f.sp.retired("svc"));  // unretired for the attempt
+  EXPECT_FALSE(f.sp.retired(f.hx.function()));  // unretired for the attempt
   f.engine.run_until(23.0);           // timeout at 22.0
   EXPECT_FALSE(result);
   // The abort re-retired the service: a leaked unretire would let mirrored
   // samples rebuild warm containers the accounting no longer tracks.
-  EXPECT_TRUE(f.sp.retired("svc"));
-  EXPECT_EQ(f.sp.counts("svc").total(), 0);
+  EXPECT_TRUE(f.sp.retired(f.hx.function()));
+  EXPECT_EQ(f.sp.counts(f.hx.function()).total(), 0);
   EXPECT_EQ(f.hx.route(), DeployMode::kIaas);
   // The abort also starts the anti-flap cooldown.
   EXPECT_TRUE(f.hx.in_cooldown());
@@ -400,13 +400,13 @@ TEST(HybridEngine, ToIaasSwitchAbortsAfterBoundedBootRetries) {
   EXPECT_FALSE(result);
   EXPECT_EQ(f.hx.route(), DeployMode::kServerless);  // stayed put
   EXPECT_FALSE(f.hx.transitioning());
-  EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);
+  EXPECT_EQ(f.hx.vm().state(), iaas::VmState::kStopped);
   EXPECT_EQ(faults.counters().vm_boot_failures, 3u);  // bounded
   EXPECT_EQ(f.hx.switch_retries(), 2u);
   EXPECT_EQ(f.hx.switch_aborts(), 1u);
   EXPECT_TRUE(f.hx.in_cooldown());
   // Graceful degradation, not an outage: the warm set keeps serving.
-  EXPECT_GT(f.sp.counts("svc").total(), 0);
+  EXPECT_GT(f.sp.counts(f.hx.function()).total(), 0);
   int done = 0;
   f.hx.submit([&](const workload::QueryRecord&) { ++done; });
   f.engine.run_until(27.0);
@@ -433,11 +433,11 @@ TEST(HybridEngine, ToIaasTimeoutAbortsStragglingBoot) {
   f.engine.run_until(14.0);  // timeout fires at 13.0, mid-boot
   EXPECT_FALSE(result);
   EXPECT_EQ(f.hx.route(), DeployMode::kServerless);
-  EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);  // boot aborted
+  EXPECT_EQ(f.hx.vm().state(), iaas::VmState::kStopped);  // boot aborted
   EXPECT_EQ(faults.counters().vm_stragglers, 1u);
   // The straggler's original boot event (due at 60.0) must be inert.
   f.engine.run();
-  EXPECT_EQ(f.ip.state("svc"), iaas::VmState::kStopped);
+  EXPECT_EQ(f.hx.vm().state(), iaas::VmState::kStopped);
   EXPECT_EQ(f.hx.route(), DeployMode::kServerless);
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+
+#include "iaas/platform.hpp"
 
 namespace amoeba::core {
 namespace {
@@ -39,13 +42,13 @@ TEST(ResourceAccounting, IaasUsageIsRentedAllocation) {
   spec.cores = 4.0;
   spec.memory_mb = 2048.0;
   spec.boot_s = 0.0;
-  ip.register_service(service(), spec);
-  ip.boot("svc", [] {});
+  iaas::VirtualMachine& vm = ip.register_service(service(), spec);
+  vm.boot([] {});
   e.run();
   e.schedule(10.0, [] {});
   e.run();
 
-  const auto u = service_usage(sp, ip, "svc", 10.0);
+  const auto u = service_usage(&vm, sp, std::nullopt, 10.0);
   EXPECT_NEAR(u.cpu_core_seconds, 40.0, 1e-9);
   EXPECT_NEAR(u.memory_mb_seconds, 20480.0, 1e-9);
 }
@@ -53,15 +56,14 @@ TEST(ResourceAccounting, IaasUsageIsRentedAllocation) {
 TEST(ResourceAccounting, ServerlessUsageIsConsumptionPlusContainerMemory) {
   sim::Engine e;
   serverless::ServerlessPlatform sp(e, sp_config(), sim::Rng(3));
-  iaas::IaasPlatform ip(e, iaas::IaasConfig{}, sim::Rng(4));
-  sp.register_function(service());
+  const serverless::FunctionId fn = sp.register_function(service());
   for (int i = 0; i < 5; ++i) {
-    sp.submit("svc", [](const workload::QueryRecord&) {});
+    sp.submit(fn, [](const workload::QueryRecord&) {});
   }
   e.run();  // queries done; container expires after keep-alive
 
   const double now = e.now();
-  const auto u = service_usage(sp, ip, "svc", now);
+  const auto u = service_usage(nullptr, sp, fn, now);
   EXPECT_NEAR(u.cpu_core_seconds, 0.5, 1e-9);  // 5 × 0.1 actual compute
   EXPECT_GT(u.memory_mb_seconds, 0.0);
   // 5 simultaneous queries spawn 5 containers (one per queued query); each
@@ -77,20 +79,19 @@ TEST(ResourceAccounting, CombinedUsageSumsPlatforms) {
   spec.cores = 1.0;
   spec.memory_mb = 512.0;
   spec.boot_s = 0.0;
-  ip.register_service(service(), spec);
-  sp.register_function(service());
-  ip.boot("svc", [] {});
+  iaas::VirtualMachine& vm = ip.register_service(service(), spec);
+  const serverless::FunctionId fn = sp.register_function(service());
+  vm.boot([] {});
   e.run();
   e.schedule(4.0, [] {});
   e.run();
 
-  const auto combined = service_usage(sp, ip, "svc", 4.0);
+  const auto combined = service_usage(&vm, sp, fn, 4.0);
   EXPECT_DOUBLE_EQ(combined.cpu_core_seconds,
-                   ip.rented_core_seconds("svc", 4.0) +
-                       sp.cpu_core_seconds("svc"));
+                   vm.rented_core_seconds(4.0) + sp.cpu_core_seconds(fn));
   EXPECT_DOUBLE_EQ(combined.memory_mb_seconds,
-                   ip.rented_memory_mb_seconds("svc", 4.0) +
-                       sp.memory_mb_seconds("svc", 4.0));
+                   vm.rented_memory_mb_seconds(4.0) +
+                       sp.memory_mb_seconds(fn, 4.0));
 }
 
 TEST(SplitContainerBudget, ReturnsAsksWhenTheyFit) {
@@ -170,8 +171,8 @@ TEST(SplitContainerBudget, LargestRemainderTiesBreakByLowerIndex) {
 TEST(ResourceAccounting, UnregisteredServiceIsZero) {
   sim::Engine e;
   serverless::ServerlessPlatform sp(e, sp_config(), sim::Rng(7));
-  iaas::IaasPlatform ip(e, iaas::IaasConfig{}, sim::Rng(8));
-  const auto u = service_usage(sp, ip, "nobody", 1.0);
+  // No VM and no function: neither platform adds anything.
+  const auto u = service_usage(nullptr, sp, std::nullopt, 1.0);
   EXPECT_DOUBLE_EQ(u.cpu_core_seconds, 0.0);
   EXPECT_DOUBLE_EQ(u.memory_mb_seconds, 0.0);
 }

@@ -67,28 +67,6 @@ TEST(BackgroundSuite, ThreePaperTenantsScaled) {
               1e-9);
 }
 
-TEST(RunRecorder, FiltersWarmupAndAggregates) {
-  // Latencies, count and the warm-up filter are the same whether or not
-  // the recorder keeps the full records.
-  for (const bool keep : {true, false}) {
-    SCOPED_TRACE(keep ? "keep_records" : "latencies only");
-    RunRecorder rec(10.0, keep);
-    auto obs = rec.observer("svc");
-    workload::QueryRecord r;
-    r.function = "svc";
-    r.arrival = 5.0;
-    r.completion = 5.5;
-    obs(r);  // in warmup: dropped
-    r.arrival = 15.0;
-    r.completion = 15.2;
-    obs(r);
-    EXPECT_EQ(rec.count("svc"), 1u);
-    EXPECT_NEAR(rec.latencies("svc").mean(), 0.2, 1e-12);
-    EXPECT_EQ(rec.records("svc").size(), keep ? 1u : 0u);
-    EXPECT_EQ(rec.count("other"), 0u);
-  }
-}
-
 TEST(DeploySystem, Names) {
   EXPECT_STREQ(to_string(DeploySystem::kAmoeba), "Amoeba");
   EXPECT_STREQ(to_string(DeploySystem::kAmoebaNoM), "Amoeba-NoM");

@@ -223,11 +223,13 @@ std::uint64_t managed_result_hash(const ManagedRunResult& r) {
 }
 
 ManagedRunResult run_managed_day(DeploySystem system,
-                                 const sim::FaultConfig& faults) {
+                                 const sim::FaultConfig& faults,
+                                 bool keep_records = false) {
   const Fixture& f = fix();
   ManagedRunOptions opt;
   small_day(opt, 17);
   opt.faults = faults;
+  opt.keep_records = keep_records;
   auto r = run_managed(f.float_base, system, f.cluster, f.calibration,
                        f.float_artifacts, opt);
   EXPECT_GT(r.queries, 100u) << to_string(system);
@@ -239,6 +241,7 @@ TEST(DriverAnchor, ManagedDaysAreBitIdenticalToRecordedHashes) {
     DeploySystem system;
     const char* trace;
     const char* result;
+    bool keep_records = false;
   };
   const Anchor anchors[] = {
       {DeploySystem::kAmoeba, "0x312c980845702b6f",
@@ -251,10 +254,16 @@ TEST(DriverAnchor, ManagedDaysAreBitIdenticalToRecordedHashes) {
        "0x8c0ce9bc996f5e0b"},
       {DeploySystem::kOpenWhisk, "0xef91382cdf2da003",
        "0x6c7f9d517835876b"},
+      // Keeping the records changes neither the trace nor the latencies.
+      {DeploySystem::kOpenWhisk, "0xef91382cdf2da003",
+       "0x6c7f9d517835876b", /*keep_records=*/true},
   };
   for (const Anchor& a : anchors) {
     SCOPED_TRACE(to_string(a.system));
-    const auto r = run_managed_day(a.system, sim::FaultConfig{});
+    SCOPED_TRACE(a.keep_records ? "keep_records" : "latencies only");
+    const auto r =
+        run_managed_day(a.system, sim::FaultConfig{}, a.keep_records);
+    EXPECT_EQ(r.records.size(), a.keep_records ? r.queries : 0u);
     const bool managed = a.system != DeploySystem::kNameko &&
                          a.system != DeploySystem::kOpenWhisk;
     EXPECT_EQ(r.switches.empty(), !managed);

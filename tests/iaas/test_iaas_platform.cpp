@@ -28,28 +28,27 @@ TEST(IaasPlatform, RegisterAndBootService) {
   IaasPlatform ip(e, config(), sim::Rng(1));
   VmSpec spec;
   spec.boot_s = -1.0;  // inherit platform default
-  ip.register_service(profile("a"), spec);
-  EXPECT_TRUE(ip.has_service("a"));
-  EXPECT_FALSE(ip.has_service("b"));
-  EXPECT_EQ(ip.state("a"), VmState::kStopped);
+  VirtualMachine& vm = ip.register_service(profile("a"), spec);
+  EXPECT_EQ(vm.profile().name, "a");
+  EXPECT_EQ(vm.state(), VmState::kStopped);
   double ready = -1.0;
-  ip.boot("a", [&] { ready = e.now(); });
+  vm.boot([&] { ready = e.now(); });
   e.run();
   EXPECT_DOUBLE_EQ(ready, 5.0);  // platform default boot time
-  EXPECT_TRUE(ip.is_running("a"));
+  EXPECT_EQ(vm.state(), VmState::kRunning);
 }
 
 TEST(IaasPlatform, IndependentServices) {
   sim::Engine e;
   IaasPlatform ip(e, config(), sim::Rng(2));
-  ip.register_service(profile("a"), VmSpec{});
-  ip.register_service(profile("b"), VmSpec{});
-  ip.boot("a", [] {});
+  VirtualMachine& a = ip.register_service(profile("a"), VmSpec{});
+  VirtualMachine& b = ip.register_service(profile("b"), VmSpec{});
+  a.boot([] {});
   e.run();
-  EXPECT_TRUE(ip.is_running("a"));
-  EXPECT_FALSE(ip.is_running("b"));
+  EXPECT_EQ(a.state(), VmState::kRunning);
+  EXPECT_EQ(b.state(), VmState::kStopped);
   int done = 0;
-  ip.submit("a", [&](const workload::QueryRecord&) { ++done; });
+  a.submit([&](const workload::QueryRecord&) { ++done; });
   e.run();
   EXPECT_EQ(done, 1);
 }
@@ -61,39 +60,13 @@ TEST(IaasPlatform, AccountingPerService) {
   big.cores = 8.0;
   big.memory_mb = 8192.0;
   big.boot_s = 0.0;  // rent runs from t=0
-  ip.register_service(profile("a"), big);
-  ip.boot("a", [] {});
+  VirtualMachine& vm = ip.register_service(profile("a"), big);
+  vm.boot([] {});
   e.run();
   e.schedule(10.0, [] {});
   e.run();
-  EXPECT_NEAR(ip.rented_core_seconds("a", 10.0), 80.0, 1e-9);
-  EXPECT_NEAR(ip.rented_memory_mb_seconds("a", 10.0), 81920.0, 1e-9);
-}
-
-TEST(IaasPlatform, UnknownServiceThrows) {
-  sim::Engine e;
-  IaasPlatform ip(e, config(), sim::Rng(4));
-  EXPECT_THROW(ip.boot("ghost", [] {}), ContractError);
-  EXPECT_THROW(ip.submit("ghost", [](const workload::QueryRecord&) {}),
-               ContractError);
-  EXPECT_THROW((void)ip.state("ghost"), ContractError);
-}
-
-TEST(IaasPlatform, DuplicateRegistrationThrows) {
-  sim::Engine e;
-  IaasPlatform ip(e, config(), sim::Rng(5));
-  ip.register_service(profile("a"), VmSpec{});
-  EXPECT_THROW(ip.register_service(profile("a"), VmSpec{}), ContractError);
-}
-
-TEST(IaasPlatform, DrainAndStopDelegates) {
-  sim::Engine e;
-  IaasPlatform ip(e, config(), sim::Rng(6));
-  ip.register_service(profile("a"), VmSpec{});
-  ip.boot("a", [] {});
-  e.run();
-  ip.drain_and_stop("a");
-  EXPECT_EQ(ip.state("a"), VmState::kStopped);
+  EXPECT_NEAR(vm.rented_core_seconds(10.0), 80.0, 1e-9);
+  EXPECT_NEAR(vm.rented_memory_mb_seconds(10.0), 81920.0, 1e-9);
 }
 
 }  // namespace

@@ -75,8 +75,9 @@ TEST(WorkConservation, ServerlessCpuBusyIntegralEqualsFunctionCpuSeconds) {
         workload::make_cloud_stor()};
     std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
     std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> gens;
+    std::vector<serverless::FunctionId> ids;
     for (std::size_t i = 0; i < fns.size(); ++i) {
-      sp.register_function(fns[i]);
+      ids.push_back(sp.register_function(fns[i]));
       traces.push_back(std::make_unique<workload::DiurnalTrace>(
           day_trace(0.5 * fns[i].peak_load_qps, 0.2 * static_cast<double>(i),
                     seed * 10 + i)));
@@ -84,8 +85,8 @@ TEST(WorkConservation, ServerlessCpuBusyIntegralEqualsFunctionCpuSeconds) {
       gens.push_back(std::make_unique<workload::PoissonLoadGenerator>(
           e, sim::Rng(100 * seed + i),
           [&trace](double t) { return trace.rate(t); }, trace.max_rate(),
-          [&sp, name = fns[i].name] {
-            sp.submit(name, [](const workload::QueryRecord&) {});
+          [&sp, fn = ids.back()] {
+            sp.submit(fn, [](const workload::QueryRecord&) {});
           }));
       gens.back()->start();
     }
@@ -93,10 +94,10 @@ TEST(WorkConservation, ServerlessCpuBusyIntegralEqualsFunctionCpuSeconds) {
     for (auto& g : gens) g->stop();
     e.run();  // drain every in-flight invocation
     double cpu_seconds = 0.0;
-    for (const auto& fn : fns) {
-      EXPECT_EQ(sp.stats(fn.name).completed, sp.stats(fn.name).submitted)
-          << fn.name;
-      cpu_seconds += sp.cpu_core_seconds(fn.name);
+    for (const serverless::FunctionId fn : ids) {
+      EXPECT_EQ(sp.stats(fn).completed, sp.stats(fn).submitted)
+          << sp.profile(fn).name;
+      cpu_seconds += sp.cpu_core_seconds(fn);
     }
     ASSERT_GT(cpu_seconds, 1000.0) << "seed " << seed;
     const double busy = sp.true_cpu_busy_integral(e.now()) * cfg.cores;

@@ -15,33 +15,36 @@ constexpr double kContainer = 256.0;
 TEST(ContainerPool, StartReservesMemoryImmediately) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  const auto id = pool.start("f", kContainer, 1.0, [](ContainerId) {});
+  const FunctionId fn_f = pool.add_function();
+  const auto id = pool.start(fn_f, kContainer, 1.0, [](ContainerId) {});
   ASSERT_TRUE(id.has_value());
   EXPECT_DOUBLE_EQ(pool.memory_in_use_mb(), kContainer);
-  EXPECT_EQ(pool.counts("f").starting, 1);
-  EXPECT_EQ(pool.counts("f").idle, 0);
+  EXPECT_EQ(pool.counts(fn_f).starting, 1);
+  EXPECT_EQ(pool.counts(fn_f).idle, 0);
 }
 
 TEST(ContainerPool, BootCompletesToIdleAfterDelay) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
+  const FunctionId fn_f = pool.add_function();
   double ready_at = -1.0;
-  (void)pool.start("f", kContainer, 1.5,
+  (void)pool.start(fn_f, kContainer, 1.5,
                    [&](ContainerId) { ready_at = e.now(); });
   e.run_until(2.0);
   EXPECT_DOUBLE_EQ(ready_at, 1.5);
-  EXPECT_EQ(pool.counts("f").idle, 1);
-  EXPECT_EQ(pool.counts("f").starting, 0);
+  EXPECT_EQ(pool.counts(fn_f).idle, 1);
+  EXPECT_EQ(pool.counts(fn_f).starting, 0);
 }
 
 TEST(ContainerPool, StartFailsWhenMemoryExhausted) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
+  const FunctionId fn_f = pool.add_function();
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(pool.start("f", kContainer, 0.1, [](ContainerId) {})
+    EXPECT_TRUE(pool.start(fn_f, kContainer, 0.1, [](ContainerId) {})
                     .has_value());
   }
-  EXPECT_FALSE(pool.start("f", kContainer, 0.1, [](ContainerId) {})
+  EXPECT_FALSE(pool.start(fn_f, kContainer, 0.1, [](ContainerId) {})
                    .has_value());
   EXPECT_EQ(pool.cold_starts(), 4u);
 }
@@ -49,33 +52,36 @@ TEST(ContainerPool, StartFailsWhenMemoryExhausted) {
 TEST(ContainerPool, KeepAliveExpiryReleasesMemory) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 10.0);
-  (void)pool.start("f", kContainer, 1.0, [](ContainerId) {});
+  const FunctionId fn_f = pool.add_function();
+  (void)pool.start(fn_f, kContainer, 1.0, [](ContainerId) {});
   e.run_until(5.0);
-  EXPECT_EQ(pool.counts("f").idle, 1);
+  EXPECT_EQ(pool.counts(fn_f).idle, 1);
   e.run_until(12.0);  // idle since t=1, TTL 10 -> expires at t=11
-  EXPECT_EQ(pool.counts("f").idle, 0);
+  EXPECT_EQ(pool.counts(fn_f).idle, 0);
   EXPECT_DOUBLE_EQ(pool.memory_in_use_mb(), 0.0);
 }
 
 TEST(ContainerPool, AcquireIdleCancelsExpiry) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 10.0);
-  (void)pool.start("f", kContainer, 1.0, [](ContainerId) {});
+  const FunctionId fn_f = pool.add_function();
+  (void)pool.start(fn_f, kContainer, 1.0, [](ContainerId) {});
   e.run_until(2.0);
-  const auto id = pool.acquire_idle("f");
+  const auto id = pool.acquire_idle(fn_f);
   ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(pool.counts("f").busy, 1);
+  EXPECT_EQ(pool.counts(fn_f).busy, 1);
   e.run_until(60.0);  // busy container never expires
-  EXPECT_EQ(pool.counts("f").busy, 1);
+  EXPECT_EQ(pool.counts(fn_f).busy, 1);
 }
 
 TEST(ContainerPool, AcquireIdleIsLifo) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  (void)pool.start("f", kContainer, 1.0, [](ContainerId) {});
-  (void)pool.start("f", kContainer, 2.0, [](ContainerId) {});
+  const FunctionId fn_f = pool.add_function();
+  (void)pool.start(fn_f, kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start(fn_f, kContainer, 2.0, [](ContainerId) {});
   e.run_until(3.0);
-  const auto id = pool.acquire_idle("f");
+  const auto id = pool.acquire_idle(fn_f);
   ASSERT_TRUE(id.has_value());
   // The most recently idled container (the one that booted at t=2) is
   // reused first.
@@ -85,45 +91,51 @@ TEST(ContainerPool, AcquireIdleIsLifo) {
 TEST(ContainerPool, ReleaseToIdleRearmsExpiry) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 10.0);
-  (void)pool.start("f", kContainer, 1.0, [](ContainerId) {});
+  const FunctionId fn_f = pool.add_function();
+  (void)pool.start(fn_f, kContainer, 1.0, [](ContainerId) {});
   e.run_until(2.0);
-  const auto id = pool.acquire_idle("f");
+  const auto id = pool.acquire_idle(fn_f);
   ASSERT_TRUE(id.has_value());
   e.run_until(8.0);
   pool.release_to_idle(*id);
   e.run_until(17.0);  // would have expired at 11 from original timer
-  EXPECT_EQ(pool.counts("f").idle, 1);
+  EXPECT_EQ(pool.counts(fn_f).idle, 1);
   e.run_until(18.5);  // new TTL: idle at 8 + 10 = 18
-  EXPECT_EQ(pool.counts("f").idle, 0);
+  EXPECT_EQ(pool.counts(fn_f).idle, 0);
 }
 
 TEST(ContainerPool, EvictLruIdlePicksOldest) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  (void)pool.start("a", kContainer, 1.0, [](ContainerId) {});
-  (void)pool.start("b", kContainer, 2.0, [](ContainerId) {});
+  const FunctionId fn_a = pool.add_function();
+  const FunctionId fn_b = pool.add_function();
+  (void)pool.start(fn_a, kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start(fn_b, kContainer, 2.0, [](ContainerId) {});
   e.run_until(3.0);
   EXPECT_TRUE(pool.evict_lru_idle());
-  EXPECT_EQ(pool.counts("a").idle, 0);  // idle since 1.0: evicted
-  EXPECT_EQ(pool.counts("b").idle, 1);
+  EXPECT_EQ(pool.counts(fn_a).idle, 0);  // idle since 1.0: evicted
+  EXPECT_EQ(pool.counts(fn_b).idle, 1);
   EXPECT_EQ(pool.evictions(), 1u);
 }
 
 TEST(ContainerPool, EvictRespectsExclusion) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  (void)pool.start("a", kContainer, 1.0, [](ContainerId) {});
+  const FunctionId fn_a = pool.add_function();
+  const FunctionId fn_other = pool.add_function();
+  (void)pool.start(fn_a, kContainer, 1.0, [](ContainerId) {});
   e.run_until(2.0);
-  EXPECT_FALSE(pool.evict_lru_idle("a"));
-  EXPECT_TRUE(pool.evict_lru_idle("other"));
+  EXPECT_FALSE(pool.evict_lru_idle(fn_a));
+  EXPECT_TRUE(pool.evict_lru_idle(fn_other));
 }
 
 TEST(ContainerPool, EvictIgnoresBusyContainers) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  (void)pool.start("a", kContainer, 1.0, [](ContainerId) {});
+  const FunctionId fn_a = pool.add_function();
+  (void)pool.start(fn_a, kContainer, 1.0, [](ContainerId) {});
   e.run_until(2.0);
-  (void)pool.acquire_idle("a");
+  (void)pool.acquire_idle(fn_a);
   EXPECT_FALSE(pool.evict_lru_idle());
 }
 
@@ -132,36 +144,42 @@ TEST(ContainerPool, EvictMissesWhenOtherFunctionsAreOnlyStartingOrBusy) {
   // are booting or busy. Eviction must miss and leave the pool untouched.
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  (void)pool.start("a", kContainer, 1.0, [](ContainerId) {});
-  (void)pool.start("b", kContainer, 1.0, [](ContainerId) {});
-  (void)pool.start("c", kContainer, 50.0, [](ContainerId) {});
+  const FunctionId fn_a = pool.add_function();
+  const FunctionId fn_b = pool.add_function();
+  const FunctionId fn_c = pool.add_function();
+  (void)pool.start(fn_a, kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start(fn_b, kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start(fn_c, kContainer, 50.0, [](ContainerId) {});
   e.run_until(2.0);
-  ASSERT_TRUE(pool.acquire_idle("b").has_value());
-  EXPECT_FALSE(pool.evict_lru_idle("a"));
+  ASSERT_TRUE(pool.acquire_idle(fn_b).has_value());
+  EXPECT_FALSE(pool.evict_lru_idle(fn_a));
   EXPECT_EQ(pool.evictions(), 0u);
-  EXPECT_EQ(pool.counts("a").idle, 1);
-  EXPECT_EQ(pool.counts("b").busy, 1);
-  EXPECT_EQ(pool.counts("c").starting, 1);
+  EXPECT_EQ(pool.counts(fn_a).idle, 1);
+  EXPECT_EQ(pool.counts(fn_b).busy, 1);
+  EXPECT_EQ(pool.counts(fn_c).starting, 1);
   EXPECT_EQ(pool.total_counts().total(), 3);
 }
 
 TEST(ContainerPool, DestroyIdleRemovesAllIdleOfFunction) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  (void)pool.start("a", kContainer, 1.0, [](ContainerId) {});
-  (void)pool.start("a", kContainer, 1.0, [](ContainerId) {});
-  (void)pool.start("b", kContainer, 1.0, [](ContainerId) {});
+  const FunctionId fn_a = pool.add_function();
+  const FunctionId fn_b = pool.add_function();
+  (void)pool.start(fn_a, kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start(fn_a, kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start(fn_b, kContainer, 1.0, [](ContainerId) {});
   e.run_until(2.0);
-  EXPECT_EQ(pool.destroy_idle("a"), 2);
-  EXPECT_EQ(pool.counts("a").idle, 0);
-  EXPECT_EQ(pool.counts("b").idle, 1);
+  EXPECT_EQ(pool.destroy_idle(fn_a), 2);
+  EXPECT_EQ(pool.counts(fn_a).idle, 0);
+  EXPECT_EQ(pool.counts(fn_b).idle, 1);
 }
 
 TEST(ContainerPool, DestroyWhileStartingDropsReadyCallback) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
+  const FunctionId fn_f = pool.add_function();
   bool ready = false;
-  const auto id = pool.start("f", kContainer, 5.0,
+  const auto id = pool.start(fn_f, kContainer, 5.0,
                              [&](ContainerId) { ready = true; });
   ASSERT_TRUE(id.has_value());
   e.run_until(1.0);
@@ -174,8 +192,9 @@ TEST(ContainerPool, DestroyWhileStartingDropsReadyCallback) {
 TEST(ContainerPool, HeadroomCountsWholeContainers) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
+  const FunctionId fn_f = pool.add_function();
   EXPECT_EQ(pool.headroom(kContainer), 4);
-  (void)pool.start("f", kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start(fn_f, kContainer, 1.0, [](ContainerId) {});
   EXPECT_EQ(pool.headroom(kContainer), 3);
   EXPECT_EQ(pool.headroom(300.0), 2);
 }
@@ -183,20 +202,25 @@ TEST(ContainerPool, HeadroomCountsWholeContainers) {
 TEST(ContainerPool, MemoryIntegralPerFunction) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  const auto id = pool.start("f", kContainer, 0.0, [](ContainerId) {});
+  const FunctionId fn_f = pool.add_function();
+  const FunctionId fn_unused = pool.add_function();
+  const auto id = pool.start(fn_f, kContainer, 0.0, [](ContainerId) {});
   ASSERT_TRUE(id.has_value());
   e.run_until(10.0);
   pool.destroy(*id);
   e.run_until(20.0);
-  EXPECT_NEAR(pool.memory_mb_seconds("f", e.now()), kContainer * 10.0, 1e-6);
-  EXPECT_DOUBLE_EQ(pool.memory_mb_seconds("unknown", e.now()), 0.0);
+  EXPECT_NEAR(pool.memory_mb_seconds(fn_f, e.now()), kContainer * 10.0, 1e-6);
+  // A registered function that never started a container holds nothing.
+  EXPECT_DOUBLE_EQ(pool.memory_mb_seconds(fn_unused, e.now()), 0.0);
 }
 
 TEST(ContainerPool, TotalCountsAggregate) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  (void)pool.start("a", kContainer, 1.0, [](ContainerId) {});
-  (void)pool.start("b", kContainer, 5.0, [](ContainerId) {});
+  const FunctionId fn_a = pool.add_function();
+  const FunctionId fn_b = pool.add_function();
+  (void)pool.start(fn_a, kContainer, 1.0, [](ContainerId) {});
+  (void)pool.start(fn_b, kContainer, 5.0, [](ContainerId) {});
   e.run_until(2.0);
   const auto t = pool.total_counts();
   EXPECT_EQ(t.idle, 1);
@@ -207,7 +231,8 @@ TEST(ContainerPool, TotalCountsAggregate) {
 TEST(ContainerPool, MarkBusyRequiresIdle) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  const auto id = pool.start("f", kContainer, 5.0, [](ContainerId) {});
+  const FunctionId fn_f = pool.add_function();
+  const auto id = pool.start(fn_f, kContainer, 5.0, [](ContainerId) {});
   ASSERT_TRUE(id.has_value());
   EXPECT_THROW(pool.mark_busy(*id), ContractError);  // still starting
 }
@@ -215,6 +240,7 @@ TEST(ContainerPool, MarkBusyRequiresIdle) {
 TEST(ContainerPool, InjectedBootFailureDestroysAndNotifies) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
+  const FunctionId fn_f = pool.add_function();
   sim::FaultConfig fc;
   fc.container_boot_fail_first_n = 1;
   sim::FaultInjector faults(fc, sim::Rng(1));
@@ -223,7 +249,7 @@ TEST(ContainerPool, InjectedBootFailureDestroysAndNotifies) {
   bool ready = false;
   std::optional<ContainerId> failed_id;
   const auto id = pool.start(
-      "f", kContainer, 1.0, [&](ContainerId) { ready = true; },
+      fn_f, kContainer, 1.0, [&](ContainerId) { ready = true; },
       [&](ContainerId cid) { failed_id = cid; });
   ASSERT_TRUE(id.has_value());
   // The doomed boot holds its memory reservation for the full boot window.
@@ -232,7 +258,7 @@ TEST(ContainerPool, InjectedBootFailureDestroysAndNotifies) {
   EXPECT_FALSE(ready);
   ASSERT_TRUE(failed_id.has_value());
   EXPECT_EQ(*failed_id, *id);
-  EXPECT_EQ(pool.counts("f").total(), 0);
+  EXPECT_EQ(pool.counts(fn_f).total(), 0);
   EXPECT_DOUBLE_EQ(pool.memory_in_use_mb(), 0.0);  // fully released
   EXPECT_EQ(pool.boot_failures(), 1u);
 }
@@ -240,6 +266,7 @@ TEST(ContainerPool, InjectedBootFailureDestroysAndNotifies) {
 TEST(ContainerPool, InjectedStragglerInflatesBootTime) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
+  const FunctionId fn_f = pool.add_function();
   sim::FaultConfig fc;
   fc.container_straggler_p = 1.0;
   fc.container_straggler_factor = 4.0;
@@ -247,7 +274,7 @@ TEST(ContainerPool, InjectedStragglerInflatesBootTime) {
   pool.set_fault_injector(&faults);
 
   double ready_at = -1.0;
-  (void)pool.start("f", kContainer, 1.0,
+  (void)pool.start(fn_f, kContainer, 1.0,
                    [&](ContainerId) { ready_at = e.now(); });
   e.run_until(10.0);
   EXPECT_DOUBLE_EQ(ready_at, 4.0);  // 1 s boot stretched 4x
@@ -257,15 +284,17 @@ TEST(ContainerPool, InjectedStragglerInflatesBootTime) {
 TEST(ContainerPool, StartingIdsListsBootingContainers) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
-  const auto a = pool.start("f", kContainer, 1.0, [](ContainerId) {});
-  const auto b = pool.start("f", kContainer, 2.0, [](ContainerId) {});
-  (void)pool.start("g", kContainer, 2.0, [](ContainerId) {});
-  const auto ids = pool.starting_ids("f");
+  const FunctionId fn_f = pool.add_function();
+  const FunctionId fn_g = pool.add_function();
+  const auto a = pool.start(fn_f, kContainer, 1.0, [](ContainerId) {});
+  const auto b = pool.start(fn_f, kContainer, 2.0, [](ContainerId) {});
+  (void)pool.start(fn_g, kContainer, 2.0, [](ContainerId) {});
+  const auto ids = pool.starting_ids(fn_f);
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], *a);  // ascending container ids
   EXPECT_EQ(ids[1], *b);
   e.run_until(1.5);  // a is now idle
-  EXPECT_EQ(pool.starting_ids("f").size(), 1u);
+  EXPECT_EQ(pool.starting_ids(fn_f).size(), 1u);
 }
 
 }  // namespace

@@ -44,12 +44,12 @@ double subject_latency_with(const workload::FunctionProfile& antagonist,
                             const workload::FunctionProfile& subject) {
   sim::Engine e;
   ServerlessPlatform sp(e, node_config(), sim::Rng(99));
-  sp.register_function(subject);
+  const FunctionId subject_fn = sp.register_function(subject);
   double sum = 0.0;
   std::uint64_t n = 0;
   workload::ConstantLoadGenerator subject_gen(
       e, sim::Rng(1), 5.0, [&] {
-        sp.submit(subject.name, [&](const QueryRecord& r) {
+        sp.submit(subject_fn, [&](const QueryRecord& r) {
           if (r.arrival < 5.0) return;  // warmup
           sum += r.breakdown.total() - r.breakdown.queue_s -
                  r.breakdown.cold_start_s;
@@ -58,10 +58,10 @@ double subject_latency_with(const workload::FunctionProfile& antagonist,
       });
   std::unique_ptr<workload::ConstantLoadGenerator> antagonist_gen;
   if (antagonist_qps > 0.0) {
-    sp.register_function(antagonist);
+    const FunctionId antagonist_fn = sp.register_function(antagonist);
     antagonist_gen = std::make_unique<workload::ConstantLoadGenerator>(
-        e, sim::Rng(2), antagonist_qps, [&] {
-          sp.submit(antagonist.name, [](const QueryRecord&) {});
+        e, sim::Rng(2), antagonist_qps, [&sp, antagonist_fn] {
+          sp.submit(antagonist_fn, [](const QueryRecord&) {});
         });
     antagonist_gen->start();
   }
@@ -145,28 +145,35 @@ TEST(Contention, TruePressureAttributesLiveDemandPerFunction) {
   auto c = a;
   c.name = "c";
   c.exec = {.cpu_seconds = 0.0, .io_bytes = 10e9, .net_bytes = 0.0};
-  for (const auto& f : {a, b, c}) sp.register_function(f);
+  auto idle = a;
+  idle.name = "idle";
+  const FunctionId fa = sp.register_function(a);
+  const FunctionId fb = sp.register_function(b);
+  const FunctionId fc = sp.register_function(c);
+  const FunctionId f_idle = sp.register_function(idle);
   int done = 0;
   auto count = [&](const QueryRecord&) { ++done; };
-  for (const char* f : {"a", "a", "a", "b", "b", "c"}) sp.submit(f, count);
+  for (const FunctionId f : {fa, fa, fa, fb, fb, fc}) sp.submit(f, count);
   e.run_until(1.0);  // cold starts (0.5 s) are over, every phase is live
 
   using P = std::array<double, 3>;
-  EXPECT_EQ(sp.true_pressure_of("a"), (P{3.0 / 8.0, 0.0, 0.0}));
-  EXPECT_EQ(sp.true_pressure_of("b"), (P{2.0 / 8.0, 0.0, 0.0}));
-  EXPECT_EQ(sp.true_pressure_of("c"), (P{0.0, 1.0, 0.0}));
-  EXPECT_EQ(sp.true_external_pressure("a"), (P{2.0 / 8.0, 1.0, 0.0}));
-  EXPECT_EQ(sp.true_external_pressure("b"), (P{3.0 / 8.0, 1.0, 0.0}));
-  EXPECT_EQ(sp.true_external_pressure("c"), (P{5.0 / 8.0, 0.0, 0.0}));
+  EXPECT_EQ(sp.true_pressure_of(fa), (P{3.0 / 8.0, 0.0, 0.0}));
+  EXPECT_EQ(sp.true_pressure_of(fb), (P{2.0 / 8.0, 0.0, 0.0}));
+  EXPECT_EQ(sp.true_pressure_of(fc), (P{0.0, 1.0, 0.0}));
+  EXPECT_EQ(sp.true_external_pressure(fa), (P{2.0 / 8.0, 1.0, 0.0}));
+  EXPECT_EQ(sp.true_external_pressure(fb), (P{3.0 / 8.0, 1.0, 0.0}));
+  EXPECT_EQ(sp.true_external_pressure(fc), (P{5.0 / 8.0, 0.0, 0.0}));
   // A function with nothing in flight sees all of it as external.
-  EXPECT_EQ(sp.true_pressure_of("idle"), (P{0.0, 0.0, 0.0}));
-  EXPECT_EQ(sp.true_external_pressure("idle"), (P{5.0 / 8.0, 1.0, 0.0}));
+  EXPECT_EQ(sp.true_pressure_of(f_idle), (P{0.0, 0.0, 0.0}));
+  EXPECT_EQ(sp.true_external_pressure(f_idle), (P{5.0 / 8.0, 1.0, 0.0}));
 
   e.run();
   EXPECT_EQ(done, 6);
-  for (const char* f : {"a", "b", "c"}) {
-    EXPECT_EQ(sp.true_pressure_of(f), (P{0.0, 0.0, 0.0})) << f;
-    EXPECT_EQ(sp.true_external_pressure(f), (P{0.0, 0.0, 0.0})) << f;
+  for (const FunctionId f : {fa, fb, fc}) {
+    EXPECT_EQ(sp.true_pressure_of(f), (P{0.0, 0.0, 0.0}))
+        << sp.profile(f).name;
+    EXPECT_EQ(sp.true_external_pressure(f), (P{0.0, 0.0, 0.0}))
+        << sp.profile(f).name;
   }
 }
 

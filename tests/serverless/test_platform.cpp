@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "sim/fault_injector.hpp"
@@ -39,9 +40,9 @@ workload::FunctionProfile cpu_fn(double cpu_s = 0.1) {
 TEST(Platform, FirstQueryPaysColdStart) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(1));
-  sp.register_function(cpu_fn());
+  const FunctionId fn = sp.register_function(cpu_fn());
   QueryRecord record;
-  sp.submit("fn", [&](const QueryRecord& r) { record = r; });
+  sp.submit(fn, [&](const QueryRecord& r) { record = r; });
   e.run();
   EXPECT_TRUE(record.cold);
   EXPECT_NEAR(record.breakdown.cold_start_s, 1.0, 1e-9);
@@ -52,11 +53,11 @@ TEST(Platform, FirstQueryPaysColdStart) {
 TEST(Platform, WarmQueryHasNoColdStart) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(2));
-  sp.register_function(cpu_fn());
-  sp.submit("fn", [](const QueryRecord&) {});
+  const FunctionId fn = sp.register_function(cpu_fn());
+  sp.submit(fn, [](const QueryRecord&) {});
   e.run_until(5.0);  // first query done; container still within keep-alive
   QueryRecord record;
-  sp.submit("fn", [&](const QueryRecord& r) { record = r; });
+  sp.submit(fn, [&](const QueryRecord& r) { record = r; });
   e.run_until(10.0);
   EXPECT_FALSE(record.cold);
   EXPECT_DOUBLE_EQ(record.breakdown.cold_start_s, 0.0);
@@ -69,11 +70,11 @@ TEST(Platform, BreakdownComponentsMatchPhases) {
   auto p = cpu_fn();
   p.exec.io_bytes = 2e6;   // 2 ms
   p.exec.net_bytes = 3e6;  // 3 ms
-  sp.register_function(p);
-  sp.submit("fn", [](const QueryRecord&) {});
+  const FunctionId fn = sp.register_function(p);
+  sp.submit(fn, [](const QueryRecord&) {});
   e.run_until(5.0);
   QueryRecord record;
-  sp.submit("fn", [&](const QueryRecord& r) { record = r; });
+  sp.submit(fn, [&](const QueryRecord& r) { record = r; });
   e.run_until(10.0);
   EXPECT_NEAR(record.breakdown.overhead_s, 0.01, 1e-12);
   EXPECT_NEAR(record.breakdown.code_load_s, 0.001, 1e-9);
@@ -85,12 +86,12 @@ TEST(Platform, BreakdownComponentsMatchPhases) {
 TEST(Platform, PrewarmEliminatesColdStart) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(4));
-  sp.register_function(cpu_fn());
-  EXPECT_EQ(sp.prewarm("fn", 2), 2);
+  const FunctionId fn = sp.register_function(cpu_fn());
+  EXPECT_EQ(sp.prewarm(fn, 2), 2);
   e.run_until(2.0);
-  EXPECT_EQ(sp.counts("fn").idle, 2);
+  EXPECT_EQ(sp.counts(fn).idle, 2);
   QueryRecord record;
-  sp.submit("fn", [&](const QueryRecord& r) { record = r; });
+  sp.submit(fn, [&](const QueryRecord& r) { record = r; });
   e.run_until(5.0);
   EXPECT_FALSE(record.cold);
   EXPECT_DOUBLE_EQ(record.breakdown.cold_start_s, 0.0);
@@ -100,18 +101,18 @@ TEST(Platform, PrewarmEliminatesColdStart) {
 TEST(Platform, PrewarmIsIdempotentOnTotalCount) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(5));
-  sp.register_function(cpu_fn());
-  EXPECT_EQ(sp.prewarm("fn", 3), 3);
-  EXPECT_EQ(sp.prewarm("fn", 3), 0);  // already starting
+  const FunctionId fn = sp.register_function(cpu_fn());
+  EXPECT_EQ(sp.prewarm(fn, 3), 3);
+  EXPECT_EQ(sp.prewarm(fn, 3), 0);  // already starting
   e.run_until(2.0);
-  EXPECT_EQ(sp.prewarm("fn", 5), 2);
+  EXPECT_EQ(sp.prewarm(fn, 5), 2);
 }
 
 TEST(Platform, PrewarmBoundedByMemory) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(6));
-  sp.register_function(cpu_fn());
-  EXPECT_EQ(sp.prewarm("fn", 100), 8);  // pool fits 8 containers
+  const FunctionId fn = sp.register_function(cpu_fn());
+  EXPECT_EQ(sp.prewarm(fn, 100), 8);  // pool fits 8 containers
 }
 
 TEST(Platform, QueriesQueueWhenAllContainersBusy) {
@@ -119,10 +120,10 @@ TEST(Platform, QueriesQueueWhenAllContainersBusy) {
   auto cfg = small_config();
   cfg.pool_memory_mb = 256.0;  // exactly one container
   ServerlessPlatform sp(e, cfg, sim::Rng(7));
-  sp.register_function(cpu_fn(0.1));
+  const FunctionId fn = sp.register_function(cpu_fn(0.1));
   std::vector<QueryRecord> records;
   for (int i = 0; i < 3; ++i) {
-    sp.submit("fn", [&](const QueryRecord& r) { records.push_back(r); });
+    sp.submit(fn, [&](const QueryRecord& r) { records.push_back(r); });
   }
   e.run();
   ASSERT_EQ(records.size(), 3u);
@@ -135,14 +136,14 @@ TEST(Platform, QueriesQueueWhenAllContainersBusy) {
 TEST(Platform, MaxContainersCapRespected) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(8));
-  sp.register_function(cpu_fn(), /*max_containers=*/2);
+  const FunctionId fn = sp.register_function(cpu_fn(), /*max_containers=*/2);
   for (int i = 0; i < 10; ++i) {
-    sp.submit("fn", [](const QueryRecord&) {});
+    sp.submit(fn, [](const QueryRecord&) {});
   }
   e.run_until(0.5);  // during cold starts
-  EXPECT_LE(sp.counts("fn").total(), 2);
+  EXPECT_LE(sp.counts(fn).total(), 2);
   e.run();
-  EXPECT_EQ(sp.stats("fn").completed, 10u);
+  EXPECT_EQ(sp.stats(fn).completed, 10u);
 }
 
 TEST(Platform, EvictsForeignIdleContainerUnderMemoryPressure) {
@@ -154,24 +155,24 @@ TEST(Platform, EvictsForeignIdleContainerUnderMemoryPressure) {
   a.name = "a";
   auto b = cpu_fn();
   b.name = "b";
-  sp.register_function(a);
-  sp.register_function(b);
-  sp.prewarm("a", 2);
+  const FunctionId fn_a = sp.register_function(a);
+  const FunctionId fn_b = sp.register_function(b);
+  sp.prewarm(fn_a, 2);
   e.run_until(2.0);
-  EXPECT_EQ(sp.counts("a").idle, 2);
+  EXPECT_EQ(sp.counts(fn_a).idle, 2);
   // b needs a container: one of a's idle containers must be evicted.
   QueryRecord record;
-  sp.submit("b", [&](const QueryRecord& r) { record = r; });
+  sp.submit(fn_b, [&](const QueryRecord& r) { record = r; });
   e.run_until(5.0);
   EXPECT_TRUE(record.cold);
-  EXPECT_EQ(sp.counts("a").idle, 1);
-  EXPECT_EQ(sp.stats("b").completed, 1u);
+  EXPECT_EQ(sp.counts(fn_a).idle, 1);
+  EXPECT_EQ(sp.stats(fn_b).completed, 1u);
 }
 
 TEST(Platform, WarmReuseKeepsOneContainerForSequentialLoad) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(10));
-  sp.register_function(cpu_fn());
+  const FunctionId fn = sp.register_function(cpu_fn());
   int completed = 0;
   // Sequential queries spaced wider than the cold start + service time, so
   // after the first boot every arrival finds the warm container idle.
@@ -179,12 +180,12 @@ TEST(Platform, WarmReuseKeepsOneContainerForSequentialLoad) {
   // boot bind to fresh containers, OpenWhisk-style.)
   for (int i = 0; i < 10; ++i) {
     e.schedule(2.0 + 1.5 * i, [&] {
-      sp.submit("fn", [&](const QueryRecord&) { ++completed; });
+      sp.submit(fn, [&](const QueryRecord&) { ++completed; });
     });
   }
   e.run();
   EXPECT_EQ(completed, 10);
-  EXPECT_EQ(sp.stats("fn").cold_hits, 1u);  // only the very first
+  EXPECT_EQ(sp.stats(fn).cold_hits, 1u);  // only the very first
 }
 
 TEST(Platform, ArrivalDuringBootBindsToItsOwnColdContainer) {
@@ -193,17 +194,17 @@ TEST(Platform, ArrivalDuringBootBindsToItsOwnColdContainer) {
   // free up sooner. Two near-simultaneous queries => two cold starts.
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(21));
-  sp.register_function(cpu_fn());
+  const FunctionId fn = sp.register_function(cpu_fn());
   std::vector<QueryRecord> records;
-  sp.submit("fn", [&](const QueryRecord& r) { records.push_back(r); });
+  sp.submit(fn, [&](const QueryRecord& r) { records.push_back(r); });
   e.schedule(0.2, [&] {
-    sp.submit("fn", [&](const QueryRecord& r) { records.push_back(r); });
+    sp.submit(fn, [&](const QueryRecord& r) { records.push_back(r); });
   });
   e.run_until(5.0);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_TRUE(records[0].cold);
   EXPECT_TRUE(records[1].cold);
-  EXPECT_EQ(sp.stats("fn").cold_hits, 2u);
+  EXPECT_EQ(sp.stats(fn).cold_hits, 2u);
   // The second query paid its own full boot (arrived at 0.2, boot 1 s).
   EXPECT_NEAR(records[1].breakdown.cold_start_s, 1.0, 1e-9);
 }
@@ -215,10 +216,10 @@ TEST(Platform, QueueedQueryTakesWhicheverContainerFreesFirst) {
   auto cfg = small_config();
   cfg.pool_memory_mb = 256.0;  // one container
   ServerlessPlatform sp(e, cfg, sim::Rng(22));
-  sp.register_function(cpu_fn());
+  const FunctionId fn = sp.register_function(cpu_fn());
   std::vector<QueryRecord> records;
   for (int i = 0; i < 2; ++i) {
-    sp.submit("fn", [&](const QueryRecord& r) { records.push_back(r); });
+    sp.submit(fn, [&](const QueryRecord& r) { records.push_back(r); });
   }
   e.run_until(5.0);
   ASSERT_EQ(records.size(), 2u);
@@ -230,29 +231,29 @@ TEST(Platform, QueueedQueryTakesWhicheverContainerFreesFirst) {
 TEST(Platform, RetireDestroysIdleAndReclaimsAfterCompletion) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(11));
-  sp.register_function(cpu_fn());
-  sp.prewarm("fn", 3);
+  const FunctionId fn = sp.register_function(cpu_fn());
+  sp.prewarm(fn, 3);
   e.run_until(2.0);
-  sp.submit("fn", [](const QueryRecord&) {});
+  sp.submit(fn, [](const QueryRecord&) {});
   e.run_until(2.05);  // one busy, two idle
-  EXPECT_EQ(sp.counts("fn").busy, 1);
-  sp.retire("fn");
-  EXPECT_EQ(sp.counts("fn").idle, 0);  // idle destroyed immediately
-  EXPECT_EQ(sp.counts("fn").busy, 1);  // busy one finishes first
+  EXPECT_EQ(sp.counts(fn).busy, 1);
+  sp.retire(fn);
+  EXPECT_EQ(sp.counts(fn).idle, 0);  // idle destroyed immediately
+  EXPECT_EQ(sp.counts(fn).busy, 1);  // busy one finishes first
   e.run();
-  EXPECT_EQ(sp.counts("fn").total(), 0);
-  EXPECT_EQ(sp.stats("fn").completed, 1u);
+  EXPECT_EQ(sp.counts(fn).total(), 0);
+  EXPECT_EQ(sp.stats(fn).completed, 1u);
 }
 
 TEST(Platform, UnretireRestoresWarmBehaviour) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(12));
-  sp.register_function(cpu_fn());
-  sp.retire("fn");
-  sp.unretire("fn");
-  sp.submit("fn", [](const QueryRecord&) {});
+  const FunctionId fn = sp.register_function(cpu_fn());
+  sp.retire(fn);
+  sp.unretire(fn);
+  sp.submit(fn, [](const QueryRecord&) {});
   e.run_until(5.0);
-  EXPECT_EQ(sp.counts("fn").idle, 1);  // kept warm again
+  EXPECT_EQ(sp.counts(fn).idle, 1);  // kept warm again
 }
 
 TEST(Platform, CrashInjectionForcesRepeatColdStarts) {
@@ -260,37 +261,45 @@ TEST(Platform, CrashInjectionForcesRepeatColdStarts) {
   auto cfg = small_config();
   cfg.crash_after_completion_p = 1.0;
   ServerlessPlatform sp(e, cfg, sim::Rng(13));
-  sp.register_function(cpu_fn());
+  const FunctionId fn = sp.register_function(cpu_fn());
   for (int i = 0; i < 5; ++i) {
-    e.schedule(3.0 * i, [&] { sp.submit("fn", [](const QueryRecord&) {}); });
+    e.schedule(3.0 * i, [&] { sp.submit(fn, [](const QueryRecord&) {}); });
   }
   e.run();
-  EXPECT_EQ(sp.stats("fn").cold_hits, 5u);  // every query pays a cold start
+  EXPECT_EQ(sp.stats(fn).cold_hits, 5u);  // every query pays a cold start
 }
 
 TEST(Platform, CpuStatsAccumulateWork) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(14));
-  sp.register_function(cpu_fn(0.1));
+  const FunctionId fn = sp.register_function(cpu_fn(0.1));
   for (int i = 0; i < 4; ++i) {
-    sp.submit("fn", [](const QueryRecord&) {});
+    sp.submit(fn, [](const QueryRecord&) {});
   }
   e.run();
-  EXPECT_NEAR(sp.cpu_core_seconds("fn"), 0.4, 1e-9);
+  EXPECT_NEAR(sp.cpu_core_seconds(fn), 0.4, 1e-9);
 }
 
 TEST(Platform, UnknownFunctionThrows) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(15));
-  EXPECT_THROW(sp.submit("ghost", [](const QueryRecord&) {}), ContractError);
-  EXPECT_THROW((void)sp.prewarm("ghost", 1), ContractError);
-  EXPECT_THROW((void)sp.stats("ghost"), ContractError);
+  // An unregistered name has no handle, and an id the platform never
+  // handed out trips the bounds precondition.
+  EXPECT_EQ(sp.find_function("ghost"), std::nullopt);
+  const FunctionId ghost{0};
+  EXPECT_THROW(sp.submit(ghost, [](const QueryRecord&) {}), ContractError);
+  EXPECT_THROW((void)sp.prewarm(ghost, 1), ContractError);
+  EXPECT_THROW((void)sp.stats(ghost), ContractError);
+  EXPECT_THROW((void)sp.counts(ghost), ContractError);
+  const FunctionId fn = sp.register_function(cpu_fn());
+  EXPECT_EQ(sp.find_function("fn"), fn);
+  EXPECT_THROW((void)sp.profile(FunctionId{1}), ContractError);
 }
 
 TEST(Platform, DuplicateRegistrationThrows) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(16));
-  sp.register_function(cpu_fn());
+  (void)sp.register_function(cpu_fn());
   EXPECT_THROW(sp.register_function(cpu_fn()), ContractError);
 }
 
@@ -307,7 +316,7 @@ TEST(Platform, ConfigValidation) {
 TEST(Platform, BootFailureRescuesBoundQuery) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(19));
-  sp.register_function(cpu_fn());
+  const FunctionId fn = sp.register_function(cpu_fn());
   sim::FaultConfig fc;
   fc.container_boot_fail_first_n = 1;  // first cold start fails, retry works
   sim::FaultInjector faults(fc, sim::Rng(3));
@@ -315,7 +324,7 @@ TEST(Platform, BootFailureRescuesBoundQuery) {
 
   QueryRecord record;
   int done = 0;
-  sp.submit("fn", [&](const QueryRecord& r) {
+  sp.submit(fn, [&](const QueryRecord& r) {
     record = r;
     ++done;
   });
@@ -324,39 +333,39 @@ TEST(Platform, BootFailureRescuesBoundQuery) {
   // fresh cold container, and still completed — with two boot windows paid.
   EXPECT_EQ(done, 1);
   EXPECT_TRUE(record.cold);
-  EXPECT_EQ(sp.stats("fn").boot_failures, 1u);
-  EXPECT_EQ(sp.stats("fn").completed, 1u);
+  EXPECT_EQ(sp.stats(fn).boot_failures, 1u);
+  EXPECT_EQ(sp.stats(fn).completed, 1u);
   EXPECT_GT(record.latency(), 2.0);  // two 1 s boots plus execution
 }
 
 TEST(Platform, ReleasePrewarmedDestroysIdleAndUnboundStarting) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(20));
-  sp.register_function(cpu_fn());
-  sp.prewarm("fn", 3);
+  const FunctionId fn = sp.register_function(cpu_fn());
+  sp.prewarm(fn, 3);
   e.run_until(2.0);  // all three idle
-  sp.prewarm("fn", 5);  // two more, still starting
-  EXPECT_EQ(sp.counts("fn").idle, 3);
-  EXPECT_EQ(sp.counts("fn").starting, 2);
-  const int released = sp.release_prewarmed("fn");
+  sp.prewarm(fn, 5);  // two more, still starting
+  EXPECT_EQ(sp.counts(fn).idle, 3);
+  EXPECT_EQ(sp.counts(fn).starting, 2);
+  const int released = sp.release_prewarmed(fn);
   EXPECT_EQ(released, 5);
-  EXPECT_EQ(sp.counts("fn").total(), 0);
+  EXPECT_EQ(sp.counts(fn).total(), 0);
   EXPECT_DOUBLE_EQ(sp.pool().memory_in_use_mb(), 0.0);
   e.run();  // pending boot events must be inert
-  EXPECT_EQ(sp.counts("fn").total(), 0);
+  EXPECT_EQ(sp.counts(fn).total(), 0);
 }
 
 TEST(Platform, ReleasePrewarmedSparesContainersBoundToQueries) {
   sim::Engine e;
   ServerlessPlatform sp(e, small_config(), sim::Rng(21));
-  sp.register_function(cpu_fn());
+  const FunctionId fn = sp.register_function(cpu_fn());
   int done = 0;
   // This query arrives on a cold pool: it binds to the container that cold
   // starts for it (OpenWhisk semantics).
-  sp.submit("fn", [&](const QueryRecord&) { ++done; });
+  sp.submit(fn, [&](const QueryRecord&) { ++done; });
   e.run_until(0.5);  // mid-boot
-  EXPECT_EQ(sp.counts("fn").starting, 1);
-  const int released = sp.release_prewarmed("fn");
+  EXPECT_EQ(sp.counts(fn).starting, 1);
+  const int released = sp.release_prewarmed(fn);
   EXPECT_EQ(released, 0);  // bound container spared
   e.run_until(10.0);
   EXPECT_EQ(done, 1);  // the query still completes

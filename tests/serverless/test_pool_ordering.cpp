@@ -1,14 +1,12 @@
-// Regression coverage for the unordered_map -> std::map conversion of the
-// pool's per-function tables: every aggregate the pool reports (cluster
-// summaries, admission headroom, accounting integrals) must be invariant
-// under the order functions first appear. With hash-ordered tables these
-// sums fold in hash/insertion order, and float-sum non-associativity then
-// leaks that order into trace hashes.
+// Every aggregate the pool reports (cluster summaries, admission headroom,
+// accounting integrals) must be invariant under the order functions start
+// containers. The per-function tables are a vector indexed by registration
+// id; an order-dependent fold over them would leak the start order into
+// float sums and, through their non-associativity, into trace hashes.
 #include "serverless/container_pool.hpp"
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 namespace amoeba::serverless {
@@ -17,8 +15,12 @@ namespace {
 constexpr double kMem = 2048.0;
 constexpr double kContainer = 128.0;
 
-// Readout order is fixed alphabetically, independent of start order.
-const std::vector<std::string> kFunctions = {"alpha", "beta", "gamma"};
+// Functions are registered in this order in every run, so their ids match
+// across runs; readout follows it, independent of start order.
+const std::vector<const char*> kFunctions = {"alpha", "beta", "gamma"};
+constexpr FunctionId kAlpha{0};
+constexpr FunctionId kBeta{1};
+constexpr FunctionId kGamma{2};
 
 struct PoolReadout {
   PoolCounts totals;
@@ -30,16 +32,20 @@ struct PoolReadout {
   std::uint64_t evictions = 0;
 };
 
-PoolReadout run_schedule(const std::vector<std::string>& start_order) {
+PoolReadout run_schedule(const std::vector<FunctionId>& start_order) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);
+  std::vector<FunctionId> ids;
+  for (std::size_t i = 0; i < kFunctions.size(); ++i) {
+    ids.push_back(pool.add_function());
+  }
   // Two containers per function, staggered boots; start order varies.
-  for (const auto& fn : start_order) {
+  for (const FunctionId fn : start_order) {
     (void)pool.start(fn, kContainer, 1.0, [](ContainerId) {});
     (void)pool.start(fn, kContainer, 2.0, [](ContainerId) {});
   }
   e.run_until(3.0);
-  for (const auto& fn : start_order) {
+  for (const FunctionId fn : start_order) {
     (void)pool.acquire_idle(fn);  // one busy per function
   }
   // (No eviction here: evict_lru_idle breaks idle-time ties by container
@@ -52,7 +58,7 @@ PoolReadout run_schedule(const std::vector<std::string>& start_order) {
   out.mem_in_use = pool.memory_in_use_mb();
   out.headroom = pool.headroom(kContainer);
   out.evictions = pool.evictions();
-  for (const auto& fn : kFunctions) {
+  for (const FunctionId fn : ids) {
     out.per_fn_counts.push_back(pool.counts(fn));
     out.per_fn_mem.push_back(pool.memory_in_use_mb(fn));
     out.per_fn_integral.push_back(pool.memory_mb_seconds(fn, e.now()));
@@ -82,16 +88,16 @@ void expect_same(const PoolReadout& a, const PoolReadout& b) {
 }
 
 TEST(PoolOrdering, AggregatesInvariantUnderFunctionStartOrder) {
-  const auto base = run_schedule({"alpha", "beta", "gamma"});
-  expect_same(base, run_schedule({"gamma", "beta", "alpha"}));
-  expect_same(base, run_schedule({"beta", "gamma", "alpha"}));
+  const auto base = run_schedule({kAlpha, kBeta, kGamma});
+  expect_same(base, run_schedule({kGamma, kBeta, kAlpha}));
+  expect_same(base, run_schedule({kBeta, kGamma, kAlpha}));
 }
 
 TEST(PoolOrdering, RepeatedRunsAreBitIdentical) {
   // Same schedule twice in one process: any hidden dependence on hash
   // seeds or allocation addresses would show up here.
-  const auto first = run_schedule({"alpha", "beta", "gamma"});
-  const auto second = run_schedule({"alpha", "beta", "gamma"});
+  const auto first = run_schedule({kAlpha, kBeta, kGamma});
+  const auto second = run_schedule({kAlpha, kBeta, kGamma});
   expect_same(first, second);
 }
 

@@ -247,38 +247,42 @@ TEST(FairShare, SimultaneousCompletionsAllFire) {
 
 // --- Tag attribution -------------------------------------------------------
 // Caps are dyadic so every sum below is exact whatever order it is taken in.
+// Tags are client ids; kNobody was never used to open a stream.
+constexpr StreamTag kA = 0;
+constexpr StreamTag kB = 1;
+constexpr StreamTag kC = 2;
+constexpr StreamTag kIo = 3;
+constexpr StreamTag kNobody = 99;
 
 TEST(FairShareTags, DemandIsAttributedPerTag) {
   Engine e;
   FairShareResource cpu(e, "cpu", 8.0);
-  cpu.open(100.0, 1.0, [] {}, "a");
-  cpu.open(100.0, 1.0, [] {}, "a");
-  cpu.open(100.0, 0.5, [] {}, "b");
-  cpu.open(100.0, 2.0, [] {}, "c");
-  EXPECT_DOUBLE_EQ(cpu.demand_of("a"), 2.0);
-  EXPECT_DOUBLE_EQ(cpu.demand_of("b"), 0.5);
-  EXPECT_DOUBLE_EQ(cpu.demand_of("c"), 2.0);
-  EXPECT_DOUBLE_EQ(cpu.demand_of("nobody"), 0.0);
-  EXPECT_DOUBLE_EQ(cpu.pressure_of("a"), 0.25);
-  EXPECT_DOUBLE_EQ(cpu.pressure_of("b"), 0.0625);
+  cpu.open(100.0, 1.0, [] {}, kA);
+  cpu.open(100.0, 1.0, [] {}, kA);
+  cpu.open(100.0, 0.5, [] {}, kB);
+  cpu.open(100.0, 2.0, [] {}, kC);
+  EXPECT_DOUBLE_EQ(cpu.demand_of(kA), 2.0);
+  EXPECT_DOUBLE_EQ(cpu.demand_of(kB), 0.5);
+  EXPECT_DOUBLE_EQ(cpu.demand_of(kC), 2.0);
+  EXPECT_DOUBLE_EQ(cpu.demand_of(kNobody), 0.0);
+  EXPECT_DOUBLE_EQ(cpu.pressure_of(kA), 0.25);
+  EXPECT_DOUBLE_EQ(cpu.pressure_of(kB), 0.0625);
   EXPECT_DOUBLE_EQ(cpu.pressure(), 0.5625);
-  EXPECT_DOUBLE_EQ(cpu.external_pressure("a"), 0.3125);
-  EXPECT_DOUBLE_EQ(cpu.external_pressure("nobody"), 0.5625);
+  EXPECT_DOUBLE_EQ(cpu.external_pressure(kA), 0.3125);
+  EXPECT_DOUBLE_EQ(cpu.external_pressure(kNobody), 0.5625);
 
-  const auto by_tag = cpu.demand_by_tag();
-  ASSERT_EQ(by_tag.size(), 3u);
-  EXPECT_DOUBLE_EQ(by_tag.at("a"), 2.0);
-  EXPECT_DOUBLE_EQ(by_tag.at("b"), 0.5);
-  EXPECT_DOUBLE_EQ(by_tag.at("c"), 2.0);
+  // The three tags carry all of the demand.
+  EXPECT_DOUBLE_EQ(cpu.demand_of(kA) + cpu.demand_of(kB) + cpu.demand_of(kC),
+                   cpu.pressure() * cpu.capacity());
 }
 
 TEST(FairShareTags, UncappedStreamDemandsFullCapacity) {
   Engine e;
   FairShareResource disk(e, "disk", 4.0);
-  disk.open(100.0, 0.0, [] {}, "io");
-  disk.open(100.0, 16.0, [] {}, "io");  // cap clamped to capacity
-  EXPECT_DOUBLE_EQ(disk.demand_of("io"), 8.0);
-  EXPECT_DOUBLE_EQ(disk.pressure_of("io"), 2.0);
+  disk.open(100.0, 0.0, [] {}, kIo);
+  disk.open(100.0, 16.0, [] {}, kIo);  // cap clamped to capacity
+  EXPECT_DOUBLE_EQ(disk.demand_of(kIo), 8.0);
+  EXPECT_DOUBLE_EQ(disk.pressure_of(kIo), 2.0);
 }
 
 TEST(FairShareTags, UntaggedStreamsAreExternalToEveryTag) {
@@ -286,49 +290,48 @@ TEST(FairShareTags, UntaggedStreamsAreExternalToEveryTag) {
   FairShareResource cpu(e, "cpu", 4.0);
   cpu.open(100.0, 1.0, [] {});  // untagged
   cpu.open(100.0, 0.5, [] {});  // untagged
-  cpu.open(100.0, 1.0, [] {}, "a");
-  cpu.open(100.0, 0.5, [] {}, "b");
-  EXPECT_DOUBLE_EQ(cpu.external_pressure("a"), 0.5);    // 1.5 + 0.5 of 4
-  EXPECT_DOUBLE_EQ(cpu.external_pressure("b"), 0.625);  // 1.5 + 1.0 of 4
-  EXPECT_DOUBLE_EQ(cpu.external_pressure("zzz"), cpu.pressure());
+  cpu.open(100.0, 1.0, [] {}, kA);
+  cpu.open(100.0, 0.5, [] {}, kB);
+  EXPECT_DOUBLE_EQ(cpu.external_pressure(kA), 0.5);    // 1.5 + 0.5 of 4
+  EXPECT_DOUBLE_EQ(cpu.external_pressure(kB), 0.625);  // 1.5 + 1.0 of 4
+  EXPECT_DOUBLE_EQ(cpu.external_pressure(kNobody), cpu.pressure());
   // Untagged demand belongs to no tag.
-  EXPECT_DOUBLE_EQ(cpu.demand_of(""), 0.0);
-  const auto by_tag = cpu.demand_by_tag();
-  EXPECT_EQ(by_tag.size(), 2u);
-  EXPECT_EQ(by_tag.count(""), 0u);
+  EXPECT_DOUBLE_EQ(cpu.demand_of(kUntagged), 0.0);
+  // Tagged demand is exactly the two tagged streams' caps.
+  EXPECT_DOUBLE_EQ(cpu.demand_of(kA) + cpu.demand_of(kB), 1.5);
 }
 
 TEST(FairShareTags, DepartedTagReadsExactlyZero) {
   Engine e;
   FairShareResource cpu(e, "cpu", 3.0, /*interference=*/0.2);
   // Caps that do not sum exactly in binary: float dust must not linger.
-  const StreamId a1 = cpu.open(100.0, 0.1, [] {}, "a");
-  cpu.open(1.0, 0.7, [] {}, "a");        // completes on its own
-  const StreamId a3 = cpu.open(100.0, 0.3, [] {}, "a");
-  cpu.open(100.0, 0.5, [] {}, "b");
+  const StreamId a1 = cpu.open(100.0, 0.1, [] {}, kA);
+  cpu.open(1.0, 0.7, [] {}, kA);        // completes on its own
+  const StreamId a3 = cpu.open(100.0, 0.3, [] {}, kA);
+  cpu.open(100.0, 0.5, [] {}, kB);
   e.schedule(10.0, [&] {
     cpu.close(a1);
     cpu.close(a3);
   });
   e.run_until(20.0);
-  EXPECT_EQ(cpu.demand_of("a"), 0.0);
-  EXPECT_EQ(cpu.pressure_of("a"), 0.0);
-  EXPECT_EQ(cpu.demand_by_tag().count("a"), 0u);
-  EXPECT_DOUBLE_EQ(cpu.demand_of("b"), 0.5);
-  EXPECT_DOUBLE_EQ(cpu.external_pressure("a"), 0.5 / 3.0);
+  EXPECT_EQ(cpu.demand_of(kA), 0.0);
+  EXPECT_EQ(cpu.pressure_of(kA), 0.0);
+  EXPECT_EQ(cpu.external_pressure(kB), 0.0);  // only kB is live
+  EXPECT_DOUBLE_EQ(cpu.demand_of(kB), 0.5);
+  EXPECT_DOUBLE_EQ(cpu.external_pressure(kA), 0.5 / 3.0);
 }
 
 TEST(FairShareTags, CompletedStreamsReleaseTheirDemand) {
   Engine e;
   FairShareResource net(e, "net", 2.0);
-  net.open(1.0, 1.0, [] {}, "a");
-  net.open(3.0, 1.0, [] {}, "b");
-  e.run_until(2.0);  // "a" drained at t=1, "b" is still running
-  EXPECT_EQ(net.demand_of("a"), 0.0);
-  EXPECT_DOUBLE_EQ(net.demand_of("b"), 1.0);
+  net.open(1.0, 1.0, [] {}, kA);
+  net.open(3.0, 1.0, [] {}, kB);
+  e.run_until(2.0);  // kA drained at t=1, kB is still running
+  EXPECT_EQ(net.demand_of(kA), 0.0);
+  EXPECT_DOUBLE_EQ(net.demand_of(kB), 1.0);
   e.run();
-  EXPECT_EQ(net.demand_of("b"), 0.0);
-  EXPECT_TRUE(net.demand_by_tag().empty());
+  EXPECT_EQ(net.demand_of(kB), 0.0);
+  EXPECT_EQ(net.demand_of(kA) + net.demand_of(kB), 0.0);
   EXPECT_EQ(net.pressure(), 0.0);
 }
 
