@@ -14,6 +14,10 @@ WeightEstimator::WeightEstimator(WeightEstimatorConfig cfg, double solo_latency,
   AMOEBA_EXPECTS(cfg.max_samples >= cfg.min_samples);
   AMOEBA_EXPECTS(cfg.min_explained > 0.0 && cfg.min_explained <= 1.0);
   AMOEBA_EXPECTS(cfg.refit_interval >= 1);
+  AMOEBA_EXPECTS_VALS(cfg.ridge >= 0.0, cfg.ridge);
+  AMOEBA_EXPECTS_VALS(
+      cfg.feature_cap_s >= 0.0 && std::isfinite(cfg.feature_cap_s),
+      cfg.feature_cap_s);
 }
 
 Features WeightEstimator::clamped(const Features& f) const {
@@ -27,8 +31,19 @@ void WeightEstimator::observe(const Features& predicted,
                               double observed_latency) {
   AMOEBA_EXPECTS(observed_latency > 0.0);
   for (double v : predicted) AMOEBA_EXPECTS(v >= 0.0);
-  window_.push_back(Sample{clamped(predicted), observed_latency});
-  while (window_.size() > cfg_.max_samples) window_.pop_front();
+  const Sample& in =
+      window_.emplace_back(Sample{clamped(predicted), observed_latency});
+  moments_.add(in.x, in.y);
+  if (window_.size() > cfg_.max_samples) {
+    moments_.remove_oldest(window_.front().x, window_.front().y);
+    window_.pop_front();
+  }
+  // Re-sum exactly once per window length: bounds the rounding drift of
+  // the streamed updates at amortized O(1) per heartbeat.
+  if (++since_resum_ == cfg_.max_samples) {
+    since_resum_ = 0;
+    moments_.resum(window_);
+  }
   ++since_refit_;
   maybe_refit();
 }
@@ -38,16 +53,7 @@ void WeightEstimator::maybe_refit() {
   if (window_.size() < cfg_.min_samples) return;
   if (model_.has_value() && since_refit_ < cfg_.refit_interval) return;
   since_refit_ = 0;
-
-  linalg::Matrix x(window_.size(), kNumResources);
-  std::vector<double> y(window_.size());
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    for (std::size_t j = 0; j < kNumResources; ++j) {
-      x(i, j) = window_[i].x[j];
-    }
-    y[i] = window_[i].y;
-  }
-  model_ = linalg::fit_pcr(x, y, cfg_.min_explained, cfg_.ridge);
+  model_ = linalg::fit_pcr(moments_, cfg_.min_explained, cfg_.ridge);
   ++refits_;
 }
 

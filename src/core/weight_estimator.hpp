@@ -9,8 +9,10 @@
 // The weights w start pessimistic and are calibrated online by principal-
 // component regression over heartbeat samples (features = surface
 // predictions, target = observed service latency of queries mirrored to
-// the serverless platform). Disabling the calibration gives the paper's
-// Amoeba-NoM ablation: degradations on every resource are assumed to
+// the serverless platform). The estimator streams the sliding window's
+// moments (linalg::WindowMoments) as heartbeats arrive, so a refit costs
+// O(d²) whatever the window size. Disabling the calibration gives the
+// paper's Amoeba-NoM ablation: degradations on every resource are assumed to
 // accumulate, which over-predicts latency and postpones profitable
 // switches (paper Fig. 14/15).
 #pragma once
@@ -35,15 +37,17 @@ struct WeightEstimatorConfig {
   std::size_t min_samples = 24;   ///< PCR needs this many heartbeats
   std::size_t max_samples = 512;  ///< sliding window of heartbeats
   double min_explained = 0.95;    ///< PCA variance retention (paper: "most")
-  double ridge = 1e-8;
+  double ridge = 1e-8;  ///< >= 0
   /// Clamp surface-predicted latencies to this value (seconds) before they
   /// enter the regression. Saturated profiling cells carry sentinel values
   /// orders of magnitude above the operating regime; unclamped they swamp
   /// the linear fit, and any latency beyond the cap rejects the deployment
-  /// regardless. 0 = no clamp. The controller defaults this to 4x the
-  /// service's QoS target.
+  /// regardless. 0 = no clamp; must be finite and >= 0. The controller
+  /// defaults this to 4x the service's QoS target.
   double feature_cap_s = 0.0;
-  /// Refit at most every `refit_interval` new samples (amortizes the PCR).
+  /// Refit at most every `refit_interval` new samples. A refit is O(d²)
+  /// from the streamed moments; the interval only bounds how often the
+  /// weights move.
   std::size_t refit_interval = 8;
 };
 
@@ -70,6 +74,10 @@ class WeightEstimator {
       const;
 
   [[nodiscard]] bool calibrated() const noexcept { return model_.has_value(); }
+  /// Principal components the current fit keeps; 0 until calibrated.
+  [[nodiscard]] std::size_t retained_components() const noexcept {
+    return model_.has_value() ? model_->pca.retained : 0;
+  }
   [[nodiscard]] std::size_t samples() const noexcept { return window_.size(); }
   [[nodiscard]] std::size_t refits() const noexcept { return refits_; }
   [[nodiscard]] double solo_latency() const noexcept { return l0_; }
@@ -87,8 +95,10 @@ class WeightEstimator {
     double y;
   };
   std::deque<Sample> window_;
+  linalg::WindowMoments moments_{kNumResources};  ///< of window_
   std::optional<linalg::PcrModel> model_;
   std::size_t since_refit_ = 0;
+  std::size_t since_resum_ = 0;
   std::size_t refits_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "linalg/pca.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -7,6 +8,115 @@
 #include "linalg/least_squares.hpp"
 
 namespace amoeba::linalg {
+
+WindowMoments::WindowMoments(std::size_t dims)
+    : d_(dims),
+      shift_(dims + 1, 0.0),
+      mean_(dims + 1, 0.0),
+      co_((dims + 1) * (dims + 1), 0.0),
+      last_(dims, 0.0),
+      run_(dims, 0) {
+  AMOEBA_EXPECTS(dims >= 1);
+}
+
+void WindowMoments::reset() {
+  n_ = 0;
+  std::fill(shift_.begin(), shift_.end(), 0.0);
+  std::fill(mean_.begin(), mean_.end(), 0.0);
+  std::fill(co_.begin(), co_.end(), 0.0);
+  std::fill(run_.begin(), run_.end(), std::size_t{0});
+}
+
+void WindowMoments::mirror() {
+  const std::size_t vars = d_ + 1;
+  for (std::size_t a = 0; a < vars; ++a)
+    for (std::size_t b = a + 1; b < vars; ++b)
+      co_[b * vars + a] = co_[a * vars + b];
+}
+
+void WindowMoments::track_runs(std::span<const double> x) {
+  for (std::size_t a = 0; a < d_; ++a) {
+    if (n_ > 1 && x[a] == last_[a]) {
+      ++run_[a];
+    } else {
+      last_[a] = x[a];
+      run_[a] = 1;
+    }
+  }
+}
+
+void WindowMoments::add(std::span<const double> x, double y) {
+  AMOEBA_EXPECTS_VALS(x.size() == d_, x.size(), d_);
+  const std::size_t vars = d_ + 1;
+  const auto value = [&](std::size_t a) { return a < d_ ? x[a] : y; };
+  if (n_ == 0) {
+    for (std::size_t a = 0; a < vars; ++a) shift_[a] = value(a);
+  }
+  ++n_;
+  const auto n = static_cast<double>(n_);
+  // Values relative to shift_; with dx = x − x̄_old: C += ((n−1)/n)·dx·dxᵀ
+  // and x̄ += dx/n. Row a reads only means of variables >= a, so each mean
+  // is updated after its row.
+  const double f = (n - 1.0) / n;
+  for (std::size_t a = 0; a < vars; ++a) {
+    const double da = (value(a) - shift_[a]) - mean_[a];
+    for (std::size_t b = a; b < vars; ++b) {
+      co_[a * vars + b] += f * da * ((value(b) - shift_[b]) - mean_[b]);
+    }
+    mean_[a] += da / n;
+  }
+  mirror();
+  track_runs(x);
+}
+
+void WindowMoments::remove_oldest(std::span<const double> x, double y) {
+  AMOEBA_EXPECTS_VALS(x.size() == d_, x.size(), d_);
+  AMOEBA_EXPECTS_MSG(n_ >= 1, "remove_oldest from an empty window");
+  if (n_ == 1) {
+    reset();
+    return;
+  }
+  const std::size_t vars = d_ + 1;
+  const auto value = [&](std::size_t a) { return a < d_ ? x[a] : y; };
+  const auto n_old = static_cast<double>(n_);
+  --n_;
+  const auto n = static_cast<double>(n_);
+  // The inverse of add: with e = x − x̄_old, C −= (n_old/n)·e·eᵀ and
+  // x̄ −= e/n.
+  const double f = n_old / n;
+  for (std::size_t a = 0; a < vars; ++a) {
+    const double ea = (value(a) - shift_[a]) - mean_[a];
+    for (std::size_t b = a; b < vars; ++b) {
+      co_[a * vars + b] -= f * ea * ((value(b) - shift_[b]) - mean_[b]);
+    }
+    mean_[a] -= ea / n;
+  }
+  mirror();
+  for (std::size_t& r : run_) r = std::min(r, n_);
+}
+
+namespace {
+
+// Σ z_a z_b over the window, z the standardized features: the co-moments
+// divided by the scales, with every row and column of a constant feature
+// exactly zero.
+Matrix standardized_comoment(const WindowMoments& m,
+                             const std::vector<double>& scales) {
+  const std::size_t d = m.dims();
+  Matrix s(d, d, 0.0);
+  for (std::size_t a = 0; a < d; ++a) {
+    if (m.constant(a)) continue;
+    for (std::size_t b = a; b < d; ++b) {
+      if (m.constant(b)) continue;
+      const double v = m.comoment(a, b) / (scales[a] * scales[b]);
+      s(a, b) = v;
+      s(b, a) = v;
+    }
+  }
+  return s;
+}
+
+}  // namespace
 
 double PcaModel::explained_variance() const {
   const double total =
@@ -31,47 +141,26 @@ std::vector<double> PcaModel::transform(const std::vector<double>& x) const {
   return scores;
 }
 
-PcaModel fit_pca(const Matrix& samples, double min_explained) {
-  AMOEBA_EXPECTS(samples.rows() >= 2);
+PcaModel fit_pca(const WindowMoments& m, double min_explained) {
+  AMOEBA_EXPECTS_VALS(m.count() >= 2, m.count());
   AMOEBA_EXPECTS(min_explained > 0.0 && min_explained <= 1.0);
-  const std::size_t n = samples.rows();
-  const std::size_t d = samples.cols();
+  const double n1 = static_cast<double>(m.count() - 1);
+  const std::size_t d = m.dims();
 
   PcaModel model;
-  model.means.assign(d, 0.0);
+  model.means.resize(d);
   model.scales.assign(d, 1.0);
+  for (std::size_t j = 0; j < d; ++j) model.means[j] = m.mean(j);
   for (std::size_t j = 0; j < d; ++j) {
-    double m = 0.0;
-    for (std::size_t i = 0; i < n; ++i) m += samples(i, j);
-    model.means[j] = m / static_cast<double>(n);
-  }
-  for (std::size_t j = 0; j < d; ++j) {
-    double s2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dev = samples(i, j) - model.means[j];
-      s2 += dev * dev;
-    }
-    s2 /= static_cast<double>(n - 1);
-    model.scales[j] = s2 > 1e-24 ? std::sqrt(s2) : 1.0;
+    if (m.constant(j)) continue;
+    const double s2 = m.comoment(j, j) / n1;
+    if (s2 > 1e-24) model.scales[j] = std::sqrt(s2);
   }
 
   // Correlation matrix of standardized features.
-  Matrix corr(d, d, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t a = 0; a < d; ++a) {
-      const double za = (samples(i, a) - model.means[a]) / model.scales[a];
-      for (std::size_t b = a; b < d; ++b) {
-        const double zb = (samples(i, b) - model.means[b]) / model.scales[b];
-        corr(a, b) += za * zb;
-      }
-    }
-  }
+  Matrix corr = standardized_comoment(m, model.scales);
   for (std::size_t a = 0; a < d; ++a)
-    for (std::size_t b = a; b < d; ++b) {
-      const double v = corr(a, b) / static_cast<double>(n - 1);
-      corr(a, b) = v;
-      corr(b, a) = v;
-    }
+    for (std::size_t b = 0; b < d; ++b) corr(a, b) /= n1;
 
   EigenDecomposition eig = jacobi_eigen(corr);
   // A correlation matrix is positive semi-definite: anything below a tiny
@@ -127,30 +216,37 @@ double PcrModel::raw_intercept() const {
   return intercept - dot(beta, pca.means);
 }
 
-PcrModel fit_pcr(const Matrix& x, const std::vector<double>& y,
-                 double min_explained, double ridge) {
-  AMOEBA_EXPECTS(x.rows() == y.size());
-  AMOEBA_EXPECTS(x.rows() >= 2);
+PcrModel fit_pcr(const WindowMoments& m, double min_explained, double ridge) {
+  AMOEBA_EXPECTS_VALS(m.count() >= 2, m.count());
+  AMOEBA_EXPECTS_VALS(ridge >= 0.0, ridge);
 
   PcrModel model;
-  model.pca = fit_pca(x, min_explained);
-  const std::size_t n = x.rows();
+  model.pca = fit_pca(m, min_explained);
+  const std::size_t d = m.dims();
   const std::size_t k = model.pca.retained;
+  const Matrix& v = model.pca.components;
+  const std::vector<double>& scales = model.pca.scales;
 
-  // Design matrix of scores, plus intercept handled by centering y.
-  Matrix scores(n, k, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto s = model.pca.transform(x.row_vector(i));
-    for (std::size_t c = 0; c < k; ++c) scores(i, c) = s[c];
+  // Normal equations of the centred score regression: scores are
+  // V_kᵀ·z, so Σ s·sᵀ = V_kᵀ·(n−1)R·V_k and Σ s·(y−ȳ) = V_kᵀ·D⁻¹·Σ(x−x̄)(y−ȳ).
+  const Matrix s = standardized_comoment(m, scales);
+  Matrix sv(d, k, 0.0);  // (n−1)R·V_k
+  for (std::size_t a = 0; a < d; ++a)
+    for (std::size_t c = 0; c < k; ++c)
+      for (std::size_t b = 0; b < d; ++b) sv(a, c) += s(a, b) * v(b, c);
+  Matrix gram(k, k, 0.0);
+  std::vector<double> rhs(k, 0.0);
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t e = 0; e < k; ++e)
+      for (std::size_t a = 0; a < d; ++a) gram(c, e) += v(a, c) * sv(a, e);
+    gram(c, c) += ridge;
+    for (std::size_t a = 0; a < d; ++a) {
+      if (!m.constant(a)) rhs[c] += v(a, c) * m.cross_moment(a) / scales[a];
+    }
   }
-  double ymean = 0.0;
-  for (double v : y) ymean += v;
-  ymean /= static_cast<double>(n);
-  std::vector<double> yc(n);
-  for (std::size_t i = 0; i < n; ++i) yc[i] = y[i] - ymean;
 
-  model.score_coeffs = solve_least_squares(scores, yc, ridge);
-  model.intercept = ymean;  // scores are zero-mean by construction
+  model.score_coeffs = solve_spd(gram, rhs);
+  model.intercept = m.y_mean();  // scores are zero-mean by construction
   return model;
 }
 

@@ -4,14 +4,91 @@
 // closely-related per-resource interference signals into a few pairwise-
 // uncorrelated components, then regresses observed latency on component
 // scores and maps the coefficients back to per-resource weights for Eq. 6.
+//
+// Both fits run from the sufficient statistics of a sliding sample window
+// (`WindowMoments`), so a refit costs O(d²) work on the d×d moments plus
+// an O(d³) eigendecomposition, whatever the window size.
 #pragma once
 
 #include <cstddef>
+#include <iterator>
+#include <span>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "linalg/matrix.hpp"
 
 namespace amoeba::linalg {
+
+/// Centred first and second moments of a FIFO window of (x, y) samples,
+/// x with `dims()` features: n, the feature means, the mean of y, the
+/// co-moment Σ(x−x̄)(x−x̄)ᵀ and the cross-moment Σ(x−x̄)(y−ȳ). Samples
+/// enter with `add` and leave oldest-first with `remove_oldest`, each a
+/// Welford-style centred update in O(d²); `resum` rebuilds every moment
+/// exactly from the window to bound the rounding drift of long streams.
+/// Values are taken relative to a per-variable shift (the first sample
+/// added to the empty window, or the oldest one at the last `resum`), so
+/// an offset far from zero costs no precision in the centred sums.
+///
+/// It also counts, per feature, how many of the newest samples equal the
+/// newest value, so a feature whose window values are all equal is
+/// detected exactly (`constant`) rather than by a variance threshold that
+/// streamed rounding dust could cross.
+class WindowMoments {
+ public:
+  explicit WindowMoments(std::size_t dims);
+
+  /// Add the newest sample; `x.size()` must equal `dims()`.
+  void add(std::span<const double> x, double y);
+  /// Drop the oldest sample of the window (the one added longest ago that
+  /// is still in it); `x`, `y` must be its values. Requires count() >= 1.
+  void remove_oldest(std::span<const double> x, double y);
+
+  /// Recompute every moment from `window` (oldest first) with two passes.
+  /// Each element exposes `.x` (dims() values) and `.y`.
+  template <class Window>
+  void resum(const Window& window);
+
+  [[nodiscard]] std::size_t dims() const noexcept { return d_; }
+  [[nodiscard]] std::size_t count() const noexcept { return n_; }
+  [[nodiscard]] double mean(std::size_t a) const {
+    AMOEBA_EXPECTS(a < d_);
+    return shift_[a] + mean_[a];
+  }
+  [[nodiscard]] double y_mean() const noexcept {
+    return shift_[d_] + mean_[d_];
+  }
+  /// Σ(x_a − x̄_a)(x_b − x̄_b) over the window.
+  [[nodiscard]] double comoment(std::size_t a, std::size_t b) const {
+    AMOEBA_EXPECTS(a < d_ && b < d_);
+    return co_[a * (d_ + 1) + b];
+  }
+  /// Σ(x_a − x̄_a)(y − ȳ) over the window.
+  [[nodiscard]] double cross_moment(std::size_t a) const {
+    AMOEBA_EXPECTS(a < d_);
+    return co_[a * (d_ + 1) + d_];
+  }
+  /// True iff every window value of feature `a` is equal.
+  [[nodiscard]] bool constant(std::size_t a) const {
+    AMOEBA_EXPECTS(a < d_ && n_ >= 1);
+    return run_[a] == n_;
+  }
+
+ private:
+  void reset();
+  void mirror();
+  void track_runs(std::span<const double> x);
+
+  // Variables are the d features followed by y; co_ is their
+  // (d+1)×(d+1) row-major co-moment, kept symmetric.
+  std::size_t d_;
+  std::size_t n_ = 0;
+  std::vector<double> shift_;
+  std::vector<double> mean_;  ///< window mean minus shift_
+  std::vector<double> co_;
+  std::vector<double> last_;      ///< newest value of each feature
+  std::vector<std::size_t> run_;  ///< trailing samples equal to last_
+};
 
 struct PcaModel {
   std::vector<double> means;          ///< feature means (size d)
@@ -29,11 +106,12 @@ struct PcaModel {
       const std::vector<double>& x) const;
 };
 
-/// Fit PCA on row-major samples (n×d, n >= 2). Features are standardized
-/// (zero mean, unit variance; zero-variance features are passed through
-/// unscaled). `min_explained` in (0, 1] selects how many components to
-/// retain.
-[[nodiscard]] PcaModel fit_pca(const Matrix& samples,
+/// Fit PCA on the window summarised by `m` (count() >= 2). Features are
+/// standardized (zero mean, unit variance); a constant or zero-variance
+/// feature keeps scale 1, and a constant one adds nothing to the
+/// correlation matrix. `min_explained` in (0, 1] selects how many
+/// components to retain.
+[[nodiscard]] PcaModel fit_pca(const WindowMoments& m,
                                double min_explained = 0.95);
 
 struct PcrModel {
@@ -50,9 +128,43 @@ struct PcrModel {
   [[nodiscard]] double raw_intercept() const;
 };
 
-/// Principal-component regression of y on X (n×d, n >= d+1 recommended).
-[[nodiscard]] PcrModel fit_pcr(const Matrix& x, const std::vector<double>& y,
+/// Principal-component regression of y on x over the window summarised by
+/// `m` (count() >= 2; >= dims()+1 recommended). The score coefficients b
+/// solve the ridge normal equations
+///     (V_kᵀ·(n−1)R·V_k + ridge·I)·b = V_kᵀ·D⁻¹·Σ(x−x̄)(y−ȳ),
+/// R the correlation matrix, D the scales, V_k the retained components;
+/// the intercept is ȳ. `ridge >= 0`.
+[[nodiscard]] PcrModel fit_pcr(const WindowMoments& m,
                                double min_explained = 0.95,
                                double ridge = 1e-8);
+
+template <class Window>
+void WindowMoments::resum(const Window& window) {
+  reset();
+  const std::size_t vars = d_ + 1;
+  const auto value = [this](const auto& s, std::size_t a) {
+    return a < d_ ? s.x[a] : s.y;
+  };
+  for (const auto& s : window) {
+    AMOEBA_EXPECTS(std::size(s.x) == d_);
+    if (n_ == 0) {
+      for (std::size_t a = 0; a < vars; ++a) shift_[a] = value(s, a);
+    }
+    ++n_;
+    for (std::size_t a = 0; a < vars; ++a) mean_[a] += value(s, a) - shift_[a];
+    track_runs(s.x);
+  }
+  if (n_ == 0) return;
+  for (double& m : mean_) m /= static_cast<double>(n_);
+  for (const auto& s : window) {
+    for (std::size_t a = 0; a < vars; ++a) {
+      const double da = (value(s, a) - shift_[a]) - mean_[a];
+      for (std::size_t b = a; b < vars; ++b) {
+        co_[a * vars + b] += da * ((value(s, b) - shift_[b]) - mean_[b]);
+      }
+    }
+  }
+  mirror();
+}
 
 }  // namespace amoeba::linalg

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/random.hpp"
 
 namespace amoeba::core {
@@ -22,6 +24,7 @@ TEST(WeightEstimator, AccumulateModeBeforeCalibration) {
   // predicts L0 + (0.3 - L0) = 0.3.
   const Features f = {0.3, kL0, kL0};
   EXPECT_FALSE(est.calibrated());
+  EXPECT_EQ(est.retained_components(), 0u);
   EXPECT_NEAR(est.predict_service_time(f), 0.3, 1e-12);
   EXPECT_NEAR(est.mu(f), 1.0 / 0.3, 1e-9);
 }
@@ -170,6 +173,22 @@ TEST(WeightEstimator, ConfigValidation) {
   cfg.max_samples = 8;
   EXPECT_THROW(WeightEstimator(cfg, kL0, 0.0), ContractError);
   EXPECT_THROW(WeightEstimator(pca_config(), 0.0, 0.0), ContractError);
+}
+
+TEST(WeightEstimator, RejectsNegativeRidgeAndBadFeatureCapAtConstruction) {
+  auto cfg = pca_config();
+  cfg.ridge = -1e-8;
+  EXPECT_THROW(WeightEstimator(cfg, kL0, 0.0), ContractError);
+  for (const double cap : {-1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    cfg = pca_config();
+    cfg.feature_cap_s = cap;
+    EXPECT_THROW(WeightEstimator(cfg, kL0, 0.0), ContractError) << cap;
+  }
+  cfg = pca_config();
+  cfg.ridge = 0.0;
+  cfg.feature_cap_s = 0.0;  // no clamp
+  EXPECT_NO_THROW(WeightEstimator(cfg, kL0, 0.0));
 }
 
 }  // namespace

@@ -21,10 +21,20 @@ Matrix correlated_samples(std::size_t n, sim::Rng& rng) {
   return x;
 }
 
+WindowMoments moments_of(const Matrix& x, const std::vector<double>& y) {
+  WindowMoments m(x.cols());
+  for (std::size_t i = 0; i < x.rows(); ++i) m.add(x.row_vector(i), y[i]);
+  return m;
+}
+
+WindowMoments moments_of(const Matrix& x) {
+  return moments_of(x, std::vector<double>(x.rows(), 0.0));
+}
+
 TEST(Pca, CorrelatedFeaturesCollapseToFewComponents) {
   sim::Rng rng(31);
   const Matrix x = correlated_samples(2000, rng);
-  const PcaModel m = fit_pca(x, 0.95);
+  const PcaModel m = fit_pca(moments_of(x), 0.95);
   // Two latent factors explain essentially everything.
   EXPECT_LE(m.retained, 2u);
   EXPECT_GE(m.explained_variance(), 0.95);
@@ -33,7 +43,7 @@ TEST(Pca, CorrelatedFeaturesCollapseToFewComponents) {
 TEST(Pca, EigenvaluesSumToDimensionForStandardizedData) {
   sim::Rng rng(32);
   const Matrix x = correlated_samples(2000, rng);
-  const PcaModel m = fit_pca(x, 1.0);
+  const PcaModel m = fit_pca(moments_of(x), 1.0);
   double sum = 0.0;
   for (double v : m.eigenvalues) sum += v;
   // Correlation matrix has trace d.
@@ -43,7 +53,7 @@ TEST(Pca, EigenvaluesSumToDimensionForStandardizedData) {
 TEST(Pca, TransformScoresAreDecorrelated) {
   sim::Rng rng(33);
   const Matrix x = correlated_samples(3000, rng);
-  const PcaModel m = fit_pca(x, 1.0);
+  const PcaModel m = fit_pca(moments_of(x), 1.0);
   // Accumulate score covariance.
   double s00 = 0, s01 = 0, s11 = 0, m0 = 0, m1 = 0;
   const auto n = x.rows();
@@ -72,7 +82,7 @@ TEST(Pca, ZeroVarianceFeatureHandled) {
     x(i, 0) = rng.uniform();
     x(i, 1) = 7.0;  // constant
   }
-  const PcaModel m = fit_pca(x, 0.95);
+  const PcaModel m = fit_pca(moments_of(x), 0.95);
   EXPECT_GE(m.retained, 1u);
   // Transform of any point is finite.
   const auto s = m.transform({0.5, 7.0});
@@ -81,7 +91,7 @@ TEST(Pca, ZeroVarianceFeatureHandled) {
 
 TEST(Pca, RequiresTwoSamples) {
   Matrix x(1, 2);
-  EXPECT_THROW((void)fit_pca(x), ContractError);
+  EXPECT_THROW((void)fit_pca(moments_of(x)), ContractError);
 }
 
 TEST(Pcr, RecoversLinearModelOnCorrelatedFeatures) {
@@ -93,7 +103,7 @@ TEST(Pcr, RecoversLinearModelOnCorrelatedFeatures) {
     y[i] = 4.0 + 1.0 * x(i, 0) + 0.5 * x(i, 1) + 2.0 * x(i, 2) +
            rng.normal(0.0, 0.01);
   }
-  const PcrModel m = fit_pcr(x, y, 0.999);
+  const PcrModel m = fit_pcr(moments_of(x, y), 0.999);
   // Prediction accuracy is what matters (correlated coefficients are not
   // identifiable individually).
   double max_err = 0.0;
@@ -111,7 +121,7 @@ TEST(Pcr, RawCoefficientsMatchPrediction) {
   for (std::size_t i = 0; i < x.rows(); ++i) {
     y[i] = 1.0 + x(i, 0) - x(i, 2);
   }
-  const PcrModel m = fit_pcr(x, y, 0.999);
+  const PcrModel m = fit_pcr(moments_of(x, y), 0.999);
   const auto beta = m.raw_coefficients();
   const double b0 = m.raw_intercept();
   for (std::size_t i = 0; i < 50; ++i) {
@@ -129,8 +139,89 @@ TEST(Pcr, InterceptOnlyData) {
     x(i, 0) = rng.uniform();
     x(i, 1) = rng.uniform();
   }
-  const PcrModel m = fit_pcr(x, y, 0.95, 1e-6);
+  const PcrModel m = fit_pcr(moments_of(x, y), 0.95, 1e-6);
   EXPECT_NEAR(m.predict({0.5, 0.5}), 5.0, 1e-6);
+}
+
+TEST(Pcr, RejectsNegativeRidge) {
+  sim::Rng rng(38);
+  const Matrix x = correlated_samples(50, rng);
+  EXPECT_THROW((void)fit_pcr(moments_of(x), 0.95, -1.0), ContractError);
+}
+
+TEST(WindowMoments, RejectsDimensionMismatchAndEmptyRemove) {
+  EXPECT_THROW(WindowMoments(0), ContractError);
+  WindowMoments m(2);
+  const std::vector<double> three = {1.0, 2.0, 3.0};
+  EXPECT_THROW(m.add(three, 1.0), ContractError);
+  EXPECT_THROW(m.remove_oldest(std::vector<double>{1.0, 2.0}, 1.0),
+               ContractError);
+  EXPECT_THROW((void)m.constant(0), ContractError);
+  m.add(std::vector<double>{1.0, 2.0}, 1.0);
+  EXPECT_THROW(m.remove_oldest(three, 1.0), ContractError);
+  EXPECT_THROW((void)m.comoment(0, 2), ContractError);
+  EXPECT_THROW((void)m.cross_moment(2), ContractError);
+}
+
+TEST(WindowMoments, StreamedAddRemoveMatchesResum) {
+  sim::Rng rng(39);
+  const Matrix x = correlated_samples(300, rng);
+  struct Sample {
+    std::vector<double> x;
+    double y;
+  };
+  std::vector<Sample> all;
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    all.push_back({x.row_vector(i), x(i, 0) - x(i, 2) + rng.normal()});
+  WindowMoments streamed(3);
+  for (const auto& s : all) streamed.add(s.x, s.y);
+  for (std::size_t i = 0; i < 100; ++i)
+    streamed.remove_oldest(all[i].x, all[i].y);
+  const std::vector<Sample> tail(all.begin() + 100, all.end());
+  WindowMoments exact(3);
+  exact.resum(tail);
+  ASSERT_EQ(streamed.count(), 200u);
+  ASSERT_EQ(exact.count(), 200u);
+  EXPECT_NEAR(streamed.y_mean(), exact.y_mean(), 1e-12);
+  for (std::size_t a = 0; a < 3; ++a) {
+    EXPECT_NEAR(streamed.mean(a), exact.mean(a), 1e-12);
+    EXPECT_NEAR(streamed.cross_moment(a), exact.cross_moment(a), 1e-9);
+    for (std::size_t b = 0; b < 3; ++b) {
+      EXPECT_NEAR(streamed.comoment(a, b), exact.comoment(a, b), 1e-9);
+      EXPECT_EQ(streamed.comoment(a, b), streamed.comoment(b, a));
+    }
+  }
+  // Removing the last sample empties the window back to zero moments.
+  for (std::size_t i = 100; i < all.size(); ++i)
+    streamed.remove_oldest(all[i].x, all[i].y);
+  EXPECT_EQ(streamed.count(), 0u);
+  EXPECT_EQ(streamed.comoment(0, 0), 0.0);
+}
+
+TEST(WindowMoments, ConstantFeatureIsDetectedExactly) {
+  WindowMoments m(2);
+  sim::Rng rng(40);
+  // Feature 1 varies for 10 samples, then is pinned at 0.3.
+  std::vector<std::vector<double>> xs;
+  for (int i = 0; i < 10; ++i) xs.push_back({rng.uniform(), rng.uniform()});
+  for (int i = 0; i < 10; ++i) xs.push_back({rng.uniform(), 0.3});
+  for (const auto& x : xs) m.add(x, 1.0);
+  EXPECT_FALSE(m.constant(0));
+  EXPECT_FALSE(m.constant(1));
+  for (std::size_t i = 0; i < 9; ++i) m.remove_oldest(xs[i], 1.0);
+  EXPECT_FALSE(m.constant(1));  // one varying sample is still in
+  m.remove_oldest(xs[9], 1.0);
+  EXPECT_TRUE(m.constant(1));
+  EXPECT_FALSE(m.constant(0));
+  // Whatever rounding dust the streamed variance holds, the constant
+  // feature keeps scale 1 and adds nothing to the correlation.
+  const PcaModel pca = fit_pca(m, 1.0);
+  EXPECT_EQ(pca.scales[1], 1.0);
+  EXPECT_EQ(pca.components(1, 0), 0.0);
+  EXPECT_EQ(pca.eigenvalues[1], 0.0);
+  // A new distinct value breaks the run.
+  m.add(std::vector<double>{0.5, 0.31}, 1.0);
+  EXPECT_FALSE(m.constant(1));
 }
 
 }  // namespace
