@@ -7,28 +7,16 @@
 // the injector's forked streams.
 //
 // Flags: --jobs N (parallel sweep), --smoke (scaled-down run for CI).
-#include <cstring>
 #include <iostream>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 
-namespace {
-
-bool parse_smoke_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bool smoke = parse_smoke_flag(argc, argv);
+  const bool smoke = bench::parse_bench_flags(argc, argv).smoke;
   const auto cluster = bench::bench_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Ablation", "fault tolerance (float)");

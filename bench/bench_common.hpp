@@ -9,11 +9,12 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "exp/artifact_cache.hpp"
 #include "exp/profiling.hpp"
 #include "exp/scenario.hpp"
@@ -86,40 +87,11 @@ inline exp::ProfilingConfig bench_profiling() {
   return cfg;
 }
 
-inline std::string cache_tag(const exp::ClusterConfig& cluster,
-                             const exp::ProfilingConfig& cfg,
-                             const std::string& extra = {}) {
-  std::ostringstream os;
-  os << "cluster:" << cluster.serverless.cores << '/'
-     << cluster.serverless.pool_memory_mb << '/'
-     << cluster.serverless.disk_bps << '/' << cluster.serverless.net_bps
-     << '/' << cluster.serverless.cold_start_mean_s << '/'
-     << cluster.serverless.cpu_interference << '/'
-     << cluster.serverless.io_efficiency << '/'
-     << cluster.serverless.keep_alive_s << '/' << cluster.seed
-     << " grid:" << cfg.pressure_grid.size() << 'x'
-     << cfg.load_fractions.size() << '/' << cfg.cell_duration_s;
-  if (!extra.empty()) os << ' ' << extra;
-  return os.str();
-}
-
-inline std::string profile_tag(const workload::FunctionProfile& p) {
-  std::ostringstream os;
-  os << p.name << ':' << p.exec.cpu_seconds << '/' << p.exec.io_bytes << '/'
-     << p.exec.net_bytes << '/' << p.peak_load_qps << '/' << p.qos_target_s;
-  return os.str();
-}
-
 /// Meter calibration, cached on disk.
 inline core::MeterCalibration cached_calibration(
     const exp::ClusterConfig& cluster, const exp::ProfilingConfig& cfg) {
   const std::string path = exp::default_cache_dir() + "/meters.txt";
-  std::string meters_id;
-  for (auto kind : workload::kAllMeters) {
-    meters_id += ' ';
-    meters_id += profile_tag(workload::meter_profile(kind));
-  }
-  const std::string tag = cache_tag(cluster, cfg, meters_id);
+  const std::string tag = exp::profiling_cache_tag(cluster, cfg, nullptr);
   if (auto hit = exp::load_calibration(path, tag)) {
     std::cerr << "[profile-cache] meters: hit\n";
     return *hit;
@@ -137,7 +109,7 @@ inline core::ServiceArtifacts cached_artifacts(
     const exp::ProfilingConfig& cfg) {
   const std::string path =
       exp::default_cache_dir() + "/service_" + p.name + ".txt";
-  const std::string tag = cache_tag(cluster, cfg, profile_tag(p));
+  const std::string tag = exp::profiling_cache_tag(cluster, cfg, &p);
   if (auto hit = exp::load_artifacts(path, tag)) {
     std::cerr << "[profile-cache] " << p.name << ": hit\n";
     return *hit;
@@ -147,6 +119,27 @@ inline core::ServiceArtifacts cached_artifacts(
   auto art = exp::profile_service(p, cluster, calibration, cfg);
   exp::save_artifacts(path, tag, art);
   return art;
+}
+
+/// The flags the fig/abl benches share besides --jobs and the export flags.
+struct BenchFlags {
+  bool smoke = false;    ///< --smoke: the short CI configuration
+  std::string json_out;  ///< --json-out F: machine-readable summary path
+};
+
+/// Scan argv for --smoke and --json-out F. Unrelated arguments are ignored;
+/// --json-out without its value is rejected (amoeba::flag_value).
+inline BenchFlags parse_bench_flags(int argc, char** argv) {
+  BenchFlags flags;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
+      flags.smoke = true;
+    } else if (arg == "--json-out") {
+      flags.json_out = flag_value(argc, argv, i++);
+    }
+  }
+  return flags;
 }
 
 /// Per-run observability hookup for benches: parse the shared

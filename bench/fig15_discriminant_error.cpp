@@ -153,7 +153,7 @@ std::array<double, core::kNumResources> measured_pressures(
         break;
       default:
         self = (meter.exec.net_bytes + meter.result_bytes) /
-               cluster.serverless.net_efficiency / cluster.serverless.net_bps;
+               cluster.serverless.net_bps;
         break;
     }
     const double floor = cal.curves[d]->points().front().pressure;

@@ -25,7 +25,6 @@
 //        profiler attributes >= 90% of the measured run wall time.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -34,29 +33,10 @@
 #include "bench_common.hpp"
 #include "exp/cluster.hpp"
 
-namespace {
-
-bool parse_smoke_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return true;
-  }
-  return false;
-}
-
-std::string parse_json_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0) return argv[i + 1];
-  }
-  return {};
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bool smoke = parse_smoke_flag(argc, argv);
-  const std::string json_out = parse_json_out(argc, argv);
+  const bench::BenchFlags flags = bench::parse_bench_flags(argc, argv);
   bench::BenchObservability observability(argc, argv);
   const auto cluster = bench::bench_cluster();
   const auto prof = bench::bench_profiling();
@@ -78,9 +58,10 @@ int main(int argc, char** argv) {
         bench::cached_artifacts(base, cluster, cal, prof));
   }
 
-  const double period_s = smoke ? 600.0 : 1800.0;
-  const std::vector<int> sweep_n = smoke ? std::vector<int>{2, 4}
-                                         : std::vector<int>{2, 4, 8, 12};
+  const double period_s = flags.smoke ? 600.0 : 1800.0;
+  const std::vector<int> sweep_n = flags.smoke
+                                       ? std::vector<int>{2, 4}
+                                       : std::vector<int>{2, 4, 8, 12};
   const int max_n = sweep_n.back();
 
   // Single-service baselines: each distinct tenant profile (base benchmark
@@ -255,6 +236,6 @@ int main(int argc, char** argv) {
   std::cout << "\nexpected: violations track the solo baselines, total\n"
                "core-hours undercut all-Nameko, and same-seed runs hash\n"
                "identically at every N.\n";
-  if (!json_out.empty()) json.write(json_out);
+  if (!flags.json_out.empty()) json.write(flags.json_out);
   return ok ? 0 : 1;
 }

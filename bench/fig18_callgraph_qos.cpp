@@ -27,7 +27,6 @@
 // shared observability export flags.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -36,29 +35,10 @@
 #include "bench_common.hpp"
 #include "exp/callgraph.hpp"
 
-namespace {
-
-bool parse_smoke_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return true;
-  }
-  return false;
-}
-
-std::string parse_json_out(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0) return argv[i + 1];
-  }
-  return {};
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bool smoke = parse_smoke_flag(argc, argv);
-  const std::string json_out = parse_json_out(argc, argv);
+  const bench::BenchFlags flags = bench::parse_bench_flags(argc, argv);
   bench::BenchObservability observability(argc, argv);
   const auto cluster = bench::bench_cluster();
   const auto prof = bench::bench_profiling();
@@ -110,7 +90,7 @@ int main(int argc, char** argv) {
       0.85 * (float_base.qos_target_s + matmul_base.qos_target_s +
               float_base.qos_target_s);
 
-  const double period_s = smoke ? 600.0 : 1800.0;
+  const double period_s = flags.smoke ? 600.0 : 1800.0;
   auto options = [&](exp::BudgetMode mode) {
     exp::CallGraphRunOptions opt;
     opt.period_s = period_s;
@@ -244,6 +224,6 @@ int main(int argc, char** argv) {
                " (SLO violation or extra rented cores); the end-to-end"
                " aware split meets the SLO at no worse cost, and every"
                " same-seed rerun hashes identically.\n";
-  if (!json_out.empty()) json.write(json_out);
+  if (!flags.json_out.empty()) json.write(flags.json_out);
   return ok ? 0 : 1;
 }

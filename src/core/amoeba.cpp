@@ -241,16 +241,16 @@ void AmoebaRuntime::record_decision(const ServiceTickInput& input,
       if (ev->mu > 0.0) {
         dr.predicted_service_s = 1.0 / ev->mu;
         const int n = dr.n_containers;
-        const double r = controller_.config().qos_percentile;
         // Re-derive the Eq. 5 fixed-point trajectory at the tick's
         // operating point — the path the discriminant walked, not just
         // where it landed.
-        (void)queueing::eq5_lambda(n, ev->mu, qos, r, 200,
+        (void)queueing::eq5_lambda(n, ev->mu, qos, kQosPercentile, 200,
                                    &dr.lambda_iterates);
         if (input.load_qps > 0.0 &&
             queueing::rho(input.load_qps, n, ev->mu) < 1.0) {
           dr.predicted_p95_s =
-              queueing::latency_quantile(input.load_qps, n, ev->mu, r);
+              queueing::latency_quantile(input.load_qps, n, ev->mu,
+                                         kQosPercentile);
         }
       }
     }

@@ -5,11 +5,18 @@
 
 namespace amoeba::core {
 
+namespace {
+
+/// EWMA factor applied to each new pressure estimate. A few probes per
+/// period make raw estimates jittery; unsmoothed jitter near a switch
+/// margin makes the controller flap.
+constexpr double kPressureSmoothing = 0.5;
+
+}  // namespace
+
 void ContentionMonitorConfig::validate() const {
   AMOEBA_EXPECTS(probe_qps > 0.0);
   AMOEBA_EXPECTS(sample_period_s > 0.0);
-  AMOEBA_EXPECTS(smoothing > 0.0 && smoothing <= 1.0);
-  AMOEBA_EXPECTS(pressure_max_age_s >= 0.0);
 }
 
 ContentionMonitor::ContentionMonitor(sim::Engine& engine,
@@ -81,44 +88,23 @@ void ContentionMonitor::on_period() {
   period_event_ = sim::kNoEvent;
   for (std::size_t i = 0; i < kNumResources; ++i) {
     MeterState& m = meters_[i];
-    if (m.latency_count > 0) {
-      const double mean =
-          m.latency_sum / static_cast<double>(m.latency_count);
-      m.last_mean_latency = mean;
-      // The calibration curve's pressure axis includes the probing load
-      // itself (the meter was the only tenant during profiling), so the
-      // tenants' pressure is the inversion minus the probe's own share.
-      const double self = probe_self_pressure(i);
-      const double floor = calibration_.curves[i]->points().front().pressure;
-      const double raw = std::max(
-          floor, calibration_.curves[i]->pressure_for(mean) - self);
-      m.pressure += cfg_.smoothing * (raw - m.pressure);
-      m.latency_sum = 0.0;
-      m.latency_count = 0;
-      m.last_update = engine_.now();
-      continue;
-    }
     // No completions this period: hold the previous estimate (the meter
     // queries are still in flight under extreme contention, which itself
-    // implies high pressure; the next period will catch up) — but only up
-    // to the configured age cap. Past it, the reading is too stale to act
-    // on (samples may be getting dropped) and decays to the calibration
-    // floor so the controller stops trusting phantom pressure.
-    if (cfg_.pressure_max_age_s > 0.0 &&
-        engine_.now() - m.last_update > cfg_.pressure_max_age_s) {
-      const double floor = calibration_.curves[i]->points().front().pressure;
-      if (m.pressure > floor) {
-        m.pressure = floor;
-        ++stale_resets_;
-        if (obs_ != nullptr && obs_->metrics_on()) {
-          static constexpr std::array<const char*, kNumResources> kDimNames = {
-              "cpu", "io", "net"};
-          obs_->metrics()
-              .counter("pressure_stale_resets", {{"resource", kDimNames[i]}})
-              .inc();
-        }
-      }
-    }
+    // implies high pressure; the next period will catch up).
+    if (m.latency_count == 0) continue;
+    const double mean = m.latency_sum / static_cast<double>(m.latency_count);
+    m.last_mean_latency = mean;
+    // The calibration curve's pressure axis includes the probing load
+    // itself (the meter was the only tenant during profiling), so the
+    // tenants' pressure is the inversion minus the probe's own share.
+    const double self = probe_self_pressure(i);
+    const double floor = calibration_.curves[i]->points().front().pressure;
+    const double raw =
+        std::max(floor, calibration_.curves[i]->pressure_for(mean) - self);
+    m.pressure += kPressureSmoothing * (raw - m.pressure);
+    m.latency_sum = 0.0;
+    m.latency_count = 0;
+    m.last_update = engine_.now();
   }
   ++samples_taken_;
   if (obs_ != nullptr && obs_->enabled()) {
@@ -164,7 +150,7 @@ double ContentionMonitor::probe_self_pressure(std::size_t dim) const {
              cfg.io_efficiency / cfg.disk_bps;
     default:
       return cfg_.probe_qps * (p.exec.net_bytes + p.result_bytes) /
-             cfg.net_efficiency / cfg.net_bps;
+             cfg.net_bps;
   }
 }
 

@@ -30,15 +30,6 @@ namespace amoeba::core {
 struct ContentionMonitorConfig {
   double probe_qps = workload::kMeterProbeQps;
   double sample_period_s = 5.0;  ///< choose via min_sample_period (Eq. 8)
-  /// EWMA factor applied to each new pressure estimate (1 = no smoothing).
-  /// A few probes per period make raw estimates jittery; unsmoothed jitter
-  /// near a switch margin makes the controller flap.
-  double smoothing = 0.5;
-  /// How long a pressure estimate may be held without a fresh meter sample
-  /// before it is considered stale and reset to the calibration floor.
-  /// 0 = hold the last-known estimate forever (the pre-fault behaviour).
-  /// Only matters when meter samples can be lost (fault injection).
-  double pressure_max_age_s = 0.0;
 
   void validate() const;
 };
@@ -82,10 +73,6 @@ class ContentionMonitor {
   /// Seconds since each pressure estimate was last refreshed by a real
   /// meter sample (0 right after a fresh sample).
   [[nodiscard]] std::array<double, kNumResources> pressure_ages() const;
-  /// Times a stale estimate aged past pressure_max_age_s and was reset.
-  [[nodiscard]] std::uint64_t stale_resets() const noexcept {
-    return stale_resets_;
-  }
 
   [[nodiscard]] double sample_period() const noexcept {
     return cfg_.sample_period_s;
@@ -123,7 +110,6 @@ class ContentionMonitor {
   bool running_ = false;
   sim::EventId period_event_ = sim::kNoEvent;
   std::uint64_t samples_taken_ = 0;
-  std::uint64_t stale_resets_ = 0;
   std::function<void()> on_sample_;
   obs::Observer* obs_ = nullptr;
   sim::FaultInjector* faults_ = nullptr;

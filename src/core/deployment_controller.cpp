@@ -24,7 +24,6 @@ const char* to_string(SwitchDecision d) noexcept {
 }
 
 void ControllerConfig::validate() const {
-  AMOEBA_EXPECTS(qos_percentile > 0.0 && qos_percentile < 1.0);
   AMOEBA_EXPECTS(to_serverless_margin > 0.0 && to_serverless_margin <= 1.0);
   AMOEBA_EXPECTS(to_iaas_margin > 0.0 && to_iaas_margin <= 1.5);
   AMOEBA_EXPECTS(hysteresis_ticks >= 1);
@@ -87,7 +86,7 @@ Evaluation DeploymentController::evaluate(
   }
   ev.mu = estimator_.mu(ev.features);
   ev.lambda_max = queueing::max_arrival_rate(
-      n_containers, ev.mu, qos_target_s_, cfg_.qos_percentile);
+      n_containers, ev.mu, qos_target_s_, kQosPercentile);
   return ev;
 }
 

@@ -35,7 +35,6 @@ enum class SwitchDecision : std::uint8_t {
 [[nodiscard]] const char* to_string(SwitchDecision d) noexcept;
 
 struct ControllerConfig {
-  double qos_percentile = 0.95;  ///< r in Eq. 5 (paper: 95%-ile)
   /// Switch to serverless only when V_u <= margin · λ_max (safety slack
   /// against estimation error and load drift).
   double to_serverless_margin = 0.80;

@@ -9,6 +9,17 @@ namespace amoeba::core {
 namespace {
 constexpr char kSwitchCat[] = "switch";
 
+/// Max VM boot attempts per to-IaaS switch before the switch aborts (boots
+/// can fail under fault injection).
+constexpr int kSwitchMaxRetries = 3;
+/// Exponential backoff base for retry delays: the k-th retry waits
+/// prewarm_poll_s * kSwitchRetryBackoff^k (capped by the switch timeout).
+constexpr double kSwitchRetryBackoff = 2.0;
+/// After an aborted switch the service refuses new switch decisions for
+/// this long, so a persistently failing platform cannot make the
+/// controller flap (the runtime skips decisions while in_cooldown()).
+constexpr double kAbortCooldownS = 10.0;
+
 const HybridEngineConfig& validated(const HybridEngineConfig& cfg) {
   cfg.validate();
   return cfg;
@@ -19,9 +30,6 @@ void HybridEngineConfig::validate() const {
   AMOEBA_EXPECTS(mirror_fraction >= 0.0 && mirror_fraction <= 1.0);
   AMOEBA_EXPECTS(prewarm_poll_s > 0.0);
   AMOEBA_EXPECTS(switch_timeout_s > 0.0);
-  AMOEBA_EXPECTS(switch_max_retries >= 1);
-  AMOEBA_EXPECTS(switch_retry_backoff >= 1.0);
-  AMOEBA_EXPECTS(abort_cooldown_s >= 0.0);
 }
 
 HybridExecutionEngine::HybridExecutionEngine(
@@ -51,7 +59,7 @@ void HybridExecutionEngine::boot_initial_vm(int attempt) {
       [this, attempt] {
         const double delay =
             cfg_.prewarm_poll_s *
-            std::pow(cfg_.switch_retry_backoff, std::min(attempt, 8));
+            std::pow(kSwitchRetryBackoff, std::min(attempt, 8));
         engine_.schedule_in(delay,
                             [this, attempt] { boot_initial_vm(attempt + 1); });
       });
@@ -142,7 +150,7 @@ void HybridExecutionEngine::finish_switch(bool ok) {
   }
   switching_ = false;
   if (!ok) {
-    cooldown_until_ = engine_.now() + cfg_.abort_cooldown_s;
+    cooldown_until_ = engine_.now() + kAbortCooldownS;
     ++switch_aborts_;
   }
   // Move out before calling: the callback may start the next switch.
@@ -237,7 +245,7 @@ void HybridExecutionEngine::poll_prewarm(int needed, std::uint64_t generation,
     ++shortfalls;
     ++switch_retries_;
     delay = std::min(
-        cfg_.prewarm_poll_s * std::pow(cfg_.switch_retry_backoff, shortfalls),
+        cfg_.prewarm_poll_s * std::pow(kSwitchRetryBackoff, shortfalls),
         cfg_.switch_timeout_s);
     if (trace_on()) {
       obs_->tracer().instant(
@@ -365,7 +373,7 @@ void HybridExecutionEngine::on_vm_boot_failed(std::uint64_t generation,
         .counter("vm_boot_failures", {{"service", profile_.name}})
         .inc();
   }
-  if (attempt + 1 >= cfg_.switch_max_retries) {
+  if (attempt + 1 >= kSwitchMaxRetries) {
     abort_to_iaas();
     return;
   }
@@ -382,7 +390,7 @@ void HybridExecutionEngine::on_vm_boot_failed(std::uint64_t generation,
         .inc();
   }
   const double delay =
-      cfg_.prewarm_poll_s * std::pow(cfg_.switch_retry_backoff, attempt);
+      cfg_.prewarm_poll_s * std::pow(kSwitchRetryBackoff, attempt);
   engine_.schedule_in(delay, [this, generation, attempt] {
     start_vm_boot(generation, attempt + 1);
   });

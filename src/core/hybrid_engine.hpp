@@ -36,16 +36,6 @@ struct HybridEngineConfig {
   double mirror_fraction = 0.08;  ///< IaaS-mode sampling share to serverless
   double prewarm_poll_s = 0.25;   ///< ack polling interval during switches
   double switch_timeout_s = 30.0; ///< abort a switch that cannot complete
-  /// Max VM boot attempts per to-IaaS switch before the switch aborts
-  /// (boots can fail under fault injection).
-  int switch_max_retries = 3;
-  /// Exponential backoff base for retry delays: the k-th retry waits
-  /// prewarm_poll_s * backoff^k (capped by the switch timeout).
-  double switch_retry_backoff = 2.0;
-  /// After an aborted switch the service refuses new switch decisions for
-  /// this long, so a persistently failing platform cannot make the
-  /// controller flap (the runtime skips decisions while in_cooldown()).
-  double abort_cooldown_s = 10.0;
 
   void validate() const;
 };

@@ -17,6 +17,11 @@ inline constexpr std::size_t kCpuDim = 0;
 inline constexpr std::size_t kIoDim = 1;
 inline constexpr std::size_t kNetDim = 2;
 
+/// The QoS percentile r (paper: 95%-ile): the statistic of the Fig. 9
+/// latency surfaces and the r of the Eq. 5 discriminant. One constant, so
+/// the estimator's features and its targets share tail semantics.
+inline constexpr double kQosPercentile = 0.95;
+
 /// Platform-level calibration: one curve per contention meter (Fig. 8).
 struct MeterCalibration {
   std::array<std::optional<MeterCurve>, kNumResources> curves;

@@ -7,10 +7,48 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/json.hpp"
+#include "workload/functionbench.hpp"
+#include "workload/meters.hpp"
+
 namespace amoeba::exp {
 
 namespace {
 constexpr const char* kMagic = "amoeba-profile-cache-v1";
+
+void put(std::string& tag, const char* key, double value) {
+  tag += ' ';
+  tag += key;
+  tag += '=';
+  tag += obs::json_number(value);
+}
+
+void put(std::string& tag, const char* key, const std::vector<double>& xs) {
+  tag += ' ';
+  tag += key;
+  tag += "=[";
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i > 0) tag += ',';
+    tag += obs::json_number(xs[i]);
+  }
+  tag += ']';
+}
+
+void put(std::string& tag, const workload::FunctionProfile& p) {
+  tag += " profile:";
+  tag += p.name;
+  put(tag, "cpu_seconds", p.exec.cpu_seconds);
+  put(tag, "io_bytes", p.exec.io_bytes);
+  put(tag, "net_bytes", p.exec.net_bytes);
+  put(tag, "code_bytes", p.code_bytes);
+  put(tag, "result_bytes", p.result_bytes);
+  put(tag, "platform_overhead_s", p.platform_overhead_s);
+  put(tag, "rpc_overhead_s", p.rpc_overhead_s);
+  put(tag, "memory_mb", p.memory_mb);
+  put(tag, "cpu_cv", p.cpu_cv);
+  put(tag, "qos_target_s", p.qos_target_s);
+  put(tag, "peak_load_qps", p.peak_load_qps);
+}
 
 void write_header(std::ostream& os, const std::string& tag) {
   os << kMagic << '\n' << tag << '\n' << std::setprecision(17);
@@ -31,6 +69,43 @@ void ensure_parent(const std::string& path) {
   }
 }
 }  // namespace
+
+std::string profiling_cache_tag(const ClusterConfig& cluster,
+                                const ProfilingConfig& cfg,
+                                const workload::FunctionProfile* service) {
+  const serverless::PlatformConfig& sp = cluster.serverless;
+  std::string tag = "platform:";
+  put(tag, "cores", sp.cores);
+  put(tag, "pool_memory_mb", sp.pool_memory_mb);
+  put(tag, "disk_bps", sp.disk_bps);
+  put(tag, "net_bps", sp.net_bps);
+  put(tag, "container_core_cap", sp.container_core_cap);
+  put(tag, "cpu_interference", sp.cpu_interference);
+  put(tag, "io_efficiency", sp.io_efficiency);
+  put(tag, "cold_start_mean_s", sp.cold_start_mean_s);
+  put(tag, "cold_start_cv", sp.cold_start_cv);
+  put(tag, "keep_alive_s", sp.keep_alive_s);
+  put(tag, "crash_after_completion_p", sp.crash_after_completion_p);
+  tag += " seed=" + std::to_string(cluster.seed);
+  tag += " profiling:";
+  put(tag, "pressure_grid", cfg.pressure_grid);
+  put(tag, "load_fractions", cfg.load_fractions);
+  put(tag, "cell_duration_s", cfg.cell_duration_s);
+  put(tag, "warmup_s", cfg.warmup_s);
+  put(tag, "solo_probe_qps", cfg.solo_probe_qps);
+  for (const auto kind : workload::kAllMeters) {
+    put(tag, workload::meter_profile(kind));
+  }
+  if (service != nullptr) {
+    for (const auto kind :
+         {workload::StressKind::kCpu, workload::StressKind::kDiskIo,
+          workload::StressKind::kNetwork}) {
+      put(tag, workload::make_stressor(kind));
+    }
+    put(tag, *service);
+  }
+  return tag;
+}
 
 std::string default_cache_dir() { return "amoeba_profile_cache"; }
 

@@ -12,8 +12,20 @@
 #include <string>
 
 #include "core/profile_data.hpp"
+#include "exp/profiling.hpp"
 
 namespace amoeba::exp {
+
+/// The cache tag of one profiling result: every input profiling reads, at
+/// full precision (obs::json_number). That is each serverless platform
+/// field, the cluster seed, every ProfilingConfig value except `threads`
+/// (results do not depend on the worker count) and every field of the
+/// three meter profiles. `service` = nullptr tags the meter calibration;
+/// otherwise the tag adds every field of the three stressors and of
+/// `service`. Code changes to the platform physics are not covered.
+[[nodiscard]] std::string profiling_cache_tag(
+    const ClusterConfig& cluster, const ProfilingConfig& cfg,
+    const workload::FunctionProfile* service);
 
 /// Persist / restore the platform meter calibration.
 void save_calibration(const std::string& path, const std::string& tag,

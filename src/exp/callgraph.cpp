@@ -29,14 +29,14 @@ CallGraphRunResult run_callgraph(
     const double ideal = graph.stage(s).profile.ideal_iaas_latency(
         cluster.iaas.disk_bps, cluster.iaas.net_bps);
     AMOEBA_EXPECTS_MSG(
-        opt.feasibility_floor_factor * ideal < opt.e2e_qos_target_s,
+        kFeasibilityFloorFactor * ideal < opt.e2e_qos_target_s,
         "stage cannot meet the end-to-end target alone: " +
             graph.service_name(s));
     flow.stages.push_back(
         FlowStage{graph.service_name(s), s, &artifacts[k]});
   }
-  NodeRun run = run_shared_node({flow}, cluster, calibration, opt, opt,
-                                -1.0, false);
+  NodeRun run = run_shared_node({flow}, cluster, calibration, opt,
+                                opt.budget_mode, -1.0, false);
 
   CallGraphRunResult result;
   static_cast<SharedNodeResult&>(result) = run;

@@ -38,7 +38,9 @@
 
 namespace amoeba::exp {
 
-struct CallGraphRunOptions : SharedNodeOptions, BudgetPolicy {
+struct CallGraphRunOptions : SharedNodeOptions {
+  /// How the end-to-end target splits into per-stage budgets.
+  BudgetMode budget_mode = BudgetMode::kEndToEndAware;
   /// End-to-end p95 latency target for the whole DAG (required, > 0).
   double e2e_qos_target_s = 0.0;
   /// Peak arrival rate at the DAG roots; 0 = the first root stage's

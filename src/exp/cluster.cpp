@@ -37,10 +37,9 @@ ClusterRunResult run_cluster(const std::vector<ClusterServiceSpec>& specs,
         spec.profile.qos_target_s, spec.profile.peak_load_qps, spec.phase,
         {}});
   }
-  BudgetPolicy naive;
-  naive.budget_mode = BudgetMode::kNaiveEqual;
-  NodeRun run = run_shared_node(flows, cluster, calibration, opt, naive,
-                                opt.timeline_period_s, opt.keep_records);
+  NodeRun run = run_shared_node(flows, cluster, calibration, opt,
+                                BudgetMode::kNaiveEqual, opt.timeline_period_s,
+                                opt.keep_records);
 
   ClusterRunResult result;
   static_cast<SharedNodeResult&>(result) = run;

@@ -40,6 +40,17 @@ struct SimNode {
   std::unique_ptr<sim::FaultInjector> faults;
 };
 
+/// Applied per-stage budgets are clamped to at least this factor times the
+/// stage's ideal solo IaaS latency (M/M/c feasibility floor), never above
+/// the flow's whole target.
+inline constexpr double kFeasibilityFloorFactor = 1.25;
+
+/// Per-service container limit (paper §IV-A's n_max): the just-enough VM's
+/// cores, at least 1. The service may not consume more of the shared pool
+/// than it would rent on IaaS, which keeps the discriminant honest about
+/// the serverless peak capacity (and bounds worst-case memory).
+[[nodiscard]] int n_max_for(const iaas::VmSpec& vm);
+
 /// One stage of a flow as the node hosts it.
 struct FlowStage {
   std::string name;      ///< service name on the node
@@ -88,13 +99,14 @@ struct NodeRun : SharedNodeResult {
   core::ServiceUsage stages_usage;  ///< Σ per-stage usage
 };
 
-/// Run every flow concurrently on one shared node. `timeline_period_s` is
+/// Run every flow concurrently on one shared node. `budget_mode` splits
+/// every flow's target into stage budgets; `timeline_period_s` is
 /// forwarded to every runtime's AmoebaConfig; `keep_records` keeps each
 /// stage's post-warmup QueryRecords.
 [[nodiscard]] NodeRun run_shared_node(
     const std::vector<NodeFlow>& flows, const ClusterConfig& cluster,
     const core::MeterCalibration& calibration, const SharedNodeOptions& opt,
-    const BudgetPolicy& budgets, double timeline_period_s, bool keep_records);
+    BudgetMode budget_mode, double timeline_period_s, bool keep_records);
 
 /// "0x…" rendering of a trace hash for summary JSON.
 [[nodiscard]] std::string hash_hex(std::uint64_t h);

@@ -22,14 +22,13 @@ void ProfilingConfig::validate() const {
   AMOEBA_EXPECTS(load_fractions.front() > 0.0);
   AMOEBA_EXPECTS(cell_duration_s > 0.0);
   AMOEBA_EXPECTS(warmup_s >= 0.0 && warmup_s < cell_duration_s);
-  AMOEBA_EXPECTS(tail > 0.0 && tail < 1.0);
   AMOEBA_EXPECTS(solo_probe_qps > 0.0);
 }
 
 namespace {
 
 /// Effective demand (work units per query) a stressor puts on its target
-/// resource, including the platform's container IO/net efficiency tax —
+/// resource, including the platform's container IO efficiency tax —
 /// pressure labels must be in the same units the device actually serves.
 double stressor_unit_demand(workload::StressKind kind,
                             const workload::FunctionProfile& p,
@@ -40,7 +39,7 @@ double stressor_unit_demand(workload::StressKind kind,
     case workload::StressKind::kDiskIo:
       return p.exec.io_bytes / cluster.serverless.io_efficiency;
     case workload::StressKind::kNetwork:
-      return p.exec.net_bytes / cluster.serverless.net_efficiency;
+      return p.exec.net_bytes;
   }
   return 0.0;
 }
@@ -64,7 +63,7 @@ workload::StressKind stress_kind_for_dim(std::size_t dim) {
 }
 
 /// Meter effective demand on its own primary resource (for the Fig. 8
-/// pressure axis), including the container efficiency tax.
+/// pressure axis), including the container IO efficiency tax.
 double meter_unit_demand(workload::MeterKind kind,
                          const ClusterConfig& cluster) {
   const auto p = workload::meter_profile(kind);
@@ -75,8 +74,7 @@ double meter_unit_demand(workload::MeterKind kind,
       return (p.exec.io_bytes + p.code_bytes) /
              cluster.serverless.io_efficiency;
     case workload::MeterKind::kNetwork:
-      return (p.exec.net_bytes + p.result_bytes) /
-             cluster.serverless.net_efficiency;
+      return p.exec.net_bytes + p.result_bytes;
   }
   return 0.0;
 }
@@ -154,7 +152,7 @@ CellResult run_profile_cell(const workload::FunctionProfile& subject,
   out.samples = count;
   if (count > 0) {
     out.mean_latency_s = sum / static_cast<double>(count);
-    out.tail_latency_s = service_latencies.quantile(cfg.tail);
+    out.tail_latency_s = service_latencies.quantile(core::kQosPercentile);
   }
   return out;
 }

@@ -28,7 +28,6 @@ struct ProfilingConfig {
   std::vector<double> load_fractions = {0.05, 0.2, 0.4, 0.6, 0.8, 1.0};
   double cell_duration_s = 30.0;  ///< simulated seconds per grid cell
   double warmup_s = 5.0;
-  double tail = 0.95;             ///< surface statistic (r-ile)
   double solo_probe_qps = 2.0;    ///< load used to measure L0
   unsigned threads = 0;           ///< 0 = hardware concurrency
 

@@ -33,18 +33,16 @@ ClusterConfig default_cluster() {
 }
 
 iaas::VmSpec just_enough_vm(const workload::FunctionProfile& profile,
-                            const ClusterConfig& cluster, double r,
-                            double headroom) {
-  AMOEBA_EXPECTS(headroom >= 1.0);
+                            const ClusterConfig& cluster) {
+  constexpr double kHeadroom = 1.15;
   const double service_s =
       profile.ideal_iaas_latency(cluster.iaas.disk_bps, cluster.iaas.net_bps);
   const double mu = 1.0 / service_s;
   const auto servers = core::queueing::min_servers(
-      profile.peak_load_qps, mu, profile.qos_target_s, r);
+      profile.peak_load_qps, mu, profile.qos_target_s, core::kQosPercentile);
   AMOEBA_EXPECTS_MSG(servers.has_value(),
                      "no VM size can meet the QoS target: " + profile.name);
-  const int cores =
-      static_cast<int>(std::ceil(*servers * headroom));
+  const int cores = static_cast<int>(std::ceil(*servers * kHeadroom));
   iaas::VmSpec spec;
   spec.cores = cores;
   spec.memory_mb = 1024.0 + profile.memory_mb * cores;
@@ -86,7 +84,6 @@ std::vector<workload::FunctionProfile> background_suite(
 core::AmoebaConfig default_amoeba_config(DeploySystem system,
                                          double timeline_period_s) {
   core::AmoebaConfig cfg;
-  cfg.controller.qos_percentile = 0.95;
   // The margins absorb what the discriminant cannot see: the load keeps
   // rising through the hysteresis window and the 30 s VM boot, so the
   // switch back to IaaS must fire well before λ_max is reached.
@@ -205,12 +202,9 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
       if (opt.observer != nullptr) cfg.observer = opt.observer;
       cfg.fault_injector = node.faults.get();
       const auto vm_spec = just_enough_vm(foreground, cluster);
-      const int n_max = std::max(
-          1, static_cast<int>(std::ceil(vm_spec.cores *
-                                        opt.n_max_core_factor)));
       runtime = std::make_unique<core::AmoebaRuntime>(
-          engine, sp, ip, calibration, foreground, vm_spec, artifacts, n_max,
-          cfg, node.rng.fork(3));
+          engine, sp, ip, calibration, foreground, vm_spec, artifacts,
+          n_max_for(vm_spec), cfg, node.rng.fork(3));
       runtime->start();
       fg_vm = &runtime->execution_engine().vm();
       fg_fn = runtime->execution_engine().function();

@@ -38,12 +38,11 @@ struct ClusterConfig {
 [[nodiscard]] ClusterConfig default_cluster();
 
 /// "Just-enough" IaaS sizing (paper §II-B): the smallest VM (integer cores)
-/// whose M/M/c model keeps the r-ile latency within the QoS target at the
-/// service's peak load, with a small multiplicative headroom. Memory is a
-/// 1 GB base plus one worker's footprint per core.
+/// whose M/M/c model keeps the kQosPercentile latency within the QoS target
+/// at the service's peak load, times a 1.15 headroom, rounded up. Memory
+/// is a 1 GB base plus one worker's footprint per core.
 [[nodiscard]] iaas::VmSpec just_enough_vm(
-    const workload::FunctionProfile& profile, const ClusterConfig& cluster,
-    double r = 0.95, double headroom = 1.15);
+    const workload::FunctionProfile& profile, const ClusterConfig& cluster);
 
 /// The diurnal trace used to drive a service: peak at its provisioned
 /// peak_load_qps, trough at 25% (paper §I: low load < 30% of peak).
@@ -79,11 +78,6 @@ struct ManagedRunOptions {
   /// sample period, negative disables timelines, positive as given.
   double timeline_period_s = 0.0;
   std::uint64_t seed = 42;
-  /// Per-service container limit (paper §IV-A's n_max), as a multiple of
-  /// the just-enough VM's cores: the service may not consume more of the
-  /// shared pool than it would rent on IaaS. Keeps the discriminant honest
-  /// about the serverless peak capacity (and bounds worst-case memory).
-  double n_max_core_factor = 1.0;
   /// Keep every foreground QueryRecord in the result (windowed analyses).
   bool keep_records = false;
   /// Overrides for ablation studies; defaults follow AmoebaConfig.

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/budget_decomposer.hpp"
 #include "exp/node_driver.hpp"
 #include "workload/meters.hpp"
 
@@ -14,14 +15,13 @@ namespace amoeba::exp {
 
 namespace {
 
-/// Auto-scaled per-monitor probe rate: N monitors each probing 3 meters
-/// must not themselves crowd the node, so the combined rate across
-/// monitors is capped at ~4 QPS per meter regardless of N.
-double effective_probe_qps(double requested, std::size_t n_runtimes) {
-  if (requested > 0.0) return requested;
-  return std::min(workload::kMeterProbeQps,
-                  4.0 / static_cast<double>(n_runtimes));
-}
+/// Budget renormalization period (aware mode). Matches the default monitor
+/// sample period so budgets move at control-loop speed.
+constexpr double kRenormPeriodS = 5.0;
+/// Observed-p95 window must hold at least this many stage completions
+/// before it updates the stage weight (one accidental cold start must not
+/// own the window; same rationale as the runtime's 21-sample rule).
+constexpr std::size_t kRenormMinSamples = 12;
 
 /// The AmoebaConfig of one stage's runtime.
 core::AmoebaConfig stage_config(const SharedNodeOptions& opt,
@@ -187,6 +187,10 @@ const char* to_string(BudgetMode m) noexcept {
   return "?";
 }
 
+int n_max_for(const iaas::VmSpec& vm) {
+  return std::max(1, static_cast<int>(std::ceil(vm.cores)));
+}
+
 double SharedNodeResult::core_hours_with(
     const core::ServiceUsage& stages) const {
   return (stages.cpu_core_seconds + meter_usage.cpu_core_seconds) / 3600.0;
@@ -201,17 +205,13 @@ double SharedNodeResult::memory_gb_hours_with(
 NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
                         const ClusterConfig& cluster,
                         const core::MeterCalibration& calibration,
-                        const SharedNodeOptions& opt,
-                        const BudgetPolicy& budgets, double timeline_period_s,
-                        bool keep_records) {
+                        const SharedNodeOptions& opt, BudgetMode budget_mode,
+                        double timeline_period_s, bool keep_records) {
   AMOEBA_EXPECTS(opt.period_s > 0.0 && opt.duration_days > 0.0);
   AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
                      "warmup must cover the VM boot time");
   AMOEBA_EXPECTS(opt.node_container_budget > 0);
   AMOEBA_EXPECTS(opt.meter_reserve_containers >= 3);
-  AMOEBA_EXPECTS(budgets.renorm_period_s > 0.0 &&
-                 budgets.renorm_min_samples >= 1);
-  AMOEBA_EXPECTS(budgets.feasibility_floor_factor >= 1.0);
 
   SimNode node(cluster, opt.seed, opt.faults, opt.profiler);
   sim::Engine& engine = node.engine;
@@ -252,6 +252,7 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   std::vector<workload::FunctionProfile> profiles;
   std::vector<iaas::VmSpec> vm_specs;
   std::vector<int> asks;
+  const core::BudgetDecomposerConfig decomposer_cfg;
   decomposers.reserve(flows.size());
   for (const NodeFlow& flow : flows) {
     const workload::CallGraph& g = flow.graph;
@@ -260,13 +261,12 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
     for (int k = 0; k < g.size(); ++k) {
       const double ideal = g.stage(k).profile.ideal_iaas_latency(
           cluster.iaas.disk_bps, cluster.iaas.net_bps);
-      w0.push_back(std::max(ideal, budgets.decomposer.min_weight_s));
-      floors.push_back(
-          std::min(budgets.feasibility_floor_factor * ideal, t_e2e));
+      w0.push_back(std::max(ideal, decomposer_cfg.min_weight_s));
+      floors.push_back(std::min(kFeasibilityFloorFactor * ideal, t_e2e));
     }
-    decomposers.emplace_back(g, t_e2e, w0, budgets.decomposer);
+    decomposers.emplace_back(g, t_e2e, w0, decomposer_cfg);
     const std::vector<double> raw0 =
-        budgets.budget_mode == BudgetMode::kEndToEndAware
+        budget_mode == BudgetMode::kEndToEndAware
             ? decomposers.back().budgets()
             : core::BudgetDecomposer::equal_split(g, t_e2e);
     for (int k = 0; k < g.size(); ++k) {
@@ -281,9 +281,7 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
       p.peak_load_qps = flow.root_peak_qps;
       p.qos_target_s = st.initial_budget_s;
       vm_specs.push_back(just_enough_vm(p, cluster));
-      st.n_max_asked = std::max(
-          1, static_cast<int>(std::ceil(vm_specs.back().cores *
-                                        opt.n_max_core_factor)));
+      st.n_max_asked = n_max_for(vm_specs.back());
       asks.push_back(st.n_max_asked);
       profiles.push_back(std::move(p));
     }
@@ -294,7 +292,11 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   // --- One AmoebaRuntime per stage ----------------------------------------
   // Its own monitor, controller and engine, all over the same two
   // platforms.
-  const double probe_qps = effective_probe_qps(opt.monitor_probe_qps, n);
+  // Per-monitor probe rate: N monitors each probing 3 meters must not
+  // themselves crowd the node, so the combined rate across monitors is
+  // capped at ~4 QPS per meter regardless of N.
+  const double probe_qps =
+      std::min(workload::kMeterProbeQps, 4.0 / static_cast<double>(n));
   std::vector<std::unique_ptr<core::AmoebaRuntime>> runtimes;
   runtimes.reserve(n);
   for (std::size_t f = 0; f < flows.size(); ++f) {
@@ -317,7 +319,7 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
     }
   }
 
-  const bool aware = budgets.budget_mode == BudgetMode::kEndToEndAware;
+  const bool aware = budget_mode == BudgetMode::kEndToEndAware;
   QueryRouter router{flows, first_stage, runtimes, run, opt.warmup_s,
                      opt.observer, keep_records};
   router.live.resize(flows.size());
@@ -334,8 +336,7 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
       for (int k = 0; k < g.size(); ++k) {
         stats::SampleSet& window =
             router.renorm_window[first_stage[f] + static_cast<std::size_t>(k)];
-        if (window.size() >=
-            static_cast<std::size_t>(budgets.renorm_min_samples)) {
+        if (window.size() >= kRenormMinSamples) {
           decomposers[f].observe(k, window.quantile(0.95));
           window.clear();
         }
@@ -352,9 +353,9 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
         }
       }
     }
-    renorm_event = engine.schedule_in(budgets.renorm_period_s, renorm);
+    renorm_event = engine.schedule_in(kRenormPeriodS, renorm);
   };
-  if (aware) renorm_event = engine.schedule_in(budgets.renorm_period_s, renorm);
+  if (aware) renorm_event = engine.schedule_in(kRenormPeriodS, renorm);
 
   // --- Load: one Poisson stream at each flow's roots ----------------------
   std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/budget_decomposer.hpp"
 #include "exp/scenario.hpp"
 
 namespace amoeba::exp {
@@ -41,20 +40,12 @@ struct SharedNodeOptions {
   double duration_days = 1.0;
   double warmup_s = 60.0;
   std::uint64_t seed = 42;
-  /// Per-stage solo container ask, as a multiple of the just-enough VM's
-  /// cores (same rule as ManagedRunOptions::n_max_core_factor); the arbiter
-  /// shrinks asks that do not fit the node budget.
-  double n_max_core_factor = 1.0;
   /// Node-wide container budget (Table II: 32 GB pool / 256 MB = 128).
   int node_container_budget = 128;
   /// Containers withheld from the stage split for the three contention
   /// meters (divided equally; at least 1 per meter). Meters are registered
   /// with this as their per-function n_max before any runtime starts.
   int meter_reserve_containers = 15;
-  /// Per-monitor probe rate (QPS per meter). 0 = auto: kMeterProbeQps
-  /// scaled down to min(1, 4/N) for N runtimes, so their combined probing
-  /// stays a small, N-independent fraction of the node.
-  double monitor_probe_qps = 0.0;
   /// Override the per-runtime Amoeba tuning. The default is
   /// default_amoeba_config(kAmoeba) with tighter switch margins (0.50 out,
   /// 0.70 back): the pressure inputs are caused by live co-tenants whose
@@ -74,30 +65,13 @@ struct SharedNodeOptions {
 };
 
 /// How a flow's end-to-end QoS target decomposes into per-stage budgets.
+/// Under either mode a one-stage flow's budget is its whole target.
 enum class BudgetMode : std::uint8_t {
   kNaiveEqual,     ///< fixed T / max_path_stages per stage
   kEndToEndAware,  ///< critical-path-weighted, renormalized from p95s
 };
 
 [[nodiscard]] const char* to_string(BudgetMode m) noexcept;
-
-/// Budget policy of a shared-node run (the base of CallGraphRunOptions).
-/// Under either mode a one-stage flow's budget is its whole target.
-struct BudgetPolicy {
-  BudgetMode budget_mode = BudgetMode::kEndToEndAware;
-  /// Budget renormalization period (aware mode). Matches the default
-  /// monitor sample period so budgets move at control-loop speed.
-  double renorm_period_s = 5.0;
-  /// Observed-p95 window must hold at least this many stage completions
-  /// before it updates the stage weight (one accidental cold start must
-  /// not own the window; same rationale as the runtime's 21-sample rule).
-  int renorm_min_samples = 12;
-  /// Applied per-stage budgets are clamped to at least this factor times
-  /// the stage's ideal solo IaaS latency (M/M/c feasibility floor), never
-  /// above the flow's whole target.
-  double feasibility_floor_factor = 1.25;
-  core::BudgetDecomposerConfig decomposer;
-};
 
 /// Per-stage outcome fields every shared-node run reports.
 struct StageResultBase {
@@ -108,7 +82,7 @@ struct StageResultBase {
   std::uint64_t switch_retries = 0;
   /// Prewarm containers denied by the shared-pool arbitration.
   std::uint64_t prewarm_denied = 0;
-  int n_max_asked = 0;    ///< solo ask (cores × n_max_core_factor)
+  int n_max_asked = 0;    ///< solo ask (the just-enough VM's cores)
   int n_max_granted = 0;  ///< after the budget split
 
   [[nodiscard]] double p95() const { return latencies.quantile(0.95); }

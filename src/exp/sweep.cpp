@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/cli.hpp"
 #include "common/mutex.hpp"
 
 namespace amoeba::exp {
@@ -19,16 +20,15 @@ unsigned parse_jobs_flag(int& argc, char** argv) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
-    std::string_view value;
-    if (arg == "--jobs" && i + 1 < argc) {
-      value = argv[++i];
+    std::string text;
+    if (arg == "--jobs") {
+      text = flag_value(argc, argv, i++);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      value = arg.substr(7);
+      text = arg.substr(7);
     } else {
       argv[out++] = argv[i];
       continue;
     }
-    const std::string text{value};
     char* end = nullptr;
     const unsigned long parsed = std::strtoul(text.c_str(), &end, 10);
     AMOEBA_EXPECTS_MSG(!text.empty() && end == text.c_str() + text.size() &&

@@ -54,7 +54,8 @@ template <typename T>
 /// Parse and consume a `--jobs N` / `--jobs=N` flag from argv (the shared
 /// worker-count flag of the fig/abl bench binaries). Returns 1 when absent
 /// — sweeps are serial unless asked otherwise. The flag and its value are
-/// removed from argv so later flag parsers never see them.
+/// removed from argv so later flag parsers never see them. A value outside
+/// [1, 1024], or a missing one, is rejected.
 [[nodiscard]] unsigned parse_jobs_flag(int& argc, char** argv);
 
 }  // namespace amoeba::exp

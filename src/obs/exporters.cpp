@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "common/assert.hpp"
+#include "common/cli.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 
@@ -351,18 +352,18 @@ void write_summary(const Observer& obs, std::ostream& out) {
 
 ExportPaths parse_export_flags(int argc, char** argv) {
   ExportPaths paths;
-  for (int i = 1; i + 1 < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string_view flag = argv[i];
     if (flag == "--trace-out") {
-      paths.trace = argv[++i];
+      paths.trace = flag_value(argc, argv, i++);
     } else if (flag == "--metrics-out") {
-      paths.metrics = argv[++i];
+      paths.metrics = flag_value(argc, argv, i++);
     } else if (flag == "--audit-out") {
-      paths.audit = argv[++i];
+      paths.audit = flag_value(argc, argv, i++);
     } else if (flag == "--summary-out") {
-      paths.summary = argv[++i];
+      paths.summary = flag_value(argc, argv, i++);
     } else if (flag == "--profile-out") {
-      paths.profile = argv[++i];
+      paths.profile = flag_value(argc, argv, i++);
     }
   }
   return paths;

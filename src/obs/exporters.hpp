@@ -54,7 +54,7 @@ struct ExportPaths {
 
 /// Scan argv for --trace-out F, --metrics-out F, --audit-out F,
 /// --summary-out F, --profile-out F (space-separated). Unrelated arguments
-/// are ignored.
+/// are ignored; a flag without its value is rejected (amoeba::flag_value).
 [[nodiscard]] ExportPaths parse_export_flags(int argc, char** argv);
 
 /// Insert `suffix` before the path's extension ("t.json", "_a" -> "t_a.json").

@@ -11,8 +11,6 @@
 // it cannot change the engine's event-trace hash.
 #pragma once
 
-#include <cstddef>
-
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,7 +21,6 @@ struct ObsConfig {
   bool trace = true;
   bool metrics = true;
   bool audit = true;
-  std::size_t max_trace_events = std::size_t{1} << 21;
 };
 
 class Observer {
@@ -34,8 +31,7 @@ class Observer {
   explicit Observer(const ObsConfig& cfg)
       : trace_on_(cfg.trace),
         metrics_on_(cfg.metrics),
-        audit_on_(cfg.audit),
-        tracer_(cfg.max_trace_events) {}
+        audit_on_(cfg.audit) {}
 
   [[nodiscard]] bool trace_on() const noexcept { return trace_on_; }
   [[nodiscard]] bool metrics_on() const noexcept { return metrics_on_; }

@@ -13,7 +13,6 @@ void PlatformConfig::validate() const {
   AMOEBA_EXPECTS(container_core_cap > 0.0);
   AMOEBA_EXPECTS(cpu_interference >= 0.0);
   AMOEBA_EXPECTS(io_efficiency > 0.0 && io_efficiency <= 1.0);
-  AMOEBA_EXPECTS(net_efficiency > 0.0 && net_efficiency <= 1.0);
   AMOEBA_EXPECTS(cold_start_mean_s >= 0.0);
   AMOEBA_EXPECTS(cold_start_cv >= 0.0);
   AMOEBA_EXPECTS(keep_alive_s > 0.0);
@@ -219,10 +218,9 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
           ? rng_.lognormal_mean_cv(p.exec.cpu_seconds, p.cpu_cv)
           : 0.0;
   rec->cpu_work_done = cpu_work;
-  // Containerized IO/network move more effective "device work" per byte
+  // Containerized IO moves more effective "device work" per byte
   // (overlay-fs / virtualization tax).
   const double io_scale = 1.0 / cfg_.io_efficiency;
-  const double net_scale = 1.0 / cfg_.net_efficiency;
 
   // Every phase's stream carries the function's id, attributing its demand.
   const FunctionId fn = st.id;
@@ -233,7 +231,7 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
   };
 
   // Build the phase chain back-to-front; each phase stamps its duration.
-  auto post_phase = [this, rec, tag, bytes = p.result_bytes * net_scale,
+  auto post_phase = [this, rec, tag, bytes = p.result_bytes,
                      next = std::move(finish)]() mutable {
     if (bytes <= 0.0) {
       next();
@@ -249,7 +247,7 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
         tag);
   };
 
-  auto exec_net_phase = [this, rec, tag, bytes = p.exec.net_bytes * net_scale,
+  auto exec_net_phase = [this, rec, tag, bytes = p.exec.net_bytes,
                          next = std::move(post_phase)]() mutable {
     if (bytes <= 0.0) {
       next();

@@ -60,7 +60,6 @@ struct PlatformConfig {
   /// achieves (overlay-fs / virtualization tax; Wang et al., ATC'18,
   /// measured serverless IO well below VM IO). 1.0 = no tax.
   double io_efficiency = 1.0;
-  double net_efficiency = 1.0;
   double cold_start_mean_s = 1.0;   ///< paper §V-A: "one to three seconds"
   double cold_start_cv = 0.25;
   double keep_alive_s = 60.0;       ///< warm-container TTL

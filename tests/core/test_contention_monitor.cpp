@@ -182,8 +182,8 @@ TEST(ContentionMonitor, DroppedMeterSamplesHoldLastPressure) {
   const auto before = monitor.pressures();
   ASSERT_GT(before[kCpuDim], 0.3);
 
-  // From here every meter completion is lost before aggregation. Without an
-  // age cap the monitor holds the last-known estimate indefinitely.
+  // From here every meter completion is lost before aggregation. The
+  // monitor holds the last-known estimate indefinitely.
   sim::FaultConfig fc;
   fc.meter_drop_p = 1.0;
   sim::FaultInjector faults(fc, sim::Rng(21));
@@ -193,42 +193,9 @@ TEST(ContentionMonitor, DroppedMeterSamplesHoldLastPressure) {
   for (std::size_t d = 0; d < kNumResources; ++d) {
     EXPECT_DOUBLE_EQ(after[d], before[d]) << "dim " << d;
   }
-  EXPECT_EQ(monitor.stale_resets(), 0u);
   // The staleness is surfaced: ages grew to roughly the faulty window.
   EXPECT_GT(monitor.pressure_ages()[kCpuDim], 20.0);
   EXPECT_GT(faults.counters().meter_drops, 0u);
-  monitor.stop();
-}
-
-TEST(ContentionMonitor, AgeCapResetsStalePressureToCalibrationFloor) {
-  sim::Engine e;
-  serverless::ServerlessPlatform sp(e, node_config(), sim::Rng(22));
-  auto mcfg = monitor_config();
-  mcfg.pressure_max_age_s = 12.0;
-  ContentionMonitor monitor(e, sp, synthetic_calibration(node_config()),
-                            mcfg, sim::Rng(23));
-  monitor.start();
-
-  const auto stressor = workload::make_stressor(workload::StressKind::kCpu);
-  const serverless::FunctionId stress_fn = sp.register_function(stressor);
-  workload::ConstantLoadGenerator gen(e, sim::Rng(24), 68.0, [&] {
-    sp.submit(stress_fn, [](const workload::QueryRecord&) {});
-  });
-  gen.start();
-  e.run_until(60.0);
-  gen.stop();
-  ASSERT_GT(monitor.pressures()[kCpuDim], 0.3);
-
-  sim::FaultConfig fc;
-  fc.meter_drop_p = 1.0;
-  sim::FaultInjector faults(fc, sim::Rng(25));
-  monitor.set_fault_injector(&faults);
-  e.run_until(90.0);  // readings age past the 12 s cap
-  // Phantom pressure is not trusted forever: the estimate decayed to the
-  // calibration floor and the reset was counted.
-  const double floor = 0.02;  // synthetic_calibration's first curve point
-  EXPECT_DOUBLE_EQ(monitor.pressures()[kCpuDim], floor);
-  EXPECT_GE(monitor.stale_resets(), 1u);
   monitor.stop();
 }
 
@@ -248,16 +215,6 @@ TEST(ContentionMonitor, OutlierContaminationInflatesPressure) {
   EXPECT_GT(monitor.pressures()[kCpuDim], 0.4);
   EXPECT_GT(faults.counters().meter_outliers, 0u);
   monitor.stop();
-}
-
-TEST(ContentionMonitor, ConfigRejectsNegativeAgeCap) {
-  sim::Engine e;
-  serverless::ServerlessPlatform sp(e, node_config(), sim::Rng(29));
-  auto mcfg = monitor_config();
-  mcfg.pressure_max_age_s = -1.0;
-  EXPECT_THROW(ContentionMonitor(e, sp, synthetic_calibration(node_config()),
-                                 mcfg, sim::Rng(30)),
-               ContractError);
 }
 
 }  // namespace

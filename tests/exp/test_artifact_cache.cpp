@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include "workload/functionbench.hpp"
 
 namespace amoeba::exp {
 namespace {
@@ -126,6 +129,98 @@ TEST_F(ArtifactCacheTest, OverwriteReplacesContent) {
   const auto loaded = load_artifacts(path("a.txt"), "t");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_DOUBLE_EQ(loaded->solo_latency_s, 0.999);
+}
+
+TEST(ProfilingCacheTag, EqualInputsGiveEqualTags) {
+  const ClusterConfig cluster = default_cluster();
+  ProfilingConfig cfg;
+  const auto p = workload::make_float();
+  EXPECT_EQ(profiling_cache_tag(cluster, cfg, &p),
+            profiling_cache_tag(cluster, cfg, &p));
+  // The worker count cannot change a profiling result.
+  ProfilingConfig threaded = cfg;
+  threaded.threads = 7;
+  EXPECT_EQ(profiling_cache_tag(cluster, cfg, nullptr),
+            profiling_cache_tag(cluster, threaded, nullptr));
+  // A service's tag is not the meter calibration's.
+  EXPECT_NE(profiling_cache_tag(cluster, cfg, &p),
+            profiling_cache_tag(cluster, cfg, nullptr));
+}
+
+TEST(ProfilingCacheTag, GridValuesAreCoveredNotJustSizes) {
+  const ClusterConfig cluster = default_cluster();
+  const auto p = workload::make_float();
+  ProfilingConfig a;
+  ProfilingConfig b = a;
+  b.pressure_grid.back() += 0.01;  // same size, different values
+  ProfilingConfig c = a;
+  c.load_fractions.front() = 0.06;
+  for (const workload::FunctionProfile* service :
+       {static_cast<const workload::FunctionProfile*>(nullptr), &p}) {
+    const std::string tag = profiling_cache_tag(cluster, a, service);
+    EXPECT_NE(tag, profiling_cache_tag(cluster, b, service));
+    EXPECT_NE(tag, profiling_cache_tag(cluster, c, service));
+  }
+}
+
+TEST(ProfilingCacheTag, EveryProfilingInputChangesTheTag) {
+  const ClusterConfig base = default_cluster();
+  const ProfilingConfig cfg;
+  const auto p = workload::make_float();
+  const std::string tag = profiling_cache_tag(base, cfg, &p);
+
+  // Crash injection shares the cache directory with every crash-free bench.
+  ClusterConfig crashy = base;
+  crashy.serverless.crash_after_completion_p = 0.01;
+  EXPECT_NE(tag, profiling_cache_tag(crashy, cfg, &p));
+  EXPECT_NE(profiling_cache_tag(base, cfg, nullptr),
+            profiling_cache_tag(crashy, cfg, nullptr));
+
+  // Values closer than 6 significant digits still differ.
+  ClusterConfig near = base;
+  near.serverless.disk_bps += 1.0;
+  EXPECT_NE(tag, profiling_cache_tag(near, cfg, &p));
+
+  const auto cluster_differs = [&](auto mutate) {
+    ClusterConfig c = base;
+    mutate(c);
+    return profiling_cache_tag(c, cfg, &p) != tag;
+  };
+  EXPECT_TRUE(cluster_differs([](ClusterConfig& c) {
+    c.serverless.cold_start_cv = 0.5;
+  }));
+  EXPECT_TRUE(cluster_differs([](ClusterConfig& c) {
+    c.serverless.container_core_cap = 2.0;
+  }));
+  EXPECT_TRUE(cluster_differs([](ClusterConfig& c) { c.seed = 43; }));
+
+  const auto cfg_differs = [&](auto mutate) {
+    ProfilingConfig c = cfg;
+    mutate(c);
+    return profiling_cache_tag(base, c, &p) != tag;
+  };
+  EXPECT_TRUE(cfg_differs([](ProfilingConfig& c) { c.warmup_s = 6.0; }));
+  EXPECT_TRUE(cfg_differs([](ProfilingConfig& c) { c.solo_probe_qps = 3.0; }));
+  EXPECT_TRUE(
+      cfg_differs([](ProfilingConfig& c) { c.cell_duration_s = 31.0; }));
+
+  const auto profile_differs = [&](auto mutate) {
+    workload::FunctionProfile q = p;
+    mutate(q);
+    return profiling_cache_tag(base, cfg, &q) != tag;
+  };
+  EXPECT_TRUE(profile_differs([](workload::FunctionProfile& q) {
+    q.cpu_cv = 0.2;
+  }));
+  EXPECT_TRUE(profile_differs([](workload::FunctionProfile& q) {
+    q.code_bytes += 1.0;
+  }));
+  EXPECT_TRUE(profile_differs([](workload::FunctionProfile& q) {
+    q.result_bytes += 1.0;
+  }));
+  EXPECT_TRUE(profile_differs([](workload::FunctionProfile& q) {
+    q.memory_mb = 512.0;
+  }));
 }
 
 }  // namespace

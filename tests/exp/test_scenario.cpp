@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/queueing.hpp"
 
 namespace amoeba::exp {
@@ -32,19 +34,23 @@ TEST(JustEnoughVm, MeetsQosByConstruction) {
 }
 
 TEST(JustEnoughVm, IsActuallyJustEnough) {
-  // Without the headroom factor the sizing is tight: one server fewer
-  // misses the QoS target.
+  // The sizing is the tightest QoS-meeting server count times the fixed
+  // 1.15 headroom, rounded up: one core fewer would fall short of that
+  // headroom. The tight count comes from a scan from one server, not from
+  // queueing::min_servers.
   const auto cluster = default_cluster();
   for (const auto& p : workload::functionbench_suite()) {
-    const auto spec = just_enough_vm(p, cluster, 0.95, /*headroom=*/1.0);
+    const auto spec = just_enough_vm(p, cluster);
     const double mu =
         1.0 / p.ideal_iaas_latency(cluster.iaas.disk_bps, cluster.iaas.net_bps);
-    const int cores = static_cast<int>(spec.cores);
-    if (cores > 1) {
-      EXPECT_FALSE(core::queueing::qos_satisfied(
-          p.peak_load_qps, cores - 1, mu, p.qos_target_s, 0.95))
-          << p.name;
+    int tight = 1;
+    while (!core::queueing::qos_satisfied(p.peak_load_qps, tight, mu,
+                                          p.qos_target_s, 0.95)) {
+      ++tight;
     }
+    EXPECT_EQ(static_cast<int>(spec.cores),
+              static_cast<int>(std::ceil(tight * 1.15)))
+        << p.name;
   }
 }
 

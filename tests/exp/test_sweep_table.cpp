@@ -144,7 +144,9 @@ TEST(ParseJobsFlag, ConsumesBothSpellingsAndRemovesThemFromArgv) {
 
 TEST(ParseJobsFlag, RejectsNonNumericAndOutOfRange) {
   std::vector<char*> ptrs;
-  for (const std::string bad : {"--jobs=zero", "--jobs=0", "--jobs=4096"}) {
+  // A bare "--jobs" as the last argument has no value at all.
+  for (const std::string bad :
+       {"--jobs=zero", "--jobs=0", "--jobs=4096", "--jobs"}) {
     std::vector<std::string> args = {"bench", bad};
     char** argv = make_argv(args, ptrs);
     int argc = 2;

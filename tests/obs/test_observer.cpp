@@ -152,6 +152,25 @@ TEST(ExportFlags, ParsesTheSharedCli) {
   EXPECT_TRUE(p.any());
 }
 
+TEST(ExportFlags, RejectsAFlagWithoutItsValue) {
+  // Given last, the flag has no value; followed by another flag, it would
+  // take that flag as its path and write a file named "--metrics-out".
+  const std::vector<std::vector<const char*>> bad = {
+      {"prog", "--trace-out"},
+      {"prog", "--trace-out", "--metrics-out", "m.jsonl"},
+      {"prog", "--audit-out", "a.jsonl", "--summary-out"},
+      {"prog", "--profile-out", "--trace-out", "t.json"},
+  };
+  for (const auto& argv_c : bad) {
+    std::vector<char*> argv;
+    for (const char* a : argv_c) argv.push_back(const_cast<char*>(a));
+    EXPECT_THROW(
+        (void)parse_export_flags(static_cast<int>(argv.size()), argv.data()),
+        ContractError)
+        << argv_c.back();
+  }
+}
+
 TEST(ExportFlags, EmptyWhenNoFlagsGiven) {
   const char* argv_c[] = {"prog", "positional"};
   std::vector<char*> argv;
