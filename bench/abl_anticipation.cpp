@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const auto runs = exp::parallel_map<exp::ManagedRunResult>(
       horizons.size(), jobs, [&](std::size_t i) {
         auto opt = base_opt;
-        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba, 0.0);
+        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba);
         ac.load_anticipation_s = horizons[i];
         opt.amoeba = ac;
         return exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,

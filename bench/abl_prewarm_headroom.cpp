@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const auto runs = exp::parallel_map<exp::ManagedRunResult>(
       headrooms.size(), jobs, [&](std::size_t i) {
         auto opt = base_opt;
-        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba, 0.0);
+        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba);
         ac.engine.prewarm.headroom = headrooms[i];
         opt.amoeba = ac;
         return exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const auto runs = exp::parallel_map<exp::ManagedRunResult>(
       periods.size(), jobs, [&](std::size_t i) {
         auto opt = bench::bench_run_options();
-        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba, 0.0);
+        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba);
         ac.monitor.sample_period_s = periods[i];
         opt.amoeba = ac;
         return exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster, cal,

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       margins.size(), jobs, [&](std::size_t i) {
         const auto& m = margins[i];
         auto opt = base_opt;
-        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba, 0.0);
+        auto ac = exp::default_amoeba_config(exp::DeploySystem::kAmoeba);
         ac.controller.to_serverless_margin = m.to_serverless;
         ac.controller.to_iaas_margin = m.to_iaas;
         opt.amoeba = ac;

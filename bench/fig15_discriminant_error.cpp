@@ -127,8 +127,7 @@ std::array<double, core::kNumResources> measured_pressures(
         engine, rng.fork(20 + d), workload::kMeterProbeQps, [&, d, fn] {
           sp.submit(fn, [&, d](const workload::QueryRecord& r) {
             if (r.arrival < 10.0) return;
-            sums[d] += r.breakdown.total() - r.breakdown.queue_s -
-                       r.breakdown.cold_start_s;
+            sums[d] += r.breakdown.service_s();
             counts[d] += 1;
           });
         }));
@@ -203,8 +202,7 @@ void calibrate(core::DeploymentController& ctrl,
       workload::ConstantLoadGenerator gen(engine, rng.fork(2), qps, [&] {
         sp.submit(subject_fn, [&](const workload::QueryRecord& r) {
           if (r.arrival < 10.0) return;
-          cell.add(r.breakdown.total() - r.breakdown.queue_s -
-                   r.breakdown.cold_start_s);
+          cell.add(r.breakdown.service_s());
         });
       });
       gen.start();

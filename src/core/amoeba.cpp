@@ -40,8 +40,7 @@ AmoebaRuntime::AmoebaRuntime(sim::Engine& engine,
 }
 
 void AmoebaRuntime::observe_service_time(const workload::QueryRecord& rec) {
-  const double service_time = rec.breakdown.total() - rec.breakdown.queue_s -
-                              rec.breakdown.cold_start_s;
+  const double service_time = rec.breakdown.service_s();
   if (service_time <= 0.0) return;
   controller_.observe_latency(measured_load(), monitor_.pressures(),
                               service_time);
@@ -295,8 +294,7 @@ void AmoebaRuntime::record_query(const workload::QueryRecord& rec,
     obs::Tracer& tr = obs_->tracer();
     const auto track = tr.track("svc:" + name_ + "/queries");
     const std::uint64_t id = next_query_span_id_++;
-    const double service_s = rec.breakdown.total() - rec.breakdown.queue_s -
-                             rec.breakdown.cold_start_s;
+    const double service_s = rec.breakdown.service_s();
     tr.async_begin(track, "query", id, rec.arrival, "query");
     tr.async_end(track, "query", id, rec.completion, "query",
                  {obs::TraceArg::of("platform", std::string(to_string(platform))),

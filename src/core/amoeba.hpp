@@ -36,8 +36,10 @@ struct AmoebaConfig {
   WeightEstimatorConfig estimator;
   /// Load-measurement window for V_u (seconds).
   double load_window_s = 30.0;
-  /// Horizon (seconds) over which rising load is extrapolated for the
-  /// switch-back decision; should cover hysteresis + VM boot. 0 disables.
+  /// Horizon (seconds) over which rising load is extrapolated; both switch
+  /// directions judge the larger of the measured and the extrapolated load
+  /// (ServiceTickInput::forecast_load_qps). Should cover hysteresis + VM
+  /// boot. 0 disables.
   double load_anticipation_s = 0.0;
   /// Period of the per-service timeline sampler (load, mode, usage — the
   /// Fig. 12/13 data). 0 (the default) follows the monitor sample period;

@@ -58,8 +58,7 @@ void ContentionMonitor::start() {
             if (faults_ != nullptr && faults_->next_meter_drop()) return;
             // Exclude queue wait and cold start: the meter measures
             // contention on the resource, not pool sizing effects.
-            double lat = rec.breakdown.total() - rec.breakdown.queue_s -
-                         rec.breakdown.cold_start_s;
+            double lat = rec.breakdown.service_s();
             if (faults_ != nullptr) lat *= faults_->next_meter_multiplier();
             meters_[i].latency_sum += lat;
             meters_[i].latency_count += 1;

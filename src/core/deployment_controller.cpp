@@ -113,9 +113,10 @@ SwitchDecision DeploymentController::tick(const ServiceTickInput& input) {
       evaluate(input.load_qps, input.total_pressures, n, resident);
   last_eval_ = ev;
 
-  // Switching back to IaaS takes hysteresis + the VM boot; judge that
-  // direction on the anticipated load so the switch completes before the
-  // serverless pool saturates.
+  // Switching back to IaaS takes hysteresis + the VM boot; judge both
+  // directions on the anticipated load so the switch back completes before
+  // the serverless pool saturates, and a rush already under way does not
+  // send the service to serverless first.
   const double rising_load = std::max(input.load_qps,
                                       input.forecast_load_qps);
   const bool serverless_can_hold =

@@ -53,8 +53,10 @@ struct ControllerConfig {
 struct ServiceTickInput {
   double load_qps = 0.0;
   /// Load anticipated by the time a switch could complete (measured load
-  /// extrapolated over hysteresis + VM boot). Used only for the
-  /// switch-back-to-IaaS direction; <= load_qps means "no forecast".
+  /// extrapolated over hysteresis + VM boot). Both directions judge
+  /// max(load_qps, forecast_load_qps): a rising forecast withholds the
+  /// switch to serverless and hastens the switch back to IaaS;
+  /// <= load_qps means "no forecast".
   double forecast_load_qps = 0.0;
   /// Platform-total pressures from the contention monitor.
   std::array<double, kNumResources> total_pressures{};

@@ -36,7 +36,7 @@ CallGraphRunResult run_callgraph(
         FlowStage{graph.service_name(s), s, &artifacts[k]});
   }
   NodeRun run = run_shared_node({flow}, cluster, calibration, opt,
-                                opt.budget_mode, -1.0, false);
+                                opt.budget_mode, false);
 
   CallGraphRunResult result;
   static_cast<SharedNodeResult&>(result) = run;

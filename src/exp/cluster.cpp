@@ -38,8 +38,7 @@ ClusterRunResult run_cluster(const std::vector<ClusterServiceSpec>& specs,
         {}});
   }
   NodeRun run = run_shared_node(flows, cluster, calibration, opt,
-                                BudgetMode::kNaiveEqual, opt.timeline_period_s,
-                                opt.keep_records);
+                                BudgetMode::kNaiveEqual, opt.keep_records);
 
   ClusterRunResult result;
   static_cast<SharedNodeResult&>(result) = run;

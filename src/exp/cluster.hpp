@@ -15,8 +15,7 @@
 // reserve, then core::split_container_budget over the tenants' solo asks.
 //
 // What the adapter adds: tenants keep their profile names, report their
-// own QoS target and violation fraction, may keep their QueryRecords, and
-// may sample timelines (`timeline_period_s`).
+// own QoS target and violation fraction, and may keep their QueryRecords.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +38,6 @@ struct ClusterServiceSpec {
 };
 
 struct ClusterRunOptions : SharedNodeOptions {
-  /// Forwarded to AmoebaConfig::timeline_period_s. Cluster runs default to
-  /// disabled (-1): N timelines of samples are rarely worth their memory.
-  double timeline_period_s = -1.0;
   /// Keep every per-service QueryRecord in the result.
   bool keep_records = false;
 };

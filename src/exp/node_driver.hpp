@@ -1,6 +1,6 @@
-// Internal to exp/: the shared-node driver behind run_cluster and
-// run_callgraph (see shared_node.hpp), the node every driver runs on, and
-// the summary-JSON pieces both adapters write.
+// Internal to exp/: the one simulated day every driver runs (SimNode), the
+// shared-node driver behind run_cluster and run_callgraph (see
+// shared_node.hpp), and the summary-JSON pieces both adapters write.
 #pragma once
 
 #include <cstdint>
@@ -15,22 +15,49 @@
 
 namespace amoeba::exp {
 
-/// The node every driver runs on (Table II). Declaration order is
-/// construction order: the profiler attaches to the calling thread and the
-/// harness scope opens before the engine exists, so both outlive it. The
-/// platforms draw rng forks 1 and 2; any nonzero fault rate adds one
-/// injector on fork 4, wired into both platforms. A fault-free config
-/// creates no injector and stays byte-identical to a build without the
-/// fault layer.
+/// The node every driver runs on (Table II) and the one day it simulates:
+/// SimNode sets the day up, runs it and ends it; a driver adds only its
+/// tenants. Declaration order is construction order: the profiler attaches
+/// to the calling thread and the harness scope opens before the engine
+/// exists, so both outlive it. The platforms draw rng forks 1 and 2; any
+/// nonzero fault rate adds one injector on fork 4, wired into both
+/// platforms and every runtime. A fault-free config creates no injector and
+/// stays byte-identical to a build without the fault layer. Streams and
+/// runtimes start in the order they are added, which fixes the event
+/// trace.
 struct SimNode {
-  SimNode(const ClusterConfig& cluster, std::uint64_t seed,
-          const sim::FaultConfig& fault_config, obs::Profiler* profiler);
+  SimNode(const ClusterConfig& cluster, const DayOptions& options);
   SimNode(const SimNode&) = delete;
   SimNode& operator=(const SimNode&) = delete;
 
-  /// Fault tallies, trace hash and executed-event count, after the run.
-  void finish(NodeRunResult& r) const;
+  /// Starts one managed service on the node, its runtime drawing rng fork
+  /// `fork`, with the day's observer and fault injector wired into `cfg`.
+  core::AmoebaRuntime& start_runtime(core::AmoebaConfig cfg,
+                                     const core::MeterCalibration& calibration,
+                                     const workload::FunctionProfile& profile,
+                                     const iaas::VmSpec& vm,
+                                     const core::ServiceArtifacts& artifacts,
+                                     int n_max, std::uint64_t fork);
 
+  /// Adds `profile`'s diurnal Poisson stream at `phase`: trace noise seeded
+  /// with seed ^ `noise_salt`, arrivals drawn on rng fork `fork`. It starts
+  /// at load_start_s, or right away when `start_now` (a tenant that needs
+  /// no VM).
+  void add_stream(const workload::FunctionProfile& profile, double phase,
+                  std::uint64_t noise_salt, std::uint64_t fork,
+                  workload::ArrivalFn on_arrival, bool start_now = false);
+
+  /// Runs to the end of the day, stops every stream and runtime, and
+  /// reports the day's duration, fault tallies, trace hash and
+  /// executed-event count into `r`.
+  void run_day(NodeRunResult& r);
+
+  const DayOptions& day;
+  /// Warm-up + period × days.
+  const double duration_s;
+  /// When the load starts: after the IaaS VMs could have booted, inside
+  /// warm-up, so no query arrives before its platform exists.
+  const double load_start_s;
   obs::ProfilerAttach prof_attach;
   obs::ProfScope harness{obs::ProfDomain::kHarness};
   sim::Engine engine;
@@ -38,6 +65,11 @@ struct SimNode {
   serverless::ServerlessPlatform sp;
   iaas::IaasPlatform ip;
   std::unique_ptr<sim::FaultInjector> faults;
+  std::vector<std::unique_ptr<core::AmoebaRuntime>> runtimes;
+
+ private:
+  std::vector<std::unique_ptr<workload::DiurnalTrace>> traces_;
+  std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> generators_;
 };
 
 /// Applied per-stage budgets are clamped to at least this factor times the
@@ -100,13 +132,12 @@ struct NodeRun : SharedNodeResult {
 };
 
 /// Run every flow concurrently on one shared node. `budget_mode` splits
-/// every flow's target into stage budgets; `timeline_period_s` is
-/// forwarded to every runtime's AmoebaConfig; `keep_records` keeps each
-/// stage's post-warmup QueryRecords.
+/// every flow's target into stage budgets; `keep_records` keeps each
+/// stage's post-warmup QueryRecords. No stage samples a timeline.
 [[nodiscard]] NodeRun run_shared_node(
     const std::vector<NodeFlow>& flows, const ClusterConfig& cluster,
     const core::MeterCalibration& calibration, const SharedNodeOptions& opt,
-    BudgetMode budget_mode, double timeline_period_s, bool keep_records);
+    BudgetMode budget_mode, bool keep_records);
 
 /// "0x…" rendering of a trace hash for summary JSON.
 [[nodiscard]] std::string hash_hex(std::uint64_t h);

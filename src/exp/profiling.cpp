@@ -125,8 +125,7 @@ CellResult run_profile_cell(const workload::FunctionProfile& subject,
         sp.submit(subject_fn, [&, arrival = engine.now()](
                                     const workload::QueryRecord& rec) {
           if (arrival < warmup) return;
-          const double service = rec.breakdown.total() - rec.breakdown.queue_s -
-                                 rec.breakdown.cold_start_s;
+          const double service = rec.breakdown.service_s();
           service_latencies.add(service);
           sum += service;
           ++count;
@@ -213,8 +212,7 @@ std::array<double, core::kNumResources> probe_latencies(
           sp.submit(fn, [&, d, arrival = engine.now()](
                               const workload::QueryRecord& rec) {
             if (arrival < cfg.warmup_s) return;
-            sums[d] += rec.breakdown.total() - rec.breakdown.queue_s -
-                       rec.breakdown.cold_start_s;
+            sums[d] += rec.breakdown.service_s();
             counts[d] += 1;
           });
         }));

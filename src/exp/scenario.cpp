@@ -9,6 +9,16 @@
 
 namespace amoeba::exp {
 
+namespace {
+
+/// The ablation `system` stands for, applied to a tuned config.
+void ablate(core::AmoebaConfig& cfg, DeploySystem system) {
+  if (system == DeploySystem::kAmoebaNoM) cfg.estimator.enable_pca = false;
+  if (system == DeploySystem::kAmoebaNoP) cfg.engine.enable_prewarm = false;
+}
+
+}  // namespace
+
 ClusterConfig default_cluster() {
   ClusterConfig c;
   c.serverless.cores = 40.0;
@@ -81,8 +91,7 @@ std::vector<workload::FunctionProfile> background_suite(
           workload::as_background(workload::make_cloud_stor(), peak_fraction)};
 }
 
-core::AmoebaConfig default_amoeba_config(DeploySystem system,
-                                         double timeline_period_s) {
+core::AmoebaConfig default_amoeba_config(DeploySystem system) {
   core::AmoebaConfig cfg;
   // The margins absorb what the discriminant cannot see: the load keeps
   // rising through the hysteresis window and the 30 s VM boot, so the
@@ -96,9 +105,7 @@ core::AmoebaConfig default_amoeba_config(DeploySystem system,
   cfg.estimator.min_samples = 24;
   // Cover 2 hysteresis ticks + the 30 s VM boot.
   cfg.load_anticipation_s = 40.0;
-  cfg.timeline_period_s = timeline_period_s;
-  if (system == DeploySystem::kAmoebaNoM) cfg.estimator.enable_pca = false;
-  if (system == DeploySystem::kAmoebaNoP) cfg.engine.enable_prewarm = false;
+  ablate(cfg, system);
   return cfg;
 }
 
@@ -107,37 +114,18 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
                              const core::MeterCalibration& calibration,
                              const core::ServiceArtifacts& artifacts,
                              const ManagedRunOptions& opt) {
-  AMOEBA_EXPECTS(opt.period_s > 0.0 && opt.duration_days > 0.0);
-  // The foreground load starts after the VM boot window, inside warmup, so
-  // no query can arrive before its platform exists.
-  AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
-                     "warmup must cover the VM boot time");
-  SimNode node(cluster, opt.seed, opt.faults, opt.profiler);
-  sim::Engine& engine = node.engine;
+  SimNode node(cluster, opt);
   serverless::ServerlessPlatform& sp = node.sp;
-  iaas::IaasPlatform& ip = node.ip;
-
-  const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
 
   // Background tenants live directly on the shared serverless platform.
-  std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
-  std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> generators;
   if (opt.with_background) {
-    int k = 0;
+    std::uint64_t k = 0;
     for (const auto& bg : background_suite(opt.background_peak_fraction)) {
       const serverless::FunctionId fn = sp.register_function(bg);
-      auto trace = std::make_unique<workload::DiurnalTrace>(
-          diurnal_for(bg, opt.period_s, 0.17 * (k + 1)),
-          opt.seed ^ (0xb67u + static_cast<unsigned>(k)));
-      auto gen = std::make_unique<workload::PoissonLoadGenerator>(
-          engine, node.rng.fork(100 + static_cast<std::uint64_t>(k)),
-          [t = trace.get()](double now) { return t->rate(now); },
-          trace->max_rate(), [&sp, fn] {
-            sp.submit(fn, [](const workload::QueryRecord&) {});
-          });
-      gen->start();
-      traces.push_back(std::move(trace));
-      generators.push_back(std::move(gen));
+      node.add_stream(
+          bg, 0.17 * static_cast<double>(k + 1), 0xb67u + k, 100 + k,
+          [&sp, fn] { sp.submit(fn, [](const workload::QueryRecord&) {}); },
+          /*start_now=*/true);
       ++k;
     }
   }
@@ -145,10 +133,6 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
   // Foreground service under the chosen deployment system.
   ManagedRunResult result;
   result.qos_target_s = foreground.qos_target_s;
-  result.duration_s = duration;
-
-  auto fg_trace = std::make_unique<workload::DiurnalTrace>(
-      diurnal_for(foreground, opt.period_s), opt.seed ^ 0x51u);
   // User queries past warm-up, and their full records if asked for.
   const workload::QueryCompletionFn fg_observer =
       [&result, warmup_s = opt.warmup_s,
@@ -158,7 +142,7 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
         if (keep) result.records.push_back(rec);
       };
 
-  std::unique_ptr<core::AmoebaRuntime> runtime;
+  core::AmoebaRuntime* runtime = nullptr;
   workload::ArrivalFn fg_arrival;
   std::function<void()> nameko_boot;  // must outlive the event loop
   // The foreground's handles, for its usage: a VM, a function, or both.
@@ -167,25 +151,21 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
 
   switch (system) {
     case DeploySystem::kNameko: {
-      iaas::VirtualMachine& vm =
-          ip.register_service(foreground, just_enough_vm(foreground, cluster));
+      iaas::VirtualMachine& vm = node.ip.register_service(
+          foreground, just_enough_vm(foreground, cluster));
       fg_vm = &vm;
-      if (node.faults) {
-        // Injected boot failures: keep rebooting until the VM sticks, and
-        // shed arrivals while it is down (a pure-IaaS outage loses queries).
-        nameko_boot = [&engine, &vm, &nameko_boot] {
-          vm.boot([] {}, [&engine, &nameko_boot] {
-            engine.schedule_in(1.0, [&nameko_boot] { nameko_boot(); });
-          });
-        };
-        nameko_boot();
-        fg_arrival = [&vm, fg_observer] {
-          if (vm.state() == iaas::VmState::kRunning) vm.submit(fg_observer);
-        };
-      } else {
-        vm.boot([] {});
-        fg_arrival = [&vm, fg_observer] { vm.submit(fg_observer); };
-      }
+      // Injected boot failures: keep rebooting until the VM sticks, and
+      // shed arrivals while it is down (a pure-IaaS outage loses queries).
+      // Fault-free, the first boot sticks before the load starts.
+      nameko_boot = [&engine = node.engine, &vm, &nameko_boot] {
+        vm.boot([] {}, [&engine, &nameko_boot] {
+          engine.schedule_in(1.0, [&nameko_boot] { nameko_boot(); });
+        });
+      };
+      nameko_boot();
+      fg_arrival = [&vm, fg_observer] {
+        if (vm.state() == iaas::VmState::kRunning) vm.submit(fg_observer);
+      };
       break;
     }
     case DeploySystem::kOpenWhisk: {
@@ -195,52 +175,32 @@ ManagedRunResult run_managed(const workload::FunctionProfile& foreground,
       break;
     }
     default: {
+      // An override replaces the tuning, not the system's ablation.
       core::AmoebaConfig cfg =
-          opt.amoeba.has_value()
-              ? *opt.amoeba
-              : default_amoeba_config(system, opt.timeline_period_s);
-      if (opt.observer != nullptr) cfg.observer = opt.observer;
-      cfg.fault_injector = node.faults.get();
+          opt.amoeba.value_or(default_amoeba_config(system));
+      ablate(cfg, system);
+      cfg.timeline_period_s = opt.timeline_period_s;
       const auto vm_spec = just_enough_vm(foreground, cluster);
-      runtime = std::make_unique<core::AmoebaRuntime>(
-          engine, sp, ip, calibration, foreground, vm_spec, artifacts,
-          n_max_for(vm_spec), cfg, node.rng.fork(3));
-      runtime->start();
+      runtime = &node.start_runtime(cfg, calibration, foreground, vm_spec,
+                                    artifacts, n_max_for(vm_spec), 3);
       fg_vm = &runtime->execution_engine().vm();
       fg_fn = runtime->execution_engine().function();
-      fg_arrival = [rt = runtime.get(), fg_observer] {
-        rt->submit(fg_observer);
-      };
+      fg_arrival = [runtime, fg_observer] { runtime->submit(fg_observer); };
       break;
     }
   }
+  node.add_stream(foreground, 0.0, 0x51u, 7, std::move(fg_arrival));
 
-  auto fg_gen = std::make_unique<workload::PoissonLoadGenerator>(
-      engine, node.rng.fork(7),
-      [t = fg_trace.get()](double now) { return t->rate(now); },
-      fg_trace->max_rate(), std::move(fg_arrival));
-
-  // Start the foreground load only after the IaaS VM could have booted (the
-  // warmup window absorbs it; warmup records are dropped anyway).
-  const double fg_start = std::min(cluster.iaas.vm_boot_s + 2.0,
-                                   std::max(opt.warmup_s - 1.0, 0.0));
-  engine.schedule(fg_start, [g = fg_gen.get()] { g->start(); });
-
-  engine.run_until(duration);
-
-  for (auto& g : generators) g->stop();
-  fg_gen->stop();
-  if (runtime) runtime->stop();
+  node.run_day(result);
 
   result.queries = result.latencies.size();
-  result.usage = core::service_usage(fg_vm, sp, fg_fn, duration);
-  if (runtime) {
+  result.usage = core::service_usage(fg_vm, sp, fg_fn, node.duration_s);
+  if (runtime != nullptr) {
     result.switches = runtime->switch_events();
     result.switch_aborts = runtime->execution_engine().switch_aborts();
     result.switch_retries = runtime->execution_engine().switch_retries();
     if (runtime->timeline_period() > 0.0) result.timeline = runtime->timeline();
   }
-  node.finish(result);
   return result;
 }
 

@@ -62,31 +62,28 @@ enum class DeploySystem {
 [[nodiscard]] const char* to_string(DeploySystem s) noexcept;
 
 /// The AmoebaConfig run_managed uses for the managed systems (margins,
-/// hysteresis, prewarm headroom, anticipation window). Exposed so cluster
+/// hysteresis, prewarm headroom, anticipation window), with `system`'s
+/// ablation applied (NoM: no PCA, NoP: no prewarm). Exposed so cluster
 /// runs and ablations start from the same tuning as the single-service
 /// experiments.
-[[nodiscard]] core::AmoebaConfig default_amoeba_config(
-    DeploySystem system, double timeline_period_s);
+[[nodiscard]] core::AmoebaConfig default_amoeba_config(DeploySystem system);
 
-struct ManagedRunOptions {
-  double period_s = 1200.0;      ///< compressed "day"
+/// One simulated day on the node: the options every driver takes (the
+/// base of ManagedRunOptions and SharedNodeOptions). SimNode
+/// (node_driver.hpp) sets the day up, runs it and ends it.
+struct DayOptions {
+  double period_s = 1200.0;  ///< compressed "day"
   double duration_days = 1.0;
+  /// Must cover the IaaS VM boot + 3 s; queries arriving earlier are not
+  /// counted.
   double warmup_s = 60.0;
-  bool with_background = true;   ///< float/dd/cloud_stor at low peak (§VII-A)
-  double background_peak_fraction = 0.30;
-  /// Forwarded to AmoebaConfig::timeline_period_s: 0 follows the monitor
-  /// sample period, negative disables timelines, positive as given.
-  double timeline_period_s = 0.0;
   std::uint64_t seed = 42;
-  /// Keep every foreground QueryRecord in the result (windowed analyses).
-  bool keep_records = false;
-  /// Overrides for ablation studies; defaults follow AmoebaConfig.
-  std::optional<core::AmoebaConfig> amoeba;
-  /// Observability sink attached to the Amoeba runtime (non-owning;
-  /// nullptr = disabled). Ignored by the pure baselines, which have no
-  /// control loop to observe. Takes precedence over `amoeba->observer`.
+  /// Observability sink wired into every Amoeba runtime of the day
+  /// (non-owning; nullptr = disabled). DecisionRecords and switch spans
+  /// carry the service name, so one sink disentangles N control loops. The
+  /// pure baselines have no control loop to observe.
   obs::Observer* observer = nullptr;
-  /// Self-profiler for the run (non-owning; nullptr = disabled). run_managed
+  /// Self-profiler for the run (non-owning; nullptr = disabled). The day
   /// attaches it to the calling thread and the engine for the duration of
   /// the run; wall time is attributed per obs::ProfDomain into sim-time
   /// buckets. Pure bookkeeping — the event trace is identical with or
@@ -94,9 +91,23 @@ struct ManagedRunOptions {
   obs::Profiler* profiler = nullptr;
   /// Fault injection rates. All-zero (the default) runs fault-free and is
   /// byte-identical to a build without the subsystem; any nonzero rate
-  /// attaches a FaultInjector (seeded from the run seed, fork 4) to the
-  /// container pool, the VM fleet and the contention monitor.
+  /// attaches one FaultInjector (seeded from the run seed, fork 4) to the
+  /// container pool, the VM fleet and every contention monitor.
   sim::FaultConfig faults;
+};
+
+struct ManagedRunOptions : DayOptions {
+  bool with_background = true;   ///< float/dd/cloud_stor at low peak (§VII-A)
+  double background_peak_fraction = 0.30;
+  /// Forwarded to AmoebaConfig::timeline_period_s: 0 follows the monitor
+  /// sample period, negative disables timelines, positive as given.
+  double timeline_period_s = 0.0;
+  /// Keep every foreground QueryRecord in the result (windowed analyses).
+  bool keep_records = false;
+  /// Tuning override for ablation studies, in place of
+  /// default_amoeba_config. The system's own ablation (NoM, NoP) and
+  /// `timeline_period_s` still apply on top of it.
+  std::optional<core::AmoebaConfig> amoeba;
 };
 
 /// What every run reports about the node it ran on (SimNode,

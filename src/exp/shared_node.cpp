@@ -23,18 +23,16 @@ constexpr double kRenormPeriodS = 5.0;
 /// own the window; same rationale as the runtime's 21-sample rule).
 constexpr std::size_t kRenormMinSamples = 12;
 
-/// The AmoebaConfig of one stage's runtime.
-core::AmoebaConfig stage_config(const SharedNodeOptions& opt,
-                                double timeline_period_s,
-                                workload::StagePin pin) {
-  core::AmoebaConfig cfg =
-      opt.amoeba.has_value()
-          ? *opt.amoeba
-          : default_amoeba_config(DeploySystem::kAmoeba, timeline_period_s);
-  if (!opt.amoeba.has_value()) {
-    cfg.controller.to_serverless_margin = 0.50;
-    cfg.controller.to_iaas_margin = 0.70;
-  }
+/// The AmoebaConfig of one stage's runtime: default_amoeba_config(kAmoeba)
+/// with tighter switch margins (0.50 out, 0.70 back) and no timeline. The
+/// pressure inputs are caused by live co-tenants whose own controllers
+/// react in the same tick, so predictions carry more error than against
+/// scripted noise — leave earlier, return later.
+core::AmoebaConfig stage_config(workload::StagePin pin) {
+  core::AmoebaConfig cfg = default_amoeba_config(DeploySystem::kAmoeba);
+  cfg.controller.to_serverless_margin = 0.50;
+  cfg.controller.to_iaas_margin = 0.70;
+  cfg.timeline_period_s = -1.0;
   switch (pin) {
     case workload::StagePin::kManaged:
       break;
@@ -68,7 +66,7 @@ struct InFlightQuery {
 struct QueryRouter {
   const std::vector<NodeFlow>& flows;
   const std::vector<std::size_t>& first_stage;  ///< per flow
-  std::vector<std::unique_ptr<core::AmoebaRuntime>>& runtimes;
+  const std::vector<std::unique_ptr<core::AmoebaRuntime>>& runtimes;
   NodeRun& run;
   double warmup_s;
   obs::Observer* observer;
@@ -158,22 +156,62 @@ struct QueryRouter {
 
 }  // namespace
 
-SimNode::SimNode(const ClusterConfig& cluster, std::uint64_t seed,
-                 const sim::FaultConfig& fault_config,
-                 obs::Profiler* profiler)
-    : prof_attach(profiler),
-      rng(seed),
+SimNode::SimNode(const ClusterConfig& cluster, const DayOptions& options)
+    : day(options),
+      duration_s(options.warmup_s + options.period_s * options.duration_days),
+      load_start_s(std::min(cluster.iaas.vm_boot_s + 2.0,
+                            std::max(options.warmup_s - 1.0, 0.0))),
+      prof_attach(options.profiler),
+      rng(options.seed),
       sp(engine, cluster.serverless, rng.fork(1)),
       ip(engine, cluster.iaas, rng.fork(2)) {
-  if (profiler != nullptr) engine.set_profiler(profiler);
-  if (fault_config.any()) {
-    faults = std::make_unique<sim::FaultInjector>(fault_config, rng.fork(4));
+  AMOEBA_EXPECTS(day.period_s > 0.0 && day.duration_days > 0.0);
+  AMOEBA_EXPECTS_MSG(day.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
+                     "warmup must cover the VM boot time");
+  if (day.profiler != nullptr) engine.set_profiler(day.profiler);
+  if (day.faults.any()) {
+    faults = std::make_unique<sim::FaultInjector>(day.faults, rng.fork(4));
     sp.set_fault_injector(faults.get());
     ip.set_fault_injector(faults.get());
   }
 }
 
-void SimNode::finish(NodeRunResult& r) const {
+core::AmoebaRuntime& SimNode::start_runtime(
+    core::AmoebaConfig cfg, const core::MeterCalibration& calibration,
+    const workload::FunctionProfile& profile, const iaas::VmSpec& vm,
+    const core::ServiceArtifacts& artifacts, int n_max, std::uint64_t fork) {
+  cfg.observer = day.observer;
+  cfg.fault_injector = faults.get();
+  runtimes.push_back(std::make_unique<core::AmoebaRuntime>(
+      engine, sp, ip, calibration, profile, vm, artifacts, n_max, cfg,
+      rng.fork(fork)));
+  runtimes.back()->start();
+  return *runtimes.back();
+}
+
+void SimNode::add_stream(const workload::FunctionProfile& profile,
+                         double phase, std::uint64_t noise_salt,
+                         std::uint64_t fork, workload::ArrivalFn on_arrival,
+                         bool start_now) {
+  auto& trace = traces_.emplace_back(std::make_unique<workload::DiurnalTrace>(
+      diurnal_for(profile, day.period_s, phase), day.seed ^ noise_salt));
+  auto& gen = generators_.emplace_back(
+      std::make_unique<workload::PoissonLoadGenerator>(
+          engine, rng.fork(fork),
+          [t = trace.get()](double now) { return t->rate(now); },
+          trace->max_rate(), std::move(on_arrival)));
+  if (start_now) {
+    gen->start();
+  } else {
+    engine.schedule(load_start_s, [g = gen.get()] { g->start(); });
+  }
+}
+
+void SimNode::run_day(NodeRunResult& r) {
+  engine.run_until(duration_s);
+  for (auto& gen : generators_) gen->stop();
+  for (auto& rt : runtimes) rt->stop();
+  r.duration_s = duration_s;
   if (faults) r.fault_counters = faults->counters();
   r.trace_hash = engine.trace_hash();
   r.events_executed = engine.executed();
@@ -206,14 +244,11 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
                         const ClusterConfig& cluster,
                         const core::MeterCalibration& calibration,
                         const SharedNodeOptions& opt, BudgetMode budget_mode,
-                        double timeline_period_s, bool keep_records) {
-  AMOEBA_EXPECTS(opt.period_s > 0.0 && opt.duration_days > 0.0);
-  AMOEBA_EXPECTS_MSG(opt.warmup_s >= cluster.iaas.vm_boot_s + 3.0,
-                     "warmup must cover the VM boot time");
+                        bool keep_records) {
   AMOEBA_EXPECTS(opt.node_container_budget > 0);
   AMOEBA_EXPECTS(opt.meter_reserve_containers >= 3);
 
-  SimNode node(cluster, opt.seed, opt.faults, opt.profiler);
+  SimNode node(cluster, opt);
   sim::Engine& engine = node.engine;
 
   // Meter reserve: register the three meter functions FIRST, each capped at
@@ -297,30 +332,21 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   // capped at ~4 QPS per meter regardless of N.
   const double probe_qps =
       std::min(workload::kMeterProbeQps, 4.0 / static_cast<double>(n));
-  std::vector<std::unique_ptr<core::AmoebaRuntime>> runtimes;
-  runtimes.reserve(n);
   for (std::size_t f = 0; f < flows.size(); ++f) {
     for (int k = 0; k < flows[f].graph.size(); ++k) {
       const FlowStage& fs = flows[f].stages[static_cast<std::size_t>(k)];
       const std::size_t si = first_stage[f] + static_cast<std::size_t>(k);
-      core::AmoebaConfig cfg = stage_config(opt, timeline_period_s,
-                                            flows[f].graph.stage(k).pin);
+      core::AmoebaConfig cfg = stage_config(flows[f].graph.stage(k).pin);
       cfg.monitor.probe_qps = probe_qps;
       cfg.stage_id = fs.audit_stage;
-      if (opt.observer != nullptr) cfg.observer = opt.observer;
-      cfg.fault_injector = node.faults.get();
       run.stages[si].n_max_granted = grants[si];
-      auto runtime = std::make_unique<core::AmoebaRuntime>(
-          engine, node.sp, node.ip, calibration, profiles[si], vm_specs[si],
-          *fs.artifacts, grants[si], cfg,
-          node.rng.fork(1000 + static_cast<std::uint64_t>(si)));
-      runtime->start();
-      runtimes.push_back(std::move(runtime));
+      node.start_runtime(cfg, calibration, profiles[si], vm_specs[si],
+                         *fs.artifacts, grants[si], 1000 + si);
     }
   }
 
   const bool aware = budget_mode == BudgetMode::kEndToEndAware;
-  QueryRouter router{flows, first_stage, runtimes, run, opt.warmup_s,
+  QueryRouter router{flows, first_stage, node.runtimes, run, opt.warmup_s,
                      opt.observer, keep_records};
   router.live.resize(flows.size());
   if (aware) router.renorm_window.resize(n);
@@ -348,7 +374,7 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
             std::clamp(b[static_cast<std::size_t>(k)], floors[si],
                        flows[f].e2e_qos_target_s);
         if (target != run.stages[si].final_budget_s) {
-          runtimes[si]->set_qos_target(target);
+          node.runtimes[si]->set_qos_target(target);
           run.stages[si].final_budget_s = target;
         }
       }
@@ -358,43 +384,23 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   if (aware) renorm_event = engine.schedule_in(kRenormPeriodS, renorm);
 
   // --- Load: one Poisson stream at each flow's roots ----------------------
-  std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
-  std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> generators;
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const std::size_t root =
         first_stage[f] +
         static_cast<std::size_t>(flows[f].graph.roots().front());
-    auto trace = std::make_unique<workload::DiurnalTrace>(
-        diurnal_for(profiles[root], opt.period_s, flows[f].phase),
-        opt.seed ^ (0x51u + static_cast<unsigned>(f)));
-    generators.push_back(std::make_unique<workload::PoissonLoadGenerator>(
-        engine, node.rng.fork(2000 + static_cast<std::uint64_t>(f)),
-        [t = trace.get()](double now) { return t->rate(now); },
-        trace->max_rate(),
-        [&router, &engine, f] { router.inject(f, engine.now()); }));
-    traces.push_back(std::move(trace));
-  }
-  // Load starts after the IaaS VMs could have booted, inside warmup (same
-  // rule as run_managed; warmup records are dropped anyway).
-  const double load_start = std::min(cluster.iaas.vm_boot_s + 2.0,
-                                     std::max(opt.warmup_s - 1.0, 0.0));
-  for (auto& gen : generators) {
-    engine.schedule(load_start, [g = gen.get()] { g->start(); });
+    node.add_stream(profiles[root], flows[f].phase, 0x51u + f, 2000 + f,
+                    [&router, &engine, f] { router.inject(f, engine.now()); });
   }
 
-  const double duration = opt.warmup_s + opt.period_s * opt.duration_days;
-  engine.run_until(duration);
-
-  for (auto& gen : generators) gen->stop();
+  node.run_day(run);
   if (renorm_event != sim::kNoEvent) engine.cancel(renorm_event);
-  for (auto& rt : runtimes) rt->stop();
   router.finish(engine.now());
 
   // --- Collection ---------------------------------------------------------
-  run.duration_s = duration;
+  const double duration = node.duration_s;
   for (std::size_t si = 0; si < n; ++si) {
     StageRun& st = run.stages[si];
-    core::AmoebaRuntime& rt = *runtimes[si];
+    core::AmoebaRuntime& rt = *node.runtimes[si];
     st.usage = rt.usage(duration);
     st.switches = rt.switch_events();
     st.switch_aborts = rt.execution_engine().switch_aborts();
@@ -417,7 +423,6 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   run.peak_pool_containers = node.sp.pool().peak_total_containers();
   run.peak_pool_memory_mb = node.sp.pool().peak_memory_in_use_mb();
   run.pool_evictions = node.sp.pool().evictions();
-  node.finish(run);
   for (const FlowRun& fr : run.flows) {
     AMOEBA_ENSURES_VALS(fr.injected == fr.completed + fr.unfinished,
                         fr.injected, fr.completed, fr.unfinished);

@@ -6,9 +6,9 @@
 // target. A cluster tenant is a one-stage flow (run_cluster, cluster.hpp);
 // a product DAG is one flow (run_callgraph, callgraph.hpp). The driver,
 // run_shared_node (node_driver.hpp, internal to exp/), does everything
-// those two adapters have in common:
-//   - the node: engine, rng, the ONE serverless and ONE IaaS platform and
-//     the fault injector (SimNode; run_managed builds its node from it too);
+// those two adapters have in common. The day itself (the node, its diurnal
+// streams and runtimes, the load start and the end of the day) is SimNode's,
+// which runs run_managed's day too. What the driver adds:
 //   - the meter reserve and the shared-pool container budget split;
 //   - one AmoebaRuntime per stage: pins, switch margins, budgets and their
 //     renormalization;
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,33 +34,13 @@ namespace amoeba::exp {
 
 /// Options every shared-node run takes: the base of ClusterRunOptions and
 /// CallGraphRunOptions.
-struct SharedNodeOptions {
-  double period_s = 1200.0;  ///< compressed "day"
-  double duration_days = 1.0;
-  double warmup_s = 60.0;
-  std::uint64_t seed = 42;
+struct SharedNodeOptions : DayOptions {
   /// Node-wide container budget (Table II: 32 GB pool / 256 MB = 128).
   int node_container_budget = 128;
   /// Containers withheld from the stage split for the three contention
   /// meters (divided equally; at least 1 per meter). Meters are registered
   /// with this as their per-function n_max before any runtime starts.
   int meter_reserve_containers = 15;
-  /// Override the per-runtime Amoeba tuning. The default is
-  /// default_amoeba_config(kAmoeba) with tighter switch margins (0.50 out,
-  /// 0.70 back): the pressure inputs are caused by live co-tenants whose
-  /// own controllers react in the same tick, so predictions carry more
-  /// error than against scripted noise — leave earlier, return later.
-  std::optional<core::AmoebaConfig> amoeba;
-  /// Observability sink shared by every runtime (non-owning; nullptr =
-  /// disabled). DecisionRecords and switch spans carry the service name,
-  /// so one sink disentangles N control loops.
-  obs::Observer* observer = nullptr;
-  /// Self-profiler for the run (non-owning; nullptr = disabled): same
-  /// semantics as ManagedRunOptions::profiler.
-  obs::Profiler* profiler = nullptr;
-  /// Fault injection (one injector seeded from the run seed, shared by the
-  /// pool, the VM fleet and every monitor — as in run_managed).
-  sim::FaultConfig faults;
 };
 
 /// How a flow's end-to-end QoS target decomposes into per-stage budgets.

@@ -145,21 +145,6 @@ class ServerlessPlatform {
   [[nodiscard]] double cpu_core_seconds(FunctionId fn) const;
   double memory_mb_seconds(FunctionId fn, sim::Time now);
 
-  /// Ground-truth instantaneous pressures (tests/validation only; the
-  /// Amoeba controller must not read these — it estimates them via meters).
-  [[nodiscard]] double true_cpu_pressure() const { return cpu_.pressure(); }
-  [[nodiscard]] double true_disk_pressure() const { return disk_.pressure(); }
-  [[nodiscard]] double true_net_pressure() const { return net_.pressure(); }
-  /// Ground-truth instantaneous utilizations (allocated rate / capacity).
-  [[nodiscard]] double true_cpu_utilization() const {
-    return cpu_.utilization();
-  }
-  [[nodiscard]] double true_disk_utilization() const {
-    return disk_.utilization();
-  }
-  [[nodiscard]] double true_net_utilization() const {
-    return net_.utilization();
-  }
   /// Ground-truth per-function demand attribution over {cpu, disk, net},
   /// each as a fraction of that resource's capacity. Fed by the stream tags
   /// every invocation phase carries, so it reflects what is *live* right

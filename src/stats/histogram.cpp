@@ -5,65 +5,6 @@
 
 namespace amoeba::stats {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  AMOEBA_EXPECTS(hi > lo);
-  AMOEBA_EXPECTS(bins > 0);
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  auto bin = static_cast<std::size_t>((x - lo_) / width_);
-  if (bin >= counts_.size()) bin = counts_.size() - 1;  // float edge at hi
-  counts_[bin] += weight;
-}
-
-std::uint64_t Histogram::count(std::size_t bin) const {
-  AMOEBA_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  AMOEBA_EXPECTS(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_high(std::size_t bin) const {
-  AMOEBA_EXPECTS(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::quantile(double q) const {
-  AMOEBA_EXPECTS(total_ > 0);
-  AMOEBA_EXPECTS(q >= 0.0 && q <= 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (target <= cum) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (target <= next && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bin_low(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-void Histogram::clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  underflow_ = overflow_ = total_ = 0;
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t bins_per_decade) {
   AMOEBA_EXPECTS(lo > 0.0 && hi > lo);
   AMOEBA_EXPECTS(bins_per_decade > 0);

@@ -1,4 +1,4 @@
-// Fixed-width and logarithmic histograms for latency distributions.
+// Logarithmic histogram for latency distributions.
 #pragma once
 
 #include <cstddef>
@@ -9,33 +9,6 @@
 #include "common/assert.hpp"
 
 namespace amoeba::stats {
-
-/// Linear-bin histogram over [lo, hi) with out-of-range under/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const;
-  [[nodiscard]] double bin_low(std::size_t bin) const;
-  [[nodiscard]] double bin_high(std::size_t bin) const;
-
-  /// Quantile estimate by linear interpolation within the containing bin.
-  /// Requires total() > 0 and q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
-  void clear();
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
 
 /// Log-spaced histogram for values spanning several decades (latencies).
 class LogHistogram {

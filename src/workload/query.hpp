@@ -23,12 +23,10 @@ struct LatencyBreakdown {
     return queue_s + cold_start_s + overhead_s + code_load_s + exec_s + post_s;
   }
 
-  /// Fraction of end-to-end latency that is platform overhead rather than
-  /// useful execution (Fig. 4's claim: 10–45%). Excludes queue + cold start
-  /// exactly as the paper's figure does.
-  [[nodiscard]] double overhead_fraction() const noexcept {
-    const double t = overhead_s + code_load_s + exec_s + post_s;
-    return t > 0.0 ? (overhead_s + code_load_s + post_s) / t : 0.0;
+  /// Service time: the latency without the queueing and cold-start wait,
+  /// what the latency surfaces and the contention meters are fitted to.
+  [[nodiscard]] double service_s() const noexcept {
+    return total() - queue_s - cold_start_s;
   }
 };
 

@@ -128,6 +128,21 @@ TEST(Controller, ForecastBelowLoadIsIgnored) {
   }
 }
 
+TEST(Controller, RisingForecastWithholdsSwitchToServerless) {
+  // On IaaS the to-serverless vote also judges max(load, forecast): a
+  // measured load the pool could hold does not move a service whose load
+  // is about to outgrow it.
+  DeploymentController c(config(), 0.5, artifacts());
+  auto in = input(20.0, 0.0, 4);  // λmax ≈ 36 with n=4, μ=10; 20 < 0.8·36
+  in.forecast_load_qps = 60.0;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(c.tick(in), SwitchDecision::kStay);
+  }
+  in.forecast_load_qps = 0.0;  // the rush is over: the measured load decides
+  EXPECT_EQ(c.tick(in), SwitchDecision::kStay);  // vote 1
+  EXPECT_EQ(c.tick(in), SwitchDecision::kSwitchToServerless);
+}
+
 TEST(Controller, ObservedViolationBackstopTriggersSwitch) {
   DeploymentController c(config(), 0.5, artifacts());
   c.set_mode(DeployMode::kServerless);

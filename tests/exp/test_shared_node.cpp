@@ -7,8 +7,8 @@
 // faults injected, and a diamond call graph in each budget mode. They were
 // recorded on the two separate drivers the shared one replaced. The
 // managed anchors pin one small run_managed day per deployment system plus
-// one fault-injected Amoeba day: the trace hash and a hash of every result
-// field the figures read. Any change to set-up order, rng forks,
+// fault-injected Amoeba, Nameko and OpenWhisk days: the trace hash and a
+// hash of every result field the figures read. Any change to set-up order, rng forks,
 // arbitration, budgets or result collection moves them; a change that
 // moves numerics on purpose re-records them and says so.
 //
@@ -272,20 +272,59 @@ TEST(DriverAnchor, ManagedDaysAreBitIdenticalToRecordedHashes) {
     EXPECT_EQ(hex(managed_result_hash(r)), a.result) << "result";
   }
 
-  // Boot failures high enough that one switch retries and one aborts.
+  // Boot failures high enough that one Amoeba switch retries and one
+  // aborts, and that Nameko's VM reboots and sheds arrivals while down.
   sim::FaultConfig faults;
   faults.container_boot_failure_p = 0.4;
   faults.container_straggler_p = 0.10;
   faults.vm_boot_failure_p = 0.5;
   faults.meter_drop_p = 0.10;
   faults.meter_outlier_p = 0.05;
-  const auto r = run_managed_day(DeploySystem::kAmoeba, faults);
-  ASSERT_GT(r.fault_counters.total(), 0u) << "no faults actually injected";
-  EXPECT_GT(r.switch_aborts, 0u);
-  EXPECT_GT(r.switch_retries, 0u);
-  EXPECT_EQ(hex(r.trace_hash), "0x764d9ddd39c5b223") << "faulty trace";
-  EXPECT_EQ(hex(managed_result_hash(r)), "0x4cb7cc1c3442e01e")
-      << "faulty result";
+  const Anchor faulty[] = {
+      {DeploySystem::kAmoeba, "0x764d9ddd39c5b223", "0x4cb7cc1c3442e01e"},
+      {DeploySystem::kNameko, "0xc4730ff28fa074ca", "0x26bb3baf3d17bfbf"},
+      {DeploySystem::kOpenWhisk, "0x6e90eda18cef1acd", "0x1198b5388b5d5836"},
+  };
+  for (const Anchor& a : faulty) {
+    SCOPED_TRACE(std::string("faulty ") + to_string(a.system));
+    const auto r = run_managed_day(a.system, faults);
+    ASSERT_GT(r.fault_counters.total(), 0u) << "no faults actually injected";
+    if (a.system == DeploySystem::kAmoeba) {
+      EXPECT_GT(r.switch_aborts, 0u);
+      EXPECT_GT(r.switch_retries, 0u);
+    }
+    if (a.system == DeploySystem::kNameko) {
+      EXPECT_GT(r.fault_counters.vm_boot_failures, 0u);
+    }
+    EXPECT_EQ(hex(r.trace_hash), a.trace) << "faulty trace";
+    EXPECT_EQ(hex(managed_result_hash(r)), a.result) << "faulty result";
+  }
+}
+
+TEST(DriverAnchor, AmoebaOverrideKeepsTheSystemsAblation) {
+  // The four tuning ablations hand run_managed a full AmoebaConfig. The
+  // system's own ablation (NoM: no PCA, NoP: no prewarm) still applies on
+  // top of it: these days equal the anchors above, recorded without one.
+  struct Anchor {
+    DeploySystem system;
+    const char* trace;
+    const char* result;
+  };
+  const Anchor anchors[] = {
+      {DeploySystem::kAmoebaNoM, "0xae9b98a595c3d16c", "0xeef0527504a3dd68"},
+      {DeploySystem::kAmoebaNoP, "0xb2a82d7868326258", "0x65875908aaf90144"},
+  };
+  const Fixture& f = fix();
+  for (const Anchor& a : anchors) {
+    SCOPED_TRACE(to_string(a.system));
+    ManagedRunOptions opt;
+    small_day(opt, 17);
+    opt.amoeba = default_amoeba_config(DeploySystem::kAmoeba);
+    const auto r = run_managed(f.float_base, a.system, f.cluster,
+                               f.calibration, f.float_artifacts, opt);
+    EXPECT_EQ(hex(r.trace_hash), a.trace) << "trace";
+    EXPECT_EQ(hex(managed_result_hash(r)), a.result) << "result";
+  }
 }
 
 TEST(ClusterCallGraph, OneStageGraphEqualsOneTenantCluster) {

@@ -7,68 +7,6 @@
 namespace amoeba::stats {
 namespace {
 
-TEST(Histogram, BinsValuesCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(9.99);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, UnderOverflowTracked) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-0.1);
-  h.add(1.0);  // hi is exclusive
-  h.add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(3.0, 5);
-  EXPECT_EQ(h.count(3), 5u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-}
-
-TEST(Histogram, QuantileApproximatesExact) {
-  Histogram h(0.0, 1.0, 1000);
-  sim::Rng rng(11);
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.01);
-  EXPECT_NEAR(h.quantile(0.95), 0.95, 0.01);
-}
-
-TEST(Histogram, QuantileRequiresSamples) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_THROW((void)h.quantile(0.5), ContractError);
-}
-
-TEST(Histogram, ClearResets) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.5);
-  h.clear();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.count(2), 0u);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ContractError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractError);
-}
-
 TEST(LogHistogram, SpansDecades) {
   LogHistogram h(1e-3, 1e3, 10);
   h.add(0.01);
