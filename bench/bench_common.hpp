@@ -61,7 +61,7 @@ class BenchJson {
   }
 
   /// Write to `path`; returns false (with a note on stderr) on I/O failure.
-  bool write(const std::string& path) const {
+  [[nodiscard]] bool write(const std::string& path) const {
     std::ofstream out(path);
     if (!out) {
       std::cerr << "BENCH json: cannot open " << path << "\n";

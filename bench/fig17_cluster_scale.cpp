@@ -236,6 +236,6 @@ int main(int argc, char** argv) {
   std::cout << "\nexpected: violations track the solo baselines, total\n"
                "core-hours undercut all-Nameko, and same-seed runs hash\n"
                "identically at every N.\n";
-  if (!flags.json_out.empty()) json.write(flags.json_out);
+  if (!flags.json_out.empty() && !json.write(flags.json_out)) return 1;
   return ok ? 0 : 1;
 }

@@ -224,6 +224,6 @@ int main(int argc, char** argv) {
                " (SLO violation or extra rented cores); the end-to-end"
                " aware split meets the SLO at no worse cost, and every"
                " same-seed rerun hashes identically.\n";
-  if (!flags.json_out.empty()) json.write(flags.json_out);
+  if (!flags.json_out.empty() && !json.write(flags.json_out)) return 1;
   return ok ? 0 : 1;
 }

@@ -120,9 +120,6 @@ class AmoebaRuntime {
   /// monitor sample period when the config left it at 0. <= 0 = disabled.
   [[nodiscard]] double timeline_period() const;
 
-  /// The attached observability sink (nullptr when disabled).
-  [[nodiscard]] obs::Observer* observer() const noexcept { return obs_; }
-
  private:
   void on_sample();
   void sample_timelines();

@@ -59,10 +59,6 @@ class BudgetDecomposer {
   [[nodiscard]] const std::vector<double>& weights() const noexcept {
     return weights_;
   }
-  [[nodiscard]] double target() const noexcept { return target_s_; }
-  [[nodiscard]] const workload::CallGraph& graph() const noexcept {
-    return graph_;
-  }
 
   /// The fixed-equal-budget baseline: every stage gets
   /// T / max_path_stages, independent of where the latency actually is.

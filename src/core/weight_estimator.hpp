@@ -80,7 +80,6 @@ class WeightEstimator {
   }
   [[nodiscard]] std::size_t samples() const noexcept { return window_.size(); }
   [[nodiscard]] std::size_t refits() const noexcept { return refits_; }
-  [[nodiscard]] double solo_latency() const noexcept { return l0_; }
 
  private:
   void maybe_refit();

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "exp/node_driver.hpp"
-#include "obs/json.hpp"
 
 namespace amoeba::exp {
 
@@ -63,43 +62,6 @@ CallGraphRunResult run_callgraph(
     result.stages.push_back(std::move(out));
   }
   return result;
-}
-
-std::string callgraph_summary_json(const CallGraphRunResult& r) {
-  std::string out = "{\"n_stages\": " +
-                    obs::json_number(static_cast<double>(r.stages.size()));
-  out += ", \"budget_mode\": \"" + std::string(to_string(r.budget_mode)) +
-         "\"";
-  add_json_member(out, "e2e_qos_target_s", r.e2e_qos_target_s);
-  add_json_member(out, "e2e_p95_s", r.e2e_p95());
-  add_json_member(out, "e2e_violation_fraction", r.e2e_violation_fraction());
-  add_json_member(out, "duration_s", r.duration_s);
-  out += ", \"trace_hash\": \"" + hash_hex(r.trace_hash) + "\"";
-  add_json_member(out, "root_injected", r.root_injected);
-  add_json_member(out, "queries_completed", r.queries_completed);
-  add_json_member(out, "queries_unfinished", r.queries_unfinished);
-  add_json_member(out, "total_core_hours", r.total_core_hours());
-  add_json_member(out, "total_memory_gb_hours", r.total_memory_gb_hours());
-  add_json_member(out, "peak_pool_containers", r.peak_pool_containers);
-  add_json_member(out, "prewarm_denied", r.prewarm_denied_total);
-  out += ", \"stages\": [";
-  for (std::size_t i = 0; i < r.stages.size(); ++i) {
-    const CallGraphStageResult& s = r.stages[i];
-    if (i > 0) out += ", ";
-    out += "{\"stage\": " + obs::json_number(static_cast<double>(s.stage));
-    out += ", \"name\": \"" + obs::json_escape(s.name) + "\"";
-    out += ", \"label\": \"" + obs::json_escape(s.label) + "\"";
-    out += ", \"pin\": \"" + std::string(workload::to_string(s.pin)) + "\"";
-    add_json_member(out, "initial_budget_s", s.initial_budget_s);
-    add_json_member(out, "final_budget_s", s.final_budget_s);
-    add_json_member(out, "submitted", s.submitted);
-    add_json_member(out, "finished", s.finished);
-    add_json_member(out, "p95_s", s.p95());
-    add_json_member(out, "switches", s.switches);
-    out += stage_json_members(s) + "}";
-  }
-  out += "]}";
-  return out;
 }
 
 Table callgraph_table(const CallGraphRunResult& r) {

@@ -101,9 +101,6 @@ struct CallGraphRunResult : SharedNodeResult {
     const ClusterConfig& cluster, const core::MeterCalibration& calibration,
     const CallGraphRunOptions& opt);
 
-/// Machine-readable summary (one JSON object; parses with obs::parse_json).
-[[nodiscard]] std::string callgraph_summary_json(const CallGraphRunResult& r);
-
 /// Human-readable per-stage table with a trailing end-to-end row.
 [[nodiscard]] Table callgraph_table(const CallGraphRunResult& r);
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "exp/node_driver.hpp"
-#include "obs/json.hpp"
 
 namespace amoeba::exp {
 
@@ -55,33 +54,6 @@ ClusterRunResult run_cluster(const std::vector<ClusterServiceSpec>& specs,
     result.services.push_back(std::move(svc));
   }
   return result;
-}
-
-std::string cluster_summary_json(const ClusterRunResult& r) {
-  std::string out = "{\"n_services\": " +
-                    obs::json_number(static_cast<double>(r.services.size()));
-  add_json_member(out, "duration_s", r.duration_s);
-  out += ", \"trace_hash\": \"" + hash_hex(r.trace_hash) + "\"";
-  add_json_member(out, "total_core_hours", r.total_core_hours());
-  add_json_member(out, "total_memory_gb_hours", r.total_memory_gb_hours());
-  add_json_member(out, "peak_pool_containers", r.peak_pool_containers);
-  add_json_member(out, "peak_pool_memory_mb", r.peak_pool_memory_mb);
-  add_json_member(out, "pool_evictions", r.pool_evictions);
-  add_json_member(out, "prewarm_denied", r.prewarm_denied_total);
-  out += ", \"services\": [";
-  for (std::size_t i = 0; i < r.services.size(); ++i) {
-    const ClusterServiceResult& s = r.services[i];
-    if (i > 0) out += ", ";
-    out += "{\"name\": \"" + obs::json_escape(s.name) + "\"";
-    add_json_member(out, "qos_target_s", s.qos_target_s);
-    add_json_member(out, "queries", s.queries);
-    add_json_member(out, "p95_s", s.p95());
-    add_json_member(out, "violation_fraction", s.violation_fraction());
-    add_json_member(out, "switches", s.switches.size());
-    out += stage_json_members(s) + "}";
-  }
-  out += "]}";
-  return out;
 }
 
 Table cluster_table(const ClusterRunResult& r) {

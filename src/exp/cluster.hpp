@@ -86,9 +86,6 @@ struct ClusterRunResult : SharedNodeResult {
 [[nodiscard]] std::vector<workload::FunctionProfile> cluster_tenants(
     int n, double peak_fraction);
 
-/// Machine-readable summary (one JSON object; parses with obs::parse_json).
-[[nodiscard]] std::string cluster_summary_json(const ClusterRunResult& r);
-
 /// Human-readable per-service table with a trailing TOTAL row.
 [[nodiscard]] Table cluster_table(const ClusterRunResult& r);
 

@@ -1,6 +1,6 @@
-// Internal to exp/: the one simulated day every driver runs (SimNode), the
-// shared-node driver behind run_cluster and run_callgraph (see
-// shared_node.hpp), and the summary-JSON pieces both adapters write.
+// Internal to exp/: the one simulated day every driver runs (SimNode) and
+// the shared-node driver behind run_cluster and run_callgraph (see
+// shared_node.hpp).
 #pragma once
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "exp/shared_node.hpp"
-#include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "workload/call_graph.hpp"
 
@@ -138,20 +137,5 @@ struct NodeRun : SharedNodeResult {
     const std::vector<NodeFlow>& flows, const ClusterConfig& cluster,
     const core::MeterCalibration& calibration, const SharedNodeOptions& opt,
     BudgetMode budget_mode, bool keep_records);
-
-/// "0x…" rendering of a trace hash for summary JSON.
-[[nodiscard]] std::string hash_hex(std::uint64_t h);
-
-/// Appends `, "key": value` to a JSON object under construction.
-template <typename Number>
-void add_json_member(std::string& out, const char* key, Number value) {
-  out += ", \"";
-  out += key;
-  out += "\": " + obs::json_number(static_cast<double>(value));
-}
-
-/// Summary-JSON members every stage reports, "switch_aborts" through
-/// "memory_mb_seconds", each prefixed with ", ".
-[[nodiscard]] std::string stage_json_members(const StageResultBase& s);
 
 }  // namespace amoeba::exp

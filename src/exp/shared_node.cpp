@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "core/budget_decomposer.hpp"
@@ -428,24 +427,6 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
                         fr.injected, fr.completed, fr.unfinished);
   }
   return run;
-}
-
-std::string hash_hex(std::uint64_t h) {
-  std::ostringstream os;
-  os << "0x" << std::hex << h;
-  return os.str();
-}
-
-std::string stage_json_members(const StageResultBase& s) {
-  std::string out;
-  add_json_member(out, "switch_aborts", s.switch_aborts);
-  add_json_member(out, "switch_retries", s.switch_retries);
-  add_json_member(out, "prewarm_denied", s.prewarm_denied);
-  add_json_member(out, "n_max_asked", s.n_max_asked);
-  add_json_member(out, "n_max_granted", s.n_max_granted);
-  add_json_member(out, "core_seconds", s.usage.cpu_core_seconds);
-  add_json_member(out, "memory_mb_seconds", s.usage.memory_mb_seconds);
-  return out;
 }
 
 }  // namespace amoeba::exp

@@ -49,31 +49,6 @@ void Table::print(std::ostream& os) const {
   print_rule();
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-void Table::write_csv(std::ostream& os) const {
-  auto write_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) os << ',';
-      os << csv_escape(cells[c]);
-    }
-    os << '\n';
-  };
-  write_row(headers_);
-  for (const auto& row : rows_) write_row(row);
-}
-
 std::string fmt_fixed(double x, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << x;
@@ -82,19 +57,6 @@ std::string fmt_fixed(double x, int precision) {
 
 std::string fmt_percent(double fraction, int precision) {
   return fmt_fixed(fraction * 100.0, precision) + "%";
-}
-
-std::string fmt_si(double x, int precision) {
-  static constexpr struct {
-    double scale;
-    const char* suffix;
-  } kUnits[] = {{1e9, "G"}, {1e6, "M"}, {1e3, "k"}};
-  for (const auto& u : kUnits) {
-    if (std::abs(x) >= u.scale) {
-      return fmt_fixed(x / u.scale, precision) + u.suffix;
-    }
-  }
-  return fmt_fixed(x, precision);
 }
 
 void print_banner(std::ostream& os, const std::string& experiment,

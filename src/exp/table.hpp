@@ -1,4 +1,4 @@
-// Plain-text table / CSV output for the figure and table benches.
+// Plain-text table output for the figure and table benches.
 #pragma once
 
 #include <iosfwd>
@@ -17,7 +17,6 @@ class Table {
   void add_row(std::vector<std::string> cells);
 
   void print(std::ostream& os) const;
-  void write_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t cols() const noexcept { return headers_.size(); }
@@ -30,7 +29,6 @@ class Table {
 /// Formatting helpers.
 [[nodiscard]] std::string fmt_fixed(double x, int precision = 3);
 [[nodiscard]] std::string fmt_percent(double fraction, int precision = 1);
-[[nodiscard]] std::string fmt_si(double x, int precision = 3);
 
 /// Standard bench banner: experiment id + the Table II cluster description.
 void print_banner(std::ostream& os, const std::string& experiment,

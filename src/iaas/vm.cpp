@@ -12,16 +12,6 @@ void VmSpec::validate() const {
   AMOEBA_EXPECTS(boot_s >= 0.0);
 }
 
-const char* to_string(VmState s) noexcept {
-  switch (s) {
-    case VmState::kStopped: return "stopped";
-    case VmState::kBooting: return "booting";
-    case VmState::kRunning: return "running";
-    case VmState::kDraining: return "draining";
-  }
-  return "?";
-}
-
 VirtualMachine::VirtualMachine(sim::Engine& engine,
                                workload::FunctionProfile profile, VmSpec spec,
                                sim::Rng rng, double disk_bps, double net_bps)
@@ -43,13 +33,11 @@ void VirtualMachine::advance_accounting(sim::Time now) {
   if (state_ != VmState::kStopped) {
     rented_core_s_ += spec_.cores * dt;
     rented_mb_s_ += spec_.memory_mb * dt;
-    uptime_s_ += dt;
   }
   mark_ = now;
   // Rented-resource integrals only ever grow while the VM is up.
-  AMOEBA_INVARIANT_VALS(rented_core_s_ >= 0.0 && rented_mb_s_ >= 0.0 &&
-                            uptime_s_ >= 0.0,
-                        rented_core_s_, rented_mb_s_, uptime_s_);
+  AMOEBA_INVARIANT_VALS(rented_core_s_ >= 0.0 && rented_mb_s_ >= 0.0,
+                        rented_core_s_, rented_mb_s_);
 }
 
 void VirtualMachine::boot(std::function<void()> on_ready,
@@ -223,11 +211,6 @@ double VirtualMachine::rented_memory_mb_seconds(sim::Time now) {
 
 double VirtualMachine::busy_core_seconds(sim::Time now) {
   return cpu_.busy_capacity_seconds(now);
-}
-
-double VirtualMachine::uptime_seconds(sim::Time now) {
-  advance_accounting(now);
-  return uptime_s_;
 }
 
 }  // namespace amoeba::iaas

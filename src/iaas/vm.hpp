@@ -34,8 +34,6 @@ struct VmSpec {
 
 enum class VmState : std::uint8_t { kStopped, kBooting, kRunning, kDraining };
 
-[[nodiscard]] const char* to_string(VmState s) noexcept;
-
 class VirtualMachine {
  public:
   VirtualMachine(sim::Engine& engine, workload::FunctionProfile profile,
@@ -69,8 +67,6 @@ class VirtualMachine {
   void submit(workload::QueryCompletionFn on_done);
 
   [[nodiscard]] VmState state() const noexcept { return state_; }
-  [[nodiscard]] int in_flight() const noexcept { return in_flight_; }
-  [[nodiscard]] const VmSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const workload::FunctionProfile& profile() const noexcept {
     return profile_;
   }
@@ -80,9 +76,6 @@ class VirtualMachine {
   double rented_memory_mb_seconds(sim::Time now);
   /// Core-seconds of actual compute done by queries (ground-truth busy).
   double busy_core_seconds(sim::Time now);
-
-  /// Total wall-clock seconds the VM has been up (booting+running+draining).
-  double uptime_seconds(sim::Time now);
 
   [[nodiscard]] std::uint64_t boot_failures() const noexcept {
     return boot_failures_;
@@ -112,7 +105,6 @@ class VirtualMachine {
   sim::Time mark_ = 0.0;
   double rented_core_s_ = 0.0;
   double rented_mb_s_ = 0.0;
-  double uptime_s_ = 0.0;
 };
 
 }  // namespace amoeba::iaas

@@ -41,17 +41,4 @@ std::vector<double> solve_spd(const Matrix& m, const std::vector<double>& rhs) {
   return x;
 }
 
-std::vector<double> solve_least_squares(const Matrix& a,
-                                        const std::vector<double>& b,
-                                        double ridge) {
-  AMOEBA_EXPECTS(a.rows() >= 1);
-  AMOEBA_EXPECTS(b.size() == a.rows());
-  AMOEBA_EXPECTS(ridge >= 0.0);
-  const Matrix at = a.transposed();
-  Matrix ata = at * a;
-  for (std::size_t i = 0; i < ata.rows(); ++i) ata(i, i) += ridge;
-  const std::vector<double> atb = at.apply(b);
-  return solve_spd(ata, atb);
-}
-
 }  // namespace amoeba::linalg

@@ -1,6 +1,7 @@
-// Linear least squares via normal equations with optional ridge damping.
-// Problem sizes here are tiny (<= 16 unknowns), so Cholesky on AᵀA + λI is
-// appropriate and keeps the dependency surface at zero.
+// Symmetric positive-definite solve for the ridge-damped normal equations
+// of the PCR score regression. Problem sizes here are tiny (<= 16
+// unknowns), so Cholesky is appropriate and keeps the dependency surface
+// at zero.
 #pragma once
 
 #include <vector>
@@ -8,12 +9,6 @@
 #include "linalg/matrix.hpp"
 
 namespace amoeba::linalg {
-
-/// Solve min ||A x - b||² + ridge ||x||². A is n×d (n >= 1), b has n
-/// entries. `ridge >= 0`; a small positive value guards rank deficiency.
-[[nodiscard]] std::vector<double> solve_least_squares(const Matrix& a,
-                                                      const std::vector<double>& b,
-                                                      double ridge = 0.0);
 
 /// Cholesky solve of the SPD system m x = rhs. Throws ContractError when m
 /// is not positive definite within numerical tolerance.

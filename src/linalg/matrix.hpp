@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -14,12 +13,8 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-  /// Construct from nested initializer lists (rows of equal length).
-  Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
   [[nodiscard]] static Matrix identity(std::size_t n);
-  /// Column vector from values.
-  [[nodiscard]] static Matrix column(const std::vector<double>& values);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -27,23 +22,10 @@ class Matrix {
   [[nodiscard]] double& operator()(std::size_t r, std::size_t c);
   [[nodiscard]] double operator()(std::size_t r, std::size_t c) const;
 
-  [[nodiscard]] Matrix transposed() const;
-  [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
-  [[nodiscard]] Matrix operator+(const Matrix& rhs) const;
-  [[nodiscard]] Matrix operator-(const Matrix& rhs) const;
-  [[nodiscard]] Matrix operator*(double s) const;
-
-  /// Matrix * vector.
-  [[nodiscard]] std::vector<double> apply(const std::vector<double>& v) const;
-
-  [[nodiscard]] std::vector<double> row_vector(std::size_t r) const;
   [[nodiscard]] std::vector<double> col_vector(std::size_t c) const;
 
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const;
-
-  /// Max |a_ij - b_ij|.
-  [[nodiscard]] static double max_abs_diff(const Matrix& a, const Matrix& b);
 
   [[nodiscard]] bool is_square() const noexcept { return rows_ == cols_; }
   /// True if max |a_ij - a_ji| <= tol.
@@ -61,8 +43,5 @@ class Matrix {
 /// Dot product of equal-length vectors.
 [[nodiscard]] double dot(const std::vector<double>& a,
                          const std::vector<double>& b);
-
-/// Euclidean norm.
-[[nodiscard]] double norm2(const std::vector<double>& v);
 
 }  // namespace amoeba::linalg

@@ -211,11 +211,6 @@ std::vector<double> PcrModel::raw_coefficients() const {
   return beta;
 }
 
-double PcrModel::raw_intercept() const {
-  const auto beta = raw_coefficients();
-  return intercept - dot(beta, pca.means);
-}
-
 PcrModel fit_pcr(const WindowMoments& m, double min_explained, double ridge) {
   AMOEBA_EXPECTS_VALS(m.count() >= 2, m.count());
   AMOEBA_EXPECTS_VALS(ridge >= 0.0, ridge);

@@ -125,7 +125,6 @@ struct PcrModel {
   /// that prediction ≈ intercept_raw + βᵀx. This is what becomes the
   /// per-resource weights w in Eq. 6.
   [[nodiscard]] std::vector<double> raw_coefficients() const;
-  [[nodiscard]] double raw_intercept() const;
 };
 
 /// Principal-component regression of y on x over the window summarised by

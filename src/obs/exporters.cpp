@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -142,73 +141,6 @@ void write_metrics_jsonl(const MetricsRegistry& metrics, std::ostream& out) {
     }
     out << "}}\n";
   }
-}
-
-namespace {
-
-bool parse_number_map(const JsonValue& obj,
-                      std::vector<std::pair<std::string, double>>& out) {
-  if (!obj.is_object()) return false;
-  for (const auto& [key, v] : obj.object) {
-    if (!v.is_number()) return false;
-    out.emplace_back(key, v.number);
-  }
-  return true;
-}
-
-bool parse_histogram_snapshot(const JsonValue& obj, HistogramSnapshot& out) {
-  if (!obj.is_object()) return false;
-  const JsonValue* count = obj.find("count");
-  const JsonValue* sum = obj.find("sum");
-  if (count == nullptr || !count->is_number() || sum == nullptr ||
-      !sum->is_number()) {
-    return false;
-  }
-  out.count = static_cast<std::uint64_t>(count->number);
-  out.sum = sum->number;
-  const auto opt = [&obj](const char* key) -> std::optional<double> {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr || !v->is_number()) return std::nullopt;
-    return v->number;
-  };
-  out.min = opt("min");
-  out.max = opt("max");
-  out.p50 = opt("p50");
-  out.p95 = opt("p95");
-  out.p99 = opt("p99");
-  return true;
-}
-
-}  // namespace
-
-bool parse_metrics_jsonl(std::istream& in, std::vector<MetricsSnapshot>& out) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::optional<JsonValue> doc = parse_json(line);
-    if (!doc || !doc->is_object()) return false;
-    MetricsSnapshot snap;
-    const JsonValue* t = doc->find("t");
-    if (t == nullptr || !t->is_number()) return false;
-    snap.time_s = t->number;
-    const JsonValue* counters = doc->find("counters");
-    const JsonValue* gauges = doc->find("gauges");
-    const JsonValue* histograms = doc->find("histograms");
-    if (counters == nullptr || !parse_number_map(*counters, snap.counters)) {
-      return false;
-    }
-    if (gauges == nullptr || !parse_number_map(*gauges, snap.gauges)) {
-      return false;
-    }
-    if (histograms == nullptr || !histograms->is_object()) return false;
-    for (const auto& [key, v] : histograms->object) {
-      HistogramSnapshot hs;
-      if (!parse_histogram_snapshot(v, hs)) return false;
-      snap.histograms.emplace_back(key, hs);
-    }
-    out.push_back(std::move(snap));
-  }
-  return true;
 }
 
 namespace {

@@ -6,7 +6,7 @@
 //     microseconds of simulation time.
 //   - JSONL metric snapshots — one JSON object per line, one line per
 //     snapshot; numbers use round-trippable formatting so that
-//     parse_metrics_jsonl() recovers bit-identical values.
+//     obs::parse_json recovers bit-identical values.
 //   - Human-readable end-of-run summary table.
 //
 // `ExportPaths` + `parse_export_flags` + `write_exports` give examples and
@@ -26,10 +26,6 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& out);
 
 /// One JSON object per snapshot, one snapshot per line.
 void write_metrics_jsonl(const MetricsRegistry& metrics, std::ostream& out);
-
-/// Inverse of write_metrics_jsonl. Returns false (and stops) on a malformed
-/// line; snapshots parsed so far are kept in `out`.
-bool parse_metrics_jsonl(std::istream& in, std::vector<MetricsSnapshot>& out);
 
 /// One JSON object per DecisionRecord, one record per line.
 void write_audit_jsonl(const AuditLog& audit, std::ostream& out);

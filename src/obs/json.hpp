@@ -46,7 +46,6 @@ struct JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object;
 
   [[nodiscard]] bool is_null() const noexcept { return kind == Kind::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind == Kind::kBool; }
   [[nodiscard]] bool is_number() const noexcept {
     return kind == Kind::kNumber;
   }

@@ -46,11 +46,6 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name,
   return histograms_[metric_key(name, labels)];
 }
 
-std::size_t MetricsRegistry::size() const {
-  common::MutexLock lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 const MetricsSnapshot& MetricsRegistry::take_snapshot(double time_s) {
   MetricsSnapshot snap;
   snap.time_s = time_s;

@@ -118,7 +118,6 @@ class MetricsRegistry {
   [[nodiscard]] const std::vector<MetricsSnapshot>& snapshots() const noexcept {
     return snapshots_;
   }
-  [[nodiscard]] std::size_t size() const AMOEBA_EXCLUDES(mutex_);
 
  private:
   mutable common::Mutex mutex_;

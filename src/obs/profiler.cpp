@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "obs/json.hpp"
 
@@ -31,31 +29,20 @@ const char* to_string(ProfDomain d) noexcept {
   return i < kProfDomainCount ? kDomainNames[i] : "?";
 }
 
-std::size_t prof_domain_index(std::string_view name) noexcept {
-  for (std::size_t i = 0; i < kProfDomainCount; ++i) {
-    if (name == kDomainNames[i]) return i;
-  }
-  return kProfDomainCount;
-}
-
 double ProfileReport::attributed_s() const {
   double sum = 0.0;
   for (double v : self_s) sum += v;
   return sum;
 }
 
-Profiler::Profiler(Options opt)
-    : opt_(opt),
-      epoch_ns_(detail::prof_now_ns()),
-      epoch_raw_(detail::prof_now_raw()) {
-  AMOEBA_EXPECTS(opt_.bucket_width_s > 0.0);
-}
+Profiler::Profiler()
+    : epoch_ns_(detail::prof_now_ns()), epoch_raw_(detail::prof_now_raw()) {}
 
 void Profiler::attach_current_thread() {
   AMOEBA_EXPECTS_MSG(detail::t_prof_state == nullptr,
                      "thread already attached to a profiler");
   auto state = std::make_unique<detail::ProfThreadState>();
-  state->inv_bucket_width = 1.0 / opt_.bucket_width_s;
+  state->inv_bucket_width = 1.0 / kBucketWidthS;
   state->set_bucket(0);
   state->last_mark = detail::prof_now_raw();
   detail::ProfThreadState* raw = state.get();
@@ -82,7 +69,7 @@ ProfileReport Profiler::report() const {
       detail::t_prof_state == nullptr || detail::t_prof_state->depth == 0,
       "report() from inside a profiling scope");
   ProfileReport r;
-  r.bucket_width_s = opt_.bucket_width_s;
+  r.bucket_width_s = kBucketWidthS;
   r.wall_s = static_cast<double>(detail::prof_now_ns() - epoch_ns_) * 1e-9;
   // Accumulators hold raw clock units (TSC ticks on x86-64); measure the
   // units-per-second rate over the session against the steady clock and
@@ -122,7 +109,7 @@ ProfileReport Profiler::report() const {
     if (!any) continue;
     ProfileReport::Bucket row;
     row.index = static_cast<std::uint32_t>(b);
-    row.sim_t0_s = static_cast<double>(b) * opt_.bucket_width_s;
+    row.sim_t0_s = static_cast<double>(b) * kBucketWidthS;
     row.self_s.resize(kProfDomainCount);
     for (std::size_t d = 0; d < kProfDomainCount; ++d) {
       row.self_s[d] = dense[b][d] * secs_per_raw;
@@ -151,17 +138,6 @@ void append_count_array(std::string& out,
     out += json_number(static_cast<double>(xs[i]));
   }
   out += ']';
-}
-
-bool read_number_array(const JsonValue& v, std::vector<double>& out) {
-  if (!v.is_array()) return false;
-  out.clear();
-  out.reserve(v.array.size());
-  for (const auto& x : v.array) {
-    if (!x.is_number()) return false;
-    out.push_back(x.number);
-  }
-  return true;
 }
 
 }  // namespace
@@ -208,74 +184,6 @@ void write_profile_jsonl(const ProfileReport& report, std::ostream& out) {
     line += "}\n";
     out << line;
   }
-}
-
-bool parse_profile_jsonl(std::istream& in, ProfileReport& out) {
-  out = ProfileReport{};
-  bool saw_meta = false;
-  bool saw_total = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto doc = parse_json(line);
-    if (!doc || !doc->is_object()) return false;
-    const JsonValue* type = doc->find("type");
-    if (type == nullptr || !type->is_string()) return false;
-    if (type->string == "profile_meta") {
-      const JsonValue* width = doc->find("bucket_width_s");
-      const JsonValue* wall = doc->find("wall_s");
-      const JsonValue* threads = doc->find("threads");
-      const JsonValue* dropped = doc->find("dropped_scopes");
-      const JsonValue* domains = doc->find("domains");
-      if (width == nullptr || !width->is_number() || wall == nullptr ||
-          !wall->is_number() || threads == nullptr || !threads->is_number() ||
-          dropped == nullptr || !dropped->is_number() || domains == nullptr ||
-          !domains->is_array()) {
-        return false;
-      }
-      out.bucket_width_s = width->number;
-      out.wall_s = wall->number;
-      out.threads = static_cast<std::uint32_t>(threads->number);
-      out.dropped_scopes = static_cast<std::uint64_t>(dropped->number);
-      out.domains.clear();
-      for (const auto& d : domains->array) {
-        if (!d.is_string()) return false;
-        out.domains.push_back(d.string);
-      }
-      saw_meta = true;
-    } else if (type->string == "profile_total") {
-      const JsonValue* self = doc->find("self_s");
-      const JsonValue* total = doc->find("total_s");
-      const JsonValue* count = doc->find("count");
-      if (self == nullptr || total == nullptr || count == nullptr ||
-          !read_number_array(*self, out.self_s) ||
-          !read_number_array(*total, out.total_s) || !count->is_array()) {
-        return false;
-      }
-      out.count.clear();
-      for (const auto& c : count->array) {
-        if (!c.is_number()) return false;
-        out.count.push_back(static_cast<std::uint64_t>(c.number));
-      }
-      saw_total = true;
-    } else if (type->string == "profile_bucket") {
-      const JsonValue* index = doc->find("i");
-      const JsonValue* t0 = doc->find("sim_t0_s");
-      const JsonValue* self = doc->find("self_s");
-      ProfileReport::Bucket b;
-      if (index == nullptr || !index->is_number() || t0 == nullptr ||
-          !t0->is_number() || self == nullptr ||
-          !read_number_array(*self, b.self_s)) {
-        return false;
-      }
-      b.index = static_cast<std::uint32_t>(index->number);
-      b.sim_t0_s = t0->number;
-      out.buckets.push_back(std::move(b));
-    } else {
-      return false;
-    }
-  }
-  return saw_meta && saw_total;
 }
 
 void write_profile_chrome_trace(const ProfileReport& report,

@@ -20,8 +20,8 @@
 //   * Sim-time buckets. The engine calls `engine_dispatch(now)` per event
 //     (pure arithmetic — the clock is only read when the bucket index
 //     actually changes), so wall-time segments land in the simulation-time
-//     bucket they were spent on. Default bucket width: one contention-
-//     monitor period (5 s), making "fair-share recompute dominates during
+//     bucket they were spent on. The bucket width is one contention-monitor
+//     period (5 s), making "fair-share recompute dominates during
 //     the switch storm at t≈900 s" directly visible.
 //   * Per-thread accumulators, merged under the annotated common::Mutex.
 //     attach_current_thread()/detach_current_thread() bracket a thread's
@@ -42,7 +42,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -66,9 +65,6 @@ enum class ProfDomain : std::uint8_t {
 inline constexpr std::size_t kProfDomainCount = 9;
 
 [[nodiscard]] const char* to_string(ProfDomain d) noexcept;
-
-/// Inverse of to_string; kProfDomainCount for unknown names.
-[[nodiscard]] std::size_t prof_domain_index(std::string_view name) noexcept;
 
 namespace detail {
 
@@ -97,7 +93,7 @@ struct ProfThreadState {
   std::uint32_t bucket = 0;
   std::uint64_t last_mark = 0;  // raw clock units (prof_now_raw)
   std::uint64_t dropped_scopes = 0;
-  double inv_bucket_width = 0.0;  // 1 / bucket_width_s, copied at attach
+  double inv_bucket_width = 0.0;  // 1 / Profiler::kBucketWidthS
   /// row(bucket).data(), refreshed whenever `bucket` changes — buckets can
   /// only grow there, so the pointer stays valid between changes and the
   /// hot flush path skips the vector bounds logic.
@@ -209,14 +205,11 @@ struct ProfileReport {
 
 class Profiler {
  public:
-  struct Options {
-    /// Sim-time bucket width. Default: one monitor period (5 s), so bucket
-    /// rows line up with control-loop ticks.
-    double bucket_width_s = 5.0;
-  };
+  /// Sim-time bucket width: one monitor period, so bucket rows line up
+  /// with control-loop ticks.
+  static constexpr double kBucketWidthS = 5.0;
 
-  Profiler() : Profiler(Options{}) {}
-  explicit Profiler(Options opt);
+  Profiler();
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -256,17 +249,12 @@ class Profiler {
     }
   }
 
-  [[nodiscard]] double bucket_width_s() const noexcept {
-    return opt_.bucket_width_s;
-  }
-
   /// Merge every thread accumulator into one report. Coordinator-only: no
   /// attached thread may be inside a scope while this runs (the calling
   /// thread may stay attached between scopes).
   [[nodiscard]] ProfileReport report() const AMOEBA_EXCLUDES(mutex_);
 
  private:
-  Options opt_;
   std::uint64_t epoch_ns_;   ///< steady clock at construction (wall_s base)
   std::uint64_t epoch_raw_;  ///< prof_now_raw at construction (units base)
   mutable common::Mutex mutex_;
@@ -327,9 +315,6 @@ class ProfScope {
 /// line, then one `profile_bucket` line per non-empty sim-time bucket.
 /// Every line parses with obs::parse_json.
 void write_profile_jsonl(const ProfileReport& report, std::ostream& out);
-
-/// Inverse of write_profile_jsonl. Returns false on any malformed line.
-bool parse_profile_jsonl(std::istream& in, ProfileReport& out);
 
 /// Chrome trace_event counter stream ("prof:<domain>" counters, one sample
 /// per bucket at its sim-time start) for ui.perfetto.dev.

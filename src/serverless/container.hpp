@@ -25,8 +25,6 @@ enum class ContainerState : std::uint8_t {
   kBusy,      ///< executing one invocation
 };
 
-[[nodiscard]] const char* to_string(ContainerState s) noexcept;
-
 struct Container {
   ContainerId id = 0;
   FunctionId function{};

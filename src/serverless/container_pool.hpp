@@ -99,9 +99,6 @@ class ContainerPool {
   [[nodiscard]] std::vector<ContainerId> starting_ids(
       FunctionId function) const;
 
-  [[nodiscard]] double memory_capacity_mb() const noexcept {
-    return memory_.capacity();
-  }
   [[nodiscard]] double memory_in_use_mb() const noexcept {
     return memory_.in_use();
   }

@@ -56,12 +56,6 @@ std::optional<FunctionId> ServerlessPlatform::find_function(
   return it->second;
 }
 
-const workload::FunctionProfile& ServerlessPlatform::profile(
-    FunctionId fn) const {
-  AMOEBA_EXPECTS(known(fn));
-  return record(fn).profile;
-}
-
 void ServerlessPlatform::trace_container(FunctionId fn, ContainerId cid,
                                          bool begin) {
   if (obs_ == nullptr || !obs_->trace_on()) return;
@@ -74,7 +68,8 @@ void ServerlessPlatform::trace_container(FunctionId fn, ContainerId cid,
   }
 }
 
-void ServerlessPlatform::submit(FunctionId fn, QueryCompletionFn on_done) {
+void ServerlessPlatform::submit(FunctionId fn,
+                                workload::QueryCompletionFn on_done) {
   AMOEBA_EXPECTS(on_done != nullptr);
   AMOEBA_EXPECTS(known(fn));
   FunctionState& st = record(fn);
@@ -190,7 +185,7 @@ void ServerlessPlatform::on_container_failed(FunctionId fn, ContainerId cid) {
 void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
                                         Pending pending) {
   const workload::FunctionProfile& p = st.profile;
-  auto rec = std::make_shared<QueryRecord>();
+  auto rec = std::make_shared<workload::QueryRecord>();
   rec->id = pending.id;
   rec->arrival = pending.arrival;
 
@@ -321,9 +316,9 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
   }
 }
 
-void ServerlessPlatform::finish_invocation(FunctionState& st, ContainerId cid,
-                                           QueryRecord record,
-                                           QueryCompletionFn on_done) {
+void ServerlessPlatform::finish_invocation(
+    FunctionState& st, ContainerId cid, workload::QueryRecord record,
+    workload::QueryCompletionFn on_done) {
   st.stats.completed += 1;
   st.stats.cpu_core_seconds += record.cpu_work_done;
 

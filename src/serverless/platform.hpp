@@ -35,12 +35,12 @@
 
 #include "obs/observer.hpp"
 #include "serverless/container_pool.hpp"
-#include "serverless/invocation.hpp"
 #include "sim/engine.hpp"
 #include "sim/fair_share.hpp"
 #include "sim/random.hpp"
 #include "stats/gauge.hpp"
 #include "workload/function_profile.hpp"
+#include "workload/query.hpp"
 
 namespace amoeba::serverless {
 
@@ -99,7 +99,6 @@ class ServerlessPlatform {
   [[nodiscard]] std::size_t function_count() const noexcept {
     return functions_.size();
   }
-  [[nodiscard]] const workload::FunctionProfile& profile(FunctionId fn) const;
 
   /// Attach the observability sink (non-owning; nullptr disables). Each
   /// container boot then becomes an async span on "svc:<fn>/pool".
@@ -112,7 +111,7 @@ class ServerlessPlatform {
   }
 
   /// Submit one query; `on_done` fires at completion with the full record.
-  void submit(FunctionId fn, QueryCompletionFn on_done);
+  void submit(FunctionId fn, workload::QueryCompletionFn on_done);
 
   /// Ensure at least `count` containers (idle + starting + busy) exist for
   /// `fn`, cold-starting the difference. Returns how many new containers
@@ -170,13 +169,12 @@ class ServerlessPlatform {
 
   [[nodiscard]] const PlatformConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] ContainerPool& pool() noexcept { return pool_; }
-  [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
 
  private:
   struct Pending {
     std::uint64_t id;
     sim::Time arrival;
-    QueryCompletionFn on_done;
+    workload::QueryCompletionFn on_done;
   };
 
   struct FunctionState {
@@ -221,7 +219,8 @@ class ServerlessPlatform {
 
   void run_invocation(FunctionState& st, ContainerId cid, Pending pending);
   void finish_invocation(FunctionState& st, ContainerId cid,
-                         QueryRecord record, QueryCompletionFn on_done);
+                         workload::QueryRecord record,
+                         workload::QueryCompletionFn on_done);
 
   double sample_cold_start();
 

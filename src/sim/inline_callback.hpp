@@ -91,11 +91,6 @@ class InlineCallback {
     ops_->invoke(storage_);
   }
 
-  /// True if the held callable lives in the inline buffer (test hook).
-  [[nodiscard]] bool is_inline() const noexcept {
-    return ops_ != nullptr && ops_->inline_storage;
-  }
-
  private:
   struct Ops {
     void (*invoke)(void* self);
@@ -105,7 +100,6 @@ class InlineCallback {
     // trivially copyable lambda, kept indirect-call-free on the hot path.
     void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void* self) noexcept;  // nullptr = trivially destructible
-    bool inline_storage;
   };
 
   template <typename D>
@@ -136,7 +130,6 @@ class InlineCallback {
           : +[](void* self) noexcept {
               std::launder(reinterpret_cast<D*>(self))->~D();
             },
-      /*inline_storage=*/true,
   };
 
   template <typename D>
@@ -144,7 +137,6 @@ class InlineCallback {
       [](void* self) { (**std::launder(reinterpret_cast<D**>(self)))(); },
       /*relocate=*/nullptr,  // moving the owning pointer is a memcpy
       [](void* self) noexcept { delete *std::launder(reinterpret_cast<D**>(self)); },
-      /*inline_storage=*/false,
   };
 
   void take(InlineCallback&& other) noexcept {

@@ -19,7 +19,6 @@ class LogHistogram {
   void add(double x, std::uint64_t weight = 1);
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
 
  private:
   double log_lo_, log_hi_, inv_log_width_;

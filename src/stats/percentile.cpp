@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace amoeba::stats {
 
@@ -34,24 +33,6 @@ void SampleSet::ensure_sorted() const {
   dirty_ = false;
 }
 
-double SampleSet::min() const {
-  AMOEBA_EXPECTS(!empty());
-  ensure_sorted();
-  return sorted_.front();
-}
-
-double SampleSet::max() const {
-  AMOEBA_EXPECTS(!empty());
-  ensure_sorted();
-  return sorted_.back();
-}
-
-double SampleSet::mean() const {
-  AMOEBA_EXPECTS(!empty());
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
-}
-
 double SampleSet::quantile(double q) const {
   AMOEBA_EXPECTS(!empty());
   AMOEBA_EXPECTS(q >= 0.0 && q <= 1.0);
@@ -74,19 +55,6 @@ double SampleSet::cdf_at(double x) const {
 double SampleSet::fraction_above(double threshold) const {
   if (empty()) return 0.0;
   return 1.0 - cdf_at(threshold);
-}
-
-std::vector<std::pair<double, double>> SampleSet::cdf_curve(
-    std::size_t points) const {
-  AMOEBA_EXPECTS(points >= 2);
-  AMOEBA_EXPECTS(!empty());
-  std::vector<std::pair<double, double>> curve;
-  curve.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(points - 1);
-    curve.emplace_back(quantile(q), q);
-  }
-  return curve;
 }
 
 }  // namespace amoeba::stats

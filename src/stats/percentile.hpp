@@ -27,9 +27,6 @@ class SampleSet {
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
 
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double mean() const;
   /// q in [0,1]; requires non-empty set.
   [[nodiscard]] double quantile(double q) const;
 
@@ -39,11 +36,6 @@ class SampleSet {
   /// Fraction of samples strictly greater than `threshold` (e.g. the
   /// QoS-violation ratio when `threshold` is the latency target).
   [[nodiscard]] double fraction_above(double threshold) const;
-
-  /// Sampled CDF curve: `points` equally-spaced quantiles from 0 to 1,
-  /// returned as (value, cumulative probability) pairs. Requires points>=2.
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf_curve(
-      std::size_t points) const;
 
   [[nodiscard]] const std::vector<double>& raw() const noexcept {
     return samples_;

@@ -1,7 +1,5 @@
 #include "stats/rate_estimator.hpp"
 
-#include <cmath>
-
 namespace amoeba::stats {
 
 RateEstimator::RateEstimator(double window_seconds) : window_(window_seconds) {
@@ -38,28 +36,6 @@ double RateEstimator::rate(double now) const {
     if (elapsed > 0.0 && elapsed < window_) divisor = elapsed;
   }
   return static_cast<double>(arrivals_.size()) / divisor;
-}
-
-std::size_t RateEstimator::count_in_window(double now) const {
-  evict(now);
-  return arrivals_.size();
-}
-
-EwmaRate::EwmaRate(double half_life) : half_life_(half_life) {
-  AMOEBA_EXPECTS(half_life > 0.0);
-}
-
-void EwmaRate::observe(double t, double value) {
-  if (!primed_) {
-    value_ = value;
-    last_t_ = t;
-    primed_ = true;
-    return;
-  }
-  AMOEBA_EXPECTS(t >= last_t_);
-  const double alpha = 1.0 - std::exp2(-(t - last_t_) / half_life_);
-  value_ += alpha * (value - value_);
-  last_t_ = t;
 }
 
 }  // namespace amoeba::stats

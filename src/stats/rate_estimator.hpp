@@ -1,9 +1,7 @@
 // Sliding-window arrival-rate estimation.
 //
 // The deployment controller needs the current load V_u (queries/second) of
-// each microservice. `RateEstimator` counts arrivals in a sliding window;
-// `EwmaRate` provides a smoother exponentially-weighted alternative used
-// for burst detection.
+// each microservice. `RateEstimator` counts arrivals in a sliding window.
 #pragma once
 
 #include <deque>
@@ -30,9 +28,6 @@ class RateEstimator {
   /// elapsed time; the full window is used as the (conservative) divisor.
   [[nodiscard]] double rate(double now) const;
 
-  /// Number of arrivals currently inside the window ending at `now`.
-  [[nodiscard]] std::size_t count_in_window(double now) const;
-
   [[nodiscard]] double window() const noexcept { return window_; }
 
  private:
@@ -41,23 +36,6 @@ class RateEstimator {
   double first_observation_ = 0.0;
   bool has_observation_ = false;
   mutable std::deque<double> arrivals_;
-};
-
-/// Exponentially-weighted moving average of an irregularly-sampled rate.
-class EwmaRate {
- public:
-  /// `half_life` — seconds for an observation's weight to halve.
-  explicit EwmaRate(double half_life);
-
-  void observe(double t, double value);
-  [[nodiscard]] double value() const noexcept { return value_; }
-  [[nodiscard]] bool primed() const noexcept { return primed_; }
-
- private:
-  double half_life_;
-  double value_ = 0.0;
-  double last_t_ = 0.0;
-  bool primed_ = false;
 };
 
 }  // namespace amoeba::stats

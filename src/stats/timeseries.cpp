@@ -48,41 +48,4 @@ std::vector<TimePoint> TimeSeries::resample(double t0, double t1,
   return out;
 }
 
-double TimeSeries::time_weighted_mean(double t0, double t1) const {
-  AMOEBA_EXPECTS(!points_.empty());
-  AMOEBA_EXPECTS(t1 > t0);
-  AMOEBA_EXPECTS(points_.front().t <= t0);
-  double integral = 0.0;
-  double cur_t = t0;
-  double cur_v = value_at(t0);
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t0,
-      [](double x, const TimePoint& p) { return x < p.t; });
-  for (; it != points_.end() && it->t < t1; ++it) {
-    integral += cur_v * (it->t - cur_t);
-    cur_t = it->t;
-    cur_v = it->value;
-  }
-  integral += cur_v * (t1 - cur_t);
-  return integral / (t1 - t0);
-}
-
-double TimeSeries::min_value() const {
-  AMOEBA_EXPECTS(!points_.empty());
-  return std::min_element(points_.begin(), points_.end(),
-                          [](const TimePoint& a, const TimePoint& b) {
-                            return a.value < b.value;
-                          })
-      ->value;
-}
-
-double TimeSeries::max_value() const {
-  AMOEBA_EXPECTS(!points_.empty());
-  return std::max_element(points_.begin(), points_.end(),
-                          [](const TimePoint& a, const TimePoint& b) {
-                            return a.value < b.value;
-                          })
-      ->value;
-}
-
 }  // namespace amoeba::stats

@@ -36,12 +36,6 @@ class TimeSeries {
   [[nodiscard]] std::vector<TimePoint> resample(double t0, double t1,
                                                 std::size_t n) const;
 
-  /// Time-weighted mean of the step function over [t0, t1].
-  [[nodiscard]] double time_weighted_mean(double t0, double t1) const;
-
-  [[nodiscard]] double min_value() const;
-  [[nodiscard]] double max_value() const;
-
  private:
   std::vector<TimePoint> points_;
 };

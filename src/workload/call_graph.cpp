@@ -74,13 +74,6 @@ const std::string& CallGraph::service_name(int k) const {
   return service_names_[static_cast<std::size_t>(k)];
 }
 
-int CallGraph::stage_by_label(const std::string& label) const {
-  for (int k = 0; k < size(); ++k) {
-    if (stages_[static_cast<std::size_t>(k)].label == label) return k;
-  }
-  return -1;
-}
-
 const std::vector<int>& CallGraph::parents(int k) const {
   AMOEBA_EXPECTS_VALS(k >= 0 && k < size(), k);
   return parents_[static_cast<std::size_t>(k)];
@@ -89,17 +82,6 @@ const std::vector<int>& CallGraph::parents(int k) const {
 const std::vector<int>& CallGraph::children(int k) const {
   AMOEBA_EXPECTS_VALS(k >= 0 && k < size(), k);
   return children_[static_cast<std::size_t>(k)];
-}
-
-int CallGraph::depth(int k) const {
-  AMOEBA_EXPECTS_VALS(k >= 0 && k < size(), k);
-  return depth_[static_cast<std::size_t>(k)];
-}
-
-int CallGraph::max_path_stages() const {
-  int deepest = 0;
-  for (const int d : depth_) deepest = std::max(deepest, d);
-  return deepest + 1;
 }
 
 std::vector<std::vector<int>> CallGraph::paths() const {
@@ -146,13 +128,6 @@ std::vector<double> CallGraph::path_sums_through(
   std::vector<double> sums(n, 0.0);
   for (std::size_t k = 0; k < n; ++k) sums[k] = up[k] + w[k] + down[k];
   return sums;
-}
-
-double CallGraph::critical_path(const std::vector<double>& w) const {
-  const auto sums = path_sums_through(w);
-  double best = 0.0;
-  for (const double s : sums) best = std::max(best, s);
-  return best;
 }
 
 int CallGraph::Builder::add_stage(std::string label, FunctionProfile profile,
@@ -260,7 +235,6 @@ CallGraph CallGraph::Builder::build() const {
   g.service_names_.reserve(n);
   g.parents_.resize(n);
   g.children_.resize(n);
-  g.depth_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     const auto decl = static_cast<std::size_t>(order[k]);
     g.stages_.push_back(CallGraphStage{stages_[decl].label,
@@ -268,7 +242,7 @@ CallGraph CallGraph::Builder::build() const {
                                        stages_[decl].pin});
     g.service_names_.push_back(stages_[decl].profile.name + "@s" +
                                std::to_string(k));
-    g.depth_[k] = depth[decl];
+    g.max_path_stages_ = std::max(g.max_path_stages_, depth[decl] + 1);
     for (const int p : pars[decl]) {
       g.parents_[k].push_back(canon_of[static_cast<std::size_t>(p)]);
     }

@@ -59,9 +59,6 @@ class CallGraph {
   /// derived, so the simulated name ordering is label-independent.
   [[nodiscard]] const std::string& service_name(int k) const;
 
-  /// Canonical index of the stage declared with this label (-1 if absent).
-  [[nodiscard]] int stage_by_label(const std::string& label) const;
-
   [[nodiscard]] const std::vector<int>& parents(int k) const;
   [[nodiscard]] const std::vector<int>& children(int k) const;
   [[nodiscard]] const std::vector<int>& roots() const noexcept {
@@ -71,12 +68,11 @@ class CallGraph {
     return leaves_;
   }
 
-  /// Longest-path depth of stage k (roots are 0). Canonical order is
-  /// sorted by depth first, so iteration order is topological.
-  [[nodiscard]] int depth(int k) const;
-
-  /// Maximum number of stages on any root-to-leaf path.
-  [[nodiscard]] int max_path_stages() const;
+  /// Maximum number of stages on any root-to-leaf path. Canonical order is
+  /// sorted by longest-path depth first, so iteration order is topological.
+  [[nodiscard]] int max_path_stages() const noexcept {
+    return max_path_stages_;
+  }
 
   /// Every root-to-leaf path as a list of canonical stage indices.
   [[nodiscard]] std::vector<std::vector<int>> paths() const;
@@ -86,9 +82,6 @@ class CallGraph {
   /// decomposer's denominator.
   [[nodiscard]] std::vector<double> path_sums_through(
       const std::vector<double>& w) const;
-
-  /// max over root-to-leaf paths of the weight sum (== max_k S_k).
-  [[nodiscard]] double critical_path(const std::vector<double>& w) const;
 
   /// Content hash of the canonical form (profiles, pins, edges). Equal for
   /// isomorphic declarations; label- and declaration-order-independent.
@@ -106,7 +99,7 @@ class CallGraph {
   std::vector<std::vector<int>> children_;
   std::vector<int> roots_;
   std::vector<int> leaves_;
-  std::vector<int> depth_;
+  int max_path_stages_ = 0;
   std::uint64_t structure_hash_ = 0;
 };
 

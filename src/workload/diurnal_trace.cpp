@@ -65,15 +65,4 @@ double DiurnalTrace::rate(double t) const {
 
 double DiurnalTrace::max_rate() const { return cfg_.peak_qps * noise_cap_; }
 
-std::vector<double> DiurnalTrace::sample_day(std::size_t n) const {
-  AMOEBA_EXPECTS(n >= 2);
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t =
-        cfg_.period_s * static_cast<double>(i) / static_cast<double>(n);
-    out[i] = base_rate(t);
-  }
-  return out;
-}
-
 }  // namespace amoeba::workload

@@ -9,7 +9,7 @@
 // experiments finish in seconds.
 #pragma once
 
-#include <vector>
+#include <cstdint>
 
 #include "common/assert.hpp"
 #include "sim/random.hpp"
@@ -47,9 +47,6 @@ class DiurnalTrace {
   [[nodiscard]] const DiurnalTraceConfig& config() const noexcept {
     return cfg_;
   }
-
-  /// Sample the base (noise-free) rate at `n` uniform points over one day.
-  [[nodiscard]] std::vector<double> sample_day(std::size_t n) const;
 
  private:
   [[nodiscard]] double noise_factor(double t) const;

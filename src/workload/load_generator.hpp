@@ -37,7 +37,6 @@ class PoissonLoadGenerator {
   void stop();
 
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
-  [[nodiscard]] bool running() const noexcept { return running_; }
 
  private:
   void schedule_next();

@@ -18,7 +18,6 @@
 #include "exp/cluster.hpp"
 #include "exp/profiling.hpp"
 #include "exp/sweep.hpp"
-#include "obs/json.hpp"
 #include "workload/functionbench.hpp"
 
 namespace amoeba::exp {
@@ -190,86 +189,18 @@ TEST(ClusterOscillation, AlignedPeaksDoNotPingPong) {
   EXPECT_EQ(r.fault_counters.total(), 0u);
 }
 
-// --- summary serialization (no simulation needed) ---
+// --- result lookup (no simulation needed) ---
 
 ClusterRunResult sample_result() {
   ClusterRunResult r;
-  r.duration_s = 1260.0;
-  r.trace_hash = 0x0123456789abcdefULL;
-  r.services_usage.cpu_core_seconds = 7200.0;
-  r.services_usage.memory_mb_seconds = 1024.0 * 3600.0;
-  r.meter_usage.cpu_core_seconds = 360.0;
-  r.meter_usage.memory_mb_seconds = 512.0 * 3600.0;
-  r.pool_memory_mb_seconds = 5.0e6;
-  r.peak_pool_containers = 57;
-  r.peak_pool_memory_mb = 14592.0;
-  r.pool_evictions = 3;
-  r.prewarm_denied_total = 11;
-
   ClusterServiceResult a;
   a.name = "float#0";
-  a.qos_target_s = 0.15;
-  for (int i = 1; i <= 100; ++i) {
-    a.latencies.add(0.002 * static_cast<double>(i));
-  }
-  a.queries = 100;
-  a.switches.resize(2);
-  a.switch_aborts = 1;
-  a.switch_retries = 2;
-  a.prewarm_denied = 4;
-  a.n_max_asked = 10;
   a.n_max_granted = 7;
-  a.usage.cpu_core_seconds = 3600.0;
-  a.usage.memory_mb_seconds = 36864.0;
-
   ClusterServiceResult b;
   b.name = "dd#1";
-  b.qos_target_s = 0.5;
-  b.latencies.add(0.4);
-  b.queries = 1;
-  b.n_max_asked = 3;
   b.n_max_granted = 3;
-
   r.services = {a, b};
   return r;
-}
-
-TEST(ClusterSummaryJson, RoundTripsThroughParser) {
-  const ClusterRunResult r = sample_result();
-  const auto doc = obs::parse_json(cluster_summary_json(r));
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(doc->is_object());
-
-  EXPECT_EQ(doc->at("n_services").number, 2.0);
-  EXPECT_EQ(doc->at("duration_s").number, 1260.0);
-  EXPECT_EQ(doc->at("trace_hash").string, "0x123456789abcdef");
-  EXPECT_EQ(doc->at("total_core_hours").number, r.total_core_hours());
-  EXPECT_EQ(doc->at("total_memory_gb_hours").number,
-            r.total_memory_gb_hours());
-  EXPECT_EQ(doc->at("peak_pool_containers").number, 57.0);
-  EXPECT_EQ(doc->at("peak_pool_memory_mb").number, 14592.0);
-  EXPECT_EQ(doc->at("pool_evictions").number, 3.0);
-  EXPECT_EQ(doc->at("prewarm_denied").number, 11.0);
-
-  const obs::JsonValue& services = doc->at("services");
-  ASSERT_TRUE(services.is_array());
-  ASSERT_EQ(services.array.size(), 2u);
-  const obs::JsonValue& a = services.array[0];
-  EXPECT_EQ(a.at("name").string, "float#0");
-  EXPECT_EQ(a.at("qos_target_s").number, 0.15);
-  EXPECT_EQ(a.at("queries").number, 100.0);
-  EXPECT_EQ(a.at("p95_s").number, r.services[0].p95());
-  EXPECT_EQ(a.at("violation_fraction").number,
-            r.services[0].violation_fraction());
-  EXPECT_EQ(a.at("switches").number, 2.0);
-  EXPECT_EQ(a.at("switch_aborts").number, 1.0);
-  EXPECT_EQ(a.at("switch_retries").number, 2.0);
-  EXPECT_EQ(a.at("prewarm_denied").number, 4.0);
-  EXPECT_EQ(a.at("n_max_asked").number, 10.0);
-  EXPECT_EQ(a.at("n_max_granted").number, 7.0);
-  EXPECT_EQ(a.at("core_seconds").number, 3600.0);
-  EXPECT_EQ(a.at("memory_mb_seconds").number, 36864.0);
-  EXPECT_EQ(services.array[1].at("name").string, "dd#1");
 }
 
 TEST(ClusterRunResultLookup, FindByName) {

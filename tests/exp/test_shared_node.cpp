@@ -2,15 +2,15 @@
 // driver behind run_cluster and run_callgraph, and run_managed, plus the
 // invariant the shared-node driver rests on.
 //
-// The shared-node anchors pin the event-trace hash and the hash of the
-// summary JSON of four small runs: an N=3 cluster, the same cluster with
-// faults injected, and a diamond call graph in each budget mode. They were
-// recorded on the two separate drivers the shared one replaced. The
-// managed anchors pin one small run_managed day per deployment system plus
-// fault-injected Amoeba, Nameko and OpenWhisk days: the trace hash and a
-// hash of every result field the figures read. Any change to set-up order, rng forks,
-// arbitration, budgets or result collection moves them; a change that
-// moves numerics on purpose re-records them and says so.
+// The shared-node anchors pin the event-trace hash and a hash of every
+// result field the figures read of four small runs: an N=3 cluster, the
+// same cluster with faults injected, and a diamond call graph in each
+// budget mode. Their trace hashes were recorded on the two separate
+// drivers the shared one replaced. The managed anchors pin the same two
+// hashes of one small run_managed day per deployment system plus
+// fault-injected Amoeba, Nameko and OpenWhisk days. Any change to set-up
+// order, rng forks, arbitration, budgets or result collection moves them;
+// a change that moves numerics on purpose re-records them and says so.
 //
 // ClusterCallGraph.OneStageGraphEqualsOneTenantCluster pins the premise of
 // the shared driver: a cluster tenant is a one-stage call graph whose
@@ -68,14 +68,94 @@ const Fixture& fix() {
   return f;
 }
 
-/// FNV-1a over the bytes of a summary document.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+/// FNV-1a over 64-bit words (doubles by their bits, strings by their
+/// length and bytes): the digest behind every result hash below.
+class Digest {
+ public:
+  void word(std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) byte((w >> (8 * b)) & 0xffU);
   }
-  return h;
+  void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  void text(std::string_view s) {
+    word(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint64_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// What every shared-node run reports node-wide.
+void digest_node(Digest& d, const SharedNodeResult& r) {
+  d.real(r.duration_s);
+  d.word(r.trace_hash);
+  d.word(static_cast<std::uint64_t>(r.peak_pool_containers));
+  d.real(r.peak_pool_memory_mb);
+  d.word(r.pool_evictions);
+  d.word(r.prewarm_denied_total);
+}
+
+/// What every stage or tenant reports.
+void digest_stage(Digest& d, const StageResultBase& s) {
+  d.text(s.name);
+  d.real(s.p95());
+  d.word(s.switch_aborts);
+  d.word(s.switch_retries);
+  d.word(s.prewarm_denied);
+  d.word(static_cast<std::uint64_t>(s.n_max_asked));
+  d.word(static_cast<std::uint64_t>(s.n_max_granted));
+  d.real(s.usage.cpu_core_seconds);
+  d.real(s.usage.memory_mb_seconds);
+}
+
+/// Every result field Fig. 17 reads from a cluster run.
+std::uint64_t cluster_result_hash(const ClusterRunResult& r) {
+  Digest d;
+  digest_node(d, r);
+  d.real(r.total_core_hours());
+  d.real(r.total_memory_gb_hours());
+  d.word(r.services.size());
+  for (const ClusterServiceResult& s : r.services) {
+    digest_stage(d, s);
+    d.real(s.qos_target_s);
+    d.word(s.queries);
+    d.real(s.violation_fraction());
+    d.word(s.switches.size());
+  }
+  return d.value();
+}
+
+/// Every result field Fig. 18 reads from a call-graph run.
+std::uint64_t callgraph_result_hash(const CallGraphRunResult& r) {
+  Digest d;
+  digest_node(d, r);
+  d.real(r.total_core_hours());
+  d.real(r.total_memory_gb_hours());
+  d.word(static_cast<std::uint64_t>(r.budget_mode));
+  d.real(r.e2e_qos_target_s);
+  d.real(r.e2e_p95());
+  d.real(r.e2e_violation_fraction());
+  d.word(r.root_injected);
+  d.word(r.queries_completed);
+  d.word(r.queries_unfinished);
+  d.word(r.stages.size());
+  for (const CallGraphStageResult& s : r.stages) {
+    digest_stage(d, s);
+    d.word(static_cast<std::uint64_t>(s.stage));
+    d.text(s.label);
+    d.word(static_cast<std::uint64_t>(s.pin));
+    d.real(s.initial_budget_s);
+    d.real(s.final_budget_s);
+    d.word(s.submitted);
+    d.word(s.finished);
+    d.word(s.switches);
+  }
+  return d.value();
 }
 
 std::string hex(std::uint64_t h) {
@@ -154,8 +234,7 @@ CallGraphRunResult run_diamond(BudgetMode mode) {
 TEST(DriverAnchor, ClusterIsBitIdenticalToRecordedHashes) {
   const auto r = run_cluster_n3(sim::FaultConfig{});
   EXPECT_EQ(hex(r.trace_hash), "0xc36801e1a357868d") << "trace";
-  EXPECT_EQ(hex(fnv1a(cluster_summary_json(r))), "0x12dc87579d64e031")
-      << "summary";
+  EXPECT_EQ(hex(cluster_result_hash(r)), "0x7b0f313260672891") << "result";
 }
 
 TEST(DriverAnchor, FaultyClusterIsBitIdenticalToRecordedHashes) {
@@ -168,58 +247,47 @@ TEST(DriverAnchor, FaultyClusterIsBitIdenticalToRecordedHashes) {
   const auto r = run_cluster_n3(faults);
   ASSERT_GT(r.fault_counters.total(), 0u) << "no faults actually injected";
   EXPECT_EQ(hex(r.trace_hash), "0x504f246744409e89") << "trace";
-  EXPECT_EQ(hex(fnv1a(cluster_summary_json(r))), "0x22cad233587a5c33")
-      << "summary";
+  EXPECT_EQ(hex(cluster_result_hash(r)), "0x716f05b30e9da01d") << "result";
 }
 
 TEST(DriverAnchor, AwareDiamondIsBitIdenticalToRecordedHashes) {
   const auto r = run_diamond(BudgetMode::kEndToEndAware);
   EXPECT_EQ(hex(r.trace_hash), "0x83970d0d846d3be5") << "trace";
-  EXPECT_EQ(hex(fnv1a(callgraph_summary_json(r))), "0xc10b2b157ce6fcab")
-      << "summary";
+  EXPECT_EQ(hex(callgraph_result_hash(r)), "0x147fe82fa6ab553c") << "result";
 }
 
 TEST(DriverAnchor, NaiveDiamondIsBitIdenticalToRecordedHashes) {
   const auto r = run_diamond(BudgetMode::kNaiveEqual);
   EXPECT_EQ(hex(r.trace_hash), "0x4d1133239db271e0") << "trace";
-  EXPECT_EQ(hex(fnv1a(callgraph_summary_json(r))), "0x3114bb31e8335593")
-      << "summary";
+  EXPECT_EQ(hex(callgraph_result_hash(r)), "0xb1cf32dfcea52ad0") << "result";
 }
 
-/// FNV-1a over the 64-bit words of a managed day's result: what Figs.
-/// 10-16 read from it. A switch's service name is left out; a managed day
-/// has one service.
+/// Every result field Figs. 10-16 read from a managed day. A switch's
+/// service name is left out; a managed day has one service.
 std::uint64_t managed_result_hash(const ManagedRunResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t word) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (word >> (8 * b)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto mix_d = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
-  mix(r.queries);
-  mix_d(r.p95());
-  mix_d(r.usage.cpu_core_seconds);
-  mix_d(r.usage.memory_mb_seconds);
-  mix(r.switches.size());
+  Digest d;
+  d.word(r.queries);
+  d.real(r.p95());
+  d.real(r.usage.cpu_core_seconds);
+  d.real(r.usage.memory_mb_seconds);
+  d.word(r.switches.size());
   for (const auto& sw : r.switches) {
-    mix_d(sw.time);
-    mix(static_cast<std::uint64_t>(sw.to));
-    mix_d(sw.load_qps);
+    d.real(sw.time);
+    d.word(static_cast<std::uint64_t>(sw.to));
+    d.real(sw.load_qps);
   }
-  mix(r.switch_aborts);
-  mix(r.switch_retries);
+  d.word(r.switch_aborts);
+  d.word(r.switch_retries);
   for (const auto* series :
        {&r.timeline.load_qps, &r.timeline.mode, &r.timeline.cpu_core_seconds,
         &r.timeline.memory_mb_seconds}) {
-    mix(series->size());
+    d.word(series->size());
     for (const auto& p : series->points()) {
-      mix_d(p.t);
-      mix_d(p.value);
+      d.real(p.t);
+      d.real(p.value);
     }
   }
-  return h;
+  return d.value();
 }
 
 ManagedRunResult run_managed_day(DeploySystem system,

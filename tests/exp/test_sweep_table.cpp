@@ -170,20 +170,9 @@ TEST(Table, RowWidthMismatchThrows) {
   EXPECT_THROW(t.add_row({"only-one"}), ContractError);
 }
 
-TEST(Table, CsvEscapesSpecialCharacters) {
-  Table t({"name", "note"});
-  t.add_row({"x,y", "says \"hi\""});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_NE(os.str().find("\"x,y\",\"says \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(Format, FixedPercentSi) {
+TEST(Format, FixedAndPercent) {
   EXPECT_EQ(fmt_fixed(1.23456, 2), "1.23");
   EXPECT_EQ(fmt_percent(0.729, 1), "72.9%");
-  EXPECT_EQ(fmt_si(2.5e9, 1), "2.5G");
-  EXPECT_EQ(fmt_si(3.125e6, 2), "3.12M");  // round-half-to-even
-  EXPECT_EQ(fmt_si(12.0, 0), "12");
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Direct tests for exp/table round-tripping the cluster summary rows.
+// Direct tests for the result tables the cluster and call-graph runners
+// print.
 //
 // test_sweep_table.cpp covers the Table primitive (alignment, width
-// contract, CSV escaping, format helpers); this file pins the shape and
-// content of the table the cluster runner emits — per-service rows plus a
-// trailing TOTAL row — by parsing back its CSV form cell by cell.
+// contract, format helpers); this file pins the shape and content of the
+// tables the runners emit — per-service or per-stage rows plus a trailing
+// TOTAL or E2E row — by reading back their printed form cell by cell.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,7 +14,6 @@
 #include "exp/callgraph.hpp"
 #include "exp/cluster.hpp"
 #include "exp/table.hpp"
-#include "obs/json.hpp"
 
 namespace amoeba::exp {
 namespace {
@@ -52,21 +52,31 @@ ClusterRunResult two_service_result() {
   return r;
 }
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  // The cluster table emits no quoted cells (names are [a-z#0-9]), so a
-  // plain comma split is exact here.
-  std::vector<std::string> cells;
-  std::string cell;
-  for (char c : line) {
-    if (c == ',') {
-      cells.push_back(cell);
-      cell.clear();
-    } else {
-      cell += c;
+/// The cells of every row Table::print writes, header first, without the
+/// rule lines and the column padding.
+std::vector<std::vector<std::string>> printed_rows(const Table& t) {
+  std::ostringstream os;
+  t.print(os);
+  std::istringstream is(os.str());
+  std::vector<std::vector<std::string>> rows;
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.empty() || line.front() != '|') continue;
+    std::vector<std::string> cells;
+    std::size_t start = 1;
+    for (std::size_t bar = line.find('|', start); bar != std::string::npos;
+         bar = line.find('|', start)) {
+      const std::string cell = line.substr(start, bar - start);
+      const std::size_t first = cell.find_first_not_of(' ');
+      const std::size_t last = cell.find_last_not_of(' ');
+      cells.push_back(first == std::string::npos
+                          ? std::string()
+                          : cell.substr(first, last - first + 1));
+      start = bar + 1;
     }
+    rows.push_back(std::move(cells));
   }
-  cells.push_back(cell);
-  return cells;
+  return rows;
 }
 
 TEST(ClusterTable, HasOneRowPerServicePlusTotal) {
@@ -75,15 +85,9 @@ TEST(ClusterTable, HasOneRowPerServicePlusTotal) {
   EXPECT_EQ(t.cols(), 9u);
 }
 
-TEST(ClusterTable, CsvRoundTripsServiceRows) {
+TEST(ClusterTable, PrintedRowsCarryServiceCells) {
   const ClusterRunResult r = two_service_result();
-  std::ostringstream os;
-  cluster_table(r).write_csv(os);
-
-  std::istringstream is(os.str());
-  std::vector<std::vector<std::string>> lines;
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(split_csv_line(line));
+  const auto lines = printed_rows(cluster_table(r));
   ASSERT_EQ(lines.size(), 4u);  // header + 2 services + TOTAL
 
   const std::vector<std::string> header = {
@@ -130,12 +134,7 @@ TEST(ClusterTable, EmptyTenantListStillPrintsTheTotalRow) {
   EXPECT_EQ(t.rows(), 1u);
   EXPECT_EQ(t.cols(), 9u);
 
-  std::ostringstream os;
-  t.write_csv(os);
-  std::istringstream is(os.str());
-  std::vector<std::vector<std::string>> lines;
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(split_csv_line(line));
+  const auto lines = printed_rows(t);
   ASSERT_EQ(lines.size(), 2u);  // header + TOTAL
   EXPECT_EQ(lines[1][0], "TOTAL(+meters)");
   EXPECT_EQ(lines[1][7], "0.50");
@@ -150,12 +149,7 @@ TEST(ClusterTable, SingleTenantRowMatchesTheTotal) {
   const Table t = cluster_table(r);
   EXPECT_EQ(t.rows(), 2u);  // the tenant + TOTAL
 
-  std::ostringstream os;
-  t.write_csv(os);
-  std::istringstream is(os.str());
-  std::vector<std::vector<std::string>> lines;
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(split_csv_line(line));
+  const auto lines = printed_rows(t);
   ASSERT_EQ(lines.size(), 3u);
   // With no meters and one tenant, TOTAL equals the tenant's own columns.
   EXPECT_EQ(lines[2][7], lines[1][7]);
@@ -191,47 +185,32 @@ CallGraphRunResult callgraph_result() {
   return r;
 }
 
-TEST(CallGraphTable, CsvRowsAgreeWithTheParsedSummaryJson) {
-  // The human table and the machine summary are two views of one result;
-  // pin them cell-by-cell against each other through obs::parse_json.
+TEST(CallGraphTable, PrintedRowsAgreeWithTheResult) {
   const CallGraphRunResult r = callgraph_result();
-  const auto doc = obs::parse_json(callgraph_summary_json(r));
-  ASSERT_TRUE(doc.has_value());
-  const auto& stages = doc->at("stages");
-  ASSERT_TRUE(stages.is_array());
+  const auto lines = printed_rows(callgraph_table(r));
+  ASSERT_EQ(lines.size(), r.stages.size() + 2u);  // header + stages + E2E
 
-  std::ostringstream os;
-  callgraph_table(r).write_csv(os);
-  std::istringstream is(os.str());
-  std::vector<std::vector<std::string>> lines;
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(split_csv_line(line));
-  ASSERT_EQ(lines.size(), stages.array.size() + 2u);  // header + stages + E2E
-
-  for (std::size_t i = 0; i < stages.array.size(); ++i) {
-    const obs::JsonValue& s = stages.array[i];
+  for (std::size_t i = 0; i < r.stages.size(); ++i) {
+    const CallGraphStageResult& s = r.stages[i];
     const auto& row = lines[i + 1];
     ASSERT_EQ(row.size(), 9u);
-    EXPECT_EQ(row[0], std::to_string(static_cast<int>(s.at("stage").number)) +
-                          ":" + s.at("name").string);
-    EXPECT_EQ(row[1], s.at("label").string);
-    EXPECT_EQ(row[2], s.at("pin").string);
-    EXPECT_EQ(row[3], fmt_fixed(s.at("initial_budget_s").number, 3));
-    EXPECT_EQ(row[4], fmt_fixed(s.at("final_budget_s").number, 3));
-    EXPECT_EQ(row[5],
-              std::to_string(static_cast<long long>(s.at("finished").number)));
-    EXPECT_EQ(row[6], fmt_fixed(s.at("p95_s").number, 3));
-    EXPECT_EQ(row[7],
-              std::to_string(static_cast<long long>(s.at("switches").number)));
+    EXPECT_EQ(row[0], std::to_string(s.stage) + ":" + s.name);
+    EXPECT_EQ(row[1], s.label);
+    EXPECT_EQ(row[2], workload::to_string(s.pin));
+    EXPECT_EQ(row[3], fmt_fixed(s.initial_budget_s, 3));
+    EXPECT_EQ(row[4], fmt_fixed(s.final_budget_s, 3));
+    EXPECT_EQ(row[5], std::to_string(s.finished));
+    EXPECT_EQ(row[6], fmt_fixed(s.p95(), 3));
+    EXPECT_EQ(row[7], std::to_string(s.switches));
   }
 
-  // The trailing E2E row carries the run-level numbers from the same JSON.
+  // The trailing E2E row carries the run-level numbers.
   const auto& e2e = lines.back();
   EXPECT_EQ(e2e[0], "E2E");
-  EXPECT_EQ(e2e[1], doc->at("budget_mode").string);
-  EXPECT_EQ(e2e[3], fmt_fixed(doc->at("e2e_qos_target_s").number, 3));
-  EXPECT_EQ(e2e[6], fmt_fixed(doc->at("e2e_p95_s").number, 3));
-  EXPECT_EQ(e2e[8], fmt_fixed(doc->at("total_core_hours").number, 2));
+  EXPECT_EQ(e2e[1], to_string(r.budget_mode));
+  EXPECT_EQ(e2e[3], fmt_fixed(r.e2e_qos_target_s, 3));
+  EXPECT_EQ(e2e[6], fmt_fixed(r.e2e_p95(), 3));
+  EXPECT_EQ(e2e[8], fmt_fixed(r.total_core_hours(), 2));
 }
 
 TEST(ClusterTable, PrintedLinesShareOneWidth) {

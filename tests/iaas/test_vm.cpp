@@ -183,7 +183,10 @@ TEST(Vm, UptimeExcludesStoppedPeriods) {
   e.schedule(80.0, [&] { vm.boot([] {}); });
   e.schedule(100.0, [] {});
   e.run();
-  EXPECT_NEAR(vm.uptime_seconds(100.0), 50.0 + 20.0, 1e-9);
+  // Rent accrues only while the VM is up: 50 s before the drain, 20 s after
+  // the reboot.
+  EXPECT_NEAR(vm.rented_core_seconds(100.0), spec2().cores * (50.0 + 20.0),
+              1e-9);
 }
 
 TEST(Vm, InjectedBootFailureReturnsToStoppedAndPaysRent) {

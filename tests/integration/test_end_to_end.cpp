@@ -3,6 +3,8 @@
 // on a compressed scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exp/profiling.hpp"
 #include "exp/scenario.hpp"
 
@@ -100,7 +102,11 @@ TEST(EndToEnd, TimelineSamplingWorksInManagedRun) {
   const auto r = run_managed(s.foreground, DeploySystem::kAmoeba, s.cluster,
                              s.calibration, s.artifacts, opt);
   EXPECT_GT(r.timeline.mode.size(), 50u);
-  EXPECT_GT(r.timeline.load_qps.max_value(), 50.0);  // saw the rush
+  double peak_qps = 0.0;
+  for (const auto& p : r.timeline.load_qps.points()) {
+    peak_qps = std::max(peak_qps, p.value);
+  }
+  EXPECT_GT(peak_qps, 50.0);  // saw the rush
 }
 
 }  // namespace

@@ -96,7 +96,7 @@ TEST(WorkConservation, ServerlessCpuBusyIntegralEqualsFunctionCpuSeconds) {
     double cpu_seconds = 0.0;
     for (const serverless::FunctionId fn : ids) {
       EXPECT_EQ(sp.stats(fn).completed, sp.stats(fn).submitted)
-          << sp.profile(fn).name;
+          << "function " << static_cast<std::uint32_t>(fn);
       cpu_seconds += sp.cpu_core_seconds(fn);
     }
     ASSERT_GT(cpu_seconds, 1000.0) << "seed " << seed;

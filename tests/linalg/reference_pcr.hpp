@@ -15,9 +15,9 @@
 
 #include "common/assert.hpp"
 #include "linalg/jacobi_eigen.hpp"
-#include "linalg/least_squares.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/pca.hpp"
+#include "reference_linalg.hpp"
 
 namespace amoeba::linalg::testing {
 
@@ -116,7 +116,7 @@ namespace amoeba::linalg::testing {
   // Design matrix of scores, plus intercept handled by centering y.
   Matrix scores(n, k, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto s = model.pca.transform(x.row_vector(i));
+    const auto s = model.pca.transform(row_vector(x, i));
     for (std::size_t c = 0; c < k; ++c) scores(i, c) = s[c];
   }
   double ymean = 0.0;

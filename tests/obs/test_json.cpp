@@ -1,14 +1,13 @@
 // Direct tests for obs/json — previously covered only transitively
 // through the exporters. The writer helpers must produce exactly what the
-// parser reads back (the cluster summary and the JSONL metrics both rely
-// on that), and the parser must reject every malformed document rather
-// than guess.
+// parser reads back (the JSONL metrics, audit and profile exports rely on
+// that), and the parser must reject every malformed document rather than
+// guess.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 
-#include "exp/cluster.hpp"
 #include "obs/json.hpp"
 
 namespace amoeba::obs {
@@ -97,22 +96,16 @@ TEST(ParseJson, FindDistinguishesAbsentFromNull) {
 }
 
 TEST(ParseJson, ReadsClusterSummaryRows) {
-  // The cluster runner's summary is written with these same helpers; its
-  // per-service rows must survive a full write -> parse cycle.
-  exp::ClusterRunResult r;
-  r.duration_s = 600.0;
-  r.trace_hash = 0xfeedULL;
-  exp::ClusterServiceResult s;
-  s.name = "cloud_stor#2";
-  s.qos_target_s = 0.12;
-  s.latencies.add(0.05);
-  s.latencies.add(0.30);
-  s.queries = 2;
-  s.n_max_asked = 3;
-  s.n_max_granted = 2;
-  r.services = {s};
+  // A per-service summary row written with the writer helpers survives a
+  // full write -> parse cycle: strings unescaped, numbers bit-exact.
+  const std::string text =
+      R"({"trace_hash": "0xfeed", "services": [{"name": ")" +
+      json_escape("cloud_stor#2") +
+      R"(", "qos_target_s": )" + json_number(0.12) +
+      R"(, "violation_fraction": )" + json_number(0.5) +
+      R"(, "n_max_granted": )" + json_number(2.0) + "}]}";
 
-  const auto doc = parse_json(exp::cluster_summary_json(r));
+  const auto doc = parse_json(text);
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->at("trace_hash").string, "0xfeed");
   const JsonValue& row = doc->at("services").array.at(0);

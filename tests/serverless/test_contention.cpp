@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 
 #include "serverless/platform.hpp"
 #include "workload/functionbench.hpp"
@@ -10,6 +11,8 @@
 
 namespace amoeba::serverless {
 namespace {
+
+using workload::QueryRecord;
 
 PlatformConfig node_config() {
   PlatformConfig cfg;
@@ -171,9 +174,9 @@ TEST(Contention, TruePressureAttributesLiveDemandPerFunction) {
   EXPECT_EQ(done, 6);
   for (const FunctionId f : {fa, fb, fc}) {
     EXPECT_EQ(sp.true_pressure_of(f), (P{0.0, 0.0, 0.0}))
-        << sp.profile(f).name;
+        << "function " << static_cast<std::uint32_t>(f);
     EXPECT_EQ(sp.true_external_pressure(f), (P{0.0, 0.0, 0.0}))
-        << sp.profile(f).name;
+        << "function " << static_cast<std::uint32_t>(f);
   }
 }
 

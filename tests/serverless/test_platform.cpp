@@ -10,6 +10,8 @@
 namespace amoeba::serverless {
 namespace {
 
+using workload::QueryRecord;
+
 PlatformConfig small_config() {
   PlatformConfig cfg;
   cfg.cores = 8.0;
@@ -293,7 +295,7 @@ TEST(Platform, UnknownFunctionThrows) {
   EXPECT_THROW((void)sp.counts(ghost), ContractError);
   const FunctionId fn = sp.register_function(cpu_fn());
   EXPECT_EQ(sp.find_function("fn"), fn);
-  EXPECT_THROW((void)sp.profile(FunctionId{1}), ContractError);
+  EXPECT_THROW((void)sp.stats(FunctionId{1}), ContractError);
 }
 
 TEST(Platform, DuplicateRegistrationThrows) {

@@ -36,9 +36,8 @@ TEST(SampleSet, BasicStatistics) {
   SampleSet s;
   for (double x : {4.0, 1.0, 3.0, 2.0}) s.add(x);
   EXPECT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
+  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(s.quantile(1.0), 4.0);
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 2.5);
 }
 
@@ -73,25 +72,31 @@ TEST(SampleSet, FractionAboveThreshold) {
 }
 
 TEST(SampleSet, CdfCurveIsMonotone) {
+  // The empirical CDF sampled at 20 equally spaced quantiles: values and
+  // cumulative probabilities both rise, from the minimum to probability 1.
   sim::Rng rng(6);
   SampleSet s;
   for (int i = 0; i < 500; ++i) s.add(rng.exponential(1.0));
-  const auto curve = s.cdf_curve(20);
-  ASSERT_EQ(curve.size(), 20u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].first, curve[i - 1].first);
-    EXPECT_GT(curve[i].second, curve[i - 1].second);
+  double prev_x = s.quantile(0.0);
+  double prev_p = s.cdf_at(prev_x);
+  EXPECT_DOUBLE_EQ(prev_p, 1.0 / 500.0);
+  for (int i = 1; i < 20; ++i) {
+    const double x = s.quantile(static_cast<double>(i) / 19.0);
+    const double p = s.cdf_at(x);
+    EXPECT_GE(x, prev_x);
+    EXPECT_GE(p, prev_p);
+    prev_x = x;
+    prev_p = p;
   }
-  EXPECT_DOUBLE_EQ(curve.front().second, 0.0);
-  EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
+  EXPECT_DOUBLE_EQ(prev_p, 1.0);
 }
 
 TEST(SampleSet, AddAfterQueryInvalidatesCache) {
   SampleSet s;
   s.add(1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 1.0);
+  EXPECT_DOUBLE_EQ(s.quantile(1.0), 1.0);
   s.add(5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
+  EXPECT_DOUBLE_EQ(s.quantile(1.0), 5.0);
 }
 
 TEST(SampleSet, ClearResets) {

@@ -27,22 +27,6 @@ TEST(TimeSeries, ValueBeforeFirstThrows) {
   EXPECT_THROW((void)ts.value_at(4.0), ContractError);
 }
 
-TEST(TimeSeries, TimeWeightedMean) {
-  TimeSeries ts;
-  ts.add(0.0, 0.0);
-  ts.add(5.0, 10.0);
-  // [0,5): 0, [5,10): 10 -> mean 5 over [0,10).
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(0.0, 10.0), 5.0);
-}
-
-TEST(TimeSeries, TimeWeightedMeanPartialWindow) {
-  TimeSeries ts;
-  ts.add(0.0, 2.0);
-  ts.add(4.0, 6.0);
-  // Window [2, 6): 2 for 2s, 6 for 2s -> 4.
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(2.0, 6.0), 4.0);
-}
-
 TEST(TimeSeries, ResampleAveragesBuckets) {
   TimeSeries ts;
   ts.add(0.0, 0.0);
@@ -61,15 +45,6 @@ TEST(TimeSeries, ResampleEmptyBucketCarriesStepValue) {
   const auto r = ts.resample(0.0, 10.0, 5);
   ASSERT_EQ(r.size(), 5u);
   for (const auto& p : r) EXPECT_DOUBLE_EQ(p.value, 7.0);
-}
-
-TEST(TimeSeries, MinMaxValues) {
-  TimeSeries ts;
-  ts.add(0.0, 3.0);
-  ts.add(1.0, -1.0);
-  ts.add(2.0, 8.0);
-  EXPECT_DOUBLE_EQ(ts.min_value(), -1.0);
-  EXPECT_DOUBLE_EQ(ts.max_value(), 8.0);
 }
 
 TEST(TimeSeries, EqualTimestampsAllowed) {

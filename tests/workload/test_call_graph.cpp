@@ -95,7 +95,6 @@ TEST(CallGraph, CanonicalOrderIsTopological) {
   for (int k = 0; k < g.size(); ++k) {
     for (const int p : g.parents(k)) {
       EXPECT_LT(p, k) << "parent after child in canonical order";
-      EXPECT_LT(g.depth(p), g.depth(k));
     }
     for (const int c : g.children(k)) {
       EXPECT_TRUE(std::count(g.parents(c).begin(), g.parents(c).end(), k))
@@ -104,8 +103,6 @@ TEST(CallGraph, CanonicalOrderIsTopological) {
   }
   EXPECT_EQ(g.roots(), std::vector<int>{0});
   EXPECT_EQ(g.leaves(), std::vector<int>{3});
-  EXPECT_EQ(g.depth(0), 0);
-  EXPECT_EQ(g.depth(3), 2);
   EXPECT_EQ(g.max_path_stages(), 3);
 }
 
@@ -115,11 +112,12 @@ TEST(CallGraph, ServiceNamesDeriveFromCanonicalIndex) {
     EXPECT_EQ(g.service_name(k),
               g.stage(k).profile.name + "@s" + std::to_string(k));
   }
-  EXPECT_EQ(g.stage_by_label("mid_b"),
-            g.stage_by_label("mid_b"));  // stable
-  ASSERT_GE(g.stage_by_label("front"), 0);
-  EXPECT_EQ(g.stage(g.stage_by_label("front")).label, "front");
-  EXPECT_EQ(g.stage_by_label("absent"), -1);
+  // Every declared label survives canonicalization, once.
+  std::vector<std::string> labels;
+  for (int k = 0; k < g.size(); ++k) labels.push_back(g.stage(k).label);
+  std::sort(labels.begin(), labels.end());
+  EXPECT_EQ(labels,
+            (std::vector<std::string>{"back", "front", "mid_a", "mid_b"}));
 }
 
 TEST(CallGraphMetamorphic, RelabelingLeavesTheBuiltObjectUnchanged) {
@@ -133,7 +131,6 @@ TEST(CallGraphMetamorphic, RelabelingLeavesTheBuiltObjectUnchanged) {
     EXPECT_EQ(relabeled.service_name(k), ref.service_name(k));
     EXPECT_EQ(relabeled.parents(k), ref.parents(k));
     EXPECT_EQ(relabeled.children(k), ref.children(k));
-    EXPECT_EQ(relabeled.depth(k), ref.depth(k));
     EXPECT_EQ(relabeled.stage(k).profile.name, ref.stage(k).profile.name);
     EXPECT_EQ(relabeled.stage(k).pin, ref.stage(k).pin);
   }
@@ -223,7 +220,7 @@ TEST(CallGraph, PathSumsMatchBruteForceEnumeration) {
     for (const int v : p) s += w[static_cast<std::size_t>(v)];
     heaviest = std::max(heaviest, s);
   }
-  EXPECT_DOUBLE_EQ(g.critical_path(w), heaviest);
+  EXPECT_DOUBLE_EQ(*std::max_element(sums.begin(), sums.end()), heaviest);
   EXPECT_THROW((void)g.path_sums_through({0.1, 0.2}), ContractError);
   EXPECT_THROW((void)g.path_sums_through({0.1, 0.2, 0.0, 0.1}),
                ContractError);
@@ -236,7 +233,7 @@ TEST(CallGraph, SingleStageAndChainShapes) {
   EXPECT_EQ(g1.size(), 1);
   EXPECT_EQ(g1.max_path_stages(), 1);
   EXPECT_EQ(g1.paths(), std::vector<std::vector<int>>{{0}});
-  EXPECT_DOUBLE_EQ(g1.critical_path({0.5}), 0.5);
+  EXPECT_EQ(g1.path_sums_through({0.5}), std::vector<double>{0.5});
 
   CallGraph::Builder chain;
   const int a = chain.add_stage("a", stage_profile("a", 0.02));
@@ -247,7 +244,8 @@ TEST(CallGraph, SingleStageAndChainShapes) {
   const CallGraph g3 = chain.build();
   EXPECT_EQ(g3.max_path_stages(), 3);
   ASSERT_EQ(g3.paths().size(), 1u);
-  EXPECT_DOUBLE_EQ(g3.critical_path({1.0, 2.0, 4.0}), 7.0);
+  EXPECT_EQ(g3.path_sums_through({1.0, 2.0, 4.0}),
+            (std::vector<double>{7.0, 7.0, 7.0}));
 }
 
 TEST(CallGraph, StagePinToString) {

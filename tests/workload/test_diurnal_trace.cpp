@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace amoeba::workload {
 namespace {
@@ -15,9 +16,19 @@ DiurnalTraceConfig base_config() {
   return cfg;
 }
 
+/// The base (noise-free) rate at `n` uniform points over one day.
+std::vector<double> sample_day(const DiurnalTrace& trace, std::size_t n) {
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = trace.base_rate(trace.config().period_s *
+                             static_cast<double>(i) / static_cast<double>(n));
+  }
+  return out;
+}
+
 TEST(DiurnalTrace, PeakAndTroughRespected) {
   DiurnalTrace trace(base_config());
-  const auto day = trace.sample_day(500);
+  const auto day = sample_day(trace, 500);
   const double mx = *std::max_element(day.begin(), day.end());
   const double mn = *std::min_element(day.begin(), day.end());
   EXPECT_NEAR(mx, 100.0, 1.0);          // reaches the peak
@@ -27,7 +38,7 @@ TEST(DiurnalTrace, PeakAndTroughRespected) {
 
 TEST(DiurnalTrace, TwoRushesPresent) {
   DiurnalTrace trace(base_config());
-  const auto day = trace.sample_day(1000);
+  const auto day = sample_day(trace, 1000);
   // Count local maxima above 60% of peak with some hysteresis.
   int rushes = 0;
   bool in_rush = false;
@@ -96,17 +107,10 @@ TEST(DiurnalTrace, ConfigValidation) {
   EXPECT_THROW(DiurnalTrace{cfg}, ContractError);
 }
 
-TEST(DiurnalTrace, SampleDayRequiresTwoPoints) {
-  DiurnalTrace trace(base_config());
-  EXPECT_THROW((void)trace.sample_day(1), ContractError);
-}
-
 TEST(DiurnalTrace, WrapsExactlyAtTheDayBoundary) {
   DiurnalTrace trace(base_config());
   EXPECT_DOUBLE_EQ(trace.base_rate(0.0), trace.base_rate(1000.0));
   EXPECT_DOUBLE_EQ(trace.base_rate(0.0), trace.base_rate(17.0 * 1000.0));
-  // sample_day's first point is the day origin.
-  EXPECT_DOUBLE_EQ(trace.sample_day(100).front(), trace.base_rate(0.0));
 }
 
 TEST(DiurnalTrace, DayEdgeIsContinuous) {
