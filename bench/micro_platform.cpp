@@ -31,7 +31,7 @@ void BM_FairShareChurn(benchmark::State& state) {
   const int concurrency = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Engine e;
-    sim::FairShareResource cpu(e, "cpu", 40.0);
+    sim::FairShareResource cpu(e, 40.0);
     int opened = 0;
     // Keep `concurrency` streams alive; each completion opens a successor.
     std::function<void()> open_one = [&] {

@@ -19,9 +19,14 @@ VirtualMachine::VirtualMachine(sim::Engine& engine,
       profile_(std::move(profile)),
       spec_(spec),
       rng_(rng),
-      cpu_(engine, profile_.name + "_vm_cpu", spec.cores),
-      disk_(engine, profile_.name + "_vm_disk", disk_bps),
-      net_(engine, profile_.name + "_vm_net", net_bps) {
+      cpu_(engine, spec.cores),
+      disk_(engine, disk_bps),
+      net_(engine, net_bps),
+      runner_(engine, [this](workload::PhaseRunner::Query& q) {
+        // The runner's live count already dropped: a drain may now finish.
+        q.on_done(q.record);
+        maybe_finish_drain();
+      }) {
   profile_.validate();
   spec_.validate();
   mark_ = engine_.now();
@@ -113,7 +118,7 @@ void VirtualMachine::drain_and_stop(
 }
 
 void VirtualMachine::maybe_finish_drain() {
-  if (state_ == VmState::kDraining && in_flight_ == 0) {
+  if (state_ == VmState::kDraining && runner_.live() == 0) {
     advance_accounting(engine_.now());
     state_ = VmState::kStopped;
     notify_drained(true);
@@ -132,71 +137,24 @@ void VirtualMachine::submit(workload::QueryCompletionFn on_done) {
   AMOEBA_EXPECTS(on_done != nullptr);
   AMOEBA_EXPECTS_MSG(state_ == VmState::kRunning,
                      "submit() requires a running VM");
-  ++in_flight_;
-
-  auto rec = std::make_shared<workload::QueryRecord>();
-  rec->id = next_query_id_++;
-  rec->arrival = engine_.now();
-  rec->breakdown.overhead_s = profile_.rpc_overhead_s;
-
-  const double cpu_work =
+  workload::PhaseRunner::Query q;
+  workload::QueryRecord& rec = q.record;
+  rec.id = next_query_id_++;
+  rec.arrival = engine_.now();
+  rec.breakdown.overhead_s = profile_.rpc_overhead_s;
+  rec.cpu_work_done =
       profile_.exec.cpu_seconds > 0.0
           ? rng_.lognormal_mean_cv(profile_.exec.cpu_seconds, profile_.cpu_cv)
           : 0.0;
-  rec->cpu_work_done = cpu_work;
-
-  auto finish = [this, rec, done = std::move(on_done)]() mutable {
-    rec->completion = engine_.now();
-    AMOEBA_INVARIANT_MSG(in_flight_ > 0, "completion without an in-flight query");
-    --in_flight_;
-    done(*rec);
-    maybe_finish_drain();
-  };
-
-  auto net_phase = [this, rec, bytes = profile_.exec.net_bytes,
-                    next = std::move(finish)]() mutable {
-    if (bytes <= 0.0) {
-      next();
-      return;
-    }
-    const double t0 = engine_.now();
-    net_.open(bytes, 0.0, [this, rec, t0, next = std::move(next)]() mutable {
-      rec->breakdown.exec_s += engine_.now() - t0;
-      next();
-    });
-  };
-
-  auto io_phase = [this, rec, bytes = profile_.exec.io_bytes,
-                   next = std::move(net_phase)]() mutable {
-    if (bytes <= 0.0) {
-      next();
-      return;
-    }
-    const double t0 = engine_.now();
-    disk_.open(bytes, 0.0, [this, rec, t0, next = std::move(next)]() mutable {
-      rec->breakdown.exec_s += engine_.now() - t0;
-      next();
-    });
-  };
-
-  auto cpu_phase = [this, rec, cpu_work, next = std::move(io_phase)]() mutable {
-    if (cpu_work <= 0.0) {
-      next();
-      return;
-    }
-    const double t0 = engine_.now();
-    // Each request uses at most one core (a service worker is a thread).
-    cpu_.open(cpu_work, 1.0, [this, rec, t0, next = std::move(next)]() mutable {
-      rec->breakdown.exec_s += engine_.now() - t0;
-      next();
-    });
-  };
-
-  if (profile_.rpc_overhead_s > 0.0) {
-    engine_.schedule_in(profile_.rpc_overhead_s, std::move(cpu_phase));
-  } else {
-    cpu_phase();
-  }
+  // Each request uses at most one core (a service worker is a thread).
+  using workload::LatencyBreakdown;
+  q.phases = {{
+      {&cpu_, rec.cpu_work_done, 1.0, &LatencyBreakdown::exec_s},
+      {&disk_, profile_.exec.io_bytes, 0.0, &LatencyBreakdown::exec_s},
+      {&net_, profile_.exec.net_bytes, 0.0, &LatencyBreakdown::exec_s},
+  }};
+  q.on_done = std::move(on_done);
+  runner_.start(std::move(q));
 }
 
 double VirtualMachine::rented_core_seconds(sim::Time now) {

@@ -4,15 +4,16 @@
 // rented core/memory allocation regardless of load (paper §II-B) — that is
 // exactly the waste Amoeba recovers. Queries are served processor-sharing
 // across the VM's cores with resident code, so the only fixed per-query
-// cost is the small RPC overhead (no auth / code-load / cold-start path).
+// cost is the small RPC overhead (no auth / code-load / cold-start path):
+// a query is the RPC delay then execute (cpu -> io -> net), walked by a
+// workload::PhaseRunner (the same walk the serverless platform uses),
+// whose live count is the VM's in-flight count for drain-then-stop.
 //
 // The VM gets dedicated disk/NIC shares at full node rates: the paper's
 // IaaS node is provisioned for peak and never the contention bottleneck.
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -20,6 +21,7 @@
 #include "sim/fault_injector.hpp"
 #include "sim/random.hpp"
 #include "workload/function_profile.hpp"
+#include "workload/phase_runner.hpp"
 #include "workload/query.hpp"
 
 namespace amoeba::iaas {
@@ -93,9 +95,9 @@ class VirtualMachine {
   sim::FairShareResource cpu_;
   sim::FairShareResource disk_;
   sim::FairShareResource net_;
+  workload::PhaseRunner runner_;
   VmState state_ = VmState::kStopped;
   std::vector<std::function<void(bool)>> drain_callbacks_;
-  int in_flight_ = 0;
   std::uint64_t boot_generation_ = 0;  ///< invalidates stale boot events
   std::uint64_t next_query_id_ = 1;
   std::uint64_t boot_failures_ = 0;

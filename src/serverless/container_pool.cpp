@@ -22,7 +22,7 @@ void check_counts(const PoolCounts& c) {
 ContainerPool::ContainerPool(sim::Engine& engine, double memory_capacity_mb,
                              double keep_alive_s)
     : engine_(engine),
-      memory_(engine, "pool_memory", memory_capacity_mb),
+      memory_(engine, memory_capacity_mb),
       keep_alive_s_(keep_alive_s) {
   AMOEBA_EXPECTS(keep_alive_s > 0.0);
 }

@@ -25,10 +25,13 @@ ServerlessPlatform::ServerlessPlatform(sim::Engine& engine, PlatformConfig cfg,
     : engine_(engine),
       cfg_(cfg),
       rng_(rng),
-      cpu_(engine, "node_cpu", cfg.cores, cfg.cpu_interference),
-      disk_(engine, "node_disk", cfg.disk_bps),
-      net_(engine, "node_net", cfg.net_bps),
-      pool_(engine, cfg.pool_memory_mb, cfg.keep_alive_s) {
+      cpu_(engine, cfg.cores, cfg.cpu_interference),
+      disk_(engine, cfg.disk_bps),
+      net_(engine, cfg.net_bps),
+      pool_(engine, cfg.pool_memory_mb, cfg.keep_alive_s),
+      runner_(engine, [this](workload::PhaseRunner::Query& q) {
+        finish_invocation(q);
+      }) {
   cfg_.validate();
 }
 
@@ -185,9 +188,10 @@ void ServerlessPlatform::on_container_failed(FunctionId fn, ContainerId cid) {
 void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
                                         Pending pending) {
   const workload::FunctionProfile& p = st.profile;
-  auto rec = std::make_shared<workload::QueryRecord>();
-  rec->id = pending.id;
-  rec->arrival = pending.arrival;
+  workload::PhaseRunner::Query q;
+  workload::QueryRecord& rec = q.record;
+  rec.id = pending.id;
+  rec.arrival = pending.arrival;
 
   // Attribute the wait between arrival and service start: any overlap with
   // the serving container's boot window counts as cold start (Fig. 4 /
@@ -200,127 +204,45 @@ void ServerlessPlatform::run_invocation(FunctionState& st, ContainerId cid,
                    0.0, wait);
     // "Cold" means the query actually waited on the boot; a query served by
     // a prewarmed container that was ready before it arrived is warm.
-    rec->cold = boot_overlap > 0.0;
-    if (rec->cold) st.stats.cold_hits += 1;
-    rec->breakdown.cold_start_s = boot_overlap;
-    rec->breakdown.queue_s = wait - boot_overlap;
+    rec.cold = boot_overlap > 0.0;
+    if (rec.cold) st.stats.cold_hits += 1;
+    rec.breakdown.cold_start_s = boot_overlap;
+    rec.breakdown.queue_s = wait - boot_overlap;
   } else {
-    rec->breakdown.queue_s = wait;
+    rec.breakdown.queue_s = wait;
   }
 
-  const double cpu_work =
+  rec.cpu_work_done =
       p.exec.cpu_seconds > 0.0
           ? rng_.lognormal_mean_cv(p.exec.cpu_seconds, p.cpu_cv)
           : 0.0;
-  rec->cpu_work_done = cpu_work;
   // Containerized IO moves more effective "device work" per byte
   // (overlay-fs / virtualization tax).
   const double io_scale = 1.0 / cfg_.io_efficiency;
-
+  using workload::LatencyBreakdown;
+  q.phases = {{
+      {&disk_, p.code_bytes * io_scale, 0.0, &LatencyBreakdown::code_load_s},
+      {&cpu_, rec.cpu_work_done, cfg_.container_core_cap,
+       &LatencyBreakdown::exec_s},
+      {&disk_, p.exec.io_bytes * io_scale, 0.0, &LatencyBreakdown::exec_s},
+      {&net_, p.exec.net_bytes, 0.0, &LatencyBreakdown::exec_s},
+      {&net_, p.result_bytes, 0.0, &LatencyBreakdown::post_s},
+  }};
+  // Fixed platform processing overhead (auth + scheduling) comes first.
+  rec.breakdown.overhead_s = p.platform_overhead_s;
+  q.on_done = std::move(pending.on_done);
   // Every phase's stream carries the function's id, attributing its demand.
-  const FunctionId fn = st.id;
-  const auto tag = static_cast<sim::StreamTag>(fn);
-  auto finish = [this, fn, cid, rec, done = std::move(pending.on_done)]() mutable {
-    rec->completion = engine_.now();
-    finish_invocation(record(fn), cid, *rec, std::move(done));
-  };
-
-  // Build the phase chain back-to-front; each phase stamps its duration.
-  auto post_phase = [this, rec, tag, bytes = p.result_bytes,
-                     next = std::move(finish)]() mutable {
-    if (bytes <= 0.0) {
-      next();
-      return;
-    }
-    const double t0 = engine_.now();
-    net_.open(
-        bytes, 0.0,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.post_s = engine_.now() - t0;
-          next();
-        },
-        tag);
-  };
-
-  auto exec_net_phase = [this, rec, tag, bytes = p.exec.net_bytes,
-                         next = std::move(post_phase)]() mutable {
-    if (bytes <= 0.0) {
-      next();
-      return;
-    }
-    const double t0 = engine_.now();
-    net_.open(
-        bytes, 0.0,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.exec_s += engine_.now() - t0;
-          next();
-        },
-        tag);
-  };
-
-  auto exec_io_phase = [this, rec, tag, bytes = p.exec.io_bytes * io_scale,
-                        next = std::move(exec_net_phase)]() mutable {
-    if (bytes <= 0.0) {
-      next();
-      return;
-    }
-    const double t0 = engine_.now();
-    disk_.open(
-        bytes, 0.0,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.exec_s += engine_.now() - t0;
-          next();
-        },
-        tag);
-  };
-
-  auto exec_cpu_phase = [this, rec, tag, cpu_work,
-                         cap = cfg_.container_core_cap,
-                         next = std::move(exec_io_phase)]() mutable {
-    if (cpu_work <= 0.0) {
-      next();
-      return;
-    }
-    const double t0 = engine_.now();
-    cpu_.open(
-        cpu_work, cap,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.exec_s += engine_.now() - t0;
-          next();
-        },
-        tag);
-  };
-
-  auto code_load_phase = [this, rec, tag, bytes = p.code_bytes * io_scale,
-                          next = std::move(exec_cpu_phase)]() mutable {
-    if (bytes <= 0.0) {
-      next();
-      return;
-    }
-    const double t0 = engine_.now();
-    disk_.open(
-        bytes, 0.0,
-        [this, rec, t0, next = std::move(next)]() mutable {
-          rec->breakdown.code_load_s = engine_.now() - t0;
-          next();
-        },
-        tag);
-  };
-
-  // Entry: fixed platform processing overhead (auth + scheduling).
-  rec->breakdown.overhead_s = p.platform_overhead_s;
-  if (p.platform_overhead_s > 0.0) {
-    engine_.schedule_in(p.platform_overhead_s, std::move(code_load_phase));
-  } else {
-    code_load_phase();
-  }
+  q.tag = static_cast<sim::StreamTag>(st.id);
+  q.key = cid;
+  runner_.start(std::move(q));
 }
 
-void ServerlessPlatform::finish_invocation(
-    FunctionState& st, ContainerId cid, workload::QueryRecord record,
-    workload::QueryCompletionFn on_done) {
+void ServerlessPlatform::finish_invocation(workload::PhaseRunner::Query& q) {
+  const auto fn = static_cast<FunctionId>(q.tag);
+  const ContainerId cid = q.key;
+  FunctionState& st = record(fn);
   st.stats.completed += 1;
-  st.stats.cpu_core_seconds += record.cpu_work_done;
+  st.stats.cpu_core_seconds += q.record.cpu_work_done;
 
   const bool crash = cfg_.crash_after_completion_p > 0.0 &&
                      rng_.uniform() < cfg_.crash_after_completion_p;
@@ -329,8 +251,7 @@ void ServerlessPlatform::finish_invocation(
   } else {
     pool_.release_to_idle(cid);
   }
-  const FunctionId fn = st.id;
-  on_done(record);
+  q.on_done(q.record);
   pump(fn);
 }
 

@@ -7,15 +7,19 @@
 // BOUND to the container being created for it and waits out the full boot
 // even if another container frees up earlier — this is precisely why the
 // paper's prewarm strategy matters (§V-A / Fig. 16).
-// An invocation runs through the phase machine of paper Fig. 4:
+// An invocation runs through the phases of paper Fig. 4:
 //
 //   [queue] -> [cold start?] -> processing overhead -> code load (disk)
 //           -> execute (cpu -> io -> net) -> result post (net) -> done
 //
-// All resource-bound phases draw on the node's shared FairShareResources,
-// so cross-function interference, latency surfaces, and the no-fixed-
-// switch-load effect (paper §II-D) all emerge from the physics rather than
-// being scripted.
+// The platform writes that phase table into a workload::PhaseRunner::Query
+// and the runner walks it (the same walk a VM uses); the platform keeps
+// only the finish step: stats, the crash draw, destroying or releasing the
+// container, the completion observer, then re-pumping the queue. All
+// resource-bound phases draw on the node's shared FairShareResources, so
+// cross-function interference, latency surfaces, and the no-fixed-switch-
+// load effect (paper §II-D) all emerge from the physics rather than being
+// scripted.
 //
 // A function's name is how a user addresses the platform; below that edge
 // everything uses the FunctionId register_function() returns. The platform
@@ -28,7 +32,6 @@
 #include <array>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +43,7 @@
 #include "sim/random.hpp"
 #include "stats/gauge.hpp"
 #include "workload/function_profile.hpp"
+#include "workload/phase_runner.hpp"
 #include "workload/query.hpp"
 
 namespace amoeba::serverless {
@@ -218,9 +222,9 @@ class ServerlessPlatform {
   bool try_make_room(FunctionState& st);
 
   void run_invocation(FunctionState& st, ContainerId cid, Pending pending);
-  void finish_invocation(FunctionState& st, ContainerId cid,
-                         workload::QueryRecord record,
-                         workload::QueryCompletionFn on_done);
+  /// The runner's finish step: the query's tag is its FunctionId and its
+  /// key the serving container.
+  void finish_invocation(workload::PhaseRunner::Query& q);
 
   double sample_cold_start();
 
@@ -231,6 +235,7 @@ class ServerlessPlatform {
   sim::FairShareResource disk_;
   sim::FairShareResource net_;
   ContainerPool pool_;
+  workload::PhaseRunner runner_;
   std::vector<FunctionState> functions_;  ///< indexed by FunctionId
   /// The one name index: the API edge's find_function().
   std::map<std::string, FunctionId, std::less<>> ids_by_name_;

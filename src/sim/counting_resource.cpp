@@ -1,12 +1,9 @@
 #include "sim/counting_resource.hpp"
 
-#include <utility>
-
 namespace amoeba::sim {
 
-CountingResource::CountingResource(Engine& engine, std::string name,
-                                   double capacity)
-    : engine_(engine), name_(std::move(name)), capacity_(capacity) {
+CountingResource::CountingResource(Engine& engine, double capacity)
+    : engine_(engine), capacity_(capacity) {
   AMOEBA_EXPECTS(capacity > 0.0);
   mark_ = engine_.now();
 }

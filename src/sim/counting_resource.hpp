@@ -6,15 +6,13 @@
 // accounting behind the paper's Fig. 11/13/14.
 #pragma once
 
-#include <string>
-
 #include "sim/engine.hpp"
 
 namespace amoeba::sim {
 
 class CountingResource {
  public:
-  CountingResource(Engine& engine, std::string name, double capacity);
+  CountingResource(Engine& engine, double capacity);
 
   /// Try to take `amount` units. Returns false (without side effects) if
   /// fewer than `amount` units are free.
@@ -27,7 +25,6 @@ class CountingResource {
   [[nodiscard]] double in_use() const noexcept { return in_use_; }
   [[nodiscard]] double available() const noexcept { return capacity_ - in_use_; }
   [[nodiscard]] double utilization() const noexcept { return in_use_ / capacity_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Time-integral of held units up to `now` (unit·seconds). Lazily
   /// advances the integral, so it is also called for that side effect.
@@ -35,7 +32,6 @@ class CountingResource {
 
  private:
   Engine& engine_;
-  std::string name_;
   double capacity_;
   double in_use_ = 0.0;
   mutable double integral_ = 0.0;

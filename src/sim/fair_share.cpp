@@ -33,12 +33,9 @@ constexpr auto finishes_later = [](const auto& a, const auto& b) {
 
 }  // namespace
 
-FairShareResource::FairShareResource(Engine& engine, std::string name,
-                                     double capacity, double interference)
-    : engine_(engine),
-      name_(std::move(name)),
-      capacity_(capacity),
-      interference_(interference) {
+FairShareResource::FairShareResource(Engine& engine, double capacity,
+                                     double interference)
+    : engine_(engine), capacity_(capacity), interference_(interference) {
   AMOEBA_EXPECTS_MSG(capacity > 0.0, "resource capacity must be positive");
   AMOEBA_EXPECTS_MSG(interference >= 0.0, "interference must be >= 0");
   last_update_ = engine_.now();

@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -68,8 +67,7 @@ class FairShareResource {
   /// every stream's allocated rate is scaled by 1 / (1 + interference · U)
   /// where U is the pre-penalty utilization. 0 disables the effect
   /// (pure max-min sharing, appropriate for IO/NIC bandwidth).
-  FairShareResource(Engine& engine, std::string name, double capacity,
-                    double interference = 0.0);
+  FairShareResource(Engine& engine, double capacity, double interference = 0.0);
   ~FairShareResource();
   FairShareResource(const FairShareResource&) = delete;
   FairShareResource& operator=(const FairShareResource&) = delete;
@@ -124,7 +122,6 @@ class FairShareResource {
   /// effect (hence no [[nodiscard]]).
   double busy_capacity_seconds(Time now) const noexcept;
 
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] double capacity() const noexcept { return capacity_; }
 
  private:
@@ -155,7 +152,6 @@ class FairShareResource {
   void on_completion_event();
 
   Engine& engine_;
-  std::string name_;
   double capacity_;
   double interference_;
   std::vector<CapClass> classes_;  // non-empty, ascending cap

@@ -19,9 +19,10 @@
 
 namespace amoeba::sim {
 
-/// Inline storage size. Covers `this` + ~5 word-sized captures; measured to
-/// hold every callback the simulators schedule except the switch-protocol
-/// prewarm poll (which captures a std::string and takes the heap path).
+/// Inline storage size. Covers `this` + ~5 word-sized captures, which holds
+/// every callback the simulators schedule except the container-boot and
+/// VM-boot closures: each carries two std::functions (ready and failed) and
+/// takes the heap path.
 inline constexpr std::size_t kInlineCallbackBytes = 48;
 
 class InlineCallback {

@@ -115,7 +115,7 @@ TEST(ContractDeathTest, CountingResourceRejectsOverRelease) {
       {
         set_contract_handler(&abort_contract_handler);
         sim::Engine engine;
-        sim::CountingResource res(engine, "mem", 100.0);
+        sim::CountingResource res(engine, 100.0);
         (void)res.try_acquire(10.0);
         res.release(20.0);
       },

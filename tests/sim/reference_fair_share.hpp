@@ -15,7 +15,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,9 +28,9 @@ class ReferenceFairShare {
  public:
   using CompletionFn = std::function<void()>;
 
-  /// Same arguments as FairShareResource; the name is unused.
-  ReferenceFairShare(Engine& engine, std::string_view /*name*/,
-                     double capacity, double interference = 0.0)
+  /// Same arguments as FairShareResource.
+  ReferenceFairShare(Engine& engine, double capacity,
+                     double interference = 0.0)
       : engine_(engine),
         capacity_(capacity),
         interference_(interference),

@@ -7,7 +7,7 @@ namespace {
 
 TEST(CountingResource, AcquireAndRelease) {
   Engine e;
-  CountingResource mem(e, "mem", 1024.0);
+  CountingResource mem(e, 1024.0);
   EXPECT_TRUE(mem.try_acquire(256.0));
   EXPECT_DOUBLE_EQ(mem.in_use(), 256.0);
   EXPECT_DOUBLE_EQ(mem.available(), 768.0);
@@ -17,7 +17,7 @@ TEST(CountingResource, AcquireAndRelease) {
 
 TEST(CountingResource, RejectsOverAcquire) {
   Engine e;
-  CountingResource mem(e, "mem", 512.0);
+  CountingResource mem(e, 512.0);
   EXPECT_TRUE(mem.try_acquire(512.0));
   EXPECT_FALSE(mem.try_acquire(1.0));
   EXPECT_DOUBLE_EQ(mem.in_use(), 512.0);  // failed acquire has no effect
@@ -25,7 +25,7 @@ TEST(CountingResource, RejectsOverAcquire) {
 
 TEST(CountingResource, ExactFitSucceeds) {
   Engine e;
-  CountingResource mem(e, "mem", 512.0);
+  CountingResource mem(e, 512.0);
   EXPECT_TRUE(mem.try_acquire(256.0));
   EXPECT_TRUE(mem.try_acquire(256.0));
   EXPECT_FALSE(mem.try_acquire(0.001));
@@ -33,21 +33,21 @@ TEST(CountingResource, ExactFitSucceeds) {
 
 TEST(CountingResource, OverReleaseThrows) {
   Engine e;
-  CountingResource mem(e, "mem", 512.0);
+  CountingResource mem(e, 512.0);
   EXPECT_TRUE(mem.try_acquire(100.0));
   EXPECT_THROW(mem.release(200.0), ContractError);
 }
 
 TEST(CountingResource, UtilizationFraction) {
   Engine e;
-  CountingResource mem(e, "mem", 1000.0);
+  CountingResource mem(e, 1000.0);
   EXPECT_TRUE(mem.try_acquire(250.0));
   EXPECT_DOUBLE_EQ(mem.utilization(), 0.25);
 }
 
 TEST(CountingResource, HeldIntegralTracksTime) {
   Engine e;
-  CountingResource mem(e, "mem", 1000.0);
+  CountingResource mem(e, 1000.0);
   EXPECT_TRUE(mem.try_acquire(100.0));
   e.schedule(5.0, [&] { mem.release(100.0); });
   e.schedule(10.0, [] {});
@@ -57,7 +57,7 @@ TEST(CountingResource, HeldIntegralTracksTime) {
 
 TEST(CountingResource, IntegralWithMultipleSteps) {
   Engine e;
-  CountingResource mem(e, "mem", 1000.0);
+  CountingResource mem(e, 1000.0);
   EXPECT_TRUE(mem.try_acquire(100.0));
   e.schedule(2.0, [&] { EXPECT_TRUE(mem.try_acquire(300.0)); });
   e.schedule(4.0, [&] { mem.release(400.0); });

@@ -18,7 +18,7 @@ namespace {
 
 TEST(FairShare, SingleStreamRunsAtItsCap) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 4.0);
+  FairShareResource cpu(e, 4.0);
   double done_at = -1.0;
   cpu.open(2.0, 1.0, [&] { done_at = e.now(); });
   e.run();
@@ -27,7 +27,7 @@ TEST(FairShare, SingleStreamRunsAtItsCap) {
 
 TEST(FairShare, UncappedStreamUsesFullCapacity) {
   Engine e;
-  FairShareResource disk(e, "disk", 10.0);
+  FairShareResource disk(e, 10.0);
   double done_at = -1.0;
   disk.open(20.0, 0.0, [&] { done_at = e.now(); });
   e.run();
@@ -36,7 +36,7 @@ TEST(FairShare, UncappedStreamUsesFullCapacity) {
 
 TEST(FairShare, EqualStreamsShareEqually) {
   Engine e;
-  FairShareResource disk(e, "disk", 10.0);
+  FairShareResource disk(e, 10.0);
   std::vector<double> done(2, -1.0);
   disk.open(10.0, 0.0, [&] { done[0] = e.now(); });
   disk.open(10.0, 0.0, [&] { done[1] = e.now(); });
@@ -48,7 +48,7 @@ TEST(FairShare, EqualStreamsShareEqually) {
 
 TEST(FairShare, CapLimitsAllocationWhenCapacityIsAmple) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 40.0);
+  FairShareResource cpu(e, 40.0);
   double done_at = -1.0;
   cpu.open(0.1, 1.0, [&] { done_at = e.now(); });  // container: 1-core cap
   e.run();
@@ -57,7 +57,7 @@ TEST(FairShare, CapLimitsAllocationWhenCapacityIsAmple) {
 
 TEST(FairShare, MaxMinRedistributionBeyondCappedStreams) {
   Engine e;
-  FairShareResource r(e, "r", 10.0);
+  FairShareResource r(e, 10.0);
   // One stream capped at 2, one uncapped: capped gets 2, other gets 8.
   double done_small = -1.0, done_big = -1.0;
   r.open(2.0, 2.0, [&] { done_small = e.now(); });   // 2 units at rate 2
@@ -69,7 +69,7 @@ TEST(FairShare, MaxMinRedistributionBeyondCappedStreams) {
 
 TEST(FairShare, LateArrivalSlowsExistingStream) {
   Engine e;
-  FairShareResource r(e, "r", 1.0);
+  FairShareResource r(e, 1.0);
   double done_a = -1.0, done_b = -1.0;
   r.open(1.0, 0.0, [&] { done_a = e.now(); });  // alone: would finish at 1.0
   e.schedule(0.5, [&] {
@@ -85,7 +85,7 @@ TEST(FairShare, LateArrivalSlowsExistingStream) {
 
 TEST(FairShare, DepartureSpeedsUpRemainder) {
   Engine e;
-  FairShareResource r(e, "r", 2.0);
+  FairShareResource r(e, 2.0);
   double done_long = -1.0;
   r.open(1.0, 0.0, [&] {});                        // finishes at t=1 (rate 1)
   r.open(3.0, 0.0, [&] { done_long = e.now(); });  // rate 1, then rate 2
@@ -96,7 +96,7 @@ TEST(FairShare, DepartureSpeedsUpRemainder) {
 
 TEST(FairShare, CloseReturnsRemainingWork) {
   Engine e;
-  FairShareResource r(e, "r", 1.0);
+  FairShareResource r(e, 1.0);
   const StreamId id = r.open(10.0, 0.0, [] { FAIL() << "must not complete"; });
   e.schedule(4.0, [&] {
     const double remaining = r.close(id);
@@ -108,13 +108,13 @@ TEST(FairShare, CloseReturnsRemainingWork) {
 
 TEST(FairShare, CloseUnknownStreamReturnsZero) {
   Engine e;
-  FairShareResource r(e, "r", 1.0);
+  FairShareResource r(e, 1.0);
   EXPECT_DOUBLE_EQ(r.close(12345), 0.0);
 }
 
 TEST(FairShare, ZeroWorkCompletesViaEventNotReentrantly) {
   Engine e;
-  FairShareResource r(e, "r", 1.0);
+  FairShareResource r(e, 1.0);
   bool done = false;
   r.open(0.0, 0.0, [&] { done = true; });
   EXPECT_FALSE(done);  // not re-entrant
@@ -125,7 +125,7 @@ TEST(FairShare, ZeroWorkCompletesViaEventNotReentrantly) {
 
 TEST(FairShare, PressureSumsCappedDemands) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 4.0);
+  FairShareResource cpu(e, 4.0);
   cpu.open(100.0, 1.0, [] {});
   cpu.open(100.0, 1.0, [] {});
   EXPECT_DOUBLE_EQ(cpu.pressure(), 0.5);  // 2 cores demanded of 4
@@ -135,7 +135,7 @@ TEST(FairShare, PressureSumsCappedDemands) {
 
 TEST(FairShare, UtilizationReflectsAllocation) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 4.0);
+  FairShareResource cpu(e, 4.0);
   EXPECT_DOUBLE_EQ(cpu.utilization(), 0.0);
   cpu.open(100.0, 1.0, [] {});
   EXPECT_DOUBLE_EQ(cpu.utilization(), 0.25);
@@ -143,7 +143,7 @@ TEST(FairShare, UtilizationReflectsAllocation) {
 
 TEST(FairShare, BusyIntegralAccumulates) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 2.0);
+  FairShareResource cpu(e, 2.0);
   cpu.open(2.0, 1.0, [] {});  // rate 1 for 2 seconds
   e.run();
   EXPECT_NEAR(cpu.busy_capacity_seconds(e.now()), 2.0, 1e-9);
@@ -155,7 +155,7 @@ TEST(FairShare, BusyIntegralAccumulates) {
 
 TEST(FairShare, RateOfReportsCurrentAllocation) {
   Engine e;
-  FairShareResource r(e, "r", 3.0);
+  FairShareResource r(e, 3.0);
   const StreamId a = r.open(100.0, 1.0, [] {});
   EXPECT_DOUBLE_EQ(r.rate_of(a), 1.0);
   r.open(100.0, 0.0, [] {});
@@ -165,7 +165,7 @@ TEST(FairShare, RateOfReportsCurrentAllocation) {
 
 TEST(FairShare, ManyStreamsConserveWork) {
   Engine e;
-  FairShareResource r(e, "r", 8.0);
+  FairShareResource r(e, 8.0);
   int completed = 0;
   for (int i = 0; i < 100; ++i) {
     r.open(1.0, 1.0, [&] { ++completed; });
@@ -180,7 +180,7 @@ TEST(FairShare, ManyStreamsConserveWork) {
 
 TEST(FairShare, CompletionCallbackCanOpenNewStream) {
   Engine e;
-  FairShareResource r(e, "r", 1.0);
+  FairShareResource r(e, 1.0);
   double second_done = -1.0;
   r.open(1.0, 0.0, [&] {
     r.open(1.0, 0.0, [&] { second_done = e.now(); });
@@ -191,13 +191,13 @@ TEST(FairShare, CompletionCallbackCanOpenNewStream) {
 
 TEST(FairShare, InvalidConstructionThrows) {
   Engine e;
-  EXPECT_THROW(FairShareResource(e, "bad", 0.0), ContractError);
-  EXPECT_THROW(FairShareResource(e, "bad", -1.0), ContractError);
+  EXPECT_THROW(FairShareResource(e, 0.0), ContractError);
+  EXPECT_THROW(FairShareResource(e, -1.0), ContractError);
 }
 
 TEST(FairShare, NegativeWorkThrows) {
   Engine e;
-  FairShareResource r(e, "r", 1.0);
+  FairShareResource r(e, 1.0);
   EXPECT_THROW(r.open(-1.0, 0.0, [] {}), ContractError);
 }
 
@@ -205,7 +205,7 @@ TEST(FairShare, InterferenceSlowsStreamsGradually) {
   // With interference γ, a lone capped stream on an 8-unit resource runs
   // at 1 / (1 + γ·(1/8)); two streams at 1 / (1 + γ·(2/8)); etc.
   Engine e;
-  FairShareResource cpu(e, "cpu", 8.0, /*interference=*/0.4);
+  FairShareResource cpu(e, 8.0, /*interference=*/0.4);
   const StreamId a = cpu.open(100.0, 1.0, [] {});
   EXPECT_NEAR(cpu.rate_of(a), 1.0 / (1.0 + 0.4 * 0.125), 1e-12);
   cpu.open(100.0, 1.0, [] {});
@@ -214,7 +214,7 @@ TEST(FairShare, InterferenceSlowsStreamsGradually) {
 
 TEST(FairShare, InterferenceCompletionTimesConsistent) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 4.0, 0.5);
+  FairShareResource cpu(e, 4.0, 0.5);
   double done = -1.0;
   cpu.open(1.0, 1.0, [&] { done = e.now(); });
   e.run();
@@ -224,19 +224,19 @@ TEST(FairShare, InterferenceCompletionTimesConsistent) {
 
 TEST(FairShare, ZeroInterferenceIsPureMaxMin) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 8.0, 0.0);
+  FairShareResource cpu(e, 8.0, 0.0);
   const StreamId a = cpu.open(100.0, 1.0, [] {});
   EXPECT_DOUBLE_EQ(cpu.rate_of(a), 1.0);
 }
 
 TEST(FairShare, NegativeInterferenceRejected) {
   Engine e;
-  EXPECT_THROW(FairShareResource(e, "cpu", 8.0, -0.1), ContractError);
+  EXPECT_THROW(FairShareResource(e, 8.0, -0.1), ContractError);
 }
 
 TEST(FairShare, SimultaneousCompletionsAllFire) {
   Engine e;
-  FairShareResource r(e, "r", 2.0);
+  FairShareResource r(e, 2.0);
   int completed = 0;
   r.open(1.0, 1.0, [&] { ++completed; });
   r.open(1.0, 1.0, [&] { ++completed; });
@@ -256,7 +256,7 @@ constexpr StreamTag kNobody = 99;
 
 TEST(FairShareTags, DemandIsAttributedPerTag) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 8.0);
+  FairShareResource cpu(e, 8.0);
   cpu.open(100.0, 1.0, [] {}, kA);
   cpu.open(100.0, 1.0, [] {}, kA);
   cpu.open(100.0, 0.5, [] {}, kB);
@@ -278,7 +278,7 @@ TEST(FairShareTags, DemandIsAttributedPerTag) {
 
 TEST(FairShareTags, UncappedStreamDemandsFullCapacity) {
   Engine e;
-  FairShareResource disk(e, "disk", 4.0);
+  FairShareResource disk(e, 4.0);
   disk.open(100.0, 0.0, [] {}, kIo);
   disk.open(100.0, 16.0, [] {}, kIo);  // cap clamped to capacity
   EXPECT_DOUBLE_EQ(disk.demand_of(kIo), 8.0);
@@ -287,7 +287,7 @@ TEST(FairShareTags, UncappedStreamDemandsFullCapacity) {
 
 TEST(FairShareTags, UntaggedStreamsAreExternalToEveryTag) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 4.0);
+  FairShareResource cpu(e, 4.0);
   cpu.open(100.0, 1.0, [] {});  // untagged
   cpu.open(100.0, 0.5, [] {});  // untagged
   cpu.open(100.0, 1.0, [] {}, kA);
@@ -303,7 +303,7 @@ TEST(FairShareTags, UntaggedStreamsAreExternalToEveryTag) {
 
 TEST(FairShareTags, DepartedTagReadsExactlyZero) {
   Engine e;
-  FairShareResource cpu(e, "cpu", 3.0, /*interference=*/0.2);
+  FairShareResource cpu(e, 3.0, /*interference=*/0.2);
   // Caps that do not sum exactly in binary: float dust must not linger.
   const StreamId a1 = cpu.open(100.0, 0.1, [] {}, kA);
   cpu.open(1.0, 0.7, [] {}, kA);        // completes on its own
@@ -323,7 +323,7 @@ TEST(FairShareTags, DepartedTagReadsExactlyZero) {
 
 TEST(FairShareTags, CompletedStreamsReleaseTheirDemand) {
   Engine e;
-  FairShareResource net(e, "net", 2.0);
+  FairShareResource net(e, 2.0);
   net.open(1.0, 1.0, [] {}, kA);
   net.open(3.0, 1.0, [] {}, kB);
   e.run_until(2.0);  // kA drained at t=1, kB is still running
@@ -344,7 +344,7 @@ TEST(FairShareOracle, EqualUncappedStreamsSplitCapacityEvenly) {
   for (int k = 1; k <= 24; ++k) {
     Engine e;
     const double capacity = 7.5;
-    FairShareResource r(e, "r", capacity);
+    FairShareResource r(e, capacity);
     std::vector<StreamId> ids;
     std::vector<double> done;
     for (int i = 0; i < k; ++i) {
@@ -370,7 +370,7 @@ double mm1_ps_mean_sojourn(double rho, std::uint64_t seed, double warmup,
                            double horizon) {
   Engine e;
   Rng rng(seed);
-  FairShareResource server(e, "ps", 1.0);
+  FairShareResource server(e, 1.0);
   double sum = 0.0;
   std::uint64_t n = 0;
   std::function<void()> arrive = [&] {
@@ -463,7 +463,7 @@ StressOutcome stress_run(std::uint64_t seed) {
   constexpr double kCapacity = 4.0;
   Engine e;
   Rng rng(seed);
-  Resource r(e, "cpu", kCapacity, /*interference=*/0.3);
+  Resource r(e, kCapacity, /*interference=*/0.3);
   // Mixed caps, including uncapped (0) and a cap above capacity.
   constexpr std::array<double, 6> kCaps = {0.0, 0.5, 1.0, 1.0, 2.5, 9.0};
   std::vector<StreamId> ids;  // by open ordinal
@@ -608,7 +608,7 @@ StressOutcome long_busy_run(std::uint64_t seed) {
   constexpr double kBusyFor = 1e4;       // simulated seconds
   Engine e;
   Rng rng(seed);
-  Resource r(e, "net", kCapacity);
+  Resource r(e, kCapacity);
   StressOutcome out;
   auto observe = [&](double v, double scale) {
     out.observed.push_back({v, scale});

@@ -80,6 +80,12 @@ class WallclockEscapeTest(unittest.TestCase):
         assert_errors_match(self, fixture, lint.run(fixture))
 
 
+class SharedOwnershipTest(unittest.TestCase):
+    def test_shared_ptr_banned_under_src_only(self):
+        fixture = FIXTURES / "lint_shared_ptr"
+        assert_errors_match(self, fixture, lint.run(fixture))
+
+
 class RepoCleanTest(unittest.TestCase):
     def test_repo_tree_is_lint_clean(self):
         errors = lint.run(REPO)

@@ -17,6 +17,10 @@ Checks (all are hard failures):
     src/ outside common/mutex.hpp — concurrency primitives go through the
     thread-safety-annotated wrappers (common::Mutex/CondVar) so the Clang
     -Werror=thread-safety leg can check lock discipline;
+  * no shared ownership under src/: `std::shared_ptr` / `std::make_shared`
+    (and `std::allocate_shared`) are banned — every object has one owner,
+    and callbacks capture handles into it (a query in flight is a slot of
+    workload::PhaseRunner, not a shared record);
   * build listings: every .cpp under src/, tests/ and bench/ is listed in
     the corresponding CMakeLists.txt (an unlisted file silently drops its
     tests/symbols from the build).
@@ -83,6 +87,10 @@ RAW_SYNC = re.compile(r"std::(mutex|condition_variable(_any)?|"
                       r"recursive_mutex|shared_mutex|lock_guard|unique_lock|"
                       r"scoped_lock)\b")
 RAW_SYNC_ALLOWED = {Path("src/common/mutex.hpp")}
+
+# Library code keeps single ownership: a callback that must reach an object
+# captures a handle into its owner, never a reference count.
+SHARED_OWNERSHIP = re.compile(r"std::(shared_ptr|make_shared|allocate_shared)\b")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -212,6 +220,11 @@ def check_file(repo: Path, path: Path, errors: list[str]):
                 f"{rel}:{lineno}: stdout write in library code "
                 f"(std::cout/printf): write to a caller-supplied "
                 f"std::ostream& instead")
+        if rel.parts[0] == "src" and SHARED_OWNERSHIP.search(code):
+            errors.append(
+                f"{rel}:{lineno}: shared ownership in library code "
+                f"(std::shared_ptr/make_shared): give the object one owner "
+                f"and capture a handle into it")
         if (rel.parts[0] == "src" and RAW_SYNC.search(code)
                 and rel not in RAW_SYNC_ALLOWED):
             errors.append(
