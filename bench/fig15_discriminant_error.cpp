@@ -215,7 +215,8 @@ void calibrate(core::DeploymentController& ctrl,
       if (cell.size() >= 20) {
         const double p95 = cell.quantile(0.95);
         for (int rep = 0; rep < 4; ++rep) {
-          ctrl.observe_latency(qps, pressures, p95);
+          ctrl.observe_latency(qps, pressures, p95,
+                                /*resident_on_serverless=*/false);
         }
       }
     }

@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
     core::AmoebaConfig cfg;
     cfg.monitor.sample_period_s = 5.0;
     if (exports.any()) cfg.observer = &observer;
+    serverless_node.set_observer(cfg.observer);
     // Cap the service at its VM-equivalent share of the pool (paper §IV-A's
     // n_max): the discriminant then correctly sends the surge back to IaaS.
     core::AmoebaRuntime amoeba_rt(engine, serverless_node, iaas_node,

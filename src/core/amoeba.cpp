@@ -25,30 +25,30 @@ AmoebaRuntime::AmoebaRuntime(sim::Engine& engine,
                   cfg.estimator),
       monitor_(engine, serverless, std::move(calibration), cfg.monitor,
                rng.fork(12)),
+      exec_engine_(engine, serverless, iaas, profile, vm_spec,
+                   serverless_max_containers, cfg.engine, rng.fork(11),
+                   obs_),
       load_(cfg.load_window_s) {
   AMOEBA_EXPECTS(cfg.load_window_s > 0.0);
   monitor_.set_observer(obs_);
   monitor_.set_fault_injector(cfg.fault_injector);
-  serverless_.set_observer(obs_);
-  exec_engine_.emplace(engine, serverless, iaas, profile, vm_spec,
-                       serverless_max_containers, cfg.engine, rng.fork(11),
-                       obs_);
   // Mirrored (and resident-sampled) completions feed the controller's
   // weight calibration with queue-free service times.
-  exec_engine_->set_mirror_observer(
+  exec_engine_.set_mirror_observer(
       [this](const workload::QueryRecord& rec) { observe_service_time(rec); });
 }
 
 void AmoebaRuntime::observe_service_time(const workload::QueryRecord& rec) {
   const double service_time = rec.breakdown.service_s();
   if (service_time <= 0.0) return;
-  controller_.observe_latency(measured_load(), monitor_.pressures(),
-                              service_time);
+  controller_.observe_latency(
+      measured_load(), monitor_.pressures(), service_time,
+      exec_engine_.route() == DeployMode::kServerless);
 }
 
 ServiceUsage AmoebaRuntime::usage(double now) const {
-  const HybridExecutionEngine& hx = *exec_engine_;
-  return service_usage(&hx.vm(), serverless_, hx.function(), now);
+  return service_usage(&exec_engine_.vm(), serverless_,
+                       exec_engine_.function(), now);
 }
 
 double AmoebaRuntime::timeline_period() const {
@@ -83,8 +83,8 @@ void AmoebaRuntime::submit(workload::QueryCompletionFn on_done) {
   load_.record(engine_.now());
   // Platform attribution is fixed at submission: a query in flight across a
   // route flip still belongs to the platform that accepted it.
-  const DeployMode platform = exec_engine_->route();
-  exec_engine_->submit([this, platform, done = std::move(on_done)](
+  const DeployMode platform = exec_engine_.route();
+  exec_engine_.submit([this, platform, done = std::move(on_done)](
                            const workload::QueryRecord& rec) {
     // Deliberately no kStats scope here: this runs per query and the
     // latency add is cheaper than a profiler scope pair. The periodic
@@ -94,7 +94,7 @@ void AmoebaRuntime::submit(workload::QueryCompletionFn on_done) {
       record_query(rec, platform);
     }
     // In serverless mode every user query doubles as a heartbeat.
-    if (exec_engine_->route() == DeployMode::kServerless) {
+    if (exec_engine_.route() == DeployMode::kServerless) {
       observe_service_time(rec);
     }
     done(rec);
@@ -109,48 +109,41 @@ void AmoebaRuntime::set_qos_target(double qos_target_s) {
   AMOEBA_EXPECTS_VALS(qos_target_s > 0.0, qos_target_s);
   controller_.set_qos_target(qos_target_s);
   // The engine keeps its own profile copy for Eq. 7 warm-set sizing.
-  exec_engine_->set_qos_target(qos_target_s);
+  exec_engine_.set_qos_target(qos_target_s);
   AMOEBA_ENSURES(controller_.qos_target() == qos_target_s);
 }
 
 void AmoebaRuntime::on_sample() {
   AMOEBA_PROF_SCOPE(kController);
-  HybridExecutionEngine& hx = *exec_engine_;
   const auto pressures = monitor_.pressures();
   // Pre-switch sampling has served its purpose once the weights are
   // calibrated; keeping shadow containers alive would waste the very
   // memory Amoeba is trying to save.
-  if (hx.mirroring() && controller_.estimator().calibrated()) {
-    hx.set_mirroring(false);
+  if (exec_engine_.mirroring() && controller_.estimator().calibrated()) {
+    exec_engine_.set_mirroring(false);
   }
-  if (hx.transitioning() || hx.in_cooldown()) {
-    const bool transitioning = hx.transitioning();
+  if (exec_engine_.transitioning() || exec_engine_.in_cooldown()) {
+    const bool transitioning = exec_engine_.transitioning();
     period_latencies_.clear();
     // Post-abort cooldown: no new decision, but the warm set still tracks
     // the load so a serverless-resident service keeps absorbing bursts.
-    if (!transitioning && hx.route() == DeployMode::kServerless) {
-      hx.maintain_warm(load_.rate(engine_.now()));
+    if (!transitioning && exec_engine_.route() == DeployMode::kServerless) {
+      exec_engine_.maintain_warm(load_.rate(engine_.now()));
     }
     // Even ticks spent mid-switch (or cooling down after an aborted one)
     // leave an audit record: every monitor sample accounts for the
     // service.
     if (obs_ != nullptr && obs_->audit_on()) {
-      obs::DecisionRecord dr;
-      dr.time_s = engine_.now();
-      dr.service = name_;
-      dr.platform = to_string(controller_.mode());
-      dr.decision = transitioning ? "transitioning" : "cooldown";
-      dr.load_qps = load_.rate(engine_.now());
-      dr.total_pressures = pressures;
-      dr.qos_target_s = controller_.qos_target();
-      dr.stage = cfg_.stage_id;
-      obs_->audit().append(std::move(dr));
+      obs_->audit().append(
+          decision_record(transitioning ? "transitioning" : "cooldown",
+                          load_.rate(engine_.now()), pressures));
     }
   } else {
     ServiceTickInput input;
+    input.mode = exec_engine_.route();
     input.load_qps = load_.rate(engine_.now());
     input.total_pressures = pressures;
-    input.available_containers = hx.available_containers();
+    input.available_containers = exec_engine_.available_containers();
     // Forecast rising load over the switch horizon (Amoeba must start the
     // VM boot before the serverless pool saturates).
     input.forecast_load_qps = input.load_qps;
@@ -182,17 +175,13 @@ void AmoebaRuntime::on_sample() {
       case SwitchDecision::kStay:
         // §V-A: while serverless, keep the Eq. 7 warm set tracking the load
         // so bursts land on warm containers instead of cold starts.
-        hx.maintain_warm(input.load_qps);
+        exec_engine_.maintain_warm(input.load_qps);
         break;
       case SwitchDecision::kSwitchToServerless:
-        hx.switch_to_serverless(input.load_qps, [this](bool ok) {
-          if (ok) controller_.set_mode(DeployMode::kServerless);
-        });
+        exec_engine_.switch_to_serverless(input.load_qps);
         break;
       case SwitchDecision::kSwitchToIaas:
-        hx.switch_to_iaas(input.load_qps, [this](bool ok) {
-          if (ok) controller_.set_mode(DeployMode::kIaas);
-        });
+        exec_engine_.switch_to_iaas(input.load_qps);
         break;
     }
   }
@@ -205,9 +194,24 @@ void AmoebaRuntime::on_sample() {
     m.gauge("pool_evictions_total")
         .set(static_cast<double>(serverless_.pool().evictions()));
     m.gauge("mirrored_queries_total")
-        .set(static_cast<double>(hx.mirrored_queries()));
+        .set(static_cast<double>(exec_engine_.mirrored_queries()));
     m.take_snapshot(engine_.now());
   }
+}
+
+obs::DecisionRecord AmoebaRuntime::decision_record(
+    const char* decision, double load_qps,
+    const std::array<double, kNumResources>& total_pressures) const {
+  obs::DecisionRecord dr;
+  dr.time_s = engine_.now();
+  dr.service = name_;
+  dr.platform = to_string(exec_engine_.route());
+  dr.decision = decision;
+  dr.load_qps = load_qps;
+  dr.total_pressures = total_pressures;
+  dr.qos_target_s = controller_.qos_target();
+  dr.stage = cfg_.stage_id;
+  return dr;
 }
 
 void AmoebaRuntime::record_decision(const ServiceTickInput& input,
@@ -215,16 +219,9 @@ void AmoebaRuntime::record_decision(const ServiceTickInput& input,
   const double now = engine_.now();
   const double qos = controller_.qos_target();
   if (obs_->audit_on()) {
-    obs::DecisionRecord dr;
-    dr.time_s = now;
-    dr.service = name_;
-    dr.platform = to_string(controller_.mode());
-    dr.decision = to_string(decision);
-    dr.load_qps = input.load_qps;
+    obs::DecisionRecord dr = decision_record(
+        to_string(decision), input.load_qps, input.total_pressures);
     dr.forecast_load_qps = input.forecast_load_qps;
-    dr.total_pressures = input.total_pressures;
-    dr.qos_target_s = qos;
-    dr.stage = cfg_.stage_id;
     dr.n_containers = std::max(1, input.available_containers);
     dr.prewarm_target =
         cfg_.engine.prewarm.containers_for(input.load_qps, qos);
@@ -262,7 +259,7 @@ void AmoebaRuntime::record_decision(const ServiceTickInput& input,
         .inc();
     m.gauge("load_qps", {{"service", name_}}).set(input.load_qps);
     m.gauge("mode", {{"service", name_}})
-        .set(controller_.mode() == DeployMode::kServerless ? 1.0 : 0.0);
+        .set(exec_engine_.route() == DeployMode::kServerless ? 1.0 : 0.0);
     m.gauge("available_containers", {{"service", name_}})
         .set(input.available_containers);
     if (input.observed_p95) {
@@ -311,7 +308,7 @@ void AmoebaRuntime::sample_timelines() {
   const ServiceUsage u = usage(now);
   timeline_.load_qps.add(now, load_.rate(now));
   timeline_.mode.add(
-      now, exec_engine_->route() == DeployMode::kServerless ? 1.0 : 0.0);
+      now, exec_engine_.route() == DeployMode::kServerless ? 1.0 : 0.0);
   timeline_.cpu_core_seconds.add(now, u.cpu_core_seconds);
   timeline_.memory_mb_seconds.add(now, u.memory_mb_seconds);
   timeline_event_ = engine_.schedule_in(timeline_period(),

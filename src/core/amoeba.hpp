@@ -14,7 +14,6 @@
 //   Amoeba-NoP: engine.enable_prewarm = false  (§VII-D)
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +49,8 @@ struct AmoebaConfig {
   /// phases and query lifecycles become spans, and labeled metrics update.
   /// Recording is pure bookkeeping: it never schedules simulation events or
   /// draws randomness, so enabling it does not change the event-trace hash.
+  /// Container lifecycles are traced by the serverless platform, which
+  /// callers attach the observer to themselves (exp::SimNode does).
   obs::Observer* observer = nullptr;
   /// Fault injector (non-owning; nullptr = fault-free). The runtime attaches
   /// it to the contention monitor; callers attach it to the platforms
@@ -95,11 +96,11 @@ class AmoebaRuntime {
   }
   [[nodiscard]] ContentionMonitor& monitor() noexcept { return monitor_; }
   [[nodiscard]] HybridExecutionEngine& execution_engine() noexcept {
-    return *exec_engine_;
+    return exec_engine_;
   }
 
   [[nodiscard]] const std::vector<SwitchEvent>& switch_events() const {
-    return exec_engine_->switch_events();
+    return exec_engine_.switch_events();
   }
   [[nodiscard]] const ServiceTimeline& timeline() const noexcept {
     return timeline_;
@@ -124,6 +125,10 @@ class AmoebaRuntime {
   void on_sample();
   void sample_timelines();
 
+  /// The fields every DecisionRecord of this tick carries.
+  [[nodiscard]] obs::DecisionRecord decision_record(
+      const char* decision, double load_qps,
+      const std::array<double, kNumResources>& total_pressures) const;
   /// Append the tick's DecisionRecord + metrics + trace instants (observer
   /// must be attached).
   void record_decision(const ServiceTickInput& input, SwitchDecision decision);
@@ -140,9 +145,7 @@ class AmoebaRuntime {
   obs::Observer* obs_;
   DeploymentController controller_;
   ContentionMonitor monitor_;
-  /// Built in the constructor body, once the observer is attached to the
-  /// serverless platform, because building it registers the service.
-  std::optional<HybridExecutionEngine> exec_engine_;
+  HybridExecutionEngine exec_engine_;
   stats::RateEstimator load_;
   stats::SampleSet period_latencies_;  ///< user latencies since last tick
   ServiceTimeline timeline_;

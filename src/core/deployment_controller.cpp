@@ -92,10 +92,10 @@ Evaluation DeploymentController::evaluate(
 
 void DeploymentController::observe_latency(
     double load_qps, const std::array<double, kNumResources>& total_pressures,
-    double observed_service_s) {
+    double observed_service_s, bool resident_on_serverless) {
   AMOEBA_PROF_SCOPE(kController);
-  const bool resident = mode_ == DeployMode::kServerless;
-  const auto ext = external_pressures(load_qps, total_pressures, resident);
+  const auto ext = external_pressures(load_qps, total_pressures,
+                                      resident_on_serverless);
   Features f{};
   for (std::size_t i = 0; i < kNumResources; ++i) {
     f[i] = artifacts_.surfaces[i]->at(ext[i], load_qps);
@@ -108,9 +108,8 @@ SwitchDecision DeploymentController::tick(const ServiceTickInput& input) {
   AMOEBA_EXPECTS(input.load_qps >= 0.0);
   AMOEBA_EXPECTS(input.available_containers >= 0);
   const int n = std::max(1, input.available_containers);
-  const bool resident = mode_ == DeployMode::kServerless;
-  const Evaluation ev =
-      evaluate(input.load_qps, input.total_pressures, n, resident);
+  const Evaluation ev = evaluate(input.load_qps, input.total_pressures, n,
+                                 input.mode == DeployMode::kServerless);
   last_eval_ = ev;
 
   // Switching back to IaaS takes hysteresis + the VM boot; judge both
@@ -126,7 +125,7 @@ SwitchDecision DeploymentController::tick(const ServiceTickInput& input) {
       !ev.lambda_max.has_value() ||
       rising_load > cfg_.to_iaas_margin * *ev.lambda_max;
 
-  if (mode_ == DeployMode::kIaas) {
+  if (input.mode == DeployMode::kIaas) {
     votes_to_iaas_ = 0;
     if (serverless_can_hold) {
       votes_to_serverless_ += 1;
@@ -155,12 +154,6 @@ SwitchDecision DeploymentController::tick(const ServiceTickInput& input) {
     return SwitchDecision::kSwitchToIaas;
   }
   return SwitchDecision::kStay;
-}
-
-void DeploymentController::set_mode(DeployMode mode) {
-  mode_ = mode;
-  votes_to_serverless_ = 0;
-  votes_to_iaas_ = 0;
 }
 
 void DeploymentController::set_qos_target(double qos_target_s) {

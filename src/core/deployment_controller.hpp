@@ -11,6 +11,10 @@
 //      decision only through the measured pressures P: a resident service
 //      that slows the platform lowers the candidate's μ, but no check runs
 //      on the residents' own QoS before a switch-in.
+//
+// The controller holds no deployment mode: the execution engine owns it
+// (HybridExecutionEngine::route()), and the runtime passes it in with each
+// tick and each heartbeat sample.
 #pragma once
 
 #include <array>
@@ -51,6 +55,8 @@ struct ControllerConfig {
 
 /// What the runtime must tell the controller about a service each tick.
 struct ServiceTickInput {
+  /// The platform currently serving the service.
+  DeployMode mode = DeployMode::kIaas;
   double load_qps = 0.0;
   /// Load anticipated by the time a switch could complete (measured load
   /// extrapolated over hysteresis + VM boot). Both directions judge
@@ -84,10 +90,11 @@ class DeploymentController {
                        WeightEstimatorConfig estimator_cfg = {});
 
   /// Heartbeat: an observed service-time sample (queue/cold-start already
-  /// excluded) for PCA calibration, taken at the given load and pressures.
+  /// excluded) for PCA calibration, taken at the given load and pressures
+  /// while the service is (or is not) resident on serverless.
   void observe_latency(double load_qps,
                        const std::array<double, kNumResources>& total_pressures,
-                       double observed_service_s);
+                       double observed_service_s, bool resident_on_serverless);
 
   /// One control decision.
   [[nodiscard]] SwitchDecision tick(const ServiceTickInput& input);
@@ -99,10 +106,6 @@ class DeploymentController {
                                         total_pressures,
                                     int n_containers,
                                     bool resident_on_serverless) const;
-
-  [[nodiscard]] DeployMode mode() const noexcept { return mode_; }
-  /// The runtime confirms a switch completed (after prewarm/boot + ack).
-  void set_mode(DeployMode mode);
 
   [[nodiscard]] const WeightEstimator& estimator() const noexcept {
     return estimator_;
@@ -143,7 +146,6 @@ class DeploymentController {
   double qos_target_s_;
   ServiceArtifacts artifacts_;
   WeightEstimator estimator_;
-  DeployMode mode_ = DeployMode::kIaas;
   int votes_to_serverless_ = 0;
   int votes_to_iaas_ = 0;
   std::optional<Evaluation> last_eval_;  ///< introspection for the audit log

@@ -31,6 +31,8 @@ struct SimNode {
 
   /// Starts one managed service on the node, its runtime drawing rng fork
   /// `fork`, with the day's observer and fault injector wired into `cfg`.
+  /// The serverless platform gets the day's observer here too, so a pure
+  /// baseline, which starts no runtime, leaves its platform unobserved.
   core::AmoebaRuntime& start_runtime(core::AmoebaConfig cfg,
                                      const core::MeterCalibration& calibration,
                                      const workload::FunctionProfile& profile,

@@ -181,6 +181,7 @@ core::AmoebaRuntime& SimNode::start_runtime(
     const core::ServiceArtifacts& artifacts, int n_max, std::uint64_t fork) {
   cfg.observer = day.observer;
   cfg.fault_injector = faults.get();
+  sp.set_observer(day.observer);
   runtimes.push_back(std::make_unique<core::AmoebaRuntime>(
       engine, sp, ip, calibration, profile, vm, artifacts, n_max, cfg,
       rng.fork(fork)));

@@ -107,7 +107,10 @@ struct Fixture {
       : sp(engine, sp_config(), sim::Rng(1)),
         ip(engine, ip_config(), sim::Rng(2)),
         runtime(engine, sp, ip, synthetic_calibration(), service(), vm_spec(),
-                artifacts(), max_containers, cfg, sim::Rng(3)) {}
+                artifacts(), max_containers, cfg, sim::Rng(3)) {
+    // Before any event runs, so the platform traces every container.
+    sp.set_observer(cfg.observer);
+  }
 };
 
 TEST(AmoebaRuntime, LowLoadSwitchesToServerless) {
@@ -121,7 +124,7 @@ TEST(AmoebaRuntime, LowLoadSwitchesToServerless) {
   gen.stop();
   f.runtime.stop();
 
-  EXPECT_EQ(f.runtime.controller().mode(), DeployMode::kServerless);
+  EXPECT_EQ(f.runtime.execution_engine().route(), DeployMode::kServerless);
   ASSERT_GE(f.runtime.switch_events().size(), 1u);
   EXPECT_EQ(f.runtime.switch_events()[0].to, DeployMode::kServerless);
   // IaaS resources were released after the switch.
@@ -141,7 +144,7 @@ TEST(AmoebaRuntime, HighLoadStaysOnIaas) {
   gen.stop();
   f.runtime.stop();
 
-  EXPECT_EQ(f.runtime.controller().mode(), DeployMode::kIaas);
+  EXPECT_EQ(f.runtime.execution_engine().route(), DeployMode::kIaas);
   EXPECT_TRUE(f.runtime.switch_events().empty());
 }
 
@@ -163,7 +166,7 @@ TEST(AmoebaRuntime, LoadSwingSwitchesThereAndBack) {
   ASSERT_GE(events.size(), 2u);
   EXPECT_EQ(events[0].to, DeployMode::kServerless);
   EXPECT_EQ(events[1].to, DeployMode::kIaas);
-  EXPECT_EQ(f.runtime.controller().mode(), DeployMode::kIaas);
+  EXPECT_EQ(f.runtime.execution_engine().route(), DeployMode::kIaas);
   EXPECT_EQ(f.runtime.execution_engine().vm().state(),
             iaas::VmState::kRunning);
 }

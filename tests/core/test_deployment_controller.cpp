@@ -45,6 +45,12 @@ ServiceTickInput input(double load, double cpu_pressure = 0.0, int n = 32) {
   return in;
 }
 
+/// The same tick for a service resident on serverless.
+ServiceTickInput on_serverless(ServiceTickInput in) {
+  in.mode = DeployMode::kServerless;
+  return in;
+}
+
 TEST(Controller, EvaluateComputesMuFromSurfaces) {
   DeploymentController c(config(), 0.5, artifacts());
   const auto ev = c.evaluate(10.0, {0.0, 0.0, 0.0}, 16, false);
@@ -84,7 +90,7 @@ TEST(Controller, SelfPressureSubtractedWhenResident) {
 
 TEST(Controller, HysteresisDelaysSwitchToServerless) {
   DeploymentController c(config(), 0.5, artifacts());
-  EXPECT_EQ(c.mode(), DeployMode::kIaas);
+  EXPECT_EQ(input(5.0).mode, DeployMode::kIaas);
   EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kStay);  // vote 1
   EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kSwitchToServerless);
 }
@@ -100,10 +106,10 @@ TEST(Controller, VoteResetOnContradictingTick) {
 
 TEST(Controller, SwitchBackWhenOverloaded) {
   DeploymentController c(config(), 0.5, artifacts());
-  c.set_mode(DeployMode::kServerless);
   // n = 4 containers, mu = 10: λmax < 40; load 60 overloads.
-  EXPECT_EQ(c.tick(input(60.0, 0.0, 4)), SwitchDecision::kStay);
-  EXPECT_EQ(c.tick(input(60.0, 0.0, 4)), SwitchDecision::kSwitchToIaas);
+  const auto in = on_serverless(input(60.0, 0.0, 4));
+  EXPECT_EQ(c.tick(in), SwitchDecision::kStay);
+  EXPECT_EQ(c.tick(in), SwitchDecision::kSwitchToIaas);
 }
 
 TEST(Controller, ForecastLoadTriggersEarlySwitchBack) {
@@ -111,8 +117,7 @@ TEST(Controller, ForecastLoadTriggersEarlySwitchBack) {
   // over hysteresis + VM boot) crosses the exit margin: the controller
   // must start the switch back before the pool saturates.
   DeploymentController c(config(), 0.5, artifacts());
-  c.set_mode(DeployMode::kServerless);
-  auto in = input(20.0, 0.0, 4);  // λmax ≈ 36 with n=4, μ=10
+  auto in = on_serverless(input(20.0, 0.0, 4));  // λmax ≈ 36, n=4, μ=10
   in.forecast_load_qps = 60.0;
   EXPECT_EQ(c.tick(in), SwitchDecision::kStay);
   EXPECT_EQ(c.tick(in), SwitchDecision::kSwitchToIaas);
@@ -120,8 +125,7 @@ TEST(Controller, ForecastLoadTriggersEarlySwitchBack) {
 
 TEST(Controller, ForecastBelowLoadIsIgnored) {
   DeploymentController c(config(), 0.5, artifacts());
-  c.set_mode(DeployMode::kServerless);
-  auto in = input(20.0, 0.0, 4);
+  auto in = on_serverless(input(20.0, 0.0, 4));
   in.forecast_load_qps = 1.0;  // stale/zero forecast must not mask the load
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(c.tick(in), SwitchDecision::kStay);
@@ -145,8 +149,7 @@ TEST(Controller, RisingForecastWithholdsSwitchToServerless) {
 
 TEST(Controller, ObservedViolationBackstopTriggersSwitch) {
   DeploymentController c(config(), 0.5, artifacts());
-  c.set_mode(DeployMode::kServerless);
-  auto in = input(5.0);  // model says fine
+  auto in = on_serverless(input(5.0));  // model says fine
   in.observed_p95 = 0.6; // reality disagrees
   EXPECT_EQ(c.tick(in), SwitchDecision::kStay);
   EXPECT_EQ(c.tick(in), SwitchDecision::kSwitchToIaas);
@@ -154,9 +157,8 @@ TEST(Controller, ObservedViolationBackstopTriggersSwitch) {
 
 TEST(Controller, StableLoadOnServerlessStays) {
   DeploymentController c(config(), 0.5, artifacts());
-  c.set_mode(DeployMode::kServerless);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kStay);
+    EXPECT_EQ(c.tick(on_serverless(input(5.0))), SwitchDecision::kStay);
   }
 }
 
@@ -164,20 +166,41 @@ TEST(Controller, ObserveLatencyFeedsEstimator) {
   DeploymentController c(config(), 0.5, artifacts());
   for (int i = 0; i < 50; ++i) {
     c.observe_latency(5.0, {0.2 + 0.01 * (i % 5), 0.0, 0.0},
-                      0.1 + 0.002 * (i % 7));
+                      0.1 + 0.002 * (i % 7), /*resident_on_serverless=*/false);
   }
   EXPECT_GE(c.estimator().samples(), 50u);
   EXPECT_TRUE(c.estimator().calibrated());
 }
 
-TEST(Controller, SetModeResetsVotes) {
+TEST(Controller, ModeChangeRestartsTheStreak) {
   DeploymentController c(config(), 0.5, artifacts());
   (void)c.tick(input(5.0));  // vote 1 toward serverless
-  c.set_mode(DeployMode::kServerless);
-  c.set_mode(DeployMode::kIaas);
-  // Streak must restart.
+  // A tick in the other mode zeroes the vote it cannot cast...
+  (void)c.tick(on_serverless(input(60.0, 0.0, 4)));  // vote 1 toward IaaS
+  EXPECT_EQ(c.votes_to_serverless(), 0);
+  EXPECT_EQ(c.votes_to_iaas(), 1);
+  // ...so each streak restarts from zero.
   EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kStay);
+  EXPECT_EQ(c.votes_to_iaas(), 0);
   EXPECT_EQ(c.tick(input(5.0)), SwitchDecision::kSwitchToServerless);
+}
+
+TEST(Controller, ObservedLatencyUsesTheResidentFlag) {
+  // A resident sample has the service's own pressure subtracted, so the
+  // same measurement is a feature at a lower external pressure.
+  DeploymentController resident(config(), 0.5,
+                                artifacts(0.3, {0.01, 0.0, 0.0}));
+  DeploymentController outside(config(), 0.5,
+                               artifacts(0.3, {0.01, 0.0, 0.0}));
+  for (int i = 0; i < 50; ++i) {
+    const std::array<double, 3> p = {0.3 + 0.01 * (i % 5), 0.0, 0.0};
+    const double latency = 0.1 + 0.002 * (i % 7);
+    resident.observe_latency(20.0, p, latency, true);
+    outside.observe_latency(20.0, p, latency, false);
+  }
+  ASSERT_TRUE(resident.estimator().calibrated());
+  ASSERT_TRUE(outside.estimator().calibrated());
+  EXPECT_NE(resident.estimator().weights(), outside.estimator().weights());
 }
 
 TEST(Controller, IncompleteArtifactsRejected) {
