@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 namespace amoeba::exp {
 namespace {
@@ -130,6 +131,75 @@ TEST(Profiling, ServiceArtifactsComplete) {
   EXPECT_GE(art.pressure_per_qps[core::kIoDim], 0.0);
   // Sanity: cpu footprint per qps ~ cpu_seconds / cores = 0.01.
   EXPECT_NEAR(art.pressure_per_qps[core::kCpuDim], 0.08 / 8.0, 0.006);
+}
+
+/// Every double of a calibration and a service's artifacts, in a fixed
+/// order: curve points, then L0, α, each surface's axes and cells, and the
+/// footprint.
+std::vector<double> artifact_doubles(const core::MeterCalibration& cal,
+                                     const core::ServiceArtifacts& art) {
+  std::vector<double> out;
+  for (const auto& curve : cal.curves) {
+    for (const auto& p : curve->points()) {
+      out.push_back(p.pressure);
+      out.push_back(p.latency);
+    }
+  }
+  out.push_back(art.solo_latency_s);
+  out.push_back(art.alpha_s);
+  for (const auto& surface : art.surfaces) {
+    const auto& ps = surface->pressures();
+    const auto& ls = surface->loads();
+    out.insert(out.end(), ps.begin(), ps.end());
+    out.insert(out.end(), ls.begin(), ls.end());
+    for (std::size_t pi = 0; pi < ps.size(); ++pi) {
+      for (std::size_t li = 0; li < ls.size(); ++li) {
+        out.push_back(surface->value(pi, li));
+      }
+    }
+  }
+  out.insert(out.end(), art.pressure_per_qps.begin(),
+             art.pressure_per_qps.end());
+  return out;
+}
+
+/// FNV-1a over the bit patterns, one 64-bit word at a time.
+std::uint64_t fnv_bits(const std::vector<double>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : values) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Profiling, ArtifactsAreBitIdenticalAcrossThreadCounts) {
+  // Every profiling task owns its engine, RNG seed and output slot, so the
+  // worker count must not show in the artifacts. The profile cache tag
+  // leaves `threads` out on exactly this assumption.
+  const auto cluster = small_cluster();
+  workload::FunctionProfile subject = workload::make_float();
+  subject.peak_load_qps = 24.0;
+  std::vector<double> runs[2];
+  const unsigned threads[2] = {1, 4};
+  for (int r = 0; r < 2; ++r) {
+    ProfilingConfig cfg = quick_config();
+    cfg.threads = threads[r];
+    const auto cal = profile_meters(cluster, cfg);
+    const auto art = profile_service(subject, cluster, cal, cfg);
+    ASSERT_TRUE(cal.complete());
+    ASSERT_TRUE(art.complete());
+    runs[r] = artifact_doubles(cal, art);
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(runs[0][i]),
+              std::bit_cast<std::uint64_t>(runs[1][i]))
+        << "double " << i;
+  }
+  // Recorded before profiling became one fan-out per call.
+  EXPECT_EQ(fnv_bits(runs[0]), 0x0fece940f3a93ec6ULL)
+      << std::hex << fnv_bits(runs[0]);
 }
 
 TEST(Profiling, ConfigValidation) {
