@@ -71,7 +71,7 @@ double FairShareResource::close(StreamId id) {
     free_slot(it->slot);
     cls->heap.erase(it);
     if (cls->heap.empty()) {
-      classes_.erase(cls);
+      drop_class(cls);
     } else {
       std::make_heap(cls->heap.begin(), cls->heap.end(), finishes_later);
     }
@@ -142,7 +142,19 @@ FairShareResource::CapClass& FairShareResource::class_for(double cap) {
       [](const CapClass& cls, double c) { return cls.cap < c; });
   if (it != classes_.end() && it->cap == cap) return *it;
   // A new class starts its virtual clock at 0.
-  return *classes_.insert(it, CapClass{cap, 0.0, 0.0, {}});
+  std::vector<Entry> heap;
+  if (!spare_heaps_.empty()) {
+    heap = std::move(spare_heaps_.back());
+    spare_heaps_.pop_back();
+  }
+  return *classes_.insert(it, CapClass{cap, 0.0, 0.0, std::move(heap)});
+}
+
+std::vector<FairShareResource::CapClass>::iterator
+FairShareResource::drop_class(std::vector<CapClass>::iterator cls) {
+  AMOEBA_INVARIANT(cls->heap.empty());
+  spare_heaps_.push_back(std::move(cls->heap));
+  return classes_.erase(cls);
 }
 
 std::uint32_t FairShareResource::take_slot(StreamTag tag,
@@ -238,7 +250,7 @@ void FairShareResource::on_completion_event() {
   // Pop every drained stream (ties complete together). Within a class the
   // heap top has the least remaining work, so draining stops at the first
   // top that still has work left.
-  std::vector<std::pair<StreamId, CompletionFn>> done;
+  AMOEBA_INVARIANT(done_.empty());
   for (auto cls = classes_.begin(); cls != classes_.end();) {
     auto& heap = cls->heap;
     while (!heap.empty() &&
@@ -246,18 +258,20 @@ void FairShareResource::on_completion_event() {
       std::pop_heap(heap.begin(), heap.end(), finishes_later);
       const Entry e = heap.back();
       heap.pop_back();
-      done.emplace_back(e.id, std::move(slots_[e.slot].on_complete));
+      done_.emplace_back(e.id, std::move(slots_[e.slot].on_complete));
       free_slot(e.slot);
     }
     // An emptied class is dropped, which resets its virtual clock.
-    cls = heap.empty() ? classes_.erase(cls) : cls + 1;
+    cls = heap.empty() ? drop_class(cls) : cls + 1;
   }
   reallocate();
   // Fire callbacks in id order, after internal state is consistent;
-  // callbacks may open new streams re-entrantly.
-  std::sort(done.begin(), done.end(),
+  // callbacks may open new streams re-entrantly (never a completion event:
+  // that only comes from the engine).
+  std::sort(done_.begin(), done_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [id, fn] : done) fn();
+  for (auto& [id, fn] : done_) fn();
+  done_.clear();
 }
 
 }  // namespace amoeba::sim

@@ -28,6 +28,10 @@
 // event costs O(#classes + log #streams) instead of O(#streams). Tags and
 // callbacks live in a slot array with a free list, keeping heap sifts cheap.
 //
+// Steady state allocates nothing: an emptied class hands its heap storage
+// to a spare list the next new class takes it from, and a completion event
+// collects its drained callbacks in one reused member buffer.
+//
 // Determinism contract: the arithmetic below and its order are part of the
 // trace. That covers the finish tags (served + work), `served` banking per
 // class, water-filling over the classes in ascending cap order
@@ -37,6 +41,10 @@
 // drained callbacks firing in id order. Changing any of them moves trace
 // hashes.
 //
+// A completion callback must not destroy the resource that fires it: the
+// event loop still owns the reused callback buffer while callbacks run.
+// (No client does; VMs and platforms outlive their streams.)
+//
 // The Amoeba controller never looks inside this class — it only observes
 // latencies, exactly as on real hardware.
 #pragma once
@@ -44,6 +52,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -145,6 +154,9 @@ class FairShareResource {
 
   // Find-or-insert the class of effective cap `cap`, in ascending cap order.
   CapClass& class_for(double cap);
+  // Erase an emptied class, keeping its heap storage for the next new class.
+  std::vector<CapClass>::iterator drop_class(
+      std::vector<CapClass>::iterator cls);
   std::uint32_t take_slot(StreamTag tag, CompletionFn on_complete);
   void free_slot(std::uint32_t slot);
   void bank_progress();  // advance every class's virtual clock to now
@@ -155,6 +167,10 @@ class FairShareResource {
   double capacity_;
   double interference_;
   std::vector<CapClass> classes_;  // non-empty, ascending cap
+  std::vector<std::vector<Entry>> spare_heaps_;  // empty, capacity kept
+  // Drained streams of the completion event being handled (empty between
+  // events).
+  std::vector<std::pair<StreamId, CompletionFn>> done_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   StreamId next_id_ = 1;
