@@ -14,6 +14,7 @@
 //   Amoeba-NoP: engine.enable_prewarm = false  (§VII-D)
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,9 @@ class AmoebaRuntime {
   /// Append the tick's DecisionRecord + metrics + trace instants (observer
   /// must be attached).
   void record_decision(const ServiceTickInput& input, SwitchDecision decision);
+  /// The platform's completion of the query in `slot`: runtime bookkeeping,
+  /// then the caller's callback.
+  void on_query_done(std::uint32_t slot, const workload::QueryRecord& rec);
   /// Record one completed user query (lifecycle span + latency metrics).
   void record_query(const workload::QueryRecord& rec, DeployMode platform);
   /// Feed a queue-free service-time sample to the controller's weight
@@ -147,6 +151,16 @@ class AmoebaRuntime {
   ContentionMonitor monitor_;
   HybridExecutionEngine exec_engine_;
   stats::RateEstimator load_;
+  /// A submitted query until its platform completes it.
+  struct PendingQuery {
+    DeployMode platform = DeployMode::kIaas;  ///< route at submission
+    workload::QueryCompletionFn done;
+  };
+  /// Queries in flight: a slot table with a free list, so the platform's
+  /// completion captures only (this, slot) and a steady day allocates no
+  /// wrapper per query.
+  std::vector<PendingQuery> queries_;
+  std::vector<std::uint32_t> free_queries_;
   stats::SampleSet period_latencies_;  ///< user latencies since last tick
   ServiceTimeline timeline_;
   double prev_tick_load_ = 0.0;  ///< for the load-trend forecast

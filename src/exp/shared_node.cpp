@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <map>
 #include <utility>
 
 #include "core/budget_decomposer.hpp"
@@ -51,11 +50,24 @@ core::AmoebaConfig stage_config(workload::StagePin pin) {
   return cfg;
 }
 
-/// One user query in flight across its flow's DAG.
+/// One user query in flight across its flow's DAG, in a reused slot.
 struct InFlightQuery {
+  std::uint64_t id = 0;              ///< per-flow injection index
   double arrival = 0.0;              ///< root injection time
-  int remaining_stages = 0;          ///< stages not yet finished
+  int remaining_stages = 0;          ///< stages not yet finished; 0 = free
   std::vector<int> waiting_parents;  ///< per stage, parents still running
+};
+
+/// A flow's queries in flight: a slot table with a free list, so a steady
+/// day reuses slots (and their waiting_parents capacity) instead of
+/// allocating a node per query.
+struct FlowQueries {
+  std::vector<InFlightQuery> slots;
+  std::vector<std::uint32_t> free_slots;
+
+  [[nodiscard]] std::size_t in_flight() const {
+    return slots.size() - free_slots.size();
+  }
 };
 
 /// AND-join dataflow over every flow: a query enters every root of its
@@ -72,34 +84,49 @@ struct QueryRouter {
   bool keep_records;
   /// Per stage, completions since the last renorm tick (aware mode only).
   std::vector<stats::SampleSet> renorm_window = {};
-  /// Per flow, the queries in flight by id.
-  std::vector<std::map<std::uint64_t, InFlightQuery>> live = {};
+  /// Per flow, the queries in flight.
+  std::vector<FlowQueries> live = {};
 
   void inject(std::size_t f, double now) {
     const workload::CallGraph& g = flows[f].graph;
     const std::uint64_t id = run.flows[f].injected++;
-    InFlightQuery q;
+    FlowQueries& fq = live[f];
+    std::uint32_t slot = 0;
+    if (fq.free_slots.empty()) {
+      slot = static_cast<std::uint32_t>(fq.slots.size());
+      fq.slots.emplace_back();
+    } else {
+      slot = fq.free_slots.back();
+      fq.free_slots.pop_back();
+    }
+    InFlightQuery& q = fq.slots[slot];
+    q.id = id;
     q.arrival = now;
     q.remaining_stages = g.size();
+    q.waiting_parents.clear();
     for (int k = 0; k < g.size(); ++k) {
       q.waiting_parents.push_back(static_cast<int>(g.parents(k).size()));
     }
-    live[f].emplace(id, std::move(q));
     if (traced(f)) {
       obs::Tracer& tr = observer->tracer();
       tr.async_begin(tr.track(flows[f].e2e_track), "e2e", id, now, "query");
     }
-    for (const int r : g.roots()) enter(f, id, r);
+    for (const int r : g.roots()) enter(f, slot, r);
   }
 
-  /// Settle the ledger and close the spans of queries cut off mid-flight —
-  /// bookkeeping only, after the last simulated event.
+  /// Settle the ledger and close the spans of queries cut off mid-flight,
+  /// in id order — bookkeeping only, after the last simulated event.
   void finish(double now) {
     for (std::size_t f = 0; f < flows.size(); ++f) {
-      run.flows[f].unfinished = live[f].size();
+      run.flows[f].unfinished = live[f].in_flight();
       if (!traced(f)) continue;
+      std::vector<std::uint64_t> ids;
+      for (const InFlightQuery& q : live[f].slots) {
+        if (q.remaining_stages > 0) ids.push_back(q.id);
+      }
+      std::sort(ids.begin(), ids.end());
       obs::Tracer& tr = observer->tracer();
-      for (const auto& [id, q] : live[f]) {
+      for (const std::uint64_t id : ids) {
         tr.async_end(tr.track(flows[f].e2e_track), "e2e", id, now, "query",
                      {obs::TraceArg::of("outcome", "unfinished")});
       }
@@ -111,20 +138,27 @@ struct QueryRouter {
            !flows[f].e2e_track.empty();
   }
 
-  void enter(std::size_t f, std::uint64_t id, int s) {
+  void enter(std::size_t f, std::uint32_t slot, int s) {
     const std::size_t si = first_stage[f] + static_cast<std::size_t>(s);
     ++run.stages[si].submitted;
-    runtimes[si]->submit([this, f, id, s](const workload::QueryRecord& rec) {
-      on_stage_done(f, id, s, rec);
-    });
+    // Flow and stage packed into one word: with the router pointer and the
+    // slot the capture is 16 bytes, inside std::function's inline buffer.
+    const auto flow_stage =
+        static_cast<std::uint32_t>(f << 16U) | static_cast<std::uint32_t>(s);
+    runtimes[si]->submit(
+        [this, flow_stage, slot](const workload::QueryRecord& rec) {
+          on_stage_done(flow_stage >> 16U, slot,
+                        static_cast<int>(flow_stage & 0xffffU), rec);
+        });
   }
 
-  void on_stage_done(std::size_t f, std::uint64_t id, int s,
+  void on_stage_done(std::size_t f, std::uint32_t slot, int s,
                      const workload::QueryRecord& rec) {
-    const auto it = live[f].find(id);
-    AMOEBA_INVARIANT_MSG(it != live[f].end(),
-                         "stage completion for a query that is not in flight");
-    InFlightQuery& q = it->second;
+    FlowQueries& fq = live[f];
+    AMOEBA_INVARIANT_MSG(
+        slot < fq.slots.size() && fq.slots[slot].remaining_stages > 0,
+        "stage completion for a query that is not in flight");
+    InFlightQuery& q = fq.slots[slot];
     const std::size_t si = first_stage[f] + static_cast<std::size_t>(s);
     StageRun& st = run.stages[si];
     ++st.finished;
@@ -136,7 +170,7 @@ struct QueryRouter {
     for (const int c : flows[f].graph.children(s)) {
       const auto ci = static_cast<std::size_t>(c);
       AMOEBA_INVARIANT(q.waiting_parents[ci] > 0);
-      if (--q.waiting_parents[ci] == 0) enter(f, id, c);
+      if (--q.waiting_parents[ci] == 0) enter(f, slot, c);
     }
     if (--q.remaining_stages == 0) {
       const double e2e = rec.completion - q.arrival;
@@ -145,10 +179,11 @@ struct QueryRouter {
       if (q.arrival >= warmup_s) fr.e2e_latencies.add(e2e);
       if (traced(f)) {
         obs::Tracer& tr = observer->tracer();
-        tr.async_end(tr.track(flows[f].e2e_track), "e2e", id, rec.completion,
-                     "query", {obs::TraceArg::of("latency_s", e2e)});
+        tr.async_end(tr.track(flows[f].e2e_track), "e2e", q.id,
+                     rec.completion, "query",
+                     {obs::TraceArg::of("latency_s", e2e)});
       }
-      live[f].erase(it);
+      fq.free_slots.push_back(slot);
     }
   }
 };
@@ -264,9 +299,12 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   }
   std::vector<std::size_t> first_stage;
   std::size_t n = 0;
+  // The router packs a flow and a stage into 16 bits each.
+  AMOEBA_EXPECTS(flows.size() <= 0xffffU);
   for (const NodeFlow& flow : flows) {
     AMOEBA_EXPECTS(flow.stages.size() ==
                    static_cast<std::size_t>(flow.graph.size()));
+    AMOEBA_EXPECTS(flow.graph.size() <= 0xffff);
     first_stage.push_back(n);
     n += flow.stages.size();
   }

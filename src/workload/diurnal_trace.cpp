@@ -54,9 +54,13 @@ double DiurnalTrace::noise_factor(double t) const {
   // Piecewise-constant factor: hash the interval index into an RNG stream.
   const auto interval = static_cast<std::uint64_t>(
       std::floor(t / cfg_.noise_interval_s) + 1.0e6);
+  if (memo_valid_ && memo_interval_ == interval) return memo_factor_;
   sim::Rng rng(noise_seed_ ^ (interval * 0x9e3779b97f4a7c15ULL));
   const double f = rng.lognormal_mean_cv(1.0, cfg_.noise_cv);
-  return std::min(f, noise_cap_);
+  memo_valid_ = true;
+  memo_interval_ = interval;
+  memo_factor_ = std::min(f, noise_cap_);
+  return memo_factor_;
 }
 
 double DiurnalTrace::rate(double t) const {

@@ -38,7 +38,9 @@ class DiurnalTrace {
   /// Deterministic (noise-free) rate at absolute time `t` (wraps per day).
   [[nodiscard]] double base_rate(double t) const;
 
-  /// Rate including the piecewise-constant noise factor.
+  /// Rate including the piecewise-constant noise factor. The factor of the
+  /// last noise interval queried is memoized, so rate() is not safe to call
+  /// concurrently on one trace; give each thread its own copy.
   [[nodiscard]] double rate(double t) const;
 
   /// A guaranteed upper bound on rate() over all t (for Poisson thinning).
@@ -54,6 +56,12 @@ class DiurnalTrace {
   DiurnalTraceConfig cfg_;
   std::uint64_t noise_seed_;
   double noise_cap_;
+  /// One-entry memo of noise_factor: the factor is a pure function of the
+  /// interval index, and a load generator queries each interval many times
+  /// in a row.
+  mutable bool memo_valid_ = false;
+  mutable std::uint64_t memo_interval_ = 0;
+  mutable double memo_factor_ = 1.0;
 };
 
 }  // namespace amoeba::workload

@@ -1,13 +1,15 @@
 // Heap allocations on the simulator's steady-state paths, counted with the
 // replaced global operator new of counting_new.cpp. Each test counts past a
-// warm-up (the profiling cell: the difference between two cell lengths), so
-// one-time growth of reused buffers (slot tables, heaps, sample vectors)
-// and container boots are not counted.
+// warm-up (the profiling cell and the shared-node day: the difference
+// between two run lengths), so one-time growth of reused buffers (slot
+// tables, heaps, sample vectors) and container boots are not counted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "counting_new.hpp"
+#include "exp/cluster.hpp"
 #include "exp/profiling.hpp"
 #include "serverless/platform.hpp"
 #include "sim/fair_share.hpp"
@@ -110,6 +112,61 @@ TEST(AllocationCount, StressedProfilingCellIsNearlyAllocationFree) {
       static_cast<double>(longer - anchor) / extra_queries;
   EXPECT_LT(per_query, 0.5) << anchor << " allocations in the 12 s cell, "
                             << longer << " in the 48 s cell";
+}
+
+TEST(AllocationCount, SharedNodeDayAllocatesLittlePerQuery) {
+  // Two managed tenants at full peak (float and dd, half a day apart) on
+  // one node, run for one and for two diurnal days. The second day repeats
+  // the first's traffic (dd switches there and back again), so the
+  // difference is the steady cost of a day's queries through the
+  // generator, the router, the runtimes, the platforms and the control
+  // loops, PCR refits included. Profiling runs before any count. Measured:
+  // 0.37 per extra query; 4.37 when the router kept a map node and the
+  // runtime a wrapped completion per query.
+  const auto cluster = exp::default_cluster();
+  exp::ProfilingConfig cfg;
+  cfg.pressure_grid = {0.05, 0.45, 0.85};
+  cfg.load_fractions = {0.1, 0.5, 1.0};
+  cfg.cell_duration_s = 10.0;
+  cfg.warmup_s = 3.0;
+  cfg.threads = 1;
+  const auto calibration = exp::profile_meters(cluster, cfg);
+  std::vector<exp::ClusterServiceSpec> specs;
+  for (int i = 0; i < 2; ++i) {
+    const auto base = i == 0 ? workload::make_float() : workload::make_dd();
+    specs.push_back(exp::ClusterServiceSpec{
+        workload::as_tenant(base, i, 1.0),
+        exp::profile_service(base, cluster, calibration, cfg), 0.5 * i});
+  }
+  struct Day {
+    std::uint64_t allocations = 0;
+    std::uint64_t queries = 0;
+  };
+  auto day = [&](double days) {
+    exp::ClusterRunOptions opt;
+    opt.period_s = 300.0;
+    opt.duration_days = days;
+    opt.warmup_s = 40.0;
+    opt.seed = 5;
+    opt.node_container_budget = 48;
+    opt.meter_reserve_containers = 6;
+    const std::uint64_t before = allocations();
+    const auto r = exp::run_cluster(specs, cluster, calibration, opt);
+    Day d{allocations() - before, 0};
+    for (const auto& s : r.services) d.queries += s.queries;
+    return d;
+  };
+  const Day one = day(1.0);
+  const Day two = day(2.0);
+  ASSERT_GT(two.queries, one.queries + 1000);
+  ASSERT_GE(two.allocations, one.allocations);
+  const double per_query =
+      static_cast<double>(two.allocations - one.allocations) /
+      static_cast<double>(two.queries - one.queries);
+  EXPECT_LT(per_query, 1.0)
+      << one.allocations << " allocations for " << one.queries
+      << " queries in one day, " << two.allocations << " for "
+      << two.queries << " in two";
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace amoeba::workload {
@@ -93,6 +95,28 @@ TEST(DiurnalTrace, NoiseIsDeterministicPerSeed) {
   DiurnalTrace a(cfg, 11), b(cfg, 11), c(cfg, 12);
   EXPECT_DOUBLE_EQ(a.rate(123.0), b.rate(123.0));
   EXPECT_NE(a.rate(123.0), c.rate(123.0));
+}
+
+TEST(DiurnalTrace, OutOfOrderQueriesMatchAFreshTrace) {
+  // rate() memoizes the noise factor of the last interval it saw. Walking
+  // the day backwards, jumping between intervals and revisiting one must
+  // give, bit for bit, what a trace that never saw another time gives.
+  auto cfg = base_config();
+  cfg.noise_cv = 0.3;
+  cfg.noise_interval_s = 10.0;
+  const DiurnalTrace walked(cfg, 5);
+  std::vector<double> times;
+  for (int i = 400; i >= 0; --i) times.push_back(2.5 * i);
+  for (const double t : {12.0, 987.0, 12.5, 19.999, 20.0, 3456.0, 12.0}) {
+    times.push_back(t);
+  }
+  for (const double t : times) {
+    const DiurnalTrace fresh(cfg, 5);
+    const double expected = fresh.rate(t);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(walked.rate(t)),
+              std::bit_cast<std::uint64_t>(expected))
+        << "t = " << t;
+  }
 }
 
 TEST(DiurnalTrace, ConfigValidation) {
