@@ -15,7 +15,10 @@ PoissonLoadGenerator::PoissonLoadGenerator(sim::Engine& engine, sim::Rng rng,
   AMOEBA_EXPECTS(on_arrival_ != nullptr);
 }
 
-PoissonLoadGenerator::~PoissonLoadGenerator() { stop(); }
+PoissonLoadGenerator::~PoissonLoadGenerator() {
+  running_ = false;
+  if (pending_ != sim::kNoEvent) engine_.cancel(pending_);
+}
 
 void PoissonLoadGenerator::start() {
   if (running_) return;
@@ -25,23 +28,46 @@ void PoissonLoadGenerator::start() {
 
 void PoissonLoadGenerator::stop() {
   running_ = false;
-  if (pending_ != sim::kNoEvent) {
-    engine_.cancel(pending_);
-    pending_ = sim::kNoEvent;
+  if (pending_ == sim::kNoEvent) return;
+  engine_.cancel(pending_);
+  pending_ = sim::kNoEvent;
+  // The walk drew candidates past now. Replay it from its start and stop
+  // right after the gap of the first candidate not yet due, which leaves
+  // the rng where one event per candidate would have left it: a later
+  // start() continues the same stream.
+  rng_ = walk_rng_;
+  double t = walk_start_;
+  while (true) {
+    t += rng_.exponential(max_rate_);
+    if (t > engine_.now()) break;
+    const double lambda = rate_(t);
+    if (lambda > 0.0) (void)rng_.uniform();
   }
 }
 
 void PoissonLoadGenerator::schedule_next() {
   // Lewis-Shedler thinning: candidate arrivals at rate max_rate_, each
-  // accepted with probability rate(t)/max_rate_.
-  const double gap = rng_.exponential(max_rate_);
-  pending_ = engine_.schedule_in(gap, [this] {
-    pending_ = sim::kNoEvent;
-    if (!running_) return;
-    const double lambda = rate_(engine_.now());
+  // accepted with probability rate(t)/max_rate_. The candidates are drawn
+  // here, in a loop, and only the accepted one becomes an event. After
+  // kMaxRejections rejections in a row the last candidate becomes an event
+  // that emits nothing and resumes the walk, so an all-zero rate still lets
+  // the engine run dry.
+  walk_rng_ = rng_;
+  walk_start_ = engine_.now();
+  double t = walk_start_;
+  bool accept = false;
+  for (int candidate = 0; candidate < kMaxRejections && !accept;
+       ++candidate) {
+    t += rng_.exponential(max_rate_);
+    const double lambda = rate_(t);
     AMOEBA_ASSERT_MSG(lambda <= max_rate_ * (1.0 + 1e-9),
                       "rate function exceeded its declared bound");
-    if (lambda > 0.0 && rng_.uniform() < lambda / max_rate_) {
+    accept = lambda > 0.0 && rng_.uniform() < lambda / max_rate_;
+  }
+  pending_ = engine_.schedule(t, [this, accept] {
+    pending_ = sim::kNoEvent;
+    if (!running_) return;
+    if (accept) {
       ++emitted_;
       on_arrival_();
     }

@@ -3,8 +3,10 @@
 // `PoissonLoadGenerator` emits arrivals as a non-homogeneous Poisson
 // process whose rate follows an arbitrary rate function (typically a
 // DiurnalTrace), using Lewis & Shedler thinning against the rate upper
-// bound. `ConstantLoadGenerator` is the fixed-rate special case used by
-// profiling sweeps.
+// bound. Rejected candidates are drawn without becoming engine events, so
+// the rate function must be a pure function of t: it is evaluated ahead of
+// the simulation clock. `ConstantLoadGenerator` is the fixed-rate special
+// case used by profiling sweeps.
 #pragma once
 
 #include <functional>
@@ -33,16 +35,25 @@ class PoissonLoadGenerator {
   /// Begin emitting arrivals from the current simulation time.
   void start();
 
-  /// Stop emitting (cancels the pending candidate arrival).
+  /// Stop emitting (cancels the pending arrival). A later start() draws
+  /// the same arrivals a generator that never stopped would have drawn
+  /// from the restart on.
   void stop();
 
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
+  /// Rejections in a row after which a candidate is scheduled as an event
+  /// that emits nothing and resumes the walk.
+  static constexpr int kMaxRejections = 64;
+
   void schedule_next();
 
   sim::Engine& engine_;
   sim::Rng rng_;
+  /// The rng and the clock when the pending walk began, for stop().
+  sim::Rng walk_rng_;
+  double walk_start_ = 0.0;
   RateFn rate_;
   double max_rate_;
   ArrivalFn on_arrival_;
