@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -74,6 +75,48 @@ class BenchJson {
  private:
   std::vector<std::pair<std::string, std::string>> members_;
 };
+
+/// Which members of an existing BENCH file merge_existing keeps.
+enum class KeepKeys {
+  kWithPrefix,     ///< only the keys another bench writes under the prefix
+  kWithoutPrefix,  ///< every key but the prefix the caller re-measures
+};
+
+/// Copy the members of the existing flat BENCH json object at `path` that
+/// `keep` selects by `prefix` into `json`. Two benches share
+/// BENCH_simulator.json: tab_overhead_profiler re-measures the
+/// `profiler_` keys and keeps the rest, micro_simulator re-measures the
+/// rest and keeps the `profiler_` keys, so re-recording either one, in
+/// either order, leaves the file whole. Unparseable or missing files are
+/// skipped: the bench then writes a fresh object.
+inline void merge_existing(BenchJson& json, const std::string& path,
+                           std::string_view prefix, KeepKeys keep) {
+  std::ifstream in(path);
+  if (!in) return;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const auto root = obs::parse_json(buf.str());
+  if (!root || root->kind != obs::JsonValue::Kind::kObject) {
+    std::cerr << "note: " << path << " unparseable; rewriting from scratch\n";
+    return;
+  }
+  for (const auto& [key, val] : root->object) {
+    if (key.starts_with(prefix) != (keep == KeepKeys::kWithPrefix)) continue;
+    switch (val.kind) {
+      case obs::JsonValue::Kind::kNumber:
+        json.add(key, val.number);
+        break;
+      case obs::JsonValue::Kind::kBool:
+        json.add(key, val.boolean);
+        break;
+      case obs::JsonValue::Kind::kString:
+        json.add(key, val.string);
+        break;
+      default:
+        break;  // flat BENCH files hold no nested values
+    }
+  }
+}
 
 inline exp::ClusterConfig bench_cluster() { return exp::default_cluster(); }
 

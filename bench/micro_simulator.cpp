@@ -3,7 +3,8 @@
 // plus the wall clock of one profiling call (exp::profile_service for
 // float, the figure benches' 6×5 grid) at --jobs 1 vs --jobs N, and records
 // everything in machine-readable BENCH_simulator.json so each change's perf
-// trajectory is comparable to the last.
+// trajectory is comparable to the last. The `profiler_*` fields that
+// tab_overhead_profiler merges into the same file are kept.
 //
 //   micro_simulator [--events N] [--repeats R] [--jobs N] [--json-out PATH]
 //
@@ -276,6 +277,9 @@ int main(int argc, char** argv) {
     }
   }
   json.add("sweep_deterministic", deterministic);
+  // tab_overhead_profiler's fields, recorded into the same file.
+  bench::merge_existing(json, json_out, "profiler_",
+                        bench::KeepKeys::kWithPrefix);
   if (!json.write(json_out)) return 1;
   std::cout << "wrote " << json_out << "\n";
   return (deterministic && sweep_ok) ? 0 : 1;

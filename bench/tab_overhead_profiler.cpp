@@ -17,9 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,38 +48,6 @@ TimedRun timed_run(const workload::FunctionProfile& p,
   out.events = r.events_executed;
   out.trace_hash = r.trace_hash;
   return out;
-}
-
-/// Copy every member of an existing flat BENCH json object into `json`,
-/// except the keys this bench is about to (re)write. Unparseable or missing
-/// files are skipped — the bench then writes a fresh object.
-void merge_existing(bench::BenchJson& json, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const auto root = obs::parse_json(text);
-  if (!root || root->kind != obs::JsonValue::Kind::kObject) {
-    std::cerr << "note: " << path << " unparseable; rewriting from scratch\n";
-    return;
-  }
-  for (const auto& [key, val] : root->object) {
-    if (key.rfind("profiler_", 0) == 0) continue;  // ours, re-measured below
-    switch (val.kind) {
-      case obs::JsonValue::Kind::kNumber:
-        json.add(key, val.number);
-        break;
-      case obs::JsonValue::Kind::kBool:
-        json.add(key, val.boolean);
-        break;
-      case obs::JsonValue::Kind::kString:
-        json.add(key, val.string);
-        break;
-      default:
-        break;  // flat BENCH files hold no nested values
-    }
-  }
 }
 
 }  // namespace
@@ -170,7 +136,8 @@ int main(int argc, char** argv) {
             << (hashes_match ? "identical" : "DIVERGED") << "\n";
 
   bench::BenchJson json;
-  merge_existing(json, json_out);
+  bench::merge_existing(json, json_out, "profiler_",
+                        bench::KeepKeys::kWithoutPrefix);
   json.add("profiler_overhead_pct", overhead_pct);
   json.add("profiler_off_events_per_sec", off_eps);
   json.add("profiler_on_events_per_sec", on_eps);
