@@ -26,29 +26,25 @@ double log_gamma(double x) {
   return ::lgamma_r(x, &sign);
 }
 
-/// log of Σ exp(x_i) computed stably.
-double log_sum_exp(const std::vector<double>& xs) {
-  double m = -std::numeric_limits<double>::infinity();
-  for (double x : xs) m = std::max(m, x);
-  if (!std::isfinite(m)) return m;
-  double s = 0.0;
-  for (double x : xs) s += std::exp(x - m);
-  return m + std::log(s);
-}
-
-/// log π₀ for a stable M/M/N system.
+/// log π₀ for a stable M/M/N system: −log Σ_k term(k) over the terms
+/// below, as a log-sum-exp. Two passes (the maximum, then the shifted sum)
+/// recompute each term, so no buffer is allocated; both passes visit the
+/// terms in the same order, and a term is a pure function of k.
 double log_pi0(double lambda, int n, double mu) {
   const double a = lambda / mu;  // offered load in Erlangs = nρ
   const double r = a / n;        // ρ
-  std::vector<double> terms;
-  terms.reserve(static_cast<std::size_t>(n) + 1);
   const double log_a = std::log(a);
-  for (int k = 0; k < n; ++k) {
-    terms.push_back(k * log_a - log_gamma(k + 1.0));
-  }
-  // (nρ)^n / (n! (1-ρ))
-  terms.push_back(n * log_a - log_gamma(n + 1.0) - std::log1p(-r));
-  return -log_sum_exp(terms);
+  const auto term = [&](int k) {
+    if (k < n) return k * log_a - log_gamma(k + 1.0);
+    // (nρ)^n / (n! (1-ρ))
+    return n * log_a - log_gamma(n + 1.0) - std::log1p(-r);
+  };
+  double m = -std::numeric_limits<double>::infinity();
+  for (int k = 0; k <= n; ++k) m = std::max(m, term(k));
+  if (!std::isfinite(m)) return -m;
+  double s = 0.0;
+  for (int k = 0; k <= n; ++k) s += std::exp(term(k) - m);
+  return -(m + std::log(s));
 }
 
 /// log π_n.

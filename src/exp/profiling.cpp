@@ -155,6 +155,7 @@ CellResult run_profile_cell(const workload::FunctionProfile& subject,
 
   CellResult out;
   out.samples = tally.count;
+  out.cold_starts = sp.pool().cold_starts();
   if (tally.count > 0) {
     out.mean_latency_s = tally.sum / static_cast<double>(tally.count);
     out.tail_latency_s = tally.latencies.quantile(core::kQosPercentile);

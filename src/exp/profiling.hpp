@@ -57,6 +57,7 @@ struct CellResult {
   double tail_latency_s = 0.0;
   double mean_latency_s = 0.0;
   std::uint64_t samples = 0;
+  std::uint64_t cold_starts = 0;  ///< containers the cell booted
 };
 
 [[nodiscard]] CellResult run_profile_cell(

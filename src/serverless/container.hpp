@@ -21,7 +21,7 @@ enum class FunctionId : std::uint32_t {};
 
 enum class ContainerState : std::uint8_t {
   kStarting,  ///< cold start in progress (memory already reserved)
-  kIdle,      ///< warm, waiting for work; keep-alive timer running
+  kIdle,      ///< warm, waiting for work; keep-alive deadline pending
   kBusy,      ///< executing one invocation
 };
 
@@ -33,7 +33,6 @@ struct Container {
   sim::Time created_at = 0.0;
   sim::Time ready_at = 0.0;            ///< when the cold start finished
   sim::Time idle_since = 0.0;          ///< valid while state == kIdle
-  sim::EventId expiry_event = sim::kNoEvent;
   std::uint64_t invocations_served = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "serverless/container_pool.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "obs/profiler.hpp"
@@ -34,8 +33,7 @@ FunctionId ContainerPool::add_function() {
 
 std::optional<ContainerId> ContainerPool::start(
     FunctionId function, double memory_mb, double boot_s,
-    std::function<void(ContainerId)> on_ready,
-    std::function<void(ContainerId)> on_failed) {
+    BootCallback on_ready, BootCallback on_failed) {
   AMOEBA_PROF_SCOPE(kServerlessPool);
   AMOEBA_EXPECTS(memory_mb > 0.0);
   AMOEBA_EXPECTS(boot_s >= 0.0);
@@ -52,46 +50,121 @@ std::optional<ContainerId> ContainerPool::start(
   }
 
   const ContainerId id = next_id_++;
-  Container c;
-  c.id = id;
-  c.function = function;
-  c.state = ContainerState::kStarting;
-  c.memory_mb = memory_mb;
-  c.created_at = engine_.now();
-  containers_.emplace(id, std::move(c));
+  std::uint32_t r = free_rows_;
+  if (r == kNil) {
+    r = static_cast<std::uint32_t>(rows_.size());
+    rows_.emplace_back();
+  } else {
+    free_rows_ = rows_[r].keep_alive.next;
+  }
+  AMOEBA_ASSERT(row_of_.size() == id - 1);
+  row_of_.push_back(r);
+  Row& row = rows_[r];
+  row.container = Container{};
+  row.container.id = id;
+  row.container.function = function;
+  row.container.state = ContainerState::kStarting;
+  row.container.memory_mb = memory_mb;
+  row.container.created_at = engine_.now();
+  row.on_ready = std::move(on_ready);
+  row.on_failed = std::move(on_failed);
+  row.keep_alive = row.idle = Links{};
+  ++live_containers_;
   rec.counts.starting += 1;
   rec.memory.add(engine_.now(), memory_mb);
   ++cold_starts_;
-  peak_total_containers_ =
-      std::max(peak_total_containers_, static_cast<int>(containers_.size()));
+  peak_total_containers_ = std::max(peak_total_containers_, live_containers_);
   peak_memory_in_use_mb_ = std::max(peak_memory_in_use_mb_, memory_.in_use());
 
-  engine_.schedule_in(boot_s, [this, id, boot_fails, cb = std::move(on_ready),
-                               fb = std::move(on_failed)] {
-    auto cit = containers_.find(id);
-    if (cit == containers_.end()) return;  // destroyed while starting
-    Container& cont = cit->second;
-    AMOEBA_ASSERT(cont.state == ContainerState::kStarting);
-    if (boot_fails) {
-      // A failed boot held its memory for the full window; release it now.
-      ++boot_failures_;
-      destroy(id);
-      if (fb) fb(id);
-      return;
-    }
-    cont.state = ContainerState::kIdle;
-    cont.ready_at = engine_.now();
-    cont.idle_since = engine_.now();
-    FunctionRecord& fr = record(cont.function);
-    fr.counts.starting -= 1;
-    fr.counts.idle += 1;
-    check_counts(fr.counts);
-    fr.idle.push_back(id);
-    cont.expiry_event =
-        engine_.schedule_in(keep_alive_s_, [this, id] { expire(id); });
-    cb(id);
-  });
+  // The callbacks wait in the row, so the boot event captures 24 bytes and
+  // stays in the engine slot's inline buffer.
+  engine_.schedule_in(boot_s,
+                      [this, id, boot_fails] { boot_done(id, boot_fails); });
   return id;
+}
+
+void ContainerPool::boot_done(ContainerId id, bool boot_fails) {
+  if (!contains(id)) return;  // destroyed while starting
+  Row& row = row_of(id);
+  AMOEBA_ASSERT(row.container.state == ContainerState::kStarting);
+  // Move the callbacks out first: they may start containers, which can grow
+  // the table under them.
+  BootCallback on_ready = std::exchange(row.on_ready, nullptr);
+  BootCallback on_failed = std::exchange(row.on_failed, nullptr);
+  if (boot_fails) {
+    // A failed boot held its memory for the full window; release it now.
+    ++boot_failures_;
+    destroy(id);
+    if (on_failed) on_failed(id);
+    return;
+  }
+  row.container.ready_at = engine_.now();
+  FunctionRecord& fr = record(row.container.function);
+  fr.counts.starting -= 1;
+  fr.counts.idle += 1;
+  check_counts(fr.counts);
+  make_idle(index_of(id));
+  on_ready(id);
+}
+
+void ContainerPool::link_back(List& list, Links Row::*links,
+                              std::uint32_t r) {
+  Links& l = rows_[r].*links;
+  l.prev = list.back;
+  l.next = kNil;
+  if (list.back == kNil) {
+    list.front = r;
+  } else {
+    (rows_[list.back].*links).next = r;
+  }
+  list.back = r;
+}
+
+void ContainerPool::unlink(List& list, Links Row::*links, std::uint32_t r) {
+  Links& l = rows_[r].*links;
+  if (l.prev == kNil) {
+    list.front = l.next;
+  } else {
+    (rows_[l.prev].*links).next = l.next;
+  }
+  if (l.next == kNil) {
+    list.back = l.prev;
+  } else {
+    (rows_[l.next].*links).prev = l.prev;
+  }
+  l = Links{};
+}
+
+void ContainerPool::make_idle(std::uint32_t r) {
+  Container& c = rows_[r].container;
+  c.state = ContainerState::kIdle;
+  c.idle_since = engine_.now();
+  link_back(record(c.function).idle, &Row::idle, r);
+  link_back(keep_alive_, &Row::keep_alive, r);
+  if (keep_alive_timer_ == sim::kNoEvent) {
+    keep_alive_timer_ =
+        engine_.schedule(deadline(rows_[r]), [this] { expire_due(); });
+  }
+}
+
+void ContainerPool::unlink_idle(std::uint32_t r) {
+  unlink(record(rows_[r].container.function).idle, &Row::idle, r);
+  unlink(keep_alive_, &Row::keep_alive, r);
+}
+
+void ContainerPool::expire_due() {
+  AMOEBA_PROF_SCOPE(kServerlessPool);
+  keep_alive_timer_ = sim::kNoEvent;
+  // Every deadline at the front that is due equals now: the timer was
+  // armed at the front's deadline, and later ones are no earlier.
+  while (!keep_alive_.empty() &&
+         deadline(rows_[keep_alive_.front]) <= engine_.now()) {
+    destroy(rows_[keep_alive_.front].container.id);
+  }
+  if (!keep_alive_.empty()) {
+    keep_alive_timer_ = engine_.schedule(deadline(rows_[keep_alive_.front]),
+                                         [this] { expire_due(); });
+  }
 }
 
 bool ContainerPool::memory_available(double memory_mb) const {
@@ -100,27 +173,29 @@ bool ContainerPool::memory_available(double memory_mb) const {
 
 bool ContainerPool::evict_lru_idle(std::optional<FunctionId> exclude) {
   AMOEBA_PROF_SCOPE(kServerlessPool);
-  // Most calls come from a saturated pool with nothing idle to give up, so
-  // miss in O(#functions) before scanning every container.
-  bool any_candidate = false;
-  for (std::size_t i = 0; i < functions_.size() && !any_candidate; ++i) {
-    any_candidate = !functions_[i].idle.empty() &&
-                    static_cast<FunctionId>(i) != exclude;
-  }
-  if (!any_candidate) return false;
-  ContainerId victim = 0;
-  double oldest = std::numeric_limits<double>::infinity();
-  for (const auto& [id, c] : containers_) {
-    if (c.state != ContainerState::kIdle) continue;
-    if (c.function == exclude) continue;
-    if (c.idle_since < oldest) {
-      oldest = c.idle_since;
-      victim = id;
+  // Each idle list is ordered by idle_since, so the pool's least
+  // (idle_since, id) is in the run of equal idle_since at some list's
+  // front: a scan of the functions, not of the containers. Most calls come
+  // from a saturated pool with nothing idle to give up and miss at once.
+  const Row* victim = nullptr;
+  for (std::size_t i = 0; i < functions_.size(); ++i) {
+    if (static_cast<FunctionId>(i) == exclude) continue;
+    const List& idle = functions_[i].idle;
+    if (idle.empty()) continue;
+    const sim::Time since = rows_[idle.front].container.idle_since;
+    if (victim != nullptr && since > victim->container.idle_since) continue;
+    for (std::uint32_t r = idle.front; r != kNil; r = rows_[r].idle.next) {
+      const Container& c = rows_[r].container;
+      if (c.idle_since != since) break;
+      if (victim == nullptr || since < victim->container.idle_since ||
+          c.id < victim->container.id) {
+        victim = &rows_[r];
+      }
     }
   }
-  if (victim == 0) return false;
+  if (victim == nullptr) return false;
   ++evictions_;
-  destroy(victim);
+  destroy(victim->container.id);
   return true;
 }
 
@@ -130,23 +205,23 @@ std::optional<ContainerId> ContainerPool::acquire_idle(FunctionId function) {
   // Container *lifecycle* bookkeeping (start/evict/destroy/expire) carries
   // the kServerlessPool scopes.
   AMOEBA_EXPECTS(known(function));
-  const std::vector<ContainerId>& idle = record(function).idle;
+  const List& idle = record(function).idle;
   if (idle.empty()) return std::nullopt;
-  const ContainerId id = idle.back();
+  const ContainerId id = rows_[idle.back].container.id;
   mark_busy(id);
   return id;
 }
 
 void ContainerPool::mark_busy(ContainerId id) {
-  Container& c = get_mutable(id);
+  AMOEBA_EXPECTS_MSG(contains(id), "unknown container id");
+  const std::uint32_t r = index_of(id);
+  Container& c = rows_[r].container;
   AMOEBA_EXPECTS_MSG(c.state == ContainerState::kIdle,
                      "only idle containers can take work");
   FunctionRecord& fr = record(c.function);
-  std::erase(fr.idle, id);
-  if (c.expiry_event != sim::kNoEvent) {
-    engine_.cancel(c.expiry_event);
-    c.expiry_event = sim::kNoEvent;
-  }
+  AMOEBA_EXPECTS_MSG(fr.idle.back == r,
+                     "only the most recently idled container can take work");
+  unlink_idle(r);
   c.state = ContainerState::kBusy;
   ++c.invocations_served;
   fr.counts.idle -= 1;
@@ -156,24 +231,22 @@ void ContainerPool::mark_busy(ContainerId id) {
 
 void ContainerPool::release_to_idle(ContainerId id) {
   // Unscoped like acquire_idle: per-invocation fast path.
-  Container& c = get_mutable(id);
+  AMOEBA_EXPECTS_MSG(contains(id), "unknown container id");
+  const Container& c = row_of(id).container;
   AMOEBA_EXPECTS(c.state == ContainerState::kBusy);
-  c.state = ContainerState::kIdle;
-  c.idle_since = engine_.now();
   FunctionRecord& fr = record(c.function);
   fr.counts.busy -= 1;
   fr.counts.idle += 1;
   check_counts(fr.counts);
-  fr.idle.push_back(id);
-  c.expiry_event =
-      engine_.schedule_in(keep_alive_s_, [this, id] { expire(id); });
+  make_idle(index_of(id));
 }
 
 void ContainerPool::destroy(ContainerId id) {
   AMOEBA_PROF_SCOPE(kServerlessPool);
-  auto it = containers_.find(id);
-  AMOEBA_EXPECTS_MSG(it != containers_.end(), "destroying unknown container");
-  Container& c = it->second;
+  AMOEBA_EXPECTS_MSG(contains(id), "destroying unknown container");
+  const std::uint32_t r = index_of(id);
+  Row& row = rows_[r];
+  const Container& c = row.container;
   FunctionRecord& fr = record(c.function);
   switch (c.state) {
     case ContainerState::kStarting:
@@ -181,47 +254,45 @@ void ContainerPool::destroy(ContainerId id) {
       break;
     case ContainerState::kIdle:
       fr.counts.idle -= 1;
-      std::erase(fr.idle, id);
+      unlink_idle(r);
       break;
     case ContainerState::kBusy:
       fr.counts.busy -= 1;
       break;
   }
   check_counts(fr.counts);
-  if (c.expiry_event != sim::kNoEvent) engine_.cancel(c.expiry_event);
   fr.memory.add(engine_.now(), -c.memory_mb);
   memory_.release(c.memory_mb);
-  containers_.erase(it);
+  // Free the row; a pending boot event for `id` finds it gone.
+  row.container.id = 0;
+  row.on_ready = nullptr;
+  row.on_failed = nullptr;
+  row.keep_alive.next = free_rows_;
+  free_rows_ = r;
+  --live_containers_;
 }
 
 int ContainerPool::destroy_idle(FunctionId function) {
   AMOEBA_EXPECTS(known(function));
-  // Destroy in ascending-id order, as a scan of containers_ would.
-  std::vector<ContainerId> victims = record(function).idle;
+  // Destroy in ascending-id order.
+  std::vector<ContainerId> victims;
+  for (std::uint32_t r = record(function).idle.front; r != kNil;
+       r = rows_[r].idle.next) {
+    victims.push_back(rows_[r].container.id);
+  }
   std::sort(victims.begin(), victims.end());
   for (ContainerId id : victims) destroy(id);
   return static_cast<int>(victims.size());
 }
 
-void ContainerPool::expire(ContainerId id) {
-  AMOEBA_PROF_SCOPE(kServerlessPool);
-  auto it = containers_.find(id);
-  if (it == containers_.end()) return;
-  if (it->second.state != ContainerState::kIdle) return;
-  it->second.expiry_event = sim::kNoEvent;
-  destroy(id);
-}
-
 const Container& ContainerPool::get(ContainerId id) const {
-  auto it = containers_.find(id);
-  AMOEBA_EXPECTS_MSG(it != containers_.end(), "unknown container id");
-  return it->second;
+  AMOEBA_EXPECTS_MSG(contains(id), "unknown container id");
+  return rows_[index_of(id)].container;
 }
 
-Container& ContainerPool::get_mutable(ContainerId id) {
-  auto it = containers_.find(id);
-  AMOEBA_EXPECTS_MSG(it != containers_.end(), "unknown container id");
-  return it->second;
+std::size_t ContainerPool::row(ContainerId id) const {
+  AMOEBA_EXPECTS_MSG(id - 1 < row_of_.size(), "container id never started");
+  return index_of(id);
 }
 
 PoolCounts ContainerPool::counts(FunctionId function) const {
@@ -248,11 +319,14 @@ std::vector<ContainerId> ContainerPool::starting_ids(
     FunctionId function) const {
   AMOEBA_EXPECTS(known(function));
   std::vector<ContainerId> out;
-  for (const auto& [id, c] : containers_) {
-    if (c.function == function && c.state == ContainerState::kStarting) {
-      out.push_back(id);
+  for (const Row& row : rows_) {
+    const Container& c = row.container;
+    if (c.id != 0 && c.function == function &&
+        c.state == ContainerState::kStarting) {
+      out.push_back(c.id);
     }
   }
+  std::sort(out.begin(), out.end());  // rows are not in id order
   return out;
 }
 

@@ -9,10 +9,17 @@
 // is one record per function, created by add_function() and addressed by
 // the FunctionId it returns; an id the pool never handed out trips a
 // precondition.
+//
+// Containers live in a table of reusable rows addressed through an
+// id-indexed row index, so a lookup is two array reads and a cold start
+// allocates nothing once the table has grown to the pool's peak. Keep-alive
+// expiry is one engine timer per pool over a FIFO of idle containers (see
+// DESIGN.md §8): keep_alive_s is fixed, so deadlines join the FIFO in
+// non-decreasing order, and a reuse or destroy only unlinks its container.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -33,6 +40,9 @@ struct PoolCounts {
 
 class ContainerPool {
  public:
+  /// What start() calls when a boot ends: with the container's id.
+  using BootCallback = std::function<void(ContainerId)>;
+
   /// `memory` is the node's container-memory budget; `keep_alive_s` the
   /// warm-container TTL.
   ContainerPool(sim::Engine& engine, double memory_capacity_mb,
@@ -53,8 +63,7 @@ class ContainerPool {
   /// `on_failed(id)` fires instead of `on_ready`.
   std::optional<ContainerId> start(
       FunctionId function, double memory_mb, double boot_s,
-      std::function<void(ContainerId)> on_ready,
-      std::function<void(ContainerId)> on_failed = nullptr);
+      BootCallback on_ready, BootCallback on_failed = nullptr);
 
   /// Attach the fault injector (non-owning; nullptr disables injection).
   void set_fault_injector(sim::FaultInjector* faults) noexcept {
@@ -72,7 +81,8 @@ class ContainerPool {
   /// keeps the warm set small). Returns nullopt if none idle.
   std::optional<ContainerId> acquire_idle(FunctionId function);
 
-  /// Return a busy container to the idle set and arm its keep-alive timer.
+  /// Return a busy container to the idle set; it expires keep_alive_s from
+  /// now unless reused first.
   void release_to_idle(ContainerId id);
 
   /// Destroy a container in any state and free its memory.
@@ -82,11 +92,26 @@ class ContainerPool {
   /// Returns how many were destroyed.
   int destroy_idle(FunctionId function);
 
-  /// Mark an idle container busy (used when assigning work).
+  /// Mark the most recently idled container of its function busy (used
+  /// when assigning work: acquire_idle's pick, or a container that just
+  /// booted for a bound query).
   void mark_busy(ContainerId id);
 
+  /// True while `id` is alive (started and not yet destroyed).
+  [[nodiscard]] bool contains(ContainerId id) const noexcept {
+    // Unsigned wrap-around sends id 0 out of range too.
+    return id - 1 < row_of_.size() && rows_[index_of(id)].container.id == id;
+  }
+
+  /// The container's record. The reference is invalidated by the next
+  /// start(), which may grow the table.
   [[nodiscard]] const Container& get(ContainerId id) const;
-  [[nodiscard]] Container& get_mutable(ContainerId id);
+
+  /// The table row container `id` occupies, or last occupied if it has
+  /// been destroyed: fixed while it lives, taken by a later start() once it
+  /// is destroyed, and below the pool's peak container count. Callers index
+  /// per-container side tables by it.
+  [[nodiscard]] std::size_t row(ContainerId id) const;
 
   [[nodiscard]] PoolCounts counts(FunctionId function) const;
   [[nodiscard]] PoolCounts total_counts() const;
@@ -128,14 +153,63 @@ class ContainerPool {
   }
 
  private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// A row's place in one intrusive list of rows.
+  struct Links {
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+  };
+  /// An intrusive doubly-linked list of rows, oldest at the front.
+  struct List {
+    std::uint32_t front = kNil;
+    std::uint32_t back = kNil;
+    [[nodiscard]] bool empty() const noexcept { return front == kNil; }
+  };
+
   /// What the pool keeps per function.
   struct FunctionRecord {
     PoolCounts counts;
-    std::vector<ContainerId> idle;  ///< LIFO: most recently idle last
+    /// The function's idle containers, most recently idle at the back
+    /// (reused first). They join at the current time only, so idle_since
+    /// is non-decreasing from front to back.
+    List idle;
     stats::IntegratedGauge memory;  ///< reserved MB, integrated over time
   };
 
-  void expire(ContainerId id);
+  /// One table row: a live container, or a free row (container.id == 0).
+  struct Row {
+    Container container;
+    /// The boot's callbacks, held until the boot event fires.
+    BootCallback on_ready;
+    BootCallback on_failed;
+    /// While the container is idle: its places in the pool's keep-alive
+    /// FIFO and in its function's idle list. A free row chains the free
+    /// rows through keep_alive.next.
+    Links keep_alive;
+    Links idle;
+  };
+
+  [[nodiscard]] std::uint32_t index_of(ContainerId id) const {
+    return row_of_[id - 1];
+  }
+  [[nodiscard]] Row& row_of(ContainerId id) { return rows_[index_of(id)]; }
+  /// An idle container's expiry time: the time schedule_in(keep_alive_s_)
+  /// computed for the per-container event the FIFO replaces.
+  [[nodiscard]] sim::Time deadline(const Row& row) const {
+    return row.container.idle_since + keep_alive_s_;
+  }
+  void boot_done(ContainerId id, bool boot_fails);
+  void link_back(List& list, Links Row::*links, std::uint32_t r);
+  void unlink(List& list, Links Row::*links, std::uint32_t r);
+  /// Make the row's container idle now: append it to its function's idle
+  /// list and to the keep-alive FIFO, arming the timer if none is armed.
+  void make_idle(std::uint32_t r);
+  /// Take an idle row out of both lists.
+  void unlink_idle(std::uint32_t r);
+  /// The timer's event: expire the due containers at the FIFO's front in
+  /// order, then re-arm at the next deadline.
+  void expire_due();
   // Every public method that takes an id checks known(id) on entry; the
   // records of containers' own functions are indexed unchecked.
   [[nodiscard]] bool known(FunctionId function) const noexcept {
@@ -152,13 +226,27 @@ class ContainerPool {
   sim::CountingResource memory_;
   double keep_alive_s_;
   ContainerId next_id_ = 1;
-  // Containers iterate in ascending-id order (LRU eviction breaks
-  // idle-time ties by it), and the function records in registration
-  // order. Both orders are fixed by the schedule alone, never by hash
-  // seeds or addresses; the only fold over the records, total_counts(),
-  // sums integers.
-  std::map<ContainerId, Container> containers_;
+  // Rows are reused through a LIFO free list, so row order is not id
+  // order: every tie-break that used to follow ascending ids (LRU eviction,
+  // starting_ids, destroy_idle) compares ids explicitly. Function records
+  // are in registration order. Both are fixed by the schedule alone, never
+  // by hash seeds or addresses; the only fold over the records,
+  // total_counts(), sums integers.
+  std::vector<Row> rows_;
+  std::uint32_t free_rows_ = kNil;  ///< head of the free-row chain
+  /// Indexed by ContainerId - 1 (ids are sequential from 1): the row the
+  /// container occupies or last occupied. Four bytes per container ever
+  /// started.
+  std::vector<std::uint32_t> row_of_;
+  int live_containers_ = 0;
   std::vector<FunctionRecord> functions_;
+  /// The keep-alive FIFO: every idle container, in the order it went idle,
+  /// which is deadline order.
+  List keep_alive_;
+  /// The one keep-alive event, armed at or before the front's deadline (a
+  /// reuse or destroy of the front leaves it early); kNoEvent when none is
+  /// armed.
+  sim::EventId keep_alive_timer_ = sim::kNoEvent;
   std::uint64_t cold_starts_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t boot_failures_ = 0;

@@ -146,20 +146,34 @@ void ServerlessPlatform::pump(FunctionId fn) {
     if (!try_make_room(st)) break;
     const auto cid = start_container(st);
     if (!cid.has_value()) break;
-    st.bound.emplace(*cid, std::move(st.queue.front()));
+    Bound& slot = bound_slot(*cid);
+    AMOEBA_ASSERT(slot.container == 0);
+    slot.container = *cid;
+    slot.pending = std::move(st.queue.front());
     st.queue.pop_front();
   }
+}
+
+ServerlessPlatform::Bound& ServerlessPlatform::bound_slot(ContainerId cid) {
+  const std::size_t row = pool_.row(cid);
+  if (row >= bound_.size()) bound_.resize(row + 1);
+  return bound_[row];
+}
+
+std::optional<ServerlessPlatform::Pending> ServerlessPlatform::take_bound(
+    ContainerId cid) {
+  Bound& slot = bound_slot(cid);
+  if (slot.container != cid) return std::nullopt;
+  slot.container = 0;
+  return std::move(slot.pending);
 }
 
 void ServerlessPlatform::on_container_ready(FunctionId fn, ContainerId cid) {
   trace_container(fn, cid, /*begin=*/false);
   FunctionState& st = record(fn);
-  auto it = st.bound.find(cid);
-  if (it != st.bound.end()) {
-    Pending p = std::move(it->second);
-    st.bound.erase(it);
+  if (std::optional<Pending> p = take_bound(cid)) {
     pool_.mark_busy(cid);
-    run_invocation(st, cid, std::move(p));
+    run_invocation(st, cid, std::move(*p));
     return;
   }
   pump(fn);
@@ -177,10 +191,8 @@ void ServerlessPlatform::on_container_failed(FunctionId fn, ContainerId cid) {
   // A query bound to the failed container (OpenWhisk semantics) is rescued
   // to the head of the queue so it keeps its FIFO position; the re-pump
   // below cold-starts a fresh container for it.
-  auto it = st.bound.find(cid);
-  if (it != st.bound.end()) {
-    st.queue.push_front(std::move(it->second));
-    st.bound.erase(it);
+  if (std::optional<Pending> p = take_bound(cid)) {
+    st.queue.push_front(std::move(*p));
   }
   pump(fn);
 }
@@ -273,10 +285,9 @@ bool ServerlessPlatform::retired(FunctionId fn) const {
 
 int ServerlessPlatform::release_prewarmed(FunctionId fn) {
   AMOEBA_EXPECTS(known(fn));
-  const FunctionState& st = record(fn);
   int destroyed = pool_.destroy_idle(fn);
   for (ContainerId cid : pool_.starting_ids(fn)) {
-    if (st.bound.contains(cid)) continue;  // still owed to its bound query
+    if (bound_slot(cid).container == cid) continue;  // owed to its query
     // The boot's async trace span would otherwise dangle: its completion
     // event self-cancels on destroy, so end the span here.
     trace_container(fn, cid, /*begin=*/false);

@@ -176,9 +176,17 @@ class ServerlessPlatform {
 
  private:
   struct Pending {
-    std::uint64_t id;
-    sim::Time arrival;
+    std::uint64_t id = 0;
+    sim::Time arrival = 0.0;
     workload::QueryCompletionFn on_done;
+  };
+
+  /// A query bound to a cold-starting container (OpenWhisk semantics):
+  /// served when that container boots, not before. `container` is 0 when
+  /// the slot is empty.
+  struct Bound {
+    ContainerId container = 0;
+    Pending pending;
   };
 
   struct FunctionState {
@@ -187,11 +195,13 @@ class ServerlessPlatform {
     int max_containers = 0;  // 0 = unlimited
     bool retired = false;
     std::deque<Pending> queue;
-    /// Queries bound to a specific cold-starting container (OpenWhisk
-    /// semantics): served when that container boots, not before.
-    std::map<ContainerId, Pending> bound;
     FunctionStats stats;
   };
+
+  /// The bound-query slot of container `cid`, reused with its pool row.
+  Bound& bound_slot(ContainerId cid);
+  /// Take the query bound to `cid`, if any, emptying its slot.
+  std::optional<Pending> take_bound(ContainerId cid);
 
   void on_container_ready(FunctionId fn, ContainerId cid);
   void on_container_failed(FunctionId fn, ContainerId cid);
@@ -237,6 +247,8 @@ class ServerlessPlatform {
   ContainerPool pool_;
   workload::PhaseRunner runner_;
   std::vector<FunctionState> functions_;  ///< indexed by FunctionId
+  /// One bound-query slot per container, indexed by its pool row.
+  std::vector<Bound> bound_;
   /// The one name index: the API edge's find_function().
   std::map<std::string, FunctionId, std::less<>> ids_by_name_;
   amoeba::obs::Observer* obs_ = nullptr;

@@ -20,9 +20,9 @@
 namespace amoeba::sim {
 
 /// Inline storage size. Covers `this` + ~5 word-sized captures, which holds
-/// every callback the simulators schedule except the container-boot and
-/// VM-boot closures: each carries two std::functions (ready and failed) and
-/// takes the heap path.
+/// every callback the simulators schedule except the VM-boot closure: it
+/// carries two std::functions (ready and failed) and takes the heap path.
+/// (The container-boot closure leaves its two in the pool's table row.)
 inline constexpr std::size_t kInlineCallbackBytes = 48;
 
 class InlineCallback {

@@ -238,7 +238,7 @@ CallGraphRunResult run_diamond(BudgetMode mode) {
 
 TEST(DriverAnchor, ClusterIsBitIdenticalToRecordedHashes) {
   const auto r = run_cluster_n3(sim::FaultConfig{});
-  EXPECT_EQ(hex(r.trace_hash), "0x29ebc41ea659a8a0") << "trace";
+  EXPECT_EQ(hex(r.trace_hash), "0xe3872ca7d4a4db14") << "trace";
   EXPECT_EQ(hex(cluster_result_hash(r)), "0xb5b28fc63e7569bf") << "result";
 }
 
@@ -251,19 +251,19 @@ TEST(DriverAnchor, FaultyClusterIsBitIdenticalToRecordedHashes) {
   faults.meter_outlier_p = 0.05;
   const auto r = run_cluster_n3(faults);
   ASSERT_GT(r.fault_counters.total(), 0u) << "no faults actually injected";
-  EXPECT_EQ(hex(r.trace_hash), "0x23eb87c745d38235") << "trace";
+  EXPECT_EQ(hex(r.trace_hash), "0x3fcfabe8448d3e89") << "trace";
   EXPECT_EQ(hex(cluster_result_hash(r)), "0x307413d988108c1e") << "result";
 }
 
 TEST(DriverAnchor, AwareDiamondIsBitIdenticalToRecordedHashes) {
   const auto r = run_diamond(BudgetMode::kEndToEndAware);
-  EXPECT_EQ(hex(r.trace_hash), "0xe345ff2fc61dd3d3") << "trace";
+  EXPECT_EQ(hex(r.trace_hash), "0x87d9fd5874559c28") << "trace";
   EXPECT_EQ(hex(callgraph_result_hash(r)), "0x41c06d41e5c39bd7") << "result";
 }
 
 TEST(DriverAnchor, NaiveDiamondIsBitIdenticalToRecordedHashes) {
   const auto r = run_diamond(BudgetMode::kNaiveEqual);
-  EXPECT_EQ(hex(r.trace_hash), "0x96b6465c9e6b3609") << "trace";
+  EXPECT_EQ(hex(r.trace_hash), "0x2e529f3cf0890f59") << "trace";
   EXPECT_EQ(hex(callgraph_result_hash(r)), "0x921438605902e547") << "result";
 }
 
@@ -331,18 +331,18 @@ TEST(DriverAnchor, ManagedDaysAreBitIdenticalToRecordedHashes) {
     bool keep_records = false;
   };
   const Anchor anchors[] = {
-      {DeploySystem::kAmoeba, "0x32a5ec8e326a65cf",
+      {DeploySystem::kAmoeba, "0xb4ec6633e501469a",
        "0xd6fdebb9fb19ecab"},
-      {DeploySystem::kAmoebaNoM, "0x3b07813311b42d1f",
+      {DeploySystem::kAmoebaNoM, "0xc9a068c70cc126ae",
        "0xeef0527504a3dd68"},
-      {DeploySystem::kAmoebaNoP, "0x926dc1c5b5eec597",
+      {DeploySystem::kAmoebaNoP, "0xf119699dc0eefe4c",
        "0x65875908aaf90144"},
-      {DeploySystem::kNameko, "0x73b65190e161df25",
+      {DeploySystem::kNameko, "0x76901009113b660e",
        "0x8c0ce9bc996f5e0b"},
-      {DeploySystem::kOpenWhisk, "0x62ec069739839c00",
+      {DeploySystem::kOpenWhisk, "0x8c90e5852c85921a",
        "0x6c7f9d517835876b"},
       // Keeping the records changes neither the trace nor the latencies.
-      {DeploySystem::kOpenWhisk, "0x62ec069739839c00",
+      {DeploySystem::kOpenWhisk, "0x8c90e5852c85921a",
        "0x6c7f9d517835876b", /*keep_records=*/true},
   };
   for (const Anchor& a : anchors) {
@@ -361,9 +361,9 @@ TEST(DriverAnchor, ManagedDaysAreBitIdenticalToRecordedHashes) {
 
   const sim::FaultConfig faults = managed_faults();
   const Anchor faulty[] = {
-      {DeploySystem::kAmoeba, "0x657853461c56363b", "0x4cb7cc1c3442e01e"},
-      {DeploySystem::kNameko, "0x413ecae16bf4bb85", "0x26bb3baf3d17bfbf"},
-      {DeploySystem::kOpenWhisk, "0xce3a17c37c24980", "0x1198b5388b5d5836"},
+      {DeploySystem::kAmoeba, "0xf063c35210d66aaf", "0x4cb7cc1c3442e01e"},
+      {DeploySystem::kNameko, "0x5e09d571e7c3bc1d", "0x26bb3baf3d17bfbf"},
+      {DeploySystem::kOpenWhisk, "0xce8149348a10dd2a", "0x1198b5388b5d5836"},
   };
   for (const Anchor& a : faulty) {
     SCOPED_TRACE(std::string("faulty ") + to_string(a.system));
@@ -391,8 +391,8 @@ TEST(DriverAnchor, AmoebaOverrideKeepsTheSystemsAblation) {
     const char* result;
   };
   const Anchor anchors[] = {
-      {DeploySystem::kAmoebaNoM, "0x3b07813311b42d1f", "0xeef0527504a3dd68"},
-      {DeploySystem::kAmoebaNoP, "0x926dc1c5b5eec597", "0x65875908aaf90144"},
+      {DeploySystem::kAmoebaNoM, "0xc9a068c70cc126ae", "0xeef0527504a3dd68"},
+      {DeploySystem::kAmoebaNoP, "0xf119699dc0eefe4c", "0x65875908aaf90144"},
   };
   const Fixture& f = fix();
   for (const Anchor& a : anchors) {
@@ -433,7 +433,7 @@ TEST(ObservabilityAnchor, FaultyManagedDayExportsAreBitIdentical) {
   EXPECT_TRUE(t.find("\"boot_retry\"") != std::string::npos ||
               t.find("\"prewarm_retry\"") != std::string::npos);
   // Observing the day does not perturb it.
-  EXPECT_EQ(hex(r.trace_hash), "0x657853461c56363b") << "day";
+  EXPECT_EQ(hex(r.trace_hash), "0xf063c35210d66aaf") << "day";
   EXPECT_EQ(export_hash(t), "0x9d95cd2f10142b71") << "trace";
   EXPECT_EQ(export_hash(audit.str()), "0xb664c7dc9f2fb80e") << "audit";
   EXPECT_EQ(export_hash(metrics.str()), "0xf6949155280b0a8") << "metrics";
