@@ -27,19 +27,30 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
 
+// Keeps streams alive on a resource: each completion opens a successor,
+// until 2000 have been opened.
+class Churn final : public sim::StreamSink {
+ public:
+  explicit Churn(sim::FairShareResource& cpu) : cpu_(cpu) {}
+  void open_one() {
+    if (opened_ >= 2000) return;
+    ++opened_;
+    cpu_.open(0.05, 1.0, *this, 0);
+  }
+  void stream_done(std::uint32_t /*key*/) override { open_one(); }
+
+ private:
+  sim::FairShareResource& cpu_;
+  int opened_ = 0;
+};
+
 void BM_FairShareChurn(benchmark::State& state) {
   const int concurrency = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Engine e;
     sim::FairShareResource cpu(e, 40.0);
-    int opened = 0;
-    // Keep `concurrency` streams alive; each completion opens a successor.
-    std::function<void()> open_one = [&] {
-      if (opened >= 2000) return;
-      ++opened;
-      cpu.open(0.05, 1.0, [&] { open_one(); });
-    };
-    for (int i = 0; i < concurrency; ++i) open_one();
+    Churn churn(cpu);
+    for (int i = 0; i < concurrency; ++i) churn.open_one();
     e.run();
     benchmark::DoNotOptimize(cpu.busy_capacity_seconds(e.now()));
   }

@@ -156,6 +156,8 @@ CellResult run_profile_cell(const workload::FunctionProfile& subject,
   CellResult out;
   out.samples = tally.count;
   out.cold_starts = sp.pool().cold_starts();
+  const serverless::FunctionStats& subject_stats = sp.stats(subject_fn);
+  out.stranded = subject_stats.submitted - subject_stats.completed;
   if (tally.count > 0) {
     out.mean_latency_s = tally.sum / static_cast<double>(tally.count);
     out.tail_latency_s = tally.latencies.quantile(core::kQosPercentile);

@@ -58,6 +58,9 @@ struct CellResult {
   double mean_latency_s = 0.0;
   std::uint64_t samples = 0;
   std::uint64_t cold_starts = 0;  ///< containers the cell booted
+  /// Subject queries submitted but not completed after the drain: queries
+  /// left queued with no event to re-pump them (see ROADMAP).
+  std::uint64_t stranded = 0;
 };
 
 [[nodiscard]] CellResult run_profile_cell(

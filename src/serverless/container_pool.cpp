@@ -261,7 +261,14 @@ void ContainerPool::destroy(ContainerId id) {
       break;
   }
   check_counts(fr.counts);
-  fr.memory.add(engine_.now(), -c.memory_mb);
+  // The gauge is a running sum, and sizes that do not add exactly can leave
+  // dust (even below zero) once every container is gone: the last one out
+  // sets it to exactly zero.
+  if (fr.counts.total() == 0) {
+    fr.memory.set(engine_.now(), 0.0);
+  } else {
+    fr.memory.add(engine_.now(), -c.memory_mb);
+  }
   memory_.release(c.memory_mb);
   // Free the row; a pending boot event for `id` finds it gone.
   row.container.id = 0;

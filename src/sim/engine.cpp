@@ -108,19 +108,40 @@ EventId Engine::finish_schedule(Time at, SlotIndex s) {
   return pack_id(slots_[s].generation, s);
 }
 
-bool Engine::cancel(EventId id) {
-  const auto s = static_cast<SlotIndex>(id & 0xffffffffu);
+bool Engine::pending_slot(EventId id, SlotIndex& s) const noexcept {
+  s = static_cast<SlotIndex>(id & 0xffffffffu);
   const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (s >= slots_.size()) return false;
-  Slot& slot = slots_[s];
-  if (slot.generation != generation) return false;
-  // Generation matches but the event is mid-fire (cancel from inside its
-  // own handler): it has already left the heap, so there is nothing to
-  // cancel — match the pre-slab semantics of returning false.
-  if (heap_pos_[s] == kNotInHeap) return false;
+  // A matching generation whose slot is out of the heap is mid-fire (its
+  // own handler is running): it has already left the heap.
+  return s < slots_.size() && slots_[s].generation == generation &&
+         heap_pos_[s] != kNotInHeap;
+}
+
+bool Engine::cancel(EventId id) {
+  // Fired, cancelled and mid-fire events have nothing to cancel: false,
+  // the pre-slab semantics.
+  SlotIndex s = 0;
+  if (!pending_slot(id, s)) return false;
   heap_remove(heap_pos_[s]);
   release_slot(s);
   return true;
+}
+
+void Engine::reschedule(EventId id, Time at) {
+  AMOEBA_EXPECTS_MSG(at >= now_, "cannot schedule an event in the past");
+  SlotIndex s = 0;
+  const bool pending = pending_slot(id, s);
+  AMOEBA_EXPECTS_MSG(pending, "reschedule needs a pending event");
+  const std::uint64_t seq = next_seq_++;
+  AMOEBA_INVARIANT(seq < (std::uint64_t{1} << 40));
+  const std::size_t pos = heap_pos_[s];
+  const HeapEntry e{at, (seq << kSlotBits) | s};
+  // Earlier than the old key: its children stay after it, so only up.
+  if (before(e, heap_[pos])) {
+    sift_up(pos, e);
+  } else {
+    sift_down(pos, e);
+  }
 }
 
 bool Engine::step() {

@@ -75,6 +75,14 @@ class Engine {
   /// yet fired; false otherwise (already fired / already cancelled).
   bool cancel(EventId id);
 
+  /// Move a pending event to absolute time `at` (>= now()), keeping its id
+  /// and its callback. It takes a fresh sequence number, the one `cancel`
+  /// plus `schedule` would have taken, so the event trace, trace_hash()
+  /// and the FIFO tie-break are exactly those of cancel-and-schedule.
+  /// `id` must be pending: a fired, cancelled or firing event is a
+  /// contract violation.
+  void reschedule(EventId id, Time at);
+
   /// True if no live events remain.
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
@@ -154,6 +162,8 @@ class Engine {
   }
 
   SlotIndex acquire_slot();
+  // True if `id` names a pending event; `s` gets its slot either way.
+  bool pending_slot(EventId id, SlotIndex& s) const noexcept;
   // Assigns the sequence number, pushes the heap entry, returns the handle.
   // Out of line so the template `schedule` inlines only slot setup.
   EventId finish_schedule(Time at, SlotIndex s);

@@ -9,7 +9,7 @@ PhaseRunner::PhaseRunner(sim::Engine& engine, FinishFn finish)
   AMOEBA_EXPECTS(finish_ != nullptr);
 }
 
-void PhaseRunner::start(Query query) {
+void PhaseRunner::start(Query&& query) {
   AMOEBA_EXPECTS(query.on_done != nullptr);
   for (const Phase& phase : query.phases) {
     AMOEBA_EXPECTS_MSG(
@@ -17,16 +17,18 @@ void PhaseRunner::start(Query query) {
             (phase.resource != nullptr && phase.stamp != nullptr),
         "a phase with work needs a resource and a stamp");
   }
-  const double delay = query.record.breakdown.overhead_s;
   std::uint32_t slot = 0;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(Slot{std::move(query)});
+    slots_.emplace_back();
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot] = Slot{std::move(query)};
   }
+  Slot& s = slots_[slot];
+  s.query = std::move(query);
+  s.next = 0;
+  const double delay = s.query.record.breakdown.overhead_s;
   if (delay > 0.0) {
     engine_.schedule_in(delay, [this, slot] { walk(slot); });
   } else {
@@ -40,14 +42,13 @@ void PhaseRunner::walk(std::uint32_t slot) {
     const Phase& phase = s.query.phases[s.next];
     if (phase.work <= 0.0) continue;
     s.phase_start = engine_.now();
-    phase.resource->open(phase.work, phase.cap,
-                         [this, slot] { phase_done(slot); }, s.query.tag);
+    phase.resource->open(phase.work, phase.cap, *this, slot, s.query.tag);
     return;
   }
   complete(slot);
 }
 
-void PhaseRunner::phase_done(std::uint32_t slot) {
+void PhaseRunner::stream_done(std::uint32_t slot) {
   Slot& s = slots_[slot];
   // Every stamp may accumulate: a field no earlier phase touched is 0.0,
   // and 0.0 + x == x.

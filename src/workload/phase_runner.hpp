@@ -8,11 +8,12 @@
 // load (disk) -> execute (cpu -> io -> net) -> result post (net); a VM
 // walks execute only.
 //
-// In-flight queries live in a slot table reused across queries, and every
-// delay event and stream completion captures only (runner, slot), which
-// fits the inline buffers of `sim::InlineCallback` and `std::function`:
-// once the table has grown to the peak in-flight count, a walk allocates
-// nothing of its own (the resources' own bookkeeping still may).
+// In-flight queries live in a slot table reused across queries. The runner
+// is the `sim::StreamSink` of every stream it opens, with the query's slot
+// as the key, and a delay event captures only (runner, slot), which fits
+// `sim::InlineCallback`'s inline buffer: once the table has grown to the
+// peak in-flight count, a walk allocates nothing of its own (the resources'
+// own bookkeeping still may).
 //
 // Trace contract (the platforms' trace hashes depend on it): the delay is
 // an engine event only when it is > 0; a phase whose work is <= 0 is
@@ -35,7 +36,7 @@
 
 namespace amoeba::workload {
 
-class PhaseRunner {
+class PhaseRunner final : private sim::StreamSink {
  public:
   static constexpr std::size_t kMaxPhases = 5;
 
@@ -68,7 +69,8 @@ class PhaseRunner {
   PhaseRunner& operator=(const PhaseRunner&) = delete;
 
   /// Begin walking `query` now: wait out its delay, then run its phases.
-  void start(Query query);
+  /// The query is moved into its slot.
+  void start(Query&& query);
 
   /// Queries started and not yet handed to the finish step.
   [[nodiscard]] std::size_t live() const noexcept {
@@ -82,9 +84,10 @@ class PhaseRunner {
     sim::Time phase_start = 0.0;
   };
 
-  void walk(std::uint32_t slot);        // open the next phase with work
-  void phase_done(std::uint32_t slot);  // stamp the phase, walk on
-  void complete(std::uint32_t slot);    // free the slot, call finish_
+  void walk(std::uint32_t slot);  // open the next phase with work
+  // A phase's stream drained: stamp the phase, walk on.
+  void stream_done(std::uint32_t slot) override;
+  void complete(std::uint32_t slot);  // free the slot, call finish_
 
   sim::Engine& engine_;
   FinishFn finish_;

@@ -14,6 +14,7 @@
 #include "exp/profiling.hpp"
 #include "serverless/platform.hpp"
 #include "sim/fair_share.hpp"
+#include "support/callback_sink.hpp"
 #include "workload/functionbench.hpp"
 #include "workload/load_generator.hpp"
 
@@ -24,16 +25,17 @@ using testing::allocations;
 
 TEST(AllocationCount, FairShareSteadyStateAllocatesNothing) {
   // Two cap classes (1-core streams and uncapped ones) that fill, drain and
-  // empty every round: the class heaps, the slot table and the completion
-  // buffer must all be reused.
+  // empty every round: the class heaps and the drained buffer must be
+  // reused (and the test sink's callback table).
   sim::Engine engine;
+  sim::testing::CallbackSink sink;
   sim::FairShareResource cpu(engine, 4.0);
   std::uint64_t done = 0;
   auto round = [&](int r) {
     for (int i = 0; i < 6; ++i) {
       const double work = 0.1 * (1 + (i + r) % 4);
-      cpu.open(work, 1.0, [&done] { ++done; });
-      cpu.open(work, 0.0, [&done] { ++done; });
+      sink.open(cpu, work, 1.0, [&done] { ++done; });
+      sink.open(cpu, work, 0.0, [&done] { ++done; });
     }
     engine.run();
   };

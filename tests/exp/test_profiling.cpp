@@ -85,6 +85,41 @@ TEST(Profiling, StressedCellIsBitIdenticalToRecordedAnchor) {
   EXPECT_NEAR(cell.mean_latency_s, old_mean, 1e-12 * old_mean);
 }
 
+TEST(Profiling, SaturatedCpuCellStrandsQueuedSubjectQueries) {
+  // Characterizes a known defect. dd at half its peak, 7.5 qps, beside a CPU
+  // stressor at 0.92 pressure, on the default node with the figure benches'
+  // 60 s cells: stressor containers fill the pool's memory, subject queries
+  // queue, and only the function whose event fired is re-pumped. After the
+  // drain 439 of the 447 subject queries are still queued, and none of the
+  // 8 that ran arrived after warm-up. A fix that re-pumps every function
+  // when memory frees will move these numbers (and the latency surfaces).
+  const ClusterConfig cluster = default_cluster();
+  ProfilingConfig cfg;
+  cfg.cell_duration_s = 60.0;
+  cfg.warmup_s = 10.0;
+  const workload::FunctionProfile subject = workload::make_dd();
+  ASSERT_EQ(0.5 * subject.peak_load_qps, 7.5);
+  const auto stressor = workload::make_stressor(workload::StressKind::kCpu);
+  const double stressor_qps = stressor_load_for_pressure(
+      workload::StressKind::kCpu, 0.92, cluster);
+  // The seed profile_service gives this cell of the 6 × 5 bench grid
+  // (surface 0, pressure row 5, load column 2).
+  const auto cell = run_profile_cell(subject, 7.5, &stressor, stressor_qps,
+                                     cluster, cfg,
+                                     cluster.seed ^ (0x3000u + 5 * 5 + 2));
+  EXPECT_EQ(cell.samples, 0u);
+  EXPECT_EQ(cell.stranded, 439u);
+
+  // An unsaturated cell strands nothing.
+  const auto calm = run_profile_cell(subject, 7.5, &stressor,
+                                     stressor_load_for_pressure(
+                                         workload::StressKind::kCpu, 0.2,
+                                         cluster),
+                                     cluster, cfg, 7);
+  EXPECT_GT(calm.samples, 0u);
+  EXPECT_EQ(calm.stranded, 0u);
+}
+
 TEST(Profiling, MeterCurvesAreCalibrated) {
   const auto cluster = small_cluster();
   const auto cal = profile_meters(cluster, quick_config());

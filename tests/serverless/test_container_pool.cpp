@@ -216,6 +216,35 @@ TEST(ContainerPool, MemoryIntegralPerFunction) {
   EXPECT_DOUBLE_EQ(pool.memory_mb_seconds(fn_unused, e.now()), 0.0);
 }
 
+TEST(ContainerPool, LastContainerOutZeroesTheMemoryGauge) {
+  // These sizes do not add exactly: (a + b) - a - b is -5.7e-14, which a
+  // running sum would carry into the gauge and abort on (gauges are >= 0).
+  constexpr double kA = 397.26105225516454;
+  constexpr double kB = 369.69463887324287;
+  sim::Engine e;
+  ContainerPool pool(e, kMem, 60.0);
+  const FunctionId fn = pool.add_function();
+  const auto a = pool.start(fn, kA, 0.0, [](ContainerId) {});
+  const auto b = pool.start(fn, kB, 0.0, [](ContainerId) {});
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  e.run_until(10.0);
+  pool.destroy(*a);
+  EXPECT_GT(pool.memory_in_use_mb(fn), 0.0);
+  pool.destroy(*b);
+  EXPECT_EQ(pool.memory_in_use_mb(fn), 0.0);
+  e.run_until(20.0);
+  EXPECT_NEAR(pool.memory_mb_seconds(fn, e.now()), (kA + kB) * 10.0, 1e-9);
+  // The same pair again, destroyed in the other order and by expiry.
+  const auto c = pool.start(fn, kA, 0.0, [](ContainerId) {});
+  const auto d = pool.start(fn, kB, 0.0, [](ContainerId) {});
+  ASSERT_TRUE(c.has_value() && d.has_value());
+  e.run_until(21.0);
+  pool.destroy(*d);
+  e.run();  // c expires from the keep-alive FIFO
+  EXPECT_EQ(pool.memory_in_use_mb(fn), 0.0);
+  EXPECT_EQ(pool.total_counts().total(), 0);
+}
+
 TEST(ContainerPool, TotalCountsAggregate) {
   sim::Engine e;
   ContainerPool pool(e, kMem, 60.0);

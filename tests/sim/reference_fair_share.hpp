@@ -13,7 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -26,8 +26,6 @@ namespace amoeba::sim::testing {
 
 class ReferenceFairShare {
  public:
-  using CompletionFn = std::function<void()>;
-
   /// Same arguments as FairShareResource.
   ReferenceFairShare(Engine& engine, double capacity,
                      double interference = 0.0)
@@ -45,14 +43,17 @@ class ReferenceFairShare {
   ReferenceFairShare(const ReferenceFairShare&) = delete;
   ReferenceFairShare& operator=(const ReferenceFairShare&) = delete;
 
-  StreamId open(double work, double cap, CompletionFn on_complete) {
+  /// Same arguments as FairShareResource::open; the tag is not modelled.
+  StreamId open(double work, double cap, StreamSink& sink, std::uint32_t key,
+                StreamTag /*tag*/ = kUntagged) {
     AMOEBA_EXPECTS(work >= 0.0);
     bank_progress();
     Stream s;
     s.id = next_id_++;
     s.remaining = work;
     s.cap = (cap <= 0.0) ? capacity_ : std::min(cap, capacity_);
-    s.on_complete = std::move(on_complete);
+    s.sink = &sink;
+    s.key = key;
     const auto at = std::upper_bound(
         streams_.begin(), streams_.end(), s.cap,
         [](double c, const Stream& other) { return c < other.cap; });
@@ -98,7 +99,8 @@ class ReferenceFairShare {
     double remaining = 0.0;
     double cap = 0.0;
     double rate = 0.0;
-    CompletionFn on_complete;
+    StreamSink* sink = nullptr;
+    std::uint32_t key = 0;
   };
 
   static constexpr double kWorkEpsilon = 1e-12;
@@ -173,11 +175,11 @@ class ReferenceFairShare {
   void on_completion_event() {
     completion_event_ = kNoEvent;
     bank_progress();
-    std::vector<std::pair<StreamId, CompletionFn>> done;
+    std::vector<Stream> done;
     auto kept = streams_.begin();
     for (auto it = streams_.begin(); it != streams_.end(); ++it) {
       if (drained(it->remaining, it->rate)) {
-        done.emplace_back(it->id, std::move(it->on_complete));
+        done.push_back(*it);
       } else {
         if (kept != it) *kept = std::move(*it);
         ++kept;
@@ -186,8 +188,8 @@ class ReferenceFairShare {
     streams_.erase(kept, streams_.end());
     reallocate();
     std::sort(done.begin(), done.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [id, fn] : done) fn();
+              [](const Stream& a, const Stream& b) { return a.id < b.id; });
+    for (const Stream& s : done) s.sink->stream_done(s.key);
   }
 
   Engine& engine_;

@@ -308,6 +308,154 @@ TEST(Engine, InterleavedChurnStressWithIdReuse) {
   EXPECT_EQ(fired + cancelled, scheduled);
 }
 
+// --- reschedule -------------------------------------------------------------
+
+TEST(Engine, RescheduleMovesAnEventUnderTheSameId) {
+  Engine e;
+  std::vector<int> order;
+  const EventId a = e.schedule(5.0, [&] { order.push_back(1); });
+  e.schedule(2.0, [&] { order.push_back(2); });
+  e.reschedule(a, 1.0);  // earlier
+  e.reschedule(a, 3.0);  // later again
+  EXPECT_EQ(e.pending(), 2u);
+  e.run_until(2.5);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_TRUE(e.cancel(a));  // still the live handle
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{2}));
+}
+
+TEST(Engine, RescheduleTakesAFreshSequenceNumberForFifoTies) {
+  // A moved event queues behind the events already at its new time, exactly
+  // as cancel-and-schedule would put it.
+  Engine e;
+  std::vector<char> order;
+  const EventId a = e.schedule(1.0, [&] { order.push_back('a'); });
+  e.schedule(1.0, [&] { order.push_back('b'); });
+  const EventId c = e.schedule(2.0, [&] { order.push_back('c'); });
+  e.schedule(1.0, [&] { order.push_back('d'); });
+  e.reschedule(a, 1.0);  // same time, new place in the FIFO
+  e.reschedule(c, 1.0);
+  e.run();
+  EXPECT_EQ(order, (std::vector<char>{'b', 'd', 'a', 'c'}));
+}
+
+TEST(Engine, RescheduleRejectsFiredCancelledAndFiringIds) {
+  Engine e;
+  const EventId fired = e.schedule(1.0, [] {});
+  const EventId cancelled = e.schedule(2.0, [] {});
+  ASSERT_TRUE(e.cancel(cancelled));
+  EventId self = kNoEvent;
+  bool threw = false;
+  self = e.schedule(3.0, [&] {
+    try {
+      e.reschedule(self, 4.0);
+    } catch (const ContractError&) {
+      threw = true;
+    }
+  });
+  const EventId later = e.schedule(10.0, [] {});
+  e.run_until(3.0);
+  EXPECT_TRUE(threw);  // mid-fire: it already left the heap
+  EXPECT_THROW(e.reschedule(fired, 5.0), ContractError);
+  EXPECT_THROW(e.reschedule(cancelled, 5.0), ContractError);
+  EXPECT_THROW(e.reschedule(kNoEvent, 5.0), ContractError);
+  EXPECT_THROW(e.reschedule(later, 2.0), ContractError);  // in the past
+  EXPECT_EQ(e.pending(), 1u);
+  e.run();
+  EXPECT_EQ(e.executed(), 3u);
+}
+
+/// One engine driven by the script below, moving events either with
+/// reschedule() or with cancel() plus schedule().
+struct ScriptSide {
+  explicit ScriptSide(bool use_reschedule) : reschedule(use_reschedule) {}
+
+  void add(Time at) {
+    const int label = static_cast<int>(handle.size());
+    handle.push_back(kNoEvent);
+    pending.push_back(true);
+    arm(label, at);
+  }
+  void arm(int label, Time at) {
+    handle[static_cast<std::size_t>(label)] = e.schedule(at, [this, label] {
+      pending[static_cast<std::size_t>(label)] = false;
+      fired.push_back(label);
+      // Every fifth event schedules a follow-up from inside its handler.
+      if (label % 5 == 0) add(e.now() + 0.5);
+    });
+  }
+  void move(int label, Time at) {
+    if (reschedule) {
+      e.reschedule(handle[static_cast<std::size_t>(label)], at);
+    } else {
+      ASSERT_TRUE(e.cancel(handle[static_cast<std::size_t>(label)]));
+      arm(label, at);
+    }
+  }
+  void drop(int label) {
+    ASSERT_TRUE(e.cancel(handle[static_cast<std::size_t>(label)]));
+    pending[static_cast<std::size_t>(label)] = false;
+  }
+  [[nodiscard]] std::vector<int> pending_labels() const {
+    std::vector<int> out;
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      if (pending[k]) out.push_back(static_cast<int>(k));
+    }
+    return out;
+  }
+
+  bool reschedule;
+  Engine e;
+  std::vector<EventId> handle;  // by label
+  std::vector<bool> pending;    // by label
+  std::vector<int> fired;       // labels in firing order
+};
+
+TEST(Engine, RescheduleMatchesCancelAndScheduleOnRandomScripts) {
+  // The same random script of schedules, moves, cancels and steps on two
+  // engines: moving with reschedule() must fire the same events in the same
+  // order at the same times, with the same trace hash. Times sit on a 0.25 s
+  // grid so many events tie and the FIFO tie-break is exercised.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ScriptSide moved(true);
+    ScriptSide recreated(false);
+    Rng rng(seed);
+    int moves = 0;
+    for (int op = 0; op < 4000; ++op) {
+      const std::vector<int> live = moved.pending_labels();
+      ASSERT_EQ(live, recreated.pending_labels()) << "seed " << seed;
+      const double u = rng.uniform();
+      const Time at =
+          moved.e.now() + 0.25 * static_cast<double>(rng.uniform_index(8));
+      if (live.empty() || u < 0.3) {
+        moved.add(at);
+        recreated.add(at);
+      } else if (u < 0.65) {
+        const int label = live[rng.uniform_index(live.size())];
+        moved.move(label, at);
+        recreated.move(label, at);
+        ++moves;
+      } else if (u < 0.75) {
+        const int label = live[rng.uniform_index(live.size())];
+        moved.drop(label);
+        recreated.drop(label);
+      } else {
+        ASSERT_EQ(moved.e.step(), recreated.e.step()) << "seed " << seed;
+      }
+    }
+    moved.e.run();
+    recreated.e.run();
+    EXPECT_GT(moves, 1000) << "seed " << seed;
+    EXPECT_GT(moved.fired.size(), 500u) << "seed " << seed;
+    EXPECT_EQ(moved.fired, recreated.fired) << "seed " << seed;
+    EXPECT_EQ(moved.e.now(), recreated.e.now()) << "seed " << seed;
+    EXPECT_EQ(moved.e.executed(), recreated.e.executed()) << "seed " << seed;
+    EXPECT_EQ(moved.e.trace_hash(), recreated.e.trace_hash())
+        << "seed " << seed;
+  }
+}
+
 TEST(Engine, ManyEventsStressOrdering) {
   Engine e;
   double last = -1.0;

@@ -12,34 +12,38 @@
 
 #include "sim/random.hpp"
 #include "reference_fair_share.hpp"
+#include "support/callback_sink.hpp"
 
 namespace amoeba::sim {
 namespace {
 
 TEST(FairShare, SingleStreamRunsAtItsCap) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 4.0);
   double done_at = -1.0;
-  cpu.open(2.0, 1.0, [&] { done_at = e.now(); });
+  sink.open(cpu, 2.0, 1.0, [&] { done_at = e.now(); });
   e.run();
   EXPECT_DOUBLE_EQ(done_at, 2.0);  // 2 units at rate 1
 }
 
 TEST(FairShare, UncappedStreamUsesFullCapacity) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource disk(e, 10.0);
   double done_at = -1.0;
-  disk.open(20.0, 0.0, [&] { done_at = e.now(); });
+  sink.open(disk, 20.0, 0.0, [&] { done_at = e.now(); });
   e.run();
   EXPECT_DOUBLE_EQ(done_at, 2.0);  // 20 units at rate 10
 }
 
 TEST(FairShare, EqualStreamsShareEqually) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource disk(e, 10.0);
   std::vector<double> done(2, -1.0);
-  disk.open(10.0, 0.0, [&] { done[0] = e.now(); });
-  disk.open(10.0, 0.0, [&] { done[1] = e.now(); });
+  sink.open(disk, 10.0, 0.0, [&] { done[0] = e.now(); });
+  sink.open(disk, 10.0, 0.0, [&] { done[1] = e.now(); });
   e.run();
   // Both get rate 5 -> both finish at t = 2.
   EXPECT_DOUBLE_EQ(done[0], 2.0);
@@ -48,20 +52,23 @@ TEST(FairShare, EqualStreamsShareEqually) {
 
 TEST(FairShare, CapLimitsAllocationWhenCapacityIsAmple) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 40.0);
   double done_at = -1.0;
-  cpu.open(0.1, 1.0, [&] { done_at = e.now(); });  // container: 1-core cap
+  // A container: 1-core cap.
+  sink.open(cpu, 0.1, 1.0, [&] { done_at = e.now(); });
   e.run();
   EXPECT_DOUBLE_EQ(done_at, 0.1);
 }
 
 TEST(FairShare, MaxMinRedistributionBeyondCappedStreams) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 10.0);
   // One stream capped at 2, one uncapped: capped gets 2, other gets 8.
   double done_small = -1.0, done_big = -1.0;
-  r.open(2.0, 2.0, [&] { done_small = e.now(); });   // 2 units at rate 2
-  r.open(8.0, 0.0, [&] { done_big = e.now(); });     // 8 units at rate 8
+  sink.open(r, 2.0, 2.0, [&] { done_small = e.now(); });  // 2 units at rate 2
+  sink.open(r, 8.0, 0.0, [&] { done_big = e.now(); });    // 8 units at rate 8
   e.run();
   EXPECT_DOUBLE_EQ(done_small, 1.0);
   EXPECT_DOUBLE_EQ(done_big, 1.0);
@@ -69,11 +76,13 @@ TEST(FairShare, MaxMinRedistributionBeyondCappedStreams) {
 
 TEST(FairShare, LateArrivalSlowsExistingStream) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 1.0);
   double done_a = -1.0, done_b = -1.0;
-  r.open(1.0, 0.0, [&] { done_a = e.now(); });  // alone: would finish at 1.0
+  // Alone, A would finish at 1.0.
+  sink.open(r, 1.0, 0.0, [&] { done_a = e.now(); });
   e.schedule(0.5, [&] {
-    r.open(1.0, 0.0, [&] { done_b = e.now(); });
+    sink.open(r, 1.0, 0.0, [&] { done_b = e.now(); });
   });
   e.run();
   // A does 0.5 work by t=0.5, then shares: remaining 0.5 at rate 0.5 -> 1.5.
@@ -85,10 +94,11 @@ TEST(FairShare, LateArrivalSlowsExistingStream) {
 
 TEST(FairShare, DepartureSpeedsUpRemainder) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 2.0);
   double done_long = -1.0;
-  r.open(1.0, 0.0, [&] {});                        // finishes at t=1 (rate 1)
-  r.open(3.0, 0.0, [&] { done_long = e.now(); });  // rate 1, then rate 2
+  sink.open(r, 1.0, 0.0, [&] {});  // finishes at t=1 (rate 1)
+  sink.open(r, 3.0, 0.0, [&] { done_long = e.now(); });  // rate 1, then 2
   e.run();
   // Long stream: 1 unit by t=1, remaining 2 at rate 2 -> done at t=2.
   EXPECT_DOUBLE_EQ(done_long, 2.0);
@@ -96,8 +106,10 @@ TEST(FairShare, DepartureSpeedsUpRemainder) {
 
 TEST(FairShare, CloseReturnsRemainingWork) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 1.0);
-  const StreamId id = r.open(10.0, 0.0, [] { FAIL() << "must not complete"; });
+  const StreamId id =
+      sink.open(r, 10.0, 0.0, [] { FAIL() << "must not complete"; });
   e.schedule(4.0, [&] {
     const double remaining = r.close(id);
     EXPECT_DOUBLE_EQ(remaining, 6.0);
@@ -114,9 +126,10 @@ TEST(FairShare, CloseUnknownStreamReturnsZero) {
 
 TEST(FairShare, ZeroWorkCompletesViaEventNotReentrantly) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 1.0);
   bool done = false;
-  r.open(0.0, 0.0, [&] { done = true; });
+  sink.open(r, 0.0, 0.0, [&] { done = true; });
   EXPECT_FALSE(done);  // not re-entrant
   e.run();
   EXPECT_TRUE(done);
@@ -125,26 +138,29 @@ TEST(FairShare, ZeroWorkCompletesViaEventNotReentrantly) {
 
 TEST(FairShare, PressureSumsCappedDemands) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 4.0);
-  cpu.open(100.0, 1.0, [] {});
-  cpu.open(100.0, 1.0, [] {});
+  sink.open(cpu, 100.0, 1.0, [] {});
+  sink.open(cpu, 100.0, 1.0, [] {});
   EXPECT_DOUBLE_EQ(cpu.pressure(), 0.5);  // 2 cores demanded of 4
-  cpu.open(100.0, 0.0, [] {});            // uncapped demands everything
+  sink.open(cpu, 100.0, 0.0, [] {});  // uncapped demands everything
   EXPECT_DOUBLE_EQ(cpu.pressure(), 1.5);
 }
 
 TEST(FairShare, UtilizationReflectsAllocation) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 4.0);
   EXPECT_DOUBLE_EQ(cpu.utilization(), 0.0);
-  cpu.open(100.0, 1.0, [] {});
+  sink.open(cpu, 100.0, 1.0, [] {});
   EXPECT_DOUBLE_EQ(cpu.utilization(), 0.25);
 }
 
 TEST(FairShare, BusyIntegralAccumulates) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 2.0);
-  cpu.open(2.0, 1.0, [] {});  // rate 1 for 2 seconds
+  sink.open(cpu, 2.0, 1.0, [] {});  // rate 1 for 2 seconds
   e.run();
   EXPECT_NEAR(cpu.busy_capacity_seconds(e.now()), 2.0, 1e-9);
   // Idle afterwards: integral frozen.
@@ -155,20 +171,22 @@ TEST(FairShare, BusyIntegralAccumulates) {
 
 TEST(FairShare, RateOfReportsCurrentAllocation) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 3.0);
-  const StreamId a = r.open(100.0, 1.0, [] {});
+  const StreamId a = sink.open(r, 100.0, 1.0, [] {});
   EXPECT_DOUBLE_EQ(r.rate_of(a), 1.0);
-  r.open(100.0, 0.0, [] {});
+  sink.open(r, 100.0, 0.0, [] {});
   EXPECT_DOUBLE_EQ(r.rate_of(a), 1.0);  // capped stream keeps its cap
   EXPECT_DOUBLE_EQ(r.rate_of(9999), 0.0);
 }
 
 TEST(FairShare, ManyStreamsConserveWork) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 8.0);
   int completed = 0;
   for (int i = 0; i < 100; ++i) {
-    r.open(1.0, 1.0, [&] { ++completed; });
+    sink.open(r, 1.0, 1.0, [&] { ++completed; });
   }
   e.run();
   EXPECT_EQ(completed, 100);
@@ -180,10 +198,11 @@ TEST(FairShare, ManyStreamsConserveWork) {
 
 TEST(FairShare, CompletionCallbackCanOpenNewStream) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 1.0);
   double second_done = -1.0;
-  r.open(1.0, 0.0, [&] {
-    r.open(1.0, 0.0, [&] { second_done = e.now(); });
+  sink.open(r, 1.0, 0.0, [&] {
+    sink.open(r, 1.0, 0.0, [&] { second_done = e.now(); });
   });
   e.run();
   EXPECT_DOUBLE_EQ(second_done, 2.0);
@@ -197,26 +216,29 @@ TEST(FairShare, InvalidConstructionThrows) {
 
 TEST(FairShare, NegativeWorkThrows) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 1.0);
-  EXPECT_THROW(r.open(-1.0, 0.0, [] {}), ContractError);
+  EXPECT_THROW(sink.open(r, -1.0, 0.0, [] {}), ContractError);
 }
 
 TEST(FairShare, InterferenceSlowsStreamsGradually) {
   // With interference γ, a lone capped stream on an 8-unit resource runs
   // at 1 / (1 + γ·(1/8)); two streams at 1 / (1 + γ·(2/8)); etc.
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 8.0, /*interference=*/0.4);
-  const StreamId a = cpu.open(100.0, 1.0, [] {});
+  const StreamId a = sink.open(cpu, 100.0, 1.0, [] {});
   EXPECT_NEAR(cpu.rate_of(a), 1.0 / (1.0 + 0.4 * 0.125), 1e-12);
-  cpu.open(100.0, 1.0, [] {});
+  sink.open(cpu, 100.0, 1.0, [] {});
   EXPECT_NEAR(cpu.rate_of(a), 1.0 / (1.0 + 0.4 * 0.25), 1e-12);
 }
 
 TEST(FairShare, InterferenceCompletionTimesConsistent) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 4.0, 0.5);
   double done = -1.0;
-  cpu.open(1.0, 1.0, [&] { done = e.now(); });
+  sink.open(cpu, 1.0, 1.0, [&] { done = e.now(); });
   e.run();
   // Rate = 1/(1 + 0.5*0.25) = 8/9 -> completion at 9/8.
   EXPECT_NEAR(done, 1.125, 1e-9);
@@ -224,8 +246,9 @@ TEST(FairShare, InterferenceCompletionTimesConsistent) {
 
 TEST(FairShare, ZeroInterferenceIsPureMaxMin) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 8.0, 0.0);
-  const StreamId a = cpu.open(100.0, 1.0, [] {});
+  const StreamId a = sink.open(cpu, 100.0, 1.0, [] {});
   EXPECT_DOUBLE_EQ(cpu.rate_of(a), 1.0);
 }
 
@@ -236,10 +259,11 @@ TEST(FairShare, NegativeInterferenceRejected) {
 
 TEST(FairShare, SimultaneousCompletionsAllFire) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource r(e, 2.0);
   int completed = 0;
-  r.open(1.0, 1.0, [&] { ++completed; });
-  r.open(1.0, 1.0, [&] { ++completed; });
+  sink.open(r, 1.0, 1.0, [&] { ++completed; });
+  sink.open(r, 1.0, 1.0, [&] { ++completed; });
   e.run();
   EXPECT_EQ(completed, 2);
   EXPECT_DOUBLE_EQ(e.now(), 1.0);
@@ -256,11 +280,12 @@ constexpr StreamTag kNobody = 99;
 
 TEST(FairShareTags, DemandIsAttributedPerTag) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 8.0);
-  cpu.open(100.0, 1.0, [] {}, kA);
-  cpu.open(100.0, 1.0, [] {}, kA);
-  cpu.open(100.0, 0.5, [] {}, kB);
-  cpu.open(100.0, 2.0, [] {}, kC);
+  sink.open(cpu, 100.0, 1.0, [] {}, kA);
+  sink.open(cpu, 100.0, 1.0, [] {}, kA);
+  sink.open(cpu, 100.0, 0.5, [] {}, kB);
+  sink.open(cpu, 100.0, 2.0, [] {}, kC);
   EXPECT_DOUBLE_EQ(cpu.demand_of(kA), 2.0);
   EXPECT_DOUBLE_EQ(cpu.demand_of(kB), 0.5);
   EXPECT_DOUBLE_EQ(cpu.demand_of(kC), 2.0);
@@ -278,20 +303,22 @@ TEST(FairShareTags, DemandIsAttributedPerTag) {
 
 TEST(FairShareTags, UncappedStreamDemandsFullCapacity) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource disk(e, 4.0);
-  disk.open(100.0, 0.0, [] {}, kIo);
-  disk.open(100.0, 16.0, [] {}, kIo);  // cap clamped to capacity
+  sink.open(disk, 100.0, 0.0, [] {}, kIo);
+  sink.open(disk, 100.0, 16.0, [] {}, kIo);  // cap clamped to capacity
   EXPECT_DOUBLE_EQ(disk.demand_of(kIo), 8.0);
   EXPECT_DOUBLE_EQ(disk.pressure_of(kIo), 2.0);
 }
 
 TEST(FairShareTags, UntaggedStreamsAreExternalToEveryTag) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 4.0);
-  cpu.open(100.0, 1.0, [] {});  // untagged
-  cpu.open(100.0, 0.5, [] {});  // untagged
-  cpu.open(100.0, 1.0, [] {}, kA);
-  cpu.open(100.0, 0.5, [] {}, kB);
+  sink.open(cpu, 100.0, 1.0, [] {});  // untagged
+  sink.open(cpu, 100.0, 0.5, [] {});  // untagged
+  sink.open(cpu, 100.0, 1.0, [] {}, kA);
+  sink.open(cpu, 100.0, 0.5, [] {}, kB);
   EXPECT_DOUBLE_EQ(cpu.external_pressure(kA), 0.5);    // 1.5 + 0.5 of 4
   EXPECT_DOUBLE_EQ(cpu.external_pressure(kB), 0.625);  // 1.5 + 1.0 of 4
   EXPECT_DOUBLE_EQ(cpu.external_pressure(kNobody), cpu.pressure());
@@ -303,12 +330,13 @@ TEST(FairShareTags, UntaggedStreamsAreExternalToEveryTag) {
 
 TEST(FairShareTags, DepartedTagReadsExactlyZero) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource cpu(e, 3.0, /*interference=*/0.2);
   // Caps that do not sum exactly in binary: float dust must not linger.
-  const StreamId a1 = cpu.open(100.0, 0.1, [] {}, kA);
-  cpu.open(1.0, 0.7, [] {}, kA);        // completes on its own
-  const StreamId a3 = cpu.open(100.0, 0.3, [] {}, kA);
-  cpu.open(100.0, 0.5, [] {}, kB);
+  const StreamId a1 = sink.open(cpu, 100.0, 0.1, [] {}, kA);
+  sink.open(cpu, 1.0, 0.7, [] {}, kA);  // completes on its own
+  const StreamId a3 = sink.open(cpu, 100.0, 0.3, [] {}, kA);
+  sink.open(cpu, 100.0, 0.5, [] {}, kB);
   e.schedule(10.0, [&] {
     cpu.close(a1);
     cpu.close(a3);
@@ -323,9 +351,10 @@ TEST(FairShareTags, DepartedTagReadsExactlyZero) {
 
 TEST(FairShareTags, CompletedStreamsReleaseTheirDemand) {
   Engine e;
+  testing::CallbackSink sink;
   FairShareResource net(e, 2.0);
-  net.open(1.0, 1.0, [] {}, kA);
-  net.open(3.0, 1.0, [] {}, kB);
+  sink.open(net, 1.0, 1.0, [] {}, kA);
+  sink.open(net, 3.0, 1.0, [] {}, kB);
   e.run_until(2.0);  // kA drained at t=1, kB is still running
   EXPECT_EQ(net.demand_of(kA), 0.0);
   EXPECT_DOUBLE_EQ(net.demand_of(kB), 1.0);
@@ -343,12 +372,13 @@ TEST(FairShareOracle, EqualUncappedStreamsSplitCapacityEvenly) {
   // w drain together at k·w/C.
   for (int k = 1; k <= 24; ++k) {
     Engine e;
+    testing::CallbackSink sink;
     const double capacity = 7.5;
     FairShareResource r(e, capacity);
     std::vector<StreamId> ids;
     std::vector<double> done;
     for (int i = 0; i < k; ++i) {
-      ids.push_back(r.open(3.0, 0.0, [&] { done.push_back(e.now()); }));
+      ids.push_back(sink.open(r, 3.0, 0.0, [&] { done.push_back(e.now()); }));
     }
     double sum = 0.0;
     for (StreamId id : ids) {
@@ -369,6 +399,7 @@ TEST(FairShareOracle, EqualUncappedStreamsSplitCapacityEvenly) {
 double mm1_ps_mean_sojourn(double rho, std::uint64_t seed, double warmup,
                            double horizon) {
   Engine e;
+  testing::CallbackSink sink;
   Rng rng(seed);
   FairShareResource server(e, 1.0);
   double sum = 0.0;
@@ -376,7 +407,7 @@ double mm1_ps_mean_sojourn(double rho, std::uint64_t seed, double warmup,
   std::function<void()> arrive = [&] {
     const double t0 = e.now();
     const bool measured = t0 >= warmup;
-    server.open(rng.exponential(1.0), 0.0, [&, t0, measured] {
+    sink.open(server, rng.exponential(1.0), 0.0, [&, t0, measured] {
       if (!measured) return;
       sum += e.now() - t0;
       ++n;
@@ -462,6 +493,7 @@ template <typename Resource>
 StressOutcome stress_run(std::uint64_t seed) {
   constexpr double kCapacity = 4.0;
   Engine e;
+  testing::CallbackSink sink;
   Rng rng(seed);
   Resource r(e, kCapacity, /*interference=*/0.3);
   // Mixed caps, including uncapped (0) and a cap above capacity.
@@ -490,7 +522,7 @@ StressOutcome stress_run(std::uint64_t seed) {
     ids.push_back(0);
     works.push_back(work);
     live.push_back(true);
-    ids[k] = r.open(work, cap, [&, k] {
+    ids[k] = sink.open(r, work, cap, [&, k] {
       live[k] = false;
       if (e.now() == last_completion) ++out.simultaneous;
       last_completion = e.now();
@@ -607,6 +639,7 @@ StressOutcome long_busy_run(std::uint64_t seed) {
   constexpr double kCapacity = 3.125e9;  // bytes/s
   constexpr double kBusyFor = 1e4;       // simulated seconds
   Engine e;
+  testing::CallbackSink sink;
   Rng rng(seed);
   Resource r(e, kCapacity);
   StressOutcome out;
@@ -615,11 +648,11 @@ StressOutcome long_busy_run(std::uint64_t seed) {
   };
   std::size_t opened = 0;
   const double long_work = kCapacity * kBusyFor;
-  const StreamId long_id = r.open(long_work, 0.0, [] {});
+  const StreamId long_id = sink.open(r, long_work, 0.0, [] {});
   std::function<void()> arrive = [&] {
     const std::size_t k = opened++;
     const double work = rng.exponential(1.0 / 2.5e8);  // mean 0.08 s alone
-    const StreamId id = r.open(work, 0.0, [&, k] {
+    const StreamId id = sink.open(r, work, 0.0, [&, k] {
       out.completion_order.push_back(k);
       observe(e.now(), 1.0);
       observe(r.busy_capacity_seconds(e.now()), kCapacity);
