@@ -12,14 +12,14 @@
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Ablation",
                     "load-trend anticipation horizon (dd)");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   const auto p = workload::make_dd();
-  const auto art = bench::cached_artifacts(p, cluster, cal, prof);
+  const auto art = exp::profile_service(p, cluster, cal, prof);
 
   auto base_opt = bench::bench_run_options();
   const auto nameko = exp::run_managed(p, exp::DeploySystem::kNameko, cluster,

@@ -15,15 +15,15 @@
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  auto cluster = bench::bench_cluster();
+  auto cluster = exp::default_cluster();
   cluster.serverless.crash_after_completion_p = 0.01;  // failure injection
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Ablation",
                     "sample period vs misjudgment (Eq. 8), float + crashes");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   const auto p = workload::make_float();
-  const auto art = bench::cached_artifacts(p, cluster, cal, prof);
+  const auto art = exp::profile_service(p, cluster, cal, prof);
 
   core::SamplePeriodParams eq8;
   eq8.cold_start_s = cluster.serverless.cold_start_mean_s;

@@ -1,9 +1,9 @@
 // Shared setup for the figure/table benches.
 //
-// Every bench binary must run standalone (`for b in build/bench/*; do $b;
-// done`), so profiling artifacts are cached on disk after the first bench
-// computes them. All benches share the Table II cluster and the same
-// profiling grid, making their artifacts interchangeable.
+// Every bench binary runs standalone (`for b in build/bench/*; do $b;
+// done`) and profiles in memory (exp::profile_meters /
+// exp::profile_service) on the Table II cluster (exp::default_cluster)
+// with the shared profiling grid below.
 #pragma once
 
 #include <fstream>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "exp/artifact_cache.hpp"
 #include "exp/profiling.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -118,8 +117,6 @@ inline void merge_existing(BenchJson& json, const std::string& path,
   }
 }
 
-inline exp::ClusterConfig bench_cluster() { return exp::default_cluster(); }
-
 inline exp::ProfilingConfig bench_profiling() {
   exp::ProfilingConfig cfg;
   cfg.pressure_grid = {0.02, 0.2, 0.4, 0.6, 0.8, 0.92};
@@ -128,40 +125,6 @@ inline exp::ProfilingConfig bench_profiling() {
   cfg.warmup_s = 10.0;
   cfg.solo_probe_qps = 2.0;
   return cfg;
-}
-
-/// Meter calibration, cached on disk.
-inline core::MeterCalibration cached_calibration(
-    const exp::ClusterConfig& cluster, const exp::ProfilingConfig& cfg) {
-  const std::string path = exp::default_cache_dir() + "/meters.txt";
-  const std::string tag = exp::profiling_cache_tag(cluster, cfg, nullptr);
-  if (auto hit = exp::load_calibration(path, tag)) {
-    std::cerr << "[profile-cache] meters: hit\n";
-    return *hit;
-  }
-  std::cerr << "[profile-cache] meters: profiling (one-time)...\n";
-  auto cal = exp::profile_meters(cluster, cfg);
-  exp::save_calibration(path, tag, cal);
-  return cal;
-}
-
-/// Per-service artifacts, cached on disk.
-inline core::ServiceArtifacts cached_artifacts(
-    const workload::FunctionProfile& p, const exp::ClusterConfig& cluster,
-    const core::MeterCalibration& calibration,
-    const exp::ProfilingConfig& cfg) {
-  const std::string path =
-      exp::default_cache_dir() + "/service_" + p.name + ".txt";
-  const std::string tag = exp::profiling_cache_tag(cluster, cfg, &p);
-  if (auto hit = exp::load_artifacts(path, tag)) {
-    std::cerr << "[profile-cache] " << p.name << ": hit\n";
-    return *hit;
-  }
-  std::cerr << "[profile-cache] " << p.name
-            << ": profiling (one-time)...\n";
-  auto art = exp::profile_service(p, cluster, calibration, cfg);
-  exp::save_artifacts(path, tag, art);
-  return art;
 }
 
 /// The flags the fig/abl benches share besides --jobs and the export flags.

@@ -66,7 +66,7 @@ UtilRow run_one(const workload::FunctionProfile& p,
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   exp::print_banner(std::cout, "Fig. 2",
                     "CPU utilization with just-enough IaaS deployment");
 

@@ -92,7 +92,7 @@ double peak_load(const workload::FunctionProfile& p, bool serverless_mode,
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   exp::print_banner(std::cout, "Fig. 3",
                     "serverless peak load normalized to IaaS (equal "
                     "resources)");

@@ -44,7 +44,7 @@ Breakdown measure(const workload::FunctionProfile& p,
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   exp::print_banner(std::cout, "Fig. 4",
                     "latency breakdown of solo serverless queries");
 

@@ -7,12 +7,12 @@
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto cfg = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 8",
                     "meter latency vs meter pressure (calibration curves)");
 
-  const auto cal = bench::cached_calibration(cluster, cfg);
+  const auto cal = exp::profile_meters(cluster, cfg);
   for (std::size_t d = 0; d < core::kNumResources; ++d) {
     std::cout << "\n(" << static_cast<char>('a' + d) << ") "
               << to_string(workload::kAllMeters[d]) << " meter\n";

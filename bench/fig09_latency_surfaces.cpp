@@ -9,14 +9,14 @@
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto cfg = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 9",
                     "latency surfaces L(P, V_u) of the `dd` microservice");
 
-  const auto cal = bench::cached_calibration(cluster, cfg);
+  const auto cal = exp::profile_meters(cluster, cfg);
   const auto subject = workload::make_dd();
-  const auto art = bench::cached_artifacts(subject, cluster, cal, cfg);
+  const auto art = exp::profile_service(subject, cluster, cal, cfg);
 
   static constexpr const char* kNames[] = {"CPU", "disk IO", "network"};
   for (std::size_t d = 0; d < core::kNumResources; ++d) {

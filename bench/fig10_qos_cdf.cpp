@@ -14,12 +14,12 @@
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 10",
                     "latency CDF normalized to the QoS target");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   const auto opt = bench::bench_run_options();
   const exp::DeploySystem systems[] = {exp::DeploySystem::kAmoeba,
                                        exp::DeploySystem::kNameko,
@@ -27,14 +27,14 @@ int main(int argc, char** argv) {
   const std::size_t nsys = std::size(systems);
   const double quantiles[] = {0.50, 0.75, 0.90, 0.95, 0.99};
 
-  // Warm the profile cache serially (it writes shared files), then fan the
-  // benchmark x system grid out with parallel_map. Results come back
-  // in cell order, so the tables are identical at any --jobs.
+  // Profile each service first (profile_service fans its own cells out),
+  // then fan the benchmark x system grid out with parallel_map. Results
+  // come back in cell order, so the tables are identical at any --jobs.
   const auto suite = workload::functionbench_suite();
   std::vector<core::ServiceArtifacts> arts;
   arts.reserve(suite.size());
   for (const auto& p : suite) {
-    arts.push_back(bench::cached_artifacts(p, cluster, cal, prof));
+    arts.push_back(exp::profile_service(p, cluster, cal, prof));
   }
   const auto runs = exp::parallel_map<exp::ManagedRunResult>(
       suite.size() * nsys, jobs, [&](std::size_t i) {

@@ -8,19 +8,19 @@
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 11",
                     "Amoeba resource usage normalized to Nameko");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   const auto opt = bench::bench_run_options();
 
   const auto suite = workload::functionbench_suite();
   std::vector<core::ServiceArtifacts> arts;
   arts.reserve(suite.size());
   for (const auto& p : suite) {
-    arts.push_back(bench::cached_artifacts(p, cluster, cal, prof));
+    arts.push_back(exp::profile_service(p, cluster, cal, prof));
   }
   const exp::DeploySystem systems[] = {exp::DeploySystem::kAmoeba,
                                        exp::DeploySystem::kNameko};

@@ -20,7 +20,7 @@ void timeline_for(const workload::FunctionProfile& p,
   opt.timeline_period_s = opt.period_s / 64.0;
   opt.observer = bobs.begin_run();
   opt.profiler = bobs.profiler();
-  const auto art = bench::cached_artifacts(p, cluster, cal, prof);
+  const auto art = exp::profile_service(p, cluster, cal, prof);
   const auto r = exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster,
                                   cal, art, opt);
   bobs.end_run(p.name);
@@ -54,11 +54,11 @@ void timeline_for(const workload::FunctionProfile& p,
 int main(int argc, char** argv) {
   using namespace amoeba;
   bench::BenchObservability bobs(argc, argv);
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 12",
                     "deploy-mode switch timeline (float, dd)");
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   timeline_for(workload::make_float(), cluster, cal, prof, bobs);
   timeline_for(workload::make_dd(), cluster, cal, prof, bobs);
   std::cout << "\npaper's shape: serverless through the trough, IaaS through\n"

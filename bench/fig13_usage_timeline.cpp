@@ -16,7 +16,7 @@ void usage_timeline(const workload::FunctionProfile& p,
                     const exp::ProfilingConfig& prof) {
   auto opt = bench::bench_run_options();
   opt.timeline_period_s = opt.period_s / 64.0;
-  const auto art = bench::cached_artifacts(p, cluster, cal, prof);
+  const auto art = exp::profile_service(p, cluster, cal, prof);
   const auto r = exp::run_managed(p, exp::DeploySystem::kAmoeba, cluster,
                                   cal, art, opt);
 
@@ -52,11 +52,11 @@ void usage_timeline(const workload::FunctionProfile& p,
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 13",
                     "resource-usage timeline under Amoeba (float, dd)");
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   usage_timeline(workload::make_float(), cluster, cal, prof);
   usage_timeline(workload::make_dd(), cluster, cal, prof);
   std::cout << "\npaper's shape: float jumps between the VM's full rent and\n"

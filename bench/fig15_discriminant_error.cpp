@@ -253,12 +253,12 @@ double lambda_predicted(core::DeploymentController& ctrl,
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 15",
                     "discriminant error |λ(μ_n) − λ_real| / λ_real");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   const auto bg = make_background(cluster);
   const auto pressures = measured_pressures(bg, cluster, cal);
   std::cout << "measured background pressures: cpu="
@@ -270,7 +270,7 @@ int main() {
                     "λ NoM", "err NoM"});
   double worst_amoeba = 0.0, worst_nom = 0.0;
   for (const auto& p : workload::functionbench_suite()) {
-    const auto art = bench::cached_artifacts(p, cluster, cal, prof);
+    const auto art = exp::profile_service(p, cluster, cal, prof);
     const double real = lambda_real(p, bg, cluster);
 
     core::ControllerConfig ctrl_cfg;

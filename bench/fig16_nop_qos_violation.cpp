@@ -10,12 +10,12 @@
 int main(int argc, char** argv) {
   using namespace amoeba;
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 16",
                     "QoS violations without container prewarm (Amoeba-NoP)");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   auto opt = bench::bench_run_options();
   opt.keep_records = true;
 
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   std::vector<core::ServiceArtifacts> arts;
   arts.reserve(suite.size());
   for (const auto& p : suite) {
-    arts.push_back(bench::cached_artifacts(p, cluster, cal, prof));
+    arts.push_back(exp::profile_service(p, cluster, cal, prof));
   }
   const exp::DeploySystem systems[] = {exp::DeploySystem::kAmoeba,
                                        exp::DeploySystem::kAmoebaNoP};

@@ -38,12 +38,12 @@ int main(int argc, char** argv) {
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   const bench::BenchFlags flags = bench::parse_bench_flags(argc, argv);
   bench::BenchObservability observability(argc, argv);
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 17",
                     "cluster-scale managed multi-tenancy");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
 
   // Artifacts are profiled once per *base* benchmark at its full peak; the
   // scaled tenant clones reuse them (latency surfaces are functions of
@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
   std::vector<core::ServiceArtifacts> base_artifacts;
   base_artifacts.reserve(suite.size());
   for (const auto& base : suite) {
-    base_artifacts.push_back(
-        bench::cached_artifacts(base, cluster, cal, prof));
+    base_artifacts.push_back(exp::profile_service(base, cluster, cal, prof));
   }
 
   const double period_s = flags.smoke ? 600.0 : 1800.0;

@@ -40,18 +40,18 @@ int main(int argc, char** argv) {
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   const bench::BenchFlags flags = bench::parse_bench_flags(argc, argv);
   bench::BenchObservability observability(argc, argv);
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Fig. 18",
                     "call-graph end-to-end QoS decomposition");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   const auto float_base = workload::make_float();
   const auto matmul_base = workload::make_matmul();
   const auto float_artifacts =
-      bench::cached_artifacts(float_base, cluster, cal, prof);
+      exp::profile_service(float_base, cluster, cal, prof);
   const auto matmul_artifacts =
-      bench::cached_artifacts(matmul_base, cluster, cal, prof);
+      exp::profile_service(matmul_base, cluster, cal, prof);
 
   // The diamond: a light front fans out to the heavy search stage and a
   // light ads stage; both join at a light render stage. Every stage sees

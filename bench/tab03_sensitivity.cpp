@@ -6,7 +6,7 @@
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   exp::print_banner(std::cout, "Table III",
                     "benchmarks and their load sensitivities");
 

@@ -9,12 +9,12 @@
 
 int main() {
   using namespace amoeba;
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "§VII-E",
                     "resource overhead of the contention meters");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
 
   sim::Engine engine;
   sim::Rng rng(cluster.seed);

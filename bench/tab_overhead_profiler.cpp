@@ -76,14 +76,14 @@ int main(int argc, char** argv) {
   }
   AMOEBA_EXPECTS(repeats > 0 && period_s > 0.0 && max_overhead_pct > 0.0);
 
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof = bench::bench_profiling();
   exp::print_banner(std::cout, "Overhead",
                     "self-profiler cost on the run_managed scenario");
 
-  const auto cal = bench::cached_calibration(cluster, prof);
+  const auto cal = exp::profile_meters(cluster, prof);
   const auto p = workload::make_float();
-  const auto art = bench::cached_artifacts(p, cluster, cal, prof);
+  const auto art = exp::profile_service(p, cluster, cal, prof);
 
   auto opt = bench::bench_run_options();
   opt.period_s = period_s;  // a compressed day keeps one repeat ~seconds

@@ -5,8 +5,8 @@
 //   ./examples/diurnal_day [benchmark] [period_s]
 //
 // benchmark ∈ {float, matmul, linpack, dd, cloud_stor} (default: float).
-// Profiling artifacts come from the same cache the benches use; the first
-// run profiles (one-time, a few minutes of simulated time).
+// Each run first profiles the meters and the chosen service in memory, on
+// the benches' profiling grid (a fraction of a second of host time).
 #include <cstdlib>
 #include <iostream>
 
@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto cluster = bench::bench_cluster();
+  const auto cluster = exp::default_cluster();
   const auto prof_cfg = bench::bench_profiling();
-  const auto calibration = bench::cached_calibration(cluster, prof_cfg);
+  const auto calibration = exp::profile_meters(cluster, prof_cfg);
   const auto artifacts =
-      bench::cached_artifacts(fg, cluster, calibration, prof_cfg);
+      exp::profile_service(fg, cluster, calibration, prof_cfg);
 
   auto opt = bench::bench_run_options();
   opt.period_s = period;

@@ -210,8 +210,8 @@ std::uint64_t fnv_bits(const std::vector<double>& values) {
 
 TEST(Profiling, ArtifactsAreBitIdenticalAcrossThreadCounts) {
   // Every profiling task owns its engine, RNG seed and output slot, so the
-  // worker count must not show in the artifacts. The profile cache tag
-  // leaves `threads` out on exactly this assumption.
+  // worker count must not show in the artifacts: a bench's tables may not
+  // depend on the host's core count.
   const auto cluster = small_cluster();
   workload::FunctionProfile subject = workload::make_float();
   subject.peak_load_qps = 24.0;

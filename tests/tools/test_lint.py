@@ -86,6 +86,12 @@ class SharedOwnershipTest(unittest.TestCase):
         assert_errors_match(self, fixture, lint.run(fixture))
 
 
+class FilesystemIncludeTest(unittest.TestCase):
+    def test_filesystem_include_banned_under_src_only(self):
+        fixture = FIXTURES / "lint_filesystem"
+        assert_errors_match(self, fixture, lint.run(fixture))
+
+
 class RepoCleanTest(unittest.TestCase):
     def test_repo_tree_is_lint_clean(self):
         errors = lint.run(REPO)

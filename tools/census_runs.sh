@@ -14,8 +14,8 @@
 #   python3 tools/census.py build/coverage build/coverage-perfbench \
 #       --inline-tree build/coverage-inline
 #
-# Output files land in a fresh temporary directory. About 11 minutes on
-# 4 vCPUs.
+# Output files land in a fresh temporary directory. About 24 minutes on
+# 4 vCPUs: every bench profiles the platform in memory, at -O0, on each run.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then

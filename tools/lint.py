@@ -21,6 +21,10 @@ Checks (all are hard failures):
     (and `std::allocate_shared`) are banned — every object has one owner,
     and callbacks capture handles into it (a query in flight is a slot of
     workload::PhaseRunner, not a shared record);
+  * no on-disk state in library code: `#include <filesystem>` is banned
+    under src/ — the library computes in memory, and files are written
+    only by the binaries (bench/, examples/) or through the exporters'
+    caller-supplied paths;
   * build listings: every .cpp under src/, tests/ and bench/ is listed in
     the corresponding CMakeLists.txt (an unlisted file silently drops its
     tests/symbols from the build).
@@ -91,6 +95,10 @@ RAW_SYNC_ALLOWED = {Path("src/common/mutex.hpp")}
 # Library code keeps single ownership: a callback that must reach an object
 # captures a handle into its owner, never a reference count.
 SHARED_OWNERSHIP = re.compile(r"std::(shared_ptr|make_shared|allocate_shared)\b")
+
+# The library keeps no on-disk state (profiling artifacts are recomputed in
+# memory, exports go to caller-named paths), so it never walks directories.
+FILESYSTEM_INCLUDE = re.compile(r"^\s*#\s*include\s*<filesystem>")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -225,6 +233,11 @@ def check_file(repo: Path, path: Path, errors: list[str]):
                 f"{rel}:{lineno}: shared ownership in library code "
                 f"(std::shared_ptr/make_shared): give the object one owner "
                 f"and capture a handle into it")
+        if rel.parts[0] == "src" and FILESYSTEM_INCLUDE.search(code):
+            errors.append(
+                f"{rel}:{lineno}: <filesystem> in library code: keep on-disk "
+                f"state out of src/ (compute in memory, or let a binary "
+                f"under bench/ or examples/ own the files)")
         if (rel.parts[0] == "src" and RAW_SYNC.search(code)
                 and rel not in RAW_SYNC_ALLOWED):
             errors.append(
