@@ -30,11 +30,9 @@ UtilRow run_one(const workload::FunctionProfile& p,
 
   auto trace = std::make_unique<workload::DiurnalTrace>(
       exp::diurnal_for(p, period_s), cluster.seed);
-  workload::PoissonLoadGenerator gen(
-      engine, rng.fork(2), [&](double t) { return trace->rate(t); },
-      trace->max_rate(), [&] {
-        vm.submit([](const workload::QueryRecord&) {});
-      });
+  workload::PoissonLoadGenerator gen(engine, rng.fork(2), *trace, [&] {
+    vm.submit([](const workload::QueryRecord&) {});
+  });
   engine.schedule(cluster.iaas.vm_boot_s + 1.0, [&] { gen.start(); });
 
   // Sample the VM's busy cores once per second into windowed utilization.

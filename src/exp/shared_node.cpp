@@ -232,9 +232,7 @@ void SimNode::add_stream(const workload::FunctionProfile& profile,
       diurnal_for(profile, day.period_s, phase), day.seed ^ noise_salt));
   auto& gen = generators_.emplace_back(
       std::make_unique<workload::PoissonLoadGenerator>(
-          engine, rng.fork(fork),
-          [t = trace.get()](double now) { return t->rate(now); },
-          trace->max_rate(), std::move(on_arrival)));
+          engine, rng.fork(fork), *trace, std::move(on_arrival)));
   if (start_now) {
     gen->start();
   } else {

@@ -9,6 +9,8 @@
 // experiments finish in seconds.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -31,6 +33,12 @@ struct DiurnalTraceConfig {
   void validate() const;
 };
 
+/// A bracket lo <= rate <= hi on an arrival rate, in queries/second.
+struct RateBounds {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
 class DiurnalTrace {
  public:
   explicit DiurnalTrace(DiurnalTraceConfig cfg, std::uint64_t noise_seed = 1);
@@ -46,16 +54,32 @@ class DiurnalTrace {
   /// A guaranteed upper bound on rate() over all t (for Poisson thinning).
   [[nodiscard]] double max_rate() const;
 
+  /// A cheap envelope of rate(t): lo <= rate(t) <= hi, bit for bit, and
+  /// hi <= max_rate(). It reads the day-fraction bin of t from a table and
+  /// scales it by the noise factor; it shares rate()'s noise memo.
+  [[nodiscard]] RateBounds rate_bounds(double t) const;
+
   [[nodiscard]] const DiurnalTraceConfig& config() const noexcept {
     return cfg_;
   }
 
  private:
+  /// Envelope table size: 256 bins of {lo, hi} are 4 KB per trace. A
+  /// power of two, so a day fraction's bin index is computed exactly.
+  static constexpr std::size_t kEnvelopeBins = 256;
+
+  /// Fraction of the day at time t, in [0, 1).
+  [[nodiscard]] double day_fraction(double t) const;
+  /// The noise-free rate when the day fraction lies `d_morning` and
+  /// `d_evening` (wrapped distances) from the two rush centres.
+  [[nodiscard]] double rate_at(double d_morning, double d_evening) const;
   [[nodiscard]] double noise_factor(double t) const;
 
   DiurnalTraceConfig cfg_;
   std::uint64_t noise_seed_;
   double noise_cap_;
+  /// Noise-free rate bounds per day-fraction bin (see rate_bounds).
+  std::array<RateBounds, kEnvelopeBins> envelope_{};
   /// One-entry memo of noise_factor: the factor is a pure function of the
   /// interval index, and a load generator queries each interval many times
   /// in a row.

@@ -15,6 +15,15 @@ PoissonLoadGenerator::PoissonLoadGenerator(sim::Engine& engine, sim::Rng rng,
   AMOEBA_EXPECTS(on_arrival_ != nullptr);
 }
 
+PoissonLoadGenerator::PoissonLoadGenerator(sim::Engine& engine, sim::Rng rng,
+                                           const DiurnalTrace& trace,
+                                           ArrivalFn on_arrival)
+    : PoissonLoadGenerator(
+          engine, rng, [&trace](double t) { return trace.rate(t); },
+          trace.max_rate(), std::move(on_arrival)) {
+  trace_ = &trace;
+}
+
 PoissonLoadGenerator::~PoissonLoadGenerator() {
   running_ = false;
   if (pending_ != sim::kNoEvent) engine_.cancel(pending_);
@@ -45,6 +54,21 @@ void PoissonLoadGenerator::stop() {
   }
 }
 
+RateBounds PoissonLoadGenerator::envelope(double t) const {
+  if (trace_ != nullptr) return trace_->rate_bounds(t);
+  return {0.0, max_rate_ * (1.0 + kRateSlack)};
+}
+
+double PoissonLoadGenerator::exact_rate(double t, const RateBounds& env) {
+  ++exact_rate_calls_;
+  const double lambda = rate_(t);
+  AMOEBA_ASSERT_MSG(lambda <= max_rate_ * (1.0 + kRateSlack),
+                    "rate function exceeded its declared bound");
+  AMOEBA_ASSERT_MSG(env.lo <= lambda && lambda <= env.hi,
+                    "rate left its envelope");
+  return lambda;
+}
+
 void PoissonLoadGenerator::schedule_next() {
   // Lewis-Shedler thinning: candidate arrivals at rate max_rate_, each
   // accepted with probability rate(t)/max_rate_. The candidates are drawn
@@ -52,6 +76,13 @@ void PoissonLoadGenerator::schedule_next() {
   // kMaxRejections rejections in a row the last candidate becomes an event
   // that emits nothing and resumes the walk, so an all-zero rate still lets
   // the engine run dry.
+  //
+  // The squeeze: with lo <= rate(t) <= hi, a uniform u below lo/max_rate_
+  // accepts and one at or above hi/max_rate_ rejects whatever rate(t) is
+  // (dividing by max_rate_ is monotone under rounding), so only u in the
+  // band between needs rate(t). lo > 0 implies rate(t) > 0, so u is drawn
+  // exactly when thinning on rate(t) alone draws it: the draws, decisions
+  // and arrival times do not depend on the envelope.
   walk_rng_ = rng_;
   walk_start_ = engine_.now();
   double t = walk_start_;
@@ -59,10 +90,16 @@ void PoissonLoadGenerator::schedule_next() {
   for (int candidate = 0; candidate < kMaxRejections && !accept;
        ++candidate) {
     t += rng_.exponential(max_rate_);
-    const double lambda = rate_(t);
-    AMOEBA_ASSERT_MSG(lambda <= max_rate_ * (1.0 + 1e-9),
-                      "rate function exceeded its declared bound");
-    accept = lambda > 0.0 && rng_.uniform() < lambda / max_rate_;
+    ++candidates_;
+    const RateBounds env = envelope(t);
+    if (env.lo > 0.0) {
+      const double u = rng_.uniform();
+      accept = u < env.lo / max_rate_ ||
+               (u < env.hi / max_rate_ && u < exact_rate(t, env) / max_rate_);
+    } else {
+      const double lambda = exact_rate(t, env);
+      accept = lambda > 0.0 && rng_.uniform() < lambda / max_rate_;
+    }
   }
   pending_ = engine_.schedule(t, [this, accept] {
     pending_ = sim::kNoEvent;

@@ -44,14 +44,12 @@ TEST(WorkConservation, VmBusyCoreSecondsEqualCompletedCpuWork) {
     const auto trace = day_trace(60.0, 0.0, seed);
     double cpu_work = 0.0;
     std::uint64_t completed = 0;
-    workload::PoissonLoadGenerator gen(
-        e, sim::Rng(100 + seed), [&](double t) { return trace.rate(t); },
-        trace.max_rate(), [&] {
-          vm.submit([&](const workload::QueryRecord& r) {
-            cpu_work += r.cpu_work_done;
-            ++completed;
-          });
-        });
+    workload::PoissonLoadGenerator gen(e, sim::Rng(100 + seed), trace, [&] {
+      vm.submit([&](const workload::QueryRecord& r) {
+        cpu_work += r.cpu_work_done;
+        ++completed;
+      });
+    });
     gen.start();
     e.run_until(e.now() + kDay);
     gen.stop();
@@ -81,10 +79,8 @@ TEST(WorkConservation, ServerlessCpuBusyIntegralEqualsFunctionCpuSeconds) {
       traces.push_back(std::make_unique<workload::DiurnalTrace>(
           day_trace(0.5 * fns[i].peak_load_qps, 0.2 * static_cast<double>(i),
                     seed * 10 + i)));
-      const workload::DiurnalTrace& trace = *traces.back();
       gens.push_back(std::make_unique<workload::PoissonLoadGenerator>(
-          e, sim::Rng(100 * seed + i),
-          [&trace](double t) { return trace.rate(t); }, trace.max_rate(),
+          e, sim::Rng(100 * seed + i), *traces.back(),
           [&sp, fn = ids.back()] {
             sp.submit(fn, [](const workload::QueryRecord&) {});
           }));

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace amoeba::workload {
@@ -160,6 +163,94 @@ TEST(DiurnalTrace, FarFutureDaysKeepThePattern) {
   for (double t : {10.0, 350.0, 780.0, 999.5}) {
     EXPECT_NEAR(trace.base_rate(t), trace.base_rate(t + 365.0 * 1000.0),
                 1e-6);
+  }
+}
+
+/// Counts a violation of lo <= rate(t) <= hi <= max_rate * (1 + 1e-9)
+/// (with lo > 0) at `t`, and reports the first few.
+void check_bounds(const DiurnalTrace& trace, double t, int& violations) {
+  const RateBounds b = trace.rate_bounds(t);
+  const double r = trace.rate(t);
+  if (b.lo > 0.0 && b.lo <= r && r <= b.hi &&
+      b.hi <= trace.max_rate() * (1.0 + 1e-9)) {
+    return;
+  }
+  if (++violations <= 3) {
+    ADD_FAILURE() << "t=" << t << " lo=" << b.lo << " rate=" << r
+                  << " hi=" << b.hi << " max=" << trace.max_rate();
+  }
+}
+
+TEST(DiurnalTrace, RateBoundsContainRate) {
+  std::vector<std::pair<std::string, DiurnalTraceConfig>> cases;
+  cases.emplace_back("base", base_config());
+  auto noisy = base_config();
+  noisy.noise_cv = 0.3;
+  noisy.noise_interval_s = 7.0;
+  cases.emplace_back("noisy", noisy);
+  auto shifted = noisy;
+  shifted.phase = 0.37;
+  cases.emplace_back("phase 0.37", shifted);
+  shifted.phase = -0.61;
+  cases.emplace_back("phase -0.61", shifted);
+  auto wrapped = base_config();
+  wrapped.morning_center = 0.0;
+  wrapped.evening_center = 1.0;
+  cases.emplace_back("centres at 0 and 1", wrapped);
+  auto wide = noisy;
+  wide.peak_width = 0.4999;
+  cases.emplace_back("width near 0.5", wide);
+  // Wide but unclipped rushes: the rate is lowest at a rush's antipode,
+  // inside a bin, and far from flat there.
+  auto broad = noisy;
+  broad.peak_width = 0.3;
+  broad.evening_relative = 0.1;
+  cases.emplace_back("broad rushes", broad);
+  auto narrow = base_config();
+  narrow.peak_width = 0.002;
+  cases.emplace_back("narrow rushes", narrow);
+  auto flat = noisy;
+  flat.trough_fraction = 1.0;
+  cases.emplace_back("trough 1", flat);
+  auto equal = base_config();
+  equal.evening_relative = 1.0;
+  equal.morning_center = 0.25;
+  equal.evening_center = 0.75;
+  cases.emplace_back("evening 1, antipodal rushes", equal);
+
+  for (const auto& [name, cfg] : cases) {
+    SCOPED_TRACE(name);
+    const DiurnalTrace trace(cfg, 5);
+    const double period = cfg.period_s;
+    int violations = 0;
+    // Dense: 3 days at a step that does not divide the bins.
+    for (double t = 0.0; t < 3.0 * period; t += period / 9973.3) {
+      check_bounds(trace, t, violations);
+    }
+    // Bin edges: the times whose day fraction is k/256 on days 0, 1 and
+    // 40, and their neighbours a few ulps and 1e-9 of a day either side.
+    for (const double day : {0.0, 1.0, 40.0}) {
+      for (int k = 0; k <= 256; ++k) {
+        double frac = static_cast<double>(k) / 256.0 - cfg.phase;
+        frac -= std::floor(frac);
+        const double edge = (day + frac) * period;
+        for (const double off : {-1e-9, 0.0, 1e-9}) {
+          double t = edge + off * period;
+          if (t < 0.0) continue;
+          check_bounds(trace, t, violations);
+          double up = t, down = t;
+          for (int step = 0; step < 4; ++step) {
+            up = std::nextafter(up, 2.0 * up + 1.0);
+            check_bounds(trace, up, violations);
+            if (down > 0.0) {
+              down = std::nextafter(down, 0.0);
+              check_bounds(trace, down, violations);
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(violations, 0);
   }
 }
 

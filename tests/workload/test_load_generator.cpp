@@ -5,8 +5,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "exp/cluster.hpp"
+#include "exp/scenario.hpp"
 #include "reference_load_generator.hpp"
 #include "workload/diurnal_trace.hpp"
 
@@ -193,12 +196,14 @@ struct Emission {
   std::uint64_t events = 0;
 };
 
-template <typename Generator>
-Emission emit(const RateFn& rate, double max_rate, std::uint64_t seed,
-              double stop_at = -1.0, double restart_at = -1.0) {
+/// `rate` is what the generator's constructor takes before the arrival
+/// callback: a rate function and its bound, or a trace.
+template <typename Generator, typename... RateSource>
+Emission emit(std::uint64_t seed, double stop_at, double restart_at,
+              const RateSource&... rate) {
   sim::Engine engine;
   Emission out;
-  Generator gen(engine, sim::Rng(seed), rate, max_rate, [&] {
+  Generator gen(engine, sim::Rng(seed), rate..., [&] {
     out.arrival_bits.push_back(std::bit_cast<std::uint64_t>(engine.now()));
   });
   gen.start();
@@ -221,12 +226,29 @@ void expect_equivalent(const RateFn& rate, double max_rate,
                        std::uint64_t seed, double stop_at = -1.0,
                        double restart_at = -1.0) {
   const Emission ref = emit<testing::ReferencePoissonLoadGenerator>(
-      rate, max_rate, seed, stop_at, restart_at);
+      seed, stop_at, restart_at, rate, max_rate);
   const Emission got =
-      emit<PoissonLoadGenerator>(rate, max_rate, seed, stop_at, restart_at);
+      emit<PoissonLoadGenerator>(seed, stop_at, restart_at, rate, max_rate);
   ASSERT_GT(ref.arrival_bits.size(), 100u);
   EXPECT_EQ(got.arrival_bits, ref.arrival_bits);
   EXPECT_LT(got.events, ref.events);
+}
+
+/// The same for a generator built from `trace`, which decides most
+/// candidates from the trace's envelope, against one event per candidate
+/// on the trace's rate (a flat trace accepts every candidate, so no fewer
+/// events). Each generator queries its own copy of the trace.
+void expect_trace_equivalent(const DiurnalTrace& trace, std::uint64_t seed,
+                             double stop_at = -1.0, double restart_at = -1.0) {
+  const Emission ref = emit<testing::ReferencePoissonLoadGenerator>(
+      seed, stop_at, restart_at,
+      RateFn([trace](double t) { return trace.rate(t); }), trace.max_rate());
+  const DiurnalTrace own = trace;
+  const Emission got =
+      emit<PoissonLoadGenerator>(seed, stop_at, restart_at, own);
+  ASSERT_GT(ref.arrival_bits.size(), 100u);
+  EXPECT_EQ(got.arrival_bits, ref.arrival_bits);
+  EXPECT_LE(got.events, ref.events);
 }
 
 DiurnalTrace noisy_trace() {
@@ -269,6 +291,68 @@ TEST(PoissonLoadGenerator, MatchesOneEventPerCandidateAcrossStopAndStart) {
                     trace.max_rate(), 6, 57.3, 61.9);
   expect_equivalent(gated_rate, 20.0, 7, 65.0, 65.0);
   expect_equivalent(gated_rate, 20.0, 8, 80.0, 120.0);
+}
+
+TEST(PoissonLoadGenerator, MatchesOneEventPerCandidateFromATrace) {
+  const DiurnalTrace noisy = noisy_trace();
+  DiurnalTraceConfig flat_cfg = noisy.config();
+  flat_cfg.trough_fraction = 1.0;
+  flat_cfg.noise_cv = 0.0;
+  const DiurnalTrace flat(flat_cfg);
+  // Both rushes across the day's seam, and a phase that shifts them.
+  DiurnalTraceConfig wrapped_cfg = noisy.config();
+  wrapped_cfg.morning_center = 0.0;
+  wrapped_cfg.evening_center = 0.97;
+  wrapped_cfg.phase = 0.6;
+  const DiurnalTrace wrapped(wrapped_cfg, 4);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    expect_trace_equivalent(noisy, seed);
+    expect_trace_equivalent(flat, seed);
+    expect_trace_equivalent(wrapped, seed);
+  }
+}
+
+TEST(PoissonLoadGenerator, MatchesOneEventPerCandidateFromATraceAcrossStopAndStart) {
+  const DiurnalTrace trace = noisy_trace();
+  expect_trace_equivalent(trace, 6, 57.3, 61.9);
+  expect_trace_equivalent(trace, 10, 120.0, 120.0);
+  expect_trace_equivalent(trace, 11, 12.5, 140.25);
+}
+
+/// The 12 tenants' traces of a fig17 N=12 cluster day at seed 3 (as
+/// exp::SimNode::add_stream builds them), over one 1260 s day: the
+/// envelope must decide at least 98% of the thinning candidates without
+/// evaluating the rate, or the generator has fallen back to the exact path.
+TEST(PoissonLoadGenerator, EnvelopeDecidesNearlyEveryClusterCandidate) {
+  constexpr std::uint64_t kSeed = 3;
+  constexpr int kTenants = 12;
+  const auto tenants = exp::cluster_tenants(kTenants, 0.5);
+  sim::Engine engine;
+  std::vector<std::unique_ptr<DiurnalTrace>> traces;
+  std::vector<std::unique_ptr<PoissonLoadGenerator>> gens;
+  std::uint64_t arrivals = 0;
+  for (int i = 0; i < kTenants; ++i) {
+    const auto f = static_cast<std::uint64_t>(i);
+    traces.push_back(std::make_unique<DiurnalTrace>(
+        exp::diurnal_for(tenants[f], 1200.0, i / double{kTenants}),
+        kSeed ^ (0x51u + f)));
+    gens.push_back(std::make_unique<PoissonLoadGenerator>(
+        engine, sim::Rng(kSeed).fork(2000 + f), *traces.back(),
+        [&arrivals] { ++arrivals; }));
+    gens.back()->start();
+  }
+  engine.run_until(1260.0);
+  std::uint64_t candidates = 0, exact = 0;
+  for (const auto& g : gens) {
+    g->stop();
+    candidates += g->candidates();
+    exact += g->exact_rate_calls();
+  }
+  ASSERT_GT(arrivals, 100000u);
+  ASSERT_GT(candidates, arrivals);
+  EXPECT_LE(static_cast<double>(exact), 0.02 * static_cast<double>(candidates))
+      << exact << " of " << candidates << " candidates needed the exact rate";
 }
 
 TEST(PoissonLoadGenerator, DestructorCancelsPendingEvent) {
