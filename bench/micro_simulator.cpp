@@ -1,10 +1,12 @@
 // Standalone engine-throughput benchmark. Measures events/sec for the
 // schedule-fire, schedule-cancel and mixed schedule/cancel/fire workloads,
-// plus the wall clock of one profiling call (exp::profile_service for
-// float, the figure benches' 6×5 grid) at --jobs 1 vs --jobs N, and records
-// everything in machine-readable BENCH_simulator.json so each change's perf
-// trajectory is comparable to the last. The `profiler_*` fields that
-// tab_overhead_profiler merges into the same file are kept.
+// the arrival generators of a fig17 N=12 cluster day on their own (ns per
+// thinning candidate, and the share of candidates that needed the exact
+// rate), plus the wall clock of one profiling call (exp::profile_service
+// for float, the figure benches' 6×5 grid) at --jobs 1 vs --jobs N, and
+// records everything in machine-readable BENCH_simulator.json so each
+// change's perf trajectory is comparable to the last. The `profiler_*`
+// fields that tab_overhead_profiler merges into the same file are kept.
 //
 //   micro_simulator [--events N] [--repeats R] [--jobs N] [--json-out PATH]
 //
@@ -19,16 +21,21 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exp/cluster.hpp"
 #include "exp/profiling.hpp"
+#include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
+#include "workload/diurnal_trace.hpp"
 #include "workload/functionbench.hpp"
+#include "workload/load_generator.hpp"
 
 namespace {
 
@@ -115,6 +122,53 @@ double bench_mixed(std::size_t n, int repeats, std::uint64_t seed) {
     events += 2 * static_cast<std::uint64_t>(n);
   }
   return static_cast<double>(events) / seconds_since(t0);
+}
+
+struct ArrivalTiming {
+  double ns_per_candidate = 0.0;
+  double exact_fraction = 0.0;
+  std::uint64_t arrivals = 0;
+};
+
+/// The twelve arrival streams of a fig17 N=12 cluster day at seed 3, built
+/// as exp::SimNode::add_stream builds them, run alone over one 1260 s day
+/// (no platform: an arrival only counts). Times the whole day, engine
+/// included, per thinning candidate.
+ArrivalTiming bench_arrivals(int repeats) {
+  constexpr std::uint64_t kSeed = 3;
+  constexpr int kTenants = 12;
+  const auto tenants = exp::cluster_tenants(kTenants, 0.5);
+  std::uint64_t candidates = 0, exact = 0, arrivals = 0;
+  double wall_s = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    sim::Engine engine;
+    std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
+    std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> gens;
+    for (int i = 0; i < kTenants; ++i) {
+      const auto f = static_cast<std::uint64_t>(i);
+      traces.push_back(std::make_unique<workload::DiurnalTrace>(
+          exp::diurnal_for(tenants[f], 1200.0, i / double{kTenants}),
+          kSeed ^ (0x51u + f)));
+      gens.push_back(std::make_unique<workload::PoissonLoadGenerator>(
+          engine, sim::Rng(kSeed).fork(2000 + f), *traces.back(),
+          [&arrivals] { ++arrivals; }));
+    }
+    const auto t0 = Clock::now();
+    for (auto& g : gens) g->start();
+    engine.run_until(1260.0);
+    for (auto& g : gens) g->stop();
+    wall_s += seconds_since(t0);
+    for (const auto& g : gens) {
+      candidates += g->candidates();
+      exact += g->exact_rate_calls();
+    }
+  }
+  ArrivalTiming out;
+  out.ns_per_candidate = 1e9 * wall_s / static_cast<double>(candidates);
+  out.exact_fraction =
+      static_cast<double>(exact) / static_cast<double>(candidates);
+  out.arrivals = arrivals / static_cast<std::uint64_t>(repeats);
+  return out;
 }
 
 /// The sweep: one profile_service call for float on the figure benches'
@@ -213,6 +267,12 @@ int main(int argc, char** argv) {
             << " events/sec (" << mixed / baseline.mixed
             << "x of pre-rewrite baseline)\n";
 
+  const ArrivalTiming arrivals = bench_arrivals(repeats);
+  std::cout << "  arrivals (12 cluster_n12 streams, 1260 s day, "
+            << arrivals.arrivals << " arrivals): "
+            << arrivals.ns_per_candidate << " ns/candidate, exact rate for "
+            << 100.0 * arrivals.exact_fraction << "% of candidates\n";
+
   const exp::ClusterConfig cluster = exp::default_cluster();
   const exp::ProfilingConfig serial_cfg = sweep_config(events, 1);
   const exp::ProfilingConfig parallel_cfg = sweep_config(events, jobs);
@@ -243,6 +303,8 @@ int main(int argc, char** argv) {
   json.add("baseline_schedule_cancel_events_per_sec", baseline.cancel);
   json.add("baseline_mixed_events_per_sec", baseline.mixed);
   json.add("mixed_speedup_vs_baseline", mixed / baseline.mixed);
+  json.add("arrivals_ns_per_candidate", arrivals.ns_per_candidate);
+  json.add("arrivals_exact_fraction", arrivals.exact_fraction);
   json.add("sweep_tasks", static_cast<double>(sweep_tasks));
   json.add("sweep_cell_duration_s", serial_cfg.cell_duration_s);
   json.add("sweep_jobs", static_cast<double>(jobs));
