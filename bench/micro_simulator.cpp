@@ -2,8 +2,10 @@
 // schedule-fire, schedule-cancel and mixed schedule/cancel/fire workloads,
 // the arrival generators of a fig17 N=12 cluster day on their own (ns per
 // thinning candidate, and the share of candidates that needed the exact
-// rate), plus the wall clock of one profiling call (exp::profile_service
-// for float, the figure benches' 6×5 grid) at --jobs 1 vs --jobs N, and
+// rate), the controller tick's two solves on their own (the Eq. 5 λ_max
+// bisection at n = 4 and n = 64, and one PCR refit of the Eq. 6 weights),
+// plus the wall clock of one profiling call (exp::profile_service for
+// float, the figure benches' 6×5 grid) at --jobs 1 vs --jobs N, and
 // records everything in machine-readable BENCH_simulator.json so each
 // change's perf trajectory is comparable to the last. The `profiler_*`
 // fields that tab_overhead_profiler merges into the same file are kept.
@@ -16,21 +18,26 @@
 // completion that fires and a far-future timeout that the next operation
 // cancels, so most scheduled events die by cancellation.
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/profile_data.hpp"
+#include "core/queueing.hpp"
 #include "exp/cluster.hpp"
 #include "exp/profiling.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
+#include "linalg/pca.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "workload/diurnal_trace.hpp"
@@ -171,6 +178,59 @@ ArrivalTiming bench_arrivals(int repeats) {
   return out;
 }
 
+/// ns per queueing::max_arrival_rate call with n containers, the solve
+/// DeploymentController::evaluate runs on every tick: a 0.1 s service whose
+/// rate varies a little from call to call, against a 0.3 s target.
+double bench_lambda_max(int n, std::size_t calls) {
+  double sink = 0.0;
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < calls; ++i) {
+    const double mu = 10.0 + 0.01 * static_cast<double>(i % 97);
+    sink += core::queueing::max_arrival_rate(n, mu, 0.3, core::kQosPercentile)
+                .value_or(0.0);
+  }
+  const double wall_s = seconds_since(t0);
+  AMOEBA_ENSURES(sink > 0.0);
+  return 1e9 * wall_s / static_cast<double>(calls);
+}
+
+/// ns per PCR refit as WeightEstimator::maybe_refit runs it: fit_pcr on a
+/// full 512-sample window of three correlated features, into a model and
+/// a scratch reused from refit to refit. One sample slides through the
+/// window between refits (not timed), so every fit sees new moments.
+double bench_pcr_refit(std::size_t refits) {
+  constexpr std::size_t kWindow = 512;
+  sim::Rng rng(42);
+  std::vector<std::array<double, 4>> stream(kWindow + refits);
+  for (auto& s : stream) {
+    const double latent = rng.uniform(0.0, 0.3);
+    for (std::size_t j = 0; j < 3; ++j) {
+      s[j] = 0.1 + latent * (1.0 + 0.2 * static_cast<double>(j)) +
+             rng.uniform(0.0, 0.01);
+    }
+    s[3] = 0.1 + latent + rng.uniform(0.0, 0.005);
+  }
+  const auto x = [&stream](std::size_t i) {
+    return std::span<const double>(stream[i].data(), 3);
+  };
+  linalg::WindowMoments m(3);
+  for (std::size_t i = 0; i < kWindow; ++i) m.add(x(i), stream[i][3]);
+  linalg::PcrModel model;
+  linalg::FitScratch scratch;
+  double sink = 0.0;
+  double wall_s = 0.0;
+  for (std::size_t r = 0; r < refits; ++r) {
+    m.remove_oldest(x(r), stream[r][3]);
+    m.add(x(r + kWindow), stream[r + kWindow][3]);
+    const auto t0 = Clock::now();
+    linalg::fit_pcr(m, model, scratch);
+    wall_s += seconds_since(t0);
+    sink += model.intercept;
+  }
+  AMOEBA_ENSURES(sink > 0.0);
+  return 1e9 * wall_s / static_cast<double>(refits);
+}
+
 /// The sweep: one profile_service call for float on the figure benches'
 /// 6 pressures × 5 loads, 93 independent simulations in one parallel_for.
 /// Cells last 60 simulated seconds at the default --events and shrink in
@@ -273,6 +333,16 @@ int main(int argc, char** argv) {
             << arrivals.ns_per_candidate << " ns/candidate, exact rate for "
             << 100.0 * arrivals.exact_fraction << "% of candidates\n";
 
+  // 2,000 solves and 10,000 refits at the default --events.
+  const std::size_t solves = std::max<std::size_t>(50, events / 250);
+  const double lambda_max_n4_ns = bench_lambda_max(4, solves);
+  const double lambda_max_n64_ns = bench_lambda_max(64, solves);
+  const double pcr_refit_ns =
+      bench_pcr_refit(std::max<std::size_t>(200, events / 50));
+  std::cout << "  controller: lambda_max " << lambda_max_n4_ns
+            << " ns (n=4), " << lambda_max_n64_ns << " ns (n=64); PCR refit "
+            << pcr_refit_ns << " ns\n";
+
   const exp::ClusterConfig cluster = exp::default_cluster();
   const exp::ProfilingConfig serial_cfg = sweep_config(events, 1);
   const exp::ProfilingConfig parallel_cfg = sweep_config(events, jobs);
@@ -305,6 +375,9 @@ int main(int argc, char** argv) {
   json.add("mixed_speedup_vs_baseline", mixed / baseline.mixed);
   json.add("arrivals_ns_per_candidate", arrivals.ns_per_candidate);
   json.add("arrivals_exact_fraction", arrivals.exact_fraction);
+  json.add("controller_lambda_max_ns_n4", lambda_max_n4_ns);
+  json.add("controller_lambda_max_ns_n64", lambda_max_n64_ns);
+  json.add("pcr_refit_ns", pcr_refit_ns);
   json.add("sweep_tasks", static_cast<double>(sweep_tasks));
   json.add("sweep_cell_duration_s", serial_cfg.cell_duration_s);
   json.add("sweep_jobs", static_cast<double>(jobs));

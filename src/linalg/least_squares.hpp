@@ -4,15 +4,17 @@
 // at zero.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "linalg/matrix.hpp"
 
 namespace amoeba::linalg {
 
-/// Cholesky solve of the SPD system m x = rhs. Throws ContractError when m
-/// is not positive definite within numerical tolerance.
-[[nodiscard]] std::vector<double> solve_spd(const Matrix& m,
-                                            const std::vector<double>& rhs);
+/// Cholesky solve of the SPD system m x = b, in place and without
+/// allocating: `b` becomes x, and m's lower triangle becomes the Cholesky
+/// factor L (m = L Lᵀ; the strict upper triangle is not read). Throws
+/// ContractError when m is not positive definite within numerical
+/// tolerance, leaving m and b partly overwritten.
+void solve_spd(Matrix& m, std::span<double> b);
 
 }  // namespace amoeba::linalg

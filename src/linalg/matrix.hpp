@@ -14,15 +14,26 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
 
-  [[nodiscard]] double& operator()(std::size_t r, std::size_t c);
-  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const;
+  /// Reshape to rows×cols, every element `fill`. Reuses the storage: no
+  /// allocation once the matrix has held rows·cols elements.
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
+  /// Make room for `elements` values, so that assign() up to that size
+  /// allocates nothing.
+  void reserve(std::size_t elements) { data_.reserve(elements); }
 
-  [[nodiscard]] std::vector<double> col_vector(std::size_t c) const;
+  // Element access is inline: the Jacobi and PCR loops call it in their
+  // innermost loops. The bounds check stays.
+  [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
+    AMOEBA_EXPECTS(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
+    AMOEBA_EXPECTS(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
 
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const;
@@ -31,17 +42,9 @@ class Matrix {
   /// True if max |a_ij - a_ji| <= tol.
   [[nodiscard]] bool is_symmetric(double tol = 1e-12) const;
 
-  [[nodiscard]] const std::vector<double>& data() const noexcept {
-    return data_;
-  }
-
  private:
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Dot product of equal-length vectors.
-[[nodiscard]] double dot(const std::vector<double>& a,
-                         const std::vector<double>& b);
 
 }  // namespace amoeba::linalg

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "linalg/jacobi_eigen.hpp"
 #include "linalg/least_squares.hpp"
 
 namespace amoeba::linalg {
@@ -97,13 +96,13 @@ void WindowMoments::remove_oldest(std::span<const double> x, double y) {
 
 namespace {
 
-// Σ z_a z_b over the window, z the standardized features: the co-moments
-// divided by the scales, with every row and column of a constant feature
-// exactly zero.
-Matrix standardized_comoment(const WindowMoments& m,
-                             const std::vector<double>& scales) {
+// Σ z_a z_b over the window into `s`, z the standardized features: the
+// co-moments divided by the scales, with every row and column of a
+// constant feature exactly zero.
+void standardized_comoment(const WindowMoments& m,
+                           const std::vector<double>& scales, Matrix& s) {
   const std::size_t d = m.dims();
-  Matrix s(d, d, 0.0);
+  s.assign(d, d, 0.0);
   for (std::size_t a = 0; a < d; ++a) {
     if (m.constant(a)) continue;
     for (std::size_t b = a; b < d; ++b) {
@@ -113,7 +112,6 @@ Matrix standardized_comoment(const WindowMoments& m,
       s(b, a) = v;
     }
   }
-  return s;
 }
 
 }  // namespace
@@ -127,27 +125,23 @@ double PcaModel::explained_variance() const {
   return kept / total;
 }
 
-std::vector<double> PcaModel::transform(const std::vector<double>& x) const {
+double PcaModel::score(std::size_t c, std::span<const double> x) const {
+  AMOEBA_EXPECTS(c < retained);
   AMOEBA_EXPECTS(x.size() == means.size());
-  const std::size_t d = means.size();
-  std::vector<double> z(d);
-  for (std::size_t i = 0; i < d; ++i) {
-    z[i] = (x[i] - means[i]) / scales[i];
+  double s = 0.0;
+  for (std::size_t i = 0; i < means.size(); ++i) {
+    s += components(i, c) * ((x[i] - means[i]) / scales[i]);
   }
-  std::vector<double> scores(retained, 0.0);
-  for (std::size_t c = 0; c < retained; ++c) {
-    for (std::size_t i = 0; i < d; ++i) scores[c] += components(i, c) * z[i];
-  }
-  return scores;
+  return s;
 }
 
-PcaModel fit_pca(const WindowMoments& m, double min_explained) {
+void fit_pca(const WindowMoments& m, PcaModel& model, FitScratch& scratch,
+             double min_explained) {
   AMOEBA_EXPECTS_VALS(m.count() >= 2, m.count());
   AMOEBA_EXPECTS(min_explained > 0.0 && min_explained <= 1.0);
   const double n1 = static_cast<double>(m.count() - 1);
   const std::size_t d = m.dims();
 
-  PcaModel model;
   model.means.resize(d);
   model.scales.assign(d, 1.0);
   for (std::size_t j = 0; j < d; ++j) model.means[j] = m.mean(j);
@@ -158,11 +152,14 @@ PcaModel fit_pca(const WindowMoments& m, double min_explained) {
   }
 
   // Correlation matrix of standardized features.
-  Matrix corr = standardized_comoment(m, model.scales);
+  standardized_comoment(m, model.scales, scratch.comoment);
+  Matrix& corr = scratch.corr;
+  corr = scratch.comoment;
   for (std::size_t a = 0; a < d; ++a)
     for (std::size_t b = 0; b < d; ++b) corr(a, b) /= n1;
 
-  EigenDecomposition eig = jacobi_eigen(corr);
+  EigenDecomposition& eig = scratch.eig;
+  jacobi_eigen(corr, eig);
   // A correlation matrix is positive semi-definite: anything below a tiny
   // rounding margin signals a broken decomposition, not noise. Clamp only
   // the rounding dust.
@@ -191,12 +188,16 @@ PcaModel fit_pca(const WindowMoments& m, double min_explained) {
                       model.retained, d);
   const double explained = model.explained_variance();
   AMOEBA_ENSURES_VALS(explained >= 0.0 && explained <= 1.0 + 1e-12, explained);
-  return model;
 }
 
-double PcrModel::predict(const std::vector<double>& x) const {
-  const auto scores = pca.transform(x);
-  return intercept + dot(scores, score_coeffs);
+double PcrModel::predict(std::span<const double> x) const {
+  AMOEBA_EXPECTS(x.size() == pca.means.size());
+  AMOEBA_EXPECTS(score_coeffs.size() == pca.retained);
+  double s = 0.0;
+  for (std::size_t c = 0; c < pca.retained; ++c) {
+    s += pca.score(c, x) * score_coeffs[c];
+  }
+  return intercept + s;
 }
 
 std::vector<double> PcrModel::raw_coefficients() const {
@@ -211,26 +212,36 @@ std::vector<double> PcrModel::raw_coefficients() const {
   return beta;
 }
 
-PcrModel fit_pcr(const WindowMoments& m, double min_explained, double ridge) {
+void fit_pcr(const WindowMoments& m, PcrModel& model, FitScratch& scratch,
+             double min_explained, double ridge) {
   AMOEBA_EXPECTS_VALS(m.count() >= 2, m.count());
   AMOEBA_EXPECTS_VALS(ridge >= 0.0, ridge);
 
-  PcrModel model;
-  model.pca = fit_pca(m, min_explained);
+  fit_pca(m, model.pca, scratch, min_explained);
   const std::size_t d = m.dims();
   const std::size_t k = model.pca.retained;
   const Matrix& v = model.pca.components;
   const std::vector<double>& scales = model.pca.scales;
+  // Room for every retained count up to d, so that a later fit keeping
+  // more components than this one allocates nothing either.
+  scratch.sv.reserve(d * d);
+  scratch.gram.reserve(d * d);
+  model.score_coeffs.reserve(d);
 
   // Normal equations of the centred score regression: scores are
   // V_kᵀ·z, so Σ s·sᵀ = V_kᵀ·(n−1)R·V_k and Σ s·(y−ȳ) = V_kᵀ·D⁻¹·Σ(x−x̄)(y−ȳ).
-  const Matrix s = standardized_comoment(m, scales);
-  Matrix sv(d, k, 0.0);  // (n−1)R·V_k
+  // fit_pca left Σ z zᵀ = (n−1)R in scratch.comoment.
+  const Matrix& s = scratch.comoment;
+  Matrix& sv = scratch.sv;  // (n−1)R·V_k
+  sv.assign(d, k, 0.0);
   for (std::size_t a = 0; a < d; ++a)
     for (std::size_t c = 0; c < k; ++c)
       for (std::size_t b = 0; b < d; ++b) sv(a, c) += s(a, b) * v(b, c);
-  Matrix gram(k, k, 0.0);
-  std::vector<double> rhs(k, 0.0);
+  Matrix& gram = scratch.gram;
+  gram.assign(k, k, 0.0);
+  // The right-hand side is solved in place into the score coefficients.
+  std::vector<double>& rhs = model.score_coeffs;
+  rhs.assign(k, 0.0);
   for (std::size_t c = 0; c < k; ++c) {
     for (std::size_t e = 0; e < k; ++e)
       for (std::size_t a = 0; a < d; ++a) gram(c, e) += v(a, c) * sv(a, e);
@@ -240,9 +251,8 @@ PcrModel fit_pcr(const WindowMoments& m, double min_explained, double ridge) {
     }
   }
 
-  model.score_coeffs = solve_spd(gram, rhs);
+  solve_spd(gram, rhs);
   model.intercept = m.y_mean();  // scores are zero-mean by construction
-  return model;
 }
 
 }  // namespace amoeba::linalg

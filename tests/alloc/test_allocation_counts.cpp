@@ -5,15 +5,19 @@
 // tables, heaps, sample vectors) and container boots are not counted.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "core/deployment_controller.hpp"
 #include "core/queueing.hpp"
+#include "core/weight_estimator.hpp"
 #include "counting_new.hpp"
 #include "exp/cluster.hpp"
 #include "exp/profiling.hpp"
 #include "serverless/platform.hpp"
 #include "sim/fair_share.hpp"
+#include "sim/random.hpp"
 #include "support/callback_sink.hpp"
 #include "workload/functionbench.hpp"
 #include "workload/load_generator.hpp"
@@ -177,6 +181,85 @@ TEST(AllocationCount, MaxArrivalRateAllocatesNothing) {
   }
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_GT(sum, 0.0);
+}
+
+TEST(AllocationCount, PcrRefitAllocatesNothing) {
+  // A WeightEstimator at the controller's defaults (512-sample window, a
+  // refit every 8 heartbeats). The first 600 heartbeats fill the window and
+  // see every refit keep one component (three collinear features); from
+  // heartbeat 900 the features are independent, so the counted refits also
+  // keep more components than any warm-up fit did. The window's ring, the
+  // model and the fit scratch must all be reused.
+  core::WeightEstimator est(core::WeightEstimatorConfig{}, 0.1, 0.002);
+  sim::Rng rng(21);
+  auto beat = [&](int i) {
+    const double a = 0.1 + 0.2 * rng.uniform();
+    const core::Features x =
+        i < 900 ? core::Features{a, 0.5 * a + 0.05, 2.0 * a}
+                : core::Features{a, 0.1 + 0.1 * rng.uniform(),
+                                 0.1 + 0.05 * rng.uniform()};
+    est.observe(x, x[0] + 0.3 * x[1] + 0.2 * x[2] + 0.002 * rng.uniform());
+  };
+  int i = 0;
+  for (; i < 600; ++i) beat(i);
+  ASSERT_TRUE(est.calibrated());
+  ASSERT_EQ(est.retained_components(), 1u);
+  const std::size_t refits_before = est.refits();
+  const std::uint64_t before = allocations();
+  std::size_t most_retained = 0;
+  for (; i < 3000; ++i) {
+    beat(i);
+    most_retained = std::max(most_retained, est.retained_components());
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(est.refits() - refits_before, 300u);
+  EXPECT_GT(most_retained, 1u);
+}
+
+TEST(AllocationCount, ControllerTickAllocatesNothing) {
+  // One controller on flat latency surfaces, heartbeats and ticks in both
+  // modes over loads, pressures and container counts (1 to 300, past the
+  // log-factorial table). Counted after 600 heartbeats have filled the PCR
+  // window.
+  const auto surface = [](double slope) {
+    return core::LatencySurface({0.0, 1.0}, {0.0, 1000.0},
+                                {0.1, 0.1, 0.1 + slope, 0.1 + slope});
+  };
+  core::ServiceArtifacts art;
+  art.solo_latency_s = 0.1;
+  art.alpha_s = 0.0;
+  art.surfaces[core::kCpuDim] = surface(0.2);
+  art.surfaces[core::kIoDim] = surface(0.05);
+  art.surfaces[core::kNetDim] = surface(0.01);
+  art.pressure_per_qps = {0.001, 0.0, 0.0};
+  core::DeploymentController c(core::ControllerConfig{}, 0.5, art);
+  sim::Rng rng(22);
+  std::uint64_t switches = 0;
+  auto step = [&](int i) {
+    const std::array<double, core::kNumResources> p = {
+        rng.uniform(), 0.5 * rng.uniform(), 0.2 * rng.uniform()};
+    const double load = 5.0 + 40.0 * rng.uniform();
+    const bool serverless = (i / 50) % 2 == 1;
+    c.observe_latency(load, p, 0.1 + 0.2 * p[0] + 0.001 * rng.uniform(),
+                      serverless);
+    core::ServiceTickInput in;
+    in.mode = serverless ? core::DeployMode::kServerless
+                         : core::DeployMode::kIaas;
+    in.load_qps = load;
+    in.forecast_load_qps = load * 1.1;
+    in.total_pressures = p;
+    in.available_containers = 1 + (i * 7) % 300;
+    if (i % 3 == 0) in.observed_p95 = 0.3;
+    if (c.tick(in) != core::SwitchDecision::kStay) ++switches;
+  };
+  int i = 0;
+  for (; i < 600; ++i) step(i);
+  ASSERT_TRUE(c.estimator().calibrated());
+  const std::uint64_t before = allocations();
+  for (; i < 2600; ++i) step(i);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_TRUE(c.last_evaluation().has_value());
+  EXPECT_GT(switches, 0u);
 }
 
 TEST(AllocationCount, SharedNodeDayAllocatesLittlePerQuery) {

@@ -1,9 +1,9 @@
 // Test-only dense linear algebra over linalg::Matrix.
 //
 // The simulator itself needs only element access, the Jacobi eigensolver
-// and the SPD solve; these are the products, transposes and the batch
-// least-squares solve that the tests and the batch PCR reference
-// (reference_pcr.hpp) build their checks from. They go through Matrix's
+// and the SPD solve; these are the identity, products, transposes, dot
+// products and the batch least-squares solve that the tests and the batch
+// PCR reference (reference_pcr.hpp) build their checks from. They go through Matrix's
 // public element access, so nothing here can reach into src/.
 #pragma once
 
@@ -31,6 +31,12 @@ namespace amoeba::linalg::testing {
     for (const double x : row) m(r, c++) = x;
     ++r;
   }
+  return m;
+}
+
+[[nodiscard]] inline Matrix identity(std::size_t n) {
+  Matrix m(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
 }
 
@@ -120,6 +126,15 @@ namespace amoeba::linalg::testing {
   return m;
 }
 
+/// Dot product of equal-length vectors.
+[[nodiscard]] inline double dot(const std::vector<double>& a,
+                                const std::vector<double>& b) {
+  AMOEBA_EXPECTS(a.size() == b.size());
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  return s;
+}
+
 /// Euclidean norm.
 [[nodiscard]] inline double norm2(const std::vector<double>& v) {
   return std::sqrt(dot(v, v));
@@ -136,7 +151,9 @@ namespace amoeba::linalg::testing {
   const Matrix at = transposed(a);
   Matrix ata = at * a;
   for (std::size_t i = 0; i < ata.rows(); ++i) ata(i, i) += ridge;
-  return solve_spd(ata, apply(at, b));
+  std::vector<double> x = apply(at, b);
+  solve_spd(ata, x);
+  return x;
 }
 
 }  // namespace amoeba::linalg::testing

@@ -68,7 +68,8 @@ namespace amoeba::linalg::testing {
       corr(b, a) = v;
     }
 
-  EigenDecomposition eig = jacobi_eigen(corr);
+  EigenDecomposition eig;
+  jacobi_eigen(corr, eig);
   // A correlation matrix is positive semi-definite: anything below a tiny
   // rounding margin signals a broken decomposition, not noise. Clamp only
   // the rounding dust.
@@ -116,8 +117,8 @@ namespace amoeba::linalg::testing {
   // Design matrix of scores, plus intercept handled by centering y.
   Matrix scores(n, k, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto s = model.pca.transform(row_vector(x, i));
-    for (std::size_t c = 0; c < k; ++c) scores(i, c) = s[c];
+    const auto xi = row_vector(x, i);
+    for (std::size_t c = 0; c < k; ++c) scores(i, c) = model.pca.score(c, xi);
   }
   double ymean = 0.0;
   for (double v : y) ymean += v;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "reference_linalg.hpp"
 #include "sim/random.hpp"
 
@@ -13,22 +16,30 @@ using testing::solve_least_squares;
 
 TEST(SolveSpd, Known2x2) {
   Matrix m = from_rows({{4.0, 1.0}, {1.0, 3.0}});
-  const auto x = solve_spd(m, {1.0, 2.0});
+  std::vector<double> x = {1.0, 2.0};
+  solve_spd(m, x);
   // Verify m x = rhs.
   EXPECT_NEAR(4.0 * x[0] + 1.0 * x[1], 1.0, 1e-12);
   EXPECT_NEAR(1.0 * x[0] + 3.0 * x[1], 2.0, 1e-12);
+  // m's lower triangle now holds the Cholesky factor.
+  EXPECT_DOUBLE_EQ(m(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(m(1, 0), 0.5);
+  EXPECT_DOUBLE_EQ(m(1, 1), std::sqrt(2.75));
 }
 
 TEST(SolveSpd, RejectsIndefinite) {
   Matrix m = from_rows({{0.0, 1.0}, {1.0, 0.0}});
-  EXPECT_THROW((void)solve_spd(m, {1.0, 1.0}), ContractError);
+  std::vector<double> b = {1.0, 1.0};
+  EXPECT_THROW(solve_spd(m, b), ContractError);
 }
 
 TEST(SolveSpd, RejectsBadDimensions) {
   Matrix m(2, 3);
-  EXPECT_THROW((void)solve_spd(m, {1.0, 2.0}), ContractError);
+  std::vector<double> b2 = {1.0, 2.0};
+  EXPECT_THROW(solve_spd(m, b2), ContractError);
   Matrix sq(2, 2);
-  EXPECT_THROW((void)solve_spd(sq, {1.0}), ContractError);
+  std::vector<double> b1 = {1.0};
+  EXPECT_THROW(solve_spd(sq, b1), ContractError);
 }
 
 TEST(LeastSquares, ExactSystemRecovered) {

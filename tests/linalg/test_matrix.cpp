@@ -38,7 +38,7 @@ TEST(Matrix, OutOfRangeAccessThrows) {
 
 TEST(Matrix, IdentityMultiplication) {
   Matrix a = from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  Matrix i = Matrix::identity(2);
+  Matrix i = identity(2);
   EXPECT_DOUBLE_EQ(max_abs_diff(a * i, a), 0.0);
   EXPECT_DOUBLE_EQ(max_abs_diff(i * a, a), 0.0);
 }
@@ -85,7 +85,18 @@ TEST(Matrix, ApplyVector) {
 TEST(Matrix, RowAndColVectors) {
   Matrix a = from_rows({{1.0, 2.0}, {3.0, 4.0}});
   EXPECT_EQ(row_vector(a, 1), (std::vector<double>{3.0, 4.0}));
-  EXPECT_EQ(a.col_vector(0), (std::vector<double>{1.0, 3.0}));
+  EXPECT_EQ(row_vector(transposed(a), 0), (std::vector<double>{1.0, 3.0}));
+}
+
+TEST(Matrix, AssignReshapesAndFills) {
+  Matrix m(3, 3, 1.0);
+  m.assign(2, 4, -0.5);
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.cols(), 4u);
+  for (std::size_t r = 0; r < 2; ++r)
+    for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(m(r, c), -0.5);
+  EXPECT_THROW((void)m(2, 0), ContractError);
+  EXPECT_THROW(m.assign(0, 2), ContractError);
 }
 
 TEST(Matrix, SymmetryCheck) {

@@ -27,9 +27,16 @@ if [[ $# -ne 2 ]]; then
   exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
-bench=$(cd "$1" && pwd)/bench
-examples=$(cd "$1" && pwd)/examples
-perf=$(cd "$2" && pwd)/perf_scenarios
+tree=$(cd "$1" && pwd)
+perf_tree=$(cd "$2" && pwd)
+bench=$tree/bench
+examples=$tree/examples
+perf=$perf_tree/perf_scenarios
+# Only the runs below may count. The build's gtest_discover_tests runs
+# `amoeba_tests --gtest_list_tests` after each link, and that start-up
+# writes .gcda counters too (amoeba::set_contract_handler among them), so
+# an already-built tree holds counters no shipped run made: delete them.
+find "$tree" "$perf_tree" -name '*.gcda' -delete
 work=$(mktemp -d)
 cd "$work"
 echo "census runs in $work"
