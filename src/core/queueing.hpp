@@ -10,8 +10,11 @@
 // yields the paper's discriminant (Eq. 5): the largest arrival rate λ(μ)
 // for which the r-ile latency stays below the QoS target T_D.
 //
-// All state-probability computations run in log space (lgamma), so they
-// stay finite for thousands of servers.
+// All state-probability computations run in log space, so they stay
+// finite for thousands of servers. log k! comes from a table of the first
+// 256 values, built once on first use (thread-safe) from lgamma_r, and
+// from lgamma_r itself above it; a solve computes its λ-independent parts
+// once. None of these functions allocates.
 #pragma once
 
 #include <optional>
