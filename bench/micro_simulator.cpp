@@ -1,14 +1,18 @@
-// Standalone engine-throughput benchmark. Measures events/sec for the
-// schedule-fire, schedule-cancel and mixed schedule/cancel/fire workloads,
-// the arrival generators of a fig17 N=12 cluster day on their own (ns per
-// thinning candidate, and the share of candidates that needed the exact
-// rate), the controller tick's two solves on their own (the Eq. 5 λ_max
-// bisection at n = 4 and n = 64, and one PCR refit of the Eq. 6 weights),
-// plus the wall clock of one profiling call (exp::profile_service for
-// float, the figure benches' 6×5 grid) at --jobs 1 vs --jobs N, and
+// Standalone simulator microbenchmark, the repository's one microbench
+// ledger. Measures events/sec for the schedule-fire, schedule-cancel and
+// mixed schedule/cancel/fire workloads, the arrival generators of a fig17
+// N=12 cluster day on their own (ns per thinning candidate, and the share
+// of candidates that needed the exact rate), the controller tick's model
+// layers on their own (the Eq. 5 λ_max bisection at n = 4 and n = 64, one
+// PCR refit of the Eq. 6 weights, and one heartbeat of the weight
+// estimator's window), the fair-share stream path and the serverless query
+// path, plus the wall clock of one profiling call (exp::profile_service
+// for float, the figure benches' 6×5 grid) at --jobs 1 vs --jobs N, and
 // records everything in machine-readable BENCH_simulator.json so each
-// change's perf trajectory is comparable to the last. The `profiler_*`
-// fields that tab_overhead_profiler merges into the same file are kept.
+// change's perf trajectory is comparable to the last. Every host-time row
+// is timed once per --repeats and recorded as its median plus a `_iqr`
+// field (the spread between its quartiles). The `profiler_*` fields that
+// tab_overhead_profiler merges into the same file are kept.
 //
 //   micro_simulator [--events N] [--repeats R] [--jobs N] [--json-out PATH]
 //
@@ -20,26 +24,30 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/profile_data.hpp"
 #include "core/queueing.hpp"
+#include "core/weight_estimator.hpp"
 #include "exp/cluster.hpp"
 #include "exp/profiling.hpp"
 #include "exp/scenario.hpp"
-#include "exp/sweep.hpp"
 #include "linalg/pca.hpp"
+#include "serverless/platform.hpp"
 #include "sim/engine.hpp"
+#include "sim/fair_share.hpp"
 #include "sim/random.hpp"
+#include "stats/percentile.hpp"
 #include "workload/diurnal_trace.hpp"
 #include "workload/functionbench.hpp"
 #include "workload/load_generator.hpp"
@@ -53,82 +61,86 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Pre-rewrite engine throughput (events/sec) on these exact loops, from
-/// the seed engine (priority_queue + unordered_map<EventId, std::function>,
-/// commit 6349bc8) at the default --events 500000 --repeats 5. Measured on
-/// the development container; kept here so BENCH_simulator.json always
-/// reports the speedup this rewrite is accountable for.
-struct Baseline {
-  double fire;
-  double cancel;
-  double mixed;
+/// A host-time row: the median of one timing per repeat, and the distance
+/// between the timings' quartiles.
+struct Row {
+  double median = 0.0;
+  double iqr = 0.0;
 };
 
+/// Call `once` (one timed repetition, returning the row's value) `repeats`
+/// times.
+template <typename Fn>
+Row time_row(std::size_t repeats, Fn&& once) {
+  stats::SampleSet samples;
+  for (std::size_t r = 0; r < repeats; ++r) samples.add(once());
+  return {samples.quantile(0.5),
+          samples.quantile(0.75) - samples.quantile(0.25)};
+}
+
+/// Record `row` as `key` (the median) and `key_iqr`, and print it.
+void record(bench::BenchJson& json, const std::string& key, const Row& row) {
+  json.add(key, row.median);
+  json.add(key + "_iqr", row.iqr);
+  std::cout << "  " << key << ": " << row.median << " (IQR " << row.iqr
+            << ")\n";
+}
+
 /// Schedule n events (times cycle over 97 distinct values), then fire all.
-double bench_schedule_fire(std::size_t n, int repeats) {
-  std::uint64_t fired = 0;
+double schedule_fire_rate(std::size_t n) {
   const auto t0 = Clock::now();
-  for (int r = 0; r < repeats; ++r) {
-    sim::Engine e;
-    for (std::size_t i = 0; i < n; ++i) {
-      e.schedule(static_cast<double>(i % 97), [] {});
-    }
-    e.run();
-    fired += e.executed();
+  sim::Engine e;
+  for (std::size_t i = 0; i < n; ++i) {
+    e.schedule(static_cast<double>(i % 97), [] {});
   }
-  return static_cast<double>(fired) / seconds_since(t0);
+  e.run();
+  return static_cast<double>(e.executed()) / seconds_since(t0);
 }
 
 /// Schedule n events, cancel every one, then run (which fires nothing).
-double bench_schedule_cancel(std::size_t n, int repeats) {
+double schedule_cancel_rate(std::size_t n) {
   std::uint64_t cancelled = 0;
   std::vector<sim::EventId> ids(n);
   const auto t0 = Clock::now();
-  for (int r = 0; r < repeats; ++r) {
-    sim::Engine e;
-    for (std::size_t i = 0; i < n; ++i) {
-      ids[i] = e.schedule(static_cast<double>(i % 97), [] {});
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (e.cancel(ids[i])) ++cancelled;
-    }
-    e.run();
+  sim::Engine e;
+  for (std::size_t i = 0; i < n; ++i) {
+    ids[i] = e.schedule(static_cast<double>(i % 97), [] {});
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (e.cancel(ids[i])) ++cancelled;
+  }
+  e.run();
   return static_cast<double>(cancelled) / seconds_since(t0);
 }
 
 /// Timeout churn: per operation, one completion event (fires) and one 30 s
 /// timeout cancelled by the next operation. Arrival gaps and execution
-/// times are precomputed so the timed region is pure engine work. Counts
-/// both schedules per operation as events (each is fully processed: fired
-/// or cancelled).
-double bench_mixed(std::size_t n, int repeats, std::uint64_t seed) {
+/// times are drawn before the clock starts, so the timed region is pure
+/// engine work. Counts both schedules per operation as events (each is
+/// fully processed: fired or cancelled).
+double mixed_rate(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
   std::vector<double> gap(n);
   for (auto& g : gap) g = rng.exponential(0.01);
   std::vector<double> exec(n);
   for (auto& x : exec) x = rng.exponential(0.05);
 
-  std::uint64_t events = 0;
   const auto t0 = Clock::now();
-  for (int r = 0; r < repeats; ++r) {
-    sim::Engine e;
-    std::uint64_t acc = 0;
-    std::uint64_t* sink = &acc;
-    sim::EventId pending_timeout = sim::kNoEvent;
-    double t = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto a = static_cast<std::uint64_t>(i);
-      t += gap[i];
-      e.schedule(t + exec[i], [sink, a] { *sink += a; });
-      if (pending_timeout != sim::kNoEvent) e.cancel(pending_timeout);
-      pending_timeout = e.schedule(t + 30.0, [sink, a] { *sink ^= a; });
-      if ((i & 15) == 0) e.run_until(t);
-    }
-    e.run();
-    events += 2 * static_cast<std::uint64_t>(n);
+  sim::Engine e;
+  std::uint64_t acc = 0;
+  std::uint64_t* sink = &acc;
+  sim::EventId pending_timeout = sim::kNoEvent;
+  double t = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto a = static_cast<std::uint64_t>(i);
+    t += gap[i];
+    e.schedule(t + exec[i], [sink, a] { *sink += a; });
+    if (pending_timeout != sim::kNoEvent) e.cancel(pending_timeout);
+    pending_timeout = e.schedule(t + 30.0, [sink, a] { *sink ^= a; });
+    if ((i & 15) == 0) e.run_until(t);
   }
-  return static_cast<double>(events) / seconds_since(t0);
+  e.run();
+  return 2.0 * static_cast<double>(n) / seconds_since(t0);
 }
 
 struct ArrivalTiming {
@@ -141,47 +153,41 @@ struct ArrivalTiming {
 /// as exp::SimNode::add_stream builds them, run alone over one 1260 s day
 /// (no platform: an arrival only counts). Times the whole day, engine
 /// included, per thinning candidate.
-ArrivalTiming bench_arrivals(int repeats) {
+ArrivalTiming time_arrivals() {
   constexpr std::uint64_t kSeed = 3;
   constexpr int kTenants = 12;
   const auto tenants = exp::cluster_tenants(kTenants, 0.5);
   std::uint64_t candidates = 0, exact = 0, arrivals = 0;
-  double wall_s = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    sim::Engine engine;
-    std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
-    std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> gens;
-    for (int i = 0; i < kTenants; ++i) {
-      const auto f = static_cast<std::uint64_t>(i);
-      traces.push_back(std::make_unique<workload::DiurnalTrace>(
-          exp::diurnal_for(tenants[f], 1200.0, i / double{kTenants}),
-          kSeed ^ (0x51u + f)));
-      gens.push_back(std::make_unique<workload::PoissonLoadGenerator>(
-          engine, sim::Rng(kSeed).fork(2000 + f), *traces.back(),
-          [&arrivals] { ++arrivals; }));
-    }
-    const auto t0 = Clock::now();
-    for (auto& g : gens) g->start();
-    engine.run_until(1260.0);
-    for (auto& g : gens) g->stop();
-    wall_s += seconds_since(t0);
-    for (const auto& g : gens) {
-      candidates += g->candidates();
-      exact += g->exact_rate_calls();
-    }
+  sim::Engine engine;
+  std::vector<std::unique_ptr<workload::DiurnalTrace>> traces;
+  std::vector<std::unique_ptr<workload::PoissonLoadGenerator>> gens;
+  for (int i = 0; i < kTenants; ++i) {
+    const auto f = static_cast<std::uint64_t>(i);
+    traces.push_back(std::make_unique<workload::DiurnalTrace>(
+        exp::diurnal_for(tenants[f], 1200.0, i / double{kTenants}),
+        kSeed ^ (0x51u + f)));
+    gens.push_back(std::make_unique<workload::PoissonLoadGenerator>(
+        engine, sim::Rng(kSeed).fork(2000 + f), *traces.back(),
+        [&arrivals] { ++arrivals; }));
   }
-  ArrivalTiming out;
-  out.ns_per_candidate = 1e9 * wall_s / static_cast<double>(candidates);
-  out.exact_fraction =
-      static_cast<double>(exact) / static_cast<double>(candidates);
-  out.arrivals = arrivals / static_cast<std::uint64_t>(repeats);
-  return out;
+  const auto t0 = Clock::now();
+  for (auto& g : gens) g->start();
+  engine.run_until(1260.0);
+  for (auto& g : gens) g->stop();
+  const double wall_s = seconds_since(t0);
+  for (const auto& g : gens) {
+    candidates += g->candidates();
+    exact += g->exact_rate_calls();
+  }
+  return {1e9 * wall_s / static_cast<double>(candidates),
+          static_cast<double>(exact) / static_cast<double>(candidates),
+          arrivals};
 }
 
 /// ns per queueing::max_arrival_rate call with n containers, the solve
 /// DeploymentController::evaluate runs on every tick: a 0.1 s service whose
 /// rate varies a little from call to call, against a 0.3 s target.
-double bench_lambda_max(int n, std::size_t calls) {
+double lambda_max_ns(int n, std::size_t calls) {
   double sink = 0.0;
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < calls; ++i) {
@@ -194,34 +200,42 @@ double bench_lambda_max(int n, std::size_t calls) {
   return 1e9 * wall_s / static_cast<double>(calls);
 }
 
-/// ns per PCR refit as WeightEstimator::maybe_refit runs it: fit_pcr on a
-/// full 512-sample window of three correlated features, into a model and
-/// a scratch reused from refit to refit. One sample slides through the
-/// window between refits (not timed), so every fit sees new moments.
-double bench_pcr_refit(std::size_t refits) {
-  constexpr std::size_t kWindow = 512;
+/// The weight estimator's PCR window size (WeightEstimatorConfig's default).
+constexpr std::size_t kPcrWindow = 512;
+
+/// n heartbeats of three correlated meter features and the observed
+/// latency they predict.
+std::vector<std::pair<core::Features, double>> heartbeats(std::size_t n) {
   sim::Rng rng(42);
-  std::vector<std::array<double, 4>> stream(kWindow + refits);
-  for (auto& s : stream) {
+  std::vector<std::pair<core::Features, double>> stream(n);
+  for (auto& [x, y] : stream) {
     const double latent = rng.uniform(0.0, 0.3);
-    for (std::size_t j = 0; j < 3; ++j) {
-      s[j] = 0.1 + latent * (1.0 + 0.2 * static_cast<double>(j)) +
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      x[j] = 0.1 + latent * (1.0 + 0.2 * static_cast<double>(j)) +
              rng.uniform(0.0, 0.01);
     }
-    s[3] = 0.1 + latent + rng.uniform(0.0, 0.005);
+    y = 0.1 + latent + rng.uniform(0.0, 0.005);
   }
-  const auto x = [&stream](std::size_t i) {
-    return std::span<const double>(stream[i].data(), 3);
-  };
-  linalg::WindowMoments m(3);
-  for (std::size_t i = 0; i < kWindow; ++i) m.add(x(i), stream[i][3]);
+  return stream;
+}
+
+/// ns per PCR refit as WeightEstimator::maybe_refit runs it: fit_pcr on a
+/// full 512-sample window, into a model and a scratch reused from refit to
+/// refit. One sample slides through the window between refits (not timed),
+/// so every fit sees new moments.
+double pcr_refit_ns(std::size_t refits) {
+  const auto stream = heartbeats(kPcrWindow + refits);
+  linalg::WindowMoments m(core::kNumResources);
+  for (std::size_t i = 0; i < kPcrWindow; ++i) {
+    m.add(stream[i].first, stream[i].second);
+  }
   linalg::PcrModel model;
   linalg::FitScratch scratch;
   double sink = 0.0;
   double wall_s = 0.0;
   for (std::size_t r = 0; r < refits; ++r) {
-    m.remove_oldest(x(r), stream[r][3]);
-    m.add(x(r + kWindow), stream[r + kWindow][3]);
+    m.remove_oldest(stream[r].first, stream[r].second);
+    m.add(stream[r + kPcrWindow].first, stream[r + kPcrWindow].second);
     const auto t0 = Clock::now();
     linalg::fit_pcr(m, model, scratch);
     wall_s += seconds_since(t0);
@@ -229,6 +243,109 @@ double bench_pcr_refit(std::size_t refits) {
   }
   AMOEBA_ENSURES(sink > 0.0);
   return 1e9 * wall_s / static_cast<double>(refits);
+}
+
+/// ns per heartbeat of a WeightEstimator at steady state with
+/// refit_interval = 1: the sample enters the window's moments, the oldest
+/// leaves, and the weights refit. The window is filled before the clock
+/// starts; the exact re-sum every 512 heartbeats is amortized over the run.
+double pcr_window_step_ns(std::size_t steps) {
+  core::WeightEstimatorConfig cfg;
+  cfg.max_samples = kPcrWindow;
+  cfg.refit_interval = 1;
+  core::WeightEstimator est(cfg, 0.1, 0.0);
+  const auto stream = heartbeats(kPcrWindow + steps);
+  for (std::size_t i = 0; i < kPcrWindow; ++i) {
+    est.observe(stream[i].first, stream[i].second);
+  }
+  std::size_t fitted = 0;
+  const auto t0 = Clock::now();
+  for (std::size_t i = kPcrWindow; i < stream.size(); ++i) {
+    est.observe(stream[i].first, stream[i].second);
+    if (est.weights()) ++fitted;
+  }
+  const double wall_s = seconds_since(t0);
+  AMOEBA_ENSURES(fitted == steps);
+  return 1e9 * wall_s / static_cast<double>(steps);
+}
+
+/// Keeps streams alive on a resource: each completion opens a successor,
+/// until kStreams have been opened.
+class Churn final : public sim::StreamSink {
+ public:
+  static constexpr int kStreams = 2000;
+
+  explicit Churn(sim::FairShareResource& cpu) : cpu_(cpu) {}
+  void open_one() {
+    if (opened_ >= kStreams) return;
+    ++opened_;
+    cpu_.open(0.05, 1.0, *this, 0);
+  }
+  void stream_done(std::uint32_t /*key*/) override { open_one(); }
+
+ private:
+  sim::FairShareResource& cpu_;
+  int opened_ = 0;
+};
+
+/// ns per stream of 2000 single-core streams of 0.05 core-seconds chaining
+/// through a sim::StreamSink on a 40-core resource, 32 open at a time,
+/// engine included; `rounds` fresh engines and resources per repetition.
+double fair_share_churn_ns(std::size_t rounds) {
+  constexpr int kConcurrent = 32;
+  double busy = 0.0;
+  const auto t0 = Clock::now();
+  for (std::size_t r = 0; r < rounds; ++r) {
+    sim::Engine e;
+    sim::FairShareResource cpu(e, 40.0);
+    Churn churn(cpu);
+    for (int i = 0; i < kConcurrent; ++i) churn.open_one();
+    e.run();
+    busy += cpu.busy_capacity_seconds(e.now());
+  }
+  const double wall_s = seconds_since(t0);
+  AMOEBA_ENSURES(busy > 0.0);
+  return 1e9 * wall_s / static_cast<double>(rounds * Churn::kStreams);
+}
+
+/// ns per query of 500 warm queries, 0.1 s apart, to one function on a
+/// fresh ServerlessPlatform (zero cold start), engine included; `rounds`
+/// fresh platforms per repetition.
+double serverless_query_ns(std::size_t rounds) {
+  constexpr int kQueries = 500;
+  serverless::PlatformConfig cfg;
+  cfg.cores = 40.0;
+  cfg.pool_memory_mb = 32768.0;
+  cfg.cold_start_mean_s = 0.0;
+  workload::FunctionProfile p;
+  // std::string{} avoids GCC 12's bogus -Wrestrict on char* assignment
+  // under -fsanitize (PR105651).
+  p.name = std::string{"f"};
+  p.exec = {.cpu_seconds = 0.05, .io_bytes = 1e6, .net_bytes = 1e6};
+  p.code_bytes = 1e6;
+  p.result_bytes = 1e4;
+  p.platform_overhead_s = 0.01;
+  p.memory_mb = 256.0;
+  p.cpu_cv = 0.1;
+  p.qos_target_s = 1.0;
+  p.peak_load_qps = 10.0;
+
+  std::size_t done = 0;
+  const auto t0 = Clock::now();
+  for (std::size_t r = 0; r < rounds; ++r) {
+    sim::Engine e;
+    serverless::ServerlessPlatform sp(e, cfg, sim::Rng(1));
+    const serverless::FunctionId fn = sp.register_function(p);
+    for (int i = 0; i < kQueries; ++i) {
+      e.schedule(0.1 * i, [&] {
+        sp.submit(fn, [&done](const workload::QueryRecord&) { ++done; });
+      });
+    }
+    e.run();
+  }
+  const double wall_s = seconds_since(t0);
+  AMOEBA_ENSURES(done == rounds * kQueries);
+  return 1e9 * wall_s / static_cast<double>(done);
 }
 
 /// The sweep: one profile_service call for float on the figure benches'
@@ -282,70 +399,112 @@ SweepTiming run_sweep(const exp::ClusterConfig& cluster,
   return timing;
 }
 
+/// A numeric flag: a whole decimal integer in [min, max]. "5e5", "-1",
+/// "8x" and "" are rejected, not read as their leading digits.
+struct CountFlag {
+  std::string_view name;
+  std::size_t min;
+  std::size_t max;
+  std::string_view why;  ///< appended to the rejection message
+  std::size_t* value;
+
+  [[nodiscard]] bool parse(std::string_view text) const {
+    std::size_t v = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end || v < min || v > max) return false;
+    *value = v;
+    return true;
+  }
+};
+
+int usage() {
+  std::cerr << "usage: micro_simulator [--events N] [--repeats R]"
+               " [--jobs N] [--json-out PATH]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --jobs here is the N of the "jobs=1 vs jobs=N" comparison (default 8);
-  // parse_jobs_flag returns 1 when the flag is absent.
-  unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  if (jobs == 1) jobs = 8;
   std::size_t events = 500000;
-  int repeats = 5;
+  std::size_t repeats = 5;
+  std::size_t jobs = 8;  // the N of the "jobs=1 vs jobs=N" sweep
   std::string json_out = "BENCH_simulator.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--events" && i + 1 < argc) {
-      events = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--repeats" && i + 1 < argc) {
-      repeats = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else {
-      std::cerr << "usage: micro_simulator [--events N] [--repeats R]"
-                   " [--jobs N] [--json-out PATH]\n";
-      return 2;
+  const std::array<CountFlag, 3> counts{{
+      {"--events", 1, 10'000'000, "", &events},
+      {"--repeats", 1, 1000, "", &repeats},
+      {"--jobs", 2, 1024, ": the sweep compares jobs=1 against jobs=N", &jobs},
+  }};
+  for (int i = 1; i < argc; i += 2) {
+    const std::string_view arg = argv[i];
+    if (i + 1 == argc) return usage();
+    const std::string_view value = argv[i + 1];
+    if (arg == "--json-out") {
+      json_out = value;
+      continue;
+    }
+    const auto flag = std::ranges::find(counts, arg, &CountFlag::name);
+    if (flag == counts.end()) return usage();
+    if (!flag->parse(value)) {
+      std::cerr << "micro_simulator: " << flag->name
+                << " expects an integer in [" << flag->min << ", "
+                << flag->max << "], got '" << value << "'" << flag->why
+                << "\n";
+      return usage();
     }
   }
-  AMOEBA_EXPECTS(events > 0 && repeats > 0);
 
-  // Pre-rewrite numbers for the default workload size (medians of five
-  // runs of the seed engine through these exact loops, RelWithDebInfo,
-  // contracts on). Scaled runs (CI smoke) still record them for context
-  // but the speedup is only apples-to-apples at the default
-  // --events/--repeats.
-  const Baseline baseline{1.71e6, 2.75e6, 1.64e7};
-
-  std::cout << "engine micro-benchmark: events=" << events
+  std::cout << "simulator micro-benchmark: events=" << events
             << " repeats=" << repeats << " jobs=" << jobs << "\n";
+  bench::BenchJson json;
+  json.add("bench", std::string{"simulator"});
+  json.add("events", static_cast<double>(events));
+  json.add("repeats", static_cast<double>(repeats));
 
-  const double fire = bench_schedule_fire(events, repeats);
-  std::cout << "  schedule-fire:   " << fire << " events/sec\n";
-  const double cancel = bench_schedule_cancel(events, repeats);
-  std::cout << "  schedule-cancel: " << cancel << " events/sec\n";
-  const double mixed = bench_mixed(events, repeats, 7);
-  std::cout << "  mixed:           " << mixed
-            << " events/sec (" << mixed / baseline.mixed
-            << "x of pre-rewrite baseline)\n";
+  record(json, "schedule_fire_events_per_sec",
+         time_row(repeats, [events] { return schedule_fire_rate(events); }));
+  record(json, "schedule_cancel_events_per_sec",
+         time_row(repeats, [events] { return schedule_cancel_rate(events); }));
+  record(json, "mixed_events_per_sec",
+         time_row(repeats, [events] { return mixed_rate(events, 7); }));
 
-  const ArrivalTiming arrivals = bench_arrivals(repeats);
-  std::cout << "  arrivals (12 cluster_n12 streams, 1260 s day, "
-            << arrivals.arrivals << " arrivals): "
-            << arrivals.ns_per_candidate << " ns/candidate, exact rate for "
-            << 100.0 * arrivals.exact_fraction << "% of candidates\n";
+  ArrivalTiming arrivals;
+  record(json, "arrivals_ns_per_candidate", time_row(repeats, [&arrivals] {
+           arrivals = time_arrivals();
+           return arrivals.ns_per_candidate;
+         }));
+  json.add("arrivals_exact_fraction", arrivals.exact_fraction);
+  std::cout << "    (12 cluster_n12 streams, 1260 s day, " << arrivals.arrivals
+            << " arrivals, exact rate for "
+            << 100.0 * arrivals.exact_fraction << "% of candidates)\n";
 
-  // 2,000 solves and 10,000 refits at the default --events.
+  // 2,000 solves, 10,000 refits and heartbeats, 100 fair-share rounds
+  // (200,000 streams) and 50 platforms (25,000 queries) per repetition at
+  // the default --events.
   const std::size_t solves = std::max<std::size_t>(50, events / 250);
-  const double lambda_max_n4_ns = bench_lambda_max(4, solves);
-  const double lambda_max_n64_ns = bench_lambda_max(64, solves);
-  const double pcr_refit_ns =
-      bench_pcr_refit(std::max<std::size_t>(200, events / 50));
-  std::cout << "  controller: lambda_max " << lambda_max_n4_ns
-            << " ns (n=4), " << lambda_max_n64_ns << " ns (n=64); PCR refit "
-            << pcr_refit_ns << " ns\n";
+  const std::size_t fits = std::max<std::size_t>(200, events / 50);
+  record(json, "controller_lambda_max_ns_n4",
+         time_row(repeats, [solves] { return lambda_max_ns(4, solves); }));
+  record(json, "controller_lambda_max_ns_n64",
+         time_row(repeats, [solves] { return lambda_max_ns(64, solves); }));
+  record(json, "pcr_refit_ns",
+         time_row(repeats, [fits] { return pcr_refit_ns(fits); }));
+  record(json, "pcr_window_step_ns",
+         time_row(repeats, [fits] { return pcr_window_step_ns(fits); }));
+  const std::size_t churn_rounds = std::max<std::size_t>(1, events / 5000);
+  record(json, "fair_share_churn_ns", time_row(repeats, [churn_rounds] {
+           return fair_share_churn_ns(churn_rounds);
+         }));
+  const std::size_t platforms = std::max<std::size_t>(1, events / 10000);
+  record(json, "serverless_query_ns", time_row(repeats, [platforms] {
+           return serverless_query_ns(platforms);
+         }));
 
   const exp::ClusterConfig cluster = exp::default_cluster();
   const exp::ProfilingConfig serial_cfg = sweep_config(events, 1);
-  const exp::ProfilingConfig parallel_cfg = sweep_config(events, jobs);
+  const exp::ProfilingConfig parallel_cfg =
+      sweep_config(events, static_cast<unsigned>(jobs));
   const core::MeterCalibration calibration =
       exp::profile_meters(cluster, parallel_cfg);
   const std::size_t sweep_tasks =
@@ -362,22 +521,6 @@ int main(int argc, char** argv) {
             << " s, identical artifacts: " << (deterministic ? "yes" : "NO")
             << "\n";
 
-  bench::BenchJson json;
-  json.add("bench", std::string{"simulator"});
-  json.add("events", static_cast<double>(events));
-  json.add("repeats", static_cast<double>(repeats));
-  json.add("schedule_fire_events_per_sec", fire);
-  json.add("schedule_cancel_events_per_sec", cancel);
-  json.add("mixed_events_per_sec", mixed);
-  json.add("baseline_schedule_fire_events_per_sec", baseline.fire);
-  json.add("baseline_schedule_cancel_events_per_sec", baseline.cancel);
-  json.add("baseline_mixed_events_per_sec", baseline.mixed);
-  json.add("mixed_speedup_vs_baseline", mixed / baseline.mixed);
-  json.add("arrivals_ns_per_candidate", arrivals.ns_per_candidate);
-  json.add("arrivals_exact_fraction", arrivals.exact_fraction);
-  json.add("controller_lambda_max_ns_n4", lambda_max_n4_ns);
-  json.add("controller_lambda_max_ns_n64", lambda_max_n64_ns);
-  json.add("pcr_refit_ns", pcr_refit_ns);
   json.add("sweep_tasks", static_cast<double>(sweep_tasks));
   json.add("sweep_cell_duration_s", serial_cfg.cell_duration_s);
   json.add("sweep_jobs", static_cast<double>(jobs));

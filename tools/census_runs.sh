@@ -74,7 +74,6 @@ run "$bench/fig18_callgraph_qos" --smoke --jobs 2 --json-out fig18.json
 run "$bench/abl_fault_tolerance" --smoke --jobs 2
 run "$bench/micro_simulator" --events 20000 --repeats 1 \
   --json-out micro_simulator.json
-run "$bench/micro_benchmarks" --benchmark_min_time=0.01
 # Merge into a copy of the committed file: the merge is what parses it.
 cp "$root/BENCH_simulator.json" bench_simulator.json
 run "$bench/tab_overhead_profiler" --period-s 360 --repeats 1 \
