@@ -5,17 +5,15 @@
 
 namespace amoeba::core {
 
-void BudgetDecomposerConfig::validate() const {
-  AMOEBA_EXPECTS(ewma_alpha > 0.0 && ewma_alpha <= 1.0);
-  AMOEBA_EXPECTS(min_weight_s > 0.0);
-}
+namespace {
+/// EWMA smoothing of an observed per-stage p95 into the stage weight.
+constexpr double kEwmaAlpha = 0.3;
+}  // namespace
 
 BudgetDecomposer::BudgetDecomposer(workload::CallGraph graph,
                                    double e2e_target_s,
-                                   const std::vector<double>& initial_weights,
-                                   BudgetDecomposerConfig cfg)
-    : graph_(std::move(graph)), target_s_(e2e_target_s), cfg_(cfg) {
-  cfg_.validate();
+                                   const std::vector<double>& initial_weights)
+    : graph_(std::move(graph)), target_s_(e2e_target_s) {
   AMOEBA_EXPECTS_VALS(e2e_target_s > 0.0, e2e_target_s);
   AMOEBA_EXPECTS_VALS(
       static_cast<int>(initial_weights.size()) == graph_.size(),
@@ -23,7 +21,7 @@ BudgetDecomposer::BudgetDecomposer(workload::CallGraph graph,
   weights_.reserve(initial_weights.size());
   for (const double w : initial_weights) {
     AMOEBA_EXPECTS_VALS(w > 0.0, w);
-    weights_.push_back(std::max(w, cfg_.min_weight_s));
+    weights_.push_back(std::max(w, kMinWeightS));
   }
 }
 
@@ -32,9 +30,8 @@ void BudgetDecomposer::observe(int stage, double observed_p95_s) {
                       graph_.size());
   AMOEBA_EXPECTS_VALS(observed_p95_s >= 0.0, observed_p95_s);
   const auto k = static_cast<std::size_t>(stage);
-  const double sample = std::max(observed_p95_s, cfg_.min_weight_s);
-  weights_[k] = (1.0 - cfg_.ewma_alpha) * weights_[k] +
-                cfg_.ewma_alpha * sample;
+  const double sample = std::max(observed_p95_s, kMinWeightS);
+  weights_[k] = (1.0 - kEwmaAlpha) * weights_[k] + kEwmaAlpha * sample;
 }
 
 std::vector<double> BudgetDecomposer::budgets() const {

@@ -30,27 +30,20 @@
 
 namespace amoeba::core {
 
-struct BudgetDecomposerConfig {
-  /// EWMA smoothing of observed per-stage p95 into the stage weight:
-  /// w <- (1 - alpha) * w + alpha * p95. 1 = no smoothing.
-  double ewma_alpha = 0.3;
-  /// Floor for a stage weight (seconds): keeps budgets strictly positive
-  /// even when a stage reports (near-)zero latency.
-  double min_weight_s = 1e-4;
-
-  void validate() const;
-};
-
 class BudgetDecomposer {
  public:
+  /// Floor for a stage weight (seconds): keeps budgets strictly positive
+  /// even when a stage reports (near-)zero latency.
+  static constexpr double kMinWeightS = 1e-4;
+
   /// `initial_weights[k]` seeds stage k's weight (canonical index order);
   /// typically the stage's ideal solo latency. All weights must be > 0
-  /// (values below min_weight_s are floored).
+  /// (values below kMinWeightS are floored).
   BudgetDecomposer(workload::CallGraph graph, double e2e_target_s,
-                   const std::vector<double>& initial_weights,
-                   BudgetDecomposerConfig cfg = {});
+                   const std::vector<double>& initial_weights);
 
-  /// Fold one observed per-stage p95 into the stage's weight (EWMA).
+  /// Fold one observed per-stage p95 into the stage's weight: an EWMA,
+  /// w <- 0.7 * w + 0.3 * max(p95, kMinWeightS).
   void observe(int stage, double observed_p95_s);
 
   /// Current per-stage budgets b_k = T * w_k / S_k (canonical order).
@@ -68,7 +61,6 @@ class BudgetDecomposer {
  private:
   workload::CallGraph graph_;
   double target_s_ = 0.0;
-  BudgetDecomposerConfig cfg_;
   std::vector<double> weights_;
 };
 

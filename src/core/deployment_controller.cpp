@@ -1,7 +1,9 @@
 #include "core/deployment_controller.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
+
 #include "obs/profiler.hpp"
 
 namespace amoeba::core {
@@ -94,6 +96,10 @@ void DeploymentController::observe_latency(
     double load_qps, const std::array<double, kNumResources>& total_pressures,
     double observed_service_s, bool resident_on_serverless) {
   AMOEBA_PROF_SCOPE(kController);
+  AMOEBA_EXPECTS_VALS(std::isfinite(load_qps) && load_qps >= 0.0, load_qps);
+  AMOEBA_EXPECTS_VALS(
+      std::isfinite(observed_service_s) && observed_service_s > 0.0,
+      observed_service_s);
   const auto ext = external_pressures(load_qps, total_pressures,
                                       resident_on_serverless);
   Features f{};

@@ -91,7 +91,8 @@ class DeploymentController {
 
   /// Heartbeat: an observed service-time sample (queue/cold-start already
   /// excluded) for PCA calibration, taken at the given load and pressures
-  /// while the service is (or is not) resident on serverless.
+  /// while the service is (or is not) resident on serverless. The load must
+  /// be finite and non-negative, the sample finite and positive.
   void observe_latency(double load_qps,
                        const std::array<double, kNumResources>& total_pressures,
                        double observed_service_s, bool resident_on_serverless);

@@ -12,8 +12,11 @@ constexpr char kSwitchCat[] = "switch";
 /// Max VM boot attempts per to-IaaS switch before the switch aborts (boots
 /// can fail under fault injection).
 constexpr int kSwitchMaxRetries = 3;
+/// Warm-set acknowledgement polling interval during a to-serverless switch,
+/// and the base delay of every retry backoff.
+constexpr double kPrewarmPollS = 0.25;
 /// Exponential backoff base for retry delays: the k-th retry waits
-/// prewarm_poll_s * kSwitchRetryBackoff^k (capped by the switch timeout).
+/// kPrewarmPollS * kSwitchRetryBackoff^k (capped by the switch timeout).
 constexpr double kSwitchRetryBackoff = 2.0;
 /// After an aborted switch the service refuses new switch decisions for
 /// this long, so a persistently failing platform cannot make the
@@ -34,7 +37,6 @@ const HybridEngineConfig& validated(const HybridEngineConfig& cfg) {
 
 void HybridEngineConfig::validate() const {
   AMOEBA_EXPECTS(mirror_fraction >= 0.0 && mirror_fraction <= 1.0);
-  AMOEBA_EXPECTS(prewarm_poll_s > 0.0);
   AMOEBA_EXPECTS(switch_timeout_s > 0.0);
 }
 
@@ -66,8 +68,7 @@ void HybridExecutionEngine::boot_initial_vm(int attempt) {
       [this] { flush_boot_buffer(); },
       [this, attempt] {
         const double delay =
-            cfg_.prewarm_poll_s *
-            std::pow(kSwitchRetryBackoff, std::min(attempt, 8));
+            kPrewarmPollS * std::pow(kSwitchRetryBackoff, std::min(attempt, 8));
         engine_.schedule_in(delay,
                             [this, attempt] { boot_initial_vm(attempt + 1); });
       });
@@ -319,7 +320,7 @@ void HybridExecutionEngine::poll_prewarm(std::uint64_t generation,
   }
   // Keep nudging the pool: evictions/expiry may have freed memory.
   serverless_.prewarm(fn_, needed_);
-  double delay = cfg_.prewarm_poll_s;
+  double delay = kPrewarmPollS;
   if (serverless_.counts(fn_).total() < needed_) {
     // Allocation shortfall (no memory, or injected boot failures burned
     // attempts): retry with exponential backoff so a struggling pool is not
@@ -327,7 +328,7 @@ void HybridExecutionEngine::poll_prewarm(std::uint64_t generation,
     // whole affair; healthy switches keep the plain poll cadence.
     ++shortfalls;
     delay = std::min(
-        cfg_.prewarm_poll_s * std::pow(kSwitchRetryBackoff, shortfalls),
+        kPrewarmPollS * std::pow(kSwitchRetryBackoff, shortfalls),
         cfg_.switch_timeout_s);
     note_retry("prewarm_retry", obs::TraceArg::of(
                                     "shortfalls",
@@ -405,8 +406,7 @@ void HybridExecutionEngine::on_vm_boot_failed(std::uint64_t generation,
   }
   note_retry("boot_retry",
              obs::TraceArg::of("attempt", static_cast<double>(attempt + 1)));
-  const double delay =
-      cfg_.prewarm_poll_s * std::pow(kSwitchRetryBackoff, attempt);
+  const double delay = kPrewarmPollS * std::pow(kSwitchRetryBackoff, attempt);
   engine_.schedule_in(delay, [this, generation, attempt] {
     start_vm_boot(generation, attempt + 1);
   });

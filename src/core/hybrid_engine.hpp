@@ -45,7 +45,6 @@ struct HybridEngineConfig {
   PrewarmPolicy prewarm;
   bool enable_prewarm = true;     ///< false = Amoeba-NoP ablation
   double mirror_fraction = 0.08;  ///< IaaS-mode sampling share to serverless
-  double prewarm_poll_s = 0.25;   ///< ack polling interval during switches
   double switch_timeout_s = 30.0; ///< abort a switch that cannot complete
 
   void validate() const;

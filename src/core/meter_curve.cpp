@@ -24,18 +24,6 @@ MeterCurve::MeterCurve(std::vector<CurvePoint> points)
   }
 }
 
-double MeterCurve::latency_at(double pressure) const {
-  if (pressure <= points_.front().pressure) return points_.front().latency;
-  if (pressure >= points_.back().pressure) return points_.back().latency;
-  const auto it = std::lower_bound(
-      points_.begin(), points_.end(), pressure,
-      [](const CurvePoint& p, double x) { return p.pressure < x; });
-  const CurvePoint& hi = *it;
-  const CurvePoint& lo = *std::prev(it);
-  const double f = (pressure - lo.pressure) / (hi.pressure - lo.pressure);
-  return lo.latency + f * (hi.latency - lo.latency);
-}
-
 double MeterCurve::pressure_for(double latency) const {
   if (latency <= points_.front().latency) return points_.front().pressure;
   if (latency >= points_.back().latency) return points_.back().pressure;

@@ -26,10 +26,6 @@ class MeterCurve {
   /// clamping). Requires >= 2 points.
   explicit MeterCurve(std::vector<CurvePoint> points);
 
-  /// Expected meter latency at `pressure` (linear interpolation, clamped
-  /// to the profiled range).
-  [[nodiscard]] double latency_at(double pressure) const;
-
   /// Inverse lookup: the pressure whose profiled latency equals
   /// `latency` (clamped to the profiled range). On flat segments returns
   /// the segment's lowest pressure (the conservative choice: the monitor

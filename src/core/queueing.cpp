@@ -17,9 +17,6 @@ void check_params(double lambda, int n, double mu) {
   AMOEBA_EXPECTS_VALS(mu > 0.0, mu);
 }
 
-/// Postcondition shared by the state-probability functions: a probability.
-bool is_probability(double p) { return p >= 0.0 && p <= 1.0; }
-
 /// log Γ(x). `std::lgamma` also writes the global `signgam`, a data race
 /// when sweeps run queueing math on several threads; `lgamma_r` returns the
 /// sign through a local and computes the same value.
@@ -65,12 +62,6 @@ class Mmn {
 
   /// ρ = λ / (nμ), as queueing::rho computes it.
   [[nodiscard]] double rho(double lambda) const { return lambda / n_mu_; }
-
-  [[nodiscard]] double log_pi0(double lambda) const {
-    const double a = lambda / mu_;
-    const double log_a = std::log(a);
-    return log_pi0(a, log_a, head(log_a));
-  }
 
   [[nodiscard]] double log_pin(double lambda) const {
     const double a = lambda / mu_;
@@ -136,31 +127,6 @@ class Mmn {
 double rho(double lambda, int n, double mu) {
   check_params(lambda, n, mu);
   return lambda / (n * mu);
-}
-
-double pi0(double lambda, int n, double mu) {
-  check_params(lambda, n, mu);
-  AMOEBA_EXPECTS_MSG(rho(lambda, n, mu) < 1.0, "system must be stable");
-  const double p = std::exp(Mmn(n, mu).log_pi0(lambda));
-  AMOEBA_ENSURES_VALS(is_probability(p), p, lambda, n, mu);
-  return p;
-}
-
-double pi_n(double lambda, int n, double mu) {
-  check_params(lambda, n, mu);
-  AMOEBA_EXPECTS_MSG(rho(lambda, n, mu) < 1.0, "system must be stable");
-  const double p = std::exp(Mmn(n, mu).log_pin(lambda));
-  AMOEBA_ENSURES_VALS(is_probability(p), p, lambda, n, mu);
-  return p;
-}
-
-double erlang_c(double lambda, int n, double mu) {
-  check_params(lambda, n, mu);
-  const double r = rho(lambda, n, mu);
-  AMOEBA_EXPECTS_MSG(r < 1.0, "system must be stable");
-  const double c = std::exp(Mmn(n, mu).log_pin(lambda) - std::log1p(-r));
-  AMOEBA_ENSURES_VALS(is_probability(c), c, lambda, n, mu);
-  return c;
 }
 
 double wait_quantile(double lambda, int n, double mu, double q) {
@@ -276,13 +242,6 @@ std::optional<int> min_servers(double lambda, double mu, double t_d, double r,
     if (qos_satisfied(lambda, n, mu, t_d, r)) return n;
   }
   return std::nullopt;
-}
-
-double mean_wait(double lambda, int n, double mu) {
-  const double c = erlang_c(lambda, n, mu);
-  const double w = c / (n * mu - lambda);
-  AMOEBA_ENSURES_VALS(w >= 0.0 && std::isfinite(w), w, lambda, n, mu);
-  return w;
 }
 
 }  // namespace amoeba::core::queueing

@@ -27,17 +27,6 @@ namespace amoeba::core::queueing {
 /// Offered load per server: ρ = λ / (nμ). Stable iff ρ < 1.
 [[nodiscard]] double rho(double lambda, int n, double mu);
 
-/// π₀: probability of an empty system (Eq. 1 normalization). Requires
-/// ρ < 1.
-[[nodiscard]] double pi0(double lambda, int n, double mu);
-
-/// π_n: probability of exactly n queries in the system (Eq. 1, k = n).
-[[nodiscard]] double pi_n(double lambda, int n, double mu);
-
-/// Erlang-C: probability an arriving query must wait, P{W > 0} =
-/// π_n / (1 − ρ) (complement of Eq. 2).
-[[nodiscard]] double erlang_c(double lambda, int n, double mu);
-
 /// The t with P{W <= t} = q under Eq. 4 (0 if the quantile is met with no
 /// wait). Requires stability and q in (0, 1).
 [[nodiscard]] double wait_quantile(double lambda, int n, double mu, double q);
@@ -82,8 +71,5 @@ namespace amoeba::core::queueing {
 [[nodiscard]] std::optional<int> min_servers(double lambda, double mu,
                                              double t_d, double r,
                                              int n_limit = 100000);
-
-/// Mean waiting time E[W] = ErlangC / (nμ − λ); requires stability.
-[[nodiscard]] double mean_wait(double lambda, int n, double mu);
 
 }  // namespace amoeba::core::queueing

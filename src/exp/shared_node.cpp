@@ -323,7 +323,6 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
   std::vector<workload::FunctionProfile> profiles;
   std::vector<iaas::VmSpec> vm_specs;
   std::vector<int> asks;
-  const core::BudgetDecomposerConfig decomposer_cfg;
   decomposers.reserve(flows.size());
   for (const NodeFlow& flow : flows) {
     const workload::CallGraph& g = flow.graph;
@@ -332,10 +331,10 @@ NodeRun run_shared_node(const std::vector<NodeFlow>& flows,
     for (int k = 0; k < g.size(); ++k) {
       const double ideal = g.stage(k).profile.ideal_iaas_latency(
           cluster.iaas.disk_bps, cluster.iaas.net_bps);
-      w0.push_back(std::max(ideal, decomposer_cfg.min_weight_s));
+      w0.push_back(std::max(ideal, core::BudgetDecomposer::kMinWeightS));
       floors.push_back(std::min(kFeasibilityFloorFactor * ideal, t_e2e));
     }
-    decomposers.emplace_back(g, t_e2e, w0, decomposer_cfg);
+    decomposers.emplace_back(g, t_e2e, w0);
     const std::vector<double> raw0 =
         budget_mode == BudgetMode::kEndToEndAware
             ? decomposers.back().budgets()

@@ -20,6 +20,8 @@ IaasPlatform::IaasPlatform(sim::Engine& engine, IaasConfig cfg, sim::Rng rng)
 VirtualMachine& IaasPlatform::register_service(
     const workload::FunctionProfile& profile, VmSpec spec) {
   AMOEBA_PROF_SCOPE(kIaasPool);
+  AMOEBA_EXPECTS_VALS(spec.cores > 0.0, spec.cores);
+  AMOEBA_EXPECTS_VALS(spec.memory_mb > 0.0, spec.memory_mb);
   if (spec.boot_s < 0.0) spec.boot_s = cfg_.vm_boot_s;
   auto vm = std::make_unique<VirtualMachine>(
       engine_, profile, spec, rng_.fork(vms_.size() + 101), cfg_.disk_bps,

@@ -29,8 +29,8 @@ class IaasPlatform {
   IaasPlatform(sim::Engine& engine, IaasConfig cfg, sim::Rng rng);
 
   /// Create the (stopped) VM for a service and return it; the platform owns
-  /// it for its own lifetime. If `spec.boot_s` is negative it inherits the
-  /// platform default.
+  /// it for its own lifetime. The spec needs positive cores and memory; if
+  /// `spec.boot_s` is negative it inherits the platform default.
   VirtualMachine& register_service(const workload::FunctionProfile& profile,
                                    VmSpec spec);
 

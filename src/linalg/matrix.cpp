@@ -4,11 +4,6 @@
 
 namespace amoeba::linalg {
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {
-  AMOEBA_EXPECTS(rows > 0 && cols > 0);
-}
-
 void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
   AMOEBA_EXPECTS(rows > 0 && cols > 0);
   rows_ = rows;

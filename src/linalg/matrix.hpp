@@ -11,8 +11,8 @@ namespace amoeba::linalg {
 
 class Matrix {
  public:
+  /// An empty 0×0 matrix; assign() sizes it.
   Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }

@@ -21,8 +21,9 @@ void check_counts(const PoolCounts& c) {
 ContainerPool::ContainerPool(sim::Engine& engine, double memory_capacity_mb,
                              double keep_alive_s)
     : engine_(engine),
-      memory_(engine, memory_capacity_mb),
+      memory_capacity_mb_(memory_capacity_mb),
       keep_alive_s_(keep_alive_s) {
+  AMOEBA_EXPECTS(memory_capacity_mb > 0.0);
   AMOEBA_EXPECTS(keep_alive_s > 0.0);
 }
 
@@ -40,7 +41,12 @@ std::optional<ContainerId> ContainerPool::start(
   AMOEBA_EXPECTS(on_ready != nullptr);
   AMOEBA_EXPECTS(known(function));
   FunctionRecord& rec = record(function);
-  if (!memory_.try_acquire(memory_mb)) return std::nullopt;
+  if (memory_in_use_mb_ + memory_mb > memory_capacity_mb_ + 1e-9) {
+    return std::nullopt;
+  }
+  memory_in_use_mb_ += memory_mb;
+  AMOEBA_INVARIANT_VALS(memory_in_use_mb_ <= memory_capacity_mb_ + 1e-6,
+                        memory_in_use_mb_, memory_capacity_mb_);
 
   bool boot_fails = false;
   if (faults_ != nullptr) {
@@ -74,7 +80,7 @@ std::optional<ContainerId> ContainerPool::start(
   rec.memory.add(engine_.now(), memory_mb);
   ++cold_starts_;
   peak_total_containers_ = std::max(peak_total_containers_, live_containers_);
-  peak_memory_in_use_mb_ = std::max(peak_memory_in_use_mb_, memory_.in_use());
+  peak_memory_in_use_mb_ = std::max(peak_memory_in_use_mb_, memory_in_use_mb_);
 
   // The callbacks wait in the row, so the boot event captures 24 bytes and
   // stays in the engine slot's inline buffer.
@@ -168,11 +174,13 @@ void ContainerPool::expire_due() {
 }
 
 bool ContainerPool::memory_available(double memory_mb) const {
-  return memory_.available() + 1e-9 >= memory_mb;
+  return memory_free_mb() + 1e-9 >= memory_mb;
 }
 
 bool ContainerPool::evict_lru_idle(std::optional<FunctionId> exclude) {
   AMOEBA_PROF_SCOPE(kServerlessPool);
+  AMOEBA_EXPECTS_MSG(!exclude.has_value() || known(*exclude),
+                     "excluded function was never added");
   // Each idle list is ordered by idle_since, so the pool's least
   // (idle_since, id) is in the run of equal idle_since at some list's
   // front: a scan of the functions, not of the containers. Most calls come
@@ -269,7 +277,10 @@ void ContainerPool::destroy(ContainerId id) {
   } else {
     fr.memory.add(engine_.now(), -c.memory_mb);
   }
-  memory_.release(c.memory_mb);
+  AMOEBA_INVARIANT_MSG(c.memory_mb <= memory_in_use_mb_ + 1e-9,
+                       "releasing more memory than held");
+  memory_in_use_mb_ -= c.memory_mb;
+  if (memory_in_use_mb_ < 0.0) memory_in_use_mb_ = 0.0;
   // Free the row; a pending boot event for `id` finds it gone.
   row.container.id = 0;
   row.on_ready = nullptr;
@@ -319,7 +330,7 @@ PoolCounts ContainerPool::total_counts() const {
 
 int ContainerPool::headroom(double memory_mb) const {
   AMOEBA_EXPECTS(memory_mb > 0.0);
-  return static_cast<int>(memory_.available() / memory_mb);
+  return static_cast<int>(memory_free_mb() / memory_mb);
 }
 
 std::vector<ContainerId> ContainerPool::starting_ids(

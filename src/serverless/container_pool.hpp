@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "serverless/container.hpp"
-#include "sim/counting_resource.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_injector.hpp"
 #include "stats/gauge.hpp"
@@ -74,7 +73,8 @@ class ContainerPool {
   [[nodiscard]] bool memory_available(double memory_mb) const;
 
   /// Evict the least-recently-used idle container (optionally excluding one
-  /// function's containers). Returns true if something was evicted.
+  /// function's containers; that function must be known to the pool).
+  /// Returns true if something was evicted.
   bool evict_lru_idle(std::optional<FunctionId> exclude = std::nullopt);
 
   /// Pop the most-recently-used idle container of `function` (LIFO reuse
@@ -125,7 +125,7 @@ class ContainerPool {
       FunctionId function) const;
 
   [[nodiscard]] double memory_in_use_mb() const noexcept {
-    return memory_.in_use();
+    return memory_in_use_mb_;
   }
 
   /// Per-function container-memory integral (MB·s) through `now`.
@@ -222,8 +222,16 @@ class ContainerPool {
     return functions_[static_cast<std::size_t>(function)];
   }
 
+  /// Memory not reserved by any container (MB).
+  [[nodiscard]] double memory_free_mb() const noexcept {
+    return memory_capacity_mb_ - memory_in_use_mb_;
+  }
+
   sim::Engine& engine_;
-  sim::CountingResource memory_;
+  double memory_capacity_mb_;
+  /// Reserved from start() to destroy(); a reservation fits while the sum
+  /// stays within the capacity plus 1e-9 MB.
+  double memory_in_use_mb_ = 0.0;
   double keep_alive_s_;
   ContainerId next_id_ = 1;
   // Rows are reused through a LIFO free list, so row order is not id

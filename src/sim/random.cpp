@@ -44,26 +44,6 @@ double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
 }
 
-// GCC/Clang extension; __extension__ keeps -Wpedantic quiet about it.
-__extension__ typedef unsigned __int128 amoeba_u128;
-
-std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
-  // Lemire's multiply-shift rejection method (unbiased).
-  AMOEBA_ASSERT(n > 0);
-  std::uint64_t x = (*this)();
-  amoeba_u128 m = static_cast<amoeba_u128>(x) * n;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < n) {
-    const std::uint64_t threshold = (0 - n) % n;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<amoeba_u128>(x) * n;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 double Rng::exponential(double lambda) {
   AMOEBA_EXPECTS(lambda > 0.0);
   double u = uniform();
@@ -86,11 +66,6 @@ double Rng::normal() {
   spare_normal_ = v * factor;
   have_spare_normal_ = true;
   return u * factor;
-}
-
-double Rng::normal(double mean, double stddev) {
-  AMOEBA_EXPECTS(stddev >= 0.0);
-  return mean + stddev * normal();
 }
 
 double Rng::lognormal_mean_cv(double mean, double cv) {

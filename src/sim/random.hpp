@@ -35,18 +35,12 @@ class Rng {
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
 
-  /// Uniform integer in [0, n). Requires n > 0.
-  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n) noexcept;
-
   /// Exponential variate with rate `lambda` (mean 1/lambda). Requires
   /// lambda > 0. Never returns exactly 0.
   [[nodiscard]] double exponential(double lambda);
 
   /// Standard normal variate (Marsaglia polar method).
   [[nodiscard]] double normal();
-
-  /// Normal variate with the given mean and standard deviation (>= 0).
-  [[nodiscard]] double normal(double mean, double stddev);
 
   /// Log-normal variate parameterized by the *target* mean and coefficient
   /// of variation of the resulting distribution (not of the underlying

@@ -5,27 +5,6 @@
 
 namespace amoeba::stats {
 
-double percentile_inplace(std::vector<double>& samples, double q) {
-  AMOEBA_EXPECTS(!samples.empty());
-  AMOEBA_EXPECTS(q >= 0.0 && q <= 1.0);
-  const double h = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const auto hi = static_cast<std::size_t>(std::ceil(h));
-  std::nth_element(samples.begin(),
-                   samples.begin() + static_cast<std::ptrdiff_t>(lo),
-                   samples.end());
-  const double vlo = samples[lo];
-  if (hi == lo) return vlo;
-  const double vhi =
-      *std::min_element(samples.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
-                        samples.end());
-  return vlo + (h - static_cast<double>(lo)) * (vhi - vlo);
-}
-
-double percentile(std::vector<double> samples, double q) {
-  return percentile_inplace(samples, q);
-}
-
 void SampleSet::ensure_sorted() const {
   if (!dirty_) return;
   sorted_ = samples_;

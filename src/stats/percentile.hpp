@@ -1,4 +1,4 @@
-// Exact percentile / CDF utilities over collected samples.
+// Exact percentile / CDF queries over collected samples.
 #pragma once
 
 #include <cstddef>
@@ -8,15 +8,9 @@
 
 namespace amoeba::stats {
 
-/// Exact q-quantile (0 <= q <= 1) of `samples` using linear interpolation
-/// between closest ranks (the "R-7" rule used by numpy's default).
-/// The input is copied; use `percentile_inplace` to avoid the copy.
-[[nodiscard]] double percentile(std::vector<double> samples, double q);
-
-/// As `percentile` but partially sorts `samples` in place.
-[[nodiscard]] double percentile_inplace(std::vector<double>& samples, double q);
-
-/// Accumulates raw samples and answers percentile / CDF queries.
+/// Accumulates raw samples and answers percentile / CDF queries. Quantiles
+/// interpolate linearly between closest ranks (the "R-7" rule used by
+/// numpy's default).
 /// Memory is O(n); use `stats::LogHistogram` (stats/histogram.hpp) for
 /// bounded-memory approximate quantiles where a stream is too large.
 class SampleSet {

@@ -84,25 +84,6 @@ const std::vector<int>& CallGraph::children(int k) const {
   return children_[static_cast<std::size_t>(k)];
 }
 
-std::vector<std::vector<int>> CallGraph::paths() const {
-  std::vector<std::vector<int>> out;
-  std::vector<int> prefix;
-  // Depth-first enumeration over the (already canonical) adjacency lists,
-  // so the path order is itself canonical.
-  auto walk = [&](auto&& self, int v) -> void {
-    prefix.push_back(v);
-    const auto& kids = children_[static_cast<std::size_t>(v)];
-    if (kids.empty()) {
-      out.push_back(prefix);
-    } else {
-      for (const int c : kids) self(self, c);
-    }
-    prefix.pop_back();
-  };
-  for (const int r : roots_) walk(walk, r);
-  return out;
-}
-
 std::vector<double> CallGraph::path_sums_through(
     const std::vector<double>& w) const {
   AMOEBA_EXPECTS_VALS(static_cast<int>(w.size()) == size(), w.size(), size());

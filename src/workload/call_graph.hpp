@@ -74,9 +74,6 @@ class CallGraph {
     return max_path_stages_;
   }
 
-  /// Every root-to-leaf path as a list of canonical stage indices.
-  [[nodiscard]] std::vector<std::vector<int>> paths() const;
-
   /// For per-stage weights w (w[k] > 0), the maximum root-to-leaf path sum
   /// passing *through* each stage: S_k = up_k + w_k + down_k. The budget
   /// decomposer's denominator.

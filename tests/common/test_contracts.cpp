@@ -7,7 +7,6 @@
 #include "core/hybrid_engine.hpp"
 #include "core/prewarm_policy.hpp"
 #include "core/queueing.hpp"
-#include "sim/counting_resource.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_injector.hpp"
 
@@ -93,7 +92,7 @@ TEST(ContractDeathTest, QueueingRejectsUnstableSystem) {
   EXPECT_DEATH(
       {
         set_contract_handler(&abort_contract_handler);
-        (void)core::queueing::pi0(20.0, 10, 1.0);  // rho = 2 >= 1
+        (void)core::queueing::wait_quantile(20.0, 10, 1.0, 0.95);  // rho = 2
       },
       "system must be stable");
 }
@@ -110,18 +109,6 @@ TEST(ContractDeathTest, EngineRejectsSchedulingInThePast) {
       "cannot schedule an event in the past");
 }
 
-TEST(ContractDeathTest, CountingResourceRejectsOverRelease) {
-  EXPECT_DEATH(
-      {
-        set_contract_handler(&abort_contract_handler);
-        sim::Engine engine;
-        sim::CountingResource res(engine, 100.0);
-        (void)res.try_acquire(10.0);
-        res.release(20.0);
-      },
-      "releasing more than held");
-}
-
 TEST(ContractDeathTest, HybridEngineConfigRejectsBadMirrorFraction) {
   EXPECT_DEATH(
       {
@@ -131,17 +118,6 @@ TEST(ContractDeathTest, HybridEngineConfigRejectsBadMirrorFraction) {
         cfg.validate();
       },
       "mirror_fraction");
-}
-
-TEST(ContractDeathTest, HybridEngineConfigRejectsNonPositivePoll) {
-  EXPECT_DEATH(
-      {
-        set_contract_handler(&abort_contract_handler);
-        core::HybridEngineConfig cfg;
-        cfg.prewarm_poll_s = 0.0;
-        cfg.validate();
-      },
-      "prewarm_poll_s");
 }
 
 TEST(ContractDeathTest, FaultConfigRejectsOutOfRangeProbability) {

@@ -21,9 +21,13 @@
 
 #include "common/assert.hpp"
 #include "sim/random.hpp"
+#include "support/rng_draws.hpp"
+#include "workload/reference_call_graph.hpp"
 
 namespace amoeba::core {
 namespace {
+
+using sim::testing::uniform_index;
 
 workload::FunctionProfile stage_profile(const std::string& name,
                                         double cpu_seconds) {
@@ -48,16 +52,16 @@ workload::FunctionProfile stage_profile(const std::string& name,
 /// the seed.
 workload::CallGraph random_dag(std::uint64_t seed) {
   sim::Rng gen(seed);
-  const int n_layers = 2 + static_cast<int>(gen.uniform_index(3));
+  const int n_layers = 2 + static_cast<int>(uniform_index(gen, 3));
   std::vector<std::vector<int>> layers;
   workload::CallGraph::Builder b;
   int next = 0;
   for (int l = 0; l < n_layers; ++l) {
-    const int width = 1 + static_cast<int>(gen.uniform_index(3));
+    const int width = 1 + static_cast<int>(uniform_index(gen, 3));
     std::vector<int> layer;
     for (int i = 0; i < width; ++i) {
       const std::string label = "s" + std::to_string(next++);
-      const double cpu = 0.01 + 0.001 * static_cast<double>(gen.uniform_index(100));
+      const double cpu = 0.01 + 0.001 * static_cast<double>(uniform_index(gen, 100));
       layer.push_back(b.add_stage(label, stage_profile(label, cpu)));
     }
     layers.push_back(std::move(layer));
@@ -68,10 +72,10 @@ workload::CallGraph random_dag(std::uint64_t seed) {
   for (std::size_t l = 1; l < layers.size(); ++l) {
     const auto& prev = layers[l - 1];
     const auto& cur = layers[l];
-    for (const int v : cur) edges.emplace(prev[gen.uniform_index(prev.size())], v);
-    for (const int u : prev) edges.emplace(u, cur[gen.uniform_index(cur.size())]);
-    for (int extra = static_cast<int>(gen.uniform_index(3)); extra > 0; --extra) {
-      edges.emplace(prev[gen.uniform_index(prev.size())], cur[gen.uniform_index(cur.size())]);
+    for (const int v : cur) edges.emplace(prev[uniform_index(gen, prev.size())], v);
+    for (const int u : prev) edges.emplace(u, cur[uniform_index(gen, cur.size())]);
+    for (int extra = static_cast<int>(uniform_index(gen, 3)); extra > 0; --extra) {
+      edges.emplace(prev[uniform_index(gen, prev.size())], cur[uniform_index(gen, cur.size())]);
     }
   }
   for (const auto& [from, to] : edges) b.add_edge(from, to);
@@ -83,7 +87,7 @@ std::vector<double> random_weights(const workload::CallGraph& g,
   sim::Rng gen(seed ^ 0xabcdefULL);
   std::vector<double> w(static_cast<std::size_t>(g.size()));
   for (auto& wi : w) {
-    wi = 0.01 + 0.001 * static_cast<double>(gen.uniform_index(500));
+    wi = 0.01 + 0.001 * static_cast<double>(uniform_index(gen, 500));
   }
   return w;
 }
@@ -100,7 +104,7 @@ void check_decomposition_invariants(const workload::CallGraph& g,
   }
   // Per-path sums <= T; the heaviest path consumes T exactly.
   double heaviest = 0.0;
-  for (const auto& path : g.paths()) {
+  for (const auto& path : workload::testing::paths(g)) {
     double s = 0.0;
     for (const int v : path) s += budgets[static_cast<std::size_t>(v)];
     EXPECT_LE(s, target_s * (1.0 + 1e-9));
@@ -152,16 +156,16 @@ TEST(BudgetDecomposer, ObserveAppliesTheEwma) {
   b.add_edge(a, c);
   const workload::CallGraph g = b.build();
 
-  BudgetDecomposerConfig cfg;
-  cfg.ewma_alpha = 0.25;
-  BudgetDecomposer d(g, 1.0, {0.2, 0.2}, cfg);
+  // The weight moves 0.3 of the way to each observation.
+  BudgetDecomposer d(g, 1.0, {0.2, 0.2});
   d.observe(0, 0.6);
-  EXPECT_NEAR(d.weights()[0], 0.75 * 0.2 + 0.25 * 0.6, 1e-12);
+  EXPECT_NEAR(d.weights()[0], 0.7 * 0.2 + 0.3 * 0.6, 1e-12);
   EXPECT_DOUBLE_EQ(d.weights()[1], 0.2);
 
   // Observations are floored so a (near-)zero p95 cannot zero the weight.
   d.observe(1, 0.0);
-  EXPECT_GE(d.weights()[1], cfg.min_weight_s * cfg.ewma_alpha);
+  EXPECT_NEAR(d.weights()[1], 0.7 * 0.2 + 0.3 * BudgetDecomposer::kMinWeightS,
+              1e-12);
   check_decomposition_invariants(g, d.budgets(), 1.0);
 }
 
@@ -205,15 +209,6 @@ TEST(BudgetDecomposer, RejectsInvalidInputs) {
   EXPECT_THROW(d.observe(-1, 0.1), ContractError);
   EXPECT_THROW(d.observe(g.size(), 0.1), ContractError);
   EXPECT_THROW(d.observe(0, -0.1), ContractError);
-
-  BudgetDecomposerConfig cfg;
-  cfg.ewma_alpha = 0.0;
-  EXPECT_THROW(BudgetDecomposer(g, 1.0, w, cfg), ContractError);
-  cfg.ewma_alpha = 1.1;
-  EXPECT_THROW(BudgetDecomposer(g, 1.0, w, cfg), ContractError);
-  cfg.ewma_alpha = 1.0;
-  cfg.min_weight_s = 0.0;
-  EXPECT_THROW(BudgetDecomposer(g, 1.0, w, cfg), ContractError);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+
 namespace amoeba::core {
 namespace {
 
@@ -170,6 +173,23 @@ TEST(Controller, ObserveLatencyFeedsEstimator) {
   }
   EXPECT_GE(c.estimator().samples(), 50u);
   EXPECT_TRUE(c.estimator().calibrated());
+}
+
+TEST(Controller, ObserveLatencyRejectsNonFiniteOrNegativeSamples) {
+  DeploymentController c(config(), 0.5, artifacts());
+  const std::array<double, kNumResources> p = {0.2, 0.0, 0.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(c.observe_latency(-1.0, p, 0.1, false), ContractError);
+  EXPECT_THROW(c.observe_latency(nan, p, 0.1, false), ContractError);
+  EXPECT_THROW(c.observe_latency(inf, p, 0.1, false), ContractError);
+  EXPECT_THROW(c.observe_latency(5.0, p, 0.0, false), ContractError);
+  EXPECT_THROW(c.observe_latency(5.0, p, -0.1, false), ContractError);
+  EXPECT_THROW(c.observe_latency(5.0, p, nan, false), ContractError);
+  EXPECT_THROW(c.observe_latency(5.0, p, inf, false), ContractError);
+  EXPECT_EQ(c.estimator().samples(), 0u);  // nothing reached the fit
+  c.observe_latency(0.0, p, 0.1, false);  // an idle service still samples
+  EXPECT_EQ(c.estimator().samples(), 1u);
 }
 
 TEST(Controller, ModeChangeRestartsTheStreak) {

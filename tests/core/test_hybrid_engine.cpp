@@ -292,7 +292,6 @@ TEST(HybridEngine, ConfigValidateRejectsBadValues) {
   };
   bad([](HybridEngineConfig& c) { c.mirror_fraction = -0.1; });
   bad([](HybridEngineConfig& c) { c.mirror_fraction = 1.5; });
-  bad([](HybridEngineConfig& c) { c.prewarm_poll_s = 0.0; });
   bad([](HybridEngineConfig& c) { c.switch_timeout_s = 0.0; });
 }
 

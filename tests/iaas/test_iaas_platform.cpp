@@ -38,6 +38,22 @@ TEST(IaasPlatform, RegisterAndBootService) {
   EXPECT_EQ(vm.state(), VmState::kRunning);
 }
 
+TEST(IaasPlatform, RegisterRejectsAVmWithoutCoresOrMemory) {
+  sim::Engine e;
+  IaasPlatform ip(e, config(), sim::Rng(1));
+  VmSpec no_cores;
+  no_cores.cores = 0.0;
+  EXPECT_THROW((void)ip.register_service(profile("a"), no_cores),
+               ContractError);
+  VmSpec no_memory;
+  no_memory.memory_mb = -1.0;
+  EXPECT_THROW((void)ip.register_service(profile("a"), no_memory),
+               ContractError);
+  // Both were refused before a VM existed: the next registration works.
+  VirtualMachine& vm = ip.register_service(profile("a"), VmSpec{});
+  EXPECT_EQ(vm.state(), VmState::kStopped);
+}
+
 TEST(IaasPlatform, IndependentServices) {
   sim::Engine e;
   IaasPlatform ip(e, config(), sim::Rng(2));

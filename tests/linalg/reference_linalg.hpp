@@ -18,12 +18,21 @@
 
 namespace amoeba::linalg::testing {
 
+/// A rows×cols matrix, every element `fill`. Matrix has no sized
+/// constructor: the library sizes its matrices in place through assign().
+[[nodiscard]] inline Matrix sized(std::size_t rows, std::size_t cols,
+                                  double fill = 0.0) {
+  Matrix m;
+  m.assign(rows, cols, fill);
+  return m;
+}
+
 /// Matrix from nested initializer lists (rows of equal length).
 [[nodiscard]] inline Matrix from_rows(
     std::initializer_list<std::initializer_list<double>> rows) {
   AMOEBA_EXPECTS(rows.size() > 0);
   const std::size_t cols = rows.begin()->size();
-  Matrix m(rows.size(), cols);
+  Matrix m = sized(rows.size(), cols);
   std::size_t r = 0;
   for (const auto& row : rows) {
     AMOEBA_EXPECTS_MSG(row.size() == cols, "ragged initializer");
@@ -35,20 +44,20 @@ namespace amoeba::linalg::testing {
 }
 
 [[nodiscard]] inline Matrix identity(std::size_t n) {
-  Matrix m(n, n, 0.0);
+  Matrix m = sized(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
 }
 
 /// Column vector from values.
 [[nodiscard]] inline Matrix column(const std::vector<double>& values) {
-  Matrix m(values.size(), 1);
+  Matrix m = sized(values.size(), 1);
   for (std::size_t i = 0; i < values.size(); ++i) m(i, 0) = values[i];
   return m;
 }
 
 [[nodiscard]] inline Matrix transposed(const Matrix& a) {
-  Matrix out(a.cols(), a.rows());
+  Matrix out = sized(a.cols(), a.rows());
   for (std::size_t r = 0; r < a.rows(); ++r) {
     for (std::size_t c = 0; c < a.cols(); ++c) out(c, r) = a(r, c);
   }
@@ -57,7 +66,7 @@ namespace amoeba::linalg::testing {
 
 [[nodiscard]] inline Matrix operator*(const Matrix& a, const Matrix& b) {
   AMOEBA_EXPECTS_MSG(a.cols() == b.rows(), "dimension mismatch in product");
-  Matrix out(a.rows(), b.cols(), 0.0);
+  Matrix out = sized(a.rows(), b.cols(), 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t k = 0; k < a.cols(); ++k) {
       const double aik = a(i, k);

@@ -51,7 +51,7 @@ namespace amoeba::linalg::testing {
   }
 
   // Correlation matrix of standardized features.
-  Matrix corr(d, d, 0.0);
+  Matrix corr = sized(d, d, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t a = 0; a < d; ++a) {
       const double za = (samples(i, a) - model.means[a]) / model.scales[a];
@@ -115,7 +115,7 @@ namespace amoeba::linalg::testing {
   const std::size_t k = model.pca.retained;
 
   // Design matrix of scores, plus intercept handled by centering y.
-  Matrix scores(n, k, 0.0);
+  Matrix scores = sized(n, k, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const auto xi = row_vector(x, i);
     for (std::size_t c = 0; c < k; ++c) scores(i, c) = model.pca.score(c, xi);

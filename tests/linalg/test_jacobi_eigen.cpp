@@ -40,7 +40,7 @@ TEST(Jacobi, Known2x2) {
 TEST(Jacobi, RejectsNonSymmetric) {
   Matrix a = from_rows({{1.0, 2.0}, {0.0, 1.0}});
   EXPECT_THROW((void)eigen_of(a), ContractError);
-  EXPECT_THROW((void)eigen_of(Matrix(2, 3)), ContractError);
+  EXPECT_THROW((void)eigen_of(sized(2, 3)), ContractError);
   // Its own output storage cannot be decomposed in place.
   EigenDecomposition e = eigen_of(identity(2));
   EXPECT_THROW(jacobi_eigen(e.vectors, e), ContractError);
@@ -51,7 +51,7 @@ class JacobiRandom : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(JacobiRandom, ReconstructsMatrix) {
   const std::size_t n = GetParam();
   sim::Rng rng(100 + n);
-  Matrix a(n, n);
+  Matrix a = sized(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
       const double v = rng.uniform(-1.0, 1.0);
@@ -61,7 +61,7 @@ TEST_P(JacobiRandom, ReconstructsMatrix) {
   }
   const auto e = eigen_of(a);
   // Rebuild A = V diag(λ) Vᵀ.
-  Matrix lambda(n, n, 0.0);
+  Matrix lambda = sized(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) lambda(i, i) = e.values[i];
   const Matrix rebuilt = e.vectors * lambda * transposed(e.vectors);
   EXPECT_LT(max_abs_diff(rebuilt, a), 1e-10);
@@ -70,7 +70,7 @@ TEST_P(JacobiRandom, ReconstructsMatrix) {
 TEST_P(JacobiRandom, EigenvectorsOrthonormal) {
   const std::size_t n = GetParam();
   sim::Rng rng(200 + n);
-  Matrix a(n, n);
+  Matrix a = sized(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
       const double v = rng.uniform(-1.0, 1.0);
@@ -86,7 +86,7 @@ TEST_P(JacobiRandom, EigenvectorsOrthonormal) {
 TEST_P(JacobiRandom, ValuesDescending) {
   const std::size_t n = GetParam();
   sim::Rng rng(300 + n);
-  Matrix a(n, n);
+  Matrix a = sized(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
       const double v = rng.uniform(-1.0, 1.0);
@@ -105,7 +105,7 @@ TEST_P(JacobiRandom, ReusedStorageGivesTheSameBits) {
   // storage left by the first must not reach the second's results.
   const std::size_t n = GetParam();
   sim::Rng rng(400 + n);
-  Matrix a(n, n);
+  Matrix a = sized(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
       const double v = rng.uniform(-1.0, 1.0);
@@ -133,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, JacobiRandom,
 
 TEST(Jacobi, PositiveSemidefiniteCovarianceStaysNonNegative) {
   // Rank-1 covariance: one positive eigenvalue, rest ~0.
-  Matrix a(3, 3);
+  Matrix a = sized(3, 3);
   const std::vector<double> v = {1.0, 2.0, 3.0};
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) a(i, j) = v[i] * v[j];

@@ -7,11 +7,14 @@
 
 #include "reference_linalg.hpp"
 #include "sim/random.hpp"
+#include "support/rng_draws.hpp"
 
 namespace amoeba::linalg {
 namespace {
 
+using sim::testing::normal;
 using testing::from_rows;
+using testing::sized;
 using testing::solve_least_squares;
 
 TEST(SolveSpd, Known2x2) {
@@ -34,10 +37,10 @@ TEST(SolveSpd, RejectsIndefinite) {
 }
 
 TEST(SolveSpd, RejectsBadDimensions) {
-  Matrix m(2, 3);
+  Matrix m = sized(2, 3);
   std::vector<double> b2 = {1.0, 2.0};
   EXPECT_THROW(solve_spd(m, b2), ContractError);
-  Matrix sq(2, 2);
+  Matrix sq = sized(2, 2);
   std::vector<double> b1 = {1.0};
   EXPECT_THROW(solve_spd(sq, b1), ContractError);
 }
@@ -53,7 +56,7 @@ TEST(LeastSquares, ExactSystemRecovered) {
 TEST(LeastSquares, OverdeterminedNoisyRecovery) {
   sim::Rng rng(17);
   const std::size_t n = 500;
-  Matrix a(n, 3);
+  Matrix a = sized(n, 3);
   std::vector<double> y(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double x0 = rng.uniform(-1.0, 1.0);
@@ -62,7 +65,7 @@ TEST(LeastSquares, OverdeterminedNoisyRecovery) {
     a(i, 0) = x0;
     a(i, 1) = x1;
     a(i, 2) = x2;
-    y[i] = 1.5 * x0 - 0.5 * x1 + 2.0 * x2 + rng.normal(0.0, 0.01);
+    y[i] = 1.5 * x0 - 0.5 * x1 + 2.0 * x2 + normal(rng, 0.0, 0.01);
   }
   const auto beta = solve_least_squares(a, y);
   EXPECT_NEAR(beta[0], 1.5, 0.01);
@@ -91,7 +94,7 @@ TEST(LeastSquares, RidgeRescuesRankDeficiency) {
 }
 
 TEST(LeastSquares, DimensionMismatchThrows) {
-  Matrix a(3, 2);
+  Matrix a = sized(3, 2);
   EXPECT_THROW((void)solve_least_squares(a, {1.0, 2.0}), ContractError);
 }
 

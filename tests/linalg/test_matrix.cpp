@@ -12,7 +12,8 @@ namespace {
 using namespace testing;
 
 TEST(Matrix, ConstructionAndAccess) {
-  Matrix m(2, 3, 1.5);
+  Matrix m;
+  m.assign(2, 3, 1.5);
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 3u);
   EXPECT_DOUBLE_EQ(m(1, 2), 1.5);
@@ -31,7 +32,7 @@ TEST(Matrix, RaggedInitializerThrows) {
 }
 
 TEST(Matrix, OutOfRangeAccessThrows) {
-  Matrix m(2, 2);
+  Matrix m = sized(2, 2);
   EXPECT_THROW((void)m(2, 0), ContractError);
   EXPECT_THROW((void)m(0, 2), ContractError);
 }
@@ -54,8 +55,8 @@ TEST(Matrix, ProductKnownValues) {
 }
 
 TEST(Matrix, ProductDimensionMismatchThrows) {
-  Matrix a(2, 3);
-  Matrix b(2, 3);
+  Matrix a = sized(2, 3);
+  Matrix b = sized(2, 3);
   EXPECT_THROW((void)(a * b), ContractError);
 }
 
@@ -89,7 +90,7 @@ TEST(Matrix, RowAndColVectors) {
 }
 
 TEST(Matrix, AssignReshapesAndFills) {
-  Matrix m(3, 3, 1.0);
+  Matrix m = sized(3, 3, 1.0);
   m.assign(2, 4, -0.5);
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 4u);
@@ -105,7 +106,7 @@ TEST(Matrix, SymmetryCheck) {
   Matrix ns = from_rows({{1.0, 2.0}, {2.1, 5.0}});
   EXPECT_FALSE(ns.is_symmetric());
   EXPECT_TRUE(ns.is_symmetric(0.2));
-  EXPECT_FALSE(Matrix(2, 3).is_symmetric());
+  EXPECT_FALSE(sized(2, 3).is_symmetric());
 }
 
 TEST(Matrix, FrobeniusNorm) {

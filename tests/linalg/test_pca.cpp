@@ -10,12 +10,15 @@
 
 #include "reference_linalg.hpp"
 #include "sim/random.hpp"
+#include "support/rng_draws.hpp"
 
 namespace amoeba::linalg {
 namespace {
 
+using sim::testing::normal;
 using testing::dot;
 using testing::row_vector;
+using testing::sized;
 
 PcaModel pca_of(const WindowMoments& m, double min_explained = 0.95) {
   PcaModel model;
@@ -41,12 +44,12 @@ std::vector<double> scores_of(const PcaModel& m, const std::vector<double>& x) {
 
 Matrix correlated_samples(std::size_t n, sim::Rng& rng) {
   // x2 = 2 x1 + noise, x3 independent: effectively 2 latent dimensions.
-  Matrix x(n, 3);
+  Matrix x = sized(n, 3);
   for (std::size_t i = 0; i < n; ++i) {
-    const double a = rng.normal(0.0, 1.0);
+    const double a = normal(rng, 0.0, 1.0);
     x(i, 0) = a;
-    x(i, 1) = 2.0 * a + rng.normal(0.0, 0.05);
-    x(i, 2) = rng.normal(0.0, 1.0);
+    x(i, 1) = 2.0 * a + normal(rng, 0.0, 0.05);
+    x(i, 2) = normal(rng, 0.0, 1.0);
   }
   return x;
 }
@@ -106,7 +109,7 @@ TEST(Pca, TransformScoresAreDecorrelated) {
 }
 
 TEST(Pca, ZeroVarianceFeatureHandled) {
-  Matrix x(50, 2);
+  Matrix x = sized(50, 2);
   sim::Rng rng(34);
   for (std::size_t i = 0; i < 50; ++i) {
     x(i, 0) = rng.uniform();
@@ -120,7 +123,7 @@ TEST(Pca, ZeroVarianceFeatureHandled) {
 }
 
 TEST(Pca, RequiresTwoSamples) {
-  Matrix x(1, 2);
+  Matrix x = sized(1, 2);
   EXPECT_THROW((void)pca_of(moments_of(x)), ContractError);
 }
 
@@ -131,7 +134,7 @@ TEST(Pcr, RecoversLinearModelOnCorrelatedFeatures) {
   std::vector<double> y(n);
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = 4.0 + 1.0 * x(i, 0) + 0.5 * x(i, 1) + 2.0 * x(i, 2) +
-           rng.normal(0.0, 0.01);
+           normal(rng, 0.0, 0.01);
   }
   const PcrModel m = pcr_of(moments_of(x, y), 0.999);
   // Prediction accuracy is what matters (correlated coefficients are not
@@ -162,7 +165,7 @@ TEST(Pcr, RawCoefficientsMatchPrediction) {
 }
 
 TEST(Pcr, InterceptOnlyData) {
-  Matrix x(100, 2);
+  Matrix x = sized(100, 2);
   std::vector<double> y(100, 5.0);
   sim::Rng rng(37);
   for (std::size_t i = 0; i < 100; ++i) {

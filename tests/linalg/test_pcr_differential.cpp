@@ -20,10 +20,12 @@
 #include "linalg/pca.hpp"
 #include "reference_pcr.hpp"
 #include "sim/random.hpp"
+#include "support/rng_draws.hpp"
 
 namespace amoeba::linalg {
 namespace {
 
+using sim::testing::normal;
 using core::Features;
 using core::kNumResources;
 using core::WeightEstimator;
@@ -87,7 +89,7 @@ void run_differential(const Stream& stream, std::size_t heartbeats,
     if (est.refits() == before || hb < check_from) continue;
     ++checked;
 
-    Matrix x(window.size(), kNumResources);
+    Matrix x = testing::sized(window.size(), kNumResources);
     std::vector<double> y(window.size());
     for (std::size_t i = 0; i < window.size(); ++i) {
       for (std::size_t j = 0; j < kNumResources; ++j) x(i, j) = window[i].x[j];
@@ -137,7 +139,7 @@ TEST(PcrDifferential, RandomFeatures) {
     const Features x = {kL0 + 0.3 * rng.uniform(), kL0 + 0.1 * rng.uniform(),
                         kL0 + 0.05 * rng.uniform()};
     return Heartbeat{x, 0.6 * x[0] + 0.3 * x[1] + 0.2 * x[2] +
-                            std::abs(rng.normal(0.0, 0.005)) + 0.01};
+                            std::abs(normal(rng, 0.0, 0.005)) + 0.01};
   };
   EXPECT_GT(differential(s, kHeartbeats, config(), 101), 200u);
 }
@@ -146,7 +148,7 @@ TEST(PcrDifferential, CollinearFeatures) {
   const Stream s = [](std::size_t, sim::Rng& rng) {
     const double a = kL0 + 0.2 * rng.uniform();
     const Features x = {a, 2.0 * a, kL0 + 0.05 * rng.uniform()};
-    return Heartbeat{x, a + 0.5 * x[2] + std::abs(rng.normal(0.0, 0.003))};
+    return Heartbeat{x, a + 0.5 * x[2] + std::abs(normal(rng, 0.0, 0.003))};
   };
   EXPECT_GT(differential(s, kHeartbeats, config(), 102), 200u);
 }
@@ -155,7 +157,7 @@ TEST(PcrDifferential, FeatureConstantFromTheStart) {
   const Stream s = [](std::size_t, sim::Rng& rng) {
     const Features x = {kL0 + 0.2 * rng.uniform(), kL0 + 0.1 * rng.uniform(),
                         0.1};
-    return Heartbeat{x, x[0] + 0.4 * x[1] + std::abs(rng.normal(0.0, 0.002))};
+    return Heartbeat{x, x[0] + 0.4 * x[1] + std::abs(normal(rng, 0.0, 0.002))};
   };
   EXPECT_GT(differential(s, kHeartbeats, config(), 103), 200u);
 }
@@ -168,7 +170,7 @@ TEST(PcrDifferential, FeatureBecomesConstantAfterRegimeChange) {
     const Features x = {kL0 + 0.2 * rng.uniform(), f1,
                         kL0 + 0.05 * rng.uniform()};
     return Heartbeat{x, x[0] + 0.1 * x[1] + 0.3 * x[2] +
-                            std::abs(rng.normal(0.0, 0.002))};
+                            std::abs(normal(rng, 0.0, 0.002))};
   };
   EXPECT_GT(differential(s, kHeartbeats, config(), 104), 200u);
 }
@@ -182,7 +184,7 @@ TEST(PcrDifferential, LargeOffsetWithTinySpread) {
     // naive Σx/n mean is ~1e-12 off here (the streamed mean is exact to the
     // last bit), which a slope of 500 would turn into 2e-9 relative.
     return Heartbeat{x, 0.2 + 20.0 * (x[0] - 1e3) + x[2] +
-                            std::abs(rng.normal(0.0, 0.001))};
+                            std::abs(normal(rng, 0.0, 0.001))};
   };
   EXPECT_GT(differential(s, kHeartbeats, config(), 105), 200u);
 }
@@ -198,7 +200,7 @@ TEST(PcrDifferential, CapClampedSaturationRuns) {
                         kL0 + 0.1 * rng.uniform(),
                         saturated ? 0.8 : kL0 + 0.02 * rng.uniform()};
     return Heartbeat{x, std::min(x[0], 0.5) + 0.2 * x[1] +
-                            std::abs(rng.normal(0.0, 0.003))};
+                            std::abs(normal(rng, 0.0, 0.003))};
   };
   EXPECT_GT(differential(s, kHeartbeats, cfg, 106), 200u);
 }
@@ -215,7 +217,7 @@ TEST(PcrDifferential, ExactResumClearsRegimeChangeDust) {
     const Features x = {0.5 + spread * rng.uniform(),
                         kL0 + 0.1 * rng.uniform(), kL0 + 0.05 * rng.uniform()};
     return Heartbeat{x, x[0] + 0.3 * x[1] + 0.2 * x[2] +
-                            std::abs(rng.normal(0.0, 0.002))};
+                            std::abs(normal(rng, 0.0, 0.002))};
   };
   EXPECT_EQ(differential(s, 1600, config(), 108, 1535), 9u);
 }
@@ -225,7 +227,7 @@ TEST(PcrDifferential, FirstRefitAtExactlyMinSamples) {
   const Stream s = [](std::size_t, sim::Rng& rng) {
     const Features x = {kL0 + 0.2 * rng.uniform(), kL0,
                         kL0 + 0.01 * rng.uniform()};
-    return Heartbeat{x, x[0] + std::abs(rng.normal(0.0, 0.002))};
+    return Heartbeat{x, x[0] + std::abs(normal(rng, 0.0, 0.002))};
   };
   const auto cfg = config();
   EXPECT_EQ(differential(s, cfg.min_samples - 1, cfg, 107), 0u);

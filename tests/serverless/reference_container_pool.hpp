@@ -22,7 +22,6 @@
 
 #include "common/assert.hpp"
 #include "serverless/container_pool.hpp"
-#include "sim/counting_resource.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_injector.hpp"
 #include "stats/gauge.hpp"
@@ -49,8 +48,9 @@ class ReferenceContainerPool {
   ReferenceContainerPool(sim::Engine& engine, double memory_capacity_mb,
                          double keep_alive_s)
       : engine_(engine),
-        memory_(engine, memory_capacity_mb),
+        memory_capacity_mb_(memory_capacity_mb),
         keep_alive_s_(keep_alive_s) {
+    AMOEBA_EXPECTS(memory_capacity_mb > 0.0);
     AMOEBA_EXPECTS(keep_alive_s > 0.0);
   }
   ReferenceContainerPool(const ReferenceContainerPool&) = delete;
@@ -70,7 +70,10 @@ class ReferenceContainerPool {
     AMOEBA_EXPECTS(on_ready != nullptr);
     AMOEBA_EXPECTS(known(function));
     FunctionRecord& rec = record(function);
-    if (!memory_.try_acquire(memory_mb)) return std::nullopt;
+    if (memory_in_use_mb_ + memory_mb > memory_capacity_mb_ + 1e-9) {
+      return std::nullopt;
+    }
+    memory_in_use_mb_ += memory_mb;
 
     bool boot_fails = false;
     if (faults_ != nullptr) {
@@ -94,7 +97,7 @@ class ReferenceContainerPool {
     peak_total_containers_ =
         std::max(peak_total_containers_, static_cast<int>(containers_.size()));
     peak_memory_in_use_mb_ =
-        std::max(peak_memory_in_use_mb_, memory_.in_use());
+        std::max(peak_memory_in_use_mb_, memory_in_use_mb_);
 
     engine_.schedule_in(boot_s, [this, id, boot_fails,
                                  cb = std::move(on_ready),
@@ -128,7 +131,7 @@ class ReferenceContainerPool {
   }
 
   [[nodiscard]] bool memory_available(double memory_mb) const {
-    return memory_.available() + 1e-9 >= memory_mb;
+    return memory_capacity_mb_ - memory_in_use_mb_ + 1e-9 >= memory_mb;
   }
 
   bool evict_lru_idle(std::optional<FunctionId> exclude = std::nullopt) {
@@ -212,7 +215,8 @@ class ReferenceContainerPool {
     }
     if (c.expiry_event != sim::kNoEvent) engine_.cancel(c.expiry_event);
     fr.memory.add(engine_.now(), -c.memory_mb);
-    memory_.release(c.memory_mb);
+    AMOEBA_EXPECTS(c.memory_mb <= memory_in_use_mb_ + 1e-9);
+    memory_in_use_mb_ = std::max(memory_in_use_mb_ - c.memory_mb, 0.0);
     containers_.erase(it);
   }
 
@@ -256,7 +260,8 @@ class ReferenceContainerPool {
 
   [[nodiscard]] int headroom(double memory_mb) const {
     AMOEBA_EXPECTS(memory_mb > 0.0);
-    return static_cast<int>(memory_.available() / memory_mb);
+    return static_cast<int>((memory_capacity_mb_ - memory_in_use_mb_) /
+                            memory_mb);
   }
 
   [[nodiscard]] std::vector<ContainerId> starting_ids(
@@ -272,7 +277,7 @@ class ReferenceContainerPool {
   }
 
   [[nodiscard]] double memory_in_use_mb() const noexcept {
-    return memory_.in_use();
+    return memory_in_use_mb_;
   }
   double memory_mb_seconds(FunctionId function, sim::Time now) {
     AMOEBA_EXPECTS(known(function));
@@ -322,7 +327,8 @@ class ReferenceContainerPool {
   }
 
   sim::Engine& engine_;
-  sim::CountingResource memory_;
+  double memory_capacity_mb_;
+  double memory_in_use_mb_ = 0.0;
   double keep_alive_s_;
   ContainerId next_id_ = 1;
   std::map<ContainerId, ReferenceContainer> containers_;

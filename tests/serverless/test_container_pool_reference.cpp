@@ -24,9 +24,12 @@
 #include "sim/engine.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/random.hpp"
+#include "support/rng_draws.hpp"
 
 namespace amoeba::serverless {
 namespace {
+
+using sim::testing::uniform_index;
 
 constexpr double kPoolMemory = 4096.0 + 3 * 256.0;
 constexpr double kAnchorMemory = 256.0;
@@ -109,10 +112,10 @@ class ScriptDriver {
     });
   }
 
-  FunctionId any_function() { return fns_[rng_.uniform_index(kFunctions)]; }
+  FunctionId any_function() { return fns_[uniform_index(rng_, kFunctions)]; }
 
   void op() {
-    const std::uint64_t kind = rng_.uniform_index(20);
+    const std::uint64_t kind = uniform_index(rng_, 20);
     if (kind < 7) {
       start(any_function());
     } else if (kind < 11) {
@@ -122,9 +125,9 @@ class ScriptDriver {
     } else if (kind < 15) {
       // One to three releases at the same instant: equal deadlines, whose
       // expiry order is push order.
-      const std::uint64_t k = 1 + rng_.uniform_index(3);
+      const std::uint64_t k = 1 + uniform_index(rng_, 3);
       for (std::uint64_t i = 0; i < k && !busy_.empty(); ++i) {
-        const std::size_t pick = rng_.uniform_index(busy_.size());
+        const std::size_t pick = uniform_index(rng_, busy_.size());
         pool_.release_to_idle(busy_[pick]);
         busy_.erase(busy_.begin() + static_cast<std::ptrdiff_t>(pick));
       }
@@ -132,7 +135,7 @@ class ScriptDriver {
       // Any state: starting (its boot event must find it gone), idle or
       // busy.
       if (!alive_.empty()) {
-        pool_.destroy(alive_[rng_.uniform_index(alive_.size())]);
+        pool_.destroy(alive_[uniform_index(rng_, alive_.size())]);
       }
     } else if (kind < 19) {
       std::optional<FunctionId> exclude;

@@ -5,9 +5,12 @@
 #include <vector>
 
 #include "sim/random.hpp"
+#include "support/rng_draws.hpp"
 
 namespace amoeba::sim {
 namespace {
+
+using sim::testing::uniform_index;
 
 TEST(Engine, StartsAtTimeZero) {
   Engine e;
@@ -427,17 +430,17 @@ TEST(Engine, RescheduleMatchesCancelAndScheduleOnRandomScripts) {
       ASSERT_EQ(live, recreated.pending_labels()) << "seed " << seed;
       const double u = rng.uniform();
       const Time at =
-          moved.e.now() + 0.25 * static_cast<double>(rng.uniform_index(8));
+          moved.e.now() + 0.25 * static_cast<double>(uniform_index(rng, 8));
       if (live.empty() || u < 0.3) {
         moved.add(at);
         recreated.add(at);
       } else if (u < 0.65) {
-        const int label = live[rng.uniform_index(live.size())];
+        const int label = live[uniform_index(rng, live.size())];
         moved.move(label, at);
         recreated.move(label, at);
         ++moves;
       } else if (u < 0.75) {
-        const int label = live[rng.uniform_index(live.size())];
+        const int label = live[uniform_index(rng, live.size())];
         moved.drop(label);
         recreated.drop(label);
       } else {

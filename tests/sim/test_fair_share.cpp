@@ -13,9 +13,12 @@
 #include "sim/random.hpp"
 #include "reference_fair_share.hpp"
 #include "support/callback_sink.hpp"
+#include "support/rng_draws.hpp"
 
 namespace amoeba::sim {
 namespace {
+
+using sim::testing::uniform_index;
 
 TEST(FairShare, SingleStreamRunsAtItsCap) {
   Engine e;
@@ -532,7 +535,7 @@ StressOutcome stress_run(std::uint64_t seed) {
       if (reentrant_budget > 0 && rng.uniform() < 0.3) {
         --reentrant_budget;
         ++out.reentrant_opens;
-        open_one(rng.exponential(1.5), kCaps[rng.uniform_index(kCaps.size())]);
+        open_one(rng.exponential(1.5), kCaps[uniform_index(rng, kCaps.size())]);
       }
     });
   };
@@ -540,7 +543,7 @@ StressOutcome stress_run(std::uint64_t seed) {
   int arrivals = 300;
   std::function<void()> arrive = [&] {
     const double u = rng.uniform();
-    const double cap = kCaps[rng.uniform_index(kCaps.size())];
+    const double cap = kCaps[uniform_index(rng, kCaps.size())];
     if (u < 0.15) {
       // Identical streams opened together complete simultaneously.
       const double work = rng.exponential(1.0);
@@ -567,7 +570,7 @@ StressOutcome stress_run(std::uint64_t seed) {
       if (live[k]) alive.push_back(k);
     }
     if (!alive.empty()) {
-      const std::size_t k = alive[rng.uniform_index(alive.size())];
+      const std::size_t k = alive[uniform_index(rng, alive.size())];
       live[k] = false;
       const double remaining = r.close(ids[k]);
       if (remaining > 0.0) ++out.midflight_closes;

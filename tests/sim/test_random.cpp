@@ -5,8 +5,13 @@
 #include <cmath>
 #include <vector>
 
+#include "support/rng_draws.hpp"
+
 namespace amoeba::sim {
 namespace {
+
+using sim::testing::normal;
+using sim::testing::uniform_index;
 
 TEST(Rng, DeterministicForFixedSeed) {
   Rng a(123), b(123);
@@ -52,7 +57,7 @@ TEST(Rng, UniformIndexInRange) {
   Rng rng(10);
   std::vector<int> counts(7, 0);
   for (int i = 0; i < 70000; ++i) {
-    const auto k = rng.uniform_index(7);
+    const auto k = uniform_index(rng, 7);
     ASSERT_LT(k, 7u);
     counts[static_cast<std::size_t>(k)]++;
   }
@@ -96,7 +101,7 @@ TEST(Rng, NormalWithParamsScales) {
   Rng rng(15);
   const int n = 100000;
   double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.normal(10.0, 2.0);
+  for (int i = 0; i < n; ++i) sum += normal(rng, 10.0, 2.0);
   EXPECT_NEAR(sum / n, 10.0, 0.05);
 }
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "sim/random.hpp"
+#include "stats/reference_percentile.hpp"
 
 namespace amoeba::stats {
 namespace {
+
+using testing::percentile;
 
 TEST(Percentile, MedianOfOddCount) {
   EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 0.5), 2.0);

@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/queueing.hpp"
+#include "core/reference_queueing.hpp"
 #include "iaas/vm.hpp"
 #include "serverless/platform.hpp"
 #include "sim/random.hpp"
@@ -306,7 +306,7 @@ TEST(PhaseWalkOracle, VmMeanSojournIsMmcForAnyServiceDistribution) {
     for (const double cv : {0.1, 1.0, 2.0}) {
       const double lambda = rho * kCores * kMu;
       const double expected =
-          core::queueing::mean_wait(lambda, kCores, kMu) + 1.0 / kMu;
+          core::queueing::testing::mean_wait(lambda, kCores, kMu) + 1.0 / kMu;
       const std::string label =
           "rho=" + std::to_string(rho) + " cv=" + std::to_string(cv);
       expect_mean_matches(expected, label.c_str(), [&](std::uint64_t seed) {
